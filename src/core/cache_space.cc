@@ -39,10 +39,12 @@ std::optional<byte_count> CacheSpaceAllocator::AllocateAtOrAfter(
 
 std::optional<byte_count> CacheSpaceAllocator::Allocate(byte_count size) {
   S4D_CHECK(size > 0) << "allocating " << size << " bytes";
+  if (size > free_bytes_) return std::nullopt;  // no extent can fit
   const byte_count from = spread_granularity_ > 0 ? hint_ : 0;
   auto offset = AllocateAtOrAfter(from, size);
   if (!offset && from > 0) offset = AllocateAtOrAfter(0, size);  // wrap
   if (!offset) return std::nullopt;
+  ++free_epoch_;
   ChargeRange(*offset, size);
   if (spread_granularity_ > 0) {
     // Rotate the next search start to the following stripe.
@@ -67,6 +69,7 @@ bool CacheSpaceAllocator::Reserve(byte_count offset, byte_count size) {
   if (extent_begin < offset) free_.emplace(extent_begin, offset);
   if (offset + size < extent_end) free_.emplace(offset + size, extent_end);
   free_bytes_ -= size;
+  ++free_epoch_;
   ChargeRange(offset, size);
   MaybeAudit();
   return true;
@@ -77,6 +80,7 @@ void CacheSpaceAllocator::Free(byte_count offset, byte_count size) {
   S4D_CHECK(offset >= 0 && offset + size <= capacity_)
       << "freeing [" << offset << ", " << offset + size
       << ") outside capacity " << capacity_;
+  ++free_epoch_;
   UnchargeRange(offset, size);
   auto next = free_.lower_bound(offset);
   // Double-free / overlap checks: the freed range must not intersect any

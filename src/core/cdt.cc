@@ -9,6 +9,7 @@ namespace s4d::core {
 bool CriticalDataTable::Add(const CdtKey& key) {
   auto [it, inserted] = entries_.emplace(key, Info{});
   if (!inserted) return false;
+  ++mutation_epoch_;
   insertion_order_.push_back(key);
   while (entries_.size() > max_entries_ && !insertion_order_.empty()) {
     const CdtKey& victim = insertion_order_.front();
@@ -25,6 +26,7 @@ bool CriticalDataTable::Add(const CdtKey& key) {
 bool CriticalDataTable::SetCacheFlag(const CdtKey& key, int owner) {
   auto it = entries_.find(key);
   if (it == entries_.end()) return false;
+  ++mutation_epoch_;
   if (!it->second.c_flag) {
     it->second.c_flag = true;
     flagged_.push_back(key);
@@ -37,14 +39,10 @@ bool CriticalDataTable::SetCacheFlag(const CdtKey& key, int owner) {
 void CriticalDataTable::ClearCacheFlag(const CdtKey& key) {
   auto it = entries_.find(key);
   if (it != entries_.end()) {
+    ++mutation_epoch_;
     it->second.c_flag = false;
     it->second.flag_owner = -1;
   }
-}
-
-int CriticalDataTable::FlagOwner(const CdtKey& key) const {
-  auto it = entries_.find(key);
-  return it != entries_.end() ? it->second.flag_owner : -1;
 }
 
 bool CriticalDataTable::CacheFlag(const CdtKey& key) const {
@@ -60,20 +58,22 @@ bool CriticalDataTable::AnyPendingFetch() const {
   return false;
 }
 
-std::vector<CdtKey> CriticalDataTable::PendingFetches(std::size_t limit) {
-  std::vector<CdtKey> out;
-  std::size_t scanned = 0;
-  // Prune stale queue entries (cleared flags, evicted keys) as we walk.
-  while (scanned < flagged_.size() && out.size() < limit) {
-    const CdtKey& key = flagged_[scanned];
-    auto it = entries_.find(key);
-    if (it == entries_.end() || !it->second.c_flag) {
-      flagged_.erase(flagged_.begin() +
-                     static_cast<std::ptrdiff_t>(scanned));
-      continue;
+std::vector<PendingFetch> CriticalDataTable::PendingFetches(
+    std::size_t limit) {
+  std::vector<PendingFetch> out;
+  // Pop the walked prefix off the queue, dropping stale keys (cleared
+  // flags, evicted entries), then push the live ones back in their order:
+  // the queue ends exactly as an in-place prune would leave it.
+  while (!flagged_.empty() && out.size() < limit) {
+    auto it = entries_.find(flagged_.front());
+    if (it != entries_.end() && it->second.c_flag) {
+      out.push_back(PendingFetch{std::move(flagged_.front()),
+                                 it->second.flag_owner});
     }
-    out.push_back(key);
-    ++scanned;
+    flagged_.pop_front();
+  }
+  for (auto live = out.rbegin(); live != out.rend(); ++live) {
+    flagged_.push_front(live->key);
   }
   return out;
 }

@@ -30,6 +30,13 @@ struct CdtKey {
   friend bool operator==(const CdtKey&, const CdtKey&) = default;
 };
 
+// A C_flagged entry awaiting its background fetch, with the tenant whose
+// read marked it (-1 = untagged).
+struct PendingFetch {
+  CdtKey key;
+  int owner = -1;
+};
+
 struct CdtKeyHash {
   std::size_t operator()(const CdtKey& k) const {
     std::size_t h = std::hash<std::string>{}(k.file);
@@ -65,19 +72,23 @@ class CriticalDataTable {
 
   bool CacheFlag(const CdtKey& key) const;
 
-  // The owner recorded by SetCacheFlag (-1 for unknown keys or untagged
-  // flags).
-  int FlagOwner(const CdtKey& key) const;
-
-  // Up to `limit` entries whose C_flag is set, oldest-marked first.
-  // (Consumes nothing; the Rebuilder clears flags when fetches complete.)
-  std::vector<CdtKey> PendingFetches(std::size_t limit);
+  // Up to `limit` entries whose C_flag is set, oldest-marked first, each
+  // with the owner recorded by SetCacheFlag. Consumes nothing (the
+  // Rebuilder clears flags when fetches complete); stale queue entries
+  // met on the way are dropped at O(1) each.
+  std::vector<PendingFetch> PendingFetches(std::size_t limit);
 
   // True iff any entry currently has its C_flag set.
   bool AnyPendingFetch() const;
 
   std::size_t size() const { return entries_.size(); }
   std::int64_t evictions() const { return evictions_; }
+
+  // Moves on every Add that creates an entry and on every SetCacheFlag and
+  // ClearCacheFlag of a known entry — everything that can change what
+  // PendingFetches returns. The Rebuilder parks space-starved fetch passes
+  // on it.
+  std::uint64_t mutation_epoch() const { return mutation_epoch_; }
 
   // S4D_CHECKs the table's bookkeeping: the entry count within the bound,
   // the FIFO holding exactly the live keys (so eviction order is
@@ -109,6 +120,7 @@ class CriticalDataTable {
   std::deque<CdtKey> insertion_order_;   // FIFO eviction
   std::deque<CdtKey> flagged_;           // SetCacheFlag order, lazily pruned
   std::int64_t evictions_ = 0;
+  std::uint64_t mutation_epoch_ = 0;
 };
 
 }  // namespace s4d::core

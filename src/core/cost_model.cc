@@ -1,8 +1,9 @@
 #include "core/cost_model.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdlib>
+
+#include "common/check.h"
 
 namespace s4d::core {
 
@@ -31,15 +32,17 @@ CostModelParams CostModelParams::FromProfiles(int hdd_servers, int ssd_servers,
 }
 
 CostModel::CostModel(CostModelParams params) : params_(std::move(params)) {
-  assert(params_.hdd_servers >= 1);
-  assert(params_.ssd_servers >= 1);
+  S4D_CHECK(params_.hdd_servers >= 1)
+      << "cost model needs a DServer, got " << params_.hdd_servers;
+  S4D_CHECK(params_.ssd_servers >= 1)
+      << "cost model needs a CServer, got " << params_.ssd_servers;
   d_stripe_ = pfs::StripeConfig{params_.hdd_servers, params_.stripe_size};
   c_stripe_ = pfs::StripeConfig{params_.ssd_servers, params_.stripe_size};
 }
 
 SimTime CostModel::ExpectedMaxStartup(SimTime a, SimTime b, int m) {
-  assert(m >= 1);
-  assert(b >= a);
+  S4D_CHECK(m >= 1) << "Eq. 4 over " << m << " servers";
+  S4D_CHECK(b >= a) << "Eq. 4 bounds inverted: a = " << a << ", b = " << b;
   // Eq. 4: E[max(alpha_1..alpha_m)] for alpha ~ U[a, b].
   const double span = static_cast<double>(b - a);
   const double frac = static_cast<double>(m) / static_cast<double>(m + 1);

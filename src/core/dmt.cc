@@ -24,6 +24,7 @@ std::uint32_t DataMappingTable::InternFile(const std::string& file) {
   if (inserted) {
     file_names_.push_back(file);
     files_.emplace_back();
+    dirty_index_.emplace_back();
   }
   return it->second;
 }
@@ -50,6 +51,21 @@ void DataMappingTable::UnindexLru(const Entry& entry) {
   lru_index_.erase(entry.lru_seq);
 }
 
+void DataMappingTable::SetEntryDirty(std::uint32_t file_index,
+                                     byte_count begin, Entry& entry,
+                                     bool dirty) {
+  if (entry.dirty == dirty) return;
+  entry.dirty = dirty;
+  entry.dirty_since = dirty ? ClockNow() : 0;
+  const byte_count len = entry.end - begin;
+  dirty_bytes_ += dirty ? len : -len;
+  if (dirty) {
+    dirty_index_[file_index].insert(begin);
+  } else {
+    dirty_index_[file_index].erase(begin);
+  }
+}
+
 void DataMappingTable::PersistEntry(std::uint32_t file_index,
                                     byte_count begin, const Entry& entry) {
   if (!store_) return;
@@ -72,6 +88,7 @@ void DataMappingTable::ErasePersisted(std::uint32_t file_index,
 Status DataMappingTable::LoadFromStore() {
   InvalidateHint();
   if (!store_) return Status::FailedPrecondition("DMT has no backing store");
+  ++coverage_epoch_;
   for (const std::string& key : store_->KeysWithPrefix("D|")) {
     const auto last_sep = key.rfind('|');
     if (last_sep == std::string::npos || last_sep < 2) {
@@ -101,16 +118,14 @@ Status DataMappingTable::LoadFromStore() {
     Entry entry;
     entry.end = end;
     entry.cache_offset = cache_offset;
-    entry.dirty = dirty != 0;
-    // The stamp is not persisted; a recovered dirty extent's exposure
-    // clock restarts at load time.
-    if (entry.dirty) entry.dirty_since = ClockNow();
     entry.version = version;
     next_version_ = std::max(next_version_, entry.version + 1);
     auto [it, inserted] = files_[file_index].emplace(begin, entry);
     if (!inserted) return Status::Corruption("duplicate DMT record: " + key);
     mapped_bytes_ += entry.end - begin;
-    if (entry.dirty) dirty_bytes_ += entry.end - begin;
+    // The stamp is not persisted; a recovered dirty extent's exposure
+    // clock restarts at load time.
+    SetEntryDirty(file_index, begin, it->second, dirty != 0);
     IndexLru(file_index, begin, it->second);
   }
 #ifdef S4D_PARANOID
@@ -196,6 +211,7 @@ void DataMappingTable::SplitAt(std::uint32_t file_index, byte_count pos) {
   PersistEntry(file_index, it->first, it->second);
   auto [new_it, inserted] = map.emplace(pos, right);
   S4D_CHECK(inserted) << "split position " << pos << " already a boundary";
+  if (right.dirty) dirty_index_[file_index].insert(pos);
   IndexLru(file_index, pos, new_it->second);
   PersistEntry(file_index, pos, new_it->second);
 }
@@ -218,16 +234,15 @@ void DataMappingTable::Insert(const std::string& file, byte_count offset,
   Entry entry;
   entry.end = offset + size;
   entry.cache_offset = cache_offset;
-  entry.dirty = dirty;
-  if (dirty) entry.dirty_since = ClockNow();
   entry.version = next_version_++;
   auto [it, inserted] = map.emplace(offset, entry);
   S4D_CHECK(inserted) << "mapping already begins at " << offset << " in "
                       << file;
+  SetEntryDirty(file_index, offset, it->second, dirty);
   IndexLru(file_index, offset, it->second);
   PersistEntry(file_index, offset, it->second);
   mapped_bytes_ += size;
-  if (dirty) dirty_bytes_ += size;
+  ++coverage_epoch_;
   MaybeAudit();
 }
 
@@ -257,11 +272,15 @@ std::vector<RemovedExtent> DataMappingTable::Invalidate(
     removed.push_back(ext);
 
     mapped_bytes_ -= ext.length();
-    if (ext.dirty) dirty_bytes_ -= ext.length();
+    if (ext.dirty) {
+      dirty_bytes_ -= ext.length();
+      dirty_index_[file_index].erase(ext.orig_begin);
+    }
     UnindexLru(it->second);
     ErasePersisted(file_index, it->first);
     it = map.erase(it);
   }
+  if (!removed.empty()) ++coverage_epoch_;
   MaybeAudit();
   return removed;
 }
@@ -281,12 +300,7 @@ void DataMappingTable::SetDirty(const std::string& file, byte_count offset,
   for (auto it = map.lower_bound(offset); it != map.end() && it->first < end;
        ++it) {
     Entry& entry = it->second;
-    if (entry.dirty != dirty) {
-      entry.dirty = dirty;
-      entry.dirty_since = dirty ? ClockNow() : 0;
-      const byte_count len = entry.end - it->first;
-      dirty_bytes_ += dirty ? len : -len;
-    }
+    SetEntryDirty(file_index, it->first, entry, dirty);
     if (dirty) entry.version = next_version_++;
     PersistEntry(file_index, it->first, entry);
   }
@@ -332,6 +346,7 @@ std::optional<RemovedExtent> DataMappingTable::EvictLruClean() {
     ext.dirty = false;
 
     mapped_bytes_ -= ext.length();
+    ++coverage_epoch_;
     lru_index_.erase(lru_it);
     ErasePersisted(ref.file_index, it->first);
     map.erase(it);
@@ -363,6 +378,7 @@ std::optional<RemovedExtent> DataMappingTable::EvictLruCleanIf(
     if (pred && !pred(ext)) continue;  // outside the caller's partition
 
     mapped_bytes_ -= ext.length();
+    ++coverage_epoch_;
     lru_index_.erase(lru_it);
     ErasePersisted(ref.file_index, it->first);
     map.erase(it);
@@ -395,6 +411,7 @@ std::optional<RemovedExtent> DataMappingTable::EvictCleanOverlapping(
     ext.dirty = false;
 
     mapped_bytes_ -= ext.length();
+    ++coverage_epoch_;
     UnindexLru(it->second);
     ErasePersisted(file_index, it->first);
     map.erase(it);
@@ -437,12 +454,11 @@ std::vector<DirtyRun> DataMappingTable::CollectDirtyRuns(
         run = DirtyRun{};
       }
     };
-    for (const auto& [begin, entry] : files_[i]) {
+    // Only dirty extents are visited. A clean extent between two dirty ones
+    // breaks their adjacency anyway, so the runs match a full-table walk.
+    for (const byte_count begin : dirty_index_[i]) {
       if (total + run.length() >= max_total_bytes) break;
-      if (!entry.dirty) {
-        emit();
-        continue;
-      }
+      const Entry& entry = files_[i].find(begin)->second;
       const bool continues = !run.segments.empty() &&
                              run.orig_end == begin &&
                              run.length() + (entry.end - begin) <= max_run_bytes;
@@ -476,9 +492,7 @@ bool DataMappingTable::MarkCleanIfVersion(const std::string& file,
       it->second.version != version || !it->second.dirty) {
     return false;  // the extent changed while the flush was in flight
   }
-  it->second.dirty = false;
-  it->second.dirty_since = 0;
-  dirty_bytes_ -= end - begin;
+  SetEntryDirty(idx_it->second, begin, it->second, false);
   PersistEntry(idx_it->second, begin, it->second);
   MaybeAudit();
   return true;
@@ -496,9 +510,9 @@ DataMappingTable::DirtyAgeSummary DataMappingTable::SummarizeDirtyAges(
   std::uint64_t stride = 1;
   std::uint64_t index = 0;
   long double total = 0.0L;
-  for (const FileMap& map : files_) {
-    for (const auto& [begin, entry] : map) {
-      if (!entry.dirty) continue;
+  for (std::size_t i = 0; i < files_.size(); ++i) {
+    for (const byte_count begin : dirty_index_[i]) {
+      const Entry& entry = files_[i].find(begin)->second;
       const SimTime age =
           now > entry.dirty_since ? now - entry.dirty_since : 0;
       ++summary.dirty_extents;
@@ -549,12 +563,14 @@ std::vector<RemovedExtent> DataMappingTable::AllExtents() const {
 void DataMappingTable::AuditInvariants() const {
   S4D_CHECK(files_.size() == file_names_.size());
   S4D_CHECK(file_index_.size() == file_names_.size());
+  S4D_CHECK(dirty_index_.size() == files_.size());
   byte_count mapped = 0;
   byte_count dirty = 0;
   std::size_t entries = 0;
   for (std::size_t i = 0; i < files_.size(); ++i) {
     byte_count prev_end = 0;
     bool first = true;
+    std::size_t dirty_entries = 0;
     for (const auto& [begin, entry] : files_[i]) {
       S4D_CHECK(entry.end > begin)
           << "empty/negative extent [" << begin << ", " << entry.end
@@ -573,11 +589,22 @@ void DataMappingTable::AuditInvariants() const {
       S4D_CHECK(lru->second.file_index == i && lru->second.begin == begin)
           << "LRU index points elsewhere for extent at " << begin;
       mapped += entry.end - begin;
-      if (entry.dirty) dirty += entry.end - begin;
+      if (entry.dirty) {
+        dirty += entry.end - begin;
+        ++dirty_entries;
+        S4D_CHECK(dirty_index_[i].count(begin) > 0)
+            << "dirty extent at " << begin << " in " << file_names_[i]
+            << " missing from the dirty index";
+      }
       ++entries;
       prev_end = entry.end;
       first = false;
     }
+    // Every dirty extent is indexed, so equal sizes leave no room for a
+    // stale index entry.
+    S4D_CHECK(dirty_index_[i].size() == dirty_entries)
+        << "dirty index holds " << dirty_index_[i].size() << " extents of "
+        << file_names_[i] << " but " << dirty_entries << " are dirty";
   }
   S4D_CHECK(entries == lru_index_.size())
       << "LRU index holds " << lru_index_.size() << " refs for " << entries

@@ -17,6 +17,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -153,6 +154,12 @@ class DataMappingTable {
   byte_count mapped_bytes() const;
   byte_count dirty_bytes() const;
 
+  // Moves whenever mapped coverage changes: on every Insert and every
+  // removal (invalidation, eviction, recovery load). Dirty flips, touches
+  // and splits leave it alone. The Rebuilder parks space-starved fetch
+  // passes on it.
+  std::uint64_t coverage_epoch() const { return coverage_epoch_; }
+
   // --- dirty-age accounting ----------------------------------------------
   // `clock` supplies the current simulated time; with it installed, every
   // clean→dirty transition stamps the extent (already-dirty extents keep
@@ -169,7 +176,7 @@ class DataMappingTable {
     SimTime mean = 0;  // exact over every dirty extent
     SimTime p50 = 0;   // from a deterministic stride-decimation sample
   };
-  // Walks the dirty extents and summarizes their ages at `now`. The p50
+  // Walks the dirty-extent index and summarizes their ages at `now`. The p50
   // comes from a bounded sample thinned by deterministic doubling
   // decimation (no RNG — identical across runs and thread counts).
   DirtyAgeSummary SummarizeDirtyAges(SimTime now) const;
@@ -177,8 +184,9 @@ class DataMappingTable {
   // Walks the whole table and S4D_CHECKs the representation invariants:
   // per-file extents sorted and non-overlapping with positive length, the
   // mapped/dirty byte counters equal to the recomputed sums, every entry
-  // indexed by the LRU map (and vice versa), and versions below the
-  // allocator cursor. O(entries); aborts with the violated invariant on
+  // indexed by the LRU map (and vice versa), the dirty-extent index holding
+  // exactly the dirty extents, and versions below the allocator cursor.
+  // O(entries log entries); aborts with the violated invariant on
   // failure. Paranoid builds (-DS4D_PARANOID=ON) run it automatically every
   // few mutations; tests call it directly.
   void AuditInvariants() const;
@@ -228,6 +236,11 @@ class DataMappingTable {
   void IndexLru(std::uint32_t file_index, byte_count begin, Entry& entry);
   void UnindexLru(const Entry& entry);
 
+  // Sets an entry's D_flag, keeping dirty_bytes_ and the dirty-extent
+  // index in step. A clean→dirty flip stamps the exposure time.
+  void SetEntryDirty(std::uint32_t file_index, byte_count begin,
+                     Entry& entry, bool dirty);
+
   void PersistEntry(std::uint32_t file_index, byte_count begin,
                     const Entry& entry);
   void ErasePersisted(std::uint32_t file_index, byte_count begin);
@@ -257,11 +270,15 @@ class DataMappingTable {
   std::unordered_map<std::string, std::uint32_t> file_index_;
   std::vector<std::string> file_names_;
   std::vector<FileMap> files_;
+  // Per file, the begins of its dirty extents: the flush and dirty-age
+  // walks visit only these, in the table's file-then-offset order.
+  std::vector<std::set<byte_count>> dirty_index_;
   std::map<std::uint64_t, LruRef> lru_index_;  // lru_seq -> entry
   std::uint64_t next_lru_seq_ = 1;
   std::uint64_t next_version_ = 1;
   byte_count mapped_bytes_ = 0;
   byte_count dirty_bytes_ = 0;
+  std::uint64_t coverage_epoch_ = 0;
 };
 
 }  // namespace s4d::core

@@ -261,8 +261,7 @@ void Rebuilder::FlushDirty() {
   }
 }
 
-void Rebuilder::FailFetch(const CdtKey& key, byte_count cache_offset) {
-  (void)cache_offset;
+void Rebuilder::FailFetch(const CdtKey& key) {
   ++stats_.fetch_failures;
   ++stats_.fetches_completed;  // resolves idle() accounting
   if (obs_ != nullptr) {
@@ -279,7 +278,26 @@ void Rebuilder::FailFetch(const CdtKey& key, byte_count cache_offset) {
 }
 
 void Rebuilder::FetchCritical() {
-  for (const CdtKey& key : cdt_.PendingFetches(config_.fetch_batch_ranges)) {
+  const CacheSpaceAllocator& space = redirector_.space();
+  if (parked_ && parked_->free_epoch == space.free_epoch() &&
+      parked_->coverage_epoch == dmt_.coverage_epoch() &&
+      parked_->cdt_epoch == cdt_.mutation_epoch()) {
+    redirector_.set_charge_owner(parked_->charge_owner);
+    return;
+  }
+  parked_.reset();
+
+  // Parking is exact only when every failure is a no-free-bytes failure:
+  // the tenant gate has no side effects and can only veto, so such a
+  // failure happens whatever the gate says. A failure with enough free
+  // bytes (fragmentation, or a gate veto whose quota moves with the sizer
+  // clock) retries every tick, and an evicting fetch depends on the dirty
+  // state too, so it never parks.
+  bool parkable = !config_.fetch_may_evict;
+  bool failed_any = false;
+  for (const PendingFetch& pending :
+       cdt_.PendingFetches(config_.fetch_batch_ranges)) {
+    const CdtKey& key = pending.key;
     // Skip ranges that got (partially) cached since the mark: a foreground
     // admission may have raced the lazy fetch.
     const DmtLookup lookup = dmt_.Lookup(key.file, key.offset, key.length);
@@ -287,25 +305,30 @@ void Rebuilder::FetchCritical() {
       // Partially cached: fetching the gaps piecemeal would fragment the
       // allocation; just clear the flag and let future misses re-mark.
       cdt_.ClearCacheFlag(key);
+      parkable = false;
       continue;
     }
     if (lookup.fully_mapped()) {
       cdt_.ClearCacheFlag(key);
+      parkable = false;
       continue;
     }
 
     // Charge the fetched space (and apply the partition gate) to the tenant
     // whose read marked this C_flag; a no-op without partition tracking.
-    redirector_.set_charge_owner(cdt_.FlagOwner(key));
+    redirector_.set_charge_owner(pending.owner);
     auto cache_offset = config_.fetch_may_evict
                             ? redirector_.AllocateCacheSpace(key.length)
                             : redirector_.AllocateFreeOnly(key.length);
     if (!cache_offset) {
       ++stats_.fetch_space_failures;
+      failed_any = true;
+      if (key.length <= space.free_bytes()) parkable = false;
       // Leave the flag set — space may free up by the next tick.
       continue;
     }
 
+    parkable = false;
     ++stats_.fetches_started;
     stats_.fetched_bytes += key.length;
     cdt_.ClearCacheFlag(key);
@@ -352,17 +375,22 @@ void Rebuilder::FetchCritical() {
                 ++stats_.fetches_completed;
                 if (fetch_span != obs::kNoSpan) obs_->tracer.End(fetch_span, t);
               },
-              [this, key, cache_offset, fetch_span](SimTime t) {
+              [this, key, fetch_span](SimTime t) {
                 if (fetch_span != obs::kNoSpan) obs_->tracer.End(fetch_span, t);
-                FailFetch(key, *cache_offset);
+                FailFetch(key);
               },
               fetch_span);
         },
-        [this, key, cache_offset, fetch_span](SimTime t) {
+        [this, key, fetch_span](SimTime t) {
           if (fetch_span != obs::kNoSpan) obs_->tracer.End(fetch_span, t);
-          FailFetch(key, *cache_offset);
+          FailFetch(key);
         },
         fetch_span);
+  }
+  if (parkable && failed_any) {
+    parked_ = ParkedFetchPass{space.free_epoch(), dmt_.coverage_epoch(),
+                              cdt_.mutation_epoch(),
+                              redirector_.charge_owner()};
   }
 }
 

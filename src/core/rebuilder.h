@@ -16,11 +16,16 @@
 // it (content tokens are stamped at issue time throughout the simulator,
 // so this linearizes consistently); the cost is only a slight timing
 // optimism for reads that hit during the fetch's flight time.
+//
+// Each tick costs the work it does, not the size of the tables: the flush
+// pass walks the DMT's dirty-extent index, and a fetch pass that failed
+// every candidate for want of free bytes *parks* (see FetchCritical).
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 
@@ -79,6 +84,8 @@ struct RebuilderStats {
   std::int64_t fetches_started = 0;
   std::int64_t fetches_completed = 0;
   byte_count fetched_bytes = 0;
+  // Fetch attempts that found no cache space. A parked pass makes no
+  // attempts, so it adds nothing here.
   std::int64_t fetch_space_failures = 0;
   // Fault handling.
   std::int64_t flush_failures = 0;   // runs aborted by a failed sub-I/O
@@ -148,7 +155,7 @@ class Rebuilder {
   void FlushDirty();
   void FetchCritical();
   void AbortFlushRun(const std::shared_ptr<FlushRun>& run);
-  void FailFetch(const CdtKey& key, byte_count cache_offset);
+  void FailFetch(const CdtKey& key);
   void Backoff() { retry_at_ = engine_.now() + config_.retry_backoff; }
 
   sim::Engine& engine_;
@@ -170,6 +177,19 @@ class Rebuilder {
   // No reorganization I/O is issued before this time (failure backoff).
   SimTime retry_at_ = 0;
   RebuilderStats stats_;
+
+  // A fetch pass that started nothing, cleared no flag, and failed every
+  // candidate with key.length > free_bytes() is a pure function of the
+  // free list, the DMT's mapped coverage and the CDT. Until one of their
+  // epochs moves, a rerun fails the same way, so FetchCritical skips it and
+  // only restores the charge owner the pass would have left.
+  struct ParkedFetchPass {
+    std::uint64_t free_epoch = 0;
+    std::uint64_t coverage_epoch = 0;
+    std::uint64_t cdt_epoch = 0;
+    int charge_owner = -1;
+  };
+  std::optional<ParkedFetchPass> parked_;
 
   // Observability (null = not observed).
   obs::Observability* obs_ = nullptr;

@@ -1,6 +1,6 @@
 #include "core/redirector.h"
 
-#include <cassert>
+#include "common/check.h"
 
 namespace s4d::core {
 
@@ -170,7 +170,7 @@ RoutingPlan Redirector::PlanWrite(const std::string& file, byte_count offset,
       dmt_.Touch(file, offset, size);
       // Re-resolve: the whole range is now mapped.
       const DmtLookup mapped_now = dmt_.Lookup(file, offset, size);
-      assert(mapped_now.fully_mapped());
+      S4D_DCHECK(mapped_now.fully_mapped());
       for (const MappedSegment& seg : mapped_now.mapped) {
         plan.segments.push_back(CacheSegment(
             seg.cache_offset, seg.orig_begin, seg.orig_end - seg.orig_begin));

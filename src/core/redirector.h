@@ -222,6 +222,7 @@ class Redirector {
 
   const RedirectorStats& stats() const { return stats_; }
   AdmissionPolicy policy() const { return policy_; }
+  const CacheSpaceAllocator& space() const { return space_; }
 
  private:
   bool ShouldAdmit(bool critical) const {

@@ -49,8 +49,8 @@ TEST(Cdt, PendingFetchesOldestFirstAndLimited) {
   cdt.SetCacheFlag(kC);
   auto two = cdt.PendingFetches(2);
   ASSERT_EQ(two.size(), 2u);
-  EXPECT_EQ(two[0], kB);
-  EXPECT_EQ(two[1], kA);
+  EXPECT_EQ(two[0].key, kB);
+  EXPECT_EQ(two[1].key, kA);
   // Flags are not consumed by listing.
   EXPECT_EQ(cdt.PendingFetches(10).size(), 3u);
 }
@@ -72,7 +72,73 @@ TEST(Cdt, ClearedEntriesPrunedFromPending) {
   cdt.ClearCacheFlag(kA);
   auto pending = cdt.PendingFetches(10);
   ASSERT_EQ(pending.size(), 1u);
-  EXPECT_EQ(pending[0], kB);
+  EXPECT_EQ(pending[0].key, kB);
+}
+
+TEST(Cdt, PendingFetchesCarryFlagOwner) {
+  CriticalDataTable cdt;
+  cdt.Add(kA);
+  cdt.Add(kB);
+  cdt.SetCacheFlag(kA, 3);
+  cdt.SetCacheFlag(kB);
+  cdt.SetCacheFlag(kA, 5);  // re-flagging retags, keeps the queue position
+  const auto pending = cdt.PendingFetches(10);
+  ASSERT_EQ(pending.size(), 2u);
+  EXPECT_EQ(pending[0].key, kA);
+  EXPECT_EQ(pending[0].owner, 5);
+  EXPECT_EQ(pending[1].key, kB);
+  EXPECT_EQ(pending[1].owner, -1);
+}
+
+TEST(Cdt, PendingFetchesPrunesStaleKeysInOneCall) {
+  // 10,000 marks of which 9,990 are cleared: one call walks the queue once,
+  // drops every stale key and returns the survivors in mark order.
+  CriticalDataTable cdt;
+  constexpr int kKeys = 10000;
+  std::vector<CdtKey> live;
+  for (int i = 0; i < kKeys; ++i) {
+    const CdtKey key{"f", static_cast<byte_count>(i) * 4096, 4096};
+    cdt.Add(key);
+    cdt.SetCacheFlag(key);
+    if (i % 1000 == 999) {
+      live.push_back(key);
+    } else {
+      cdt.ClearCacheFlag(key);
+    }
+  }
+  ASSERT_EQ(live.size(), 10u);
+  const auto pending = cdt.PendingFetches(256);
+  ASSERT_EQ(pending.size(), live.size());
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    EXPECT_EQ(pending[i].key, live[i]) << "position " << i;
+  }
+  cdt.AuditInvariants();
+  // The stale keys are gone and the live ones stay queued, in order.
+  const auto again = cdt.PendingFetches(3);
+  ASSERT_EQ(again.size(), 3u);
+  EXPECT_EQ(again[2].key, live[2]);
+}
+
+TEST(Cdt, MutationEpochMovesOnlyOnChanges) {
+  CriticalDataTable cdt;
+  std::uint64_t epoch = cdt.mutation_epoch();
+  auto moved = [&] {
+    const bool m = cdt.mutation_epoch() != epoch;
+    epoch = cdt.mutation_epoch();
+    return m;
+  };
+  EXPECT_TRUE(cdt.Add(kA));
+  EXPECT_TRUE(moved());
+  EXPECT_FALSE(cdt.Add(kA));
+  EXPECT_FALSE(moved()) << "duplicate add changes nothing";
+  EXPECT_TRUE(cdt.SetCacheFlag(kA));
+  EXPECT_TRUE(moved());
+  EXPECT_FALSE(cdt.SetCacheFlag(kB));
+  EXPECT_FALSE(moved()) << "unknown key";
+  (void)cdt.PendingFetches(10);
+  EXPECT_FALSE(moved()) << "listing consumes nothing";
+  cdt.ClearCacheFlag(kA);
+  EXPECT_TRUE(moved());
 }
 
 TEST(Cdt, FifoEvictionWhenFull) {

@@ -3,7 +3,12 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <sstream>
+
+#include "common/rng.h"
+#include "dmt_test_peer.h"
 
 namespace s4d::core {
 namespace {
@@ -248,6 +253,32 @@ TEST(Dmt, MarkCleanFailsAfterSplit) {
   EXPECT_FALSE(dmt.MarkCleanIfVersion("f", 0, 100, snapshot[0].version));
 }
 
+TEST(Dmt, CoverageEpochMovesOnlyWhenMappedCoverageChanges) {
+  DataMappingTable dmt;
+  std::uint64_t epoch = dmt.coverage_epoch();
+  auto moved = [&] {
+    const bool m = dmt.coverage_epoch() != epoch;
+    epoch = dmt.coverage_epoch();
+    return m;
+  };
+  dmt.Insert("f", 0, 100, 0, false);
+  dmt.Insert("f", 200, 100, 100, true);
+  EXPECT_TRUE(moved());
+  dmt.SetDirty("f", 20, 10, true);  // splits and dirties
+  dmt.SetDirty("f", 0, 100, false);
+  dmt.Touch("f", 0, 300);
+  EXPECT_FALSE(moved());
+  (void)dmt.Invalidate("f", 100, 100);  // nothing mapped there
+  EXPECT_FALSE(moved());
+  (void)dmt.Invalidate("f", 290, 20);
+  EXPECT_TRUE(moved());
+  ASSERT_TRUE(dmt.EvictCleanOverlapping("f", 0, 10).has_value());
+  EXPECT_TRUE(moved());
+  while (dmt.EvictLruClean().has_value()) EXPECT_TRUE(moved());
+  EXPECT_FALSE(moved()) << "the failed eviction (only dirty data left)";
+  EXPECT_EQ(dmt.mapped_bytes(), dmt.dirty_bytes());
+}
+
 TEST(Dmt, AllExtentsEnumeratesEverything) {
   DataMappingTable dmt;
   dmt.Insert("a", 0, 100, 0, true);
@@ -332,6 +363,203 @@ TEST_F(DmtPersistenceTest, EvictionRemovesPersistedRecord) {
   DataMappingTable recovered(store.get());
   ASSERT_TRUE(recovered.LoadFromStore().ok());
   EXPECT_EQ(recovered.entry_count(), 0u);
+}
+
+// --- dirty-extent index ------------------------------------------------------
+//
+// CollectDirtyRuns and SummarizeDirtyAges walk only the dirty-extent index.
+// The references below are the full-table walks they replaced, run over a
+// scan of every entry. Under a seeded fuzz of every mutation that touches
+// the index (splits of dirty extents and reloads from the store included)
+// both must agree exactly.
+
+using TableScan = std::vector<DmtTestPeer::ScannedExtent>;
+
+std::vector<DirtyRun> ReferenceDirtyRuns(const TableScan& scan,
+                                         byte_count max_total_bytes,
+                                         byte_count max_run_bytes) {
+  std::vector<DirtyRun> runs;
+  byte_count total = 0;
+  std::size_t i = 0;
+  while (i < scan.size() && total < max_total_bytes) {
+    const std::string file = scan[i].file;
+    DirtyRun run;
+    auto emit = [&] {
+      if (!run.segments.empty()) {
+        total += run.length();
+        runs.push_back(std::move(run));
+        run = DirtyRun{};
+      }
+    };
+    for (; i < scan.size() && scan[i].file == file; ++i) {
+      const DmtTestPeer::ScannedExtent& e = scan[i];
+      if (total + run.length() >= max_total_bytes) break;
+      if (!e.dirty) {
+        emit();
+        continue;
+      }
+      const bool continues = !run.segments.empty() && run.orig_end == e.begin &&
+                             run.length() + (e.end - e.begin) <= max_run_bytes;
+      if (!continues) emit();
+      if (run.segments.empty()) {
+        run.file = file;
+        run.orig_begin = e.begin;
+      }
+      run.orig_end = e.end;
+      run.segments.push_back(
+          DirtyRange{file, e.begin, e.end, e.cache_offset, e.version});
+    }
+    emit();
+    while (i < scan.size() && scan[i].file == file) ++i;  // budget spent
+  }
+  return runs;
+}
+
+DataMappingTable::DirtyAgeSummary ReferenceDirtyAges(const TableScan& scan,
+                                                     SimTime now) {
+  DataMappingTable::DirtyAgeSummary summary;
+  constexpr std::size_t kMaxSample = 512;
+  std::vector<SimTime> sample;
+  std::uint64_t stride = 1;
+  std::uint64_t index = 0;
+  long double total = 0.0L;
+  for (const DmtTestPeer::ScannedExtent& e : scan) {
+    if (!e.dirty) continue;
+    const SimTime age = now > e.dirty_since ? now - e.dirty_since : 0;
+    ++summary.dirty_extents;
+    summary.oldest = std::max(summary.oldest, age);
+    total += static_cast<long double>(age);
+    if (index++ % stride == 0) {
+      sample.push_back(age);
+      if (sample.size() == kMaxSample) {
+        std::size_t keep = 0;
+        for (std::size_t k = 0; k < sample.size(); k += 2) {
+          sample[keep++] = sample[k];
+        }
+        sample.resize(keep);
+        stride *= 2;
+      }
+    }
+  }
+  if (summary.dirty_extents > 0) {
+    summary.mean = static_cast<SimTime>(
+        total / static_cast<long double>(summary.dirty_extents));
+  }
+  if (!sample.empty()) {
+    auto mid = sample.begin() + static_cast<std::ptrdiff_t>(sample.size() / 2);
+    std::nth_element(sample.begin(), mid, sample.end());
+    summary.p50 = *mid;
+  }
+  return summary;
+}
+
+std::string RunsText(const std::vector<DirtyRun>& runs) {
+  std::ostringstream out;
+  for (const DirtyRun& run : runs) {
+    out << run.file << "[" << run.orig_begin << "," << run.orig_end << "):";
+    for (const DirtyRange& seg : run.segments) {
+      out << " " << seg.file << "[" << seg.orig_begin << "," << seg.orig_end
+          << ")@" << seg.cache_offset << "v" << seg.version;
+    }
+    out << "\n";
+  }
+  return out.str();
+}
+
+TEST_F(DmtPersistenceTest, DirtyIndexWalksMatchFullScanUnderFuzz) {
+  const std::string files[] = {"a", "b", "c"};
+  constexpr byte_count kSpan = 16 * 1024;  // per-file offset range
+  for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+    std::filesystem::remove(path_);
+    auto store = OpenStore();
+    Rng rng(seed);
+    SimTime now = 0;
+    auto dmt = std::make_unique<DataMappingTable>(store.get());
+    dmt->SetClock([&now] { return now; });
+    byte_count next_cache = 0;
+    std::int64_t most_dirty = 0;
+    for (int step = 0; step < 4000; ++step) {
+      now += rng.NextInRange(0, 1000);
+      const std::string& file = files[rng.NextBelow(3)];
+      const byte_count offset = rng.NextInRange(0, kSpan - 1);
+      const byte_count size = rng.NextBool(0.95) ? rng.NextInRange(1, 32)
+                                                 : rng.NextInRange(33, 1024);
+      switch (rng.NextBelow(10)) {
+        case 0:
+        case 1:
+        case 2: {  // admission: map the gaps of a range
+          const bool dirty = rng.NextBool(0.8);
+          for (const auto& [gap_begin, gap_end] :
+               dmt->Lookup(file, offset, size).gaps) {
+            dmt->Insert(file, gap_begin, gap_end - gap_begin, next_cache,
+                        dirty);
+            next_cache += gap_end - gap_begin;
+          }
+          break;
+        }
+        case 3:  // write hit: splits at both ends, dirties the middle
+          dmt->SetDirty(file, offset, size, true);
+          break;
+        case 4:
+          dmt->SetDirty(file, offset, size, false);
+          break;
+        case 5: {  // flush completion, sometimes after a racing write
+          const std::vector<DirtyRange> dirty = dmt->CollectDirty(64);
+          if (dirty.empty()) break;
+          const DirtyRange& d = dirty[rng.NextBelow(dirty.size())];
+          const std::uint64_t version =
+              rng.NextBool(0.8) ? d.version : d.version + 1;
+          (void)dmt->MarkCleanIfVersion(d.file, d.orig_begin, d.orig_end,
+                                        version);
+          break;
+        }
+        case 6:  // non-admitted write: splits dirty extents, removes middle
+          (void)dmt->Invalidate(file, offset, size);
+          break;
+        case 7:
+          switch (rng.NextBelow(3)) {
+            case 0:
+              (void)dmt->EvictLruClean();
+              break;
+            case 1:
+              (void)dmt->EvictLruCleanIf([](const RemovedExtent& e) {
+                return e.orig_begin % 2 == 0;
+              });
+              break;
+            default:
+              (void)dmt->EvictCleanOverlapping(file, offset, offset + size);
+          }
+          break;
+        default:
+          if (rng.NextBool(0.05)) {  // restart from the persisted records
+            dmt = std::make_unique<DataMappingTable>(store.get());
+            dmt->SetClock([&now] { return now; });
+            ASSERT_TRUE(dmt->LoadFromStore().ok());
+          } else {
+            dmt->Touch(file, offset, size);
+          }
+      }
+      // Index damage persists, so checking every fourth step still catches
+      // it, at a quarter of the cost.
+      if (step % 4 != 3) continue;
+      dmt->AuditInvariants();
+      const TableScan scan = DmtTestPeer::Scan(*dmt);
+      const byte_count budget = rng.NextInRange(1, 16 * 1024);
+      const byte_count run_cap = rng.NextInRange(1, 1024);
+      ASSERT_EQ(RunsText(dmt->CollectDirtyRuns(budget, run_cap)),
+                RunsText(ReferenceDirtyRuns(scan, budget, run_cap)))
+          << "seed " << seed << " step " << step;
+      const auto ages = dmt->SummarizeDirtyAges(now);
+      const auto want = ReferenceDirtyAges(scan, now);
+      ASSERT_EQ(ages.dirty_extents, want.dirty_extents) << "step " << step;
+      ASSERT_EQ(ages.oldest, want.oldest) << "step " << step;
+      ASSERT_EQ(ages.mean, want.mean) << "step " << step;
+      ASSERT_EQ(ages.p50, want.p50) << "step " << step;
+      most_dirty = std::max(most_dirty, ages.dirty_extents);
+    }
+    // Enough dirty extents to exercise the p50 sample's decimation.
+    EXPECT_GT(most_dirty, 512) << "seed " << seed;
+  }
 }
 
 TEST_F(DmtPersistenceTest, FileNamesWithSeparatorsRoundTrip) {

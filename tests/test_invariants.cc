@@ -6,26 +6,14 @@
 
 #include "core/cache_space.h"
 #include "core/dmt.h"
+#include "dmt_test_peer.h"
 #include "sim/engine.h"
 
 namespace s4d::core {
 
-// Friends of the audited classes (declared in their headers); everything
-// here exists to corrupt private state on purpose.
-struct DmtTestPeer {
-  static void StretchFirstExtent(DataMappingTable& dmt, byte_count delta) {
-    // Makes the first extent overlap its successor (or disagree with the
-    // mapped-bytes counter when there is no successor).
-    dmt.files_.at(0).begin()->second.end += delta;
-  }
-  static void SkewMappedBytes(DataMappingTable& dmt, byte_count delta) {
-    dmt.mapped_bytes_ += delta;
-  }
-  static void DropLruEntry(DataMappingTable& dmt) {
-    dmt.lru_index_.erase(dmt.lru_index_.begin());
-  }
-};
-
+// Friend of the audited allocator (declared in its header); everything here
+// exists to corrupt private state on purpose. DmtTestPeer lives in
+// dmt_test_peer.h, shared with test_dmt.
 struct CacheSpaceTestPeer {
   static void SkewFreeBytes(CacheSpaceAllocator& space, byte_count delta) {
     space.free_bytes_ += delta;
@@ -86,6 +74,18 @@ TEST(DmtAuditDeathTest, CatchesBrokenLruIndex) {
   DataMappingTable dmt = MakeBusyDmt();
   DmtTestPeer::DropLruEntry(dmt);
   EXPECT_DEATH(dmt.AuditInvariants(), "S4D_CHECK");
+}
+
+TEST(DmtAuditDeathTest, CatchesDirtyExtentMissingFromIndex) {
+  DataMappingTable dmt = MakeBusyDmt();
+  DmtTestPeer::DropDirtyIndexEntry(dmt);
+  EXPECT_DEATH(dmt.AuditInvariants(), "missing from the dirty index");
+}
+
+TEST(DmtAuditDeathTest, CatchesCleanExtentInDirtyIndex) {
+  DataMappingTable dmt = MakeBusyDmt();
+  DmtTestPeer::IndexFirstExtentAsDirty(dmt);  // a.dat [0, 100) is clean
+  EXPECT_DEATH(dmt.AuditInvariants(), "dirty index holds");
 }
 
 CacheSpaceAllocator MakeBusySpace() {

@@ -187,6 +187,167 @@ TEST(Rebuilder, FetchSkippedWhenNoSpace) {
   EXPECT_EQ(s4d->rebuilder_stats().fetches_completed, 1);
 }
 
+// --- parked fetch passes -----------------------------------------------------
+//
+// A fetch pass that fails every candidate for want of free bytes parks until
+// the free list, the DMT's mapped coverage or the CDT changes. These tests
+// drive Tick() by hand and never run the engine between ticks, so no flush
+// or fetch completes behind their back.
+
+constexpr int kPendingFetches = 3;
+
+// A 64 KiB cache holding four clean 16 KiB extents (at 100 MiB + i * 30 MiB)
+// and kPendingFetches critical read misses (at 500 MiB + i * 32 MiB) marked
+// for lazy fetching on behalf of `mark_owner`.
+std::unique_ptr<S4DCache> FullCleanCacheWithPendingFetches(
+    harness::Testbed& bed, int mark_owner = -1) {
+  S4DConfig cfg = ManualRebuilder();
+  cfg.cache_capacity = 64 * KiB;
+  auto s4d = bed.MakeS4D(cfg);
+  s4d->Open("f");
+  for (int i = 0; i < 4; ++i) {
+    DoIo(bed, *s4d, device::IoKind::kWrite, "f", 0,
+         100 * MiB + static_cast<byte_count>(i) * 30 * MiB, 16 * KiB);
+  }
+  s4d->rebuilder().Tick();
+  bed.engine().Run();
+  EXPECT_EQ(s4d->dmt().mapped_bytes(), 64 * KiB);
+  EXPECT_EQ(s4d->dmt().dirty_bytes(), 0);
+  EXPECT_EQ(s4d->cache_space().free_bytes(), 0);
+  s4d->redirector().set_charge_owner(mark_owner);
+  for (int i = 0; i < kPendingFetches; ++i) {
+    DoIo(bed, *s4d, device::IoKind::kRead, "f", 1,
+         500 * MiB + static_cast<byte_count>(i) * 32 * MiB, 16 * KiB);
+  }
+  EXPECT_EQ(s4d->redirector_stats().lazy_fetch_marks, kPendingFetches);
+  return s4d;
+}
+
+void Ticks(S4DCache& s4d, int n) {
+  for (int i = 0; i < n; ++i) s4d.rebuilder().Tick();
+}
+
+TEST(RebuilderParking, SpaceStarvedPassRunsOnceThenParks) {
+  harness::Testbed bed(SmallTestbed());
+  auto s4d = FullCleanCacheWithPendingFetches(bed);
+  Ticks(*s4d, 50);
+  EXPECT_EQ(s4d->rebuilder_stats().fetch_space_failures, kPendingFetches)
+      << "only the first pass attempts the fetches";
+  EXPECT_EQ(s4d->rebuilder_stats().fetches_started, 0);
+  EXPECT_TRUE(s4d->cdt().AnyPendingFetch());
+}
+
+TEST(RebuilderParking, FreedSpaceUnparks) {
+  harness::Testbed bed(SmallTestbed());
+  auto s4d = FullCleanCacheWithPendingFetches(bed);
+  Ticks(*s4d, 5);
+  // A large sequential write is not admitted; it goes to DServers and
+  // invalidates the clean extent it overlaps, freeing 16 KiB.
+  const auto invalidated = s4d->redirector_stats().invalidated_extents;
+  DoIo(bed, *s4d, device::IoKind::kWrite, "f", 2, 100 * MiB, 4 * MiB);
+  ASSERT_EQ(s4d->redirector_stats().invalidated_extents, invalidated + 1);
+  ASSERT_EQ(s4d->cache_space().free_bytes(), 16 * KiB);
+
+  s4d->rebuilder().Tick();
+  EXPECT_EQ(s4d->rebuilder_stats().fetches_started, 1)
+      << "the first pending fetch takes the freed extent";
+  EXPECT_EQ(s4d->rebuilder_stats().fetch_space_failures,
+            kPendingFetches + (kPendingFetches - 1));
+  // The pass that started a fetch did not park; the next one fails the
+  // remaining fetches once more and parks again.
+  Ticks(*s4d, 50);
+  EXPECT_EQ(s4d->rebuilder_stats().fetch_space_failures,
+            kPendingFetches + 2 * (kPendingFetches - 1));
+  bed.engine().Run();
+  EXPECT_EQ(s4d->rebuilder_stats().fetches_completed, 1);
+}
+
+TEST(RebuilderParking, NewCacheFlagUnparks) {
+  harness::Testbed bed(SmallTestbed());
+  auto s4d = FullCleanCacheWithPendingFetches(bed);
+  Ticks(*s4d, 5);
+  ASSERT_EQ(s4d->rebuilder_stats().fetch_space_failures, kPendingFetches);
+  DoIo(bed, *s4d, device::IoKind::kRead, "f", 1, 900 * MiB, 16 * KiB);
+  ASSERT_EQ(s4d->redirector_stats().lazy_fetch_marks, kPendingFetches + 1);
+  Ticks(*s4d, 50);
+  EXPECT_EQ(s4d->rebuilder_stats().fetch_space_failures,
+            kPendingFetches + (kPendingFetches + 1))
+      << "one more pass over every pending fetch, then parked again";
+}
+
+TEST(RebuilderParking, DmtInsertCoveringPendingKeyUnparks) {
+  harness::Testbed bed(SmallTestbed());
+  auto s4d = FullCleanCacheWithPendingFetches(bed);
+  Ticks(*s4d, 5);
+  ASSERT_EQ(s4d->rebuilder_stats().fetch_space_failures, kPendingFetches);
+  // Cover the first pending key with a mapping. Only mapped coverage moves
+  // (the synthetic mapping claims no allocator space).
+  s4d->dmt().Insert("f", 500 * MiB, 16 * KiB, 0, /*dirty=*/false);
+  s4d->rebuilder().Tick();
+  EXPECT_EQ(s4d->rebuilder_stats().fetch_space_failures,
+            kPendingFetches + (kPendingFetches - 1))
+      << "the covered key clears its flag, the others are retried";
+  // Clearing a flag keeps that pass from parking; the next one parks.
+  Ticks(*s4d, 50);
+  EXPECT_EQ(s4d->rebuilder_stats().fetch_space_failures,
+            kPendingFetches + 2 * (kPendingFetches - 1));
+  EXPECT_EQ(s4d->rebuilder_stats().fetches_started, 0);
+}
+
+TEST(RebuilderParking, SkippedPassRestoresChargeOwner) {
+  harness::Testbed bed(SmallTestbed());
+  auto s4d = FullCleanCacheWithPendingFetches(bed, /*mark_owner=*/2);
+  s4d->rebuilder().Tick();
+  ASSERT_EQ(s4d->rebuilder_stats().fetch_space_failures, kPendingFetches);
+  // A foreground request retags the redirector between ticks; the skipped
+  // pass leaves the owner where the full pass would have.
+  s4d->redirector().set_charge_owner(7);
+  s4d->rebuilder().Tick();
+  EXPECT_EQ(s4d->rebuilder_stats().fetch_space_failures, kPendingFetches)
+      << "parked";
+  EXPECT_EQ(s4d->redirector().charge_owner(), 2);
+}
+
+TEST(RebuilderParking, GateVetoWithFreeBytesDoesNotPark) {
+  harness::Testbed bed(SmallTestbed());
+  auto s4d = bed.MakeS4D(ManualRebuilder());  // 64 MiB, nearly all free
+  s4d->Open("f");
+  for (int i = 0; i < kPendingFetches; ++i) {
+    DoIo(bed, *s4d, device::IoKind::kRead, "f", 1,
+         500 * MiB + static_cast<byte_count>(i) * 32 * MiB, 16 * KiB);
+  }
+  ASSERT_EQ(s4d->redirector_stats().lazy_fetch_marks, kPendingFetches);
+  // A partition gate that vetoes every free-space allocation: the quota it
+  // enforces may move without any table changing, so nothing parks.
+  int gate_calls = 0;
+  s4d->redirector().SetFreeSpaceGate([&gate_calls](byte_count) {
+    ++gate_calls;
+    return false;
+  });
+  Ticks(*s4d, 50);
+  EXPECT_EQ(s4d->rebuilder_stats().fetch_space_failures,
+            50 * kPendingFetches);
+  EXPECT_EQ(gate_calls, 50 * kPendingFetches);
+  EXPECT_EQ(s4d->rebuilder_stats().fetches_started, 0);
+}
+
+TEST(RebuilderParking, EvictingFetchNeverParks) {
+  harness::Testbed bed(SmallTestbed());
+  S4DConfig cfg = ManualRebuilder();
+  cfg.cache_capacity = 16 * KiB;
+  cfg.rebuilder.fetch_may_evict = true;
+  auto s4d = bed.MakeS4D(cfg);
+  s4d->Open("f");
+  // Dirty (unevictable) data fills the cache; its flush is issued by the
+  // first tick but never completes, since the engine does not run.
+  DoIo(bed, *s4d, device::IoKind::kWrite, "f", 0, 100 * MiB, 16 * KiB);
+  DoIo(bed, *s4d, device::IoKind::kRead, "f", 1, 500 * MiB, 16 * KiB);
+  ASSERT_TRUE(s4d->cdt().AnyPendingFetch());
+  Ticks(*s4d, 50);
+  EXPECT_EQ(s4d->rebuilder_stats().fetch_space_failures, 50);
+  EXPECT_EQ(s4d->rebuilder_stats().fetches_started, 0);
+}
+
 TEST(Rebuilder, RacingWriteKeepsExtentDirty) {
   harness::Testbed bed(SmallTestbed());
   auto s4d = bed.MakeS4D(ManualRebuilder());

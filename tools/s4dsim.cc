@@ -74,8 +74,11 @@
 #include <cstdio>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "calib/calibration.h"
@@ -274,6 +277,34 @@ std::unique_ptr<calib::CalibrationEngine> MakeCalibration(
   return engine;
 }
 
+// Reads the cluster shape into `bed`. Every value must be positive: a zero
+// server count would otherwise abort inside the PFS layer, and a zero stripe
+// would divide by zero.
+Status ReadClusterShape(const ConfigParser& config,
+                        harness::TestbedConfig& bed) {
+  const std::int64_t limit = std::numeric_limits<int>::max();
+  const std::pair<const char*, std::int64_t> counts[] = {
+      {"dservers", config.IntOr("cluster", "dservers", 8)},
+      {"cservers", config.IntOr("cluster", "cservers", 4)}};
+  for (const auto& [key, value] : counts) {
+    if (value < 1 || value > limit) {
+      return Status::InvalidArgument("cluster." + std::string(key) +
+                                     " must be in [1, " +
+                                     std::to_string(limit) + "], got " +
+                                     std::to_string(value));
+    }
+  }
+  const byte_count stripe = config.SizeOr("cluster", "stripe", 64 * KiB);
+  if (stripe < 1) {
+    return Status::InvalidArgument("cluster.stripe must be >= 1 byte, got " +
+                                   std::to_string(stripe));
+  }
+  bed.dservers = static_cast<int>(counts[0].second);
+  bed.cservers = static_cast<int>(counts[1].second);
+  bed.stripe_size = stripe;
+  return Status::Ok();
+}
+
 std::unique_ptr<workloads::Workload> MakeWorkload(const ConfigParser& config) {
   const std::string type = config.StringOr("workload", "type", "ior");
   const auto kind = config.StringOr("workload", "kind", "write") == "read"
@@ -424,9 +455,10 @@ int Run(const ConfigParser& config) {
   obs.tracer.set_enabled(!trace_out.empty());
 
   harness::TestbedConfig bed_cfg;
-  bed_cfg.dservers = static_cast<int>(config.IntOr("cluster", "dservers", 8));
-  bed_cfg.cservers = static_cast<int>(config.IntOr("cluster", "cservers", 4));
-  bed_cfg.stripe_size = config.SizeOr("cluster", "stripe", 64 * KiB);
+  if (const Status shape = ReadClusterShape(config, bed_cfg); !shape.ok()) {
+    std::fprintf(stderr, "config error: %s\n", shape.ToString().c_str());
+    return 1;
+  }
   bed_cfg.track_content = verify;
   // Optional SSD wear model: a P/E-cycle budget turns on WearFraction()
   // (and with it the endurance veto's end-of-life gate).
@@ -952,9 +984,10 @@ SeedMetrics RunOneSeed(const ConfigParser& base, std::uint64_t seed) {
   }
 
   harness::TestbedConfig bed_cfg;
-  bed_cfg.dservers = static_cast<int>(config.IntOr("cluster", "dservers", 8));
-  bed_cfg.cservers = static_cast<int>(config.IntOr("cluster", "cservers", 4));
-  bed_cfg.stripe_size = config.SizeOr("cluster", "stripe", 64 * KiB);
+  if (const Status shape = ReadClusterShape(config, bed_cfg); !shape.ok()) {
+    std::fprintf(stderr, "config error: %s\n", shape.ToString().c_str());
+    std::exit(1);
+  }
   bed_cfg.ssd.pe_cycle_budget =
       config.DoubleOr("cluster", "ssd_pe_cycles", bed_cfg.ssd.pe_cycle_budget);
   bed_cfg.ssd.write_amplification = config.DoubleOr(
