@@ -73,9 +73,9 @@ bool DataIdentifier::Identify(const std::string& file, int rank,
   // latency model is blind to the aggregate-bandwidth loss of a slow tier.
   const double scale = health_probe_ ? health_probe_() : 1.0;
   last_health_scale_ = scale;
-  last_benefit_ = model_.Benefit(kind, distance, offset, size, scale);
   last_dserver_cost_ = model_.DServerCost(distance, offset, size);
   last_cserver_cost_ = model_.CServerCost(kind, offset, size, scale);
+  last_benefit_ = last_dserver_cost_ - last_cserver_cost_;  // Eq. 8
   bool critical = last_benefit_ > 0;
   if (critical && unhealthy_threshold_ > 1.0 && scale >= unhealthy_threshold_) {
     critical = false;

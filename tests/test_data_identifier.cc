@@ -102,5 +102,33 @@ TEST_F(DataIdentifierTest, RepeatedRequestInsertsOnce) {
   EXPECT_EQ(cdt_.size(), 2u);
 }
 
+// A calibration provider that declines every estimate and counts the calls.
+class CountingCalibration : public CostCalibration {
+ public:
+  SimTime DServerEstimate(SimTime, byte_count, byte_count) const override {
+    ++dserver_calls;
+    return -1;
+  }
+  SimTime CServerEstimate(device::IoKind, byte_count,
+                          byte_count) const override {
+    ++cserver_calls;
+    return -1;
+  }
+  mutable int dserver_calls = 0;
+  mutable int cserver_calls = 0;
+};
+
+TEST_F(DataIdentifierTest, EvaluatesEachCostOncePerRequest) {
+  CountingCalibration calibration;
+  model_.SetCalibration(&calibration);
+  identifier_.Identify("f", 0, device::IoKind::kWrite, 3 * GiB, 16 * KiB);
+  EXPECT_EQ(calibration.dserver_calls, 1);
+  EXPECT_EQ(calibration.cserver_calls, 1);
+  // Eq. 8: the benefit is the difference of the two costs it reports.
+  EXPECT_EQ(identifier_.last_benefit(), identifier_.last_dserver_cost() -
+                                            identifier_.last_cserver_cost());
+  model_.SetCalibration(nullptr);
+}
+
 }  // namespace
 }  // namespace s4d::core
