@@ -43,18 +43,21 @@ void BM_StripingSplit(benchmark::State& state) {
     benchmark::DoNotOptimize(pfs::SplitRequest(cfg, offset, size));
   }
 }
-BENCHMARK(BM_StripingSplit)->Arg(16 * KiB)->Arg(1 * MiB)->Arg(32 * MiB);
+BENCHMARK(BM_StripingSplit)
+    ->Arg(16 * KiB)
+    ->Arg(1 * MiB)
+    ->Arg(4 * MiB)
+    ->Arg(32 * MiB);
 
-void BM_StripingClosedForm(benchmark::State& state) {
+void BM_MaxSubRequestSize(benchmark::State& state) {
   const pfs::StripeConfig cfg{8, 64 * KiB};
   byte_count offset = 0;
   for (auto _ : state) {
     offset = (offset + 333 * KiB) % (1 * GiB);
-    benchmark::DoNotOptimize(
-        pfs::MaxSubRequestSizeClosedForm(cfg, offset, 4 * MiB));
+    benchmark::DoNotOptimize(pfs::MaxSubRequestSize(cfg, offset, 4 * MiB));
   }
 }
-BENCHMARK(BM_StripingClosedForm);
+BENCHMARK(BM_MaxSubRequestSize);
 
 void BM_CdtAddContains(benchmark::State& state) {
   core::CriticalDataTable cdt;

@@ -1,6 +1,7 @@
 #include "pfs/striping.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/check.h"
 
@@ -16,46 +17,46 @@ std::vector<SubRequest> SplitRequest(const StripeConfig& cfg,
   std::vector<SubRequest> out;
   if (size <= 0) return out;
 
-  const int servers = cfg.server_count;
+  const byte_count servers = cfg.server_count;
   const byte_count str = cfg.stripe_size;
+  const byte_count end = offset + size;
+  const byte_count first = offset / str;     // B
+  const byte_count last = (end - 1) / str;   // E
+  const byte_count touched = std::min(last - first + 1, servers);
+  out.reserve(static_cast<std::size_t>(touched));
 
-  struct Agg {
-    bool used = false;
-    byte_count local_begin = 0;
-    byte_count file_begin = 0;
-    byte_count total = 0;
+  // Stripe first + j (j < touched) is the first stripe the request puts on
+  // server (first + j) % M; that server's stripes then repeat every M
+  // stripes up to E. Only the first stripe of all can start mid-stripe
+  // (head) and only stripe E can end early (tail).
+  const byte_count head = offset - first * str;
+  const byte_count tail = (last + 1) * str - end;
+  auto emit = [&](byte_count j) {
+    const byte_count k0 = first + j;
+    const byte_count n = (last - k0) / servers + 1;
+    const byte_count k1 = k0 + (n - 1) * servers;
+    const byte_count trim_head = j == 0 ? head : 0;
+    const byte_count trim_tail = k1 == last ? tail : 0;
+    out.push_back(SubRequest{static_cast<int>(k0 % servers),
+                             std::max(offset, k0 * str),
+                             (k0 / servers) * str + trim_head,
+                             n * str - trim_head - trim_tail});
   };
-  std::vector<Agg> agg(static_cast<std::size_t>(servers));
+  // Ascending server order: when the touched servers wrap past M-1, the
+  // wrapped ones (0, 1, ...) come from the last `wrapped` values of j.
+  const byte_count wrapped =
+      std::max<byte_count>(0, first % servers + touched - servers);
+  for (byte_count j = touched - wrapped; j < touched; ++j) emit(j);
+  for (byte_count j = 0; j < touched - wrapped; ++j) emit(j);
 
-  byte_count pos = offset;
-  byte_count remaining = size;
-  while (remaining > 0) {
-    const byte_count stripe = pos / str;
-    const auto server = static_cast<std::size_t>(stripe % servers);
-    const byte_count within = pos % str;
-    const byte_count fragment = std::min(remaining, str - within);
-    const byte_count local = (stripe / servers) * str + within;
-
-    Agg& a = agg[server];
-    if (!a.used) {
-      a.used = true;
-      a.local_begin = local;
-      a.file_begin = pos;
-    }
-    // Round-robin placement keeps one file's stripes contiguous per server,
-    // so per-server fragments of a contiguous request coalesce exactly.
-    S4D_DCHECK(a.local_begin + a.total == local || a.total == 0)
-        << "per-server fragments failed to coalesce at local offset " << local;
-    a.total += fragment;
-    pos += fragment;
-    remaining -= fragment;
-  }
-
-  for (int s = 0; s < servers; ++s) {
-    const Agg& a = agg[static_cast<std::size_t>(s)];
-    if (!a.used) continue;
-    out.push_back(SubRequest{s, a.file_begin, a.local_begin, a.total});
-  }
+  S4D_DCHECK(std::all_of(out.begin(), out.end(),
+                         [](const SubRequest& sub) { return sub.size > 0; }) &&
+             std::accumulate(out.begin(), out.end(), byte_count{0},
+                             [](byte_count sum, const SubRequest& sub) {
+                               return sum + sub.size;
+                             }) == size)
+      << "split of " << size << " bytes at " << offset
+      << " is not a partition into non-empty sub-requests";
   return out;
 }
 
@@ -72,15 +73,6 @@ int InvolvedServerCount(const StripeConfig& cfg, byte_count offset,
 
 byte_count MaxSubRequestSize(const StripeConfig& cfg, byte_count offset,
                              byte_count size) {
-  byte_count max_size = 0;
-  for (const SubRequest& sub : SplitRequest(cfg, offset, size)) {
-    max_size = std::max(max_size, sub.size);
-  }
-  return max_size;
-}
-
-byte_count MaxSubRequestSizeClosedForm(const StripeConfig& cfg,
-                                       byte_count offset, byte_count size) {
   if (size <= 0) return 0;
   const byte_count str = cfg.stripe_size;
   const byte_count servers = cfg.server_count;

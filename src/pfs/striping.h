@@ -7,6 +7,8 @@
 // SplitRequest decomposes a byte-range request into the per-server
 // sub-requests that PVFS2 would issue; InvolvedServerCount and
 // MaxSubRequestSize are the layout quantities Eq. 6 and Table II analyse.
+// All three are closed forms: their cost is at most proportional to the
+// servers touched, never to the number of stripes the request spans.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +35,9 @@ struct SubRequest {
 // contiguous server-local range (stripes of one file are contiguous on a
 // server under round-robin placement, so a multi-stripe hit on one server
 // is one server-side request — matching PVFS2's flow-protocol behaviour).
-// Entries are ordered by server index; empty for size <= 0.
+// Entries are ordered by ascending server index, which fixes the order the
+// file system issues them in (part of the determinism contract); empty for
+// size <= 0.
 std::vector<SubRequest> SplitRequest(const StripeConfig& cfg,
                                      byte_count offset, byte_count size);
 
@@ -41,14 +45,10 @@ std::vector<SubRequest> SplitRequest(const StripeConfig& cfg,
 int InvolvedServerCount(const StripeConfig& cfg, byte_count offset,
                         byte_count size);
 
-// The largest per-server total size for the request — the s_m of Table II.
+// The largest per-server total size for the request — the s_m of Table II,
+// computed by its case analysis (beginning fragment b, ending fragment e,
+// delta = E - B).
 byte_count MaxSubRequestSize(const StripeConfig& cfg, byte_count offset,
                              byte_count size);
-
-// Closed-form s_m following Table II's case analysis (beginning fragment b,
-// ending fragment e, delta = E - B). Exposed separately so tests can check
-// the paper's closed form against the constructive SplitRequest result.
-byte_count MaxSubRequestSizeClosedForm(const StripeConfig& cfg,
-                                       byte_count offset, byte_count size);
 
 }  // namespace s4d::pfs
