@@ -129,12 +129,9 @@ struct IorMixResult {
 inline IorMixResult RunIorMix(mpiio::MpiIoLayer& layer, int ranks,
                               byte_count file_size, byte_count request_size,
                               device::IoKind kind, std::uint64_t seed,
-                              int instances = 10, int random_instances = 4,
-                              sim::ParallelEngine* parallel = nullptr) {
+                              int instances = 10, int random_instances = 4) {
   IorMixResult total;
   const SimTime start = layer.engine().now();
-  harness::DriverOptions options;
-  options.parallel = parallel;  // null = classic single-engine stepping
   for (int i = 0; i < instances; ++i) {
     workloads::IorConfig cfg;
     cfg.file = "ior." + std::to_string(i);
@@ -145,7 +142,7 @@ inline IorMixResult RunIorMix(mpiio::MpiIoLayer& layer, int ranks,
     cfg.kind = kind;
     cfg.seed = seed + static_cast<std::uint64_t>(i);
     workloads::IorWorkload wl(cfg);
-    const auto result = harness::RunClosedLoop(layer, wl, options);
+    const auto result = harness::RunClosedLoop(layer, wl);
     total.bytes += result.bytes;
   }
   total.elapsed = layer.engine().now() - start;

@@ -15,17 +15,9 @@
 //
 // end_to_end runs the Figure-6-style IOR mix through the full S4D stack and
 // reports engine events per wall-clock second, tying the micro numbers to
-// real simulator throughput. The threaded-scaling section repeats that mix
-// under the island-partitioned ParallelEngine at 1/2/4/8 worker threads and
-// reports wall-clock speedup over the serial engine; the simulated result
-// (throughput, bytes, elapsed sim time) is checked identical at every
-// point, so the speedup table doubles as a determinism probe.
+// real simulator throughput.
 #include "bench_common.h"
 
-#include <algorithm>
-#include <thread>
-
-#include "common/check.h"
 #include "common/rng.h"
 #include "common/table_printer.h"
 
@@ -35,7 +27,6 @@ namespace {
 struct KernelResult {
   double events_per_sec = 0.0;
   std::uint64_t events = 0;
-  double wall_secs = 0.0;
 };
 
 // One fired event = one successor + one schedule-then-cancel sibling.
@@ -117,37 +108,21 @@ KernelResult RunKernel(std::uint64_t n, int reps) {
   return best;
 }
 
-// `threads` == 0 runs the classic single-engine simulator; > 0 runs the
-// island-partitioned ParallelEngine with that many workers. `mix_out`
-// receives the simulated result so callers can assert thread-invariance.
-KernelResult RunEndToEnd(const BenchArgs& args, byte_count file_size,
-                         int threads = 0, IorMixResult* mix_out = nullptr) {
+KernelResult RunEndToEnd(const BenchArgs& args, byte_count file_size) {
   harness::TestbedConfig bed_cfg;
   bed_cfg.seed = args.seed;
-  bed_cfg.threads = threads;
   harness::Testbed bed(bed_cfg);
   core::S4DConfig cfg;
   cfg.cache_capacity = 10 * file_size / 5;
   auto s4d = bed.MakeS4D(cfg);
   mpiio::MpiIoLayer layer(bed.engine(), *s4d);
   const auto t0 = std::chrono::steady_clock::now();
-  const IorMixResult mix =
-      RunIorMix(layer, /*ranks=*/32, file_size, 16 * KiB,
-                device::IoKind::kWrite, args.seed, /*instances=*/10,
-                /*random_instances=*/4, bed.parallel());
+  RunIorMix(layer, /*ranks=*/32, file_size, 16 * KiB, device::IoKind::kWrite,
+            args.seed, /*instances=*/10, /*random_instances=*/4);
   const auto t1 = std::chrono::steady_clock::now();
   const double secs = std::chrono::duration<double>(t1 - t0).count();
-  std::uint64_t fired = 0;
-  if (bed.parallel() != nullptr) {
-    for (int i = 0; i < bed.parallel()->island_count(); ++i) {
-      fired += bed.parallel()->island(static_cast<sim::IslandId>(i))
-                   .events_fired();
-    }
-  } else {
-    fired = bed.engine().events_fired();
-  }
-  if (mix_out != nullptr) *mix_out = mix;
-  return KernelResult{static_cast<double>(fired) / secs, fired, secs};
+  const std::uint64_t fired = bed.engine().events_fired();
+  return KernelResult{static_cast<double>(fired) / secs, fired};
 }
 
 int Main(int argc, char** argv) {
@@ -177,56 +152,11 @@ int Main(int argc, char** argv) {
                   std::to_string(row.r.events)});
     report.Add("events_per_sec", row.r.events_per_sec, {{"mix", row.name}});
   }
-  IorMixResult serial_mix;
-  const KernelResult e2e = RunEndToEnd(args, e2e_file, /*threads=*/0,
-                                       &serial_mix);
+  const KernelResult e2e = RunEndToEnd(args, e2e_file);
   table.AddRow({"end_to_end_ior", TablePrinter::Num(e2e.events_per_sec),
                 std::to_string(e2e.events)});
   report.Add("events_per_sec", e2e.events_per_sec, {{"mix", "end_to_end_ior"}});
   table.Print(std::cout);
-
-  // Threaded scaling: the same IOR mix under the island-partitioned
-  // engine. Speedup is wall-clock serial time / island time — a host
-  // metric, so it is reported (metric "speedup") but never gated by
-  // check_bench_regression.py; what IS hard-checked here is that every
-  // thread count reproduces the serial simulation exactly.
-  const unsigned hw = std::thread::hardware_concurrency();
-  std::printf("\n=== Threaded scaling: end_to_end_ior, islands=13 "
-              "(8 DServers + 4 CServers + clients), host cores=%u ===\n", hw);
-  TablePrinter scaling({"threads", "events/sec", "wall_s", "speedup"});
-  scaling.AddRow({"serial", TablePrinter::Num(e2e.events_per_sec),
-                  TablePrinter::Num(e2e.wall_secs, 3), "1.00"});
-  for (const int threads : {1, 2, 4, 8}) {
-    IorMixResult mix;
-    const KernelResult r = RunEndToEnd(args, e2e_file, threads, &mix);
-    S4D_CHECK(mix.bytes == serial_mix.bytes &&
-              mix.elapsed == serial_mix.elapsed)
-        << "island run at threads=" << threads
-        << " diverged from the serial simulation (bytes " << mix.bytes
-        << " vs " << serial_mix.bytes << ", sim elapsed " << mix.elapsed
-        << " vs " << serial_mix.elapsed << ")";
-    const double speedup = e2e.wall_secs / r.wall_secs;
-    scaling.AddRow({std::to_string(threads),
-                    TablePrinter::Num(r.events_per_sec),
-                    TablePrinter::Num(r.wall_secs, 3),
-                    TablePrinter::Num(speedup, 2)});
-    const std::string label = std::to_string(threads);
-    report.Add("island_events_per_sec", r.events_per_sec,
-               {{"mix", "end_to_end_ior"}, {"threads", label}});
-    report.Add("speedup", speedup,
-               {{"mix", "end_to_end_ior"}, {"threads", label}});
-  }
-  scaling.Print(std::cout);
-  report.Add("host_cores", static_cast<double>(hw));
-  // Flag runs where the scaling table cannot mean anything: with one core
-  // (or an unreadable count — hardware_concurrency() returns 0 then) every
-  // "speedup" is pure scheduler noise. check_bench_regression.py annotates
-  // speedup comparisons against such a baseline as untrustworthy.
-  report.Add("single_core_host", hw <= 1 ? 1.0 : 0.0);
-  if (hw <= 1) {
-    std::printf("warning: single-core host (hardware_concurrency=%u) — the "
-                "speedup column measures scheduler noise, not scaling\n", hw);
-  }
 
   report.Finish();
   return 0;

@@ -103,9 +103,9 @@ CalibrationEngine::CalibrationEngine(CalibConfig config,
   c_stripe_.server_count = params_.ssd_servers;
   c_stripe_.stripe_size = params_.stripe_size;
   dservers_.fits.resize(static_cast<std::size_t>(params_.hdd_servers));
-  dservers_.shards.resize(static_cast<std::size_t>(params_.hdd_servers));
+  dservers_.serve.resize(static_cast<std::size_t>(params_.hdd_servers));
   cservers_.fits.resize(static_cast<std::size_t>(params_.ssd_servers) * 2);
-  cservers_.shards.resize(static_cast<std::size_t>(params_.ssd_servers));
+  cservers_.serve.resize(static_cast<std::size_t>(params_.ssd_servers));
 }
 
 void CalibrationEngine::Attach(core::S4DCache& cache,
@@ -122,11 +122,11 @@ void CalibrationEngine::Attach(core::S4DCache& cache,
   cserver_fs.SetSubRequestSink(this, kCServerTier);
   for (int i = 0; i < params_.hdd_servers; ++i) {
     dserver_fs.server(i).SetServeTap(
-        &dservers_.shards[static_cast<std::size_t>(i)], &ServeTapThunk);
+        &dservers_.serve[static_cast<std::size_t>(i)], &ServeTapThunk);
   }
   for (int i = 0; i < params_.ssd_servers; ++i) {
     cserver_fs.server(i).SetServeTap(
-        &cservers_.shards[static_cast<std::size_t>(i)], &ServeTapThunk);
+        &cservers_.serve[static_cast<std::size_t>(i)], &ServeTapThunk);
   }
   cache.SetCostCalibration(this);
   cache.SetQueuePressureProbe([this] { return MeanCServerDepth(); });
@@ -136,7 +136,7 @@ void CalibrationEngine::Attach(core::S4DCache& cache,
         [this] { return CacheTierSaturated(); });
   }
   if (obs != nullptr) {
-    // Lazy gauges: resolved at export time, after MergeShards().
+    // Lazy gauges: resolved at export time.
     obs->metrics.SetGaugeFn("calib.samples", [this] {
       return static_cast<double>(stats_.samples);
     });
@@ -296,20 +296,12 @@ bool CalibrationEngine::CacheTierSaturated() {
 
 void CalibrationEngine::ServeTapThunk(void* ctx,
                                       const pfs::ServeSample& sample) {
-  ServerShard* shard = static_cast<ServerShard*>(ctx);
-  ++shard->jobs;
-  shard->bytes += sample.size;
-  shard->wait_ns += sample.wait;
-  shard->positioning_ns += sample.positioning;
-  shard->service_ns += sample.service;
-}
-
-void CalibrationEngine::MergeShards() {
-  // The shards are written in place by their owning islands; at quiescence
-  // the merged view is simply a copy (the shard-per-server layout already
-  // is the merged per-server layout).
-  dservers_.merged = dservers_.shards;
-  cservers_.merged = cservers_.shards;
+  ServeTotals* totals = static_cast<ServeTotals*>(ctx);
+  ++totals->jobs;
+  totals->bytes += sample.size;
+  totals->wait_ns += sample.wait;
+  totals->positioning_ns += sample.positioning;
+  totals->service_ns += sample.service;
 }
 
 std::vector<CalibrationEngine::ServerRow> CalibrationEngine::Rows() const {
@@ -318,22 +310,20 @@ std::vector<CalibrationEngine::ServerRow> CalibrationEngine::Rows() const {
   for (int t = 0; t < 2; ++t) {
     const TierState& tier = *tiers[t];
     const bool cache_tier = t == 1;
-    const std::vector<ServerShard>& merged =
-        tier.merged.empty() ? tier.shards : tier.merged;
-    for (std::size_t s = 0; s < merged.size(); ++s) {
+    for (std::size_t s = 0; s < tier.serve.size(); ++s) {
+      const ServeTotals& served = tier.serve[s];
       ServerRow row;
       row.name = tier.fs != nullptr
                      ? tier.fs->server(static_cast<int>(s)).name()
                      : std::string();
       row.cache_tier = cache_tier;
-      row.jobs = merged[s].jobs;
-      row.bytes = merged[s].bytes;
-      if (merged[s].jobs > 0) {
-        const double jobs = static_cast<double>(merged[s].jobs);
-        row.mean_wait_us =
-            static_cast<double>(merged[s].wait_ns) / jobs / 1e3;
+      row.jobs = served.jobs;
+      row.bytes = served.bytes;
+      if (served.jobs > 0) {
+        const double jobs = static_cast<double>(served.jobs);
+        row.mean_wait_us = static_cast<double>(served.wait_ns) / jobs / 1e3;
         row.mean_service_us =
-            static_cast<double>(merged[s].service_ns) / jobs / 1e3;
+            static_cast<double>(served.service_ns) / jobs / 1e3;
       }
       if (cache_tier) {
         const ServerFit& rd =

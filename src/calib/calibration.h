@@ -32,22 +32,18 @@
 // static model is used unchanged — a cold start is byte-identical to the
 // paper default, and so is any run without a `[calib]` config section.
 //
-// Island safety (DESIGN.md §3l): every input to a *decision* is client-side
-// state on island 0 — the sub observations are emitted by the FileSystems at
-// the serial-exact completion instants the island engine reproduces, and the
-// depth counters are client-maintained — so calibrated runs stay
-// byte-identical across --threads counts. The exact server-side service
-// decompositions (wait/positioning/service, tapped in FileServer::Serve) are
-// written only to per-island shards and merged post-run at quiescence; they
-// feed the fitted-vs-observed report table, obs export, and tests — never a
-// mid-run decision.
+// Every input to a *decision* is client-side: the sub observations are
+// emitted by the FileSystems when each sub-request resolves, and the depth
+// counters are client-maintained. The exact server-side service
+// decompositions (wait/positioning/service, tapped in FileServer::Serve)
+// are accumulated per server; they feed the fitted-vs-observed report
+// table, obs export, and tests — never a mid-run decision.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "common/ownership.h"
 #include "common/sim_time.h"
 #include "common/units.h"
 #include "core/cost_model.h"
@@ -134,15 +130,13 @@ class ServerFit {
 };
 
 // Exact service-time decomposition for one server, accumulated from the
-// FileServer tap. In island mode each instance is written only by its
-// owning server island; the coordinator folds them at quiescence via
-// MergeShards() — identical to the obs-shard discipline.
-struct ServerShard {
-  S4D_ISLAND_GUARDED std::int64_t jobs = 0;
-  S4D_ISLAND_GUARDED std::int64_t bytes = 0;
-  S4D_ISLAND_GUARDED SimTime wait_ns = 0;
-  S4D_ISLAND_GUARDED SimTime positioning_ns = 0;
-  S4D_ISLAND_GUARDED SimTime service_ns = 0;
+// FileServer serve tap.
+struct ServeTotals {
+  std::int64_t jobs = 0;
+  std::int64_t bytes = 0;
+  SimTime wait_ns = 0;
+  SimTime positioning_ns = 0;
+  SimTime service_ns = 0;
 };
 
 class CalibrationEngine final : public core::CostCalibration,
@@ -154,7 +148,7 @@ class CalibrationEngine final : public core::CostCalibration,
 
   // Wires the engine into a live stack: installs itself as both
   // FileSystems' sub-request sink, as the FileServers' serve taps (one
-  // shard per server), as `cache`'s cost-calibration provider and queue
+  // ServeTotals per server), as `cache`'s cost-calibration provider and queue
   // probes, and as the Redirector's saturation probe (when
   // `saturation_depth` bounds it). Registers `calib.*` gauges when `obs`
   // is non-null. Call once, before any I/O.
@@ -170,9 +164,8 @@ class CalibrationEngine final : public core::CostCalibration,
   // --- pfs::SubRequestSink -----------------------------------------------
   void OnSubRequestResolved(const pfs::SubRequestSample& sample) override;
 
-  // Mean outstanding sub-requests per CServer (client-side counters; exact
-  // in both engine modes). Backs S4DCache::CacheTierMeanQueueDepth when
-  // attached.
+  // Mean outstanding sub-requests per CServer (client-side counters).
+  // Backs S4DCache::CacheTierMeanQueueDepth when attached.
   double MeanCServerDepth() const;
   // Fitted mean queue delay across the cache tier: mean depth × mean fitted
   // queue unit. Backs the policy admission veto's delay probe.
@@ -181,20 +174,16 @@ class CalibrationEngine final : public core::CostCalibration,
   // `saturation_depth`; always false when unbounded).
   bool CacheTierSaturated();
 
-  // Folds the per-island server shards into the merged per-server table.
-  // Only valid at quiescence (after the run completes); safe to call more
-  // than once (recomputes from the live shards).
-  void MergeShards();
-
-  // One merged per-server row (post-MergeShards). `fitted` solves the
-  // read-kind cell for DServers and the busier kind for CServers — the
-  // report table's summary view; tests use FitFor() for exact cells.
+  // One per-server row, read from the live serve-tap totals. `fitted`
+  // solves the read-kind cell for DServers and the busier kind for
+  // CServers — the report table's summary view; tests use FitFor() for
+  // exact cells.
   struct ServerRow {
     std::string name;
     bool cache_tier = false;
-    std::int64_t jobs = 0;      // exact server-side count (shard)
+    std::int64_t jobs = 0;      // exact server-side count (serve tap)
     std::int64_t bytes = 0;
-    double mean_wait_us = 0.0;  // exact decomposition means (shard)
+    double mean_wait_us = 0.0;  // exact decomposition means (serve tap)
     double mean_service_us = 0.0;
     std::int64_t fit_samples = 0;  // client-side fitted cell (read+write)
     ServerFit::Params fitted;      // solved with the tier's static beta
@@ -206,11 +195,10 @@ class CalibrationEngine final : public core::CostCalibration,
   const CalibStats& stats() const { return stats_; }
   const CalibConfig& config() const { return config_; }
 
-  // Writes the merged per-server table (call after MergeShards).
+  // Writes the per-server table.
   void PrintReport(std::ostream& out) const;
   // Emits one "calib.server" trace instant per server, stamped `at` (the
-  // caller's post-run now). No-op when tracing is disabled. Call after
-  // MergeShards.
+  // caller's post-run now). No-op when tracing is disabled.
   void ExportTrace(obs::Observability& obs, SimTime at) const;
 
   // Sink tags (the `tag` field of SubRequestSample).
@@ -223,9 +211,8 @@ class CalibrationEngine final : public core::CostCalibration,
     // one cell per [server * 2 + kind]; the DServer tier mirrors the static
     // model's kind-blind T_D with one cell per server.
     std::vector<ServerFit> fits;
-    // Exact server-side decompositions, island-written, merged post-run.
-    std::vector<ServerShard> shards;
-    std::vector<ServerShard> merged;  // coordinator-only, from MergeShards()
+    // Exact server-side decompositions, one per server (serve tap).
+    std::vector<ServeTotals> serve;
     const pfs::FileSystem* fs = nullptr;  // depth counters + server names
   };
 

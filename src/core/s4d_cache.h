@@ -184,8 +184,8 @@ class S4DCache final : public mpiio::IoDispatch {
   // Mean per-server queue depth across the cache tier right now — the
   // pressure signal the policy subsystem's LBICA-style admission veto
   // consults. With a queue-pressure probe installed (calibration
-  // subsystem), the probe's client-side counters replace the servers'
-  // internal queue lengths — same signal, island-safe in parallel runs.
+  // subsystem), the probe's client-side outstanding-sub-request counters
+  // replace the servers' internal queue lengths.
   double CacheTierMeanQueueDepth() const;
 
   // --- calibration subsystem hooks ---------------------------------------

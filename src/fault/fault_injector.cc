@@ -34,11 +34,12 @@ int FaultInjector::Disarm() {
 
 void FaultInjector::ApplyToServer(const FaultEvent& event, pfs::FileSystem& fs,
                                   int server) {
+  pfs::FileServer& target = fs.server(server);
   switch (event.kind) {
     case FaultKind::kCrash:
     case FaultKind::kCrashWipe:
-      if (fs.ServerUp(server)) {
-        fs.CrashServer(server);
+      if (target.up()) {
+        target.Crash();
         ++stats_.crashes;
       }
       if (event.kind == FaultKind::kCrashWipe) {
@@ -49,32 +50,32 @@ void FaultInjector::ApplyToServer(const FaultEvent& event, pfs::FileSystem& fs,
       }
       break;
     case FaultKind::kRestart:
-      if (!fs.ServerUp(server)) {
-        fs.RestartServer(server);
+      if (!target.up()) {
+        target.Restart();
         ++stats_.restarts;
       }
       break;
     case FaultKind::kDeviceDegrade:
-      fs.SetDeviceDegrade(server, event.value);
+      target.device().SetDegrade(event.value);
       ++stats_.degrades;
       break;
     case FaultKind::kLinkDegrade:
-      fs.SetLinkDegrade(server, event.value);
+      target.mutable_link().SetDegrade(event.value);
       ++stats_.degrades;
       break;
     case FaultKind::kPartition:
-      fs.SetServerPartitioned(server, true);
+      target.SetPartitioned(true);
       ++stats_.partitions;
       break;
     case FaultKind::kHeal:
-      fs.SetServerPartitioned(server, false);
+      target.SetPartitioned(false);
       ++stats_.partitions;
       break;
     case FaultKind::kBgErrorRate:
       // Seed derived from the server index so every server draws an
       // independent — but reproducible — error sequence.
-      fs.SetServerBackgroundErrorRate(
-          server, event.value,
+      target.SetBackgroundErrorRate(
+          event.value,
           0x5eedULL * 2654435761ULL + static_cast<std::uint64_t>(server + 1));
       ++stats_.bg_error_sets;
       break;

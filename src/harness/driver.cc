@@ -27,12 +27,7 @@ RunResult RunClosedLoop(mpiio::MpiIoLayer& layer,
     const auto request = workload.Next(rank);
     if (!request) {
       layer.Close(files[static_cast<std::size_t>(rank)]);
-      if (--active == 0 && options.parallel != nullptr) {
-        // The serial loop exits at exactly this event; stop island 0 here
-        // so events later in the window stay pending for the next phase.
-        result.end = engine.now();
-        options.parallel->front().RequestStop();
-      }
+      --active;
       return;
     }
     if (options.on_issue) options.on_issue(rank, *request);
@@ -63,20 +58,13 @@ RunResult RunClosedLoop(mpiio::MpiIoLayer& layer,
 
   for (int r = 0; r < ranks; ++r) issue(r);
 
-  if (options.parallel != nullptr) {
-    options.parallel->RunWhile([&]() { return active > 0; });
-    S4D_CHECK(active == 0)
-        << "islands drained with " << active << " of " << ranks
+  while (active > 0) {
+    const bool progressed = engine.Step();
+    S4D_CHECK(progressed)
+        << "engine drained with " << active << " of " << ranks
         << " ranks still active (deadlocked I/O completion?)";
-  } else {
-    while (active > 0) {
-      const bool progressed = engine.Step();
-      S4D_CHECK(progressed)
-          << "engine drained with " << active << " of " << ranks
-          << " ranks still active (deadlocked I/O completion?)";
-    }
-    result.end = engine.now();
   }
+  result.end = engine.now();
   result.throughput_mbps = ThroughputMBps(result.bytes, result.elapsed());
   result.mean_latency_us = latency_us.mean();
   result.max_latency_us = latency_us.max();
@@ -89,18 +77,6 @@ bool DrainUntil(sim::Engine& engine, const std::function<bool()>& quiescent,
   while (!quiescent()) {
     if (engine.now() >= deadline) return false;
     engine.RunUntil(std::min(deadline, engine.now() + slice));
-  }
-  return true;
-}
-
-bool DrainUntil(sim::ParallelEngine& parallel,
-                const std::function<bool()>& quiescent, SimTime max_duration,
-                SimTime slice) {
-  sim::Engine& front = parallel.front();
-  const SimTime deadline = front.now() + max_duration;
-  while (!quiescent()) {
-    if (front.now() >= deadline) return false;
-    parallel.RunUntil(std::min(deadline, front.now() + slice));
   }
   return true;
 }

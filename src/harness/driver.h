@@ -10,12 +10,10 @@
 
 #include <functional>
 
-#include "common/ownership.h"
 #include "common/sim_time.h"
 #include "common/stats.h"
 #include "harness/content_checker.h"
 #include "mpiio/mpi_io.h"
-#include "sim/parallel_engine.h"
 #include "workloads/workload.h"
 
 namespace s4d::harness {
@@ -26,13 +24,6 @@ struct DriverOptions {
   ContentChecker* checker = nullptr;
   // Optional per-request hook (issue-time), e.g. for custom tracing.
   std::function<void(int rank, const workloads::Request&)> on_issue;
-  // Island mode: the ParallelEngine whose island 0 is `layer.engine()`.
-  // The closed loop then runs lookahead windows instead of stepping the
-  // single engine; the event that retires the last rank stops island 0
-  // mid-window, so later events stay pending for the next phase exactly as
-  // in the serial loop. Null = classic single-engine stepping.
-  S4D_ISLAND_SHARED("options pointer; the driver dereferences it only from the coordinator, between windows or inside island-0 events")
-  sim::ParallelEngine* parallel = nullptr;
 };
 
 struct RunResult {
@@ -56,12 +47,5 @@ RunResult RunClosedLoop(mpiio::MpiIoLayer& layer, workloads::Workload& workload,
 // measurement phases.
 bool DrainUntil(sim::Engine& engine, const std::function<bool()>& quiescent,
                 SimTime max_duration, SimTime slice = FromMillis(50));
-
-// Island-mode overload: advances every island in lookahead windows; each
-// slice boundary aligns all islands (front().now() == slice end), matching
-// the serial RunUntil semantics the predicate is polled under.
-bool DrainUntil(sim::ParallelEngine& parallel,
-                const std::function<bool()>& quiescent, SimTime max_duration,
-                SimTime slice = FromMillis(50));
 
 }  // namespace s4d::harness

@@ -1,7 +1,5 @@
 #include "harness/testbed.h"
 
-#include "common/check.h"
-
 namespace s4d::harness {
 
 Status ApplyClusterOverrides(const ConfigParser& config, TestbedConfig& bed) {
@@ -53,35 +51,17 @@ Status ApplyClusterOverrides(const ConfigParser& config, TestbedConfig& bed) {
 }
 
 Testbed::Testbed(TestbedConfig config) : config_(std::move(config)) {
-  if (config_.threads > 0) {
-    S4D_CHECK(config_.link.message_latency > 0)
-        << "island mode needs a positive link latency for lookahead";
-    // Fixed topology-driven island count: clients/middleware on island 0,
-    // DServer i on 1 + i, CServer j on 1 + dservers + j. Threads only size
-    // the worker pool, so every thread count replays the same timeline.
-    const std::size_t islands = static_cast<std::size_t>(
-        1 + config_.dservers + config_.cservers);
-    parallel_ = std::make_unique<sim::ParallelEngine>(
-        islands, config_.link.message_latency, config_.threads);
-  }
-
   pfs::FsConfig d_config;
   d_config.name = "OPFS";
   d_config.stripe = pfs::StripeConfig{config_.dservers, config_.stripe_size};
   d_config.link = config_.link;
   d_config.file_reservation_per_server = config_.file_reservation;
   d_config.track_content = config_.track_content;
-  pfs::RemoteBinding d_remote;
-  if (parallel_) {
-    d_remote = pfs::RemoteBinding{parallel_.get(), 0, 1, &next_ticket_};
-  }
   dservers_ = std::make_unique<pfs::FileSystem>(
-      engine(), d_config,
-      [this](int index) {
+      engine_, d_config, [this](int index) {
         return std::make_unique<device::HddModel>(
             config_.hdd, config_.seed * 1000003 + static_cast<std::uint64_t>(index));
-      },
-      d_remote);
+      });
 
   pfs::FsConfig c_config;
   c_config.name = "CPFS";
@@ -89,30 +69,15 @@ Testbed::Testbed(TestbedConfig config) : config_(std::move(config)) {
   c_config.link = config_.link;
   c_config.file_reservation_per_server = config_.file_reservation;
   c_config.track_content = config_.track_content;
-  pfs::RemoteBinding c_remote;
-  if (parallel_) {
-    c_remote = pfs::RemoteBinding{
-        parallel_.get(), 0,
-        static_cast<sim::IslandId>(1 + config_.dservers), &next_ticket_};
-  }
   cservers_ = std::make_unique<pfs::FileSystem>(
-      engine(), c_config,
-      [this](int index) {
+      engine_, c_config, [this](int index) {
         (void)index;
         return std::make_unique<device::SsdModel>(config_.ssd);
-      },
-      c_remote);
+      });
 
   stock_ = std::make_unique<mpiio::StockDispatch>(*dservers_);
 
   if (config_.obs != nullptr) {
-    if (parallel_) {
-      // One private shard bundle per server island; island 0 keeps writing
-      // the root. Must precede SetObservability so each server resolves its
-      // handles against its own shard. The harness merges shards back into
-      // the root post-run (Observability::MergeShards) before any export.
-      config_.obs->EnableSharding(1 + config_.dservers + config_.cservers);
-    }
     dservers_->SetObservability(config_.obs);
     cservers_->SetObservability(config_.obs);
   }
@@ -127,7 +92,7 @@ core::CostModel Testbed::MakeCostModel() const {
 std::unique_ptr<core::S4DCache> Testbed::MakeS4D(core::S4DConfig s4d_config,
                                                  kv::KvStore* dmt_store) {
   if (s4d_config.obs == nullptr) s4d_config.obs = config_.obs;
-  return std::make_unique<core::S4DCache>(engine(), *dservers_, *cservers_,
+  return std::make_unique<core::S4DCache>(engine_, *dservers_, *cservers_,
                                           MakeCostModel(),
                                           std::move(s4d_config), dmt_store);
 }

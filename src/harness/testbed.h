@@ -8,7 +8,6 @@
 #include <memory>
 
 #include "common/config_parser.h"
-#include "common/ownership.h"
 #include "core/cost_model.h"
 #include "core/s4d_cache.h"
 #include "device/hdd_model.h"
@@ -19,7 +18,6 @@
 #include "obs/observability.h"
 #include "pfs/file_system.h"
 #include "sim/engine.h"
-#include "sim/parallel_engine.h"
 
 namespace s4d::harness {
 
@@ -39,14 +37,6 @@ struct TestbedConfig {
   // outlive the testbed. Both file systems attach to it, and MakeS4D
   // defaults the middleware's bundle to it.
   obs::Observability* obs = nullptr;
-  // Island mode: > 0 partitions the simulation into 1 + dservers + cservers
-  // islands (clients + middleware on island 0, every file server on its
-  // own) run by a ParallelEngine with this many worker threads,
-  // synchronized by the link latency as conservative lookahead. 0 = the
-  // classic single-engine simulator. The island count is fixed by the
-  // topology — thread count only sizes the worker pool — so any threads
-  // value (including 1) produces the identical event timeline.
-  int threads = 0;
 };
 
 // Applies schema-validated `cluster.*` overrides from an INI config onto
@@ -76,11 +66,7 @@ class Testbed {
  public:
   explicit Testbed(TestbedConfig config);
 
-  // The engine client-side code (workloads, middleware, faults) runs on:
-  // island 0's in island mode, the single global engine classically.
-  sim::Engine& engine() { return parallel_ ? parallel_->front() : engine_; }
-  // Null in classic mode.
-  sim::ParallelEngine* parallel() { return parallel_.get(); }
+  sim::Engine& engine() { return engine_; }
   pfs::FileSystem& dservers() { return *dservers_; }
   pfs::FileSystem& cservers() { return *cservers_; }
   mpiio::StockDispatch& stock() { return *stock_; }
@@ -95,10 +81,7 @@ class Testbed {
 
  private:
   TestbedConfig config_;
-  sim::Engine engine_;  // unused shell in island mode (kept for layout)
-  S4D_ISLAND_SHARED("built before the run and immutable after; workers reach it only through ParallelEngine's own synchronized window machinery")
-  std::unique_ptr<sim::ParallelEngine> parallel_;
-  std::uint64_t next_ticket_ = 0;  // shared wire-message ticket counter
+  sim::Engine engine_;
   std::unique_ptr<pfs::FileSystem> dservers_;
   std::unique_ptr<pfs::FileSystem> cservers_;
   std::unique_ptr<mpiio::StockDispatch> stock_;

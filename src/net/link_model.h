@@ -62,17 +62,6 @@ class LinkModel {
 
   const LinkStats& stats() const { return stats_; }
 
-  // One-way message latency at the current degrade factor — the request
-  // leg of an RPC. The island scheduler uses the *healthy* profile value as
-  // its conservative lookahead; SetDegrade clamps factors below 1.0, so the
-  // actual one-way cost can never undershoot it.
-  SimTime OneWayLatency() const {
-    const SimTime t = profile_.message_latency;
-    return degrade_ == 1.0
-               ? t
-               : static_cast<SimTime>(static_cast<double>(t) * degrade_);
-  }
-
   // Fixed request/response round-trip overhead for one RPC.
   SimTime RpcOverhead() const {
     const SimTime t = 2 * profile_.message_latency;

@@ -17,18 +17,6 @@ std::int64_t Histogram::PercentileBound(double p) const {
   return BucketHi(kBuckets - 1);
 }
 
-void MetricsRegistry::Merge(const MetricsRegistry& other) {
-  for (const auto& [name, counter] : other.counters_) {
-    counters_[name].Add(counter.value());
-  }
-  for (const auto& [name, gauge] : other.gauges_) {
-    gauges_[name].Set(gauge.value());
-  }
-  for (const auto& [name, histogram] : other.histograms_) {
-    histograms_[name].Merge(histogram);
-  }
-}
-
 void MetricsRegistry::WriteJson(std::ostream& out) const {
   out << "{\"counters\":{";
   bool first = true;

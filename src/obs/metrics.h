@@ -4,9 +4,7 @@
 // resolve a handle once (GetCounter/GetGauge/GetHistogram — stable for the
 // registry's lifetime, since entries live in node-based maps) and update it
 // with O(1) arithmetic on the hot path. Iteration order is the metric-name
-// order (std::map), so every export is deterministic; registries merge
-// (counters and histograms add, gauges last-write-wins), which lets
-// per-shard or per-phase registries fold into one report.
+// order (std::map), so every export is deterministic.
 //
 // Naming scheme (see DESIGN.md "Observability"):
 //   <layer>.<entity>.<quantity>[_<unit>]
@@ -53,7 +51,7 @@ class Gauge {
 
 // Log2-bucketed histogram for latencies and sizes. Bucket i (i >= 1) holds
 // values in [2^(i-1), 2^i); bucket 0 holds values <= 0. O(1) add
-// (std::bit_width), mergeable, exact count/sum/min/max on the side.
+// (std::bit_width), exact count/sum/min/max on the side.
 class Histogram {
  public:
   static constexpr int kBuckets = 64;
@@ -77,14 +75,6 @@ class Histogram {
     sum_ += v;
     min_ = v < min_ ? v : min_;
     max_ = v > max_ ? v : max_;
-  }
-
-  void Merge(const Histogram& other) {
-    for (int i = 0; i < kBuckets; ++i) buckets_[i] += other.buckets_[i];
-    count_ += other.count_;
-    sum_ += other.sum_;
-    min_ = other.min_ < min_ ? other.min_ : min_;
-    max_ = other.max_ > max_ ? other.max_ : max_;
   }
 
   std::int64_t count() const { return count_; }
@@ -122,9 +112,6 @@ class MetricsRegistry {
   void SetGaugeFn(const std::string& name, std::function<double()> fn) {
     gauges_[name].SetFn(std::move(fn));
   }
-
-  // Counters and histograms add; gauges take `other`'s resolved value.
-  void Merge(const MetricsRegistry& other);
 
   // Full dump: {"counters":{...},"gauges":{...},"histograms":{...}} with
   // keys in name order (deterministic, byte-stable for identical state).

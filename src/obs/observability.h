@@ -6,21 +6,8 @@
 // The bundle is engine-free (spans are stamped with caller-provided
 // SimTime), so it can be constructed before the Testbed that owns the
 // engine and handed down through the config structs.
-//
-// Island sharding: under the parallel engine, components on island i > 0
-// must not write into island 0's registry/tracer mid-window. The Testbed
-// calls EnableSharding(island_count) and hands each remote server the
-// bundle Shard(island) returns — a private child written only from that
-// island. MergeShards() folds every shard back into the root post-run
-// (metrics add, gauge callbacks resolve, shard trace records append in
-// island order), so exports see one registry exactly as in serial mode.
 #pragma once
 
-#include <cstdint>
-#include <memory>
-#include <vector>
-
-#include "common/ownership.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 
@@ -31,47 +18,6 @@ struct Observability {
   Tracer tracer;
 
   bool tracing() const { return tracer.enabled(); }
-
-  // Creates one private child bundle per island 1..islands-1 (island 0 —
-  // clients/middleware — keeps writing the root directly). Shard tracers
-  // inherit the root's enabled flag, so call after set_enabled.
-  void EnableSharding(int islands) {
-    shards_.clear();
-    shards_.resize(static_cast<std::size_t>(islands < 0 ? 0 : islands));
-    for (std::size_t i = 1; i < shards_.size(); ++i) {
-      shards_[i] = std::make_unique<Observability>();
-      shards_[i]->tracer.set_enabled(tracer.enabled());
-    }
-  }
-
-  // The bundle island `island` may write: its shard, or the root when
-  // sharding is off / island 0. Never null.
-  Observability* Shard(std::uint32_t island) {
-    if (island >= shards_.size() || shards_[island] == nullptr) return this;
-    return shards_[island].get();
-  }
-
-  bool sharded() const { return !shards_.empty(); }
-
-  // Folds every shard into the root in island order, then drops the
-  // shards. Call once, post-run (after the parallel engine has joined):
-  // gauge callbacks resolve against quiescent server state, and shard span
-  // parents — wire-carried root ids by contract (see Tracer::MergeFrom) —
-  // stay valid.
-  void MergeShards() {
-    std::vector<std::unique_ptr<Observability>> shards = std::move(shards_);
-    shards_.clear();
-    for (const auto& shard : shards) {
-      if (shard == nullptr) continue;
-      metrics.Merge(shard->metrics);
-      tracer.MergeFrom(shard->tracer);
-    }
-  }
-
- private:
-  // shards_[i] is written only from island i's events mid-run; the
-  // coordinator touches the vector itself only between windows/post-run.
-  S4D_ISLAND_GUARDED std::vector<std::unique_ptr<Observability>> shards_;
 };
 
 }  // namespace s4d::obs

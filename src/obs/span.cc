@@ -94,22 +94,6 @@ void Tracer::AddArg(SpanId id, const char* key, const std::string& value) {
   r->args.push_back({key, std::move(quoted)});
 }
 
-void Tracer::MergeFrom(const Tracer& donor) {
-  std::vector<std::uint32_t> lane_map;
-  lane_map.reserve(donor.lane_names_.size());
-  for (const std::string& name : donor.lane_names_) {
-    lane_map.push_back(Lane(name));
-  }
-  const SpanId base = records_.size();
-  records_.reserve(records_.size() + donor.records_.size());
-  for (const SpanRecord& r : donor.records_) {
-    SpanRecord copy = r;
-    copy.id = base + r.id;
-    copy.lane = lane_map[r.lane];
-    records_.push_back(std::move(copy));
-  }
-}
-
 void Tracer::WriteChromeTrace(std::ostream& out) const {
   out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
   bool first = true;

@@ -65,14 +65,6 @@ class Tracer {
   void AddArg(SpanId id, const char* key, std::int64_t value);
   void AddArg(SpanId id, const char* key, const std::string& value);
 
-  // Folds a per-island shard tracer into this one: donor lanes are
-  // re-registered here by name and donor record ids are renumbered past the
-  // current tail (preserving the id-k-at-records()[k-1] invariant). Parent
-  // ids are kept verbatim — the island contract is that a shard span's
-  // parent is always a *root*-tracer id carried over the wire (root ids are
-  // stable, so they remain valid after the merge), never a shard-local id.
-  void MergeFrom(const Tracer& donor);
-
   const std::vector<SpanRecord>& records() const { return records_; }
   const std::vector<std::string>& lane_names() const { return lane_names_; }
 

@@ -40,86 +40,6 @@ void FileServer::SetObservability(obs::Observability* obs,
       [this] { return device_->stats().ewma_service_ns / 1000.0; });
 }
 
-void FileServer::EnableRemote(sim::ParallelEngine* par, sim::IslandId island,
-                              sim::IslandId client_island, int server_index,
-                              void* ctx, RemoteResponderFn responder) {
-  S4D_CHECK(par != nullptr && responder != nullptr);
-  // Every timestamp on this island runs one request-leg latency later than
-  // its serial counterpart; shift the idle-grace origin to match (the link
-  // is healthy at t=0, so the initial shift is the profile latency).
-  last_normal_activity_ = link_.profile().message_latency;
-  // In island mode the *client stub* draws this server's arrival jitter
-  // from an identically-seeded mirror RNG (draws happen in submission
-  // order on both sides, and this server never draws), so jitter_rng_
-  // stays untouched here.
-  remote_par_ = par;
-  remote_island_ = island;
-  remote_client_ = client_island;
-  remote_index_ = server_index;
-  remote_ctx_ = ctx;
-  remote_responder_ = responder;
-}
-
-void FileServer::ArriveRemote(const WireJob& wire) {
-  S4D_CHECK(remote()) << "wire job on non-island server " << name_;
-  ownership::AssertOnOwningIsland(remote_island_, name_.c_str());
-  S4D_CHECK(wire.size > 0)
-      << "server " << name_ << " got a wire job of " << wire.size << " bytes";
-  if (!up_) {
-    // The client-side mirror already failed this ticket at crash time (or
-    // will, if the crash message is still in flight); dropping it here
-    // keeps the failure's simulated time exactly the serial one.
-    ++stats_.failed_jobs;
-    return;
-  }
-  ServerJob job;
-  job.kind = static_cast<device::IoKind>(wire.kind);
-  job.lba = wire.lba;
-  job.size = wire.size;
-  job.priority = static_cast<Priority>(wire.priority);
-  // Serial Submit stamps enqueued_at *before* the arrival jitter, while
-  // this delivery already includes it (the stub folded the jitter into the
-  // wire time). Back the jitter out so the queue-wait histogram measures
-  // exactly the serial wait.
-  job.enqueued_at = engine_.now() - wire.jitter;
-  job.parent_span = wire.parent_span;
-  job.ticket = wire.ticket;
-  job.reply_slot = wire.reply_slot;
-  job.paid_latency = wire.paid_latency;
-  if (job.priority == Priority::kNormal) {
-    last_normal_activity_ = engine_.now();
-    normal_queue_.push_back(std::move(job));
-  } else {
-    background_queue_.push_back(std::move(job));
-  }
-  MaybeStartNext();
-}
-
-// Posts the completion message for the job now being served. Island
-// arithmetic (see DESIGN.md §3k): this server runs the request's whole
-// timeline `paid_latency` later than the serial engine did, so the serial
-// completion time is (serve_start - paid_latency) + service. The response
-// leg still to pay is that completion time minus "now"; the clamp to the
-// engine's lookahead only binds if the link healed while the request was in
-// flight (impossible in the default profile, where degrade is constant 1).
-void FileServer::PostResponse(const ServerJob& job, SimTime serve_start,
-                              SimTime service, bool failed) {
-  const SimTime serial_start = serve_start - job.paid_latency;
-  SimTime deliver_at = serial_start + service;
-  deliver_at = std::max(deliver_at, serve_start + remote_par_->lookahead());
-  RemoteResponse response;
-  response.ticket = job.ticket;
-  response.wear = device_->WearFraction();
-  response.server = remote_index_;
-  response.reply_slot = job.reply_slot;
-  response.failed = failed;
-  remote_par_->Post(
-      remote_island_, remote_client_, deliver_at, serial_start, job.ticket,
-      [ctx = remote_ctx_, fn = remote_responder_, response]() {
-        fn(ctx, response);
-      });
-}
-
 void FileServer::FailJob(ServerJob job) {
   ++stats_.failed_jobs;
   if (obs_ != nullptr) {
@@ -139,9 +59,6 @@ void FileServer::FailJob(ServerJob job) {
 }
 
 void FileServer::Submit(ServerJob job) {
-  S4D_CHECK(!remote())
-      << "server " << name_
-      << " is in island mode; requests must arrive as wire messages";
   S4D_CHECK(job.size > 0)
       << "server " << name_ << " got a job of " << job.size << " bytes";
   job.enqueued_at = engine_.now();
@@ -185,25 +102,6 @@ void FileServer::Crash() {
   if (!up_) return;
   up_ = false;
   ++stats_.crashes;
-  if (remote()) {
-    // Island mode: the client-side stub mirror fails every outstanding
-    // ticket at the serial crash time (this event runs one network hop
-    // later). Responses already on the wire are dropped by the client's
-    // ticket check. Here the jobs just die silently, counted.
-    if (busy_) {
-      engine_.Cancel(inflight_event_);
-      inflight_event_ = sim::kInvalidEvent;
-      busy_ = false;
-      inflight_job_.reset();
-      ++stats_.failed_jobs;
-    }
-    stats_.failed_jobs +=
-        static_cast<std::int64_t>(normal_queue_.size() +
-                                  background_queue_.size());
-    normal_queue_.clear();
-    background_queue_.clear();
-    return;
-  }
   // The in-flight job dies with its connection: cancel the scheduled
   // completion and fail it now.
   if (busy_) {
@@ -244,7 +142,6 @@ void FileServer::SetBackgroundErrorRate(double rate, std::uint64_t seed) {
 }
 
 void FileServer::MaybeStartNext() {
-  if (remote()) ownership::AssertOnOwningIsland(remote_island_, name_.c_str());
   if (busy_ || !up_ || partitioned_) return;
   ServerJob job;
   if (!normal_queue_.empty()) {
@@ -275,11 +172,7 @@ void FileServer::MaybeStartNext() {
 }
 
 void FileServer::Serve(ServerJob job) {
-  // Every obs timestamp below is stamped in *serial* time: this island runs
-  // the request's timeline paid_latency later than the serial engine would
-  // have (classic jobs carry paid_latency == 0, so this is the identity
-  // there), which keeps exported spans byte-comparable across modes.
-  const SimTime serial_now = engine_.now() - job.paid_latency;
+  const SimTime now = engine_.now();
   // Injected transient error: the job occupies the request slot for the
   // RPC round-trip (the client had to talk to the server to get the error)
   // but moves no data.
@@ -289,24 +182,10 @@ void FileServer::Serve(ServerJob job) {
     if (obs_ != nullptr) {
       obs_failed_jobs_->Inc();
       if (obs_->tracing()) {
-        obs_->tracer.Instant(lane_, "bg_error", "pfs", serial_now,
-                             job.parent_span);
+        obs_->tracer.Instant(lane_, "bg_error", "pfs", now, job.parent_span);
       }
     }
     const SimTime service = link_.RpcOverhead();
-    if (remote()) {
-      // The error response leaves now; the request slot stays occupied for
-      // the full RPC round-trip, exactly as below.
-      PostResponse(job, engine_.now(), service, /*failed=*/true);
-      inflight_job_ = std::move(job);
-      inflight_event_ = engine_.ScheduleAfter(service, [this]() {
-        inflight_event_ = sim::kInvalidEvent;
-        inflight_job_.reset();
-        busy_ = false;
-        MaybeStartNext();
-      });
-      return;
-    }
     inflight_job_ = std::move(job);
     inflight_event_ = engine_.ScheduleAfter(service, [this]() {
       inflight_event_ = sim::kInvalidEvent;
@@ -346,18 +225,14 @@ void FileServer::Serve(ServerJob job) {
     sample.kind = job.kind;
     sample.priority = job.priority;
     sample.size = job.size;
-    // enqueued_at was backed out by the arrival jitter in island mode, so
-    // this difference is the exact serial queue wait in both modes.
-    sample.wait = job.enqueued_at >= 0 ? engine_.now() - job.enqueued_at : 0;
+    sample.wait = job.enqueued_at >= 0 ? now - job.enqueued_at : 0;
     sample.positioning = costs.positioning;
     sample.service = service;
-    sample.start = serial_now;
     serve_tap_(serve_tap_ctx_, sample);
   }
 
   if (obs_ != nullptr) {
-    const SimTime wait =
-        job.enqueued_at >= 0 ? engine_.now() - job.enqueued_at : 0;
+    const SimTime wait = job.enqueued_at >= 0 ? now - job.enqueued_at : 0;
     obs_jobs_->Inc();
     obs_bytes_->Add(job.size);
     obs_service_ns_->Record(service);
@@ -365,8 +240,8 @@ void FileServer::Serve(ServerJob job) {
     if (obs_->tracing()) {
       const obs::SpanId id = obs_->tracer.Complete(
           lane_, device::IoKindName(job.kind),
-          job.priority == Priority::kNormal ? "pfs" : "pfs.bg", serial_now,
-          service, job.parent_span);
+          job.priority == Priority::kNormal ? "pfs" : "pfs.bg", now, service,
+          job.parent_span);
       obs_->tracer.AddArg(id, "size", job.size);
       obs_->tracer.AddArg(id, "wait_ns", wait);
       obs_->tracer.AddArg(id, "pos_ns", costs.positioning);
@@ -375,24 +250,6 @@ void FileServer::Serve(ServerJob job) {
     }
   }
 
-  if (remote()) {
-    // Completion splits in two: the response message leaves now, timed so
-    // it lands at the exact serial completion instant, while this server's
-    // request slot stays busy for the full service time (device + wire
-    // occupancy is what serializes the next job, not the response's
-    // arrival).
-    PostResponse(job, engine_.now(), service, /*failed=*/false);
-    inflight_job_ = std::move(job);
-    inflight_event_ = engine_.ScheduleAfter(service, [this]() {
-      inflight_event_ = sim::kInvalidEvent;
-      const bool normal = inflight_job_->priority == Priority::kNormal;
-      inflight_job_.reset();
-      if (normal) last_normal_activity_ = engine_.now();
-      busy_ = false;
-      MaybeStartNext();
-    });
-    return;
-  }
   inflight_job_ = std::move(job);
   inflight_event_ = engine_.ScheduleAfter(service, [this]() {
     inflight_event_ = sim::kInvalidEvent;

@@ -23,13 +23,11 @@
 #include <optional>
 #include <string>
 
-#include "common/ownership.h"
 #include "common/rng.h"
 #include "device/device_model.h"
 #include "net/link_model.h"
 #include "obs/observability.h"
 #include "sim/engine.h"
-#include "sim/parallel_engine.h"
 
 namespace s4d::pfs {
 
@@ -51,54 +49,10 @@ struct ServerJob {
   obs::SpanId parent_span = obs::kNoSpan;
   // Stamped by Submit; queue-wait time is measured from here.
   SimTime enqueued_at = -1;
-  // Island mode only: response routing (the callbacks above stay null).
-  std::uint64_t ticket = 0;
-  std::uint32_t reply_slot = 0;
-  std::int32_t paid_latency = 0;  // one-way ns the request leg already paid
 };
-
-// Island mode: the request as it crosses the wire, packed so the whole
-// message (this + a FileServer*) fits InlineCallback's 48-byte inline
-// buffer — a cross-island sub-request costs zero heap allocations.
-// `parent_span` rides as 32 bits: span ids count in-memory trace records,
-// bounded far below 2^32 for any run that fits in memory (DCHECKed at the
-// submit site).
-struct S4D_WIRE_SAFE WireJob {
-  std::int64_t lba = 0;
-  std::uint64_t ticket = 0;       // globally unique; echoed in the response
-  std::uint32_t size = 0;
-  std::uint32_t reply_slot = 0;   // client-side pending-table slot
-  std::int32_t paid_latency = 0;  // ns of one-way latency the client charged
-  std::int32_t jitter = 0;        // ns of arrival jitter folded into delivery
-  std::uint32_t parent_span = 0;  // root-tracer id of the request span
-  std::uint8_t kind = 0;          // device::IoKind
-  std::uint8_t priority = 0;      // Priority
-};
-static_assert(sizeof(WireJob) <= 40,
-              "WireJob + a FileServer* must fit InlineCallback's 48-byte "
-              "inline buffer (the zero-allocation wire-path guarantee)");
-
-// Island mode: the response payload delivered back to the client island.
-// `wear` piggybacks the device's wear fraction so the client-side stub can
-// answer wear probes without touching cross-island state.
-struct S4D_WIRE_SAFE RemoteResponse {
-  std::uint64_t ticket = 0;
-  double wear = 0.0;
-  std::int32_t server = 0;
-  std::uint32_t reply_slot = 0;
-  bool failed = false;
-};
-
-// Plain-function responder keeps file_server.h free of a FileSystem
-// dependency cycle; `ctx` is the owning FileSystem.
-using RemoteResponderFn = void (*)(void* ctx, const RemoteResponse& response);
 
 // Exact service decomposition of one served job, emitted from Serve() at
-// service start. `start` is the *serial* serve-start instant (island mode
-// backs the paid request-leg latency out), so taps see identical samples in
-// both engine modes. Consumers must treat their tap state as island-owned:
-// in island mode the tap fires on the server's island (per-server shards,
-// merged post-run — see src/calib).
+// service start.
 struct ServeSample {
   device::IoKind kind = device::IoKind::kRead;
   Priority priority = Priority::kNormal;
@@ -106,10 +60,9 @@ struct ServeSample {
   SimTime wait = 0;         // enqueue -> serve start
   SimTime positioning = 0;  // seek + rotation (0 for SSDs)
   SimTime service = 0;      // RPC + positioning + overlapped data phase
-  SimTime start = 0;        // serial serve-start instant
 };
 // Plain function pointer (no allocation on the serve path); `ctx` is the
-// consumer's per-server shard.
+// consumer's per-server state.
 using ServeTapFn = void (*)(void* ctx, const ServeSample& sample);
 
 struct ServerStats {
@@ -146,24 +99,6 @@ class FileServer {
   // Enqueues a job; it will be served in FIFO order within its priority.
   // On a crashed server the job fails immediately (next engine step).
   void Submit(ServerJob job);
-
-  // --- island mode -------------------------------------------------------
-  // Switches the server to island (remote) operation: it lives on
-  // `island`'s engine, receives WireJobs via ArriveRemote, and answers by
-  // posting `responder(ctx, ...)` messages back to `client_island` instead
-  // of invoking job callbacks. Arrival jitter is drawn by the client-side
-  // stub (identically-seeded mirror RNG) and folded into the wire delivery
-  // time, so jittered profiles reproduce the serial timeline exactly.
-  void EnableRemote(sim::ParallelEngine* par, sim::IslandId island,
-                    sim::IslandId client_island, int server_index, void* ctx,
-                    RemoteResponderFn responder);
-  bool remote() const { return remote_par_ != nullptr; }
-
-  // Delivery of a wire request on this server's island. A request that
-  // finds the server down is dropped silently — the client-side stub
-  // mirror already failed it at the (earlier) crash time, exactly when the
-  // serial simulator would have.
-  void ArriveRemote(const WireJob& wire);
 
   // --- fault injection ---------------------------------------------------
   // Crash: every queued job and the in-flight job (if any) fail at the
@@ -222,21 +157,14 @@ class FileServer {
   void MaybeStartNext();
   void Serve(ServerJob job);
   void FailJob(ServerJob job);
-  void PostResponse(const ServerJob& job, SimTime serve_start, SimTime service,
-                    bool failed);
 
-  // In island mode everything below engine_ down to the fault state is
-  // owned by remote_island_: only events on that island's engine touch it
-  // (ArriveRemote / MaybeStartNext assert this when the sentinel is armed).
-  // Post-run reads from the coordinator (stats/report printing) happen at
-  // quiescence, outside any island.
-  S4D_ISLAND_GUARDED sim::Engine& engine_;
-  S4D_ISLAND_GUARDED std::unique_ptr<device::DeviceModel> device_;
-  S4D_ISLAND_GUARDED net::LinkModel link_;
+  sim::Engine& engine_;
+  std::unique_ptr<device::DeviceModel> device_;
+  net::LinkModel link_;
   std::string name_;
 
-  S4D_ISLAND_GUARDED std::deque<ServerJob> normal_queue_;
-  S4D_ISLAND_GUARDED std::deque<ServerJob> background_queue_;
+  std::deque<ServerJob> normal_queue_;
+  std::deque<ServerJob> background_queue_;
   bool busy_ = false;
   SimTime background_idle_grace_;
   SimTime last_normal_activity_ = 0;
@@ -254,25 +182,13 @@ class FileServer {
   double background_error_rate_ = 0.0;
   Rng fault_rng_{1};
 
-  // Island mode (null = classic single-engine operation).
-  sim::ParallelEngine* remote_par_ = nullptr;
-  sim::IslandId remote_island_ = 0;
-  sim::IslandId remote_client_ = 0;
-  std::int32_t remote_index_ = 0;
-  void* remote_ctx_ = nullptr;
-  RemoteResponderFn remote_responder_ = nullptr;
-
-  // Serve tap (null = off). Island-owned like the queues: the tap fires
-  // from Serve(), which runs on this server's island, and writes the
-  // consumer's per-server shard (merged post-run at quiescence).
-  S4D_ISLAND_GUARDED void* serve_tap_ctx_ = nullptr;
-  S4D_ISLAND_GUARDED ServeTapFn serve_tap_ = nullptr;
+  // Serve tap (null = off); fires from Serve().
+  void* serve_tap_ctx_ = nullptr;
+  ServeTapFn serve_tap_ = nullptr;
 
   // Observability (null = not observed). Handles are resolved once in
-  // SetObservability so the service path pays pointer arithmetic only. In
-  // island mode this is the server's island *shard* bundle (see
-  // Observability::Shard), so every write below stays island-local.
-  S4D_ISLAND_GUARDED obs::Observability* obs_ = nullptr;
+  // SetObservability so the service path pays pointer arithmetic only.
+  obs::Observability* obs_ = nullptr;
   std::uint32_t lane_ = 0;
   obs::Counter* obs_jobs_ = nullptr;
   obs::Counter* obs_bytes_ = nullptr;

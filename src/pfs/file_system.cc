@@ -10,38 +10,16 @@
 namespace s4d::pfs {
 
 FileSystem::FileSystem(sim::Engine& engine, FsConfig config,
-                       DeviceFactory factory, RemoteBinding remote)
-    : engine_(engine), config_(std::move(config)), remote_(remote) {
+                       DeviceFactory factory)
+    : engine_(engine), config_(std::move(config)) {
   S4D_CHECK(config_.stripe.server_count >= 1)
       << "file system needs at least one server, got "
       << config_.stripe.server_count;
-  if (remote_.par != nullptr) {
-    S4D_CHECK(remote_.next_ticket != nullptr)
-        << "island mode needs a shared ticket counter";
-  }
   servers_.reserve(static_cast<std::size_t>(config_.stripe.server_count));
-  if (remote_.par != nullptr) {
-    stubs_.reserve(static_cast<std::size_t>(config_.stripe.server_count));
-  }
   for (int i = 0; i < config_.stripe.server_count; ++i) {
-    sim::Engine& server_engine =
-        remote_.par != nullptr
-            ? remote_.par->island(remote_.first_island +
-                                  static_cast<sim::IslandId>(i))
-            : engine_;
-    const std::string server_name =
-        config_.name + "/server" + std::to_string(i);
     servers_.push_back(std::make_unique<FileServer>(
-        server_engine, factory(i), net::LinkModel(config_.link), server_name));
-    if (remote_.par != nullptr) {
-      servers_.back()->EnableRemote(
-          remote_.par, remote_.first_island + static_cast<sim::IslandId>(i),
-          remote_.client_island, i, this, &FileSystem::OnRemoteResponseThunk);
-      // The jitter mirror must replay the server's exact stream: same
-      // name-derived seed as the FileServer constructor.
-      stubs_.emplace_back(net::LinkModel(config_.link),
-                          std::hash<std::string>{}(server_name) | 1);
-    }
+        engine_, factory(i), net::LinkModel(config_.link),
+        config_.name + "/server" + std::to_string(i)));
   }
 }
 
@@ -65,35 +43,11 @@ byte_count FileSystem::FileBaseLba(FileId file) const {
 }
 
 void FileSystem::SetObservability(obs::Observability* obs) {
-  obs_ = remote() ? obs : nullptr;
-  obs_failed_jobs_ = nullptr;
-  for (int i = 0; i < server_count(); ++i) {
-    // Island mode: each server writes its island's private shard bundle
-    // (Observability::Shard), never the root, so per-job metrics and spans
-    // stay island-local mid-run and fold back in MergeShards().
-    obs::Observability* server_obs =
-        (obs != nullptr && remote())
-            ? obs->Shard(static_cast<std::uint32_t>(
-                  remote_.first_island + static_cast<sim::IslandId>(i)))
-            : obs;
-    servers_[static_cast<std::size_t>(i)]->SetObservability(server_obs,
-                                                            config_.name);
+  for (const auto& server : servers_) {
+    server->SetObservability(obs, config_.name);
   }
   if (obs == nullptr) return;
-  if (remote()) {
-    // Client-side mirror of the serial FailJob emissions (see
-    // EmitRemoteSubFailure): the counter lives on the root registry under
-    // the same name the servers share, so merged totals match serial.
-    obs_failed_jobs_ =
-        obs->metrics.GetCounter("pfs." + config_.name + ".failed_jobs");
-    for (std::size_t i = 0; i < stubs_.size(); ++i) {
-      stubs_[i].lane = obs->tracer.Lane(servers_[i]->name());
-    }
-  }
-  // Tier-level load signals, evaluated lazily at sample/export time. In
-  // island mode these read live server state across islands — safe only
-  // because gauge callbacks resolve post-run, at quiescence (the sampler
-  // probes its own client-side functions, never registry gauges).
+  // Tier-level load signals, evaluated lazily at sample/export time.
   obs->metrics.SetGaugeFn("pfs." + config_.name + ".queue_depth", [this] {
     std::size_t depth = 0;
     for (const auto& server : servers_) depth += server->queue_depth();
@@ -125,33 +79,23 @@ FileSystem::SubTag* FileSystem::AcquireSubTag() {
   return tag;
 }
 
-void FileSystem::EmitSubSample(int server, device::IoKind kind,
-                               Priority priority, byte_count size,
-                               std::int32_t depth, SimTime submit,
-                               SimTime complete, bool ok) {
-  SubRequestSample sample;
-  sample.tag = sub_sink_tag_;
-  sample.server = server;
-  sample.kind = kind;
-  sample.priority = priority;
-  sample.size = size;
-  sample.depth_at_submit = depth;
-  sample.submit_time = submit;
-  sample.complete_time = complete;
-  sample.ok = ok;
-  sub_sink_->OnSubRequestResolved(sample);
-}
-
 void FileSystem::SubTagArrive(SubTag* tag, SimTime t, bool ok) {
   --sub_depth_[static_cast<std::size_t>(tag->server)];
   Fanout* fanout = tag->fanout;
+  SubRequestSample sample;
+  sample.tag = sub_sink_tag_;
+  sample.server = tag->server;
+  sample.kind = static_cast<device::IoKind>(tag->kind);
+  sample.priority = static_cast<Priority>(tag->priority);
+  sample.size = tag->size;
+  sample.depth_at_submit = tag->depth;
+  sample.submit_time = tag->submit;
+  sample.complete_time = t;
+  sample.ok = ok;
   // Recycle before emitting/joining: either callback may submit follow-up
   // I/O that re-acquires this tag.
-  const SubTag copy = *tag;
   subtag_free_.push_back(tag);
-  EmitSubSample(copy.server, static_cast<device::IoKind>(copy.kind),
-                static_cast<Priority>(copy.priority), copy.size, copy.depth,
-                copy.submit, t, ok);
+  sub_sink_->OnSubRequestResolved(sample);
   FanoutArrive(fanout, t, ok);
 }
 
@@ -232,15 +176,6 @@ void FileSystem::Submit(FileId file, device::IoKind kind, byte_count offset,
   state->on_failure = std::move(on_failure);
 
   const byte_count base = FileBaseLba(file);
-  if (remote()) {
-    ownership::AssertOnOwningIsland(remote_.client_island,
-                                    config_.name.c_str());
-    for (const SubRequest& sub : subs) {
-      SubmitRemoteSub(sub.server, kind, base + sub.server_offset, sub.size,
-                      priority, state, parent_span);
-    }
-    return;
-  }
   for (const SubRequest& sub : subs) {
     ServerJob job;
     job.kind = kind;
@@ -273,308 +208,7 @@ void FileSystem::Submit(FileId file, device::IoKind kind, byte_count offset,
   }
 }
 
-void FileSystem::SubmitRemoteSub(int server, device::IoKind kind,
-                                 byte_count lba, byte_count size,
-                                 Priority priority, Fanout* fanout,
-                                 obs::SpanId parent_span) {
-  Stub& stub = stubs_[static_cast<std::size_t>(server)];
-  if (!stub.up) {
-    // Connection refused, as the serial engine models it: the failure
-    // resolves on the next engine step at the submit time. The serial
-    // FailJob stamps its observability synchronously at submit time.
-    EmitRemoteSubFailure(server, parent_span);
-    if (sub_sink_ != nullptr) {
-      // The serial path tags this sub too (depth up at submit, down plus a
-      // failed sample at the next-step resolution); mirror it exactly.
-      const std::int32_t depth = sub_depth_[static_cast<std::size_t>(server)]++;
-      engine_.ScheduleAfter(0, [this, fanout, server, kind, size, priority,
-                                depth, submit = engine_.now()]() {
-        --sub_depth_[static_cast<std::size_t>(server)];
-        EmitSubSample(server, kind, priority, size, depth, submit,
-                      engine_.now(), false);
-        FanoutArrive(fanout, engine_.now(), false);
-      });
-      return;
-    }
-    engine_.ScheduleAfter(0, [this, fanout]() {
-      FanoutArrive(fanout, engine_.now(), false);
-    });
-    return;
-  }
-  // Arrival jitter, drawn from the stub's mirror of the server's stream —
-  // the serial Submit draws at exactly this point, in exactly this order.
-  const SimTime jitter_bound = stub.link.profile().arrival_jitter;
-  const SimTime jitter =
-      jitter_bound > 0
-          ? static_cast<SimTime>(stub.jitter_rng.NextBelow(
-                static_cast<std::uint64_t>(jitter_bound)))
-          : 0;
-  const std::uint64_t ticket = (*remote_.next_ticket)++;
-  std::uint32_t slot;
-  if (stub.free_slots.empty()) {
-    slot = static_cast<std::uint32_t>(stub.slots.size());
-    stub.slots.emplace_back();
-  } else {
-    slot = stub.free_slots.back();
-    stub.free_slots.pop_back();
-  }
-  const SimTime now = engine_.now();
-  const SimTime arrive = now + jitter;  // the serial enqueue instant
-  stub.slots[slot] = PendingSub{ticket, fanout, arrive, parent_span,
-                                static_cast<std::uint8_t>(priority), true};
-  ++stub.outstanding;
-  if (sub_sink_ != nullptr) {
-    PendingSub& pending = stub.slots[slot];
-    pending.submit = now;
-    pending.size = size;
-    pending.depth = sub_depth_[static_cast<std::size_t>(server)]++;
-    pending.kind = static_cast<std::uint8_t>(kind);
-  }
-
-  // Span ids count in-memory trace records — far below 2^32 for any run
-  // that fits in memory — so the wire narrows the parent to 32 bits.
-  S4D_DCHECK(parent_span <= 0xffffffffu)
-      << "span id " << parent_span << " does not fit the wire";
-  WireJob wire;
-  wire.lba = lba;
-  wire.ticket = ticket;
-  wire.size = static_cast<std::uint32_t>(size);
-  wire.reply_slot = slot;
-  wire.paid_latency = static_cast<std::int32_t>(stub.link.OneWayLatency());
-  wire.jitter = static_cast<std::int32_t>(jitter);
-  wire.parent_span = static_cast<std::uint32_t>(parent_span);
-  wire.kind = static_cast<std::uint8_t>(kind);
-  wire.priority = static_cast<std::uint8_t>(priority);
-
-  FileServer* srv = servers_[static_cast<std::size_t>(server)].get();
-  remote_.par->Post(remote_.client_island,
-                    remote_.first_island + static_cast<sim::IslandId>(server),
-                    arrive + wire.paid_latency, now, ticket,
-                    [srv, wire]() { srv->ArriveRemote(wire); });
-}
-
-void FileSystem::OnRemoteResponseThunk(void* ctx,
-                                       const RemoteResponse& response) {
-  static_cast<FileSystem*>(ctx)->OnRemoteResponse(response);
-}
-
-void FileSystem::EmitRemoteSubFailure(int server, obs::SpanId parent) {
-  if (obs_failed_jobs_ == nullptr) return;
-  obs_failed_jobs_->Inc();
-  if (obs_->tracing()) {
-    obs_->tracer.Instant(stubs_[static_cast<std::size_t>(server)].lane,
-                         "job_failed", "pfs", engine_.now(), parent);
-  }
-}
-
-void FileSystem::OnRemoteResponse(const RemoteResponse& response) {
-  ownership::AssertOnOwningIsland(remote_.client_island,
-                                  config_.name.c_str());
-  Stub& stub = stubs_[static_cast<std::size_t>(response.server)];
-  stub.wear = response.wear;
-  S4D_DCHECK(response.reply_slot < stub.slots.size());
-  PendingSub& pending = stub.slots[response.reply_slot];
-  if (!pending.live || pending.ticket != response.ticket) {
-    // A response from a crashed epoch: the stub already failed this ticket
-    // at the crash time, exactly when the serial engine cancelled it.
-    return;
-  }
-  Fanout* fanout = pending.fanout;
-  pending.live = false;
-  stub.free_slots.push_back(response.reply_slot);
-  --stub.outstanding;
-  if (sub_sink_ != nullptr) {
-    // engine_.now() is the serial-exact completion instant (the response
-    // was timed to land exactly when the serial engine would complete the
-    // sub), so this emission matches the classic path's SubTagArrive.
-    --sub_depth_[static_cast<std::size_t>(response.server)];
-    EmitSubSample(response.server, static_cast<device::IoKind>(pending.kind),
-                  static_cast<Priority>(pending.priority), pending.size,
-                  pending.depth, pending.submit, engine_.now(),
-                  !response.failed);
-  }
-  FanoutArrive(fanout, engine_.now(), !response.failed);
-}
-
-void FileSystem::FailOutstanding(int i) {
-  Stub& stub = stubs_[static_cast<std::size_t>(i)];
-  const SimTime now = engine_.now();
-  struct Doomed {
-    std::uint8_t priority;
-    SimTime arrive_at;
-    std::uint64_t ticket;
-    Fanout* fanout;
-    obs::SpanId parent;
-    byte_count size;
-    SimTime submit;
-    std::int32_t depth;
-    std::uint8_t kind;
-  };
-  std::vector<Doomed> doomed;
-  for (std::uint32_t slot = 0;
-       slot < static_cast<std::uint32_t>(stub.slots.size()); ++slot) {
-    PendingSub& pending = stub.slots[slot];
-    if (!pending.live) continue;
-    if (pending.arrive_at > now) {
-      // Still inside its arrival-jitter delay. The serial engine only
-      // fails it when it reaches the (then-down) server — and serves it
-      // normally if a restart lands before that. Re-check at arrival.
-      engine_.ScheduleAt(
-          pending.arrive_at, [this, i, slot, ticket = pending.ticket]() {
-            Stub& s = stubs_[static_cast<std::size_t>(i)];
-            if (s.up) return;  // restarted in time: the server serves it
-            PendingSub& p = s.slots[slot];
-            if (!p.live || p.ticket != ticket) return;
-            // The serial engine's arrival lambda fails the job *here*, at
-            // the arrival instant — stamp the failure at the same time.
-            EmitRemoteSubFailure(i, p.parent);
-            Fanout* fanout = p.fanout;
-            const PendingSub copy = p;
-            p.live = false;
-            s.free_slots.push_back(slot);
-            --s.outstanding;
-            if (sub_sink_ != nullptr) {
-              engine_.ScheduleAfter(0, [this, fanout, i, copy]() {
-                --sub_depth_[static_cast<std::size_t>(i)];
-                EmitSubSample(i, static_cast<device::IoKind>(copy.kind),
-                              static_cast<Priority>(copy.priority), copy.size,
-                              copy.depth, copy.submit, engine_.now(), false);
-                FanoutArrive(fanout, engine_.now(), false);
-              });
-              return;
-            }
-            engine_.ScheduleAfter(0, [this, fanout]() {
-              FanoutArrive(fanout, engine_.now(), false);
-            });
-          });
-      continue;
-    }
-    doomed.push_back(Doomed{pending.priority, pending.arrive_at,
-                            pending.ticket, pending.fanout, pending.parent,
-                            pending.size, pending.submit, pending.depth,
-                            pending.kind});
-    pending.live = false;
-    stub.free_slots.push_back(slot);
-    --stub.outstanding;
-  }
-  // Serial failure order: the normal queue drains before the background
-  // queue, arrival (FIFO) order within each, submission order on ties.
-  std::sort(doomed.begin(), doomed.end(), [](const Doomed& a, const Doomed& b) {
-    if (a.priority != b.priority) return a.priority < b.priority;
-    if (a.arrive_at != b.arrive_at) return a.arrive_at < b.arrive_at;
-    return a.ticket < b.ticket;
-  });
-  for (const Doomed& d : doomed) {
-    // The serial Crash stamps each doomed job's failure at crash time.
-    EmitRemoteSubFailure(i, d.parent);
-    if (sub_sink_ != nullptr) {
-      engine_.ScheduleAfter(0, [this, i, d]() {
-        --sub_depth_[static_cast<std::size_t>(i)];
-        EmitSubSample(i, static_cast<device::IoKind>(d.kind),
-                      static_cast<Priority>(d.priority), d.size, d.depth,
-                      d.submit, engine_.now(), false);
-        FanoutArrive(d.fanout, engine_.now(), false);
-      });
-      continue;
-    }
-    engine_.ScheduleAfter(0, [this, fanout = d.fanout]() {
-      FanoutArrive(fanout, engine_.now(), false);
-    });
-  }
-}
-
-template <typename Fn>
-void FileSystem::PostToServer(int i, Fn&& fn) {
-  Stub& stub = stubs_[static_cast<std::size_t>(i)];
-  const SimTime now = engine_.now();
-  remote_.par->Post(remote_.client_island,
-                    remote_.first_island + static_cast<sim::IslandId>(i),
-                    now + stub.link.OneWayLatency(), now,
-                    (*remote_.next_ticket)++, std::forward<Fn>(fn));
-}
-
-void FileSystem::CrashServer(int i) {
-  if (!remote()) {
-    server(i).Crash();
-    return;
-  }
-  Stub& stub = stubs_[static_cast<std::size_t>(i)];
-  if (!stub.up) return;
-  stub.up = false;
-  FailOutstanding(i);
-  FileServer* srv = servers_[static_cast<std::size_t>(i)].get();
-  PostToServer(i, [srv]() { srv->Crash(); });
-}
-
-void FileSystem::RestartServer(int i) {
-  if (!remote()) {
-    server(i).Restart();
-    return;
-  }
-  Stub& stub = stubs_[static_cast<std::size_t>(i)];
-  if (stub.up) return;
-  stub.up = true;
-  FileServer* srv = servers_[static_cast<std::size_t>(i)].get();
-  PostToServer(i, [srv]() { srv->Restart(); });
-}
-
-bool FileSystem::ServerUp(int i) const {
-  return remote() ? stubs_[static_cast<std::size_t>(i)].up : server(i).up();
-}
-
-void FileSystem::SetServerPartitioned(int i, bool partitioned) {
-  if (!remote()) {
-    server(i).SetPartitioned(partitioned);
-    return;
-  }
-  stubs_[static_cast<std::size_t>(i)].partitioned = partitioned;
-  FileServer* srv = servers_[static_cast<std::size_t>(i)].get();
-  PostToServer(i, [srv, partitioned]() { srv->SetPartitioned(partitioned); });
-}
-
-void FileSystem::SetDeviceDegrade(int i, double factor) {
-  if (!remote()) {
-    server(i).device().SetDegrade(factor);
-    return;
-  }
-  // Mirror the DeviceModel clamp so probe reads match exactly.
-  stubs_[static_cast<std::size_t>(i)].device_degrade =
-      factor < 1.0 ? 1.0 : factor;
-  FileServer* srv = servers_[static_cast<std::size_t>(i)].get();
-  PostToServer(i, [srv, factor]() { srv->device().SetDegrade(factor); });
-}
-
-void FileSystem::SetLinkDegrade(int i, double factor) {
-  if (!remote()) {
-    server(i).mutable_link().SetDegrade(factor);
-    return;
-  }
-  FileServer* srv = servers_[static_cast<std::size_t>(i)].get();
-  // Ship at the pre-change latency (the same hop requests already in
-  // flight paid), then update the mirror for subsequent submits.
-  PostToServer(i, [srv, factor]() { srv->mutable_link().SetDegrade(factor); });
-  stubs_[static_cast<std::size_t>(i)].link.SetDegrade(factor);
-}
-
-void FileSystem::SetServerBackgroundErrorRate(int i, double rate,
-                                              std::uint64_t seed) {
-  if (!remote()) {
-    server(i).SetBackgroundErrorRate(rate, seed);
-    return;
-  }
-  FileServer* srv = servers_[static_cast<std::size_t>(i)].get();
-  PostToServer(i, [srv, rate, seed]() {
-    srv->SetBackgroundErrorRate(rate, seed);
-  });
-}
-
 bool FileSystem::AllServersReachable() const {
-  if (remote()) {
-    for (const Stub& stub : stubs_) {
-      if (!stub.up || stub.partitioned) return false;
-    }
-    return true;
-  }
   for (const auto& server : servers_) {
     if (!server->reachable()) return false;
   }
@@ -583,12 +217,6 @@ bool FileSystem::AllServersReachable() const {
 
 int FileSystem::DownServerCount() const {
   int down = 0;
-  if (remote()) {
-    for (const Stub& stub : stubs_) {
-      if (!stub.up) ++down;
-    }
-    return down;
-  }
   for (const auto& server : servers_) {
     if (!server->up()) ++down;
   }
@@ -597,12 +225,6 @@ int FileSystem::DownServerCount() const {
 
 double FileSystem::WorstDeviceDegrade() const {
   double worst = 1.0;
-  if (remote()) {
-    for (const Stub& stub : stubs_) {
-      worst = std::max(worst, stub.device_degrade);
-    }
-    return worst;
-  }
   for (const auto& server : servers_) {
     worst = std::max(worst, server->device().degrade());
   }
@@ -611,10 +233,6 @@ double FileSystem::WorstDeviceDegrade() const {
 
 double FileSystem::WorstWearFraction() const {
   double worst = 0.0;
-  if (remote()) {
-    for (const Stub& stub : stubs_) worst = std::max(worst, stub.wear);
-    return worst;
-  }
   for (const auto& server : servers_) {
     worst = std::max(worst, server->device().WearFraction());
   }
@@ -624,14 +242,8 @@ double FileSystem::WorstWearFraction() const {
 double FileSystem::MeanQueueDepth() const {
   if (servers_.empty()) return 0.0;
   double sum = 0.0;
-  if (remote()) {
-    for (const Stub& stub : stubs_) {
-      sum += static_cast<double>(stub.outstanding);
-    }
-  } else {
-    for (const auto& server : servers_) {
-      sum += static_cast<double>(server->queue_depth());
-    }
+  for (const auto& server : servers_) {
+    sum += static_cast<double>(server->queue_depth());
   }
   return sum / static_cast<double>(servers_.size());
 }

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "common/interval_map.h"
-#include "common/ownership.h"
 #include "common/status.h"
 #include "pfs/file_server.h"
 #include "pfs/striping.h"
@@ -65,11 +64,8 @@ struct FsStats {
 
 // One resolved sub-request, as the *client* observed it: submitted at
 // `submit_time` when `depth_at_submit` subs were already outstanding on that
-// server, resolved at `complete_time`. Emitted at the serial-exact
-// resolution instant in both engine modes, so a consumer fed only these
-// samples (the calibration subsystem) makes identical decisions for any
-// --threads count. Failed subs are emitted too (ok = false) so consumers
-// can keep exact outstanding-depth accounting.
+// server, resolved at `complete_time`. Failed subs are emitted too
+// (ok = false) so consumers can keep exact outstanding-depth accounting.
 struct SubRequestSample {
   std::uint32_t tag = 0;  // echo of the SetSubRequestSink tag (tier id)
   std::int32_t server = 0;
@@ -88,35 +84,13 @@ class SubRequestSink {
   virtual void OnSubRequestResolved(const SubRequestSample& sample) = 0;
 };
 
-// Island mode: places every server on its own ParallelEngine island while
-// the FileSystem object itself (striping, fan-out joins, stats, content
-// tracking) stays on the client island. Sub-requests travel as WireJob
-// messages; completions come back as RemoteResponse messages timed to land
-// at exactly the serial simulator's completion instants (DESIGN.md §3k).
-struct RemoteBinding {
-  sim::ParallelEngine* par = nullptr;
-  sim::IslandId client_island = 0;  // where this FileSystem's callers run
-  sim::IslandId first_island = 0;   // server i lives on first_island + i
-  // Shared monotonic ticket counter (one per deployment, owned by the
-  // testbed): tickets order same-instant message injection exactly like the
-  // serial engine's scheduling order. Only ever touched from the client
-  // island, so no atomics.
-  std::uint64_t* next_ticket = nullptr;
-};
-
 class FileSystem {
  public:
   using DeviceFactory =
       std::function<std::unique_ptr<device::DeviceModel>(int server_index)>;
   using ContentMap = IntervalMap<std::uint64_t>;
 
-  // `engine` is the engine this FileSystem's client-side activity runs on:
-  // the single global engine classically, island 0's engine in island mode
-  // (when `remote.par` is set).
-  FileSystem(sim::Engine& engine, FsConfig config, DeviceFactory factory,
-             RemoteBinding remote = {});
-
-  bool remote() const { return remote_.par != nullptr; }
+  FileSystem(sim::Engine& engine, FsConfig config, DeviceFactory factory);
 
   // Opens `name`, creating it on first open. Open is idempotent: the same
   // name always yields the same FileId.
@@ -171,9 +145,8 @@ class FileSystem {
   const FsStats& stats() const { return stats_; }
   sim::Engine& engine() { return engine_; }
 
-  // Sub-requests submitted and not yet resolved, summed over all servers.
-  // Mode-agnostic and client-side, so samplers may probe it mid-run even in
-  // island mode (live server queue depths would be a cross-island read).
+  // Sub-requests submitted and not yet resolved, summed over all servers
+  // (the sampler's per-tier load probe).
   std::int64_t outstanding_subs() const { return outstanding_subs_; }
 
   // Installs the per-sub-request observation sink (src/calib). `tag` is
@@ -184,8 +157,7 @@ class FileSystem {
   // pre-existing ones.
   void SetSubRequestSink(SubRequestSink* sink, std::uint32_t tag);
   // Client-maintained outstanding sub-requests per server; empty until a
-  // sink is installed. Exact in both engine modes (mirrors the resolution
-  // instants the island engine reproduces serially).
+  // sink is installed.
   const std::vector<std::int32_t>& sub_depths() const { return sub_depth_; }
 
   // Aggregates across servers (for reports).
@@ -194,31 +166,14 @@ class FileSystem {
   // Resets device head positions on all servers (between phases).
   void ResetDevices();
 
-  // --- fault injection ---------------------------------------------------
-  // Mode-agnostic: classically these forward to the server object; in
-  // island mode they update the client-side stub mirror at the fault's
-  // serial time and ship the server-side state change one network hop
-  // later — the same shift every request pays, so serve-start arithmetic
-  // stays exact (DESIGN.md §3k).
-  void CrashServer(int i);
-  void RestartServer(int i);
-  bool ServerUp(int i) const;
-  void SetServerPartitioned(int i, bool partitioned);
-  void SetDeviceDegrade(int i, double factor);
-  void SetLinkDegrade(int i, double factor);
-  void SetServerBackgroundErrorRate(int i, double rate, std::uint64_t seed);
+  // --- fault state and health probes -------------------------------------
+  // Faults are injected on the servers themselves (server(i).Crash(), ...);
+  // these aggregate live server state for the middleware.
+  //
   // All servers up and none partitioned — a request issued now would not
   // fail or stall. The middleware's degraded-mode routing polls this.
   bool AllServersReachable() const;
   int DownServerCount() const;
-
-  // --- health probes (middleware-side, mode-agnostic) --------------------
-  // Classically these read the live server objects. In island mode they
-  // read the client-side stub mirrors: degrade factors are exact (faults
-  // are schedule-driven and mirrored at their serial times), wear is the
-  // last response-piggybacked value (stale by at most one in-flight
-  // response), and queue depth is approximated by outstanding sub-requests
-  // per server.
   double WorstDeviceDegrade() const;
   double WorstWearFraction() const;
   double MeanQueueDepth() const;
@@ -240,9 +195,9 @@ class FileSystem {
   Fanout* AcquireFanout();
   void FanoutArrive(Fanout* fanout, SimTime t, bool ok);
 
-  // Classic-path per-sub observation state, pooled like Fanout so the
-  // instrumented submit path still performs no steady-state allocation
-  // (the completion lambdas capture {FileSystem*, SubTag*}: 16 bytes).
+  // Per-sub observation state, pooled like Fanout so the instrumented
+  // submit path still performs no steady-state allocation (the completion
+  // lambdas capture {FileSystem*, SubTag*}: 16 bytes).
   struct SubTag {
     Fanout* fanout = nullptr;
     SimTime submit = 0;
@@ -254,105 +209,26 @@ class FileSystem {
   };
   SubTag* AcquireSubTag();
   // Decrements the server's depth, emits the sample, recycles the tag,
-  // then joins the fan-out — the classic-mode twin of the island path's
-  // OnRemoteResponse emission (same relative order, same instants).
+  // then joins the fan-out.
   void SubTagArrive(SubTag* tag, SimTime t, bool ok);
-  void EmitSubSample(int server, device::IoKind kind, Priority priority,
-                     byte_count size, std::int32_t depth, SimTime submit,
-                     SimTime complete, bool ok);
 
-  // Island mode: one pending sub-request, addressed by (slot, ticket). The
-  // ticket check makes slot reuse safe against responses from a crashed
-  // epoch still on the wire.
-  struct PendingSub {
-    std::uint64_t ticket = 0;
-    Fanout* fanout = nullptr;
-    SimTime arrive_at = 0;  // serial enqueue instant (submit + jitter)
-    obs::SpanId parent = obs::kNoSpan;  // request span, for failure instants
-    std::uint8_t priority = 0;
-    bool live = false;
-    // Sub-observation fields, filled only when a SubRequestSink is
-    // installed (client-side state; never crosses the wire).
-    SimTime submit = 0;
-    byte_count size = 0;
-    std::int32_t depth = 0;
-    std::uint8_t kind = 0;
-  };
-  // Client-side mirror of one remote server: enough state to route, fail,
-  // and probe without touching the server's island.
-  struct Stub {
-    Stub(net::LinkModel link_model, std::uint64_t jitter_seed)
-        : link(std::move(link_model)), jitter_rng(jitter_seed) {}
-    bool up = true;
-    bool partitioned = false;
-    double device_degrade = 1.0;
-    double wear = 0.0;      // last response-piggybacked WearFraction
-    int outstanding = 0;    // live slots (submitted, not yet resolved)
-    net::LinkModel link;    // latency mirror (same rounding as the server's)
-    // Mirror of the server's arrival-jitter stream: same seed, and draws
-    // happen in submission order on both sides (the remote server never
-    // draws), so the streams stay in lockstep.
-    Rng jitter_rng;
-    std::vector<PendingSub> slots;
-    std::vector<std::uint32_t> free_slots;
-    // Root-tracer lane of the mirrored server, for client-side failure
-    // instants (the serial engine stamps them on the server's lane).
-    std::uint32_t lane = 0;
-  };
-  static void OnRemoteResponseThunk(void* ctx, const RemoteResponse& response);
-  void OnRemoteResponse(const RemoteResponse& response);
-  void SubmitRemoteSub(int server, device::IoKind kind, byte_count lba,
-                       byte_count size, Priority priority, Fanout* fanout,
-                       obs::SpanId parent_span);
-  // Client-side mirror of the serial FailJob's observability: counts the
-  // failure on the root registry and stamps a "job_failed" instant on the
-  // server's root-tracer lane, at the current (serial) time. No-op when
-  // observability is off or in classic mode (the server itself emits then).
-  void EmitRemoteSubFailure(int server, obs::SpanId parent);
-  // Crash handling for server `i`'s outstanding sub-requests. Already
-  // *arrived* subs fail at the current time (normal priority first,
-  // arrival/FIFO order within priority — the serial crash-failure order);
-  // subs still inside their arrival-jitter delay fail at their arrival
-  // instant unless a restart lands first, in which case the server serves
-  // them — exactly the serial enqueue re-check.
-  void FailOutstanding(int i);
-  // Ships a state-change callback to server `i`'s island, one network hop
-  // from now.
-  template <typename Fn>
-  void PostToServer(int i, Fn&& fn);
-
-  // In island mode everything below runs on (and is owned by) the client
-  // island; the sentinel checks the wire entry point (OnRemoteResponse).
-  S4D_ISLAND_GUARDED sim::Engine& engine_;
+  sim::Engine& engine_;
   FsConfig config_;
-  RemoteBinding remote_;
-  // The vector itself is immutable after construction; each FileServer's
-  // mutable state is owned by its island (annotated in file_server.h). The
-  // lazy tier gauges read through it only post-run, at quiescence.
-  S4D_ISLAND_SHARED("immutable after construction; elements island-owned; lazy gauge reads resolve post-run at quiescence")
   std::vector<std::unique_ptr<FileServer>> servers_;
-  S4D_ISLAND_GUARDED std::vector<Stub> stubs_;  // island mode; parallel to servers_
   std::unordered_map<std::string, FileId> files_by_name_;
   std::vector<std::string> file_names_;
   std::vector<ContentMap> contents_;
   std::vector<std::function<void(const RequestRecord&)>> observers_;
   std::vector<std::unique_ptr<Fanout>> fanout_pool_;
   std::vector<Fanout*> fanout_free_;
-  // Sub-observation sink (null = tap off, zero-cost paths). Client-island
-  // state: samples are emitted from client-side resolution points only.
-  S4D_ISLAND_GUARDED SubRequestSink* sub_sink_ = nullptr;
+  // Sub-observation sink (null = tap off, zero-cost paths).
+  SubRequestSink* sub_sink_ = nullptr;
   std::uint32_t sub_sink_tag_ = 0;
-  S4D_ISLAND_GUARDED std::vector<std::int32_t> sub_depth_;
+  std::vector<std::int32_t> sub_depth_;
   std::vector<std::unique_ptr<SubTag>> subtag_pool_;
   std::vector<SubTag*> subtag_free_;
   FsStats stats_;
-  std::int64_t outstanding_subs_ = 0;  // all modes; see outstanding_subs()
-  // Island mode only: client-side failure accounting against the ROOT
-  // bundle (classic mode leaves these null — the server's FailJob covers
-  // it; in island mode the server drops crash-doomed jobs silently and the
-  // stub mirrors the serial emission instead).
-  S4D_ISLAND_GUARDED obs::Observability* obs_ = nullptr;
-  obs::Counter* obs_failed_jobs_ = nullptr;
+  std::int64_t outstanding_subs_ = 0;  // see outstanding_subs()
 };
 
 }  // namespace s4d::pfs

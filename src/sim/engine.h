@@ -161,26 +161,7 @@ class Engine {
   // Runs events with time <= deadline; afterwards now() == deadline
   // (even if the queue drained earlier).
   void RunUntil(SimTime deadline) {
-    RunReady(deadline);
-    if (now_ < deadline) now_ = deadline;
-  }
-
-  // Cooperative mid-window stop: the current (or next) RunReady returns
-  // after the event that called this, leaving every later event pending.
-  // The parallel driver uses it to halt island 0 exactly at the event that
-  // retires the last rank, the same instant the serial closed loop exits —
-  // events between that instant and the window horizon must stay queued
-  // for the next pass.
-  void RequestStop() { stop_requested_ = true; }
-
-  // Runs events with time <= deadline but leaves now() at the last fired
-  // event instead of fast-forwarding to the deadline. The island scheduler
-  // uses this so a window barrier does not disturb the clock an idle island
-  // will stamp on its next event.
-  void RunReady(SimTime deadline) {
-    stop_requested_ = false;
     for (;;) {
-      if (stop_requested_) break;
       // Drop cancelled ring heads so a stale entry can't force Step past
       // the deadline.
       while (ring_head_ < ring_.size() && !IsLive(ring_[ring_head_])) {
@@ -200,28 +181,7 @@ class Engine {
       if (top.time > deadline) break;
       Step();
     }
-  }
-
-  // Advances the clock to `t` without firing anything. `t` must not skip a
-  // pending event — the caller (the island scheduler, aligning islands at a
-  // barrier) asserts it has already drained everything earlier.
-  void AdvanceTo(SimTime t) {
-    if (t <= now_) return;
-    const SimTime next = NextEventTime();
-    S4D_CHECK(next < 0 || next >= t)
-        << "AdvanceTo(" << t << ") would skip a pending event at " << next;
-    now_ = t;
-  }
-
-  // Time of the earliest live pending event, or -1 when idle. Prunes
-  // cancelled heads as a side effect (each stale entry is popped once).
-  SimTime NextEventTime() {
-    while (ring_head_ < ring_.size() && !IsLive(ring_[ring_head_])) {
-      PopRing();
-    }
-    if (ring_head_ < ring_.size()) return now_;  // ring entries fire at now_
-    while (!heap_.empty() && !IsLive(heap_.front().id)) HeapPop();
-    return heap_.empty() ? SimTime{-1} : heap_.front().time;
+    if (now_ < deadline) now_ = deadline;
   }
 
   bool idle() const { return live_events_ == 0; }
@@ -412,7 +372,6 @@ class Engine {
   }
 
   SimTime now_ = 0;
-  bool stop_requested_ = false;
   std::uint64_t next_generation_ = 1;
   // Set once the generation counter wraps; relaxes the ring-FIFO audit,
   // whose monotonicity argument only holds pre-wrap.

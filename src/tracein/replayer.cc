@@ -133,11 +133,6 @@ ReplayResult TraceReplayWorkload::Replay(mpiio::MpiIoLayer& layer,
       account(trace_.records[index], issued, t);
       --in_flight;
       ++completed;
-      if (options.parallel != nullptr && completed == total) {
-        // The serial loop exits at exactly this event; stop island 0 here
-        // so events later in the window stay pending (driver.cc idiom).
-        engine.RequestStop();
-      }
       done();
     };
     mpiio::MpiFile& file = files[static_cast<std::size_t>(rec.rank)];
@@ -164,18 +159,11 @@ ReplayResult TraceReplayWorkload::Replay(mpiio::MpiIoLayer& layer,
           start + ScaleGap(trace_.records[i].arrival, options.time_scale);
       engine.ScheduleAt(at, [&submit, i] { submit(i, [] {}); });
     }
-    if (options.parallel != nullptr) {
-      options.parallel->RunWhile([&]() { return completed < total; });
-      S4D_CHECK(completed == total)
-          << "islands drained with " << (total - completed)
+    while (completed < total) {
+      const bool progressed = engine.Step();
+      S4D_CHECK(progressed)
+          << "engine drained with " << (total - completed)
           << " replay requests outstanding (deadlocked I/O completion?)";
-    } else {
-      while (completed < total) {
-        const bool progressed = engine.Step();
-        S4D_CHECK(progressed)
-            << "engine drained with " << (total - completed)
-            << " replay requests outstanding (deadlocked I/O completion?)";
-      }
     }
     for (int r = 0; r < ranks; ++r) {
       layer.Close(files[static_cast<std::size_t>(r)]);
@@ -220,18 +208,11 @@ ReplayResult TraceReplayWorkload::Replay(mpiio::MpiIoLayer& layer,
           ScaleGap(trace_.records[list[0]].arrival, options.time_scale);
       engine.ScheduleAt(at, [&issue_rank, r] { issue_rank(r); });
     }
-    if (options.parallel != nullptr) {
-      options.parallel->RunWhile([&]() { return active > 0; });
-      S4D_CHECK(active == 0)
-          << "islands drained with " << active << " of " << ranks
+    while (active > 0) {
+      const bool progressed = engine.Step();
+      S4D_CHECK(progressed)
+          << "engine drained with " << active << " of " << ranks
           << " replay ranks still active (deadlocked I/O completion?)";
-    } else {
-      while (active > 0) {
-        const bool progressed = engine.Step();
-        S4D_CHECK(progressed)
-            << "engine drained with " << active << " of " << ranks
-            << " replay ranks still active (deadlocked I/O completion?)";
-      }
     }
   }
 

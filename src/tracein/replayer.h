@@ -32,12 +32,10 @@
 #include <string>
 #include <vector>
 
-#include "common/ownership.h"
 #include "harness/content_checker.h"
 #include "harness/driver.h"
 #include "mpiio/mpi_io.h"
 #include "obs/observability.h"
-#include "sim/parallel_engine.h"
 #include "tracein/trace_format.h"
 #include "workloads/workload.h"
 
@@ -64,14 +62,6 @@ struct ReplayOptions {
   obs::Observability* obs = nullptr;
   // Optional per-request issue hook, e.g. for re-capture.
   std::function<void(int rank, const workloads::Request&)> on_issue;
-  // Island mode: the ParallelEngine whose island 0 is `layer.engine()`.
-  // Replay then advances lookahead windows instead of stepping the single
-  // engine; the event that retires the last request stops island 0
-  // mid-window, so later events stay pending exactly as in the serial
-  // loop (same contract as DriverOptions.parallel). Null = classic
-  // single-engine stepping.
-  S4D_ISLAND_SHARED("options pointer; replay dereferences it only from the coordinator, between windows or inside island-0 events")
-  sim::ParallelEngine* parallel = nullptr;
 };
 
 // One stat window, bucketed by request *issue* time relative to replay

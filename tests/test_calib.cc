@@ -4,6 +4,7 @@
 
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "harness/driver.h"
 #include "harness/testbed.h"
@@ -96,21 +97,31 @@ TEST(ServerFit, WarmupGateCountsUndecayedSamples) {
   EXPECT_TRUE(fit.Ready(32));
 }
 
-// --- Engine-level: shard merge equivalence and determinism ----------------
+// --- Engine-level: serve-tap totals and determinism -----------------------
+
+// One server's own served-job totals (foreground + background).
+struct ServedTotals {
+  std::string name;
+  std::int64_t jobs = 0;
+  std::int64_t bytes = 0;
+  std::int64_t background_jobs = 0;
+};
 
 struct CalibRun {
   std::string report;
   CalibStats stats;
+  std::vector<CalibrationEngine::ServerRow> rows;
+  std::vector<ServedTotals> served;  // Rows() order: DServers, then CServers
 };
 
 // One small random-write IOR run with the calibration armed; returns the
-// merged per-server report and the engine's counters.
-CalibRun RunCalibrated(int threads, std::uint64_t seed = 7) {
+// per-server report and rows, the engine's counters, and every server's
+// own stats.
+CalibRun RunCalibrated(std::uint64_t seed = 7) {
   harness::TestbedConfig bed_cfg;
   bed_cfg.dservers = 4;
   bed_cfg.cservers = 2;
   bed_cfg.seed = seed;
-  bed_cfg.threads = threads;
   harness::Testbed bed(bed_cfg);
 
   core::S4DConfig cfg;
@@ -133,42 +144,55 @@ CalibRun RunCalibrated(int threads, std::uint64_t seed = 7) {
   wcfg.kind = device::IoKind::kWrite;
   wcfg.seed = seed;
   workloads::IorWorkload wl(wcfg);
-  harness::DriverOptions options;
-  options.parallel = bed.parallel();
-  harness::RunClosedLoop(layer, wl, options);
+  harness::RunClosedLoop(layer, wl);
 
   CalibRun run;
-  cal.MergeShards();
   std::ostringstream out;
   cal.PrintReport(out);
   run.report = out.str();
   run.stats = cal.stats();
+  run.rows = cal.Rows();
+  for (pfs::FileSystem* fs : {&bed.dservers(), &bed.cservers()}) {
+    for (int i = 0; i < fs->server_count(); ++i) {
+      const pfs::ServerStats& st = fs->server(i).stats();
+      run.served.push_back({fs->server(i).name(),
+                            st.requests + st.background_requests,
+                            st.bytes + st.background_bytes,
+                            st.background_requests});
+    }
+  }
   return run;
 }
 
-TEST(CalibrationEngine, SerialAndIslandShardMergesAgree) {
-  // The client-side fits are serial-exact by construction; the server-side
-  // shards are island-written and merged post-run. Both views — the whole
-  // report — must be byte-identical between the serial engine and the
-  // island engine at any worker count.
-  const CalibRun serial = RunCalibrated(/*threads=*/0);
-  EXPECT_GT(serial.stats.samples, 0);
-  EXPECT_NE(serial.report.find("CPFS/server0"), std::string::npos);
-  for (const int threads : {1, 3}) {
-    const CalibRun island = RunCalibrated(threads);
-    EXPECT_EQ(serial.report, island.report) << "threads=" << threads;
-    EXPECT_EQ(serial.stats.samples, island.stats.samples);
-    EXPECT_EQ(serial.stats.declines, island.stats.declines);
-    EXPECT_EQ(serial.stats.dserver_estimates, island.stats.dserver_estimates);
-    EXPECT_EQ(serial.stats.cserver_estimates, island.stats.cserver_estimates);
+TEST(CalibrationEngine, ServeTapTotalsMatchServerStats) {
+  // Rows() reads the per-server serve-tap accumulators directly. Every
+  // served job, foreground or background, passes the tap exactly once, so
+  // each row must agree with its server's own stats.
+  const CalibRun run = RunCalibrated();
+  EXPECT_GT(run.stats.samples, 0);
+  EXPECT_NE(run.report.find("CPFS/server0"), std::string::npos);
+  ASSERT_EQ(run.rows.size(), run.served.size());
+  std::int64_t jobs = 0;
+  std::int64_t background_jobs = 0;
+  for (std::size_t i = 0; i < run.rows.size(); ++i) {
+    const ServedTotals& served = run.served[i];
+    EXPECT_EQ(run.rows[i].name, served.name);
+    EXPECT_EQ(run.rows[i].jobs, served.jobs) << served.name;
+    EXPECT_EQ(run.rows[i].bytes, served.bytes) << served.name;
+    jobs += served.jobs;
+    background_jobs += served.background_jobs;
   }
+  // Both branches of the sum are exercised: the Rebuilder's flushes are
+  // background jobs.
+  EXPECT_GT(jobs, background_jobs);
+  EXPECT_GT(background_jobs, 0);
 }
 
 TEST(CalibrationEngine, DeterminismGuard) {
   // Two identical runs must produce identical fitted parameters, counters,
   // and report text — the calibration adds no hidden nondeterminism.
-  const CalibRun a = RunCalibrated(/*threads=*/0);
-  const CalibRun b = RunCalibrated(/*threads=*/0);
+  const CalibRun a = RunCalibrated();
+  const CalibRun b = RunCalibrated();
   EXPECT_EQ(a.report, b.report);
   EXPECT_EQ(a.stats.samples, b.stats.samples);
   EXPECT_EQ(a.stats.failed_samples, b.stats.failed_samples);

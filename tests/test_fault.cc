@@ -269,7 +269,7 @@ pfs::FileSystem MakeFs(sim::Engine& engine, int servers) {
 TEST(FileSystemFaults, RequestFailsWhenOneServerIsDown) {
   sim::Engine engine;
   auto fs = MakeFs(engine, 4);
-  fs.CrashServer(2);
+  fs.server(2).Crash();
   const auto file = fs.OpenOrCreate("f");
   int completed = 0, failed = 0;
   // 256 KiB from offset 0 stripes across all four servers.
@@ -287,7 +287,7 @@ TEST(FileSystemFaults, RequestFailsWhenOneServerIsDown) {
 TEST(FileSystemFaults, RequestMissingDownServerSucceeds) {
   sim::Engine engine;
   auto fs = MakeFs(engine, 4);
-  fs.CrashServer(3);
+  fs.server(3).Crash();
   const auto file = fs.OpenOrCreate("f");
   int completed = 0, failed = 0;
   // 64 KiB at offset 0 touches only server 0.
@@ -315,9 +315,9 @@ TEST(FaultInjector, AppliesScheduledEventsAtTheirTimes) {
   injector.Arm(schedule);
 
   engine.RunUntil(FromMillis(15));
-  EXPECT_FALSE(cservers.ServerUp(0));
+  EXPECT_FALSE(cservers.server(0).up());
   engine.RunUntil(FromMillis(25));
-  EXPECT_TRUE(cservers.ServerUp(0));
+  EXPECT_TRUE(cservers.server(0).up());
   engine.RunUntil(FromMillis(35));
   EXPECT_DOUBLE_EQ(dservers.server(0).device().degrade(), 4.0);
   EXPECT_DOUBLE_EQ(dservers.server(1).device().degrade(), 4.0);
@@ -340,13 +340,13 @@ TEST(FaultInjector, DisarmCancelsPendingEvents) {
   FaultInjector injector(engine, dservers, cservers);
   injector.Arm(schedule);
   engine.RunUntil(FromMillis(15));
-  EXPECT_FALSE(cservers.ServerUp(0));
+  EXPECT_FALSE(cservers.server(0).up());
 
   EXPECT_EQ(injector.Disarm(), 2);  // the two unfired events
   engine.Run();
-  EXPECT_TRUE(cservers.ServerUp(1));
-  EXPECT_TRUE(dservers.ServerUp(0));
-  EXPECT_TRUE(dservers.ServerUp(1));
+  EXPECT_TRUE(cservers.server(1).up());
+  EXPECT_TRUE(dservers.server(0).up());
+  EXPECT_TRUE(dservers.server(1).up());
   EXPECT_EQ(injector.stats().events_applied, 1);
   EXPECT_EQ(injector.Disarm(), 0);  // idempotent
 }
@@ -357,8 +357,8 @@ TEST(FaultInjector, OutOfRangeServerIsIgnored) {
   auto cservers = MakeFs(engine, 2);
   FaultInjector injector(engine, dservers, cservers);
   injector.Apply(*FaultSchedule::ParseEvent("0ms crash cservers 9"));
-  EXPECT_TRUE(cservers.ServerUp(0));
-  EXPECT_TRUE(cservers.ServerUp(1));
+  EXPECT_TRUE(cservers.server(0).up());
+  EXPECT_TRUE(cservers.server(1).up());
   EXPECT_EQ(injector.stats().crashes, 0);
 }
 

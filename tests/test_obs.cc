@@ -78,22 +78,6 @@ TEST(Histogram, PercentileBoundWalksBuckets) {
   EXPECT_EQ(h.PercentileBound(100), std::int64_t{1} << 21);
 }
 
-TEST(MetricsRegistry, MergeAddsCountersAndHistograms) {
-  MetricsRegistry a, b;
-  a.GetCounter("c")->Add(5);
-  b.GetCounter("c")->Add(7);
-  b.GetCounter("only_b")->Inc();
-  a.GetHistogram("h")->Record(4);
-  b.GetHistogram("h")->Record(4);
-  a.GetGauge("g")->Set(1.0);
-  b.GetGauge("g")->Set(2.0);
-  a.Merge(b);
-  EXPECT_EQ(a.GetCounter("c")->value(), 12);
-  EXPECT_EQ(a.GetCounter("only_b")->value(), 1);
-  EXPECT_EQ(a.GetHistogram("h")->count(), 2);
-  EXPECT_DOUBLE_EQ(a.GetGauge("g")->value(), 2.0);  // last write wins
-}
-
 TEST(MetricsRegistry, JsonIsDeterministicAcrossInsertionOrder) {
   // Same state reached via different insertion orders must export
   // byte-identically (std::map iterates in name order).

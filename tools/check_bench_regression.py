@@ -47,38 +47,6 @@ def load_samples(path, metric):
     return samples
 
 
-def load_scalar(path, metric):
-    """The unlabeled value of `metric` in a bench JSON, or None."""
-    with open(path) as f:
-        doc = json.load(f)
-    for m in doc.get("metrics", []):
-        if m["name"] == metric and not m.get("labels"):
-            return m["value"]
-    return None
-
-
-def annotate_untrusted_speedups(baseline_path):
-    """Informational: flag speedup samples whose baseline came from a
-    single-core host. bench_engine records host_cores (and, on newer
-    baselines, an explicit single_core_host flag); with one core the
-    island engine cannot run islands concurrently, so any recorded
-    "speedup" is scheduler noise and comparing against it is meaningless.
-    Never fails the gate — speedup is not a gated metric."""
-    single = load_scalar(baseline_path, "single_core_host")
-    if single is None:
-        cores = load_scalar(baseline_path, "host_cores")
-        single = 1.0 if cores is not None and cores <= 1 else 0.0
-    if single < 1.0:
-        return
-    speedups = load_samples(baseline_path, "speedup")
-    if not speedups:
-        return
-    for key in sorted(speedups):
-        label = ", ".join(f"{k}={v}" for k, v in key[1]) or "(no labels)"
-        print(f"UNTRUSTED speedup {label}: baseline was recorded on a "
-              "single-core host; ignore speedup comparisons against it")
-
-
 def check_one(baseline_path, current_path, metric, tolerance):
     """Returns (failures, compared) for one metric of one file pair."""
     baseline = load_samples(baseline_path, metric)
@@ -118,7 +86,6 @@ def run_auto(baseline_dir, current_dir, tolerance):
                   "(bench not built/run?)")
             failures += 1
             continue
-        annotate_untrusted_speedups(baseline_path)
         gated = 0
         for metric in AUTO_GATED_METRICS:
             f, n = check_one(baseline_path, current_path, metric, tolerance)
@@ -158,7 +125,6 @@ def main():
 
     if not args.baseline or not args.current:
         parser.error("need --baseline and --current (or --auto)")
-    annotate_untrusted_speedups(args.baseline)
     failures, compared = check_one(args.baseline, args.current, args.metric,
                                    args.tolerance)
     if not compared:

@@ -29,9 +29,9 @@ historically break that contract:
                    thread_local — OS scheduling is nondeterministic, so any
                    code where thread interleaving could influence simulation
                    state breaks the contract. The audited exceptions (the
-                   island engine's worker pool, the seed-sweep runner, the
-                   kvstore's thread-safety mutex) are structured so threads
-                   never decide simulation results, and each carries an
+                   seed-sweep runner's worker pool, the kvstore's
+                   thread-safety mutex) are structured so threads never
+                   decide simulation results, and each carries an
                    allowlist justification saying why.
 
 Usage:

@@ -70,7 +70,8 @@
 // workload seeds base, base+1, ..., base+N-1 (base = workload.seed) and
 // prints one result row per seed plus an aggregate. `--jobs=J` runs them on
 // J threads; every run owns its whole simulated world, so the per-seed
-// rows are byte-identical for any J.
+// rows are byte-identical for any J. Both take a whole positive decimal.
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
@@ -139,7 +140,7 @@ Status ValidateConfig(const ConfigParser& config) {
   static const std::map<std::string, std::vector<std::string>> kSchema = {
       {"cluster",
        {"dservers", "cservers", "stripe", "verify_content", "ssd_pe_cycles",
-        "ssd_write_amp", "threads",
+        "ssd_write_amp",
         // Device/link profile overrides (harness::ApplyClusterOverrides).
         "hdd_transfer_bps", "hdd_rpm", "hdd_avg_seek", "hdd_max_seek",
         "hdd_track_seek", "hdd_command_overhead", "hdd_readahead",
@@ -467,18 +468,6 @@ int Run(const ConfigParser& config) {
   bed_cfg.ssd.write_amplification = config.DoubleOr(
       "cluster", "ssd_write_amp", bed_cfg.ssd.write_amplification);
   if (observed) bed_cfg.obs = &obs;
-  // Island mode (--threads=N / cluster.threads): file servers run on their
-  // own engines behind the ParallelEngine; output is byte-identical to the
-  // serial engine for every thread count.
-  bed_cfg.threads =
-      static_cast<int>(config.IntOr("cluster", "threads", 0));
-  if (bed_cfg.threads < 0) {
-    std::fprintf(stderr,
-                 "config error: cluster.threads must be >= 0 (0 = serial "
-                 "engine), got %d\n",
-                 bed_cfg.threads);
-    return 1;
-  }
   if (const Status overrides = harness::ApplyClusterOverrides(config, bed_cfg);
       !overrides.ok()) {
     std::fprintf(stderr, "config error: %s\n", overrides.ToString().c_str());
@@ -548,7 +537,6 @@ int Run(const ConfigParser& config) {
 
   harness::ContentChecker checker;
   harness::DriverOptions run_options;
-  run_options.parallel = bed.parallel();
   if (verify) {
     run_options.checker = &checker;
     if (s4d) {
@@ -585,10 +573,7 @@ int Run(const ConfigParser& config) {
   }
 
   // Periodic time series (written into the metrics dump). Probes are
-  // read-only and mode-agnostic: they sample client-island state only
-  // (outstanding sub-requests, middleware counters), never live server
-  // objects — which would be a cross-island read under --threads — so the
-  // series is byte-identical between the serial and island engines.
+  // read-only: outstanding sub-requests and middleware counters.
   obs::TimeSeriesSampler sampler(bed.engine(), sample_interval);
   if (observed && sample_interval > 0) {
     sampler.AddProbe("opfs.outstanding_subs", [&bed] {
@@ -616,8 +601,7 @@ int Run(const ConfigParser& config) {
       sampler.AddProbe("s4d.cache_tier_slowdown",
                        [cache] { return cache->CacheTierSlowdown(); });
       // Age of the oldest / median dirty extent: how long acknowledged data
-      // has been exposed to cache-tier loss. Client-island state (the DMT
-      // lives on island 0), so the series is island-safe.
+      // has been exposed to cache-tier loss.
       sampler.AddProbe("s4d.dirty_age_oldest_us", [cache, &bed] {
         return ToMicros(
             cache->dmt().SummarizeDirtyAges(bed.engine().now()).oldest);
@@ -681,7 +665,6 @@ int Run(const ConfigParser& config) {
     replay_opts.checker = verify ? &checker : nullptr;
     replay_opts.obs = observed ? &obs : nullptr;
     replay_opts.on_issue = run_options.on_issue;  // capture, when armed
-    replay_opts.parallel = bed.parallel();        // island-window drive
     begin = bed.engine().now();
     tracein::ReplayResult replay{};
     for (int pass = 0; pass < repeat; ++pass) {
@@ -727,12 +710,9 @@ int Run(const ConfigParser& config) {
       harness::RunClosedLoop(layer, *writer, run_options);
       auto settle = [&] {
         if (!s4d) return;
-        auto quiescent = [&] { return s4d->BackgroundQuiescent(); };
-        if (bed.parallel() != nullptr) {
-          harness::DrainUntil(*bed.parallel(), quiescent, FromSeconds(3600));
-        } else {
-          harness::DrainUntil(bed.engine(), quiescent, FromSeconds(3600));
-        }
+        harness::DrainUntil(bed.engine(),
+                            [&] { return s4d->BackgroundQuiescent(); },
+                            FromSeconds(3600));
       };
       settle();
       auto cold_reader = MakeWorkload(config);
@@ -808,7 +788,6 @@ int Run(const ConfigParser& config) {
     if (tenant_manager) tenant_manager->PrintReport();
     if (calibration) {
       std::printf("\n-- calibration --\n");
-      calibration->MergeShards();
       calibration->PrintReport(std::cout);
     }
     const auto& drs = s4d->redirector_stats();
@@ -828,12 +807,9 @@ int Run(const ConfigParser& config) {
     // Let recovery finish (queued reads re-issued, flush backlog drained)
     // before judging the final state.
     if (s4d) {
-      auto quiescent = [&] { return s4d->BackgroundQuiescent(); };
-      if (bed.parallel() != nullptr) {
-        harness::DrainUntil(*bed.parallel(), quiescent, FromSeconds(3600));
-      } else {
-        harness::DrainUntil(bed.engine(), quiescent, FromSeconds(3600));
-      }
+      harness::DrainUntil(bed.engine(),
+                          [&] { return s4d->BackgroundQuiescent(); },
+                          FromSeconds(3600));
     }
     const auto& is = injector.stats();
     std::printf("\n-- faults --\n");
@@ -879,14 +855,9 @@ int Run(const ConfigParser& config) {
 
   if (observed) {
     sampler.Stop();
-    // Island mode: fold per-island metric/span shards into the root bundle
-    // (post-run, at quiescence) so the exports below see one registry and
-    // one tracer exactly as in serial mode.
-    obs.MergeShards();
     if (calibration && !trace_out.empty()) {
-      // Re-merge: the report above may have run before the fault drain, and
-      // the per-server instants should carry the final shard totals.
-      calibration->MergeShards();
+      // The per-server instants carry the final totals, after the fault
+      // drain above.
       calibration->ExportTrace(obs, bed.engine().now());
     }
     if (!trace_out.empty()) {
@@ -1076,6 +1047,22 @@ SeedMetrics RunOneSeed(const ConfigParser& base, std::uint64_t seed) {
   return metrics;
 }
 
+// Parses `flag`'s value as a whole positive decimal ("4"; not "abc", "0",
+// "-2" or "3x") into `out`. On anything else prints an error naming the
+// flag and the value and returns false.
+bool ParsePositiveFlag(const char* flag, const std::string& text, int& out) {
+  int value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || value < 1) {
+    std::fprintf(stderr, "%s wants a positive integer, got '%s'\n", flag,
+                 text.c_str());
+    return false;
+  }
+  out = value;
+  return true;
+}
+
 int RunSweep(const ConfigParser& config, int seeds, int jobs) {
   const std::uint64_t base =
       static_cast<std::uint64_t>(config.IntOr("workload", "seed", 42));
@@ -1141,17 +1128,10 @@ int main(int argc, char** argv) {
       overrides.push_back({"obs", "sample_interval", *v});
     } else if (auto v = flag_value("--capture-out=")) {
       overrides.push_back({"obs", "capture_out", *v});
-    } else if (auto v = flag_value("--threads=")) {
-      overrides.push_back({"cluster", "threads", *v});
     } else if (auto v = flag_value("--sweep-seeds=")) {
-      sweep_seeds = static_cast<int>(std::strtol(v->c_str(), nullptr, 10));
-      if (sweep_seeds < 1) {
-        std::fprintf(stderr, "--sweep-seeds wants a positive count\n");
-        return 1;
-      }
+      if (!ParsePositiveFlag("--sweep-seeds", *v, sweep_seeds)) return 1;
     } else if (auto v = flag_value("--jobs=")) {
-      jobs = static_cast<int>(std::strtol(v->c_str(), nullptr, 10));
-      if (jobs < 1) jobs = 1;
+      if (!ParsePositiveFlag("--jobs", *v, jobs)) return 1;
     } else if (arg.rfind("--", 0) == 0) {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       return 1;
