@@ -4,13 +4,17 @@
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
+#include <memory>
+#include <vector>
 #include <unistd.h>
 
 #include "core/cdt.h"
 #include "core/cost_model.h"
 #include "core/dmt.h"
 #include "core/redirector.h"
+#include "device/hdd_model.h"
 #include "kvstore/kvstore.h"
+#include "pfs/file_server.h"
 #include "pfs/striping.h"
 #include "sim/engine.h"
 
@@ -125,6 +129,69 @@ void BM_EngineScheduleStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EngineScheduleStep);
+
+// The per-server shape of perfbench's ior4m-seq: 32 interleaved
+// sequential streams, 64 MiB apart, each access 512 KiB. Every access
+// continues a stream.
+void BM_HddAccessInterleaved(benchmark::State& state) {
+  device::HddModel hdd(device::SeagateST32502NS(), 1);
+  std::vector<byte_count> tails(32);
+  for (std::size_t r = 0; r < tails.size(); ++r) {
+    tails[r] = static_cast<byte_count>(r) * 64 * MiB;
+  }
+  std::size_t r = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        hdd.Access(device::IoKind::kWrite, tails[r], 512 * KiB));
+    tails[r] += 512 * KiB;
+    r = (r + 1) % tails.size();
+  }
+}
+BENCHMARK(BM_HddAccessInterleaved);
+
+// Random 16 KiB accesses over the disk, as ior16k-mix's random instances
+// issue them: every access misses, and a full stream table evicts.
+void BM_HddAccessRandom(benchmark::State& state) {
+  device::HddModel hdd(device::SeagateST32502NS(), 1);
+  Rng rng(7);
+  const auto blocks =
+      static_cast<std::uint64_t>(hdd.profile().capacity / (16 * KiB));
+  std::vector<byte_count> offsets(4096);
+  for (byte_count& offset : offsets) {
+    offset = static_cast<byte_count>(rng.NextBelow(blocks)) * 16 * KiB;
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        hdd.Access(device::IoKind::kRead, offsets[i], 16 * KiB));
+    i = (i + 1) % offsets.size();
+  }
+}
+BENCHMARK(BM_HddAccessRandom);
+
+// One sub-request through a jittered HDD server: submit, arrival event,
+// service, completion event and callback.
+void BM_FileServerRoundTrip(benchmark::State& state) {
+  sim::Engine engine;
+  pfs::FileServer server(
+      engine,
+      std::make_unique<device::HddModel>(device::SeagateST32502NS(), 1),
+      net::LinkModel(net::GigabitEthernet()), "server0");
+  byte_count lba = 0;
+  std::int64_t completed = 0;
+  for (auto _ : state) {
+    pfs::ServerJob job;
+    job.kind = device::IoKind::kWrite;
+    job.lba = lba;
+    job.size = 512 * KiB;
+    job.on_complete = [&completed](SimTime) { ++completed; };
+    server.Submit(std::move(job));
+    engine.Run();
+    lba += 512 * KiB;
+  }
+  benchmark::DoNotOptimize(completed);
+}
+BENCHMARK(BM_FileServerRoundTrip);
 
 void BM_KvStorePut(benchmark::State& state) {
   const auto dir = std::filesystem::temp_directory_path() /

@@ -161,7 +161,7 @@ void S4DCache::StampPlanContent(const mpiio::FileRequest& request,
 }
 
 void S4DCache::Execute(device::IoKind kind, const mpiio::FileRequest& request,
-                       const RoutingPlan& plan, mpiio::IoCompletion done) {
+                       RoutingPlan plan, mpiio::IoCompletion done) {
   S4D_DCHECK(!plan.segments.empty());
 
   // Routing accounting (Table III): a request counts toward the side that
@@ -219,6 +219,8 @@ void S4DCache::Execute(device::IoKind kind, const mpiio::FileRequest& request,
     mpiio::IoCompletion done;
     SimTime issued_at = 0;
     obs::SpanId span = obs::kNoSpan;
+    // The plan's segments, issued by the delayed dispatch below.
+    std::vector<IoSegment> segments;
     // Decision/outcome record for the policy observer; only filled in when
     // an observer is installed.
     std::optional<RequestOutcome> outcome;
@@ -244,26 +246,7 @@ void S4DCache::Execute(device::IoKind kind, const mpiio::FileRequest& request,
     outcome.issued_at = issued_at;
     join->outcome = std::move(outcome);
   }
-  auto arrive = [this, join, kind](SimTime t, bool ok) {
-    join->last = std::max(join->last, t);
-    if (!ok) join->failed = true;
-    if (--join->remaining > 0) return;
-    if (join->failed) ++counters_.failed_requests;
-    if (obs_ != nullptr) {
-      (kind == device::IoKind::kRead ? obs_read_latency_ns_
-                                     : obs_write_latency_ns_)
-          ->Record(join->last - join->issued_at);
-      if (join->span != obs::kNoSpan) {
-        obs_->tracer.End(join->span, join->last);
-        if (join->failed) obs_->tracer.AddArg(join->span, "failed", 1);
-      }
-    }
-    if (join->outcome && request_observer_) {
-      join->outcome->latency = join->last - join->issued_at;
-      request_observer_(*join->outcome);
-    }
-    if (join->done) join->done(join->last);
-  };
+  join->segments = std::move(plan.segments);
 
   // The in-memory bookkeeping (cost model, CDT/DMT lookups) delays the
   // physical I/O by a small constant (§V-E.2); a plan that changed the
@@ -286,23 +269,41 @@ void S4DCache::Execute(device::IoKind kind, const mpiio::FileRequest& request,
       obs_->tracer.AddArg(persist, "shard", static_cast<std::int64_t>(shard));
     }
   }
-  engine_.ScheduleAfter(
-      delay,
-      [this, kind, plan, orig_id, cache_id, arrive, span]() {
-        for (const IoSegment& seg : plan.segments) {
-          auto on_complete = [arrive](SimTime t) { arrive(t, true); };
-          auto on_failure = [arrive](SimTime t) { arrive(t, false); };
-          if (seg.target == IoSegment::Target::kCServers) {
-            cservers_.Submit(cache_id, kind, seg.offset, seg.size,
-                             pfs::Priority::kNormal, std::move(on_complete),
-                             std::move(on_failure), span);
-          } else {
-            dservers_.Submit(orig_id, kind, seg.offset, seg.size,
-                             pfs::Priority::kNormal, std::move(on_complete),
-                             std::move(on_failure), span);
-          }
+  engine_.ScheduleAfter(delay, [this, kind, join, orig_id, cache_id]() {
+    auto arrive = [this, join, kind](SimTime t, bool ok) {
+      join->last = std::max(join->last, t);
+      if (!ok) join->failed = true;
+      if (--join->remaining > 0) return;
+      if (join->failed) ++counters_.failed_requests;
+      if (obs_ != nullptr) {
+        (kind == device::IoKind::kRead ? obs_read_latency_ns_
+                                       : obs_write_latency_ns_)
+            ->Record(join->last - join->issued_at);
+        if (join->span != obs::kNoSpan) {
+          obs_->tracer.End(join->span, join->last);
+          if (join->failed) obs_->tracer.AddArg(join->span, "failed", 1);
         }
-      });
+      }
+      if (join->outcome && request_observer_) {
+        join->outcome->latency = join->last - join->issued_at;
+        request_observer_(*join->outcome);
+      }
+      if (join->done) join->done(join->last);
+    };
+    for (const IoSegment& seg : join->segments) {
+      auto on_complete = [arrive](SimTime t) { arrive(t, true); };
+      auto on_failure = [arrive](SimTime t) { arrive(t, false); };
+      if (seg.target == IoSegment::Target::kCServers) {
+        cservers_.Submit(cache_id, kind, seg.offset, seg.size,
+                         pfs::Priority::kNormal, std::move(on_complete),
+                         std::move(on_failure), join->span);
+      } else {
+        dservers_.Submit(orig_id, kind, seg.offset, seg.size,
+                         pfs::Priority::kNormal, std::move(on_complete),
+                         std::move(on_failure), join->span);
+      }
+    }
+  });
 }
 
 void S4DCache::Write(const mpiio::FileRequest& request,
@@ -313,10 +314,10 @@ void S4DCache::Write(const mpiio::FileRequest& request,
   const bool critical =
       identifier_.Identify(request.file, request.rank, device::IoKind::kWrite,
                            request.offset, request.size);
-  const RoutingPlan plan =
+  RoutingPlan plan =
       redirector_.PlanWrite(request.file, request.offset, request.size, critical);
   StampPlanContent(request, plan);
-  Execute(device::IoKind::kWrite, request, plan, std::move(done));
+  Execute(device::IoKind::kWrite, request, std::move(plan), std::move(done));
 }
 
 void S4DCache::Read(const mpiio::FileRequest& request,
@@ -327,7 +328,7 @@ void S4DCache::Read(const mpiio::FileRequest& request,
   const bool critical =
       identifier_.Identify(request.file, request.rank, device::IoKind::kRead,
                            request.offset, request.size);
-  const RoutingPlan plan =
+  RoutingPlan plan =
       redirector_.PlanRead(request.file, request.offset, request.size, critical);
   if (plan.blocked_on_cache) {
     // Degraded mode, dirty overlap: the only up-to-date copy is on the
@@ -353,14 +354,14 @@ void S4DCache::Read(const mpiio::FileRequest& request,
     // kServeStale: deliver the DServer copy now; the dirty ranges we are
     // bypassing are part of the reported loss window.
     ++counters_.stale_dirty_reads;
-    ServeStale(request, plan, std::move(done));
+    ServeStale(request, std::move(plan), std::move(done));
     return;
   }
-  Execute(device::IoKind::kRead, request, plan, std::move(done));
+  Execute(device::IoKind::kRead, request, std::move(plan), std::move(done));
 }
 
 void S4DCache::ServeStale(const mpiio::FileRequest& request,
-                          const RoutingPlan& plan, mpiio::IoCompletion done) {
+                          RoutingPlan plan, mpiio::IoCompletion done) {
   if (dirty_loss_hook_) {
     const DmtLookup lookup =
         dmt_.Lookup(request.file, request.offset, request.size);
@@ -371,7 +372,7 @@ void S4DCache::ServeStale(const mpiio::FileRequest& request,
       }
     }
   }
-  Execute(device::IoKind::kRead, request, plan, std::move(done));
+  Execute(device::IoKind::kRead, request, std::move(plan), std::move(done));
 }
 
 void S4DCache::PromoteQueuedRead(std::uint64_t id) {
@@ -392,10 +393,10 @@ void S4DCache::PromoteQueuedRead(std::uint64_t id) {
   }
   // Re-plan as non-critical: the tier is still down, so the plan routes to
   // the DServers; the dirty ranges it bypasses are reported as the loss.
-  const RoutingPlan plan =
+  RoutingPlan plan =
       redirector_.PlanRead(pending.request.file, pending.request.offset,
                            pending.request.size, false);
-  ServeStale(pending.request, plan, std::move(pending.done));
+  ServeStale(pending.request, std::move(plan), std::move(pending.done));
 }
 
 void S4DCache::OnCacheTierRestored() {

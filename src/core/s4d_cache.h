@@ -280,7 +280,7 @@ class S4DCache final : public mpiio::IoDispatch {
 #endif
 
   void Execute(device::IoKind kind, const mpiio::FileRequest& request,
-               const RoutingPlan& plan, mpiio::IoCompletion done);
+               RoutingPlan plan, mpiio::IoCompletion done);
   void StampPlanContent(const mpiio::FileRequest& request,
                         const RoutingPlan& plan);
   void SetupObservability();
@@ -289,7 +289,7 @@ class S4DCache final : public mpiio::IoDispatch {
   void PromoteQueuedRead(std::uint64_t id);
   // Serves a dirty-blocked read from the stale DServer copy, reporting the
   // bypassed dirty ranges through the loss hook.
-  void ServeStale(const mpiio::FileRequest& request, const RoutingPlan& plan,
+  void ServeStale(const mpiio::FileRequest& request, RoutingPlan plan,
                   mpiio::IoCompletion done);
 
   sim::Engine& engine_;

@@ -17,6 +17,7 @@
 // simulated drive reach its sustained streaming rate.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -78,12 +79,44 @@ class HddModel final : public DeviceModel {
   int active_streams() const { return static_cast<int>(streams_.size()); }
 
  private:
+  // One recently active sequential stream: its expected next offset and
+  // the access-clock value of its last use (larger = more recent).
+  struct Stream {
+    byte_count tail = 0;
+    std::uint64_t stamp = 0;
+    std::int32_t next = -1;   // next stream in the same chain, or -1
+    std::uint32_t chain = 0;  // index into chains_
+  };
+  // log2 of the chain count. Streams chain by tail / readahead_window, so
+  // a lookup walks three short chains instead of every stream.
+  static constexpr int kChainBits = 8;
+
+  // Multiplicative (Fibonacci) hash: every rank's stream on a striped
+  // server sits a fixed number of buckets from the next, and a plain mask
+  // would put them all in one chain.
+  static std::uint32_t HashBucket(byte_count bucket) {
+    return static_cast<std::uint32_t>(
+        (static_cast<std::uint64_t>(bucket) * 0x9e3779b97f4a7c15ULL) >>
+        (64 - kChainBits));
+  }
+  // floor(x / readahead_window); the window must be positive.
+  byte_count BucketOf(byte_count x) const;
+  std::uint32_t ChainOf(byte_count tail) const;
+  // The most recently used stream whose tail continues `offset`, or -1.
+  std::int32_t FindStream(byte_count offset) const;
+  void Link(std::int32_t slot, std::uint32_t chain);
+  void Unlink(std::int32_t slot);
+  void AddStream(byte_count tail);
+
   HddProfile profile_;
   Rng rng_;
   byte_count head_position_ = 0;
-  // Expected next offsets of recently active sequential streams, most
-  // recently used last. Bounded by profile_.max_streams.
-  std::vector<byte_count> streams_;
+  // Bounded by profile_.max_streams; grows on demand, and an evicted
+  // stream's slot is reused in place.
+  std::vector<Stream> streams_;
+  std::uint64_t clock_ = 0;
+  // Inline so that constructing a model allocates nothing.
+  std::array<std::int32_t, std::size_t{1} << kChainBits> chains_;
 };
 
 }  // namespace s4d::device

@@ -62,12 +62,13 @@ void CollectiveIo::Run(device::IoKind kind, const std::string& file,
   for (int a = 0; a < config_.aggregators; ++a) {
     const byte_count d_begin = lo + a * domain;
     const byte_count d_end = std::min(hi, d_begin + domain);
-    auto rounds = std::make_shared<std::vector<Round>>();
+    auto state = std::make_shared<Rounds>();
+    std::vector<Round>& rounds = state->rounds;
     if (d_begin < d_end) {
       Round round;
       auto flush_round = [&] {
         if (!round.extents.empty()) {
-          rounds->push_back(std::move(round));
+          rounds.push_back(std::move(round));
           round = Round{};
         }
       };
@@ -94,23 +95,25 @@ void CollectiveIo::Run(device::IoKind kind, const std::string& file,
       }
       flush_round();
     }
-    if (rounds->empty()) {
+    if (rounds.empty()) {
       engine_.ScheduleAfter(
           0, [this, join]() { join->Arrive(engine_.now()); });
       continue;
     }
-    RunRounds(kind, file, rounds, 0, [join](SimTime t) { join->Arrive(t); });
+    state->kind = kind;
+    state->file = file;
+    state->on_done = [join](SimTime t) { join->Arrive(t); };
+    RunRounds(std::move(state), 0);
   }
 }
 
-void CollectiveIo::RunRounds(device::IoKind kind, const std::string& file,
-                             std::shared_ptr<std::vector<Round>> rounds,
-                             std::size_t index, IoCompletion on_done) {
-  if (index >= rounds->size()) {
-    on_done(engine_.now());
+void CollectiveIo::RunRounds(std::shared_ptr<Rounds> state,
+                             std::size_t index) {
+  if (index >= state->rounds.size()) {
+    state->on_done(engine_.now());
     return;
   }
-  const Round& round = (*rounds)[index];
+  const Round& round = state->rounds[index];
   ++stats_.rounds;
   stats_.shuffled_bytes += round.covered;
 
@@ -118,13 +121,11 @@ void CollectiveIo::RunRounds(device::IoKind kind, const std::string& file,
   const SimTime shuffle =
       interconnect_.RpcOverhead() + interconnect_.TransferTime(round.covered);
 
-  engine_.ScheduleAfter(shuffle, [this, kind, file, rounds, index,
-                                  on_done = std::move(on_done)]() mutable {
-    const Round& r = (*rounds)[index];
-    auto next = [this, kind, file, rounds, index,
-                 on_done = std::move(on_done)](SimTime) mutable {
-      RunRounds(kind, file, rounds, index + 1, std::move(on_done));
-    };
+  engine_.ScheduleAfter(shuffle, [this, state, index]() {
+    const device::IoKind kind = state->kind;
+    const std::string& file = state->file;
+    const Round& r = state->rounds[index];
+    auto next = [this, state, index](SimTime) { RunRounds(state, index + 1); };
 
     // Phase 2: the aggregator's contiguous I/O for this round.
     if (kind == device::IoKind::kRead) {
@@ -140,8 +141,7 @@ void CollectiveIo::RunRounds(device::IoKind kind, const std::string& file,
         return;
       }
       auto piece_join = std::make_shared<sim::CompletionJoin>(
-          static_cast<int>(r.extents.size()),
-          [next = std::move(next)](SimTime t) mutable { next(t); });
+          static_cast<int>(r.extents.size()), std::move(next));
       for (const Extent& e : r.extents) {
         ++stats_.backend_requests;
         FileRequest req{file, 0, e.begin, e.end - e.begin, 0};
@@ -152,8 +152,7 @@ void CollectiveIo::RunRounds(device::IoKind kind, const std::string& file,
 
     // Writes: issue the covered extents (already maximally coalesced).
     auto piece_join = std::make_shared<sim::CompletionJoin>(
-        static_cast<int>(r.extents.size()),
-        [next = std::move(next)](SimTime t) mutable { next(t); });
+        static_cast<int>(r.extents.size()), std::move(next));
     for (const Extent& e : r.extents) {
       ++stats_.backend_requests;
       FileRequest req{file, 0, e.begin, e.end - e.begin, 0};

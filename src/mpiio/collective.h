@@ -87,13 +87,20 @@ class CollectiveIo {
     std::vector<Extent> extents;  // ascending, disjoint
   };
 
+  // One aggregator's rounds and what they need; a round's events capture
+  // only {this, state, index}.
+  struct Rounds {
+    device::IoKind kind = device::IoKind::kRead;
+    std::string file;
+    std::vector<Round> rounds;
+    IoCompletion on_done;  // fires when the last round is done
+  };
+
   void Run(device::IoKind kind, const std::string& file,
            std::vector<RankSpan> spans, IoCompletion done);
 
-  // Chains one aggregator's rounds; calls `on_done` when they are all done.
-  void RunRounds(device::IoKind kind, const std::string& file,
-                 std::shared_ptr<std::vector<Round>> rounds,
-                 std::size_t index, IoCompletion on_done);
+  // Runs round `index` of `state`, then chains the next one.
+  void RunRounds(std::shared_ptr<Rounds> state, std::size_t index);
 
   sim::Engine& engine_;
   IoDispatch& dispatch_;

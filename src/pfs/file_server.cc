@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <utility>
-#include <vector>
 
 #include "common/check.h"
 
@@ -40,20 +39,72 @@ void FileServer::SetObservability(obs::Observability* obs,
       [this] { return device_->stats().ewma_service_ns / 1000.0; });
 }
 
-void FileServer::FailJob(ServerJob job) {
+FileServer::Slot FileServer::Store(ServerJob&& job) {
+  Slot slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<Slot>(slab_.size());
+    slab_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  slab_[slot].job = std::move(job);
+  return slot;
+}
+
+std::function<void(SimTime)> FileServer::TakeCallback(Slot slot,
+                                                      bool failed) {
+  ServerJob& j = JobAt(slot);
+  std::function<void(SimTime)> cb =
+      std::move(failed && j.on_failure ? j.on_failure : j.on_complete);
+  j.on_complete = nullptr;
+  j.on_failure = nullptr;
+  free_slots_.push_back(slot);
+  return cb;
+}
+
+void FileServer::Push(Fifo& fifo, Slot slot) {
+  slab_[slot].next = kNoSlot;
+  if (fifo.tail == kNoSlot) {
+    fifo.head = slot;
+  } else {
+    slab_[fifo.tail].next = slot;
+  }
+  fifo.tail = slot;
+  ++fifo.size;
+}
+
+FileServer::Slot FileServer::Pop(Fifo& fifo) {
+  const Slot slot = fifo.head;
+  fifo.head = slab_[slot].next;
+  if (fifo.head == kNoSlot) fifo.tail = kNoSlot;
+  --fifo.size;
+  return slot;
+}
+
+void FileServer::Enqueue(Slot slot) {
+  if (JobAt(slot).priority == Priority::kNormal) {
+    last_normal_activity_ = engine_.now();
+    Push(normal_queue_, slot);
+  } else {
+    Push(background_queue_, slot);
+  }
+}
+
+void FileServer::FailJob(Slot slot) {
   ++stats_.failed_jobs;
   if (obs_ != nullptr) {
     obs_failed_jobs_->Inc();
     if (obs_->tracing()) {
       obs_->tracer.Instant(lane_, "job_failed", "pfs", engine_.now(),
-                           job.parent_span);
+                           JobAt(slot).parent_span);
     }
   }
   // Failures resolve on the next engine step, not inline: Crash/Submit may
   // themselves run inside an event callback, and re-entering the caller's
   // completion chain synchronously would reorder its state updates.
-  engine_.ScheduleAfter(0, [this, job = std::move(job)]() mutable {
-    auto& cb = job.on_failure ? job.on_failure : job.on_complete;
+  engine_.ScheduleAfter(0, [this, slot]() {
+    auto cb = TakeCallback(slot, /*failed=*/true);
     if (cb) cb(engine_.now());
   });
 }
@@ -62,10 +113,11 @@ void FileServer::Submit(ServerJob job) {
   S4D_CHECK(job.size > 0)
       << "server " << name_ << " got a job of " << job.size << " bytes";
   job.enqueued_at = engine_.now();
+  const Slot slot = Store(std::move(job));
   if (!up_) {
     // Connection refused: the client learns of the failure after the RPC
     // attempt, modelled as an immediate failure.
-    FailJob(std::move(job));
+    FailJob(slot);
     return;
   }
   // Network arrival jitter: near-simultaneous requests reach the server in
@@ -74,27 +126,17 @@ void FileServer::Submit(ServerJob job) {
   if (jitter_bound > 0) {
     const SimTime jitter = static_cast<SimTime>(
         jitter_rng_.NextBelow(static_cast<std::uint64_t>(jitter_bound)));
-    engine_.ScheduleAfter(jitter, [this, job = std::move(job)]() mutable {
+    engine_.ScheduleAfter(jitter, [this, slot]() {
       if (!up_) {
-        FailJob(std::move(job));
+        FailJob(slot);
         return;
       }
-      if (job.priority == Priority::kNormal) {
-        last_normal_activity_ = engine_.now();
-        normal_queue_.push_back(std::move(job));
-      } else {
-        background_queue_.push_back(std::move(job));
-      }
+      Enqueue(slot);
       MaybeStartNext();
     });
     return;
   }
-  if (job.priority == Priority::kNormal) {
-    last_normal_activity_ = engine_.now();
-    normal_queue_.push_back(std::move(job));
-  } else {
-    background_queue_.push_back(std::move(job));
-  }
+  Enqueue(slot);
   MaybeStartNext();
 }
 
@@ -108,18 +150,15 @@ void FileServer::Crash() {
     engine_.Cancel(inflight_event_);
     inflight_event_ = sim::kInvalidEvent;
     busy_ = false;
-    if (inflight_job_) {
-      FailJob(std::move(*inflight_job_));
-      inflight_job_.reset();
+    if (inflight_ != kNoSlot) {
+      const Slot slot = inflight_;
+      inflight_ = kNoSlot;
+      FailJob(slot);
     }
   }
   // Every queued job fails at crash time.
-  std::deque<ServerJob> doomed;
-  doomed.swap(normal_queue_);
-  for (ServerJob& job : doomed) FailJob(std::move(job));
-  doomed.clear();
-  doomed.swap(background_queue_);
-  for (ServerJob& job : doomed) FailJob(std::move(job));
+  while (normal_queue_.size > 0) FailJob(Pop(normal_queue_));
+  while (background_queue_.size > 0) FailJob(Pop(background_queue_));
 }
 
 void FileServer::Restart() {
@@ -143,12 +182,11 @@ void FileServer::SetBackgroundErrorRate(double rate, std::uint64_t seed) {
 
 void FileServer::MaybeStartNext() {
   if (busy_ || !up_ || partitioned_) return;
-  ServerJob job;
-  if (!normal_queue_.empty()) {
-    job = std::move(normal_queue_.front());
-    normal_queue_.pop_front();
+  Slot slot;
+  if (normal_queue_.size > 0) {
+    slot = Pop(normal_queue_);
     last_normal_activity_ = engine_.now();
-  } else if (!background_queue_.empty()) {
+  } else if (background_queue_.size > 0) {
     // Anticipatory idling: hold background work until the server has been
     // genuinely idle for the grace period.
     const SimTime idle_until = last_normal_activity_ + background_idle_grace_;
@@ -162,37 +200,36 @@ void FileServer::MaybeStartNext() {
       }
       return;
     }
-    job = std::move(background_queue_.front());
-    background_queue_.pop_front();
+    slot = Pop(background_queue_);
   } else {
     return;
   }
   busy_ = true;
-  Serve(std::move(job));
+  Serve(slot);
 }
 
-void FileServer::Serve(ServerJob job) {
+void FileServer::Serve(Slot slot) {
   const SimTime now = engine_.now();
+  const ServerJob& j = JobAt(slot);
+  inflight_ = slot;
   // Injected transient error: the job occupies the request slot for the
   // RPC round-trip (the client had to talk to the server to get the error)
   // but moves no data.
-  if (job.priority == Priority::kBackground && background_error_rate_ > 0.0 &&
+  if (j.priority == Priority::kBackground && background_error_rate_ > 0.0 &&
       fault_rng_.NextBool(background_error_rate_)) {
     ++stats_.failed_jobs;
     if (obs_ != nullptr) {
       obs_failed_jobs_->Inc();
       if (obs_->tracing()) {
-        obs_->tracer.Instant(lane_, "bg_error", "pfs", now, job.parent_span);
+        obs_->tracer.Instant(lane_, "bg_error", "pfs", now, j.parent_span);
       }
     }
     const SimTime service = link_.RpcOverhead();
-    inflight_job_ = std::move(job);
-    inflight_event_ = engine_.ScheduleAfter(service, [this]() {
+    inflight_event_ = engine_.ScheduleAfter(service, [this, slot]() {
       inflight_event_ = sim::kInvalidEvent;
-      ServerJob failed = std::move(*inflight_job_);
-      inflight_job_.reset();
+      inflight_ = kNoSlot;
       busy_ = false;
-      auto& cb = failed.on_failure ? failed.on_failure : failed.on_complete;
+      auto cb = TakeCallback(slot, /*failed=*/true);
       if (cb) cb(engine_.now());
       MaybeStartNext();
     });
@@ -201,20 +238,19 @@ void FileServer::Serve(ServerJob job) {
 
   // Serve (not Access): the device applies its own degradation multiplier
   // and updates DeviceStats, which backs the EWMA health gauge.
-  const device::AccessCosts costs =
-      device_->Serve(job.kind, job.lba, job.size);
+  const device::AccessCosts costs = device_->Serve(j.kind, j.lba, j.size);
   // The device transfer and the wire transfer of the same bytes are
   // pipelined; the slower of the two gates the request.
-  const SimTime wire = link_.OccupyTransfer(job.size);
+  const SimTime wire = link_.OccupyTransfer(j.size);
   const SimTime data_phase = std::max(costs.transfer, wire);
   const SimTime service = link_.RpcOverhead() + costs.positioning + data_phase;
 
-  if (job.priority == Priority::kNormal) {
+  if (j.priority == Priority::kNormal) {
     ++stats_.requests;
-    stats_.bytes += job.size;
+    stats_.bytes += j.size;
   } else {
     ++stats_.background_requests;
-    stats_.background_bytes += job.size;
+    stats_.background_bytes += j.size;
   }
   stats_.busy_time += service;
   stats_.positioning_time += costs.positioning;
@@ -222,27 +258,27 @@ void FileServer::Serve(ServerJob job) {
 
   if (serve_tap_ != nullptr) {
     ServeSample sample;
-    sample.kind = job.kind;
-    sample.priority = job.priority;
-    sample.size = job.size;
-    sample.wait = job.enqueued_at >= 0 ? now - job.enqueued_at : 0;
+    sample.kind = j.kind;
+    sample.priority = j.priority;
+    sample.size = j.size;
+    sample.wait = j.enqueued_at >= 0 ? now - j.enqueued_at : 0;
     sample.positioning = costs.positioning;
     sample.service = service;
     serve_tap_(serve_tap_ctx_, sample);
   }
 
   if (obs_ != nullptr) {
-    const SimTime wait = job.enqueued_at >= 0 ? now - job.enqueued_at : 0;
+    const SimTime wait = j.enqueued_at >= 0 ? now - j.enqueued_at : 0;
     obs_jobs_->Inc();
-    obs_bytes_->Add(job.size);
+    obs_bytes_->Add(j.size);
     obs_service_ns_->Record(service);
     obs_queue_wait_ns_->Record(wait);
     if (obs_->tracing()) {
       const obs::SpanId id = obs_->tracer.Complete(
-          lane_, device::IoKindName(job.kind),
-          job.priority == Priority::kNormal ? "pfs" : "pfs.bg", now, service,
-          job.parent_span);
-      obs_->tracer.AddArg(id, "size", job.size);
+          lane_, device::IoKindName(j.kind),
+          j.priority == Priority::kNormal ? "pfs" : "pfs.bg", now, service,
+          j.parent_span);
+      obs_->tracer.AddArg(id, "size", j.size);
       obs_->tracer.AddArg(id, "wait_ns", wait);
       obs_->tracer.AddArg(id, "pos_ns", costs.positioning);
       obs_->tracer.AddArg(id, "dev_ns", costs.transfer);
@@ -250,15 +286,14 @@ void FileServer::Serve(ServerJob job) {
     }
   }
 
-  inflight_job_ = std::move(job);
-  inflight_event_ = engine_.ScheduleAfter(service, [this]() {
+  inflight_event_ = engine_.ScheduleAfter(service, [this, slot]() {
     inflight_event_ = sim::kInvalidEvent;
-    ServerJob done = std::move(*inflight_job_);
-    inflight_job_.reset();
-    if (done.priority == Priority::kNormal) {
+    inflight_ = kNoSlot;
+    if (JobAt(slot).priority == Priority::kNormal) {
       last_normal_activity_ = engine_.now();
     }
-    if (done.on_complete) done.on_complete(engine_.now());
+    auto cb = TakeCallback(slot, /*failed=*/false);
+    if (cb) cb(engine_.now());
     busy_ = false;
     MaybeStartNext();
   });

@@ -17,11 +17,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "device/device_model.h"
@@ -146,7 +145,7 @@ class FileServer {
   const net::LinkModel& link() const { return link_; }
   net::LinkModel& mutable_link() { return link_; }
   std::size_t queue_depth() const {
-    return normal_queue_.size() + background_queue_.size();
+    return normal_queue_.size + background_queue_.size;
   }
   bool busy() const { return busy_; }
 
@@ -154,17 +153,46 @@ class FileServer {
   void ResetDevice() { device_->Reset(); }
 
  private:
+  // Every job the server holds — in jitter flight, queued, in service or
+  // waiting for its failure event — lives in one slab slot from Submit
+  // until its callback fires. Events capture {this, slot}, and the FIFOs
+  // are intrusive lists through the slots, so a job is moved once and
+  // queueing allocates nothing once the slab is warm.
+  using Slot = std::uint32_t;
+  static constexpr Slot kNoSlot = ~Slot{0};
+  struct SlabEntry {
+    ServerJob job;
+    Slot next = kNoSlot;  // FIFO successor while queued
+  };
+  struct Fifo {
+    Slot head = kNoSlot;
+    Slot tail = kNoSlot;
+    std::size_t size = 0;
+  };
+
+  ServerJob& JobAt(Slot slot) { return slab_[slot].job; }
+  Slot Store(ServerJob&& job);
+  // Moves the callback that resolves the job out of its slot and frees the
+  // slot, destroying the other callback; the caller invokes the returned
+  // one. Moving it out first matters: the callback may submit to this
+  // server and grow (reallocate) the slab.
+  std::function<void(SimTime)> TakeCallback(Slot slot, bool failed);
+  void Push(Fifo& fifo, Slot slot);
+  Slot Pop(Fifo& fifo);
+  void Enqueue(Slot slot);
   void MaybeStartNext();
-  void Serve(ServerJob job);
-  void FailJob(ServerJob job);
+  void Serve(Slot slot);
+  void FailJob(Slot slot);
 
   sim::Engine& engine_;
   std::unique_ptr<device::DeviceModel> device_;
   net::LinkModel link_;
   std::string name_;
 
-  std::deque<ServerJob> normal_queue_;
-  std::deque<ServerJob> background_queue_;
+  std::vector<SlabEntry> slab_;
+  std::vector<Slot> free_slots_;
+  Fifo normal_queue_;
+  Fifo background_queue_;
   bool busy_ = false;
   SimTime background_idle_grace_;
   SimTime last_normal_activity_ = 0;
@@ -175,10 +203,10 @@ class FileServer {
   // Fault state.
   bool up_ = true;
   bool partitioned_ = false;
-  // The in-flight job's completion event and callbacks, kept so Crash can
+  // The in-flight job's completion event and slot, kept so Crash can
   // cancel the completion and fail the job at crash time instead.
   sim::EventId inflight_event_ = sim::kInvalidEvent;
-  std::optional<ServerJob> inflight_job_;
+  Slot inflight_ = kNoSlot;
   double background_error_rate_ = 0.0;
   Rng fault_rng_{1};
 

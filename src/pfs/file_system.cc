@@ -144,8 +144,12 @@ void FileSystem::Submit(FileId file, device::IoKind kind, byte_count offset,
       << " files open)";
   S4D_CHECK(offset >= 0) << "negative file offset " << offset;
 
-  const auto subs = SplitRequest(config_.stripe, offset, size);
+  // Split into reused storage. It is taken out of the member for the call,
+  // so a Submit re-entered from an observer splits into storage of its own.
+  std::vector<SubRequest> subs = std::move(split_scratch_);
+  SplitRequestInto(config_.stripe, offset, size, subs);
   if (subs.empty()) {
+    split_scratch_ = std::move(subs);
     engine_.ScheduleAfter(0, [cb = std::move(on_complete), this]() {
       if (cb) cb(engine_.now());
     });
@@ -206,6 +210,7 @@ void FileSystem::Submit(FileId file, device::IoKind kind, byte_count offset,
     job.parent_span = parent_span;
     servers_[static_cast<std::size_t>(sub.server)]->Submit(std::move(job));
   }
+  split_scratch_ = std::move(subs);
 }
 
 bool FileSystem::AllServersReachable() const {

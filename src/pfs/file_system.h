@@ -221,6 +221,8 @@ class FileSystem {
   std::vector<std::function<void(const RequestRecord&)>> observers_;
   std::vector<std::unique_ptr<Fanout>> fanout_pool_;
   std::vector<Fanout*> fanout_free_;
+  // Submit's split storage, reused across requests.
+  std::vector<SubRequest> split_scratch_;
   // Sub-observation sink (null = tap off, zero-cost paths).
   SubRequestSink* sub_sink_ = nullptr;
   std::uint32_t sub_sink_tag_ = 0;

@@ -9,13 +9,20 @@ namespace s4d::pfs {
 
 std::vector<SubRequest> SplitRequest(const StripeConfig& cfg,
                                      byte_count offset, byte_count size) {
+  std::vector<SubRequest> out;
+  SplitRequestInto(cfg, offset, size, out);
+  return out;
+}
+
+void SplitRequestInto(const StripeConfig& cfg, byte_count offset,
+                      byte_count size, std::vector<SubRequest>& out) {
   S4D_CHECK(cfg.server_count >= 1)
       << "stripe config needs at least one server, got " << cfg.server_count;
   S4D_CHECK(cfg.stripe_size >= 1)
       << "stripe size must be positive, got " << cfg.stripe_size;
   S4D_CHECK(offset >= 0) << "negative file offset " << offset;
-  std::vector<SubRequest> out;
-  if (size <= 0) return out;
+  out.clear();
+  if (size <= 0) return;
 
   const byte_count servers = cfg.server_count;
   const byte_count str = cfg.stripe_size;
@@ -57,7 +64,6 @@ std::vector<SubRequest> SplitRequest(const StripeConfig& cfg,
                              }) == size)
       << "split of " << size << " bytes at " << offset
       << " is not a partition into non-empty sub-requests";
-  return out;
 }
 
 int InvolvedServerCount(const StripeConfig& cfg, byte_count offset,

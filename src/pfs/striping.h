@@ -40,6 +40,10 @@ struct SubRequest {
 // size <= 0.
 std::vector<SubRequest> SplitRequest(const StripeConfig& cfg,
                                      byte_count offset, byte_count size);
+// SplitRequest into caller-owned storage: replaces the contents of `out`,
+// whose capacity is reused, so a warm vector makes the split allocation-free.
+void SplitRequestInto(const StripeConfig& cfg, byte_count offset,
+                      byte_count size, std::vector<SubRequest>& out);
 
 // Eq. 6: number of distinct servers serving the request.
 int InvolvedServerCount(const StripeConfig& cfg, byte_count offset,

@@ -21,9 +21,9 @@
 //   * Events scheduled at the current time — the simulator's most common
 //     case (zero-delay dispatch hops) — bypass the heap through a FIFO
 //     ring that is always drained before the clock advances.
-//   * Callbacks are InlineCallback (48-byte small-buffer storage), not
-//     std::function, so scheduling a typical event performs zero heap
-//     allocations once the slab and heap vectors are warm.
+//   * Callbacks are InlineCallback (48-byte inline storage, no heap
+//     fallback), not std::function, so scheduling an event performs zero
+//     heap allocations once the slab and heap vectors are warm.
 #pragma once
 
 #include <cstdint>

@@ -3,10 +3,10 @@
 // The event engine schedules millions of short-lived callbacks per run;
 // std::function heap-allocates any capture bigger than its tiny SBO
 // (16 bytes on libstdc++), which made allocation the dominant cost of
-// ScheduleAt. InlineCallback stores captures up to kInlineBytes in place —
-// sized so every callback in the simulator's hot paths (a few pointers plus
-// a small job struct) fits — and falls back to a single heap allocation
-// only for oversized captures.
+// ScheduleAt. InlineCallback stores every capture in place, within
+// kInlineBytes; an oversized capture is a compile error, never a heap
+// allocation. Keep captures to a few pointers and ids: state that does not
+// fit belongs in an object the capture points to.
 #pragma once
 
 #include <cassert>
@@ -19,8 +19,7 @@ namespace s4d::sim {
 
 class InlineCallback {
  public:
-  // Inline capture budget. 48 bytes holds e.g. a vtable-free lambda with
-  // six pointers/int64s; anything larger takes the heap path.
+  // Inline capture budget: six pointers or int64s.
   static constexpr std::size_t kInlineBytes = 48;
 
   InlineCallback() = default;
@@ -88,28 +87,19 @@ class InlineCallback {
       std::is_trivially_copyable_v<Fn> && std::is_trivially_destructible_v<Fn>,
   };
 
-  template <typename Fn>
-  static constexpr Ops kHeapOps = {
-      [](void* p) { (**static_cast<Fn**>(p))(); },
-      [](void* dst, void* src) {
-        *static_cast<Fn**>(dst) = *static_cast<Fn**>(src);
-      },
-      [](void* p) { delete *static_cast<Fn**>(p); },
-      false,
-  };
-
   template <typename F>
   void Construct(F&& fn) {
     using Fn = std::decay_t<F>;
-    if constexpr (sizeof(Fn) <= kInlineBytes &&
-                  alignof(Fn) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
-      ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(fn));
-      ops_ = &kInlineOps<Fn>;
-    } else {
-      *reinterpret_cast<Fn**>(storage_) = new Fn(std::forward<F>(fn));
-      ops_ = &kHeapOps<Fn>;
-    }
+    static_assert(sizeof(Fn) <= kInlineBytes,
+                  "callback capture exceeds InlineCallback::kInlineBytes; "
+                  "capture a pointer to the state instead");
+    static_assert(alignof(Fn) <= alignof(std::max_align_t),
+                  "callback capture is over-aligned for InlineCallback");
+    static_assert(std::is_nothrow_move_constructible_v<Fn>,
+                  "InlineCallback relocates captures, so their move "
+                  "constructor must be noexcept");
+    ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(fn));
+    ops_ = &kInlineOps<Fn>;
   }
 
   void MoveFrom(InlineCallback& other) noexcept {

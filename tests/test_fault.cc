@@ -4,9 +4,12 @@
 // of Engine::Cancel).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <memory>
 #include <vector>
 
+#include "callback_log.h"
 #include "common/config_parser.h"
 #include "fault/fault_injector.h"
 #include "fault/fault_schedule.h"
@@ -252,6 +255,125 @@ TEST(FileServerFaults, BackgroundErrorRateFailsOnlyBackgroundJobs) {
   EXPECT_EQ(normal.failed, 0);
   EXPECT_EQ(background.completed, 0);
   EXPECT_EQ(background.failed, 1);
+}
+
+// Job lifetimes across faults. Each test logs every callback and checks
+// that each job resolved exactly once, in the same order and at the same
+// simulated times as the deque-queued server the job slab replaced
+// (constants recorded from it).
+
+net::LinkModel JitteredLink() {
+  net::LinkProfile p;
+  p.bandwidth_bps = 1e15;
+  p.message_latency = 0;
+  p.arrival_jitter = FromMicros(100);
+  return net::LinkModel(p);
+}
+
+// Submits job `id`; both callbacks log it, and `then` runs after a failure.
+void SubmitLogged(pfs::FileServer& server, std::vector<testing::Fired>& log,
+                  int id, pfs::Priority priority,
+                  std::function<void()> then = nullptr) {
+  pfs::ServerJob job;
+  job.kind = device::IoKind::kWrite;
+  job.lba = id * 64 * KiB;
+  job.size = 4 * KiB;
+  job.priority = priority;
+  job.on_complete = [&log, id](SimTime t) { log.push_back({id, t, true}); };
+  job.on_failure = [&log, id, then = std::move(then)](SimTime t) {
+    log.push_back({id, t, false});
+    if (then) then();
+  };
+  server.Submit(std::move(job));
+}
+
+TEST(FileServerFaults, CrashResolvesHeldJobsOnceThenSlotsAreReused) {
+  sim::Engine engine;
+  pfs::FileServer server(engine, std::make_unique<FakeDevice>(FromMillis(1)),
+                         JitteredLink(), "s0", /*background_idle_grace=*/0);
+  std::vector<testing::Fired> log;
+  int next_id = 0;
+  // Each failure of the first wave resubmits once to the crashed server,
+  // where the retry fails again.
+  auto retry = [&] {
+    SubmitLogged(server, log, next_id++, pfs::Priority::kNormal);
+  };
+  for (int i = 0; i < 6; ++i) {
+    SubmitLogged(server, log, next_id++,
+                 i % 3 == 2 ? pfs::Priority::kBackground
+                            : pfs::Priority::kNormal,
+                 retry);
+  }
+  engine.RunUntil(FromMicros(2500));  // one job in service, others queued
+  EXPECT_TRUE(server.busy());
+  EXPECT_GT(server.queue_depth(), 0u);
+  for (int i = 0; i < 2; ++i) {  // still in arrival flight at the crash
+    SubmitLogged(server, log, next_id++, pfs::Priority::kNormal, retry);
+  }
+  server.Crash();
+  EXPECT_EQ(server.queue_depth(), 0u);
+  engine.RunUntil(FromMillis(10));
+  server.Restart();
+  for (int i = 0; i < 5; ++i) {
+    SubmitLogged(server, log, next_id++,
+                 i == 4 ? pfs::Priority::kBackground : pfs::Priority::kNormal);
+  }
+  engine.Run();
+  ASSERT_EQ(next_id, 19);
+  testing::ExpectEachFiredOnce(log, next_id);
+  EXPECT_EQ(server.stats().failed_jobs, 12);
+  EXPECT_EQ(server.stats().requests + server.stats().background_requests, 8);
+  EXPECT_EQ(log.back().time, 15058449);
+  EXPECT_EQ(testing::Digest(log), 2225710955807173530u);
+}
+
+TEST(FileServerFaults, BackgroundErrorsResolveEachJobOnce) {
+  sim::Engine engine;
+  pfs::FileServer server(engine, std::make_unique<FakeDevice>(FromMillis(1)),
+                         JitteredLink(), "s0", /*background_idle_grace=*/0);
+  server.SetBackgroundErrorRate(0.5, 11);
+  std::vector<testing::Fired> log;
+  constexpr int kJobs = 24;
+  for (int id = 0; id < kJobs; ++id) {
+    SubmitLogged(server, log, id,
+                 id % 3 == 0 ? pfs::Priority::kNormal
+                             : pfs::Priority::kBackground);
+  }
+  engine.Run();
+  testing::ExpectEachFiredOnce(log, kJobs);
+  const auto failed = std::count_if(
+      log.begin(), log.end(), [](const testing::Fired& f) { return !f.ok; });
+  EXPECT_EQ(server.stats().failed_jobs, failed);
+  EXPECT_EQ(failed, 10);
+  EXPECT_EQ(log.back().time, 14010425);
+  EXPECT_EQ(testing::Digest(log), 9021242288562063042u);
+}
+
+TEST(FileServerFaults, PartitionHealServesHeldJobsOnce) {
+  sim::Engine engine;
+  pfs::FileServer server(engine, std::make_unique<FakeDevice>(FromMillis(1)),
+                         JitteredLink(), "s0", /*background_idle_grace=*/0);
+  std::vector<testing::Fired> log;
+  int next_id = 0;
+  for (int i = 0; i < 3; ++i) {
+    SubmitLogged(server, log, next_id++, pfs::Priority::kNormal);
+  }
+  engine.RunUntil(FromMicros(1500));
+  server.SetPartitioned(true);
+  for (int i = 0; i < 6; ++i) {
+    SubmitLogged(server, log, next_id++,
+                 i % 2 == 0 ? pfs::Priority::kNormal
+                            : pfs::Priority::kBackground);
+  }
+  engine.RunUntil(FromMillis(20));
+  EXPECT_GT(server.queue_depth(), 0u);  // held, neither served nor failed
+  server.SetPartitioned(false);
+  SubmitLogged(server, log, next_id++, pfs::Priority::kNormal);
+  engine.Run();
+  testing::ExpectEachFiredOnce(log, next_id);
+  EXPECT_EQ(server.stats().failed_jobs, 0);
+  EXPECT_EQ(log.back().time, 28000000);
+  EXPECT_EQ(testing::Digest(log), 10844342343009764967u);
 }
 
 // ------------------------------------------------------------ file system

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <vector>
 
+#include "callback_log.h"
 #include "device/ssd_model.h"
 
 namespace s4d::pfs {
@@ -213,6 +215,49 @@ TEST(FileServer, StatsTrackPositioning) {
   engine.Run();
   EXPECT_EQ(server.stats().positioning_time, FromMillis(3));
   EXPECT_EQ(server.stats().zero_positioning_jobs, 0);
+}
+
+// Completions that resubmit to their own server grow its job slab while a
+// callback is running: each of the first completions submits two more
+// jobs, so the queue deepens until the slab has doubled several times.
+// Every callback must fire exactly once, in the same order and at the
+// same simulated times as the deque-queued server this slab replaced
+// (constants recorded from it).
+TEST(FileServer, ResubmittingCompletionsGrowTheSlab) {
+  sim::Engine engine;
+  net::LinkProfile link;
+  link.bandwidth_bps = 1e15;
+  link.message_latency = 0;
+  link.arrival_jitter = FromMicros(100);
+  FileServer server(engine, std::make_unique<FakeDevice>(FromMicros(50), 10),
+                    net::LinkModel(link), "s0");
+  constexpr int kJobs = 300;
+  std::vector<testing::Fired> log;
+  std::size_t max_depth = 0;
+  int submitted = 0;
+  std::function<void()> submit = [&] {
+    const int id = submitted++;
+    ServerJob job;
+    job.kind = device::IoKind::kWrite;
+    job.lba = id * 4 * KiB;
+    job.size = 1 + (id % 5) * 1000;
+    job.on_complete = [&, id](SimTime t) {
+      log.push_back({id, t, true});
+      for (int k = 0; k < 2 && submitted < kJobs; ++k) submit();
+    };
+    server.Submit(std::move(job));
+    max_depth = std::max(max_depth, server.queue_depth());
+  };
+  submit();
+  submit();
+  engine.Run();
+  EXPECT_EQ(submitted, kJobs);
+  ASSERT_EQ(log.size(), static_cast<std::size_t>(kJobs));
+  testing::ExpectEachFiredOnce(log, kJobs);
+  EXPECT_GE(max_depth, 64u);
+  EXPECT_EQ(server.queue_depth(), 0u);
+  EXPECT_EQ(log.back().time, 21042580);
+  EXPECT_EQ(testing::Digest(log), 7496951236146491622u);
 }
 
 }  // namespace

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <string>
+#include <vector>
+
 #include "common/rng.h"
 
 namespace s4d::device {
@@ -205,6 +210,179 @@ TEST(HddModel, RandomVsSequentialGapShrinksWithSize) {
       static_cast<double>(total_time(16 * MiB, false));
   EXPECT_GT(small_ratio, 10.0);
   EXPECT_LT(large_ratio, 1.3);
+}
+
+// Differential check of the bucketed stream index against the model it
+// replaced: the most-recently-used vector scan, kept here verbatim as the
+// oracle. Both see the same seeded access mixes; after every access the
+// costs, the head position and the stream count must agree exactly.
+class MruVectorHdd {
+ public:
+  MruVectorHdd(HddProfile profile, std::uint64_t seed)
+      : profile_(std::move(profile)), rng_(seed) {}
+
+  AccessCosts Access(byte_count offset, byte_count size) {
+    AccessCosts costs;
+    for (auto it = streams_.rbegin(); it != streams_.rend(); ++it) {
+      const byte_count gap = offset - *it;
+      if (gap >= profile_.readahead_window ||
+          -gap > profile_.readahead_window) {
+        continue;
+      }
+      costs.positioning = 0;
+      costs.transfer =
+          gap >= 0 ? static_cast<SimTime>(static_cast<double>(gap + size) /
+                                          profile_.transfer_bps * 1e9)
+                   : 0;
+      const byte_count next = std::max(*it, offset + size);
+      streams_.erase(std::next(it).base());
+      streams_.push_back(next);
+      head_position_ = next;
+      return costs;
+    }
+    const byte_count distance = std::llabs(offset - head_position_);
+    if (distance == 0) {
+      costs.positioning = 0;
+    } else {
+      const auto rotation = static_cast<SimTime>(rng_.NextBelow(
+          static_cast<std::uint64_t>(profile_.full_rotation())));
+      costs.positioning = profile_.command_overhead +
+                          SeekTimeForProfile(profile_, distance) + rotation;
+    }
+    costs.transfer = static_cast<SimTime>(static_cast<double>(size) /
+                                          profile_.transfer_bps * 1e9);
+    head_position_ = offset + size;
+    streams_.push_back(head_position_);
+    if (streams_.size() > static_cast<std::size_t>(profile_.max_streams)) {
+      streams_.erase(streams_.begin());
+    }
+    return costs;
+  }
+
+  void Reset() {
+    head_position_ = 0;
+    streams_.clear();
+  }
+  byte_count head_position() const { return head_position_; }
+  int active_streams() const { return static_cast<int>(streams_.size()); }
+
+ private:
+  HddProfile profile_;
+  Rng rng_;
+  byte_count head_position_ = 0;
+  std::vector<byte_count> streams_;  // most recently used last
+};
+
+enum class Mix {
+  kInterleaved,  // 32 sequential streams, 64 MiB apart, random order
+  kRandom,       // uniform offsets over the disk
+  kNearTail,     // one stream with small forward and backward gaps
+  kSameTail,     // pairs of accesses that end at the same tail
+  kBucketEdges,  // offsets at k*W - 1, k*W, k*W + 1, around zero too
+  kDense,        // offsets within a few windows: many streams match
+};
+
+// Drives both models through `ops` accesses of `mix`, resetting both
+// halfway, and returns a description of the first disagreement.
+std::string FirstMismatch(Mix mix, byte_count window, int max_streams,
+                          std::uint64_t seed, int ops) {
+  HddProfile p = SeagateST32502NS();
+  p.readahead_window = window;
+  p.max_streams = max_streams;
+  HddModel index(p, seed);
+  MruVectorHdd oracle(p, seed);
+  Rng rng(seed * 7919 + 1);
+  const byte_count scale = std::max<byte_count>(window, 4 * KiB);
+  auto below = [&rng](byte_count bound) {
+    return static_cast<byte_count>(rng.NextBelow(
+        static_cast<std::uint64_t>(std::max<byte_count>(bound, 1))));
+  };
+  std::vector<byte_count> tails(32);
+  for (std::size_t r = 0; r < tails.size(); ++r) {
+    tails[r] = static_cast<byte_count>(r) * 64 * MiB;
+  }
+  byte_count tail = 10 * GiB;
+  byte_count pending = -1;  // kSameTail: the tail the next access must end at
+
+  for (int i = 0; i < ops; ++i) {
+    if (i == ops / 2) {
+      index.Reset();
+      oracle.Reset();
+    }
+    byte_count offset = 0;
+    byte_count size = 1 + below(2 * scale);
+    switch (mix) {
+      case Mix::kInterleaved: {
+        byte_count& t = tails[static_cast<std::size_t>(below(32))];
+        size = 512 * KiB;
+        offset = t;
+        t += size;
+        break;
+      }
+      case Mix::kRandom:
+        offset = below(p.capacity);
+        break;
+      case Mix::kNearTail:
+        offset = std::max<byte_count>(0, tail + below(4 * window + 3) -
+                                             2 * window - 1);
+        tail = std::max(tail, offset + size);
+        break;
+      case Mix::kSameTail:
+        if (pending < 0) {
+          offset = below(64 * scale);
+          pending = offset + size;
+        } else {
+          size = 1 + below(pending);
+          offset = pending - size;
+          pending = -1;
+        }
+        break;
+      case Mix::kBucketEdges:
+        offset = (below(16) - 4) * std::max<byte_count>(window, 1) +
+                 below(3) - 1;
+        size = 1 + below(std::max<byte_count>(window, 2));
+        break;
+      case Mix::kDense:
+        offset = below(8 * scale);
+        break;
+    }
+    const AccessCosts got = index.Access(IoKind::kRead, offset, size);
+    const AccessCosts want = oracle.Access(offset, size);
+    if (got.positioning != want.positioning || got.transfer != want.transfer ||
+        index.head_position() != oracle.head_position() ||
+        index.active_streams() != oracle.active_streams()) {
+      return "access " + std::to_string(i) + " (offset " +
+             std::to_string(offset) + ", size " + std::to_string(size) +
+             "): positioning " + std::to_string(got.positioning) + " vs " +
+             std::to_string(want.positioning) + ", transfer " +
+             std::to_string(got.transfer) + " vs " +
+             std::to_string(want.transfer) + ", head " +
+             std::to_string(index.head_position()) + " vs " +
+             std::to_string(oracle.head_position()) + ", streams " +
+             std::to_string(index.active_streams()) + " vs " +
+             std::to_string(oracle.active_streams());
+    }
+  }
+  return "";
+}
+
+TEST(HddModel, StreamIndexMatchesMruVectorModel) {
+  const Mix mixes[] = {Mix::kInterleaved, Mix::kRandom,      Mix::kNearTail,
+                       Mix::kSameTail,    Mix::kBucketEdges, Mix::kDense};
+  const byte_count windows[] = {0, 1, 4 * KiB, 512 * KiB, 1 * GiB};
+  const int limits[] = {0, 1, 4, 64};
+  std::uint64_t seed = 1;
+  for (const Mix mix : mixes) {
+    for (const byte_count window : windows) {
+      for (const int max_streams : limits) {
+        const std::string mismatch =
+            FirstMismatch(mix, window, max_streams, seed++, 3000);
+        EXPECT_EQ(mismatch, "")
+            << "mix " << static_cast<int>(mix) << ", window " << window
+            << ", max_streams " << max_streams;
+      }
+    }
+  }
 }
 
 }  // namespace
