@@ -5,6 +5,7 @@
 
 #include <filesystem>
 #include <memory>
+#include <string>
 #include <vector>
 #include <unistd.h>
 
@@ -16,6 +17,7 @@
 #include "kvstore/kvstore.h"
 #include "pfs/file_server.h"
 #include "pfs/striping.h"
+#include "policy/characterizer.h"
 #include "sim/engine.h"
 
 namespace s4d {
@@ -103,6 +105,24 @@ void BM_DmtInsertEvict(benchmark::State& state) {
 }
 BENCHMARK(BM_DmtInsertEvict);
 
+// One Rebuilder flush collection on perfbench hpio-stages' shape: 2,048
+// dirty 16 KiB extents, none adjacent, all but 64 still being flushed.
+void BM_FlushCollectInflight(benchmark::State& state) {
+  core::DataMappingTable dmt;
+  core::DirtyExtentSet in_flight;
+  for (std::int64_t i = 0; i < 2048; ++i) {
+    dmt.Insert("file", i * 32 * KiB, 16 * KiB, i * 16 * KiB, true);
+  }
+  for (const core::DirtyRange& range : dmt.CollectDirty(2048)) {
+    if (range.orig_begin % (1 * MiB) != 0) in_flight.insert(range.key());
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        dmt.CollectDirtyRuns(32 * MiB, 4 * MiB, &in_flight));
+  }
+}
+BENCHMARK(BM_FlushCollectInflight);
+
 void BM_RedirectorPlanWriteHit(benchmark::State& state) {
   core::CriticalDataTable cdt;
   core::DataMappingTable dmt;
@@ -120,6 +140,24 @@ void BM_RedirectorPlanWriteHit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RedirectorPlanWriteHit);
+
+// A strided 16 KiB stream (one request per 64 KiB block) through the
+// characterizer's 4096-block reuse sketch. Arg 2048: the stream wraps
+// within the sketch, so every request hits. Arg 2^24: it never wraps, so
+// every request misses and evicts the least recently seen block.
+void BM_CharacterizerObserve(benchmark::State& state) {
+  policy::WorkloadCharacterizer characterizer(policy::CharacterizerConfig{});
+  const std::string file = "file";
+  const std::int64_t span_blocks = state.range(0);
+  std::int64_t i = 0;
+  for (auto _ : state) {
+    characterizer.Observe(file, device::IoKind::kWrite,
+                          (i % span_blocks) * 64 * KiB, 16 * KiB, 64 * KiB);
+    ++i;
+  }
+  benchmark::DoNotOptimize(characterizer.last_window());
+}
+BENCHMARK(BM_CharacterizerObserve)->Arg(2048)->Arg(1 << 24);
 
 void BM_EngineScheduleStep(benchmark::State& state) {
   sim::Engine engine;

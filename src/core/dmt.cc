@@ -430,51 +430,57 @@ std::vector<DirtyRange> DataMappingTable::CollectDirty(
     auto it = map.find(ref.begin);
     S4D_DCHECK(it != map.end());
     if (!it->second.dirty) continue;
-    DirtyRange range;
-    range.file = file_names_[ref.file_index];
-    range.orig_begin = it->first;
-    range.orig_end = it->second.end;
-    range.cache_offset = it->second.cache_offset;
-    range.version = it->second.version;
-    out.push_back(std::move(range));
+    out.push_back(DirtyRange{file_names_[ref.file_index], it->first,
+                             it->second.end, it->second.cache_offset,
+                             it->second.version, ref.file_index});
   }
   return out;
 }
 
 std::vector<DirtyRun> DataMappingTable::CollectDirtyRuns(
-    byte_count max_total_bytes, byte_count max_run_bytes) const {
+    byte_count max_total_bytes, byte_count max_run_bytes,
+    const DirtyExtentSet* in_flight) const {
   std::vector<DirtyRun> runs;
   byte_count total = 0;
   for (std::size_t i = 0; i < files_.size() && total < max_total_bytes; ++i) {
+    const auto file_index = static_cast<std::uint32_t>(i);
+    // The open run spans [run.orig_begin, run.orig_end) once `open`; a busy
+    // run (one holding an in-flight extent) keeps only its span.
     DirtyRun run;
+    bool open = false;
+    bool busy = false;
     auto emit = [&] {
-      if (!run.segments.empty()) {
-        total += run.length();
-        runs.push_back(std::move(run));
-        run = DirtyRun{};
-      }
+      if (!open) return;
+      total += run.length();
+      if (!busy) runs.push_back(std::move(run));
+      run = DirtyRun{};
+      open = false;
+      busy = false;
     };
     // Only dirty extents are visited. A clean extent between two dirty ones
     // breaks their adjacency anyway, so the runs match a full-table walk.
     for (const byte_count begin : dirty_index_[i]) {
       if (total + run.length() >= max_total_bytes) break;
       const Entry& entry = files_[i].find(begin)->second;
-      const bool continues = !run.segments.empty() &&
-                             run.orig_end == begin &&
+      const bool continues = open && run.orig_end == begin &&
                              run.length() + (entry.end - begin) <= max_run_bytes;
       if (!continues) emit();
-      if (run.segments.empty()) {
-        run.file = file_names_[i];
+      if (!open) {
+        open = true;
         run.orig_begin = begin;
       }
       run.orig_end = entry.end;
-      DirtyRange seg;
-      seg.file = file_names_[i];
-      seg.orig_begin = begin;
-      seg.orig_end = entry.end;
-      seg.cache_offset = entry.cache_offset;
-      seg.version = entry.version;
-      run.segments.push_back(std::move(seg));
+      if (busy) continue;
+      if (in_flight != nullptr &&
+          in_flight->contains({file_index, begin, entry.version})) {
+        busy = true;
+        run.segments.clear();
+        continue;
+      }
+      if (run.segments.empty()) run.file = file_names_[i];
+      run.segments.push_back(DirtyRange{file_names_[i], begin, entry.end,
+                                        entry.cache_offset, entry.version,
+                                        file_index});
     }
     emit();
   }

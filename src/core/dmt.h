@@ -20,6 +20,7 @@
 #include <set>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "common/sim_time.h"
@@ -57,6 +58,29 @@ struct RemovedExtent {
   byte_count length() const { return orig_end - orig_begin; }
 };
 
+// Names one dirty-extent snapshot by the DMT's dense file index, the
+// extent's begin and its version. The Rebuilder keys its in-flight flushes
+// by it: a re-dirtied extent has a new version and so a new key.
+struct DirtyExtentKey {
+  std::uint32_t file_index = 0;
+  byte_count begin = 0;
+  std::uint64_t version = 0;
+
+  bool operator==(const DirtyExtentKey&) const = default;
+};
+
+struct DirtyExtentKeyHash {
+  // Only split halves share a version; the begin tells them apart.
+  std::size_t operator()(const DirtyExtentKey& key) const noexcept {
+    const std::uint64_t mixed = key.version ^
+                                (static_cast<std::uint64_t>(key.begin) << 1) ^
+                                (std::uint64_t{key.file_index} << 48);
+    return static_cast<std::size_t>(mixed * 0x9E3779B97F4A7C15ULL);
+  }
+};
+
+using DirtyExtentSet = std::unordered_set<DirtyExtentKey, DirtyExtentKeyHash>;
+
 // A dirty range snapshot handed to the Rebuilder for flushing.
 struct DirtyRange {
   std::string file;
@@ -64,6 +88,9 @@ struct DirtyRange {
   byte_count orig_end = 0;
   byte_count cache_offset = 0;
   std::uint64_t version = 0;  // entry version at snapshot time
+  std::uint32_t file_index = 0;  // the DMT's dense index of `file`
+
+  DirtyExtentKey key() const { return {file_index, orig_begin, version}; }
 };
 
 // A run of dirty extents contiguous in *original-file* space. The segments
@@ -136,9 +163,13 @@ class DataMappingTable {
 
   // Snapshots dirty extents in file order, coalescing extents adjacent in
   // the original file into runs of at most `max_run_bytes`, until about
-  // `max_total_bytes` have been collected.
-  std::vector<DirtyRun> CollectDirtyRuns(byte_count max_total_bytes,
-                                         byte_count max_run_bytes) const;
+  // `max_total_bytes` have been collected. A run holding an extent whose
+  // key is in `in_flight` is not materialised, but its bytes still count
+  // toward `max_total_bytes`: the result is exactly the in-flight-free runs
+  // of the full collection, in the same order.
+  std::vector<DirtyRun> CollectDirtyRuns(
+      byte_count max_total_bytes, byte_count max_run_bytes,
+      const DirtyExtentSet* in_flight = nullptr) const;
 
   // Clears D_flag on the entry exactly spanning [begin, end) iff its
   // version still equals `version` (no write raced the flush). Returns

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "common/check.h"
+
 namespace s4d::core {
 
 // In-flight state of one coalesced write-back run. `resolved` flips exactly
@@ -109,8 +111,7 @@ void Rebuilder::AbortFlushRun(const std::shared_ptr<FlushRun>& state) {
     state->timeout_event = sim::kInvalidEvent;
   }
   for (const DirtyRange& seg : state->run.segments) {
-    inflight_flush_.erase(
-        std::make_tuple(seg.file, seg.orig_begin, seg.version));
+    inflight_flush_.erase(seg.key());
   }
   if (obs_ != nullptr) {
     obs_flush_aborts_->Inc();
@@ -123,18 +124,21 @@ void Rebuilder::AbortFlushRun(const std::shared_ptr<FlushRun>& state) {
 }
 
 void Rebuilder::FlushDirty() {
+  // Both orders skip a run holding an extent whose flush is still in
+  // flight; its bytes still count toward the tick's budget.
   std::vector<DirtyRun> runs;
   if (flush_order_ == FlushOrder::kLruFirst) {
     // LRU-first destage: one single-extent run per dirty range, oldest
     // recency first, capped at the same per-tick byte budget. The run
-    // machinery below (busy-skip, watchdog, version-checked clean) is
-    // shared with the coalesced order.
+    // machinery below (watchdog, version-checked clean) is shared with
+    // the coalesced order.
     byte_count total = 0;
     for (DirtyRange& range :
          dmt_.CollectDirty(config_.fetch_batch_ranges * 4)) {
       const byte_count len = range.orig_end - range.orig_begin;
       if (total + len > config_.flush_batch_bytes && total > 0) break;
       total += len;
+      if (inflight_flush_.contains(range.key())) continue;
       DirtyRun run;
       run.file = range.file;
       run.orig_begin = range.orig_begin;
@@ -144,26 +148,16 @@ void Rebuilder::FlushDirty() {
     }
   } else {
     runs = dmt_.CollectDirtyRuns(config_.flush_batch_bytes,
-                                 config_.flush_run_bytes);
+                                 config_.flush_run_bytes, &inflight_flush_);
   }
-  for (const DirtyRun& run : runs) {
-    // Skip a run if any of its extents is already being flushed.
-    bool busy = false;
-    for (const DirtyRange& seg : run.segments) {
-      if (inflight_flush_.count(
-              std::make_tuple(seg.file, seg.orig_begin, seg.version)) > 0) {
-        busy = true;
-        break;
-      }
-    }
-    if (busy) continue;
-
+  for (DirtyRun& collected : runs) {
+    auto state = std::make_shared<FlushRun>();
+    state->run = std::move(collected);
+    const DirtyRun& run = state->run;
     ++stats_.flush_runs_started;
     stats_.flushes_started += static_cast<std::int64_t>(run.segments.size());
     stats_.flushed_bytes += run.length();
 
-    auto state = std::make_shared<FlushRun>();
-    state->run = run;
     state->cache_id = cservers_.OpenOrCreate(cache_file_namer_(run.file));
     state->orig_id = dservers_.OpenOrCreate(run.file);
     state->reads_left = static_cast<int>(run.segments.size());
@@ -181,8 +175,9 @@ void Rebuilder::FlushDirty() {
     }
 
     for (const DirtyRange& seg : run.segments) {
-      inflight_flush_.insert(
-          std::make_tuple(seg.file, seg.orig_begin, seg.version));
+      const bool fresh = inflight_flush_.insert(seg.key()).second;
+      S4D_DCHECK(fresh) << "flush issued twice for " << seg.file << " at "
+                        << seg.orig_begin;
       // Copy the cached tokens to the original file at issue time — the
       // simulator's linearization point for content effects.
       for (const auto& entry : cservers_.ReadContent(
@@ -231,8 +226,7 @@ void Rebuilder::FlushDirty() {
               }
             }
             for (const DirtyRange& seg : state->run.segments) {
-              inflight_flush_.erase(
-                  std::make_tuple(seg.file, seg.orig_begin, seg.version));
+              inflight_flush_.erase(seg.key());
               if (dmt_.MarkCleanIfVersion(seg.file, seg.orig_begin,
                                           seg.orig_end, seg.version)) {
                 ++stats_.flushes_cleaned;

@@ -26,7 +26,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 
 #include "core/cdt.h"
@@ -149,6 +148,7 @@ class Rebuilder {
   }
 
  private:
+  friend struct RebuilderTestPeer;  // reads the in-flight set in tests
   struct FlushRun;
 
   void ScheduleNext();
@@ -170,9 +170,9 @@ class Rebuilder {
 
   bool running_ = false;
   sim::EventId pending_tick_ = sim::kInvalidEvent;
-  // Flushes in flight, keyed by (file, begin, version) so a re-dirtied
-  // extent can be flushed again once the first flush resolves.
-  std::set<std::tuple<std::string, byte_count, std::uint64_t>> inflight_flush_;
+  // Flushes in flight, keyed by (file index, begin, version) so a
+  // re-dirtied extent can be flushed again once the first flush resolves.
+  DirtyExtentSet inflight_flush_;
   std::function<bool()> health_;
   // No reorganization I/O is issued before this time (failure backoff).
   SimTime retry_at_ = 0;

@@ -6,21 +6,24 @@
 //     Identifier's signed d) is within `seq_distance_max` of a known tail,
 //   * read fraction,
 //   * reuse fraction + mean log2 reuse distance — from a bounded sketch of
-//     recently touched blocks (block id -> last-seen request index).
+//     recently touched blocks ((file, block) -> last-seen request index).
 // The phase is kSequential / kRandom / kMixed by thresholds on the
 // sequential fraction. The PolicyEngine subscribes to window closes and may
 // switch eviction policy when the phase changes (ReCA's reconfiguration
 // step, applied to the eviction axis).
 //
-// The sketch is bounded and FIFO-evicted; all state is std::map-ordered and
-// seeded by nothing — same request stream, same summaries, every run.
+// The sketch is bounded and LRU-evicted: a hit refreshes the block's
+// last-seen index, and a miss on a full sketch evicts the least recently
+// seen block. Nothing is seeded and nothing iterates a hash table — same
+// request stream, same summaries, every run.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
+#include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "common/units.h"
 #include "device/device_model.h"
@@ -72,6 +75,8 @@ class WorkloadCharacterizer {
   const WindowSummary& last_window() const { return last_; }
   std::int64_t windows_closed() const { return windows_closed_; }
   std::int64_t observed() const { return observed_; }
+  // Blocks currently held by the reuse sketch.
+  std::size_t sketch_blocks() const { return sketch_.size(); }
 
   // S4D_CHECKs sketch bounds and counter consistency.
   void AuditInvariants() const;
@@ -87,11 +92,39 @@ class WorkloadCharacterizer {
   std::int64_t win_reuse_hits_ = 0;
   std::int64_t win_reuse_log2_sum_ = 0;
 
-  // Reuse sketch: (file, block) -> last-seen request index, FIFO-bounded
-  // via the companion recency map.
-  using BlockKey = std::pair<std::string, std::int64_t>;
-  std::map<BlockKey, std::int64_t> last_seen_;
-  std::map<std::int64_t, BlockKey> by_age_;  // last-seen index -> block
+  // Reuse sketch. Each block sits in one slab slot, reused when the block
+  // is evicted, so the slab never outgrows reuse_max_blocks. An intrusive
+  // list threads the slots from least to most recently seen, and a hash
+  // index finds a block's slot. File names are interned to dense ids; the
+  // id table keeps every name seen, one entry per file the run touches.
+  static constexpr std::uint32_t kNil = UINT32_MAX;
+  struct BlockKey {
+    std::uint32_t file = 0;
+    std::int64_t block = 0;
+    bool operator==(const BlockKey&) const = default;
+  };
+  struct BlockKeyHash {
+    std::size_t operator()(const BlockKey& key) const noexcept {
+      return static_cast<std::size_t>(
+          (static_cast<std::uint64_t>(key.block) ^
+           (std::uint64_t{key.file} << 40)) *
+          0x9E3779B97F4A7C15ULL);
+    }
+  };
+  struct SketchNode {
+    BlockKey key;
+    std::int64_t last_seen = 0;  // request index of the latest touch
+    std::uint32_t older = kNil;
+    std::uint32_t newer = kNil;
+  };
+  void Unlink(std::uint32_t slot);
+  void AppendNewest(std::uint32_t slot);
+
+  std::unordered_map<std::string, std::uint32_t> file_ids_;
+  std::unordered_map<BlockKey, std::uint32_t, BlockKeyHash> sketch_index_;
+  std::vector<SketchNode> sketch_;
+  std::uint32_t oldest_ = kNil;
+  std::uint32_t newest_ = kNil;
 
   std::int64_t observed_ = 0;
   std::int64_t windows_closed_ = 0;

@@ -20,6 +20,7 @@ struct DmtTestPeer {
     bool dirty = false;
     std::uint64_t version = 0;
     SimTime dirty_since = 0;
+    std::uint32_t file_index = 0;
   };
 
   // Every entry, clean or dirty, in file-then-offset order.
@@ -29,7 +30,8 @@ struct DmtTestPeer {
       for (const auto& [begin, entry] : dmt.files_[i]) {
         out.push_back(ScannedExtent{dmt.file_names_[i], begin, entry.end,
                                     entry.cache_offset, entry.dirty,
-                                    entry.version, entry.dirty_since});
+                                    entry.version, entry.dirty_since,
+                                    static_cast<std::uint32_t>(i)});
       }
     }
     return out;

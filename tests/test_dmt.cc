@@ -224,6 +224,48 @@ TEST(Dmt, CollectDirtyRunsSpansFiles) {
   EXPECT_NE(runs[0].file, runs[1].file);
 }
 
+// A run holding an in-flight extent is not returned, but its bytes still
+// count toward the budget: the runs returned are the full collection's
+// in-flight-free runs, whatever the in-flight set.
+TEST(Dmt, CollectDirtyRunsSkipsInFlightRunButSpendsItsBudget) {
+  DataMappingTable dmt;
+  dmt.Insert("a", 0, 100, 0, true);      // A
+  dmt.Insert("a", 200, 100, 100, true);  // B1, B2, B3: one coalesced run
+  dmt.Insert("a", 300, 100, 200, true);
+  dmt.Insert("a", 400, 100, 300, true);
+  dmt.Insert("b", 0, 100, 400, true);  // C
+  const auto all = dmt.CollectDirtyRuns(350, 1 << 20);
+  // B straddles the 350-byte budget: it starts at 100 bytes and ends at
+  // 400, so the walk stops before file b.
+  ASSERT_EQ(all.size(), 2u);
+  EXPECT_EQ(all[1].orig_begin, 200);
+  EXPECT_EQ(all[1].orig_end, 500);
+
+  // B2 in flight: B1 and B3 do not flush on their own, and C stays past
+  // the budget B still spends.
+  const DirtyExtentSet in_flight{all[1].segments[1].key()};
+  const auto runs = dmt.CollectDirtyRuns(350, 1 << 20, &in_flight);
+  ASSERT_EQ(runs.size(), 1u);
+  EXPECT_EQ(runs[0].file, "a");
+  EXPECT_EQ(runs[0].orig_begin, 0);
+  EXPECT_EQ(runs[0].orig_end, 100);
+}
+
+TEST(Dmt, ReDirtiedExtentIsCollectedWhileOldVersionIsInFlight) {
+  DataMappingTable dmt;
+  dmt.Insert("f", 0, 100, 0, true);
+  const auto first = dmt.CollectDirtyRuns(1 << 20, 1 << 20);
+  ASSERT_EQ(first.size(), 1u);
+  const DirtyExtentSet in_flight{first[0].segments[0].key()};
+  EXPECT_TRUE(dmt.CollectDirtyRuns(1 << 20, 1 << 20, &in_flight).empty());
+
+  dmt.SetDirty("f", 0, 100, true);  // a write hit: same extent, new version
+  const auto again = dmt.CollectDirtyRuns(1 << 20, 1 << 20, &in_flight);
+  ASSERT_EQ(again.size(), 1u);
+  EXPECT_EQ(again[0].orig_begin, 0);
+  EXPECT_GT(again[0].segments[0].version, first[0].segments[0].version);
+}
+
 TEST(Dmt, MarkCleanIfVersionMatches) {
   DataMappingTable dmt;
   dmt.Insert("f", 0, 100, 0, true);
@@ -371,7 +413,8 @@ TEST_F(DmtPersistenceTest, EvictionRemovesPersistedRecord) {
 // The references below are the full-table walks they replaced, run over a
 // scan of every entry. Under a seeded fuzz of every mutation that touches
 // the index (splits of dirty extents and reloads from the store included)
-// both must agree exactly.
+// both must agree exactly. Given a random in-flight subset, CollectDirtyRuns
+// must also return exactly what collect-then-skip returns.
 
 using TableScan = std::vector<DmtTestPeer::ScannedExtent>;
 
@@ -406,8 +449,8 @@ std::vector<DirtyRun> ReferenceDirtyRuns(const TableScan& scan,
         run.orig_begin = e.begin;
       }
       run.orig_end = e.end;
-      run.segments.push_back(
-          DirtyRange{file, e.begin, e.end, e.cache_offset, e.version});
+      run.segments.push_back(DirtyRange{file, e.begin, e.end, e.cache_offset,
+                                        e.version, e.file_index});
     }
     emit();
     while (i < scan.size() && scan[i].file == file) ++i;  // budget spent
@@ -453,13 +496,27 @@ DataMappingTable::DirtyAgeSummary ReferenceDirtyAges(const TableScan& scan,
   return summary;
 }
 
+// The Rebuilder's flush pass before the DMT learned the in-flight set:
+// collect every run, then skip each run holding an in-flight extent.
+std::vector<DirtyRun> SkipInFlight(std::vector<DirtyRun> runs,
+                                   const DirtyExtentSet& in_flight) {
+  std::erase_if(runs, [&](const DirtyRun& run) {
+    return std::any_of(run.segments.begin(), run.segments.end(),
+                       [&](const DirtyRange& seg) {
+                         return in_flight.contains(seg.key());
+                       });
+  });
+  return runs;
+}
+
 std::string RunsText(const std::vector<DirtyRun>& runs) {
   std::ostringstream out;
   for (const DirtyRun& run : runs) {
     out << run.file << "[" << run.orig_begin << "," << run.orig_end << "):";
     for (const DirtyRange& seg : run.segments) {
-      out << " " << seg.file << "[" << seg.orig_begin << "," << seg.orig_end
-          << ")@" << seg.cache_offset << "v" << seg.version;
+      out << " " << seg.file << "#" << seg.file_index << "[" << seg.orig_begin
+          << "," << seg.orig_end << ")@" << seg.cache_offset << "v"
+          << seg.version;
     }
     out << "\n";
   }
@@ -478,6 +535,11 @@ TEST_F(DmtPersistenceTest, DirtyIndexWalksMatchFullScanUnderFuzz) {
     dmt->SetClock([&now] { return now; });
     byte_count next_cache = 0;
     std::int64_t most_dirty = 0;
+    // In-flight subsets draw from their own stream, so the table churn is
+    // the same as without them.
+    Rng busy_rng(seed + 100);
+    std::vector<DirtyExtentKey> kept_in_flight;
+    std::int64_t busy_runs = 0;
     for (int step = 0; step < 4000; ++step) {
       now += rng.NextInRange(0, 1000);
       const std::string& file = files[rng.NextBelow(3)];
@@ -546,8 +608,31 @@ TEST_F(DmtPersistenceTest, DirtyIndexWalksMatchFullScanUnderFuzz) {
       const TableScan scan = DmtTestPeer::Scan(*dmt);
       const byte_count budget = rng.NextInRange(1, 16 * 1024);
       const byte_count run_cap = rng.NextInRange(1, 1024);
+      const std::vector<DirtyRun> want_runs =
+          ReferenceDirtyRuns(scan, budget, run_cap);
       ASSERT_EQ(RunsText(dmt->CollectDirtyRuns(budget, run_cap)),
-                RunsText(ReferenceDirtyRuns(scan, budget, run_cap)))
+                RunsText(want_runs))
+          << "seed " << seed << " step " << step;
+      // A random in-flight subset: keys kept from earlier checks (their
+      // extents may since have been re-dirtied, split or removed) and some
+      // of the current dirty extents.
+      std::vector<DirtyExtentKey> keys;
+      for (const DirtyExtentKey& key : kept_in_flight) {
+        if (busy_rng.NextBool(0.5)) keys.push_back(key);
+      }
+      for (const DmtTestPeer::ScannedExtent& e : scan) {
+        if (e.dirty && busy_rng.NextBool(0.2)) {
+          keys.push_back({e.file_index, e.begin, e.version});
+        }
+      }
+      kept_in_flight = keys;
+      const DirtyExtentSet in_flight(keys.begin(), keys.end());
+      const std::vector<DirtyRun> want_free =
+          SkipInFlight(want_runs, in_flight);
+      busy_runs +=
+          static_cast<std::int64_t>(want_runs.size() - want_free.size());
+      ASSERT_EQ(RunsText(dmt->CollectDirtyRuns(budget, run_cap, &in_flight)),
+                RunsText(want_free))
           << "seed " << seed << " step " << step;
       const auto ages = dmt->SummarizeDirtyAges(now);
       const auto want = ReferenceDirtyAges(scan, now);
@@ -559,6 +644,7 @@ TEST_F(DmtPersistenceTest, DirtyIndexWalksMatchFullScanUnderFuzz) {
     }
     // Enough dirty extents to exercise the p50 sample's decimation.
     EXPECT_GT(most_dirty, 512) << "seed " << seed;
+    EXPECT_GT(busy_runs, 100) << "seed " << seed;
   }
 }
 

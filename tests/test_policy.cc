@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <string>
+#include <utility>
 
 #include "common/config_parser.h"
 #include "common/rng.h"
@@ -290,6 +293,154 @@ TEST(WorkloadCharacterizer, ReuseSketchStaysBounded) {
   }
   EXPECT_GT(wc.last_window().reuse_fraction, 0.0);
   wc.AuditInvariants();
+}
+
+// The reuse sketch was two std::maps: (file, block) -> last-seen index and
+// last-seen index -> block. OracleCharacterizer keeps that implementation,
+// with the window accumulators, as the reference the slab-and-list sketch
+// must match summary for summary.
+class OracleCharacterizer {
+ public:
+  explicit OracleCharacterizer(CharacterizerConfig config) : config_(config) {}
+
+  void Observe(const std::string& file, device::IoKind kind,
+               byte_count offset, byte_count size, byte_count distance) {
+    ++observed_;
+    ++win_requests_;
+    if (kind == device::IoKind::kRead) ++win_reads_;
+    const byte_count magnitude = distance < 0 ? -distance : distance;
+    if (magnitude <= config_.seq_distance_max) ++win_sequential_;
+    if (config_.reuse_max_blocks > 0 && config_.reuse_block > 0 && size > 0) {
+      const BlockKey key{file, offset / config_.reuse_block};
+      auto it = last_seen_.find(key);
+      if (it != last_seen_.end()) {
+        ++win_reuse_hits_;
+        std::int64_t gap = std::max<std::int64_t>(observed_ - it->second, 1);
+        std::int64_t bits = 0;
+        while (gap > 1) {
+          gap >>= 1;
+          ++bits;
+        }
+        win_reuse_log2_sum_ += bits;
+        by_age_.erase(it->second);
+        it->second = observed_;
+      } else {
+        last_seen_[key] = observed_;
+        while (last_seen_.size() > config_.reuse_max_blocks) {
+          const auto oldest = by_age_.begin();
+          last_seen_.erase(oldest->second);
+          by_age_.erase(oldest);
+        }
+      }
+      by_age_[observed_] = key;
+    }
+    if (win_requests_ < config_.window_requests) return;
+    WindowSummary summary;
+    summary.index = windows_closed_;
+    summary.requests = win_requests_;
+    const auto total = static_cast<double>(win_requests_);
+    summary.seq_fraction = static_cast<double>(win_sequential_) / total;
+    summary.read_fraction = static_cast<double>(win_reads_) / total;
+    summary.reuse_fraction = static_cast<double>(win_reuse_hits_) / total;
+    summary.mean_reuse_log2 =
+        win_reuse_hits_ > 0 ? static_cast<double>(win_reuse_log2_sum_) /
+                                  static_cast<double>(win_reuse_hits_)
+                            : 0.0;
+    if (summary.seq_fraction >= config_.seq_high) {
+      summary.phase = WorkloadPhase::kSequential;
+    } else if (summary.seq_fraction <= config_.seq_low) {
+      summary.phase = WorkloadPhase::kRandom;
+    } else {
+      summary.phase = WorkloadPhase::kMixed;
+    }
+    last_ = summary;
+    ++windows_closed_;
+    win_requests_ = win_sequential_ = win_reads_ = win_reuse_hits_ = 0;
+    win_reuse_log2_sum_ = 0;
+  }
+
+  const WindowSummary& last_window() const { return last_; }
+  std::int64_t windows_closed() const { return windows_closed_; }
+  std::size_t sketch_blocks() const { return last_seen_.size(); }
+
+ private:
+  using BlockKey = std::pair<std::string, std::int64_t>;
+  CharacterizerConfig config_;
+  std::int64_t win_requests_ = 0;
+  std::int64_t win_sequential_ = 0;
+  std::int64_t win_reads_ = 0;
+  std::int64_t win_reuse_hits_ = 0;
+  std::int64_t win_reuse_log2_sum_ = 0;
+  std::map<BlockKey, std::int64_t> last_seen_;
+  std::map<std::int64_t, BlockKey> by_age_;
+  std::int64_t observed_ = 0;
+  std::int64_t windows_closed_ = 0;
+  WindowSummary last_;
+};
+
+// Seeded multi-file mixes: strided streams (misses), a small hot span
+// (hits at short reuse distances), a wide random span (misses and evictions)
+// and zero-size requests (no sketch update), under every sketch bound.
+TEST(WorkloadCharacterizer, ReuseSketchMatchesTwoMapOracle) {
+  const std::string files[] = {"a", "b",
+                               "a-file-name-longer-than-the-sso-buffer"};
+  for (const std::size_t max_blocks : {1, 2, 64, 4096}) {
+    for (const byte_count block : {4 * KiB, 64 * KiB}) {
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        CharacterizerConfig config;
+        config.window_requests = 16;
+        config.reuse_max_blocks = max_blocks;
+        config.reuse_block = block;
+        WorkloadCharacterizer wc(config);
+        OracleCharacterizer oracle(config);
+        Rng rng(seed * 1000 + max_blocks);
+        byte_count stream[3] = {0, 0, 0};
+        std::int64_t hits = 0;
+        for (int step = 0; step < 10000; ++step) {
+          const std::size_t f = rng.NextBelow(3);
+          byte_count offset = 0;
+          switch (rng.NextBelow(4)) {
+            case 0:
+              offset = stream[f];
+              stream[f] += 16 * KiB;
+              break;
+            case 1:
+              offset = rng.NextInRange(0, 32) * 4 * KiB;
+              break;
+            default:
+              offset = rng.NextInRange(0, 1 << 20) * 4 * KiB;
+          }
+          const byte_count size = rng.NextBool(0.05) ? 0 : 16 * KiB;
+          const auto kind = rng.NextBool(0.5) ? device::IoKind::kRead
+                                              : device::IoKind::kWrite;
+          const byte_count distance = rng.NextInRange(-4 * MiB, 4 * MiB);
+          wc.Observe(files[f], kind, offset, size, distance);
+          oracle.Observe(files[f], kind, offset, size, distance);
+          const WindowSummary& got = wc.last_window();
+          const WindowSummary& want = oracle.last_window();
+          const std::string where = "blocks " + std::to_string(max_blocks) +
+                                    " block " + std::to_string(block) +
+                                    " seed " + std::to_string(seed) +
+                                    " step " + std::to_string(step);
+          ASSERT_EQ(wc.sketch_blocks(), oracle.sketch_blocks()) << where;
+          ASSERT_EQ(wc.windows_closed(), oracle.windows_closed()) << where;
+          ASSERT_EQ(got.index, want.index) << where;
+          ASSERT_EQ(got.requests, want.requests) << where;
+          ASSERT_EQ(got.seq_fraction, want.seq_fraction) << where;
+          ASSERT_EQ(got.read_fraction, want.read_fraction) << where;
+          ASSERT_EQ(got.reuse_fraction, want.reuse_fraction) << where;
+          ASSERT_EQ(got.mean_reuse_log2, want.mean_reuse_log2) << where;
+          ASSERT_EQ(got.phase, want.phase) << where;
+          if (step % 64 == 0) wc.AuditInvariants();
+          hits += got.reuse_fraction > 0.0 ? 1 : 0;
+        }
+        wc.AuditInvariants();
+        EXPECT_GT(hits, 0) << "the mix must produce reuse hits";
+        // More distinct blocks than the bound: the sketch filled and evicted.
+        EXPECT_EQ(wc.sketch_blocks(), max_blocks);
+      }
+    }
+  }
 }
 
 // --- ParsePolicyConfig -----------------------------------------------------

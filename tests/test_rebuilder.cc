@@ -2,10 +2,34 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <sstream>
+#include <tuple>
+#include <vector>
+
+#include "common/rng.h"
 #include "core/s4d_cache.h"
 #include "harness/testbed.h"
 
 namespace s4d::core {
+
+// Test-only friend of Rebuilder (declared in its header).
+struct RebuilderTestPeer {
+  // The keys of the flushes in flight, sorted (see Sorted).
+  static std::vector<DirtyExtentKey> InFlight(const Rebuilder& rebuilder) {
+    return Sorted({rebuilder.inflight_flush_.begin(),
+                   rebuilder.inflight_flush_.end()});
+  }
+  // In (file index, begin, version) order.
+  static std::vector<DirtyExtentKey> Sorted(std::vector<DirtyExtentKey> keys) {
+    std::sort(keys.begin(), keys.end(), [](const auto& a, const auto& b) {
+      return std::tie(a.file_index, a.begin, a.version) <
+             std::tie(b.file_index, b.begin, b.version);
+    });
+    return keys;
+  }
+};
+
 namespace {
 
 harness::TestbedConfig SmallTestbed() {
@@ -375,6 +399,192 @@ TEST(Rebuilder, RacingWriteKeepsExtentDirty) {
   const auto content = bed.dservers().ReadContent(orig, 200 * MiB, 16 * KiB);
   ASSERT_EQ(content.size(), 1u);
   EXPECT_EQ(content[0].value, 2u);
+}
+
+// The flush pass's runs before the DMT learned the in-flight set: collect
+// every run in the tick's order, then skip each run holding an extent whose
+// flush is still in flight.
+std::vector<DirtyRun> ReferenceFlushPass(
+    const DataMappingTable& dmt, FlushOrder order,
+    const RebuilderConfig& config, const std::vector<DirtyExtentKey>& busy) {
+  std::vector<DirtyRun> runs;
+  if (order == FlushOrder::kLruFirst) {
+    byte_count total = 0;
+    for (DirtyRange& range : dmt.CollectDirty(config.fetch_batch_ranges * 4)) {
+      const byte_count len = range.orig_end - range.orig_begin;
+      if (total + len > config.flush_batch_bytes && total > 0) break;
+      total += len;
+      DirtyRun run;
+      run.file = range.file;
+      run.orig_begin = range.orig_begin;
+      run.orig_end = range.orig_end;
+      run.segments.push_back(std::move(range));
+      runs.push_back(std::move(run));
+    }
+  } else {
+    runs = dmt.CollectDirtyRuns(config.flush_batch_bytes,
+                                config.flush_run_bytes);
+  }
+  std::erase_if(runs, [&](const DirtyRun& run) {
+    return std::any_of(
+        run.segments.begin(), run.segments.end(), [&](const DirtyRange& seg) {
+          return std::find(busy.begin(), busy.end(), seg.key()) != busy.end();
+        });
+  });
+  return runs;
+}
+
+// One line per run (its bytes and extent count), then one per extent (its
+// cache-file read): what a tick's flush pass issues, in issue order.
+std::string IssueText(const std::vector<DirtyRun>& runs) {
+  std::ostringstream out;
+  for (const DirtyRun& run : runs) {
+    out << "run " << run.length() << " bytes, " << run.segments.size()
+        << " extents\n";
+    for (const DirtyRange& seg : run.segments) {
+      out << "  read [" << seg.cache_offset << ", +"
+          << seg.orig_end - seg.orig_begin << ")\n";
+    }
+  }
+  return out.str();
+}
+
+// Under seeded insert / re-dirty / split / invalidate churn, with flushes
+// left in flight for a random number of engine events, every tick of either
+// destage order issues exactly the reference's runs: the same run lengths
+// and extent counts, the same cache reads in the same order, and the same
+// (file index, begin, version) keys enter the in-flight set.
+TEST(Rebuilder, FlushPassMatchesCollectThenSkipReference) {
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    harness::Testbed bed(SmallTestbed());
+    S4DConfig cfg = ManualRebuilder();
+    cfg.rebuilder.flush_batch_bytes = 160 * KiB;
+    cfg.rebuilder.flush_run_bytes = 48 * KiB;
+    cfg.rebuilder.fetch_batch_ranges = 8;
+    auto s4d = bed.MakeS4D(cfg);
+    obs::Observability obs;
+    obs.tracer.set_enabled(true);
+    s4d->rebuilder().SetObservability(&obs);
+    std::vector<std::pair<byte_count, byte_count>> reads;
+    bed.cservers().AddObserver([&](const pfs::RequestRecord& r) {
+      if (r.kind == device::IoKind::kRead) reads.emplace_back(r.offset, r.size);
+    });
+
+    DataMappingTable& dmt = s4d->dmt();
+    const std::string files[] = {"a", "b"};
+    Rng rng(seed);
+    byte_count next_cache = 0;
+    std::int64_t skipped = 0;
+    std::int64_t reflushed = 0;
+    for (int tick = 0; tick < 400; ++tick) {
+      for (std::int64_t m = rng.NextInRange(1, 6); m > 0; --m) {
+        const std::string& file = files[rng.NextBelow(2)];
+        const byte_count offset = rng.NextInRange(0, 127) * 4 * KiB;
+        const byte_count size = rng.NextInRange(1, 8) * 4 * KiB;
+        switch (rng.NextBelow(7)) {
+          case 0:
+          case 1:
+          case 2:  // admission: map the gaps dirty
+            for (const auto& [gap_begin, gap_end] :
+                 dmt.Lookup(file, offset, size).gaps) {
+              dmt.Insert(file, gap_begin, gap_end - gap_begin, next_cache,
+                         /*dirty=*/true);
+              next_cache += gap_end - gap_begin;
+            }
+            break;
+          case 3:
+          case 4:  // write hit: splits, re-dirties with new versions
+            dmt.SetDirty(file, offset, size, true);
+            break;
+          case 5:  // non-admitted write: splits, removes the middle
+            (void)dmt.Invalidate(file, offset, size);
+            break;
+          default:
+            dmt.SetDirty(file, offset, size, false);
+        }
+      }
+      const FlushOrder order =
+          rng.NextBool(0.5) ? FlushOrder::kFileRuns : FlushOrder::kLruFirst;
+      s4d->rebuilder().set_flush_order(order);
+
+      const std::vector<DirtyExtentKey> before =
+          RebuilderTestPeer::InFlight(s4d->rebuilder());
+      const std::vector<DirtyRun> want =
+          ReferenceFlushPass(dmt, order, cfg.rebuilder, before);
+      skipped += static_cast<std::int64_t>(
+          ReferenceFlushPass(dmt, order, cfg.rebuilder, {}).size() -
+          want.size());
+      std::vector<DirtyExtentKey> want_keys = before;
+      for (const DirtyRun& run : want) {
+        for (const DirtyRange& seg : run.segments) {
+          want_keys.push_back(seg.key());
+          reflushed += std::count_if(
+              before.begin(), before.end(), [&](const DirtyExtentKey& k) {
+                return k.file_index == seg.file_index &&
+                       k.begin == seg.orig_begin && k.version != seg.version;
+              });
+        }
+      }
+      want_keys = RebuilderTestPeer::Sorted(std::move(want_keys));
+
+      reads.clear();
+      const std::size_t first_span = obs.tracer.records().size();
+      s4d->rebuilder().Tick();
+      std::ostringstream got;
+      std::size_t next_read = 0;
+      for (std::size_t i = first_span; i < obs.tracer.records().size(); ++i) {
+        const obs::SpanRecord& span = obs.tracer.records()[i];
+        if (std::string(span.name) != "flush_run") continue;
+        ASSERT_EQ(span.args.size(), 2u);
+        const int extents = std::stoi(span.args[1].value);
+        got << "run " << span.args[0].value << " bytes, " << extents
+            << " extents\n";
+        for (int e = 0; e < extents && next_read < reads.size(); ++e) {
+          const auto& [offset, size] = reads[next_read++];
+          got << "  read [" << offset << ", +" << size << ")\n";
+        }
+      }
+      const std::string where =
+          "seed " + std::to_string(seed) + " tick " + std::to_string(tick);
+      ASSERT_EQ(next_read, reads.size()) << where;
+      ASSERT_EQ(got.str(), IssueText(want)) << where;
+      ASSERT_TRUE(RebuilderTestPeer::InFlight(s4d->rebuilder()) == want_keys)
+          << where;
+
+      // Let some flushes resolve and leave the rest in flight.
+      std::int64_t steps = rng.NextInRange(0, 40);
+      while (steps-- > 0 && bed.engine().Step()) {
+      }
+    }
+    EXPECT_GT(skipped, 0) << "seed " << seed;
+    EXPECT_GT(reflushed, 0) << "seed " << seed;
+  }
+}
+
+TEST(Rebuilder, ReDirtiedExtentFlushesAgainWhileOldVersionInFlight) {
+  for (const FlushOrder order :
+       {FlushOrder::kFileRuns, FlushOrder::kLruFirst}) {
+    harness::Testbed bed(SmallTestbed());
+    auto s4d = bed.MakeS4D(ManualRebuilder());
+    s4d->rebuilder().set_flush_order(order);
+    s4d->Open("f");
+    DoIo(bed, *s4d, device::IoKind::kWrite, "f", 0, 200 * MiB, 16 * KiB, 1);
+
+    s4d->rebuilder().Tick();  // the flush stays in flight: no engine steps
+    s4d->rebuilder().Tick();  // same version still in flight: skipped
+    EXPECT_EQ(s4d->rebuilder_stats().flush_runs_started, 1);
+
+    s4d->dmt().SetDirty("f", 200 * MiB, 16 * KiB, true);  // new version
+    s4d->rebuilder().Tick();
+    EXPECT_EQ(s4d->rebuilder_stats().flush_runs_started, 2);
+    EXPECT_EQ(RebuilderTestPeer::InFlight(s4d->rebuilder()).size(), 2u);
+
+    bed.engine().Run();
+    EXPECT_EQ(s4d->rebuilder_stats().flush_races, 1) << "old version";
+    EXPECT_EQ(s4d->rebuilder_stats().flushes_cleaned, 1) << "new version";
+    EXPECT_EQ(s4d->dmt().dirty_bytes(), 0);
+    EXPECT_TRUE(RebuilderTestPeer::InFlight(s4d->rebuilder()).empty());
+  }
 }
 
 TEST(Rebuilder, PeriodicTicksRunWhenEnabled) {
