@@ -12,7 +12,7 @@
 //
 // The calibration engine watches live per-server completion telemetry,
 // fits T_C with a queue-delay term from the observed outstanding depth,
-// and arms the redirector's saturation probe. Once the CServer's depth
+// and feeds the redirector's saturation signal. Once the CServer's depth
 // crosses the bound, admissions bypass to the DServers and the overflow
 // rides the HDD array's aggregate bandwidth instead of one SSD's link.
 //
@@ -38,6 +38,31 @@ struct VariantResult {
   long long cache_routed = 0;   // requests with any cache-tier bytes
   long long declines = 0;       // calibration fell back to the static model
   long long saturation_bypasses = 0;
+};
+
+// Scores each completed request's route against the cost model's
+// prediction for it.
+struct MispredictScorer final : core::CacheExtension {
+  void OnOutcome(const core::RequestOutcome& o) override {
+    ++requests;
+    if (o.cache_bytes > 0) ++cache_routed;
+    // Mispredict only over single-tier requests: a split request's latency
+    // mixes both tiers and matches neither per-tier prediction.
+    if (o.cache_bytes > 0 && o.dserver_bytes == 0) {
+      err_sum += std::fabs(static_cast<double>(o.predicted_cserver) -
+                           static_cast<double>(o.latency));
+      ++err_n;
+    } else if (o.cache_bytes == 0 && o.dserver_bytes > 0) {
+      err_sum += std::fabs(static_cast<double>(o.predicted_dserver) -
+                           static_cast<double>(o.latency));
+      ++err_n;
+    }
+  }
+
+  long long requests = 0;
+  long long cache_routed = 0;
+  long double err_sum = 0.0;
+  long long err_n = 0;
 };
 
 VariantResult RunVariant(const BenchArgs& args, bool calibrated,
@@ -66,24 +91,8 @@ VariantResult RunVariant(const BenchArgs& args, bool calibrated,
     cal->Attach(*s4d, bed.dservers(), bed.cservers(), nullptr);
   }
 
-  VariantResult out;
-  long double err_sum = 0.0;
-  long long err_n = 0;
-  s4d->SetRequestObserver([&](const core::RequestOutcome& o) {
-    ++out.requests;
-    if (o.cache_bytes > 0) ++out.cache_routed;
-    // Mispredict only over single-tier requests: a split request's latency
-    // mixes both tiers and matches neither per-tier prediction.
-    if (o.cache_bytes > 0 && o.dserver_bytes == 0) {
-      err_sum += std::fabs(static_cast<double>(o.predicted_cserver) -
-                           static_cast<double>(o.latency));
-      ++err_n;
-    } else if (o.cache_bytes == 0 && o.dserver_bytes > 0) {
-      err_sum += std::fabs(static_cast<double>(o.predicted_dserver) -
-                           static_cast<double>(o.latency));
-      ++err_n;
-    }
-  });
+  MispredictScorer scorer;
+  s4d->Attach(scorer);
 
   mpiio::MpiIoLayer layer(bed.engine(), *s4d);
   workloads::IorConfig wcfg;
@@ -97,9 +106,14 @@ VariantResult RunVariant(const BenchArgs& args, bool calibrated,
   workloads::IorWorkload wl(wcfg);
   const auto result = harness::RunClosedLoop(layer, wl);
 
+  VariantResult out;
   out.mbps = result.throughput_mbps;
+  out.requests = scorer.requests;
+  out.cache_routed = scorer.cache_routed;
   out.mispredict_us =
-      err_n > 0 ? static_cast<double>(err_sum / err_n) / 1e3 : 0.0;
+      scorer.err_n > 0
+          ? static_cast<double>(scorer.err_sum / scorer.err_n) / 1e3
+          : 0.0;
   if (cal) {
     out.declines = cal->stats().declines;
     out.saturation_bypasses =

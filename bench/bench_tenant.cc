@@ -222,7 +222,7 @@ WearResult RunWriteStream(const BenchArgs& args, bool endurance, int writes) {
   WearResult result;
   result.admissions = s4d->redirector_stats().write_admissions;
   result.cserver_bytes = s4d->counters().cserver_bytes;
-  result.wear_fraction = s4d->CacheTierWearFraction();
+  result.wear_fraction = s4d->tier().WearFraction();
   if (manager) {
     result.vetoes = manager->stats(0).endurance_vetoes +
                     manager->stats(0).pressure_vetoes +

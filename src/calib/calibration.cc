@@ -129,12 +129,6 @@ void CalibrationEngine::Attach(core::S4DCache& cache,
         &cservers_.serve[static_cast<std::size_t>(i)], &ServeTapThunk);
   }
   cache.SetCostCalibration(this);
-  cache.SetQueuePressureProbe([this] { return MeanCServerDepth(); });
-  cache.SetQueueDelayProbe([this] { return CServerQueueDelayEstimate(); });
-  if (config_.saturation_depth > 0.0) {
-    cache.redirector().SetSaturationProbe(
-        [this] { return CacheTierSaturated(); });
-  }
   if (obs != nullptr) {
     // Lazy gauges: resolved at export time.
     obs->metrics.SetGaugeFn("calib.samples", [this] {
@@ -286,10 +280,10 @@ SimTime CalibrationEngine::CServerQueueDelayEstimate() const {
   return static_cast<SimTime>(std::llround(worst));
 }
 
-bool CalibrationEngine::CacheTierSaturated() {
+bool CalibrationEngine::CacheTierSaturated() const {
+  if (config_.saturation_depth <= 0.0) return false;
   ++stats_.saturation_polls;
-  const bool saturated = config_.saturation_depth > 0.0 &&
-                         MeanCServerDepth() > config_.saturation_depth;
+  const bool saturated = MeanCServerDepth() > config_.saturation_depth;
   if (saturated) ++stats_.saturated_polls;
   return saturated;
 }

@@ -74,8 +74,8 @@ struct CalibConfig {
   // disables queue awareness while keeping the fitted a/b.
   double queue_gain = 1.0;
   // Mean outstanding sub-requests per CServer beyond which the cache tier
-  // is reported saturated (Redirector load-shedding + the policy veto's
-  // delay probe). 0 disables the saturation signal.
+  // is reported saturated (the Redirector's load shedding). 0 disables the
+  // saturation signal.
   double saturation_depth = 0.0;
   // Which tiers are calibrated. Disabling one leaves that tier's estimate
   // fully static.
@@ -89,7 +89,7 @@ struct CalibStats {
   std::int64_t dserver_estimates = 0; // calibrated T_D estimates served
   std::int64_t cserver_estimates = 0; // calibrated T_C estimates served
   std::int64_t declines = 0;          // estimates declined (cold cells)
-  std::int64_t saturation_polls = 0;  // saturation probe consultations
+  std::int64_t saturation_polls = 0;  // saturation signal consultations
   std::int64_t saturated_polls = 0;   // ... that reported saturation
 };
 
@@ -148,10 +148,10 @@ class CalibrationEngine final : public core::CostCalibration,
 
   // Wires the engine into a live stack: installs itself as both
   // FileSystems' sub-request sink, as the FileServers' serve taps (one
-  // ServeTotals per server), as `cache`'s cost-calibration provider and queue
-  // probes, and as the Redirector's saturation probe (when
-  // `saturation_depth` bounds it). Registers `calib.*` gauges when `obs`
-  // is non-null. Call once, before any I/O.
+  // ServeTotals per server), and as `cache`'s cost-calibration provider —
+  // which also makes it the source of the cache's queue depth, queue delay
+  // and saturation signals (core::TierSignals). Registers `calib.*` gauges
+  // when `obs` is non-null. Call once, before any I/O.
   void Attach(core::S4DCache& cache, pfs::FileSystem& dserver_fs,
               pfs::FileSystem& cserver_fs, obs::Observability* obs);
 
@@ -165,14 +165,13 @@ class CalibrationEngine final : public core::CostCalibration,
   void OnSubRequestResolved(const pfs::SubRequestSample& sample) override;
 
   // Mean outstanding sub-requests per CServer (client-side counters).
-  // Backs S4DCache::CacheTierMeanQueueDepth when attached.
-  double MeanCServerDepth() const;
-  // Fitted mean queue delay across the cache tier: mean depth × mean fitted
-  // queue unit. Backs the policy admission veto's delay probe.
-  SimTime CServerQueueDelayEstimate() const;
-  // Saturation signal for the Redirector (bounded by
-  // `saturation_depth`; always false when unbounded).
-  bool CacheTierSaturated();
+  double MeanCServerDepth() const override;
+  // Fitted queue delay across the cache tier: the worst server's depth ×
+  // its mean fitted queue unit. Backs the policy's time-unit veto.
+  SimTime CServerQueueDelayEstimate() const override;
+  // Mean depth beyond `saturation_depth`; always false (and no poll
+  // counted) when unbounded.
+  bool CacheTierSaturated() const override;
 
   // One per-server row, read from the live serve-tap totals. `fitted`
   // solves the read-kind cell for DServers and the busier kind for

@@ -46,6 +46,15 @@ class CostCalibration {
   // is actually exhibiting, so the health `scale` is NOT re-applied on top.
   virtual SimTime CServerEstimate(device::IoKind kind, byte_count offset,
                                   byte_count size) const = 0;
+
+  // The cache tier's load as the provider sees it, read by TierSignals.
+  // Mean outstanding sub-requests per CServer (client-side counters).
+  virtual double MeanCServerDepth() const = 0;
+  // Estimated queue delay across the cache tier.
+  virtual SimTime CServerQueueDelayEstimate() const = 0;
+  // Whether the tier is past the provider's saturation bound; always false
+  // when no bound is configured. Each call under a bound counts as a poll.
+  virtual bool CacheTierSaturated() const = 0;
 };
 
 struct CostModelParams {

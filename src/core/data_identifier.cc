@@ -39,9 +39,10 @@ byte_count DataIdentifier::DistanceFor(const std::string& file, int rank,
   return offset - it->second;
 }
 
-bool DataIdentifier::Identify(const std::string& file, int rank,
-                              device::IoKind kind, byte_count offset,
-                              byte_count size) {
+Decision DataIdentifier::Identify(const std::string& file, int rank,
+                                  device::IoKind kind, byte_count offset,
+                                  byte_count size,
+                                  std::span<CacheExtension* const> extensions) {
   ++stats_.requests;
   const byte_count distance = DistanceFor(file, rank, offset);
   last_end_[StreamKey{file, rank}] = offset + size;
@@ -71,36 +72,38 @@ bool DataIdentifier::Identify(const std::string& file, int rank,
   // Health-aware admission: T_C stretches by the tier's current slowdown,
   // and a tier degraded past the threshold is vetoed outright — the
   // latency model is blind to the aggregate-bandwidth loss of a slow tier.
-  const double scale = health_probe_ ? health_probe_() : 1.0;
-  last_health_scale_ = scale;
-  last_dserver_cost_ = model_.DServerCost(distance, offset, size);
-  last_cserver_cost_ = model_.CServerCost(kind, offset, size, scale);
-  last_benefit_ = last_dserver_cost_ - last_cserver_cost_;  // Eq. 8
-  bool critical = last_benefit_ > 0;
-  if (critical && unhealthy_threshold_ > 1.0 && scale >= unhealthy_threshold_) {
-    critical = false;
+  const double scale = tier_.Slowdown();
+  Decision decision;
+  decision.dserver_cost = model_.DServerCost(distance, offset, size);
+  decision.cserver_cost = model_.CServerCost(kind, offset, size, scale);
+  decision.benefit = decision.dserver_cost - decision.cserver_cost;  // Eq. 8
+  decision.critical = decision.benefit > 0;
+  if (decision.critical && unhealthy_threshold_ > 1.0 &&
+      scale >= unhealthy_threshold_) {
+    decision.critical = false;
     ++stats_.health_rejections;
-  } else if (!critical && scale > 1.0 &&
+  } else if (!decision.critical && scale > 1.0 &&
              model_.IsCritical(kind, distance, offset, size)) {
     // Would have been admitted against the healthy profile.
     ++stats_.health_rejections;
   }
-  // Policy subsystem hook: the admission filter sees every request (with
-  // the model's post-health verdict) and may override it — ghost-assisted
-  // admission raises it, feedback thresholds or pressure vetoes lower it.
-  if (admission_filter_) {
-    const AdmissionContext ctx{file,          rank,
-                               kind,          offset,
-                               size,          distance,
-                               last_benefit_, last_dserver_cost_,
-                               last_cserver_cost_, critical};
-    critical = admission_filter_(ctx);
+  // Extension admission stages see every request and may override the
+  // verdict — ghost-assisted admission raises it, feedback thresholds,
+  // pressure and endurance vetoes lower it.
+  if (!extensions.empty()) {
+    const AdmissionContext ctx{file,   rank, kind,
+                               offset, size, distance,
+                               decision.benefit, decision.dserver_cost,
+                               decision.cserver_cost};
+    for (CacheExtension* extension : extensions) {
+      decision.critical = extension->Admit(ctx, decision.critical);
+    }
   }
-  if (critical) {
+  if (decision.critical) {
     ++stats_.critical;
     if (cdt_.Add(CdtKey{file, offset, size})) ++stats_.cdt_inserts;
   }
-  return critical;
+  return decision;
 }
 
 }  // namespace s4d::core

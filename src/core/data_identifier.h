@@ -19,28 +19,23 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <span>
 #include <string>
 #include <unordered_map>
 
+#include "core/cache_extension.h"
 #include "core/cdt.h"
 #include "core/cost_model.h"
+#include "core/tier_signals.h"
 
 namespace s4d::core {
 
-// Everything the Identifier knows about a request at decision time; handed
-// to the pluggable admission filter (policy subsystem). `model_critical` is
-// the paper's verdict (B > 0) after the health veto.
-struct AdmissionContext {
-  const std::string& file;
-  int rank;  // issuing MPI rank (tenant attribution)
-  device::IoKind kind;
-  byte_count offset;
-  byte_count size;
-  byte_count distance;  // signed stream distance d
-  SimTime benefit;      // health-scaled B
-  SimTime dserver_cost;  // model's T_D at decision time
-  SimTime cserver_cost;  // model's health-scaled T_C at decision time
-  bool model_critical;
+// The Identifier's verdict on one request and the costs behind it.
+struct Decision {
+  bool critical = false;  // after the health veto and the admission stages
+  SimTime benefit = 0;       // health-scaled B
+  SimTime dserver_cost = 0;  // model's T_D
+  SimTime cserver_cost = 0;  // model's health-scaled T_C
 };
 
 struct IdentifierStats {
@@ -54,57 +49,33 @@ struct IdentifierStats {
 
 class DataIdentifier {
  public:
-  DataIdentifier(const CostModel& model, CriticalDataTable& cdt)
-      : model_(model), cdt_(cdt) {}
+  // Health-aware admission (ROADMAP): the cache tier's slowdown factor
+  // (worst DeviceModel::degrade() across CServers, read from `tier`; 1.0
+  // = healthy) scales T_C in the benefit computation, and at or beyond
+  // `unhealthy_threshold` the tier is treated as unattractive outright:
+  // the per-request model compares latencies but is blind to queueing,
+  // and a tier running several times slow loses far more aggregate
+  // bandwidth than the latency comparison can see (the LBICA-style load
+  // argument).
+  DataIdentifier(const CostModel& model, CriticalDataTable& cdt,
+                 TierSignals tier = {}, double unhealthy_threshold = 2.0)
+      : model_(model),
+        cdt_(cdt),
+        tier_(tier),
+        unhealthy_threshold_(unhealthy_threshold) {}
 
-  // Evaluates one request; adds it to the CDT when B > 0 (and it is not
-  // already present). Returns whether the request is performance-critical.
-  // Always advances the (file, rank) stream position.
-  bool Identify(const std::string& file, int rank, device::IoKind kind,
-                byte_count offset, byte_count size);
+  // Evaluates one request and returns the decision; adds the request to
+  // the CDT when it is critical (and not already present). Always advances
+  // the (file, rank) stream position. The model's verdict (B > 0 after the
+  // health veto) passes through each extension's Admit stage in order.
+  Decision Identify(const std::string& file, int rank, device::IoKind kind,
+                    byte_count offset, byte_count size,
+                    std::span<CacheExtension* const> extensions = {});
 
   // Current *signed* stream distance a request at `offset` would have
   // (negative = backward jump). Exposed for tests.
   byte_count DistanceFor(const std::string& file, int rank,
                          byte_count offset) const;
-
-  // --- health-aware admission (ROADMAP) ---------------------------------
-  // `probe` returns the cache tier's current slowdown factor (worst
-  // DeviceModel::degrade() across CServers; 1.0 = healthy). The factor
-  // scales T_C in the benefit computation, and beyond
-  // `unhealthy_threshold` the tier is treated as unattractive outright:
-  // the per-request model compares latencies but is blind to queueing, and
-  // a tier running several times slow loses far more aggregate bandwidth
-  // than the latency comparison can see (the LBICA-style load argument).
-  void SetHealthProbe(std::function<double()> probe) {
-    health_probe_ = std::move(probe);
-  }
-  void set_unhealthy_threshold(double factor) {
-    unhealthy_threshold_ = factor;
-  }
-
-  // --- pluggable admission (policy subsystem) ---------------------------
-  // The filter runs after the health veto with the full decision context
-  // and returns the final verdict. Null (the default) keeps the paper's
-  // B > 0 rule byte-identically.
-  using AdmissionFilter = std::function<bool(const AdmissionContext&)>;
-  void SetAdmissionFilter(AdmissionFilter filter) {
-    admission_filter_ = std::move(filter);
-  }
-  // Installed filter, exposed so a later subsystem (tenancy) can wrap it.
-  const AdmissionFilter& admission_filter() const { return admission_filter_; }
-
-  // Benefit B computed for the most recent Identify() call (already scaled
-  // by the health factor) — the per-decision value the tracer records.
-  SimTime last_benefit() const { return last_benefit_; }
-  // Predicted DServer cost T_D for the most recent Identify() call — the
-  // baseline against which the feedback controller measures realized gain.
-  SimTime last_dserver_cost() const { return last_dserver_cost_; }
-  // Predicted (health-scaled) CServer cost T_C for the most recent
-  // Identify() call — with T_D, the per-route prediction the calibration
-  // bench scores for mispredict magnitude.
-  SimTime last_cserver_cost() const { return last_cserver_cost_; }
-  double last_health_scale() const { return last_health_scale_; }
 
   const IdentifierStats& stats() const { return stats_; }
 
@@ -132,13 +103,8 @@ class DataIdentifier {
       global_tails_;
   std::uint64_t tail_seq_ = 0;
   IdentifierStats stats_;
-  std::function<double()> health_probe_;
-  AdmissionFilter admission_filter_;
-  double unhealthy_threshold_ = 2.0;
-  SimTime last_benefit_ = 0;
-  SimTime last_dserver_cost_ = 0;
-  SimTime last_cserver_cost_ = 0;
-  double last_health_scale_ = 1.0;
+  TierSignals tier_;
+  double unhealthy_threshold_;
 
   static constexpr std::size_t kMaxTailsPerFile = 512;
 };

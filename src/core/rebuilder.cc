@@ -38,15 +38,15 @@ void Rebuilder::SetObservability(obs::Observability* obs) {
 Rebuilder::Rebuilder(
     sim::Engine& engine, pfs::FileSystem& dservers, pfs::FileSystem& cservers,
     DataMappingTable& dmt, CriticalDataTable& cdt, Redirector& redirector,
-    std::function<std::string(const std::string&)> cache_file_namer,
-    RebuilderConfig config)
+    TierSignals tier, std::string cache_file_suffix, RebuilderConfig config)
     : engine_(engine),
       dservers_(dservers),
       cservers_(cservers),
       dmt_(dmt),
       cdt_(cdt),
       redirector_(redirector),
-      cache_file_namer_(std::move(cache_file_namer)),
+      tier_(tier),
+      cache_file_suffix_(std::move(cache_file_suffix)),
       config_(config) {}
 
 void Rebuilder::Start() {
@@ -74,7 +74,7 @@ void Rebuilder::ScheduleNext() {
 
 void Rebuilder::Tick() {
   ++stats_.ticks;
-  if (health_ && !health_()) {
+  if (!tier_.Reachable()) {
     // Cache tier down or partitioned: any flush read / fetch write issued
     // now would fail or stall. The periodic tick doubles as the retry loop.
     ++stats_.degraded_skips;
@@ -158,7 +158,7 @@ void Rebuilder::FlushDirty() {
     stats_.flushes_started += static_cast<std::int64_t>(run.segments.size());
     stats_.flushed_bytes += run.length();
 
-    state->cache_id = cservers_.OpenOrCreate(cache_file_namer_(run.file));
+    state->cache_id = cservers_.OpenOrCreate(run.file + cache_file_suffix_);
     state->orig_id = dservers_.OpenOrCreate(run.file);
     state->reads_left = static_cast<int>(run.segments.size());
     state->started_at = engine_.now();
@@ -340,7 +340,7 @@ void Rebuilder::FetchCritical() {
       }
     }
 
-    const std::string cache_file = cache_file_namer_(key.file);
+    const std::string cache_file = key.file + cache_file_suffix_;
     const pfs::FileId cache_id = cservers_.OpenOrCreate(cache_file);
     const pfs::FileId orig_id = dservers_.OpenOrCreate(key.file);
 

@@ -23,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -31,6 +30,7 @@
 #include "core/cdt.h"
 #include "core/dmt.h"
 #include "core/redirector.h"
+#include "core/tier_signals.h"
 #include "obs/observability.h"
 #include "pfs/file_system.h"
 #include "sim/engine.h"
@@ -98,13 +98,13 @@ struct RebuilderStats {
 
 class Rebuilder {
  public:
-  // `cache_file_namer` maps an original file name to its cache-file name
-  // in the CServer file system.
+  // An original file's cache file is its name plus `cache_file_suffix`.
+  // While `tier` reports the cache tier unreachable, ticks do no work
+  // (reorganization I/O against a down tier would only fail).
   Rebuilder(sim::Engine& engine, pfs::FileSystem& dservers,
             pfs::FileSystem& cservers, DataMappingTable& dmt,
-            CriticalDataTable& cdt, Redirector& redirector,
-            std::function<std::string(const std::string&)> cache_file_namer,
-            RebuilderConfig config);
+            CriticalDataTable& cdt, Redirector& redirector, TierSignals tier,
+            std::string cache_file_suffix, RebuilderConfig config);
 
   // Starts the periodic ticks (idempotent).
   void Start();
@@ -113,13 +113,6 @@ class Rebuilder {
 
   // One reorganization pass; exposed for deterministic tests.
   void Tick();
-
-  // Installs the cache-tier health probe: while it reports false, ticks do
-  // no work (reorganization I/O against a down tier would only fail).
-  // Null (the default) means always healthy.
-  void SetHealthProbe(std::function<bool()> probe) {
-    health_ = std::move(probe);
-  }
 
   // Attaches the shared observability bundle (null detaches): destage runs
   // and fetches appear on the "rebuilder" trace lane and feed
@@ -164,7 +157,8 @@ class Rebuilder {
   DataMappingTable& dmt_;
   CriticalDataTable& cdt_;
   Redirector& redirector_;
-  std::function<std::string(const std::string&)> cache_file_namer_;
+  TierSignals tier_;
+  std::string cache_file_suffix_;
   RebuilderConfig config_;
   FlushOrder flush_order_ = FlushOrder::kFileRuns;
 
@@ -173,7 +167,6 @@ class Rebuilder {
   // Flushes in flight, keyed by (file index, begin, version) so a
   // re-dirtied extent can be flushed again once the first flush resolves.
   DirtyExtentSet inflight_flush_;
-  std::function<bool()> health_;
   // No reorganization I/O is issued before this time (failure backoff).
   SimTime retry_at_ = 0;
   RebuilderStats stats_;

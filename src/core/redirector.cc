@@ -27,27 +27,42 @@ IoSegment DServerSegment(byte_count orig_offset, byte_count size) {
 
 }  // namespace
 
+bool Redirector::FreeAllocationAllowed(byte_count size) const {
+  if (extensions_ == nullptr) return true;
+  for (CacheExtension* extension : extensions_->attached) {
+    if (!extension->AllowFreeAllocation(size)) return false;
+  }
+  return true;
+}
+
 void Redirector::Release(const RemovedExtent& extent, bool evicted) {
   if (on_release_) {
     on_release_(extent.file, extent.cache_offset, extent.length());
   }
-  if (removal_observer_) removal_observer_(extent, evicted);
+  if (extensions_ != nullptr) {
+    for (CacheExtension* extension : extensions_->attached) {
+      extension->OnRemoved(extent, evicted);
+    }
+  }
   space_.Free(extent.cache_offset, extent.length());
 }
 
 std::optional<byte_count> Redirector::AllocateCacheSpace(byte_count size) {
   // Algorithm 1: first look for free space (line 4); if none, reclaim clean
-  // space chosen by the eviction policy (line 9; clean-LRU unless a policy
-  // hook is installed) until the allocation fits or nothing clean remains.
-  // The tenant gate can veto free-space allocation for an over-allowance
-  // tenant; the loop then reclaims via the victim provider (which the
-  // tenant subsystem restricts to the offender's own partition, so each
-  // eviction re-opens its allowance and the loop terminates).
+  // space chosen by the eviction policy (line 9; clean-LRU unless an
+  // extension selects victims) until the allocation fits or nothing clean
+  // remains. The tenant gate can veto free-space allocation for an
+  // over-allowance tenant; the loop then reclaims via the victim selector
+  // (which the tenant subsystem restricts to the offender's own partition,
+  // so each eviction re-opens its allowance and the loop terminates).
+  CacheExtension* selector =
+      extensions_ != nullptr ? extensions_->victim_selector : nullptr;
   while (true) {
-    if (!free_gate_ || free_gate_(size)) {
+    if (FreeAllocationAllowed(size)) {
       if (auto offset = space_.Allocate(size)) return offset;
     }
-    auto victim = victim_provider_ ? victim_provider_() : dmt_.EvictLruClean();
+    auto victim = selector != nullptr ? selector->SelectVictim(dmt_)
+                                      : dmt_.EvictLruClean();
     if (!victim) return std::nullopt;
     Release(*victim, /*evicted=*/true);
     ++stats_.evictions;
@@ -113,7 +128,7 @@ RoutingPlan Redirector::PlanDegradedRead(const std::string& file,
 RoutingPlan Redirector::PlanWrite(const std::string& file, byte_count offset,
                                   byte_count size, bool critical) {
   ++stats_.write_requests;
-  if (!CacheTierHealthy()) return PlanDegradedWrite(file, offset, size);
+  if (!tier_.Reachable()) return PlanDegradedWrite(file, offset, size);
   RoutingPlan plan;
   const DmtLookup lookup = dmt_.Lookup(file, offset, size);
 
@@ -132,7 +147,7 @@ RoutingPlan Redirector::PlanWrite(const std::string& file, byte_count offset,
   }
 
   bool admit = ShouldAdmit(critical);
-  if (admit && CacheTierSaturated()) {
+  if (admit && tier_.Saturated()) {
     // Load shedding: a saturated cache tier stops attracting new
     // admissions; the not-admitted DServer path below handles overlap
     // consistency exactly as for a non-critical write.
@@ -205,8 +220,10 @@ RoutingPlan Redirector::PlanWrite(const std::string& file, byte_count offset,
 RoutingPlan Redirector::PlanRead(const std::string& file, byte_count offset,
                                  byte_count size, bool critical) {
   ++stats_.read_requests;
-  if (!CacheTierHealthy()) return PlanDegradedRead(file, offset, size);
-  const bool saturated = CacheTierSaturated();
+  if (!tier_.Reachable()) return PlanDegradedRead(file, offset, size);
+  // A saturated tier (still reachable, so dirty data keeps coming from it)
+  // sheds what it can: clean hits and new fetch work.
+  const bool saturated = tier_.Saturated();
   RoutingPlan plan;
   const DmtLookup lookup = dmt_.Lookup(file, offset, size);
 

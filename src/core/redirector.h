@@ -14,8 +14,8 @@
 //     not be flushed over newer data);
 //   * partial read  -> read mapped parts from CServers, gaps from DServers.
 //
-// Degraded mode (fault subsystem): when the optional health probe reports
-// the cache tier unreachable (a CServer crashed or is partitioned), the
+// Degraded mode (fault subsystem): when the tier signals report the cache
+// tier unreachable (a CServer crashed or is partitioned), the
 // Redirector routes around it — writes go to DServers with overlapping
 // mappings invalidated (the new data supersedes the clipped overlap, so no
 // acknowledged write is lost), and reads are planned against DServers.
@@ -31,9 +31,11 @@
 #include <string>
 #include <vector>
 
+#include "core/cache_extension.h"
 #include "core/cache_space.h"
 #include "core/cdt.h"
 #include "core/dmt.h"
+#include "core/tier_signals.h"
 #include "device/device_model.h"
 
 namespace s4d::core {
@@ -104,7 +106,7 @@ struct RedirectorStats {
   std::int64_t degraded_writes = 0;
   std::int64_t degraded_reads = 0;
   std::int64_t degraded_dirty_reads = 0;  // plans flagged blocked_on_cache
-  // Saturation load-shedding (calibration subsystem's probe).
+  // Saturation load-shedding (calibration subsystem's signal).
   std::int64_t saturation_write_bypasses = 0;   // admissions skipped
   std::int64_t saturation_read_bypasses = 0;    // critical clean hits bypassed
   std::int64_t saturation_fetch_suppressions = 0;  // C_flag marks suppressed
@@ -120,42 +122,21 @@ class Redirector {
                                          byte_count cache_offset,
                                          byte_count length)>;
 
+  // `tier` reports reachability and saturation. Every allocation and
+  // release consults `extensions` (not owned; null = none): their gates,
+  // the victim selector (else clean-LRU) and their removal stages.
   Redirector(CriticalDataTable& cdt, DataMappingTable& dmt,
              CacheSpaceAllocator& space,
              AdmissionPolicy policy = AdmissionPolicy::kCostModel,
-             ReleaseHook on_release = nullptr)
+             ReleaseHook on_release = nullptr, TierSignals tier = {},
+             const ExtensionList* extensions = nullptr)
       : cdt_(cdt),
         dmt_(dmt),
         space_(space),
         policy_(policy),
-        on_release_(std::move(on_release)) {}
-
-  // --- pluggable eviction (policy subsystem) ----------------------------
-  // `provider` replaces the hard-wired clean-LRU victim selection in the
-  // allocation loop: it must remove and return one clean mapping from the
-  // DMT (or nullopt when none remains). `observer` fires whenever a
-  // mapping's cache extent is released, with `evicted` distinguishing
-  // capacity eviction from invalidation. Null hooks restore the paper's
-  // behaviour exactly.
-  using VictimProvider = std::function<std::optional<RemovedExtent>()>;
-  using RemovalObserver =
-      std::function<void(const RemovedExtent&, bool evicted)>;
-  void SetEvictionHooks(VictimProvider provider, RemovalObserver observer) {
-    victim_provider_ = std::move(provider);
-    removal_observer_ = std::move(observer);
-  }
-  // Installed hooks, exposed so a later subsystem (tenancy) can wrap them.
-  const VictimProvider& victim_provider() const { return victim_provider_; }
-  const RemovalObserver& removal_observer() const { return removal_observer_; }
-
-  // --- partition gate (tenant subsystem) --------------------------------
-  // Consulted before any allocation from *free* space. Returning false
-  // means "this request's tenant is over its allowance": the allocation
-  // loop skips straight to victim selection (which the tenant subsystem
-  // restricts to the offender's own partition), and speculative
-  // free-space-only allocations fail. Null (the default) admits all.
-  using FreeSpaceGate = std::function<bool(byte_count)>;
-  void SetFreeSpaceGate(FreeSpaceGate gate) { free_gate_ = std::move(gate); }
+        on_release_(std::move(on_release)),
+        tier_(tier),
+        extensions_(extensions) {}
 
   // Tags subsequent allocations (and lazy-fetch C_flag marks) with the
   // tenant to charge. Forwards to the allocator; a no-op when partition
@@ -179,7 +160,7 @@ class Redirector {
 
   // Allocation from free space only — no eviction (speculative fetches).
   std::optional<byte_count> AllocateFreeOnly(byte_count size) {
-    if (free_gate_ && !free_gate_(size)) return std::nullopt;
+    if (!FreeAllocationAllowed(size)) return std::nullopt;
     return space_.Allocate(size);
   }
 
@@ -197,29 +178,6 @@ class Redirector {
   void InvalidateCleanAndRelease(const std::string& file, byte_count offset,
                                  byte_count size);
 
-  // Installs the cache-tier health probe consulted on every plan. Null
-  // (the default) means always healthy — the pre-fault behaviour.
-  void SetHealthProbe(std::function<bool()> probe) {
-    cache_healthy_ = std::move(probe);
-  }
-  bool CacheTierHealthy() const {
-    return !cache_healthy_ || cache_healthy_();
-  }
-
-  // Installs the cache-tier *saturation* probe (calibration subsystem).
-  // While it returns true, PlanWrite stops creating new mappings (fully
-  // mapped writes still land in the cache — dirty consistency demands it)
-  // and PlanRead serves clean hits from DServers and stops marking lazy
-  // fetches. Distinct from the health probe: a saturated tier is still
-  // reachable, so dirty data keeps being served from it and no plan is
-  // degraded. Null (the default) restores the paper's behaviour exactly.
-  void SetSaturationProbe(std::function<bool()> probe) {
-    cache_saturated_ = std::move(probe);
-  }
-  bool CacheTierSaturated() const {
-    return cache_saturated_ && cache_saturated_();
-  }
-
   const RedirectorStats& stats() const { return stats_; }
   AdmissionPolicy policy() const { return policy_; }
   const CacheSpaceAllocator& space() const { return space_; }
@@ -234,6 +192,8 @@ class Redirector {
     return false;
   }
 
+  // True when every extension's free-space gate passes.
+  bool FreeAllocationAllowed(byte_count size) const;
   void Release(const RemovedExtent& extent, bool evicted);
   RoutingPlan PlanDegradedWrite(const std::string& file, byte_count offset,
                                 byte_count size);
@@ -245,12 +205,9 @@ class Redirector {
   CacheSpaceAllocator& space_;
   AdmissionPolicy policy_;
   ReleaseHook on_release_;
-  VictimProvider victim_provider_;
-  RemovalObserver removal_observer_;
-  FreeSpaceGate free_gate_;
+  TierSignals tier_;
+  const ExtensionList* extensions_;
   int charge_owner_ = -1;
-  std::function<bool()> cache_healthy_;
-  std::function<bool()> cache_saturated_;
   RedirectorStats stats_;
 };
 

@@ -15,22 +15,23 @@ S4DCache::S4DCache(sim::Engine& engine, pfs::FileSystem& dservers,
       cservers_(cservers),
       cost_model_(std::move(cost_model)),
       config_(std::move(config)),
+      tier_(cservers_, cost_model_),
       cdt_(config_.cdt_max_entries),
       dmt_(dmt_store),
       space_(config_.cache_capacity, cservers.config().stripe.stripe_size),
-      identifier_(cost_model_, cdt_),
-      redirector_(cdt_, dmt_, space_, config_.policy,
-                  [this](const std::string& orig_file, byte_count cache_offset,
-                         byte_count length) {
-                    // Scrub recycled cache space (verification content).
-                    const pfs::FileId id =
-                        cservers_.OpenOrCreate(CacheFileName(orig_file));
-                    cservers_.EraseContent(id, cache_offset, length);
-                  }),
-      rebuilder_(
-          engine_, dservers_, cservers_, dmt_, cdt_, redirector_,
-          [this](const std::string& file) { return CacheFileName(file); },
-          config_.rebuilder) {
+      identifier_(cost_model_, cdt_, tier_, config_.cache_unhealthy_degrade),
+      redirector_(
+          cdt_, dmt_, space_, config_.policy,
+          [this](const std::string& orig_file, byte_count cache_offset,
+                 byte_count length) {
+            // Scrub recycled cache space (verification content).
+            const pfs::FileId id =
+                cservers_.OpenOrCreate(CacheFileName(orig_file));
+            cservers_.EraseContent(id, cache_offset, length);
+          },
+          tier_, &extensions_),
+      rebuilder_(engine_, dservers_, cservers_, dmt_, cdt_, redirector_, tier_,
+                 config_.cache_file_suffix, config_.rebuilder) {
   // Dirty-age accounting: stamp clean→dirty transitions with sim time.
   dmt_.SetClock([this] { return engine_.now(); });
   if (dmt_store != nullptr) {
@@ -53,27 +54,8 @@ S4DCache::S4DCache(sim::Engine& engine, pfs::FileSystem& dservers,
   }
   metadata_shard_free_at_.assign(
       static_cast<std::size_t>(std::max(1, config_.dmt_shards)), 0);
-  redirector_.SetHealthProbe([this]() { return CacheTierAvailable(); });
-  rebuilder_.SetHealthProbe([this]() { return CacheTierAvailable(); });
-  // Health-aware admission: the Identifier sees the cache tier's live
-  // degradation factor on every decision.
-  identifier_.SetHealthProbe([this]() { return CacheTierSlowdown(); });
-  identifier_.set_unhealthy_threshold(config_.cache_unhealthy_degrade);
   SetupObservability();
   if (config_.enable_rebuilder) rebuilder_.Start();
-}
-
-double S4DCache::CacheTierSlowdown() const {
-  return cservers_.WorstDeviceDegrade();
-}
-
-double S4DCache::CacheTierWearFraction() const {
-  return cservers_.WorstWearFraction();
-}
-
-double S4DCache::CacheTierMeanQueueDepth() const {
-  if (queue_pressure_probe_) return queue_pressure_probe_();
-  return cservers_.MeanQueueDepth();
 }
 
 void S4DCache::SetupObservability() {
@@ -99,8 +81,7 @@ void S4DCache::SetupObservability() {
   m.SetGaugeFn("s4d.cache_occupancy", [this] { return space_.occupancy(); });
   m.SetGaugeFn("s4d.cache_fragmentation",
                [this] { return space_.fragmentation(); });
-  m.SetGaugeFn("s4d.cache_tier_slowdown",
-               [this] { return CacheTierSlowdown(); });
+  m.SetGaugeFn("s4d.cache_tier_slowdown", [this] { return tier_.Slowdown(); });
   m.SetGaugeFn("s4d.read_hit_ratio", [this] {
     const RedirectorStats& s = redirector_.stats();
     return s.read_requests > 0
@@ -161,7 +142,8 @@ void S4DCache::StampPlanContent(const mpiio::FileRequest& request,
 }
 
 void S4DCache::Execute(device::IoKind kind, const mpiio::FileRequest& request,
-                       RoutingPlan plan, mpiio::IoCompletion done) {
+                       const Decision& decision, RoutingPlan plan,
+                       mpiio::IoCompletion done) {
   S4D_DCHECK(!plan.segments.empty());
 
   // Routing accounting (Table III): a request counts toward the side that
@@ -181,9 +163,8 @@ void S4DCache::Execute(device::IoKind kind, const mpiio::FileRequest& request,
     (is_read ? obs_reads_ : obs_writes_)->Inc();
     obs_cserver_bytes_->Add(c_bytes);
     obs_dserver_bytes_->Add(d_bytes);
-    const SimTime benefit = identifier_.last_benefit();
-    if (benefit > 0) {
-      obs_benefit_ns_->Record(benefit);
+    if (decision.benefit > 0) {
+      obs_benefit_ns_->Record(decision.benefit);
     } else {
       obs_noncritical_->Inc();
     }
@@ -197,7 +178,7 @@ void S4DCache::Execute(device::IoKind kind, const mpiio::FileRequest& request,
           std::string(c_bytes > 0 && d_bytes > 0 ? "split"
                       : c_bytes > 0              ? "cservers"
                                                  : "dservers"));
-      obs_->tracer.AddArg(span, "B_ns", benefit);
+      obs_->tracer.AddArg(span, "B_ns", decision.benefit);
       if (plan.admitted) obs_->tracer.AddArg(span, "admitted", 1);
       if (plan.blocked_on_cache) obs_->tracer.AddArg(span, "stale", 1);
     }
@@ -221,8 +202,8 @@ void S4DCache::Execute(device::IoKind kind, const mpiio::FileRequest& request,
     obs::SpanId span = obs::kNoSpan;
     // The plan's segments, issued by the delayed dispatch below.
     std::vector<IoSegment> segments;
-    // Decision/outcome record for the policy observer; only filled in when
-    // an observer is installed.
+    // Decision/outcome record for the extensions; only filled in when one
+    // is attached.
     std::optional<RequestOutcome> outcome;
   };
   auto join = std::make_shared<ExecJoin>();
@@ -230,16 +211,16 @@ void S4DCache::Execute(device::IoKind kind, const mpiio::FileRequest& request,
   join->done = std::move(done);
   join->issued_at = issued_at;
   join->span = span;
-  if (request_observer_) {
+  if (!extensions_.attached.empty()) {
     RequestOutcome outcome;
     outcome.file = request.file;
     outcome.rank = request.rank;
     outcome.kind = kind;
     outcome.offset = request.offset;
     outcome.size = request.size;
-    outcome.benefit = identifier_.last_benefit();
-    outcome.predicted_dserver = identifier_.last_dserver_cost();
-    outcome.predicted_cserver = identifier_.last_cserver_cost();
+    outcome.benefit = decision.benefit;
+    outcome.predicted_dserver = decision.dserver_cost;
+    outcome.predicted_cserver = decision.cserver_cost;
     outcome.admitted = plan.admitted;
     outcome.cache_bytes = c_bytes;
     outcome.dserver_bytes = d_bytes;
@@ -284,9 +265,11 @@ void S4DCache::Execute(device::IoKind kind, const mpiio::FileRequest& request,
           if (join->failed) obs_->tracer.AddArg(join->span, "failed", 1);
         }
       }
-      if (join->outcome && request_observer_) {
+      if (join->outcome) {
         join->outcome->latency = join->last - join->issued_at;
-        request_observer_(*join->outcome);
+        for (CacheExtension* extension : extensions_.attached) {
+          extension->OnOutcome(*join->outcome);
+        }
       }
       if (join->done) join->done(join->last);
     };
@@ -306,37 +289,42 @@ void S4DCache::Execute(device::IoKind kind, const mpiio::FileRequest& request,
   });
 }
 
+Decision S4DCache::Decide(const mpiio::FileRequest& request,
+                          device::IoKind kind) {
+  MaybeAudit();
+  for (CacheExtension* extension : extensions_.attached) {
+    extension->OnRequestStart(request, kind);
+  }
+  return identifier_.Identify(request.file, request.rank, kind, request.offset,
+                              request.size, extensions_.attached);
+}
+
 void S4DCache::Write(const mpiio::FileRequest& request,
                      mpiio::IoCompletion done) {
   S4D_CHECK(request.size > 0) << "zero-size write on " << request.file;
-  MaybeAudit();
-  if (request_start_) request_start_(request, device::IoKind::kWrite);
-  const bool critical =
-      identifier_.Identify(request.file, request.rank, device::IoKind::kWrite,
-                           request.offset, request.size);
-  RoutingPlan plan =
-      redirector_.PlanWrite(request.file, request.offset, request.size, critical);
+  const Decision decision = Decide(request, device::IoKind::kWrite);
+  RoutingPlan plan = redirector_.PlanWrite(request.file, request.offset,
+                                           request.size, decision.critical);
   StampPlanContent(request, plan);
-  Execute(device::IoKind::kWrite, request, std::move(plan), std::move(done));
+  Execute(device::IoKind::kWrite, request, decision, std::move(plan),
+          std::move(done));
 }
 
 void S4DCache::Read(const mpiio::FileRequest& request,
                     mpiio::IoCompletion done) {
   S4D_CHECK(request.size > 0) << "zero-size read on " << request.file;
-  MaybeAudit();
-  if (request_start_) request_start_(request, device::IoKind::kRead);
-  const bool critical =
-      identifier_.Identify(request.file, request.rank, device::IoKind::kRead,
-                           request.offset, request.size);
-  RoutingPlan plan =
-      redirector_.PlanRead(request.file, request.offset, request.size, critical);
+  const Decision decision = Decide(request, device::IoKind::kRead);
+  RoutingPlan plan = redirector_.PlanRead(request.file, request.offset,
+                                          request.size, decision.critical);
   if (plan.blocked_on_cache) {
     // Degraded mode, dirty overlap: the only up-to-date copy is on the
     // unreachable cache tier.
     if (config_.degraded_read_mode == DegradedReadMode::kQueue) {
       ++counters_.queued_degraded_reads;
       const std::uint64_t id = next_pending_id_++;
-      queued_reads_.push_back(PendingRead{id, request, std::move(done)});
+      queued_reads_.push_back(PendingRead{id, request, decision,
+                                          redirector_.charge_owner(),
+                                          std::move(done)});
       if (obs_ != nullptr && obs_->tracing()) {
         const obs::SpanId i = obs_->tracer.Instant(
             RankLane(request.rank), "read_queued", "s4d", engine_.now());
@@ -354,14 +342,16 @@ void S4DCache::Read(const mpiio::FileRequest& request,
     // kServeStale: deliver the DServer copy now; the dirty ranges we are
     // bypassing are part of the reported loss window.
     ++counters_.stale_dirty_reads;
-    ServeStale(request, std::move(plan), std::move(done));
+    ServeStale(request, decision, std::move(plan), std::move(done));
     return;
   }
-  Execute(device::IoKind::kRead, request, std::move(plan), std::move(done));
+  Execute(device::IoKind::kRead, request, decision, std::move(plan),
+          std::move(done));
 }
 
 void S4DCache::ServeStale(const mpiio::FileRequest& request,
-                          RoutingPlan plan, mpiio::IoCompletion done) {
+                          const Decision& decision, RoutingPlan plan,
+                          mpiio::IoCompletion done) {
   if (dirty_loss_hook_) {
     const DmtLookup lookup =
         dmt_.Lookup(request.file, request.offset, request.size);
@@ -372,7 +362,8 @@ void S4DCache::ServeStale(const mpiio::FileRequest& request,
       }
     }
   }
-  Execute(device::IoKind::kRead, request, std::move(plan), std::move(done));
+  Execute(device::IoKind::kRead, request, decision, std::move(plan),
+          std::move(done));
 }
 
 void S4DCache::PromoteQueuedRead(std::uint64_t id) {
@@ -396,18 +387,27 @@ void S4DCache::PromoteQueuedRead(std::uint64_t id) {
   RoutingPlan plan =
       redirector_.PlanRead(pending.request.file, pending.request.offset,
                            pending.request.size, false);
-  ServeStale(pending.request, std::move(plan), std::move(pending.done));
+  ServeStale(pending.request, pending.decision, std::move(plan),
+             std::move(pending.done));
 }
 
 void S4DCache::OnCacheTierRestored() {
-  if (!CacheTierAvailable()) return;  // another CServer is still down
+  if (!tier_.Reachable()) return;  // another CServer is still down
   rebuilder_.RecoverAfterRestart();
-  // Re-issue held reads in arrival order. Each goes through Read() again:
-  // the mapping survived the crash (non-volatile SSDs + persistent DMT),
-  // so they now plan against the recovered cache tier.
+  // Re-plan held reads in arrival order from the decisions they were made
+  // with: the mapping survived the crash (non-volatile SSDs + persistent
+  // DMT), so they now plan against the recovered cache tier.
   std::vector<PendingRead> pending;
   pending.swap(queued_reads_);
-  for (PendingRead& p : pending) Read(p.request, std::move(p.done));
+  for (PendingRead& p : pending) {
+    redirector_.set_charge_owner(p.charge_owner);
+    RoutingPlan plan =
+        redirector_.PlanRead(p.request.file, p.request.offset, p.request.size,
+                             p.decision.critical);
+    S4D_DCHECK(!plan.blocked_on_cache);
+    Execute(device::IoKind::kRead, p.request, p.decision, std::move(plan),
+            std::move(p.done));
+  }
 }
 
 void S4DCache::HandleCacheServerWiped(int server) {
@@ -547,9 +547,11 @@ void S4DCache::AuditInvariants(bool expect_quiescent) const {
       << ident.cdt_inserts << " CDT inserts of " << ident.critical
       << " critical decisions";
 
-  // Attached policy state (ghost caches, recency lists, controller
-  // counters) audits together with the core structures.
-  if (extra_audit_) extra_audit_();
+  // Attached extension state (ghost caches, recency lists, controller
+  // counters, partitions) audits together with the core structures.
+  for (const CacheExtension* extension : extensions_.attached) {
+    extension->AuditInvariants();
+  }
 }
 
 }  // namespace s4d::core

@@ -12,18 +12,24 @@
 // file gets a companion cache file (<name>.s4d) in the CPFS; cache-file
 // offsets come from one global allocator sized by `cache_capacity`
 // (the paper sets it to 20% of the application's data size).
+//
+// Optional subsystems join each request's decision as CacheExtensions
+// (policy, tenants) or through TierSignals, which every component reads
+// the cache tier through (calibration, via the cost model).
 #pragma once
 
 #include <memory>
 #include <string>
 #include <unordered_set>
 
+#include "core/cache_extension.h"
 #include "core/cdt.h"
 #include "core/cost_model.h"
 #include "core/data_identifier.h"
 #include "core/dmt.h"
 #include "core/rebuilder.h"
 #include "core/redirector.h"
+#include "core/tier_signals.h"
 #include "kvstore/kvstore.h"
 #include "mpiio/io_dispatch.h"
 #include "obs/observability.h"
@@ -73,8 +79,8 @@ struct S4DConfig {
   SimTime queue_stale_timeout = 0;
   // Health-aware admission: a cache tier degraded by at least this factor
   // (worst DeviceModel::degrade() across CServers) stops attracting new
-  // admissions; see DataIdentifier::SetHealthProbe. Values <= 1 disable
-  // the veto (the scaled benefit still applies).
+  // admissions; see the DataIdentifier constructor. Values <= 1 disable the
+  // veto (the scaled benefit still applies).
   double cache_unhealthy_degrade = 2.0;
   // Shared observability bundle (metrics + tracer); null = not observed.
   // Not owned; must outlive the cache.
@@ -95,25 +101,6 @@ struct S4DCounters {
   std::int64_t promoted_stale_reads = 0;   // queued reads timed out to stale
   std::int64_t wiped_extents = 0;          // mappings lost to a media wipe
   byte_count lost_dirty_bytes = 0;         // the dirty-data-loss window
-};
-
-// Per-request completion record handed to the policy subsystem's observer:
-// everything needed to compare the cost model's promise against what the
-// routed request actually experienced.
-struct RequestOutcome {
-  std::string file;
-  int rank = -1;  // issuing MPI rank (tenant attribution)
-  device::IoKind kind = device::IoKind::kRead;
-  byte_count offset = 0;
-  byte_count size = 0;
-  SimTime benefit = 0;            // health-scaled B at decision time
-  SimTime predicted_dserver = 0;  // model's T_D at decision time
-  SimTime predicted_cserver = 0;  // model's health-scaled T_C at decision time
-  bool admitted = false;          // the plan created a new mapping
-  byte_count cache_bytes = 0;
-  byte_count dserver_bytes = 0;
-  SimTime issued_at = 0;
-  SimTime latency = 0;
 };
 
 class S4DCache final : public mpiio::IoDispatch {
@@ -150,7 +137,6 @@ class S4DCache final : public mpiio::IoDispatch {
   CacheSpaceAllocator& cache_space() { return space_; }
   Rebuilder& rebuilder() { return rebuilder_; }
   Redirector& redirector() { return redirector_; }
-  DataIdentifier& identifier() { return identifier_; }
   const CostModel& cost_model() const { return cost_model_; }
   const S4DConfig& config() const { return config_; }
 
@@ -172,77 +158,35 @@ class S4DCache final : public mpiio::IoDispatch {
     dirty_loss_hook_ = std::move(hook);
   }
 
-  // True while every CServer is up and reachable; foreground routing and
-  // the Rebuilder poll this on every decision.
-  bool CacheTierAvailable() const { return cservers_.AllServersReachable(); }
+  // The cache tier's state, as every middleware component reads it.
+  const TierSignals& tier() const { return tier_; }
 
-  // Worst per-device degradation factor across the cache tier (1.0 =
-  // healthy). Fed into the Data Identifier so degraded SSDs stop
-  // attracting admissions (health-aware admission, ROADMAP).
-  double CacheTierSlowdown() const;
-
-  // Mean per-server queue depth across the cache tier right now — the
-  // pressure signal the policy subsystem's LBICA-style admission veto
-  // consults. With a queue-pressure probe installed (calibration
-  // subsystem), the probe's client-side outstanding-sub-request counters
-  // replace the servers' internal queue lengths.
-  double CacheTierMeanQueueDepth() const;
-
-  // --- calibration subsystem hooks ---------------------------------------
   // Installs (or clears) the live cost-calibration provider on the owned
-  // CostModel; the DataIdentifier reads the model by reference, so fitted
-  // estimates flow into every admission decision. Not owned.
+  // CostModel (calibration subsystem). The DataIdentifier reads the model
+  // by reference, so fitted estimates flow into every admission decision,
+  // and TierSignals reads the provider's load signals. Not owned.
   void SetCostCalibration(const CostCalibration* calibration) {
     cost_model_.SetCalibration(calibration);
   }
-  // Replaces CacheTierMeanQueueDepth's server-side reading with a
-  // client-side one (see above).
-  void SetQueuePressureProbe(std::function<double()> probe) {
-    queue_pressure_probe_ = std::move(probe);
-  }
-  // Fitted mean queue delay across the cache tier; 0 without a probe. The
-  // policy subsystem's time-unit pressure veto consults this.
-  void SetQueueDelayProbe(std::function<SimTime()> probe) {
-    queue_delay_probe_ = std::move(probe);
-  }
-  SimTime CacheTierQueueDelayEstimate() const {
-    return queue_delay_probe_ ? queue_delay_probe_() : 0;
-  }
 
-  // --- policy subsystem hooks --------------------------------------------
-  // Fires once per foreground request, at completion time, with the full
-  // decision/outcome record. Null (the default) costs nothing.
-  using RequestObserver = std::function<void(const RequestOutcome&)>;
-  void SetRequestObserver(RequestObserver observer) {
-    request_observer_ = std::move(observer);
+  // Attaches `extension` (not owned; it must outlive the cache's traffic).
+  // Attach before traffic: a request already in flight reports no outcome
+  // to a later extension. Extensions run in attach order: admission folds
+  // through them from the model's verdict, and every fan-out visits them
+  // in turn. Attach the policy engine before the tenant manager, so the
+  // policy's admission stage stays ahead of the tenants' endurance stage;
+  // s4dsim and perfbench attach policy, then tenants, then calibration.
+  // With `selects_victims` the extension becomes the one victim selector,
+  // replacing any earlier one — tenant enforce mode replaces the policy's
+  // eviction order this way.
+  void Attach(CacheExtension& extension, bool selects_victims = false) {
+    extensions_.attached.push_back(&extension);
+    if (selects_victims) extensions_.victim_selector = &extension;
   }
-  const RequestObserver& request_observer() const { return request_observer_; }
-
-  // Extra audit run at the end of AuditInvariants() — lets an attached
-  // policy engine's invariants ride the paranoid-build and test audits.
-  void SetExtraAudit(std::function<void()> audit) {
-    extra_audit_ = std::move(audit);
-  }
-  const std::function<void()>& extra_audit() const { return extra_audit_; }
-
-  // --- tenant subsystem hooks --------------------------------------------
-  // Fires at the top of every foreground Read/Write, before the Identifier
-  // runs — the tenant subsystem uses it to tag the request's partition
-  // (Redirector::set_charge_owner) so every allocation the plan makes is
-  // charged to the right tenant. Null (the default) costs nothing.
-  using RequestStartHook =
-      std::function<void(const mpiio::FileRequest&, device::IoKind)>;
-  void SetRequestStartHook(RequestStartHook hook) {
-    request_start_ = std::move(hook);
-  }
-
-  // Worst wear fraction (cumulative NAND writes / lifetime P/E budget)
-  // across the cache tier's SSDs; 0.0 when no wear budget is configured.
-  double CacheTierWearFraction() const;
 
   // Called (by the FaultInjector) once the last down CServer restarted:
-  // re-issues reads queued in kQueue mode and runs the Rebuilder's
-  // crash-recovery pass over the persisted DMT.
+  // runs the Rebuilder's crash-recovery pass over the persisted DMT, then
+  // re-plans the reads queued in kQueue mode from their kept decisions.
   void OnCacheTierRestored();
 
   // Called when CServer `server` lost its media contents (crash-wipe).
@@ -279,8 +223,11 @@ class S4DCache final : public mpiio::IoDispatch {
   void MaybeAudit() const {}
 #endif
 
+  // Runs the extensions' start stages, then the Identifier.
+  Decision Decide(const mpiio::FileRequest& request, device::IoKind kind);
   void Execute(device::IoKind kind, const mpiio::FileRequest& request,
-               RoutingPlan plan, mpiio::IoCompletion done);
+               const Decision& decision, RoutingPlan plan,
+               mpiio::IoCompletion done);
   void StampPlanContent(const mpiio::FileRequest& request,
                         const RoutingPlan& plan);
   void SetupObservability();
@@ -289,14 +236,16 @@ class S4DCache final : public mpiio::IoDispatch {
   void PromoteQueuedRead(std::uint64_t id);
   // Serves a dirty-blocked read from the stale DServer copy, reporting the
   // bypassed dirty ranges through the loss hook.
-  void ServeStale(const mpiio::FileRequest& request, RoutingPlan plan,
-                  mpiio::IoCompletion done);
+  void ServeStale(const mpiio::FileRequest& request, const Decision& decision,
+                  RoutingPlan plan, mpiio::IoCompletion done);
 
   sim::Engine& engine_;
   pfs::FileSystem& dservers_;
   pfs::FileSystem& cservers_;
   CostModel cost_model_;
   S4DConfig config_;
+  TierSignals tier_;
+  ExtensionList extensions_;
 
   CriticalDataTable cdt_;
   DataMappingTable dmt_;
@@ -309,22 +258,20 @@ class S4DCache final : public mpiio::IoDispatch {
   S4DCounters counters_;
   // Busy-until times of the sharded metadata-persistence path.
   std::vector<SimTime> metadata_shard_free_at_;
-  // Reads held while the cache tier is down (kQueue mode), re-issued in
+  // Reads held while the cache tier is down (kQueue mode), re-planned in
   // arrival order on recovery — or promoted to stale after
-  // queue_stale_timeout.
+  // queue_stale_timeout. A held read keeps the decision it was made with
+  // and the tenant its allocations are charged to, so it is decided once.
   struct PendingRead {
     std::uint64_t id = 0;
     mpiio::FileRequest request;
+    Decision decision;
+    int charge_owner = -1;
     mpiio::IoCompletion done;
   };
   std::vector<PendingRead> queued_reads_;
   std::uint64_t next_pending_id_ = 1;
   DirtyLossHook dirty_loss_hook_;
-  RequestObserver request_observer_;
-  std::function<double()> queue_pressure_probe_;
-  std::function<SimTime()> queue_delay_probe_;
-  RequestStartHook request_start_;
-  std::function<void()> extra_audit_;
 
   // Observability (null = not observed). Handles resolved once.
   obs::Observability* obs_ = nullptr;

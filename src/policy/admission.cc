@@ -7,19 +7,19 @@
 namespace s4d::policy {
 
 bool AdmissionController::Admit(SimTime benefit, bool model_critical,
-                                bool ghost_hit) {
+                                bool ghost_hit, const core::TierSignals& tier) {
   ++stats_.decisions;
   // LBICA-style veto: a saturated cache tier admits nothing — not even
   // ghost hits — until the backlog drains through both tiers.
-  if (config_.pressure_max_queue > 0.0 && pressure_probe_ &&
-      pressure_probe_() > config_.pressure_max_queue) {
+  if (config_.pressure_max_queue > 0.0 &&
+      tier.MeanQueueDepth() > config_.pressure_max_queue) {
     ++stats_.pressure_vetoes;
     return false;
   }
   // Time-unit variant: the calibrated queue-delay estimate speaks the same
   // unit as B, so the bound transfers across device speeds.
-  if (config_.pressure_max_delay > 0 && delay_probe_ &&
-      delay_probe_() > config_.pressure_max_delay) {
+  if (config_.pressure_max_delay > 0 &&
+      tier.QueueDelay() > config_.pressure_max_delay) {
     ++stats_.pressure_vetoes;
     return false;
   }

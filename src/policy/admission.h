@@ -13,18 +13,18 @@
 // it back toward the paper's B > 0 rule.
 //
 // The pressure veto is LBICA's argument applied at admission time: when the
-// CServers' mean queue depth exceeds the configured bound, new admissions
-// are vetoed outright so the backlog drains through both tiers instead of
-// piling onto the cache.
+// CServers' mean queue depth (read from core::TierSignals) exceeds the
+// configured bound, new admissions are vetoed outright so the backlog
+// drains through both tiers instead of piling onto the cache.
 //
 // Everything is deterministic: the threshold moves in fixed integer steps
 // of simulated time, and all inputs are simulation-derived.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "common/sim_time.h"
+#include "core/tier_signals.h"
 
 namespace s4d::policy {
 
@@ -46,8 +46,8 @@ struct AdmissionControllerConfig {
   // Time-unit pressure veto (calibration subsystem): estimated cache-tier
   // queue *delay* beyond which admissions are vetoed. Unlike the depth
   // bound above, this compares in the same unit the benefit B is computed
-  // in, so one bound works across device speeds. 0 disables it; without a
-  // delay probe it is inert.
+  // in, so one bound works across device speeds. 0 disables it; without
+  // calibration the delay reads 0 and it is inert.
   SimTime pressure_max_delay = 0;
 };
 
@@ -67,23 +67,14 @@ class AdmissionController {
   explicit AdmissionController(AdmissionControllerConfig config)
       : config_(config) {}
 
-  // Live mean CServer queue depth; consulted per decision when the veto is
-  // bounded. Null = no pressure signal (veto inert).
-  void SetPressureProbe(std::function<double()> probe) {
-    pressure_probe_ = std::move(probe);
-  }
-
-  // Estimated cache-tier queue delay (fitted mean delay per outstanding
-  // sub-request × live depth); consulted per decision when
-  // `pressure_max_delay` bounds it. Null = inert.
-  void SetQueueDelayProbe(std::function<SimTime()> probe) {
-    delay_probe_ = std::move(probe);
-  }
-
-  // Final admission verdict. `model_critical` is the Identifier's paper
-  // verdict (B > 0 after the health veto), `benefit` the health-scaled B,
-  // `ghost_hit` the eviction policy's would-have-hit evidence.
-  bool Admit(SimTime benefit, bool model_critical, bool ghost_hit);
+  // Admission verdict. `model_critical` is the verdict this stage receives
+  // (the Identifier's B > 0 after the health veto), `benefit` the
+  // health-scaled B, `ghost_hit` the eviction policy's would-have-hit
+  // evidence. The pressure vetoes read the live mean queue depth and queue
+  // delay from `tier` only while their bounds are set (a detached tier is
+  // idle).
+  bool Admit(SimTime benefit, bool model_critical, bool ghost_hit,
+             const core::TierSignals& tier = {});
 
   // Feedback sample: an admitted, fully-cache-served request completed.
   // `predicted_dserver` is what the model said the DServers would have
@@ -101,8 +92,6 @@ class AdmissionController {
 
  private:
   AdmissionControllerConfig config_;
-  std::function<double()> pressure_probe_;
-  std::function<SimTime()> delay_probe_;
   SimTime threshold_ = 0;
   double ewma_gain_ = 1.0;  // optimistic start: trust the model until data
   AdmissionControllerStats stats_;

@@ -31,9 +31,9 @@ std::int64_t FloorLog2(std::int64_t n) {
 
 }  // namespace
 
-void WorkloadCharacterizer::Observe(const std::string& file,
-                                    device::IoKind kind, byte_count offset,
-                                    byte_count size, byte_count distance) {
+std::optional<WindowSummary> WorkloadCharacterizer::Observe(
+    const std::string& file, device::IoKind kind, byte_count offset,
+    byte_count size, byte_count distance) {
   ++observed_;
   ++win_requests_;
   if (kind == device::IoKind::kRead) ++win_reads_;
@@ -69,7 +69,7 @@ void WorkloadCharacterizer::Observe(const std::string& file,
     AppendNewest(slot);
   }
 
-  if (win_requests_ < config_.window_requests) return;
+  if (win_requests_ < config_.window_requests) return std::nullopt;
 
   WindowSummary summary;
   summary.index = windows_closed_;
@@ -97,7 +97,7 @@ void WorkloadCharacterizer::Observe(const std::string& file,
   win_reads_ = 0;
   win_reuse_hits_ = 0;
   win_reuse_log2_sum_ = 0;
-  if (on_window_) on_window_(summary);
+  return summary;
 }
 
 void WorkloadCharacterizer::Unlink(std::uint32_t slot) {

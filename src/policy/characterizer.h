@@ -8,9 +8,9 @@
 //   * reuse fraction + mean log2 reuse distance — from a bounded sketch of
 //     recently touched blocks ((file, block) -> last-seen request index).
 // The phase is kSequential / kRandom / kMixed by thresholds on the
-// sequential fraction. The PolicyEngine subscribes to window closes and may
-// switch eviction policy when the phase changes (ReCA's reconfiguration
-// step, applied to the eviction axis).
+// sequential fraction. Observe returns each window it closes; the
+// PolicyEngine may then switch eviction policy when the phase changes
+// (ReCA's reconfiguration step, applied to the eviction axis).
 //
 // The sketch is bounded and LRU-evicted: a hit refreshes the block's
 // last-seen index, and a miss on a full sketch evicts the least recently
@@ -19,7 +19,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -61,14 +61,12 @@ class WorkloadCharacterizer {
   explicit WorkloadCharacterizer(CharacterizerConfig config)
       : config_(config) {}
 
-  using WindowCallback = std::function<void(const WindowSummary&)>;
-  void SetWindowCallback(WindowCallback cb) { on_window_ = std::move(cb); }
-
   // One request as the Identifier saw it; `distance` is the signed stream
-  // distance it computed. Closes the window (invoking the callback) every
-  // `window_requests` observations.
-  void Observe(const std::string& file, device::IoKind kind, byte_count offset,
-               byte_count size, byte_count distance);
+  // distance it computed. Every `window_requests` observations it closes
+  // the window and returns its summary; otherwise it returns nullopt.
+  std::optional<WindowSummary> Observe(const std::string& file,
+                                       device::IoKind kind, byte_count offset,
+                                       byte_count size, byte_count distance);
 
   const CharacterizerConfig& config() const { return config_; }
   WorkloadPhase phase() const { return last_.phase; }
@@ -83,7 +81,6 @@ class WorkloadCharacterizer {
 
  private:
   CharacterizerConfig config_;
-  WindowCallback on_window_;
 
   // Current-window accumulators.
   std::int64_t win_requests_ = 0;

@@ -146,52 +146,8 @@ void PolicyEngine::Attach(core::S4DCache& cache, obs::Observability* obs) {
   cache_ = &cache;
   obs_ = obs;
 
-  cache.redirector().SetEvictionHooks(
-      [this]() { return eviction_->SelectVictim(cache_->dmt()); },
-      [this](const core::RemovedExtent& extent, bool evicted) {
-        eviction_->OnRemoved(extent, evicted);
-      });
-
-  if (config_.admission.pressure_max_queue > 0.0) {
-    controller_.SetPressureProbe(
-        [this]() { return cache_->CacheTierMeanQueueDepth(); });
-  }
-  if (config_.admission.pressure_max_delay > 0) {
-    // Calibration-backed: the cache returns 0 until a calibration engine
-    // installs its delay probe, so the time-unit veto is inert without one.
-    controller_.SetQueueDelayProbe(
-        [this]() { return cache_->CacheTierQueueDelayEstimate(); });
-  }
-
-  cache.identifier().SetAdmissionFilter(
-      [this](const core::AdmissionContext& ctx) {
-        characterizer_.Observe(ctx.file, ctx.kind, ctx.offset, ctx.size,
-                               ctx.distance);
-        const bool ghost_hit =
-            eviction_->GhostProbe(ctx.file, ctx.offset, ctx.offset + ctx.size);
-        return controller_.Admit(ctx.benefit, ctx.model_critical, ghost_hit);
-      });
-
-  cache.SetRequestObserver([this](const core::RequestOutcome& outcome) {
-    if (outcome.admitted) {
-      eviction_->OnAdmit(outcome.file, outcome.offset, outcome.size);
-    } else if (outcome.cache_bytes > 0) {
-      eviction_->OnAccess(outcome.file, outcome.offset, outcome.size);
-    }
-    // Feedback only from requests the cache served alone: a split request's
-    // latency mixes both tiers and says nothing about the cache's delivery.
-    if (outcome.admitted && outcome.cache_bytes > 0 &&
-        outcome.dserver_bytes == 0) {
-      controller_.OnCompletion(outcome.benefit, outcome.predicted_dserver,
-                               outcome.latency);
-    }
-  });
-
-  cache.SetExtraAudit([this]() { AuditInvariants(); });
+  cache.Attach(*this, /*selects_victims=*/true);
   cache.rebuilder().set_flush_order(config_.destage);
-
-  characterizer_.SetWindowCallback(
-      [this](const WindowSummary& summary) { OnWindow(summary); });
 
   if (obs_ != nullptr) {
     lane_ = obs_->tracer.Lane("policy");
@@ -224,6 +180,41 @@ void PolicyEngine::Attach(core::S4DCache& cache, obs::Observability* obs) {
     m.SetGaugeFn("policy.window_seq_fraction", [this] {
       return characterizer_.last_window().seq_fraction;
     });
+  }
+}
+
+bool PolicyEngine::Admit(const core::AdmissionContext& ctx, bool verdict) {
+  if (auto window = characterizer_.Observe(ctx.file, ctx.kind, ctx.offset,
+                                           ctx.size, ctx.distance)) {
+    OnWindow(*window);
+  }
+  const bool ghost_hit =
+      eviction_->GhostProbe(ctx.file, ctx.offset, ctx.offset + ctx.size);
+  return controller_.Admit(ctx.benefit, verdict, ghost_hit, cache_->tier());
+}
+
+std::optional<core::RemovedExtent> PolicyEngine::SelectVictim(
+    core::DataMappingTable& dmt) {
+  return eviction_->SelectVictim(dmt);
+}
+
+void PolicyEngine::OnRemoved(const core::RemovedExtent& extent,
+                             bool evicted) {
+  eviction_->OnRemoved(extent, evicted);
+}
+
+void PolicyEngine::OnOutcome(const core::RequestOutcome& outcome) {
+  if (outcome.admitted) {
+    eviction_->OnAdmit(outcome.file, outcome.offset, outcome.size);
+  } else if (outcome.cache_bytes > 0) {
+    eviction_->OnAccess(outcome.file, outcome.offset, outcome.size);
+  }
+  // Feedback only from requests the cache served alone: a split request's
+  // latency mixes both tiers and says nothing about the cache's delivery.
+  if (outcome.admitted && outcome.cache_bytes > 0 &&
+      outcome.dserver_bytes == 0) {
+    controller_.OnCompletion(outcome.benefit, outcome.predicted_dserver,
+                             outcome.latency);
   }
 }
 

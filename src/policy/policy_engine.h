@@ -1,12 +1,12 @@
 // PolicyEngine: the adaptive policy subsystem's front door.
 //
-// Owns the three policy axes and wires them into an S4DCache through the
-// core's hook points (the core never depends on this library):
+// Owns the three policy axes and takes part in an S4DCache's decisions as
+// a core::CacheExtension (the core never depends on this library):
 //
-//   eviction   — a pluggable EvictionPolicy drives the Redirector's victim
-//                selection (SetEvictionHooks) and learns from every removal.
-//   admission  — the Data Identifier's verdict passes through an
-//                AdmissionController (SetAdmissionFilter): ghost-assisted
+//   eviction   — a pluggable EvictionPolicy is the cache's victim selector
+//                and learns from every removal and outcome.
+//   admission  — the engine's Admit stage runs the Data Identifier's
+//                verdict through an AdmissionController: ghost-assisted
 //                admission, EWMA feedback threshold, LBICA pressure veto.
 //   destage    — the Rebuilder's flush ordering (set_flush_order).
 //
@@ -22,14 +22,16 @@
 //                                           feeding admission)
 //
 // With PolicyMode::kPaperDefault the engine must not be constructed at
-// all — s4dsim skips it entirely, leaving every core hook null, which the
-// core guarantees is byte-identical to the pre-policy behaviour. kFixed
-// with eviction=lru and admission=fixed installs the hooks but reproduces
-// the paper's decisions exactly (the equivalence test pins this).
+// all — s4dsim skips it entirely, leaving the cache with no extension,
+// which the core guarantees is byte-identical to the pre-policy behaviour.
+// kFixed with eviction=lru and admission=fixed attaches the engine but
+// reproduces the paper's decisions exactly (the equivalence test pins
+// this).
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 
 #include "common/config_parser.h"
 #include "common/status.h"
@@ -75,15 +77,30 @@ struct PolicyEngineStats {
   std::int64_t policy_switches = 0;  // eviction policy changed at a window
 };
 
-class PolicyEngine {
+class PolicyEngine final : public core::CacheExtension {
  public:
   explicit PolicyEngine(PolicyConfig config);
 
-  // Installs every hook into `cache` (and its Redirector / Identifier /
-  // Rebuilder). Call once, before traffic; the cache must outlive the
-  // engine's use. `obs` (nullable) receives policy.* metrics and
-  // policy-switch trace instants.
+  // Attaches the engine to `cache` as an extension and its victim selector,
+  // and sets the Rebuilder's destage order. Call once, before traffic and
+  // before any TenantManager::Attach; the cache must outlive the engine's
+  // use. `obs` (nullable) receives policy.* metrics and policy-switch trace
+  // instants.
   void Attach(core::S4DCache& cache, obs::Observability* obs = nullptr);
+
+  // --- core::CacheExtension ----------------------------------------------
+  // Feeds the characterizer (switching policy at a window close), probes
+  // the ghost list and returns the AdmissionController's verdict.
+  bool Admit(const core::AdmissionContext& ctx, bool verdict) override;
+  std::optional<core::RemovedExtent> SelectVictim(
+      core::DataMappingTable& dmt) override;
+  void OnRemoved(const core::RemovedExtent& extent, bool evicted) override;
+  // Recency on hits, admission bookkeeping, and feedback samples.
+  void OnOutcome(const core::RequestOutcome& outcome) override;
+  // Audits the controller, characterizer and eviction-policy invariants;
+  // runs with the cache's audits, including the paranoid-build periodic
+  // ones.
+  void AuditInvariants() const override;
 
   const PolicyConfig& config() const { return config_; }
   const AdmissionController& admission() const { return controller_; }
@@ -91,11 +108,6 @@ class PolicyEngine {
   const EvictionPolicy& eviction() const { return *eviction_; }
   EvictionKind eviction_kind() const { return eviction_kind_; }
   const PolicyEngineStats& stats() const { return stats_; }
-
-  // Audits the controller, characterizer and eviction-policy invariants;
-  // Attach() registers it as the cache's extra audit so it also rides the
-  // paranoid-build periodic audits.
-  void AuditInvariants() const;
 
  private:
   void OnWindow(const WindowSummary& summary);

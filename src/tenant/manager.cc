@@ -64,61 +64,18 @@ void TenantManager::Attach(core::S4DCache& cache) {
       cfg.sizer_interval > 0 ? cfg.sizer_interval : FromMillis(100);
   rate_window_start_ = engine_.now();
 
-  // Attribution: tag every foreground request's plan with its tenant.
-  cache.SetRequestStartHook(
-      [this](const mpiio::FileRequest& request, device::IoKind kind) {
-        OnRequestStart(request, kind);
-      });
-
-  // Outcomes: per-tenant hit/reuse/write accounting (chains any installed
-  // policy observer).
-  prev_observer_ = cache.request_observer();
-  cache.SetRequestObserver([this](const core::RequestOutcome& outcome) {
-    OnOutcome(outcome);
-  });
-
-  // Removals: populate the owning tenant's ghost list (chains the policy's
-  // removal observer; the owner is resolved before the allocator frees the
-  // range). In enforce mode the victim provider becomes partition-aware,
-  // replacing any policy-installed selection — partition containment is a
-  // hard guarantee, see the header.
-  core::Redirector& redirector = cache.redirector();
-  prev_removal_ = redirector.removal_observer();
-  core::Redirector::VictimProvider provider = redirector.victim_provider();
-  if (cfg.mode == TenantMode::kEnforce) {
-    provider = [this]() { return SelectVictim(); };
-    redirector.SetFreeSpaceGate(
-        [this](byte_count size) { return AllowFreeAllocation(size); });
-    // Keep the over-quota reclaim index current as usage changes, instead
-    // of rescanning every partition inside each victim selection.
-    enforce_index_ = true;
+  // In enforce mode the manager gates free-space allocation and selects
+  // victims, replacing any policy-installed selection — partition
+  // containment is a hard guarantee, see the header. The over-quota
+  // reclaim index follows usage changes instead of rescanning every
+  // partition inside each victim selection.
+  enforce_ = cfg.mode == TenantMode::kEnforce;
+  if (enforce_) {
     over_excess_.assign(static_cast<std::size_t>(count()), 0);
     space.SetUsageListener([this](int owner) { RefreshOverIndex(owner); });
     for (int t = 0; t < count(); ++t) RefreshOverIndex(t);
   }
-  redirector.SetEvictionHooks(
-      std::move(provider),
-      [this](const core::RemovedExtent& extent, bool evicted) {
-        OnRemoved(extent, evicted);
-      });
-
-  // Endurance-aware admission composes after the installed filter: it can
-  // only veto, never admit what the model (or policy) rejected.
-  if (cfg.endurance) {
-    prev_filter_ = cache.identifier().admission_filter();
-    cache.identifier().SetAdmissionFilter(
-        [this](const core::AdmissionContext& ctx) {
-          const bool inner =
-              prev_filter_ ? prev_filter_(ctx) : ctx.model_critical;
-          return AdmitEndurance(ctx, inner);
-        });
-  }
-
-  prev_audit_ = cache.extra_audit();
-  cache.SetExtraAudit([this]() {
-    if (prev_audit_) prev_audit_();
-    AuditInvariants();
-  });
+  cache.Attach(*this, /*selects_victims=*/enforce_);
 
   SetupObservability();
   if (cfg.sizer_interval > 0) ScheduleSizer();
@@ -134,6 +91,7 @@ byte_count TenantManager::used(int t) const {
 }
 
 bool TenantManager::AllowFreeAllocation(byte_count size) {
+  if (!enforce_) return true;  // observe mode: accounting only
   const int t = CurrentTenant();
   const core::CacheSpaceAllocator& space = cache_->cache_space();
   if (space.used_by(t) + size <= quota_[static_cast<std::size_t>(t)]) {
@@ -151,7 +109,7 @@ bool TenantManager::AllowFreeAllocation(byte_count size) {
 }
 
 void TenantManager::RefreshOverIndex(int owner) {
-  if (!enforce_index_) return;
+  if (!enforce_) return;
   const auto o = static_cast<std::size_t>(owner);
   const byte_count excess = std::max<byte_count>(
       0, cache_->cache_space().used_by(owner) - quota_[o]);
@@ -161,9 +119,9 @@ void TenantManager::RefreshOverIndex(int owner) {
   over_excess_[o] = excess;
 }
 
-std::optional<core::RemovedExtent> TenantManager::SelectVictim() {
+std::optional<core::RemovedExtent> TenantManager::SelectVictim(
+    core::DataMappingTable& dmt) {
   core::CacheSpaceAllocator& space = cache_->cache_space();
-  core::DataMappingTable& dmt = cache_->dmt();
   const int t = CurrentTenant();
   const auto owner_is = [&space](int target) {
     return [&space, target](const core::RemovedExtent& e) {
@@ -190,22 +148,23 @@ std::optional<core::RemovedExtent> TenantManager::SelectVictim() {
   });
 }
 
-bool TenantManager::AdmitEndurance(const core::AdmissionContext& ctx,
-                                   bool inner_verdict) {
-  if (!inner_verdict) return false;
+bool TenantManager::Admit(const core::AdmissionContext& ctx, bool verdict) {
+  // Endurance-aware admission only vetoes: it never admits what the model
+  // (or an earlier stage) rejected.
   const TenantsConfig& cfg = registry_.config();
+  if (!verdict || !cfg.endurance) return verdict;
   const int t = TenantOfRank(ctx.rank);
   TenantStats& s = stats_[static_cast<std::size_t>(t)];
   // LBICA-style saturation veto: a saturated cache tier serves admissions
   // slower than the model believes; shed them.
   if (cfg.pressure_max_queue > 0.0 &&
-      cache_->CacheTierMeanQueueDepth() > cfg.pressure_max_queue) {
+      cache_->tier().MeanQueueDepth() > cfg.pressure_max_queue) {
     ++s.pressure_vetoes;
     return false;
   }
   // End-of-life veto: stop converting SSD lifetime into hit ratio once the
   // wear budget is spent.
-  if (cache_->CacheTierWearFraction() >= cfg.wear_veto_fraction) {
+  if (cache_->tier().WearFraction() >= cfg.wear_veto_fraction) {
     ++s.wear_vetoes;
     return false;
   }
@@ -249,7 +208,6 @@ void TenantManager::OnRequestStart(const mpiio::FileRequest& request,
 }
 
 void TenantManager::OnOutcome(const core::RequestOutcome& outcome) {
-  if (prev_observer_) prev_observer_(outcome);
   const int t = TenantOfRank(outcome.rank);
   TenantStats& s = stats_[static_cast<std::size_t>(t)];
   ++window_outcomes_[static_cast<std::size_t>(t)];
@@ -270,7 +228,6 @@ void TenantManager::OnOutcome(const core::RequestOutcome& outcome) {
 
 void TenantManager::OnRemoved(const core::RemovedExtent& extent,
                               bool evicted) {
-  if (prev_removal_) prev_removal_(extent, evicted);
   if (!evicted) return;  // invalidations are not would-have-hit evidence
   int owner = cache_->cache_space().OwnerOf(extent.cache_offset,
                                             extent.length());
@@ -404,7 +361,7 @@ void TenantManager::SetupObservability() {
     });
   }
   m.SetGaugeFn("tenant.cache_wear_fraction", [this]() {
-    return cache_ != nullptr ? cache_->CacheTierWearFraction() : 0.0;
+    return cache_ != nullptr ? cache_->tier().WearFraction() : 0.0;
   });
 }
 
@@ -425,7 +382,7 @@ void TenantManager::AuditInvariants() const {
         << "quotas sum to " << quota_sum << " > capacity "
         << cache_->cache_space().capacity();
   }
-  if (enforce_index_) {
+  if (enforce_) {
     // The incremental over-quota index must agree with a fresh scan.
     std::size_t over_count = 0;
     for (std::size_t t = 0; t < n; ++t) {

@@ -1,28 +1,28 @@
 // TenantManager: the multi-tenant partitioning subsystem's front door.
 //
-// Wires a TenantRegistry into an S4DCache through the core's hook points
-// (the core never depends on this library, mirroring src/policy):
+// Takes part in an S4DCache's decisions as a core::CacheExtension (the
+// core never depends on this library, mirroring src/policy):
 //
-//   attribution — the request-start hook maps the issuing rank to its
-//                 tenant and tags the Redirector (set_charge_owner), so
-//                 every byte the plan allocates — including the Rebuilder's
-//                 later background fetch of a C_flagged range — is charged
-//                 to that tenant's partition.
+//   attribution — OnRequestStart maps the issuing rank to its tenant and
+//                 tags the Redirector (set_charge_owner), so every byte the
+//                 plan allocates — including the Rebuilder's later
+//                 background fetch of a C_flagged range — is charged to
+//                 that tenant's partition.
 //   partitions  — CacheSpaceAllocator partition tracking gives per-tenant
 //                 used-byte accounting; in enforce mode the free-space gate
 //                 caps each tenant at its quota (with borrowable slack
-//                 above other tenants' hard floors) and the victim provider
-//                 constrains eviction: over-quota partitions are reclaimed
-//                 first, then the requester's own, then any partition still
-//                 above its floor. Floors are never breached by another
-//                 tenant's allocation.
+//                 above other tenants' hard floors) and the manager is the
+//                 cache's victim selector: over-quota partitions are
+//                 reclaimed first, then the requester's own, then any
+//                 partition still above its floor. Floors are never
+//                 breached by another tenant's allocation.
 //   sizing      — an online PartitionSizer periodically re-divides the
 //                 capacity above the floors in proportion to each tenant's
 //                 EWMA *useful* hit ratio (reuse hits plus per-tenant ghost
 //                 evidence — ECI-Cache's division rule).
-//   endurance   — with `endurance = on`, admission composes a write-cost
-//                 stage after the installed filter: saturation (pressure
-//                 probe) and SSD end-of-life (wear model) veto globally,
+//   endurance   — with `endurance = on`, the Admit stage adds a write-cost
+//                 check to the verdict it receives: saturation (mean queue
+//                 depth) and SSD end-of-life (wear model) veto globally,
 //                 and a tenant near its cache-write budget must clear a
 //                 benefit bar that rises with its budget utilization —
 //                 over budget, admissions stop outright.
@@ -30,15 +30,17 @@
 // With one catch-all tenant in enforce mode and endurance off, every
 // decision reduces to the unpartitioned behaviour (the gate always passes,
 // the victim scan degenerates to global clean-LRU) — pinned byte-identical
-// by the equivalence test. When a PolicyEngine is also attached, attach the
-// TenantManager *after* it: admission/removal/outcome hooks chain, but in
-// enforce mode the partition-constrained victim provider replaces the
-// policy's victim selection (partition containment is a hard guarantee;
-// within a partition the order is clean-LRU).
+// by the equivalence test. When a PolicyEngine is also attached, attach
+// the TenantManager after it: extensions run in attach order, so the
+// endurance stage then sees the policy's verdict. In enforce mode the
+// partition-constrained victim selector replaces the policy's (partition
+// containment is a hard guarantee; within a partition the order is
+// clean-LRU).
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -75,16 +77,32 @@ struct TenantStats {
   }
 };
 
-class TenantManager {
+class TenantManager final : public core::CacheExtension {
  public:
   TenantManager(sim::Engine& engine, TenantRegistry registry,
                 obs::Observability* obs = nullptr);
-  ~TenantManager();
+  ~TenantManager() override;
 
-  // Installs every hook into `cache`. Call once, before traffic — and after
-  // a PolicyEngine::Attach when one is present, so the previously installed
-  // hooks chain.
+  // Enables partition tracking on `cache` and attaches the manager as an
+  // extension (and, in enforce mode, as its victim selector). Call once,
+  // before traffic — and after a PolicyEngine::Attach when one is present.
   void Attach(core::S4DCache& cache);
+
+  // --- core::CacheExtension ----------------------------------------------
+  void OnRequestStart(const mpiio::FileRequest& request,
+                      device::IoKind kind) override;
+  bool Admit(const core::AdmissionContext& ctx, bool verdict) override;
+  bool AllowFreeAllocation(byte_count size) override;
+  std::optional<core::RemovedExtent> SelectVictim(
+      core::DataMappingTable& dmt) override;
+  // Populates the owning tenant's ghost list; the owner is still on record.
+  void OnRemoved(const core::RemovedExtent& extent, bool evicted) override;
+  void OnOutcome(const core::RequestOutcome& outcome) override;
+  // S4D_CHECKs the partition bookkeeping: quotas respect floors and sum to
+  // the capacity, per-tenant counters are mutually consistent, and every
+  // ghost list's own invariants hold. Runs with the cache's audits, so it
+  // also rides the paranoid-build periodic audits.
+  void AuditInvariants() const override;
 
   const TenantRegistry& registry() const { return registry_; }
   int count() const { return registry_.count(); }
@@ -104,34 +122,21 @@ class TenantManager {
     return useful_ewma_.at(static_cast<std::size_t>(t));
   }
 
-  // S4D_CHECKs the partition bookkeeping: quotas respect floors and sum to
-  // the capacity, per-tenant counters are mutually consistent, and every
-  // ghost list's own invariants hold. Registered as (part of) the cache's
-  // extra audit, so it also rides the paranoid-build periodic audits.
-  void AuditInvariants() const;
-
   // One formatted per-tenant summary table (used by s4dsim's report).
   void PrintReport() const;
 
  private:
   int TenantOfRank(int rank) const { return registry_.TenantOf(rank); }
   // The tenant charged for the allocation currently being planned (set by
-  // the request-start hook for foreground ops, by the Rebuilder for
-  // fetches).
+  // OnRequestStart for foreground ops, by the Rebuilder for fetches).
   int CurrentTenant() const;
 
-  bool AllowFreeAllocation(byte_count size);
-  std::optional<core::RemovedExtent> SelectVictim();
   // Incremental over-quota index maintenance: recomputes `owner`'s excess
   // (used - quota) and moves its entry in over_index_. Called from the
   // allocator's usage listener and after quota changes, so SelectVictim
   // reads reclaim order off the index instead of rescanning every tenant
   // per eviction.
   void RefreshOverIndex(int owner);
-  bool AdmitEndurance(const core::AdmissionContext& ctx, bool inner_verdict);
-  void OnRequestStart(const mpiio::FileRequest& request, device::IoKind kind);
-  void OnOutcome(const core::RequestOutcome& outcome);
-  void OnRemoved(const core::RemovedExtent& extent, bool evicted);
   // Folds the open rate window into the per-tenant write-rate EWMAs.
   void FoldRateWindow();
   void SizerTick();
@@ -161,7 +166,7 @@ class TenantManager {
   };
   std::set<std::pair<byte_count, int>, OverOrder> over_index_;
   std::vector<byte_count> over_excess_;
-  bool enforce_index_ = false;
+  bool enforce_ = false;  // gate, victim selection and the index above
 
   // Sizer state: per-tenant EWMA useful-hit ratio and the open window's
   // deltas (reset every tick).
@@ -180,12 +185,6 @@ class TenantManager {
   std::vector<byte_count> rate_window_bytes_;
   SimTime rate_window_start_ = 0;
   SimTime rate_window_len_ = 0;
-
-  // Previously installed hooks, chained.
-  core::DataIdentifier::AdmissionFilter prev_filter_;
-  core::S4DCache::RequestObserver prev_observer_;
-  core::Redirector::RemovalObserver prev_removal_;
-  std::function<void()> prev_audit_;
 
   sim::EventId sizer_tick_ = sim::kInvalidEvent;
 

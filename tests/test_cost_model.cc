@@ -154,6 +154,9 @@ class FakeCalibration : public CostCalibration {
     last_c_size = size;
     return c_return;
   }
+  double MeanCServerDepth() const override { return 0.0; }
+  SimTime CServerQueueDelayEstimate() const override { return 0; }
+  bool CacheTierSaturated() const override { return false; }
 
   SimTime d_return = -1;
   SimTime c_return = -1;

@@ -69,8 +69,9 @@ TEST_F(DataIdentifierTest, SmallRandomRequestsEnterCdt) {
   // Jumping far each time: all critical.
   for (int i = 0; i < 10; ++i) {
     const byte_count offset = static_cast<byte_count>(i) * 1 * GiB;
-    EXPECT_TRUE(identifier_.Identify("f", 0, device::IoKind::kWrite, offset,
-                                     16 * KiB));
+    EXPECT_TRUE(identifier_
+                    .Identify("f", 0, device::IoKind::kWrite, offset, 16 * KiB)
+                    .critical);
     EXPECT_TRUE(cdt_.Contains(CdtKey{"f", offset, 16 * KiB}));
   }
   EXPECT_EQ(identifier_.stats().critical, 10);
@@ -85,7 +86,8 @@ TEST_F(DataIdentifierTest, LargeSequentialRequestsStayOut) {
   for (int i = 1; i < 10; ++i) {
     offset += 4 * MiB;
     EXPECT_FALSE(
-        identifier_.Identify("f", 0, device::IoKind::kWrite, offset, 4 * MiB))
+        identifier_.Identify("f", 0, device::IoKind::kWrite, offset, 4 * MiB)
+            .critical)
         << "sequential 4 MiB request " << i << " wrongly critical";
   }
   EXPECT_EQ(identifier_.stats().requests, 10);
@@ -114,6 +116,9 @@ class CountingCalibration : public CostCalibration {
     ++cserver_calls;
     return -1;
   }
+  double MeanCServerDepth() const override { return 0.0; }
+  SimTime CServerQueueDelayEstimate() const override { return 0; }
+  bool CacheTierSaturated() const override { return false; }
   mutable int dserver_calls = 0;
   mutable int cserver_calls = 0;
 };
@@ -121,12 +126,12 @@ class CountingCalibration : public CostCalibration {
 TEST_F(DataIdentifierTest, EvaluatesEachCostOncePerRequest) {
   CountingCalibration calibration;
   model_.SetCalibration(&calibration);
-  identifier_.Identify("f", 0, device::IoKind::kWrite, 3 * GiB, 16 * KiB);
+  const Decision decision =
+      identifier_.Identify("f", 0, device::IoKind::kWrite, 3 * GiB, 16 * KiB);
   EXPECT_EQ(calibration.dserver_calls, 1);
   EXPECT_EQ(calibration.cserver_calls, 1);
   // Eq. 8: the benefit is the difference of the two costs it reports.
-  EXPECT_EQ(identifier_.last_benefit(), identifier_.last_dserver_cost() -
-                                            identifier_.last_cserver_cost());
+  EXPECT_EQ(decision.benefit, decision.dserver_cost - decision.cserver_cost);
   model_.SetCalibration(nullptr);
 }
 

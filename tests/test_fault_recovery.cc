@@ -7,6 +7,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/s4d_cache.h"
 #include "fault/fault_injector.h"
@@ -78,14 +79,41 @@ struct Rig {
   harness::ContentChecker checker;
 };
 
+// Records what each request went through: request starts, the decision
+// the admission stage saw, and the completion record.
+struct Recorder final : core::CacheExtension {
+  struct Seen {
+    device::IoKind kind;
+    byte_count distance;
+    SimTime benefit;
+    SimTime dserver_cost;
+    SimTime cserver_cost;
+  };
+  void OnRequestStart(const mpiio::FileRequest&,
+                      device::IoKind kind) override {
+    starts.push_back(kind);
+  }
+  bool Admit(const core::AdmissionContext& ctx, bool verdict) override {
+    decisions.push_back(Seen{ctx.kind, ctx.distance, ctx.benefit,
+                             ctx.dserver_cost, ctx.cserver_cost});
+    return verdict;
+  }
+  void OnOutcome(const core::RequestOutcome& outcome) override {
+    outcomes.push_back(outcome);
+  }
+  std::vector<device::IoKind> starts;
+  std::vector<Seen> decisions;
+  std::vector<core::RequestOutcome> outcomes;
+};
+
 TEST(FaultRecovery, DegradedWriteBypassesDownCacheTier) {
   Rig rig(Rig::CacheAllConfig());
   rig.Write(0, 256 * KiB);  // admitted: dirty in the cache
   ASSERT_GT(rig.s4d->dmt().dirty_bytes(), 0);
-  ASSERT_TRUE(rig.s4d->CacheTierAvailable());
+  ASSERT_TRUE(rig.s4d->tier().Reachable());
 
   rig.Inject("0ms crash cservers all");
-  EXPECT_FALSE(rig.s4d->CacheTierAvailable());
+  EXPECT_FALSE(rig.s4d->tier().Reachable());
 
   // Overwrite part of the cached range while the tier is down: the write
   // must land on the DServers and supersede the overlapping dirty mapping.
@@ -189,6 +217,75 @@ TEST(FaultRecovery, RecoveryBeforeTimeoutLeavesNothingToPromote) {
   EXPECT_EQ(rig.s4d->counters().promoted_stale_reads, 0);
   EXPECT_EQ(rig.s4d->counters().stale_dirty_reads, 0);
   EXPECT_EQ(rig.checker.failures(), 0);
+}
+
+TEST(FaultRecovery, HeldReadIsDecidedOnce) {
+  // A read held across an outage keeps its decision: recovery re-plans it
+  // without rerunning the start stage, the Identifier or admission.
+  Rig rig(Rig::CacheAllConfig());
+  Recorder recorder;
+  rig.s4d->Attach(recorder);
+  rig.Write(0, 128 * KiB);
+  rig.Inject("0ms crash cservers all");
+
+  mpiio::FileRequest request;
+  request.file = kFile;
+  request.offset = 0;
+  request.size = 64 * KiB;
+  bool done = false;
+  rig.s4d->Read(request, [&done](SimTime) { done = true; });
+  rig.bed.engine().RunUntil(rig.bed.engine().now() + FromSeconds(2));
+  ASSERT_FALSE(done);
+  rig.Inject("0ms restart cservers all");
+  rig.bed.engine().RunUntil(rig.bed.engine().now() + FromSeconds(2));
+  ASSERT_TRUE(done);
+
+  EXPECT_EQ(recorder.starts.size(), 2u) << "one write and one read started";
+  EXPECT_EQ(rig.s4d->identifier_stats().requests, 2);
+  ASSERT_EQ(recorder.decisions.size(), 2u);
+  // The read's stream distance is measured once, behind the write's tail —
+  // not against the read's own tail, as a second evaluation would.
+  EXPECT_EQ(recorder.decisions[1].distance, -128 * KiB);
+  ASSERT_EQ(recorder.outcomes.size(), 2u);
+  EXPECT_EQ(recorder.outcomes[1].kind, device::IoKind::kRead);
+  EXPECT_EQ(recorder.outcomes[1].benefit, recorder.decisions[1].benefit);
+  EXPECT_EQ(rig.checker.failures(), 0);
+}
+
+TEST(FaultRecovery, PromotedStaleReadReportsItsOwnDecision) {
+  auto cfg = Rig::CacheAllConfig();
+  cfg.queue_stale_timeout = FromMillis(500);
+  Rig rig(cfg);
+  Recorder recorder;
+  rig.s4d->Attach(recorder);
+  rig.Write(0, 128 * KiB);
+  rig.Inject("0ms crash cservers all");
+
+  mpiio::FileRequest request;
+  request.file = kFile;
+  request.offset = 0;
+  request.size = 64 * KiB;
+  bool done = false;
+  rig.s4d->Read(request, [&done](SimTime) { done = true; });
+  rig.bed.engine().RunUntil(rig.bed.engine().now() + FromMillis(100));
+  ASSERT_FALSE(done);
+  // Another request is decided while the read is held.
+  rig.Write(8 * MiB, 4 * MiB);
+  rig.bed.engine().RunUntil(rig.bed.engine().now() + FromSeconds(2));
+  ASSERT_TRUE(done);
+  ASSERT_EQ(rig.s4d->counters().promoted_stale_reads, 1);
+
+  ASSERT_EQ(recorder.decisions.size(), 3u);
+  const Recorder::Seen& read = recorder.decisions[1];
+  const Recorder::Seen& later_write = recorder.decisions[2];
+  ASSERT_EQ(read.kind, device::IoKind::kRead);
+  ASSERT_NE(read.benefit, later_write.benefit);
+  ASSERT_EQ(recorder.outcomes.size(), 3u);
+  const core::RequestOutcome& outcome = recorder.outcomes[2];
+  ASSERT_EQ(outcome.kind, device::IoKind::kRead);
+  EXPECT_EQ(outcome.benefit, read.benefit);
+  EXPECT_EQ(outcome.predicted_dserver, read.dserver_cost);
+  EXPECT_EQ(outcome.predicted_cserver, read.cserver_cost);
 }
 
 TEST(FaultRecovery, ServeStaleCompletesAndReportsLossWindow) {

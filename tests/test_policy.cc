@@ -169,19 +169,40 @@ TEST(AdmissionController, GhostHitOverridesModelVerdict) {
   ctl.AuditInvariants();
 }
 
+// A calibration provider that declines every estimate and reports a
+// settable cache-tier queue depth, which TierSignals then reads.
+class DepthCalibration final : public core::CostCalibration {
+ public:
+  SimTime DServerEstimate(SimTime, byte_count, byte_count) const override {
+    return -1;
+  }
+  SimTime CServerEstimate(device::IoKind, byte_count,
+                          byte_count) const override {
+    return -1;
+  }
+  double MeanCServerDepth() const override { return depth; }
+  SimTime CServerQueueDelayEstimate() const override { return 0; }
+  bool CacheTierSaturated() const override { return false; }
+  double depth = 0.0;
+};
+
 TEST(AdmissionController, PressureVetoBlocksEverything) {
   AdmissionControllerConfig config;
   config.pressure_max_queue = 4.0;
   AdmissionController ctl(config);
-  double depth = 10.0;
-  ctl.SetPressureProbe([&] { return depth; });
-  EXPECT_FALSE(ctl.Admit(FromMillis(1), /*model_critical=*/true, false));
+  harness::Testbed bed{harness::TestbedConfig{}};
+  core::CostModel model = bed.MakeCostModel();
+  DepthCalibration calibration;
+  model.SetCalibration(&calibration);
+  const core::TierSignals tier(bed.cservers(), model);
+  calibration.depth = 10.0;
+  EXPECT_FALSE(ctl.Admit(FromMillis(1), /*model_critical=*/true, false, tier));
   EXPECT_FALSE(ctl.Admit(FromMillis(1), /*model_critical=*/false,
-                         /*ghost_hit=*/true))
+                         /*ghost_hit=*/true, tier))
       << "veto outranks ghost evidence";
   EXPECT_EQ(ctl.stats().pressure_vetoes, 2);
-  depth = 1.0;  // backlog drained
-  EXPECT_TRUE(ctl.Admit(FromMillis(1), /*model_critical=*/true, false));
+  calibration.depth = 1.0;  // backlog drained
+  EXPECT_TRUE(ctl.Admit(FromMillis(1), /*model_critical=*/true, false, tier));
   ctl.AuditInvariants();
 }
 
@@ -264,14 +285,15 @@ TEST(WorkloadCharacterizer, ClassifiesRandomAndMixedWindows) {
 TEST(WorkloadCharacterizer, DetectsPhaseSwitchMidRun) {
   WorkloadCharacterizer wc(SmallWindow());
   std::vector<WorkloadPhase> phases;
-  wc.SetWindowCallback(
-      [&](const WindowSummary& w) { phases.push_back(w.phase); });
-  for (int i = 0; i < 32; ++i) {
-    wc.Observe("f", device::IoKind::kWrite, i * 64 * KiB, 64 * KiB, 0);
-  }
-  for (int i = 0; i < 32; ++i) {
-    wc.Observe("f", device::IoKind::kWrite, i * 700 * MiB, 16 * KiB, 650 * MiB);
-  }
+  const auto observe = [&](byte_count offset, byte_count size,
+                           byte_count distance) {
+    if (auto window =
+            wc.Observe("f", device::IoKind::kWrite, offset, size, distance)) {
+      phases.push_back(window->phase);
+    }
+  };
+  for (int i = 0; i < 32; ++i) observe(i * 64 * KiB, 64 * KiB, 0);
+  for (int i = 0; i < 32; ++i) observe(i * 700 * MiB, 16 * KiB, 650 * MiB);
   ASSERT_EQ(phases.size(), 4u);
   EXPECT_EQ(phases[0], WorkloadPhase::kSequential);
   EXPECT_EQ(phases[1], WorkloadPhase::kSequential);

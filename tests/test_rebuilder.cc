@@ -343,15 +343,18 @@ TEST(RebuilderParking, GateVetoWithFreeBytesDoesNotPark) {
   ASSERT_EQ(s4d->redirector_stats().lazy_fetch_marks, kPendingFetches);
   // A partition gate that vetoes every free-space allocation: the quota it
   // enforces may move without any table changing, so nothing parks.
-  int gate_calls = 0;
-  s4d->redirector().SetFreeSpaceGate([&gate_calls](byte_count) {
-    ++gate_calls;
-    return false;
-  });
+  struct VetoingGate final : CacheExtension {
+    bool AllowFreeAllocation(byte_count) override {
+      ++calls;
+      return false;
+    }
+    int calls = 0;
+  } gate;
+  s4d->Attach(gate);
   Ticks(*s4d, 50);
   EXPECT_EQ(s4d->rebuilder_stats().fetch_space_failures,
             50 * kPendingFetches);
-  EXPECT_EQ(gate_calls, 50 * kPendingFetches);
+  EXPECT_EQ(gate.calls, 50 * kPendingFetches);
   EXPECT_EQ(s4d->rebuilder_stats().fetches_started, 0);
 }
 

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <functional>
+#include <string>
+#include <vector>
 
 #include "harness/testbed.h"
 
@@ -218,6 +221,135 @@ TEST(S4DCache, PolicyAlwaysAdmitsSequentialWrites) {
   }
   EXPECT_EQ(s4d->counters().cserver_requests, 4);
   EXPECT_EQ(s4d->counters().dserver_requests, 0);
+}
+
+// Logs every call it receives, tagged with its name, into a log it shares
+// with the other recorders. Its admission stage can replace the verdict it
+// receives.
+class RecordingExtension final : public CacheExtension {
+ public:
+  RecordingExtension(std::string name, std::vector<std::string>& log)
+      : name_(std::move(name)), log_(log) {}
+
+  void OnRequestStart(const mpiio::FileRequest&, device::IoKind) override {
+    log_.push_back(name_ + ".start");
+  }
+  bool Admit(const AdmissionContext&, bool verdict) override {
+    log_.push_back(name_ + ".admit(" + (verdict ? "1" : "0") + ")");
+    return invert_verdict ? !verdict : verdict;
+  }
+  bool AllowFreeAllocation(byte_count) override {
+    log_.push_back(name_ + ".gate");
+    return true;
+  }
+  std::optional<RemovedExtent> SelectVictim(DataMappingTable& dmt) override {
+    log_.push_back(name_ + ".victim");
+    return dmt.EvictLruClean();
+  }
+  void OnRemoved(const RemovedExtent& extent, bool evicted) override {
+    log_.push_back(name_ + (evicted ? ".evicted" : ".invalidated"));
+    if (on_removed) on_removed(extent);
+  }
+  void OnOutcome(const RequestOutcome&) override {
+    log_.push_back(name_ + ".outcome");
+  }
+  void AuditInvariants() const override { log_.push_back(name_ + ".audit"); }
+
+  bool invert_verdict = false;
+  std::function<void(const RemovedExtent&)> on_removed;
+
+ private:
+  std::string name_;
+  std::vector<std::string>& log_;
+};
+
+TEST(S4DCacheExtensions, StagesRunInAttachOrder) {
+  harness::Testbed bed(SmallTestbed());
+  auto s4d = bed.MakeS4D(NoRebuilderConfig());
+  s4d->Open("f");
+  std::vector<std::string> log;
+  RecordingExtension a("a", log);
+  RecordingExtension b("b", log);
+  a.invert_verdict = true;
+  s4d->Attach(a);
+  s4d->Attach(b);
+  // A cold small write: the model finds it critical (B > 0).
+  DoIo(bed, *s4d, device::IoKind::kWrite, "f", 0, 500 * MiB, 16 * KiB);
+  // Start stages run before admission; admission folds from the model's
+  // verdict through `a` (which inverts it) into `b`.
+  EXPECT_EQ(log, (std::vector<std::string>{"a.start", "b.start", "a.admit(1)",
+                                           "b.admit(0)", "a.outcome",
+                                           "b.outcome"}));
+  // The folded verdict is the one the Redirector acted on.
+  EXPECT_EQ(s4d->identifier_stats().critical, 0);
+  EXPECT_EQ(s4d->counters().cserver_requests, 0);
+  log.clear();
+  s4d->AuditInvariants();
+  EXPECT_EQ(log, (std::vector<std::string>{"a.audit", "b.audit"}));
+}
+
+TEST(S4DCacheExtensions, EvictionAsksOnlyTheChosenSelector) {
+  harness::Testbed bed(SmallTestbed());
+  S4DConfig cfg = NoRebuilderConfig();
+  cfg.cache_capacity = 32 * KiB;  // room for two 16 KiB admissions
+  cfg.policy = AdmissionPolicy::kAlways;
+  auto s4d = bed.MakeS4D(cfg);
+  s4d->Open("f");
+  CacheSpaceAllocator& space = s4d->cache_space();
+  space.EnablePartitionTracking(2);
+  s4d->redirector().set_charge_owner(1);
+  std::vector<std::string> log;
+  RecordingExtension a("a", log);
+  RecordingExtension b("b", log);
+  s4d->Attach(a, /*selects_victims=*/true);
+  s4d->Attach(b, /*selects_victims=*/true);  // replaces `a` as the selector
+  // Removal stages see the range scrubbed but still allocated and charged.
+  const pfs::FileId cache_id = bed.cservers().Lookup("f.s4d");
+  int removals_checked = 0;
+  a.on_removed = [&](const RemovedExtent& extent) {
+    EXPECT_TRUE(bed.cservers()
+                    .ReadContent(cache_id, extent.cache_offset,
+                                 extent.length())
+                    .empty())
+        << "removal stage ran before the scrub";
+    EXPECT_TRUE(space.IsAllocated(extent.cache_offset, extent.length()));
+    EXPECT_EQ(space.OwnerOf(extent.cache_offset, extent.length()), 1);
+    ++removals_checked;
+  };
+  DoIo(bed, *s4d, device::IoKind::kWrite, "f", 0, 100 * MiB, 16 * KiB, 7);
+  DoIo(bed, *s4d, device::IoKind::kWrite, "f", 0, 200 * MiB, 16 * KiB, 8);
+  // Flush both extents so they are clean and evictable.
+  s4d->rebuilder().Tick();
+  bed.engine().Run();
+  ASSERT_EQ(s4d->dmt().dirty_bytes(), 0);
+  log.clear();
+  // The cache is full: the third admission evicts one extent.
+  DoIo(bed, *s4d, device::IoKind::kWrite, "f", 0, 300 * MiB, 16 * KiB, 9);
+  EXPECT_EQ(log, (std::vector<std::string>{
+                     "a.start", "b.start", "a.admit(1)", "b.admit(1)",
+                     "a.gate", "b.gate", "b.victim", "a.evicted", "b.evicted",
+                     "a.gate", "b.gate", "a.outcome", "b.outcome"}));
+  EXPECT_EQ(removals_checked, 1);
+  EXPECT_EQ(s4d->redirector_stats().evictions, 1);
+  s4d->AuditInvariants();
+}
+
+TEST(S4DCacheExtensions, RebuilderFetchesReachTheGate) {
+  harness::Testbed bed(SmallTestbed());
+  auto s4d = bed.MakeS4D(NoRebuilderConfig());
+  s4d->Open("f");
+  std::vector<std::string> log;
+  RecordingExtension a("a", log);
+  RecordingExtension b("b", log);
+  s4d->Attach(a);
+  s4d->Attach(b);
+  // A critical read miss is marked for a lazy background fetch.
+  DoIo(bed, *s4d, device::IoKind::kRead, "f", 1, 500 * MiB, 16 * KiB);
+  ASSERT_EQ(s4d->redirector_stats().lazy_fetch_marks, 1);
+  log.clear();
+  s4d->rebuilder().Tick();
+  EXPECT_EQ(s4d->rebuilder_stats().fetches_started, 1);
+  EXPECT_EQ(log, (std::vector<std::string>{"a.gate", "b.gate"}));
 }
 
 TEST(S4DCache, DmtPersistenceAcrossRestart) {

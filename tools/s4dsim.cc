@@ -599,7 +599,7 @@ int Run(const ConfigParser& config) {
                    : 0.0;
       });
       sampler.AddProbe("s4d.cache_tier_slowdown",
-                       [cache] { return cache->CacheTierSlowdown(); });
+                       [cache] { return cache->tier().Slowdown(); });
       // Age of the oldest / median dirty extent: how long acknowledged data
       // has been exposed to cache-tier loss.
       sampler.AddProbe("s4d.dirty_age_oldest_us", [cache, &bed] {
