@@ -1,14 +1,16 @@
-// Policy-subsystem ablation grid (beyond the paper's tables):
+// Policy-subsystem ablation grid (beyond the paper's tables). Three
+// variants: paper-default (no engine), fixed/lru (the engine attached with
+// the paper's B > 0 rule, which must change nothing) and adaptive (the
+// EWMA feedback threshold plus the pressure veto). Eviction is clean-LRU
+// in all three.
 //
 // 1. Guardrails: the paper's fig6-style IOR write mix and fig7-style warm
-//    re-read, run under every eviction policy and under the adaptive
-//    engine. The policy layer must never cost more than a few percent on
+//    re-read. The policy layer must never cost more than a few percent on
 //    the workloads the paper's defaults already handle well.
-// 2. Mixed-phase workload (alternating sequential 1 MiB and random 16 KiB
-//    phases against a tight cache): the regime the adaptive engine is for —
-//    the characterizer detects each phase flip and re-selects eviction and
-//    destage order, and the feedback admission threshold sheds marginal
-//    admissions that the per-request cost model over-promises on.
+// 2. Mixed-phase workload (alternating sequential 1 MiB and strided
+//    256 KiB phases against a tight cache): the feedback admission
+//    threshold sheds marginal admissions that the per-request cost model
+//    over-promises on.
 // 3. Strided saturation (HPIO, interleaved regions): every rank's stream
 //    distance is ranks * region_size, so the per-request cost model scores
 //    all of it critical and the paper's rule funnels the full 32-rank load
@@ -28,24 +30,15 @@
 namespace s4d::bench {
 namespace {
 
-enum class Variant {
-  kPaperDefault,
-  kFixedLru,
-  kFixedArc,
-  kFixedSelectiveLru,
-  kAdaptive,
-};
+enum class Variant { kPaperDefault, kFixedLru, kAdaptive };
 
-constexpr Variant kAllVariants[] = {
-    Variant::kPaperDefault, Variant::kFixedLru, Variant::kFixedArc,
-    Variant::kFixedSelectiveLru, Variant::kAdaptive};
+constexpr Variant kAllVariants[] = {Variant::kPaperDefault, Variant::kFixedLru,
+                                    Variant::kAdaptive};
 
 const char* VariantName(Variant v) {
   switch (v) {
     case Variant::kPaperDefault: return "paper-default";
     case Variant::kFixedLru: return "fixed/lru";
-    case Variant::kFixedArc: return "fixed/arc";
-    case Variant::kFixedSelectiveLru: return "fixed/selective-lru";
     case Variant::kAdaptive: return "adaptive";
   }
   return "?";
@@ -57,15 +50,7 @@ std::unique_ptr<policy::PolicyEngine> MakeEngine(Variant v,
                                                  core::S4DCache& s4d) {
   if (v == Variant::kPaperDefault) return nullptr;
   policy::PolicyConfig pc;
-  pc.mode = v == Variant::kAdaptive ? policy::PolicyMode::kAdaptive
-                                    : policy::PolicyMode::kFixed;
-  switch (v) {
-    case Variant::kFixedArc: pc.eviction = policy::EvictionKind::kArc; break;
-    case Variant::kFixedSelectiveLru:
-      pc.eviction = policy::EvictionKind::kSelectiveLru;
-      break;
-    default: pc.eviction = policy::EvictionKind::kLru; break;
-  }
+  pc.mode = policy::PolicyMode::kAdaptive;
   if (v == Variant::kAdaptive) {
     pc.admission.feedback = true;
     // Raise the threshold only once the cache path is *slower* than the
@@ -87,13 +72,10 @@ void PrintEngineLine(const policy::PolicyEngine* engine) {
   if (!engine) return;
   const auto& st = engine->admission().stats();
   std::printf(
-      "    [admits %lld (%lld ghost), threshold rejects %lld, "
-      "pressure vetoes %lld, switches %lld]\n",
+      "    [admits %lld, threshold rejects %lld, pressure vetoes %lld]\n",
       static_cast<long long>(st.admits),
-      static_cast<long long>(st.ghost_admits),
       static_cast<long long>(st.threshold_rejects),
-      static_cast<long long>(st.pressure_vetoes),
-      static_cast<long long>(engine->stats().policy_switches));
+      static_cast<long long>(st.pressure_vetoes));
 }
 
 // --- 1. Guardrails: the paper's own workloads must not regress -------------
@@ -145,7 +127,7 @@ double RunWarmRead(const BenchArgs& args, byte_count file_size, int ranks,
 }
 
 void Guardrails(const BenchArgs& args, BenchReporter& report) {
-  std::printf("--- 1. Guardrails: paper workloads under every policy ---\n");
+  std::printf("--- 1. Guardrails: paper workloads under every variant ---\n");
   const byte_count mix_size = args.full ? 2 * GiB : 64 * MiB;
   const byte_count read_size = args.full ? 1 * GiB : 48 * MiB;
   const int ranks = args.full ? 32 : 16;
@@ -188,8 +170,8 @@ double RunMixedPhase(const BenchArgs& args, std::int64_t regions, int ranks,
       static_cast<byte_count>(regions) * ranks * (256 * KiB);
   core::S4DConfig cfg;
   // Tight cache: the strided working set does not fit, so each strided
-  // phase re-requests ranges the previous one evicted — ghost-list
-  // territory — while the saturation story plays out on the CServer queues.
+  // phase re-requests ranges the previous one evicted, while the
+  // saturation story plays out on the CServer queues.
   cfg.cache_capacity = strided_bytes / 2;
   auto s4d = bed.MakeS4D(cfg);
   auto engine = MakeEngine(v, *s4d);
@@ -285,8 +267,7 @@ void StridedSaturation(const BenchArgs& args, BenchReporter& report) {
   const int ranks = 32;
   TablePrinter table({"policy", "MB/s", "vs fixed/lru"});
   double fixed = 0.0, adaptive = 0.0;
-  for (Variant v :
-       {Variant::kPaperDefault, Variant::kFixedLru, Variant::kAdaptive}) {
+  for (Variant v : kAllVariants) {
     const double mbps = RunStrided(args, regions, ranks, v);
     if (v == Variant::kFixedLru) fixed = mbps;
     if (v == Variant::kAdaptive) adaptive = mbps;
@@ -310,7 +291,7 @@ int Main(int argc, char** argv) {
   const BenchArgs args = ParseArgs(argc, argv);
   BenchReporter report("policy", args);
   std::printf("=== Policy subsystem: guardrails + adaptive ablation ===\n");
-  report.Scale("5-variant grid over write mix, warm read, mixed-phase, "
+  report.Scale("3-variant grid over write mix, warm read, mixed-phase, "
                "strided saturation");
   Guardrails(args, report);
   MixedPhase(args, report);

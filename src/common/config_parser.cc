@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -110,7 +111,7 @@ std::optional<double> ConfigParser::GetDouble(const std::string& section,
   try {
     std::size_t consumed = 0;
     const double value = std::stod(*raw, &consumed);
-    if (consumed != raw->size()) return std::nullopt;
+    if (consumed != raw->size() || !std::isfinite(value)) return std::nullopt;
     return value;
   } catch (...) {
     return std::nullopt;
@@ -179,7 +180,11 @@ std::optional<SimTime> ConfigParser::GetDuration(const std::string& section,
     std::size_t consumed = 0;
     const double value = std::stod(text, &consumed);
     if (consumed != text.size() || value < 0) return std::nullopt;
-    return static_cast<SimTime>(value * static_cast<double>(multiplier));
+    // NaN, infinity and anything past SimTime's range (2^63 ns) have no
+    // SimTime; converting them would be undefined behaviour.
+    const double ns = value * static_cast<double>(multiplier);
+    if (!(ns < 0x1p63)) return std::nullopt;
+    return static_cast<SimTime>(ns);
   } catch (...) {
     return std::nullopt;
   }

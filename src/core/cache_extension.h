@@ -81,7 +81,7 @@ class CacheExtension {
 };
 
 // The attached extensions in attach order, and the one victim selector
-// (null: the paper's clean-LRU).
+// (null: the paper's clean-LRU). At most one extension selects victims.
 struct ExtensionList {
   std::vector<CacheExtension*> attached;
   CacheExtension* victim_selector = nullptr;

@@ -88,8 +88,7 @@ Decision DataIdentifier::Identify(const std::string& file, int rank,
     ++stats_.health_rejections;
   }
   // Extension admission stages see every request and may override the
-  // verdict — ghost-assisted admission raises it, feedback thresholds,
-  // pressure and endurance vetoes lower it.
+  // verdict — feedback thresholds, pressure and endurance vetoes lower it.
   if (!extensions.empty()) {
     const AdmissionContext ctx{file,   rank, kind,
                                offset, size, distance,

@@ -388,55 +388,6 @@ std::optional<RemovedExtent> DataMappingTable::EvictLruCleanIf(
   return std::nullopt;
 }
 
-std::optional<RemovedExtent> DataMappingTable::EvictCleanOverlapping(
-    const std::string& file, byte_count begin, byte_count end) {
-  if (begin >= end) return std::nullopt;
-  auto idx_it = file_index_.find(file);
-  if (idx_it == file_index_.end()) return std::nullopt;
-  const std::uint32_t file_index = idx_it->second;
-  FileMap& map = files_[file_index];
-  auto it = map.upper_bound(begin);
-  if (it != map.begin()) {
-    auto prev = std::prev(it);
-    if (prev->second.end > begin) it = prev;
-  }
-  for (; it != map.end() && it->first < end; ++it) {
-    if (it->second.dirty) continue;
-    InvalidateHint();
-    RemovedExtent ext;
-    ext.file = file;
-    ext.orig_begin = it->first;
-    ext.orig_end = it->second.end;
-    ext.cache_offset = it->second.cache_offset;
-    ext.dirty = false;
-
-    mapped_bytes_ -= ext.length();
-    ++coverage_epoch_;
-    UnindexLru(it->second);
-    ErasePersisted(file_index, it->first);
-    map.erase(it);
-    MaybeAudit();
-    return ext;
-  }
-  return std::nullopt;
-}
-
-std::vector<DirtyRange> DataMappingTable::CollectDirty(
-    std::size_t max_ranges) const {
-  std::vector<DirtyRange> out;
-  for (const auto& [seq, ref] : lru_index_) {
-    if (out.size() >= max_ranges) break;
-    const FileMap& map = files_[ref.file_index];
-    auto it = map.find(ref.begin);
-    S4D_DCHECK(it != map.end());
-    if (!it->second.dirty) continue;
-    out.push_back(DirtyRange{file_names_[ref.file_index], it->first,
-                             it->second.end, it->second.cache_offset,
-                             it->second.version, ref.file_index});
-  }
-  return out;
-}
-
 std::vector<DirtyRun> DataMappingTable::CollectDirtyRuns(
     byte_count max_total_bytes, byte_count max_run_bytes,
     const DirtyExtentSet* in_flight) const {

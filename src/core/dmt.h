@@ -149,18 +149,6 @@ class DataMappingTable {
   std::optional<RemovedExtent> EvictLruCleanIf(
       const std::function<bool(const RemovedExtent&)>& pred);
 
-  // Removes and returns the first *clean* mapping overlapping
-  // [begin, end) of `file` (the whole mapping, not clipped to the range),
-  // or nullopt when no clean mapping overlaps. Lets an external eviction
-  // policy nominate a victim range and have it validated against the live
-  // table in one step.
-  std::optional<RemovedExtent> EvictCleanOverlapping(const std::string& file,
-                                                     byte_count begin,
-                                                     byte_count end);
-
-  // Snapshots up to `max_ranges` dirty extents (least recently used first).
-  std::vector<DirtyRange> CollectDirty(std::size_t max_ranges) const;
-
   // Snapshots dirty extents in file order, coalescing extents adjacent in
   // the original file into runs of at most `max_run_bytes`, until about
   // `max_total_bytes` have been collected. A run holding an extent whose

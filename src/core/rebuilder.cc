@@ -124,33 +124,12 @@ void Rebuilder::AbortFlushRun(const std::shared_ptr<FlushRun>& state) {
 }
 
 void Rebuilder::FlushDirty() {
-  // Both orders skip a run holding an extent whose flush is still in
-  // flight; its bytes still count toward the tick's budget.
-  std::vector<DirtyRun> runs;
-  if (flush_order_ == FlushOrder::kLruFirst) {
-    // LRU-first destage: one single-extent run per dirty range, oldest
-    // recency first, capped at the same per-tick byte budget. The run
-    // machinery below (watchdog, version-checked clean) is shared with
-    // the coalesced order.
-    byte_count total = 0;
-    for (DirtyRange& range :
-         dmt_.CollectDirty(config_.fetch_batch_ranges * 4)) {
-      const byte_count len = range.orig_end - range.orig_begin;
-      if (total + len > config_.flush_batch_bytes && total > 0) break;
-      total += len;
-      if (inflight_flush_.contains(range.key())) continue;
-      DirtyRun run;
-      run.file = range.file;
-      run.orig_begin = range.orig_begin;
-      run.orig_end = range.orig_end;
-      run.segments.push_back(std::move(range));
-      runs.push_back(std::move(run));
-    }
-  } else {
-    runs = dmt_.CollectDirtyRuns(config_.flush_batch_bytes,
-                                 config_.flush_run_bytes, &inflight_flush_);
-  }
-  for (DirtyRun& collected : runs) {
+  // Dirty extents in file order, coalesced into runs. A run holding an
+  // extent whose flush is still in flight is skipped; its bytes still count
+  // toward the tick's budget.
+  for (DirtyRun& collected :
+       dmt_.CollectDirtyRuns(config_.flush_batch_bytes,
+                             config_.flush_run_bytes, &inflight_flush_)) {
     auto state = std::make_shared<FlushRun>();
     state->run = std::move(collected);
     const DirtyRun& run = state->run;

@@ -37,16 +37,6 @@
 
 namespace s4d::core {
 
-// Destage (write-back) ordering for the flush pass:
-//   kFileRuns — collect dirty extents in file order and coalesce adjacent
-//               ones into large sequential DServer writes (the default and
-//               the throughput-optimal order).
-//   kLruFirst — flush the least-recently-used dirty extents first, one run
-//               per extent. Cleans the extents an eviction policy will want
-//               to reclaim soonest, at the cost of smaller write-back I/O;
-//               the policy subsystem selects it for reuse-poor phases.
-enum class FlushOrder { kFileRuns, kLruFirst };
-
 struct RebuilderConfig {
   SimTime interval = FromMillis(100);
   // Flushes are collected in file order and coalesced: extents adjacent in
@@ -126,11 +116,6 @@ class Rebuilder {
   // closes as soon as this pass's flushes complete.
   void RecoverAfterRestart();
 
-  // Selects the destage ordering for subsequent flush passes (policy
-  // subsystem hook; kFileRuns preserves the historical behaviour).
-  void set_flush_order(FlushOrder order) { flush_order_ = order; }
-  FlushOrder flush_order() const { return flush_order_; }
-
   const RebuilderStats& stats() const { return stats_; }
   bool running() const { return running_; }
 
@@ -160,7 +145,6 @@ class Rebuilder {
   TierSignals tier_;
   std::string cache_file_suffix_;
   RebuilderConfig config_;
-  FlushOrder flush_order_ = FlushOrder::kFileRuns;
 
   bool running_ = false;
   sim::EventId pending_tick_ = sim::kInvalidEvent;

@@ -117,6 +117,14 @@ std::uint32_t S4DCache::RankLane(int rank) {
 
 S4DCache::~S4DCache() { rebuilder_.Stop(); }
 
+void S4DCache::Attach(CacheExtension& extension, bool selects_victims) {
+  extensions_.attached.push_back(&extension);
+  if (!selects_victims) return;
+  S4D_CHECK(extensions_.victim_selector == nullptr)
+      << "a second extension asked to select victims";
+  extensions_.victim_selector = &extension;
+}
+
 void S4DCache::Open(const std::string& file) {
   // §IV-B MPI_File_open: open the original file and its companion cache
   // file (and make sure the DMT is resident — ours always is).
@@ -547,8 +555,8 @@ void S4DCache::AuditInvariants(bool expect_quiescent) const {
       << ident.cdt_inserts << " CDT inserts of " << ident.critical
       << " critical decisions";
 
-  // Attached extension state (ghost caches, recency lists, controller
-  // counters, partitions) audits together with the core structures.
+  // Attached extension state (admission counters, partitions, tenant
+  // ghost lists) audits together with the core structures.
   for (const CacheExtension* extension : extensions_.attached) {
     extension->AuditInvariants();
   }

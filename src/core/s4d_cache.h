@@ -176,13 +176,10 @@ class S4DCache final : public mpiio::IoDispatch {
   // in turn. Attach the policy engine before the tenant manager, so the
   // policy's admission stage stays ahead of the tenants' endurance stage;
   // s4dsim and perfbench attach policy, then tenants, then calibration.
-  // With `selects_victims` the extension becomes the one victim selector,
-  // replacing any earlier one — tenant enforce mode replaces the policy's
-  // eviction order this way.
-  void Attach(CacheExtension& extension, bool selects_victims = false) {
-    extensions_.attached.push_back(&extension);
-    if (selects_victims) extensions_.victim_selector = &extension;
-  }
+  // With `selects_victims` the extension becomes the cache's one victim
+  // selector (tenant enforce mode is the only one); a second selector is
+  // an S4D_CHECK failure. Without one, eviction is the paper's clean-LRU.
+  void Attach(CacheExtension& extension, bool selects_victims = false);
 
   // Called (by the FaultInjector) once the last down CServer restarted:
   // runs the Rebuilder's crash-recovery pass over the persisted DMT, then

@@ -7,10 +7,10 @@
 namespace s4d::policy {
 
 bool AdmissionController::Admit(SimTime benefit, bool model_critical,
-                                bool ghost_hit, const core::TierSignals& tier) {
+                                const core::TierSignals& tier) {
   ++stats_.decisions;
-  // LBICA-style veto: a saturated cache tier admits nothing — not even
-  // ghost hits — until the backlog drains through both tiers.
+  // LBICA-style veto: a saturated cache tier admits nothing until the
+  // backlog drains through both tiers.
   if (config_.pressure_max_queue > 0.0 &&
       tier.MeanQueueDepth() > config_.pressure_max_queue) {
     ++stats_.pressure_vetoes;
@@ -22,13 +22,6 @@ bool AdmissionController::Admit(SimTime benefit, bool model_critical,
       tier.QueueDelay() > config_.pressure_max_delay) {
     ++stats_.pressure_vetoes;
     return false;
-  }
-  // Ghost-assisted admission: the range was evicted recently and is being
-  // re-requested — direct evidence of reuse the cost model cannot see.
-  if (ghost_hit && !model_critical) {
-    ++stats_.ghost_admits;
-    ++stats_.admits;
-    return true;
   }
   if (!model_critical) return false;
   if (benefit <= threshold_) {
@@ -76,8 +69,6 @@ void AdmissionController::AuditInvariants() const {
                 stats_.pressure_vetoes <=
             stats_.decisions)
       << "admission counters exceed decisions";
-  S4D_CHECK(stats_.ghost_admits <= stats_.admits)
-      << stats_.ghost_admits << " ghost admits of " << stats_.admits;
 }
 
 }  // namespace s4d::policy

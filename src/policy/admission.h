@@ -54,7 +54,6 @@ struct AdmissionControllerConfig {
 struct AdmissionControllerStats {
   std::int64_t decisions = 0;
   std::int64_t admits = 0;
-  std::int64_t ghost_admits = 0;       // admitted only thanks to a ghost hit
   std::int64_t threshold_rejects = 0;  // B positive but below the threshold
   std::int64_t pressure_vetoes = 0;
   std::int64_t feedback_samples = 0;
@@ -69,11 +68,10 @@ class AdmissionController {
 
   // Admission verdict. `model_critical` is the verdict this stage receives
   // (the Identifier's B > 0 after the health veto), `benefit` the
-  // health-scaled B, `ghost_hit` the eviction policy's would-have-hit
-  // evidence. The pressure vetoes read the live mean queue depth and queue
-  // delay from `tier` only while their bounds are set (a detached tier is
-  // idle).
-  bool Admit(SimTime benefit, bool model_critical, bool ghost_hit,
+  // health-scaled B. The pressure vetoes read the live mean queue depth and
+  // queue delay from `tier` only while their bounds are set (a detached
+  // tier is idle).
+  bool Admit(SimTime benefit, bool model_critical,
              const core::TierSignals& tier = {});
 
   // Feedback sample: an admitted, fully-cache-served request completed.

@@ -34,7 +34,7 @@ TenantManager::TenantManager(sim::Engine& engine, TenantRegistry registry,
   const std::size_t ghost_capacity = registry_.config().ghost_capacity;
   for (std::size_t t = 0; t < n; ++t) {
     ghosts_.push_back(ghost_capacity > 0
-                          ? std::make_unique<policy::GhostCache>(ghost_capacity)
+                          ? std::make_unique<GhostCache>(ghost_capacity)
                           : nullptr);
   }
 }
@@ -64,11 +64,11 @@ void TenantManager::Attach(core::S4DCache& cache) {
       cfg.sizer_interval > 0 ? cfg.sizer_interval : FromMillis(100);
   rate_window_start_ = engine_.now();
 
-  // In enforce mode the manager gates free-space allocation and selects
-  // victims, replacing any policy-installed selection — partition
-  // containment is a hard guarantee, see the header. The over-quota
-  // reclaim index follows usage changes instead of rescanning every
-  // partition inside each victim selection.
+  // In enforce mode the manager gates free-space allocation and is the
+  // cache's one victim selector — partition containment is a hard
+  // guarantee, see the header. The over-quota reclaim index follows usage
+  // changes instead of rescanning every partition inside each victim
+  // selection.
   enforce_ = cfg.mode == TenantMode::kEnforce;
   if (enforce_) {
     over_excess_.assign(static_cast<std::size_t>(count()), 0);
@@ -199,7 +199,7 @@ void TenantManager::OnRequestStart(const mpiio::FileRequest& request,
   ++s.requests;
   if (kind == device::IoKind::kRead) ++s.read_requests;
   ++window_requests_[static_cast<std::size_t>(t)];
-  policy::GhostCache* ghost = ghosts_[static_cast<std::size_t>(t)].get();
+  GhostCache* ghost = ghosts_[static_cast<std::size_t>(t)].get();
   if (ghost != nullptr && ghost->Probe(request.file, request.offset,
                                        request.offset + request.size)) {
     ++s.ghost_hits;
@@ -232,7 +232,7 @@ void TenantManager::OnRemoved(const core::RemovedExtent& extent,
   int owner = cache_->cache_space().OwnerOf(extent.cache_offset,
                                             extent.length());
   if (owner < 0 || owner >= count()) owner = 0;
-  policy::GhostCache* ghost = ghosts_[static_cast<std::size_t>(owner)].get();
+  GhostCache* ghost = ghosts_[static_cast<std::size_t>(owner)].get();
   if (ghost != nullptr) {
     ghost->Insert(extent.file, extent.orig_begin, extent.orig_end);
   }

@@ -1,7 +1,7 @@
 // TenantManager: the multi-tenant partitioning subsystem's front door.
 //
 // Takes part in an S4DCache's decisions as a core::CacheExtension (the
-// core never depends on this library, mirroring src/policy):
+// core never depends on this library):
 //
 //   attribution — OnRequestStart maps the issuing rank to its tenant and
 //                 tags the Redirector (set_charge_owner), so every byte the
@@ -33,9 +33,9 @@
 // by the equivalence test. When a PolicyEngine is also attached, attach
 // the TenantManager after it: extensions run in attach order, so the
 // endurance stage then sees the policy's verdict. In enforce mode the
-// partition-constrained victim selector replaces the policy's (partition
-// containment is a hard guarantee; within a partition the order is
-// clean-LRU).
+// manager is the cache's one victim selector (partition containment is a
+// hard guarantee; within a partition the order is clean-LRU), and the
+// cache refuses a second one.
 #pragma once
 
 #include <cstdint>
@@ -48,8 +48,8 @@
 
 #include "core/s4d_cache.h"
 #include "obs/observability.h"
-#include "policy/eviction.h"
 #include "sim/engine.h"
+#include "tenant/ghost_cache.h"
 #include "tenant/registry.h"
 
 namespace s4d::tenant {
@@ -84,8 +84,9 @@ class TenantManager final : public core::CacheExtension {
   ~TenantManager() override;
 
   // Enables partition tracking on `cache` and attaches the manager as an
-  // extension (and, in enforce mode, as its victim selector). Call once,
-  // before traffic — and after a PolicyEngine::Attach when one is present.
+  // extension (and, in enforce mode, as its one victim selector: the cache
+  // must have none yet). Call once, before traffic — and after a
+  // PolicyEngine::Attach when one is present.
   void Attach(core::S4DCache& cache);
 
   // --- core::CacheExtension ----------------------------------------------
@@ -150,7 +151,7 @@ class TenantManager final : public core::CacheExtension {
   std::vector<byte_count> quota_;
   std::vector<byte_count> floor_;
   std::vector<TenantStats> stats_;
-  std::vector<std::unique_ptr<policy::GhostCache>> ghosts_;
+  std::vector<std::unique_ptr<GhostCache>> ghosts_;
 
   // Over-quota partitions ordered by reclaim priority — excess descending,
   // ties to the lowest tenant index (the exact order the old per-eviction

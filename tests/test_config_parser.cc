@@ -99,6 +99,33 @@ TEST(ConfigParser, DurationSuffixes) {
   EXPECT_EQ(config.GetDuration("d", "g"), FromMillis(1.5));
 }
 
+// A number with no finite value, or a duration SimTime cannot hold, is not
+// a value: the typed getters say nullopt instead of passing NaN on or
+// converting out of range (undefined behaviour).
+TEST(ConfigParser, NonFiniteAndOutOfRangeNumbersDoNotParse) {
+  ConfigParser config;
+  ASSERT_TRUE(config
+                  .Parse("[n]\n"
+                         "nan = nan\ninf = inf\nneg_inf = -inf\n"
+                         "nan_ms = nanms\ninf_ms = infms\nhuge_s = 1e300s\n"
+                         "huge = 1e19\nbig_s = 9.3e9s\nmax_ok = 9.2e18\n")
+                  .ok());
+  EXPECT_EQ(config.GetDouble("n", "nan"), std::nullopt);
+  EXPECT_EQ(config.GetDouble("n", "inf"), std::nullopt);
+  EXPECT_EQ(config.GetDouble("n", "neg_inf"), std::nullopt);
+  EXPECT_EQ(config.GetDuration("n", "nan"), std::nullopt);
+  EXPECT_EQ(config.GetDuration("n", "inf"), std::nullopt);
+  EXPECT_EQ(config.GetDuration("n", "nan_ms"), std::nullopt);
+  EXPECT_EQ(config.GetDuration("n", "inf_ms"), std::nullopt);
+  EXPECT_EQ(config.GetDuration("n", "huge_s"), std::nullopt);
+  EXPECT_EQ(config.GetDuration("n", "huge"), std::nullopt);
+  EXPECT_EQ(config.GetDuration("n", "big_s"), std::nullopt)
+      << "9.3e9 s is 9.3e18 ns, past 2^63 ns";
+  EXPECT_EQ(config.GetDuration("n", "max_ok"),
+            static_cast<SimTime>(9.2e18))
+      << "just below 2^63 ns still fits";
+}
+
 TEST(ConfigParser, DefaultsAndSet) {
   ConfigParser config;
   ASSERT_TRUE(config.Parse("[x]\nk = 7\n").ok());

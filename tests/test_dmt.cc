@@ -5,13 +5,27 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <limits>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "dmt_test_peer.h"
 
 namespace s4d::core {
 namespace {
+
+// Every dirty extent, snapshotted as the flush pass's runs hold them (file
+// order, no byte budget).
+std::vector<DirtyRange> DirtySnapshot(const DataMappingTable& dmt) {
+  constexpr byte_count kAll = std::numeric_limits<byte_count>::max();
+  std::vector<DirtyRange> out;
+  for (DirtyRun& run : dmt.CollectDirtyRuns(kAll, kAll)) {
+    for (DirtyRange& seg : run.segments) out.push_back(std::move(seg));
+  }
+  return out;
+}
 
 TEST(Dmt, EmptyLookup) {
   DataMappingTable dmt;
@@ -119,45 +133,17 @@ TEST(Dmt, EvictSkipsDirty) {
   EXPECT_EQ(dmt.EvictLruClean(), std::nullopt) << "only dirty data remains";
 }
 
-TEST(Dmt, EvictCleanOverlappingPicksOnlyInRange) {
-  DataMappingTable dmt;
-  dmt.Insert("f", 0, 100, 0, false);
-  dmt.Insert("f", 200, 100, 100, false);
-  dmt.Insert("g", 0, 100, 200, false);
-  EXPECT_EQ(dmt.EvictCleanOverlapping("f", 100, 200), std::nullopt)
-      << "gap between extents must not match";
-  const auto victim = dmt.EvictCleanOverlapping("f", 250, 260);
-  ASSERT_TRUE(victim.has_value());
-  EXPECT_EQ(victim->orig_begin, 200);
-  EXPECT_EQ(victim->orig_end, 300);
-  EXPECT_EQ(dmt.mapped_bytes(), 200);
-  EXPECT_TRUE(dmt.Lookup("f", 200, 100).fully_unmapped());
-  EXPECT_TRUE(dmt.Lookup("g", 0, 100).fully_mapped()) << "other file intact";
-}
-
-TEST(Dmt, EvictCleanOverlappingSkipsDirty) {
-  DataMappingTable dmt;
-  dmt.Insert("f", 0, 100, 0, true);
-  dmt.Insert("f", 100, 25, 200, false);
-  const auto victim = dmt.EvictCleanOverlapping("f", 0, 125);
-  ASSERT_TRUE(victim.has_value());
-  EXPECT_EQ(victim->orig_begin, 100);
-  EXPECT_EQ(victim->orig_end, 125);
-  EXPECT_FALSE(victim->dirty);
-  EXPECT_EQ(dmt.EvictCleanOverlapping("f", 0, 125), std::nullopt)
-      << "only dirty extents remain in range";
-  EXPECT_EQ(dmt.dirty_bytes(), dmt.mapped_bytes());
-}
-
-TEST(Dmt, CollectDirtyReturnsSnapshotsWithVersions) {
+TEST(Dmt, CollectDirtyRunsReturnsSnapshotsWithVersions) {
   DataMappingTable dmt;
   dmt.Insert("f", 0, 100, 500, true);
   dmt.Insert("f", 200, 100, 600, false);
-  const auto dirty = dmt.CollectDirty(10);
-  ASSERT_EQ(dirty.size(), 1u);
-  EXPECT_EQ(dirty[0].orig_begin, 0);
-  EXPECT_EQ(dirty[0].cache_offset, 500);
-  EXPECT_GT(dirty[0].version, 0u);
+  const auto runs = dmt.CollectDirtyRuns(1 << 20, 1 << 20);
+  ASSERT_EQ(runs.size(), 1u);
+  ASSERT_EQ(runs[0].segments.size(), 1u);
+  const DirtyRange& dirty = runs[0].segments[0];
+  EXPECT_EQ(dirty.orig_begin, 0);
+  EXPECT_EQ(dirty.cache_offset, 500);
+  EXPECT_GT(dirty.version, 0u);
 }
 
 TEST(Dmt, CollectDirtyRunsCoalescesAdjacent) {
@@ -269,7 +255,7 @@ TEST(Dmt, ReDirtiedExtentIsCollectedWhileOldVersionIsInFlight) {
 TEST(Dmt, MarkCleanIfVersionMatches) {
   DataMappingTable dmt;
   dmt.Insert("f", 0, 100, 0, true);
-  const auto dirty = dmt.CollectDirty(1);
+  const auto dirty = DirtySnapshot(dmt);
   ASSERT_EQ(dirty.size(), 1u);
   EXPECT_TRUE(dmt.MarkCleanIfVersion("f", 0, 100, dirty[0].version));
   EXPECT_EQ(dmt.dirty_bytes(), 0);
@@ -280,7 +266,7 @@ TEST(Dmt, MarkCleanIfVersionMatches) {
 TEST(Dmt, MarkCleanFailsAfterRedirtying) {
   DataMappingTable dmt;
   dmt.Insert("f", 0, 100, 0, true);
-  const auto snapshot = dmt.CollectDirty(1);
+  const auto snapshot = DirtySnapshot(dmt);
   // A write races the in-flight flush and re-dirties the extent.
   dmt.SetDirty("f", 0, 100, true);
   EXPECT_FALSE(dmt.MarkCleanIfVersion("f", 0, 100, snapshot[0].version));
@@ -290,7 +276,7 @@ TEST(Dmt, MarkCleanFailsAfterRedirtying) {
 TEST(Dmt, MarkCleanFailsAfterSplit) {
   DataMappingTable dmt;
   dmt.Insert("f", 0, 100, 0, true);
-  const auto snapshot = dmt.CollectDirty(1);
+  const auto snapshot = DirtySnapshot(dmt);
   (void)dmt.Invalidate("f", 40, 20);
   EXPECT_FALSE(dmt.MarkCleanIfVersion("f", 0, 100, snapshot[0].version));
 }
@@ -314,7 +300,7 @@ TEST(Dmt, CoverageEpochMovesOnlyWhenMappedCoverageChanges) {
   EXPECT_FALSE(moved());
   (void)dmt.Invalidate("f", 290, 20);
   EXPECT_TRUE(moved());
-  ASSERT_TRUE(dmt.EvictCleanOverlapping("f", 0, 10).has_value());
+  ASSERT_TRUE(dmt.EvictLruClean().has_value());
   EXPECT_TRUE(moved());
   while (dmt.EvictLruClean().has_value()) EXPECT_TRUE(moved());
   EXPECT_FALSE(moved()) << "the failed eviction (only dirty data left)";
@@ -566,7 +552,7 @@ TEST_F(DmtPersistenceTest, DirtyIndexWalksMatchFullScanUnderFuzz) {
           dmt->SetDirty(file, offset, size, false);
           break;
         case 5: {  // flush completion, sometimes after a racing write
-          const std::vector<DirtyRange> dirty = dmt->CollectDirty(64);
+          const std::vector<DirtyRange> dirty = DirtySnapshot(*dmt);
           if (dirty.empty()) break;
           const DirtyRange& d = dirty[rng.NextBelow(dirty.size())];
           const std::uint64_t version =
@@ -579,17 +565,12 @@ TEST_F(DmtPersistenceTest, DirtyIndexWalksMatchFullScanUnderFuzz) {
           (void)dmt->Invalidate(file, offset, size);
           break;
         case 7:
-          switch (rng.NextBelow(3)) {
-            case 0:
-              (void)dmt->EvictLruClean();
-              break;
-            case 1:
-              (void)dmt->EvictLruCleanIf([](const RemovedExtent& e) {
-                return e.orig_begin % 2 == 0;
-              });
-              break;
-            default:
-              (void)dmt->EvictCleanOverlapping(file, offset, offset + size);
+          if (rng.NextBool(0.5)) {
+            (void)dmt->EvictLruClean();
+          } else {
+            (void)dmt->EvictLruCleanIf([](const RemovedExtent& e) {
+              return e.orig_begin % 2 == 0;
+            });
           }
           break;
         default:

@@ -408,26 +408,10 @@ TEST(Rebuilder, RacingWriteKeepsExtentDirty) {
 // every run in the tick's order, then skip each run holding an extent whose
 // flush is still in flight.
 std::vector<DirtyRun> ReferenceFlushPass(
-    const DataMappingTable& dmt, FlushOrder order,
-    const RebuilderConfig& config, const std::vector<DirtyExtentKey>& busy) {
-  std::vector<DirtyRun> runs;
-  if (order == FlushOrder::kLruFirst) {
-    byte_count total = 0;
-    for (DirtyRange& range : dmt.CollectDirty(config.fetch_batch_ranges * 4)) {
-      const byte_count len = range.orig_end - range.orig_begin;
-      if (total + len > config.flush_batch_bytes && total > 0) break;
-      total += len;
-      DirtyRun run;
-      run.file = range.file;
-      run.orig_begin = range.orig_begin;
-      run.orig_end = range.orig_end;
-      run.segments.push_back(std::move(range));
-      runs.push_back(std::move(run));
-    }
-  } else {
-    runs = dmt.CollectDirtyRuns(config.flush_batch_bytes,
-                                config.flush_run_bytes);
-  }
+    const DataMappingTable& dmt, const RebuilderConfig& config,
+    const std::vector<DirtyExtentKey>& busy) {
+  std::vector<DirtyRun> runs =
+      dmt.CollectDirtyRuns(config.flush_batch_bytes, config.flush_run_bytes);
   std::erase_if(runs, [&](const DirtyRun& run) {
     return std::any_of(
         run.segments.begin(), run.segments.end(), [&](const DirtyRange& seg) {
@@ -453,10 +437,10 @@ std::string IssueText(const std::vector<DirtyRun>& runs) {
 }
 
 // Under seeded insert / re-dirty / split / invalidate churn, with flushes
-// left in flight for a random number of engine events, every tick of either
-// destage order issues exactly the reference's runs: the same run lengths
-// and extent counts, the same cache reads in the same order, and the same
-// (file index, begin, version) keys enter the in-flight set.
+// left in flight for a random number of engine events, every tick issues
+// exactly the reference's runs: the same run lengths and extent counts,
+// the same cache reads in the same order, and the same (file index, begin,
+// version) keys enter the in-flight set.
 TEST(Rebuilder, FlushPassMatchesCollectThenSkipReference) {
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     harness::Testbed bed(SmallTestbed());
@@ -506,17 +490,12 @@ TEST(Rebuilder, FlushPassMatchesCollectThenSkipReference) {
             dmt.SetDirty(file, offset, size, false);
         }
       }
-      const FlushOrder order =
-          rng.NextBool(0.5) ? FlushOrder::kFileRuns : FlushOrder::kLruFirst;
-      s4d->rebuilder().set_flush_order(order);
-
       const std::vector<DirtyExtentKey> before =
           RebuilderTestPeer::InFlight(s4d->rebuilder());
       const std::vector<DirtyRun> want =
-          ReferenceFlushPass(dmt, order, cfg.rebuilder, before);
+          ReferenceFlushPass(dmt, cfg.rebuilder, before);
       skipped += static_cast<std::int64_t>(
-          ReferenceFlushPass(dmt, order, cfg.rebuilder, {}).size() -
-          want.size());
+          ReferenceFlushPass(dmt, cfg.rebuilder, {}).size() - want.size());
       std::vector<DirtyExtentKey> want_keys = before;
       for (const DirtyRun& run : want) {
         for (const DirtyRange& seg : run.segments) {
@@ -565,29 +544,25 @@ TEST(Rebuilder, FlushPassMatchesCollectThenSkipReference) {
 }
 
 TEST(Rebuilder, ReDirtiedExtentFlushesAgainWhileOldVersionInFlight) {
-  for (const FlushOrder order :
-       {FlushOrder::kFileRuns, FlushOrder::kLruFirst}) {
-    harness::Testbed bed(SmallTestbed());
-    auto s4d = bed.MakeS4D(ManualRebuilder());
-    s4d->rebuilder().set_flush_order(order);
-    s4d->Open("f");
-    DoIo(bed, *s4d, device::IoKind::kWrite, "f", 0, 200 * MiB, 16 * KiB, 1);
+  harness::Testbed bed(SmallTestbed());
+  auto s4d = bed.MakeS4D(ManualRebuilder());
+  s4d->Open("f");
+  DoIo(bed, *s4d, device::IoKind::kWrite, "f", 0, 200 * MiB, 16 * KiB, 1);
 
-    s4d->rebuilder().Tick();  // the flush stays in flight: no engine steps
-    s4d->rebuilder().Tick();  // same version still in flight: skipped
-    EXPECT_EQ(s4d->rebuilder_stats().flush_runs_started, 1);
+  s4d->rebuilder().Tick();  // the flush stays in flight: no engine steps
+  s4d->rebuilder().Tick();  // same version still in flight: skipped
+  EXPECT_EQ(s4d->rebuilder_stats().flush_runs_started, 1);
 
-    s4d->dmt().SetDirty("f", 200 * MiB, 16 * KiB, true);  // new version
-    s4d->rebuilder().Tick();
-    EXPECT_EQ(s4d->rebuilder_stats().flush_runs_started, 2);
-    EXPECT_EQ(RebuilderTestPeer::InFlight(s4d->rebuilder()).size(), 2u);
+  s4d->dmt().SetDirty("f", 200 * MiB, 16 * KiB, true);  // new version
+  s4d->rebuilder().Tick();
+  EXPECT_EQ(s4d->rebuilder_stats().flush_runs_started, 2);
+  EXPECT_EQ(RebuilderTestPeer::InFlight(s4d->rebuilder()).size(), 2u);
 
-    bed.engine().Run();
-    EXPECT_EQ(s4d->rebuilder_stats().flush_races, 1) << "old version";
-    EXPECT_EQ(s4d->rebuilder_stats().flushes_cleaned, 1) << "new version";
-    EXPECT_EQ(s4d->dmt().dirty_bytes(), 0);
-    EXPECT_TRUE(RebuilderTestPeer::InFlight(s4d->rebuilder()).empty());
-  }
+  bed.engine().Run();
+  EXPECT_EQ(s4d->rebuilder_stats().flush_races, 1) << "old version";
+  EXPECT_EQ(s4d->rebuilder_stats().flushes_cleaned, 1) << "new version";
+  EXPECT_EQ(s4d->dmt().dirty_bytes(), 0);
+  EXPECT_TRUE(RebuilderTestPeer::InFlight(s4d->rebuilder()).empty());
 }
 
 TEST(Rebuilder, PeriodicTicksRunWhenEnabled) {

@@ -73,10 +73,12 @@ TEST_P(RedirectorFuzz, InvariantsHoldAfterEveryOperation) {
       ASSERT_EQ(dmt.mapped_bytes(), mapped_before);
     } else if (action == 8) {
       // Rebuilder-style cleaning of a random dirty snapshot.
-      for (const DirtyRange& range : dmt.CollectDirty(8)) {
-        if (rng.NextBool(0.5)) {
-          dmt.MarkCleanIfVersion(range.file, range.orig_begin, range.orig_end,
-                                 range.version);
+      for (const DirtyRun& run : dmt.CollectDirtyRuns(1 * MiB, 128 * KiB)) {
+        for (const DirtyRange& range : run.segments) {
+          if (rng.NextBool(0.5)) {
+            dmt.MarkCleanIfVersion(range.file, range.orig_begin,
+                                   range.orig_end, range.version);
+          }
         }
       }
     } else {

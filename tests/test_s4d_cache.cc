@@ -301,8 +301,8 @@ TEST(S4DCacheExtensions, EvictionAsksOnlyTheChosenSelector) {
   std::vector<std::string> log;
   RecordingExtension a("a", log);
   RecordingExtension b("b", log);
-  s4d->Attach(a, /*selects_victims=*/true);
-  s4d->Attach(b, /*selects_victims=*/true);  // replaces `a` as the selector
+  s4d->Attach(a);
+  s4d->Attach(b, /*selects_victims=*/true);
   // Removal stages see the range scrubbed but still allocated and charged.
   const pfs::FileId cache_id = bed.cservers().Lookup("f.s4d");
   int removals_checked = 0;
@@ -332,6 +332,19 @@ TEST(S4DCacheExtensions, EvictionAsksOnlyTheChosenSelector) {
   EXPECT_EQ(removals_checked, 1);
   EXPECT_EQ(s4d->redirector_stats().evictions, 1);
   s4d->AuditInvariants();
+}
+
+// A cache has at most one victim selector: a second one is refused, never
+// a silent replacement of the first.
+TEST(S4DCacheExtensionsDeathTest, SecondVictimSelectorAborts) {
+  harness::Testbed bed(SmallTestbed());
+  auto s4d = bed.MakeS4D(NoRebuilderConfig());
+  std::vector<std::string> log;
+  RecordingExtension a("a", log);
+  RecordingExtension b("b", log);
+  s4d->Attach(a, /*selects_victims=*/true);
+  EXPECT_DEATH(s4d->Attach(b, /*selects_victims=*/true),
+               "second extension asked to select victims");
 }
 
 TEST(S4DCacheExtensions, RebuilderFetchesReachTheGate) {

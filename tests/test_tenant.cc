@@ -12,6 +12,7 @@
 #include "core/cache_space.h"
 #include "harness/driver.h"
 #include "harness/testbed.h"
+#include "tenant/ghost_cache.h"
 #include "tenant/registry.h"
 
 namespace s4d::tenant {
@@ -384,6 +385,56 @@ TEST(PartitionTracking, OffByDefaultAndOwnerOfSaysNoOwner) {
   EXPECT_EQ(space.used_by(0), 0);
   EXPECT_EQ(space.OwnerOf(*a, 64 * KiB), core::CacheSpaceAllocator::kNoOwner);
   space.AuditInvariants();
+}
+
+// --- GhostCache ------------------------------------------------------------
+
+TEST(GhostCache, ProbeConsumesContainsDoesNot) {
+  GhostCache ghost(8);
+  ghost.Insert("f", 0, 100);
+  EXPECT_TRUE(ghost.Contains("f", 50, 60));
+  EXPECT_TRUE(ghost.Contains("f", 50, 60)) << "Contains must not consume";
+  EXPECT_FALSE(ghost.Contains("f", 100, 200)) << "end is exclusive";
+  EXPECT_FALSE(ghost.Contains("g", 0, 100));
+  EXPECT_TRUE(ghost.Probe("f", 50, 60));
+  EXPECT_FALSE(ghost.Contains("f", 50, 60)) << "Probe must consume the range";
+  EXPECT_FALSE(ghost.Probe("f", 50, 60));
+  EXPECT_EQ(ghost.hits(), 1);
+  EXPECT_EQ(ghost.size(), 0u);
+  ghost.AuditInvariants();
+}
+
+TEST(GhostCache, InsertAbsorbsOverlaps) {
+  GhostCache ghost(8);
+  ghost.Insert("f", 0, 100);
+  ghost.Insert("f", 200, 300);
+  ghost.Insert("f", 50, 250);  // bridges both -> one range [0, 300)
+  EXPECT_EQ(ghost.size(), 1u);
+  EXPECT_TRUE(ghost.Contains("f", 0, 1));
+  EXPECT_TRUE(ghost.Contains("f", 299, 300));
+  ghost.AuditInvariants();
+  EXPECT_TRUE(ghost.Probe("f", 150, 160));
+  EXPECT_FALSE(ghost.Contains("f", 0, 300)) << "absorbed range is one entry";
+}
+
+TEST(GhostCache, FifoEvictsOldestAtCapacity) {
+  GhostCache ghost(2);
+  ghost.Insert("f", 0, 10);
+  ghost.Insert("f", 20, 30);
+  ghost.Insert("f", 40, 50);  // evicts [0, 10)
+  EXPECT_EQ(ghost.size(), 2u);
+  EXPECT_FALSE(ghost.Contains("f", 0, 10));
+  EXPECT_TRUE(ghost.Contains("f", 20, 30));
+  EXPECT_TRUE(ghost.Contains("f", 40, 50));
+  ghost.AuditInvariants();
+}
+
+TEST(GhostCache, ZeroCapacityRemembersNothing) {
+  GhostCache ghost(0);
+  ghost.Insert("f", 0, 100);
+  EXPECT_EQ(ghost.size(), 0u);
+  EXPECT_FALSE(ghost.Contains("f", 0, 100));
+  ghost.AuditInvariants();
 }
 
 // --- TenantManager integration ----------------------------------------------

@@ -134,8 +134,8 @@ repeat = 1
 )";
 
 // Every key s4dsim understands, by section. ValidateKnownKeys rejects any
-// config entry outside this schema, so a typo ("evction = arc") fails the
-// run loudly instead of silently running the default.
+// config entry outside this schema, so a typo ("admision = feedback")
+// fails the run loudly instead of silently running the default.
 Status ValidateConfig(const ConfigParser& config) {
   static const std::map<std::string, std::vector<std::string>> kSchema = {
       {"cluster",
@@ -161,9 +161,8 @@ Status ValidateConfig(const ConfigParser& config) {
         "file"}},
       {"obs", {"trace_out", "metrics_out", "sample_interval", "capture_out"}},
       {"policy",
-       {"mode", "eviction", "admission", "destage", "ghost_capacity",
-        "window_requests", "seq_distance_max", "ewma_alpha", "threshold_step",
-        "threshold_max", "pressure_max_queue", "pressure_max_delay"}},
+       {"mode", "admission", "ewma_alpha", "threshold_step", "threshold_max",
+        "pressure_max_queue", "pressure_max_delay"}},
       {"calib",
        {"enable", "forget", "min_samples", "queue_gain", "saturation_depth",
         "calibrate_dservers", "calibrate_cservers"}},
@@ -775,15 +774,12 @@ int Run(const ConfigParser& config) {
     if (policy_engine) {
       const auto& as = policy_engine->admission().stats();
       std::printf(
-          "policy: %s/%s eviction, %lld admits (%lld ghost), %lld threshold "
-          "rejects, %lld pressure vetoes, %lld switches\n",
+          "policy: %s, %lld admits, %lld threshold rejects, %lld pressure "
+          "vetoes\n",
           policy::PolicyModeName(policy_engine->config().mode),
-          policy::EvictionKindName(policy_engine->eviction_kind()),
           static_cast<long long>(as.admits),
-          static_cast<long long>(as.ghost_admits),
           static_cast<long long>(as.threshold_rejects),
-          static_cast<long long>(as.pressure_vetoes),
-          static_cast<long long>(policy_engine->stats().policy_switches));
+          static_cast<long long>(as.pressure_vetoes));
     }
     if (tenant_manager) tenant_manager->PrintReport();
     if (calibration) {
