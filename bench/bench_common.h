@@ -4,12 +4,15 @@
 //   --full       paper-scale parameters (slow); default is a reduced scale
 //                with identical shapes (same request sizes, same server
 //                counts, smaller files)
-//   --seed=N     RNG seed (default 42)
-//   --jobs=N     worker threads for benches that sweep independent points
-//                (the simulated results are byte-identical for any N)
+//   --seed=N     RNG seed, a whole non-negative decimal (default 42)
+//   --jobs=N     worker threads for benches that sweep independent points,
+//                a whole positive decimal (the simulated results are
+//                byte-identical for any N)
 //   --json=PATH  where to write the machine-readable result
 //                (default BENCH_<name>.json in the current directory)
 //   --no-json    skip writing the JSON result
+//
+// A malformed --seed/--jobs value or an unknown flag exits 1.
 //
 // Output convention: each bench prints the table/series the corresponding
 // paper figure or table reports (plus the scale it ran at) for humans, and
@@ -27,6 +30,7 @@
 
 #include "core/s4d_cache.h"
 #include "harness/driver.h"
+#include "harness/sweep_runner.h"
 #include "harness/testbed.h"
 #include "workloads/ior.h"
 
@@ -41,25 +45,39 @@ struct BenchArgs {
 };
 
 inline BenchArgs ParseArgs(int argc, char** argv) {
+  auto usage = [argv](std::FILE* out) {
+    std::fprintf(out,
+                 "usage: %s [--full] [--seed=N] [--jobs=N] [--json=PATH] "
+                 "[--no-json]\n",
+                 argv[0]);
+  };
   BenchArgs args;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--full") == 0) {
       args.full = true;
     } else if (std::strncmp(argv[i], "--seed=", 7) == 0) {
-      args.seed = std::strtoull(argv[i] + 7, nullptr, 10);
+      const auto seed = harness::ParseWholeDecimal(argv[i] + 7);
+      if (!seed) {
+        std::fprintf(stderr, "--seed wants a non-negative integer, got '%s'\n",
+                     argv[i] + 7);
+        std::exit(1);
+      }
+      args.seed = *seed;
     } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      args.jobs = static_cast<int>(std::strtol(argv[i] + 7, nullptr, 10));
-      if (args.jobs < 1) args.jobs = 1;
+      if (!harness::ParsePositiveFlag("--jobs", argv[i] + 7, args.jobs)) {
+        std::exit(1);
+      }
     } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
       args.json_path = argv[i] + 7;
     } else if (std::strcmp(argv[i], "--no-json") == 0) {
       args.write_json = false;
     } else if (std::strcmp(argv[i], "--help") == 0) {
-      std::printf(
-          "usage: %s [--full] [--seed=N] [--jobs=N] [--json=PATH] "
-          "[--no-json]\n",
-          argv[0]);
+      usage(stdout);
       std::exit(0);
+    } else {
+      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
+      usage(stderr);
+      std::exit(1);
     }
   }
   return args;

@@ -341,11 +341,6 @@ std::vector<CalibrationEngine::ServerRow> CalibrationEngine::Rows() const {
   return rows;
 }
 
-const ServerFit& CalibrationEngine::FitFor(bool cache_tier, int server,
-                                           device::IoKind kind) const {
-  return Cell(cache_tier ? cservers_ : dservers_, cache_tier, server, kind);
-}
-
 void CalibrationEngine::PrintReport(std::ostream& out) const {
   char line[256];
   std::snprintf(line, sizeof(line), "%-18s %-5s %8s %12s %12s %8s %10s %9s %9s\n",

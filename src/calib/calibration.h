@@ -175,8 +175,7 @@ class CalibrationEngine final : public core::CostCalibration,
 
   // One per-server row, read from the live serve-tap totals. `fitted`
   // solves the read-kind cell for DServers and the busier kind for
-  // CServers — the report table's summary view; tests use FitFor() for
-  // exact cells.
+  // CServers — the report table's summary view.
   struct ServerRow {
     std::string name;
     bool cache_tier = false;
@@ -189,8 +188,6 @@ class CalibrationEngine final : public core::CostCalibration,
   };
   std::vector<ServerRow> Rows() const;
 
-  const ServerFit& FitFor(bool cache_tier, int server,
-                          device::IoKind kind) const;
   const CalibStats& stats() const { return stats_; }
   const CalibConfig& config() const { return config_; }
 

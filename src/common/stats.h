@@ -5,9 +5,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <vector>
-
-#include "common/rng.h"
 
 namespace s4d {
 
@@ -41,98 +38,6 @@ class RunningStats {
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-// Percentile reservoir. Unbounded by default (exact percentiles); with a
-// capacity it keeps a uniform sample of everything seen (Vitter's
-// Algorithm R, deterministic via the seeded Rng) so memory stays O(cap)
-// over arbitrarily long runs while percentiles stay approximately right.
-class Samples {
- public:
-  Samples() = default;
-  explicit Samples(std::size_t capacity, std::uint64_t seed = 0x5a3e5ULL)
-      : capacity_(capacity), rng_(seed) {}
-
-  void Add(double x) {
-    ++seen_;
-    if (capacity_ == 0 || values_.size() < capacity_) {
-      values_.push_back(x);
-      sorted_ = false;
-      return;
-    }
-    // Keep the new sample with probability cap/seen: replace a uniformly
-    // chosen slot, else drop it.
-    const std::uint64_t slot = rng_.NextBelow(seen_);
-    if (slot < capacity_) {
-      values_[static_cast<std::size_t>(slot)] = x;
-      sorted_ = false;
-    }
-  }
-
-  // Total samples observed (not the retained reservoir size).
-  std::size_t count() const { return static_cast<std::size_t>(seen_); }
-  std::size_t retained() const { return values_.size(); }
-  std::size_t capacity() const { return capacity_; }
-
-  double Percentile(double p) {
-    if (values_.empty()) return 0.0;
-    Sort();
-    const double rank = p / 100.0 * static_cast<double>(values_.size() - 1);
-    const auto lo = static_cast<std::size_t>(rank);
-    const auto hi = std::min(lo + 1, values_.size() - 1);
-    const double frac = rank - static_cast<double>(lo);
-    return values_[lo] * (1.0 - frac) + values_[hi] * frac;
-  }
-
-  double Mean() const {
-    if (values_.empty()) return 0.0;
-    double sum = 0.0;
-    for (double v : values_) sum += v;
-    return sum / static_cast<double>(values_.size());
-  }
-
-  double Max() {
-    if (values_.empty()) return 0.0;
-    Sort();
-    return values_.back();
-  }
-
- private:
-  void Sort() {
-    if (!sorted_) {
-      std::sort(values_.begin(), values_.end());
-      sorted_ = true;
-    }
-  }
-
-  std::size_t capacity_ = 0;  // 0 = unbounded (exact percentiles)
-  std::uint64_t seen_ = 0;
-  Rng rng_{0x5a3e5ULL};
-  std::vector<double> values_;
-  bool sorted_ = true;
-};
-
-// Fixed-bucket log2 histogram for sizes/latencies.
-class Log2Histogram {
- public:
-  void Add(std::int64_t v) {
-    int bucket = 0;
-    while (v > 1 && bucket < kBuckets - 1) {
-      v >>= 1;
-      ++bucket;
-    }
-    ++counts_[bucket];
-    ++total_;
-  }
-
-  std::int64_t BucketCount(int bucket) const { return counts_[bucket]; }
-  std::int64_t total() const { return total_; }
-
-  static constexpr int kBuckets = 48;
-
- private:
-  std::int64_t counts_[kBuckets] = {};
-  std::int64_t total_ = 0;
 };
 
 }  // namespace s4d

@@ -1,7 +1,10 @@
 #include "harness/sweep_runner.h"
 
 #include <atomic>
+#include <charconv>
+#include <cstdio>
 #include <exception>
+#include <limits>
 #include <mutex>
 #include <thread>
 
@@ -35,6 +38,26 @@ void RunIndexedParallel(int count, int jobs,
   for (int w = 0; w < workers; ++w) pool.emplace_back(worker);
   for (std::thread& t : pool) t.join();
   if (first_error) std::rethrow_exception(first_error);
+}
+
+std::optional<std::uint64_t> ParseWholeDecimal(const std::string& text) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
+
+bool ParsePositiveFlag(const char* flag, const std::string& text, int& out) {
+  const std::optional<std::uint64_t> value = ParseWholeDecimal(text);
+  if (!value || *value < 1 ||
+      *value > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
+    std::fprintf(stderr, "%s wants a positive integer, got '%s'\n", flag,
+                 text.c_str());
+    return false;
+  }
+  out = static_cast<int>(*value);
+  return true;
 }
 
 }  // namespace s4d::harness

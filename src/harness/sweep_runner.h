@@ -17,6 +17,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
+#include <string>
 #include <vector>
 
 namespace s4d::harness {
@@ -43,5 +45,16 @@ std::vector<R> RunSweep(int count, int jobs, std::uint64_t base_seed,
   });
   return results;
 }
+
+// Parses `text` as a whole decimal: ASCII digits only, so "abc", "-1",
+// "+3", "3x" and "" are rejected instead of truncated. The sweep flags of
+// s4dsim and the benches (--sweep-seeds, --jobs, --seed) all read through
+// it.
+std::optional<std::uint64_t> ParseWholeDecimal(const std::string& text);
+
+// Parses a count flag's value ("4"; not "abc", "0", "-2" or "3x") into
+// `out`. On anything else prints an error naming the flag and the value
+// and returns false.
+bool ParsePositiveFlag(const char* flag, const std::string& text, int& out);
 
 }  // namespace s4d::harness

@@ -149,9 +149,6 @@ class FileServer {
   }
   bool busy() const { return busy_; }
 
-  // Drops positional device state (between experiment phases).
-  void ResetDevice() { device_->Reset(); }
-
  private:
   // Every job the server holds — in jitter flight, queued, in service or
   // waiting for its failure event — lives in one slab slot from Submit

@@ -294,8 +294,4 @@ ServerStats FileSystem::TotalServerStats() const {
   return total;
 }
 
-void FileSystem::ResetDevices() {
-  for (auto& server : servers_) server->ResetDevice();
-}
-
 }  // namespace s4d::pfs

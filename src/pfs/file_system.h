@@ -163,9 +163,6 @@ class FileSystem {
   // Aggregates across servers (for reports).
   ServerStats TotalServerStats() const;
 
-  // Resets device head positions on all servers (between phases).
-  void ResetDevices();
-
   // --- fault state and health probes -------------------------------------
   // Faults are injected on the servers themselves (server(i).Crash(), ...);
   // these aggregate live server state for the middleware.

@@ -137,14 +137,6 @@ const char* TenantModeName(TenantMode mode) {
   return mode == TenantMode::kObserve ? "observe" : "enforce";
 }
 
-std::vector<std::string> TenantsSectionKeys() {
-  return {"tenant*",           "mode",
-          "auto_group_ranks",  "sizer_interval",
-          "ghost_capacity",    "endurance",
-          "write_cost_ns_per_byte", "pressure_max_queue",
-          "wear_veto_fraction"};
-}
-
 Result<TenantsConfig> ParseTenantsConfig(const ConfigParser& config,
                                          byte_count capacity) {
   TenantsConfig out;

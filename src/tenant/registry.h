@@ -78,11 +78,6 @@ struct TenantsConfig {
   double wear_veto_fraction = 1.0;
 };
 
-// The [tenants] schema keys, shared by s4dsim's ValidateKnownKeys schema
-// and the negative tests (one source of truth). "tenant*" matches the
-// numbered tenant entries.
-std::vector<std::string> TenantsSectionKeys();
-
 // Parses and validates the [tenants] section. `capacity` is the resolved
 // cache capacity the quotas are checked against. Rejects (InvalidArgument):
 // malformed tenant specs, duplicate names, overlapping rank ranges,

@@ -1,6 +1,5 @@
 #include "trace/trace.h"
 
-#include <cstdlib>
 #include <ostream>
 #include <unordered_map>
 
@@ -54,28 +53,6 @@ double TraceCollector::SequentialFraction(const std::string& label,
   return static_cast<double>(sequential) / static_cast<double>(considered);
 }
 
-double TraceCollector::MeanStreamDistance(const std::string& label,
-                                          SimTime begin, SimTime end) const {
-  std::unordered_map<pfs::FileId, byte_count> last_end;
-  std::int64_t considered = 0;
-  double total_distance = 0.0;
-  for (const TraceEvent& event : events_) {
-    if (event.system != label) continue;
-    const auto& r = event.record;
-    if (r.priority != pfs::Priority::kNormal) continue;
-    if (r.issue_time >= end) break;
-    auto it = last_end.find(r.file);
-    if (r.issue_time >= begin && it != last_end.end()) {
-      ++considered;
-      total_distance +=
-          static_cast<double>(std::llabs(r.offset - it->second));
-    }
-    last_end[r.file] = r.offset + r.size;
-  }
-  if (considered == 0) return 0.0;
-  return total_distance / static_cast<double>(considered);
-}
-
 void TraceCollector::WriteCsv(std::ostream& out) const {
   out << "system,file,kind,offset,size,priority,issue_ns,servers\n";
   for (const TraceEvent& event : events_) {
@@ -85,22 +62,6 @@ void TraceCollector::WriteCsv(std::ostream& out) const {
         << ',' << (r.priority == pfs::Priority::kNormal ? "normal" : "bg")
         << ',' << r.issue_time << ',' << r.server_count << '\n';
   }
-}
-
-TraceCollector::Utilization TraceCollector::LabelUtilization(
-    const std::string& label) const {
-  Utilization u;
-  for (const TraceEvent& event : events_) {
-    if (event.system != label) continue;
-    if (event.record.priority != pfs::Priority::kNormal) continue;
-    ++u.requests;
-    u.bytes += event.record.size;
-  }
-  if (u.requests > 0) {
-    u.mean_request_size =
-        static_cast<double>(u.bytes) / static_cast<double>(u.requests);
-  }
-  return u;
 }
 
 }  // namespace s4d::trace

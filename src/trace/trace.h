@@ -2,7 +2,7 @@
 // distribution). A TraceCollector attaches to one or more simulated file
 // systems and records every request issued to them; queries then compute
 // the request distribution between server groups in a time window and
-// per-stream sequentiality metrics.
+// the fraction of sequential requests per server group.
 #pragma once
 
 #include <cstdint>
@@ -52,21 +52,9 @@ class TraceCollector {
   double SequentialFraction(const std::string& label, SimTime begin,
                             SimTime end) const;
 
-  // Mean absolute inter-request distance (bytes) per (label, file) stream.
-  double MeanStreamDistance(const std::string& label, SimTime begin,
-                            SimTime end) const;
-
   // Dumps all events as CSV (header + one row per event):
   //   system,file,kind,offset,size,priority,issue_ns,servers
   void WriteCsv(std::ostream& out) const;
-
-  // Per-label aggregate utilization over the trace window.
-  struct Utilization {
-    std::int64_t requests = 0;
-    byte_count bytes = 0;
-    double mean_request_size = 0.0;
-  };
-  Utilization LabelUtilization(const std::string& label) const;
 
  private:
   std::vector<TraceEvent> events_;

@@ -37,20 +37,6 @@ TraceReplayWorkload::TraceReplayWorkload(LoadedTrace trace, std::string file)
     S4D_CHECK(rank >= 0 && rank < trace_.ranks) << "record rank " << rank;
     per_rank_[static_cast<std::size_t>(rank)].push_back(i);
   }
-  cursor_.assign(static_cast<std::size_t>(trace_.ranks), 0);
-}
-
-std::optional<workloads::Request> TraceReplayWorkload::Next(int rank) {
-  S4D_DCHECK(rank >= 0 && rank < trace_.ranks) << "rank " << rank;
-  auto& cursor = cursor_[static_cast<std::size_t>(rank)];
-  const auto& list = per_rank_[static_cast<std::size_t>(rank)];
-  if (cursor >= list.size()) return std::nullopt;
-  const TraceRecord& r = trace_.records[list[cursor++]];
-  return workloads::Request{r.kind, r.offset, r.size};
-}
-
-void TraceReplayWorkload::Reset() {
-  std::fill(cursor_.begin(), cursor_.end(), 0);
 }
 
 ReplayResult TraceReplayWorkload::Replay(mpiio::MpiIoLayer& layer,

@@ -1,12 +1,7 @@
 // Trace replay engine.
 //
-// TraceReplayWorkload wraps a LoadedTrace two ways:
-//
-//   * As a workloads::Workload (timestamp-blind closed-loop pull), so a
-//     loaded trace drops into every existing harness path — RunClosedLoop,
-//     the content checker, the sweep runner.
-//
-//   * As a timed replay via Replay(), the mode the loaders exist for:
+// TraceReplayWorkload drives a LoadedTrace through the simulated cluster
+// with Replay(), in one of two modes:
 //
 //     open loop    every request is scheduled on the event engine at
 //                  trace-arrival x time_scale, regardless of how the
@@ -18,8 +13,9 @@
 //     closed loop  per-rank request chains with think time: rank r issues
 //                  its k-th request after its (k-1)-th completes plus the
 //                  captured inter-arrival gap x time_scale. A trace
-//                  without timestamps degenerates to back-to-back
-//                  blocking I/O (identical to RunClosedLoop).
+//                  without timestamps, or time_scale 0, degenerates to
+//                  back-to-back blocking I/O (identical to RunClosedLoop:
+//                  a captured run replays exactly).
 //
 // Replay aggregates the same RunResult the closed-loop driver reports,
 // plus time-windowed throughput/latency series, and exports both through
@@ -87,17 +83,10 @@ struct ReplayResult {
   std::int64_t peak_in_flight = 0;
 };
 
-class TraceReplayWorkload final : public workloads::Workload {
+class TraceReplayWorkload {
  public:
   explicit TraceReplayWorkload(LoadedTrace trace,
                                std::string file = "trace.dat");
-
-  // workloads::Workload (timestamp-blind pull, per-rank trace order).
-  int ranks() const override { return trace_.ranks; }
-  std::string file() const override { return file_; }
-  std::optional<workloads::Request> Next(int rank) override;
-  void Reset() override;
-  byte_count total_bytes() const override { return trace_.total_bytes; }
 
   const LoadedTrace& trace() const { return trace_; }
 
@@ -111,7 +100,6 @@ class TraceReplayWorkload final : public workloads::Workload {
   std::string file_;
   // Per-rank index lists into trace_.records, in arrival order.
   std::vector<std::vector<std::size_t>> per_rank_;
-  std::vector<std::size_t> cursor_;
 };
 
 }  // namespace s4d::tracein

@@ -5,9 +5,10 @@
 // always yields the same stream numbering.
 //
 // Arrivals are relative to the trace start (record 0 of the raw input),
-// in simulated nanoseconds. A trace without timestamps (the legacy
-// rank,kind,offset,size replay CSV) loads with has_timestamps = false and
-// every arrival at 0 — still replayable closed-loop, rejected open-loop.
+// in simulated nanoseconds. A trace without timestamps (a replay CSV with
+// only the rank,kind,offset,size columns) loads with has_timestamps = false
+// and every arrival at 0 — still replayable closed-loop, rejected
+// open-loop.
 #pragma once
 
 #include <cstdint>

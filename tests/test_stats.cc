@@ -32,81 +32,5 @@ TEST(RunningStats, SingleValue) {
   EXPECT_EQ(s.variance(), 0.0);
 }
 
-TEST(Samples, Percentiles) {
-  Samples s;
-  for (int i = 1; i <= 100; ++i) s.Add(i);
-  EXPECT_NEAR(s.Percentile(0), 1.0, 1e-9);
-  EXPECT_NEAR(s.Percentile(50), 50.5, 1e-9);
-  EXPECT_NEAR(s.Percentile(100), 100.0, 1e-9);
-  EXPECT_NEAR(s.Percentile(99), 99.01, 0.01);
-  EXPECT_EQ(s.Max(), 100.0);
-  EXPECT_NEAR(s.Mean(), 50.5, 1e-9);
-}
-
-TEST(Samples, EmptySafe) {
-  Samples s;
-  EXPECT_EQ(s.Percentile(50), 0.0);
-  EXPECT_EQ(s.Mean(), 0.0);
-  EXPECT_EQ(s.Max(), 0.0);
-}
-
-TEST(Samples, InterleavedAddAndQuery) {
-  Samples s;
-  s.Add(10);
-  EXPECT_EQ(s.Percentile(50), 10.0);
-  s.Add(20);
-  s.Add(0);
-  EXPECT_EQ(s.Percentile(50), 10.0);
-  EXPECT_EQ(s.Max(), 20.0);
-}
-
-TEST(Samples, CapKeepsMemoryBounded) {
-  Samples s(128);
-  for (int i = 0; i < 100000; ++i) s.Add(i);
-  EXPECT_EQ(s.count(), 100000u);
-  EXPECT_EQ(s.retained(), 128u);
-}
-
-TEST(Samples, UncappedStaysExact) {
-  Samples s;
-  for (int i = 0; i < 5000; ++i) s.Add(i);
-  EXPECT_EQ(s.retained(), 5000u);
-  EXPECT_NEAR(s.Percentile(50), 2499.5, 1e-9);
-}
-
-TEST(Samples, CappedPercentilesStayClose) {
-  // A uniform stream through a 1k reservoir: the sampled percentiles of
-  // 100k uniform values must stay within a few percent of the true ones.
-  Samples s(1000, /*seed=*/7);
-  const int n = 100000;
-  for (int i = 1; i <= n; ++i) s.Add(i);
-  EXPECT_NEAR(s.Percentile(50), n * 0.50, n * 0.05);
-  EXPECT_NEAR(s.Percentile(90), n * 0.90, n * 0.05);
-  EXPECT_NEAR(s.Percentile(99), n * 0.99, n * 0.05);
-}
-
-TEST(Samples, CappedIsDeterministic) {
-  Samples a(64, /*seed=*/3);
-  Samples b(64, /*seed=*/3);
-  for (int i = 0; i < 10000; ++i) {
-    a.Add(i * 17 % 9973);
-    b.Add(i * 17 % 9973);
-  }
-  EXPECT_EQ(a.Percentile(50), b.Percentile(50));
-  EXPECT_EQ(a.Percentile(99), b.Percentile(99));
-}
-
-TEST(Log2Histogram, BucketsPowersOfTwo) {
-  Log2Histogram h;
-  h.Add(1);     // bucket 0
-  h.Add(2);     // bucket 1
-  h.Add(3);     // bucket 1
-  h.Add(1024);  // bucket 10
-  EXPECT_EQ(h.BucketCount(0), 1);
-  EXPECT_EQ(h.BucketCount(1), 2);
-  EXPECT_EQ(h.BucketCount(10), 1);
-  EXPECT_EQ(h.total(), 4);
-}
-
 }  // namespace
 }  // namespace s4d

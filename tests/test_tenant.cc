@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -139,24 +138,6 @@ TEST(TenantsConfig, RejectsAutoGroupingWithExplicitSpecs) {
                          "auto_group_ranks = 4\n"
                          "tenant1 = a ranks 0-3\n")
                    .ok());
-}
-
-// The schema s4dsim validates with: numbered tenant entries pass the
-// tenant* wildcard, anything unknown (a typo'd knob) fails loudly.
-TEST(TenantsConfig, ValidateKnownKeysGatesTheSection) {
-  const std::map<std::string, std::vector<std::string>> schema = {
-      {"tenants", TenantsSectionKeys()}};
-  ConfigParser good;
-  ASSERT_TRUE(good.Parse("[tenants]\n"
-                         "mode = enforce\n"
-                         "tenant1 = a ranks 0-3\n"
-                         "tenant12 = b ranks 4-7\n"
-                         "endurance = on\n")
-                  .ok());
-  EXPECT_TRUE(good.ValidateKnownKeys(schema).ok());
-  ConfigParser bad;
-  ASSERT_TRUE(bad.Parse("[tenants]\nsizer_intervall = 10ms\n").ok());
-  EXPECT_FALSE(bad.ValidateKnownKeys(schema).ok());
 }
 
 // --- TenantRegistry ---------------------------------------------------------

@@ -88,8 +88,6 @@ TEST_F(TraceTest, SequentialFraction) {
   // Of the 3 requests with a predecessor, 2 were sequential.
   EXPECT_NEAR(collector_.SequentialFraction("DServers", 0, FromSeconds(100)),
               2.0 / 3.0, 1e-9);
-  EXPECT_GT(collector_.MeanStreamDistance("DServers", 0, FromSeconds(100)),
-            0.0);
 }
 
 TEST_F(TraceTest, PerFileStreamsForSequentiality) {

@@ -22,7 +22,7 @@
 //   policy = cost-model      ; cost-model | always | never
 //   rebuild_interval = 100ms
 //
-//   [workload]               ; type = ior | hpio | tile | replay | trace
+//   [workload]               ; type = ior | hpio | tile | trace
 //   type = ior
 //   ranks = 32
 //   file_size = 64m
@@ -40,9 +40,16 @@
 //   window = 100ms            ; time-windowed replay stats; 0 disables
 //   file = trace.dat          ; simulated file the replay targets
 //
-// A relative [trace] path (or workload.trace for type = replay) is
-// resolved against the config file's directory, so experiment configs can
-// name the traces bundled under examples/traces/.
+// A relative [trace] path is resolved against the config file's
+// directory, so experiment configs can name the traces bundled under
+// examples/traces/. A captured CSV replays with type = trace and
+// [trace] mode = closed; time_scale = 0 issues each rank's requests back
+// to back.
+//
+// Every value must parse as its key's type (integer, number, bool, size,
+// duration), and a key with a fixed set of values (type, kind, policy,
+// degraded_reads, format, mode) takes only those: an unknown key or a
+// malformed value exits 1 with `config error:` before anything runs.
 //
 //   [faults]                  ; optional: deterministic fault timeline
 //   fault1 = 100ms crash cservers 0
@@ -68,14 +75,18 @@
 //
 // Seed sweeps: `--sweep-seeds=N` runs N copies of the experiment with
 // workload seeds base, base+1, ..., base+N-1 (base = workload.seed) and
-// prints one result row per seed plus an aggregate. `--jobs=J` runs them on
+// prints one result row per seed plus an aggregate. Each seed builds the
+// same stack and drives the same workload as a single run, so a one-seed
+// sweep row matches the single run's last pass. `--jobs=J` runs them on
 // J threads; every run owns its whole simulated world, so the per-seed
 // rows are byte-identical for any J. Both take a whole positive decimal.
-#include <charconv>
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <iostream>
 #include <limits>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -100,12 +111,8 @@
 #include "tracein/loader.h"
 #include "tracein/replayer.h"
 #include "tracein/scaler.h"
-#include <fstream>
-#include <sstream>
-
 #include "workloads/hpio.h"
 #include "workloads/ior.h"
-#include "workloads/replay.h"
 #include "workloads/tile_io.h"
 
 using namespace s4d;
@@ -133,42 +140,134 @@ kind = write
 repeat = 1
 )";
 
-// Every key s4dsim understands, by section. ValidateKnownKeys rejects any
-// config entry outside this schema, so a typo ("admision = feedback")
-// fails the run loudly instead of silently running the default.
+// How s4dsim reads a key's value: kText takes any text (a path, a name, or
+// a value its section's own parser checks: the fault* and tenant* entries
+// and [policy]); the others must parse with the ConfigParser getter of
+// that type.
+enum class ValueType { kText, kInt, kDouble, kBool, kSize, kDuration };
+
+struct KeySpec {
+  KeySpec(std::string key, ValueType value_type = ValueType::kText)
+      : name(std::move(key)), type(value_type) {}
+  KeySpec(std::string key, std::vector<std::string> values)
+      : name(std::move(key)), choices(std::move(values)) {}
+
+  std::string name;
+  ValueType type = ValueType::kText;
+  std::vector<std::string> choices;  // when set, the only values accepted
+};
+
+// Every key s4dsim understands, by section, with its type. A key outside
+// this schema (a typo like "admision = feedback"), a value that does not
+// parse as its key's type ("dservers = abc") and a value outside its key's
+// choices ("type = hpoi") each fail the run loudly instead of silently
+// running the default.
 Status ValidateConfig(const ConfigParser& config) {
-  static const std::map<std::string, std::vector<std::string>> kSchema = {
+  using V = ValueType;
+  static const std::map<std::string, std::vector<KeySpec>> kSchema = {
       {"cluster",
-       {"dservers", "cservers", "stripe", "verify_content", "ssd_pe_cycles",
-        "ssd_write_amp",
+       {{"dservers", V::kInt}, {"cservers", V::kInt}, {"stripe", V::kSize},
+        {"verify_content", V::kBool}, {"ssd_pe_cycles", V::kDouble},
+        {"ssd_write_amp", V::kDouble},
         // Device/link profile overrides (harness::ApplyClusterOverrides).
-        "hdd_transfer_bps", "hdd_rpm", "hdd_avg_seek", "hdd_max_seek",
-        "hdd_track_seek", "hdd_command_overhead", "hdd_readahead",
-        "ssd_read_bps", "ssd_write_bps", "ssd_read_latency",
-        "ssd_write_latency", "link_bps", "link_latency"}},
+        {"hdd_transfer_bps", V::kDouble}, {"hdd_rpm", V::kDouble},
+        {"hdd_avg_seek", V::kDuration}, {"hdd_max_seek", V::kDuration},
+        {"hdd_track_seek", V::kDuration},
+        {"hdd_command_overhead", V::kDuration}, {"hdd_readahead", V::kSize},
+        {"ssd_read_bps", V::kDouble}, {"ssd_write_bps", V::kDouble},
+        {"ssd_read_latency", V::kDuration},
+        {"ssd_write_latency", V::kDuration}, {"link_bps", V::kDouble},
+        {"link_latency", V::kDuration}}},
       {"middleware",
-       {"type", "cache_capacity", "policy", "rebuild_interval",
-        "metadata_overhead", "dmt_update_latency", "degraded_reads",
-        "io_timeout", "cache_unhealthy_degrade"}},
+       {{"type", {"stock", "s4d"}},
+        {"cache_capacity", V::kSize},
+        {"policy", {"cost-model", "always", "never"}},
+        {"rebuild_interval", V::kDuration},
+        {"metadata_overhead", V::kDuration},
+        {"dmt_update_latency", V::kDuration},
+        {"degraded_reads", {"queue", "stale"}},
+        {"io_timeout", V::kDuration},
+        {"cache_unhealthy_degrade", V::kDouble}}},
       {"workload",
-       {"type", "kind", "ranks", "region_count", "region_size",
-        "region_spacing", "trace", "file", "elements_x", "elements_y",
-        "element_size", "file_size", "request_size", "random", "seed",
-        "repeat"}},
-      {"faults", {"fault*", "queue_stale_timeout"}},
+       {{"type", {"ior", "hpio", "tile", "trace"}},
+        {"kind", {"write", "read"}}, {"ranks", V::kInt},
+        {"region_count", V::kInt}, {"region_size", V::kSize},
+        {"region_spacing", V::kSize}, {"elements_x", V::kInt},
+        {"elements_y", V::kInt}, {"element_size", V::kSize},
+        {"file_size", V::kSize}, {"request_size", V::kSize},
+        {"random", V::kBool}, {"seed", V::kInt}, {"repeat", V::kInt}}},
+      {"faults", {{"fault*"}, {"queue_stale_timeout", V::kDuration}}},
       {"trace",
-       {"path", "format", "mode", "time_scale", "scale_ranks", "window",
-        "file"}},
-      {"obs", {"trace_out", "metrics_out", "sample_interval", "capture_out"}},
+       {{"path"},
+        {"format", {"auto", "msr", "native", "replay", "binary"}},
+        {"mode", {"open", "closed"}}, {"time_scale", V::kDouble},
+        {"scale_ranks", V::kInt}, {"window", V::kDuration}, {"file"}}},
+      {"obs",
+       {{"trace_out"}, {"metrics_out"}, {"sample_interval", V::kDuration},
+        {"capture_out"}}},
       {"policy",
-       {"mode", "admission", "ewma_alpha", "threshold_step", "threshold_max",
-        "pressure_max_queue", "pressure_max_delay"}},
+       {{"mode"}, {"admission"}, {"ewma_alpha"}, {"threshold_step"},
+        {"threshold_max"}, {"pressure_max_queue"}, {"pressure_max_delay"}}},
       {"calib",
-       {"enable", "forget", "min_samples", "queue_gain", "saturation_depth",
-        "calibrate_dservers", "calibrate_cservers"}},
-      {"tenants", tenant::TenantsSectionKeys()},
+       {{"enable", V::kBool}, {"forget", V::kDouble},
+        {"min_samples", V::kInt}, {"queue_gain", V::kDouble},
+        {"saturation_depth", V::kDouble}, {"calibrate_dservers", V::kBool},
+        {"calibrate_cservers", V::kBool}}},
+      {"tenants",
+       {{"tenant*"}, {"mode", {"enforce", "observe"}},
+        {"auto_group_ranks", V::kInt}, {"sizer_interval", V::kDuration},
+        {"ghost_capacity", V::kInt}, {"endurance", V::kBool},
+        {"write_cost_ns_per_byte", V::kDouble},
+        {"pressure_max_queue", V::kDouble},
+        {"wear_veto_fraction", V::kDouble}}},
   };
-  return config.ValidateKnownKeys(kSchema);
+  std::map<std::string, std::vector<std::string>> names;
+  for (const auto& [section, keys] : kSchema) {
+    for (const KeySpec& key : keys) names[section].push_back(key.name);
+  }
+  if (Status known = config.ValidateKnownKeys(names); !known.ok()) {
+    return known;
+  }
+  for (const auto& [section, keys] : kSchema) {
+    for (const KeySpec& key : keys) {
+      const auto value = config.GetString(section, key.name);
+      if (!value) continue;
+      const std::string& k = key.name;
+      bool parses = true;
+      switch (key.type) {
+        case V::kText: break;
+        case V::kInt: parses = config.GetInt(section, k).has_value(); break;
+        case V::kDouble: parses = config.GetDouble(section, k).has_value(); break;
+        case V::kBool: parses = config.GetBool(section, k).has_value(); break;
+        case V::kSize: parses = config.GetSize(section, k).has_value(); break;
+        case V::kDuration:
+          parses = config.GetDuration(section, k).has_value();
+          break;
+      }
+      const bool chosen =
+          key.choices.empty() || std::find(key.choices.begin(),
+                                           key.choices.end(),
+                                           *value) != key.choices.end();
+      if (parses && chosen) continue;
+      std::string want;
+      for (const std::string& choice : key.choices) {
+        want += (want.empty() ? " (want " : " | ") + choice;
+      }
+      return Status::InvalidArgument(section + "." + k + ": cannot parse '" +
+                                     *value + "'" +
+                                     (want.empty() ? "" : want + ")"));
+    }
+  }
+  return Status::Ok();
+}
+
+// Whether the config sets any key of `section`.
+bool HasSection(const ConfigParser& config, const std::string& section) {
+  const std::string prefix = section + ".";
+  for (const auto& [key, value] : config.entries()) {
+    if (key.rfind(prefix, 0) == 0) return true;
+  }
+  return false;
 }
 
 // Builds the policy engine for a parsed [policy] section, or null for
@@ -199,14 +298,7 @@ std::unique_ptr<policy::PolicyEngine> MakePolicyEngine(
 std::unique_ptr<tenant::TenantManager> MakeTenantManager(
     const ConfigParser& config, sim::Engine& engine, core::S4DCache* s4d,
     obs::Observability* obs) {
-  bool present = false;
-  for (const auto& [key, value] : config.entries()) {
-    if (key.rfind("tenants.", 0) == 0) {
-      present = true;
-      break;
-    }
-  }
-  if (!present) return nullptr;
+  if (!HasSection(config, "tenants")) return nullptr;
   if (s4d == nullptr) {
     std::fprintf(stderr,
                  "tenants config error: [tenants] needs middleware.type = "
@@ -233,15 +325,9 @@ std::unique_ptr<tenant::TenantManager> MakeTenantManager(
 std::unique_ptr<calib::CalibrationEngine> MakeCalibration(
     const ConfigParser& config, harness::Testbed& bed, core::S4DCache* s4d,
     obs::Observability* obs) {
-  bool present = false;
-  for (const auto& [key, value] : config.entries()) {
-    if (key.rfind("calib.", 0) == 0) {
-      present = true;
-      break;
-    }
+  if (!HasSection(config, "calib") || !config.BoolOr("calib", "enable", true)) {
+    return nullptr;
   }
-  if (!present) return nullptr;
-  if (!config.BoolOr("calib", "enable", true)) return nullptr;
   if (s4d == nullptr) {
     std::fprintf(stderr,
                  "calib config error: [calib] needs middleware.type = s4d\n");
@@ -277,11 +363,12 @@ std::unique_ptr<calib::CalibrationEngine> MakeCalibration(
   return engine;
 }
 
-// Reads the cluster shape into `bed`. Every value must be positive: a zero
-// server count would otherwise abort inside the PFS layer, and a zero stripe
-// would divide by zero.
-Status ReadClusterShape(const ConfigParser& config,
-                        harness::TestbedConfig& bed) {
+// Reads [cluster] into a testbed config: the shape, the SSD wear model and
+// the device and link profile overrides. Every shape value must be
+// positive: a zero server count would otherwise abort inside the PFS layer,
+// and a zero stripe would divide by zero.
+Status ReadTestbedConfig(const ConfigParser& config,
+                         harness::TestbedConfig& bed) {
   const std::int64_t limit = std::numeric_limits<int>::max();
   const std::pair<const char*, std::int64_t> counts[] = {
       {"dservers", config.IntOr("cluster", "dservers", 8)},
@@ -302,7 +389,103 @@ Status ReadClusterShape(const ConfigParser& config,
   bed.dservers = static_cast<int>(counts[0].second);
   bed.cservers = static_cast<int>(counts[1].second);
   bed.stripe_size = stripe;
-  return Status::Ok();
+  // Optional SSD wear model: a P/E-cycle budget turns on WearFraction()
+  // (and with it the endurance veto's end-of-life gate).
+  bed.ssd.pe_cycle_budget =
+      config.DoubleOr("cluster", "ssd_pe_cycles", bed.ssd.pe_cycle_budget);
+  bed.ssd.write_amplification = config.DoubleOr(
+      "cluster", "ssd_write_amp", bed.ssd.write_amplification);
+  return harness::ApplyClusterOverrides(config, bed);
+}
+
+// Reads [middleware] and faults.queue_stale_timeout into the cache's config.
+core::S4DConfig ReadS4DConfig(const ConfigParser& config,
+                              const fault::FaultSchedule& schedule) {
+  core::S4DConfig cfg;
+  cfg.cache_capacity = config.SizeOr("middleware", "cache_capacity", 128 * MiB);
+  const std::string policy =
+      config.StringOr("middleware", "policy", "cost-model");
+  cfg.policy = policy == "always" ? core::AdmissionPolicy::kAlways
+               : policy == "never" ? core::AdmissionPolicy::kNever
+                                   : core::AdmissionPolicy::kCostModel;
+  cfg.rebuilder.interval =
+      config.DurationOr("middleware", "rebuild_interval", FromMillis(100));
+  cfg.metadata_overhead_per_op = config.DurationOr(
+      "middleware", "metadata_overhead", cfg.metadata_overhead_per_op);
+  cfg.dmt_update_latency = config.DurationOr(
+      "middleware", "dmt_update_latency", cfg.dmt_update_latency);
+  cfg.degraded_read_mode =
+      config.StringOr("middleware", "degraded_reads", "queue") == "stale"
+          ? core::DegradedReadMode::kServeStale
+          : core::DegradedReadMode::kQueue;
+  // With faults in play, background I/O can be failed mid-flight by a
+  // crash; a watchdog keeps a stalled flush run from wedging the
+  // Rebuilder. Fault-free runs keep the timeout off (no extra events).
+  cfg.rebuilder.io_timeout = config.DurationOr(
+      "middleware", "io_timeout",
+      schedule.empty() ? SimTime{0} : FromSeconds(5));
+  // kQueue mode: a read held for the down cache tier is promoted to a
+  // stale DServer read after this long (0 = queue forever).
+  cfg.queue_stale_timeout =
+      config.DurationOr("faults", "queue_stale_timeout", 0);
+  cfg.cache_unhealthy_degrade = config.DoubleOr(
+      "middleware", "cache_unhealthy_degrade", cfg.cache_unhealthy_degrade);
+  return cfg;
+}
+
+// The simulated world one config describes. Members are built, and
+// destroyed in reverse, in this order.
+struct Stack {
+  std::unique_ptr<harness::Testbed> bed;
+  std::unique_ptr<core::S4DCache> s4d;  // null for middleware.type = stock
+  mpiio::IoDispatch* dispatch = nullptr;
+  std::unique_ptr<policy::PolicyEngine> policy;
+  std::unique_ptr<tenant::TenantManager> tenants;
+  std::unique_ptr<calib::CalibrationEngine> calibration;
+  std::unique_ptr<fault::FaultInjector> injector;
+};
+
+// Builds the stack for `config` and arms its fault injector: testbed,
+// cache, policy, tenants, calibration, then the injector. The order fixes
+// the trace-lane numbering of an observed run. `obs` is null when the run
+// is not observed; `track_content` keeps the content images a verified run
+// checks. Exits on configuration errors.
+Stack BuildStack(const ConfigParser& config,
+                 const fault::FaultSchedule& schedule,
+                 obs::Observability* obs, bool track_content) {
+  harness::TestbedConfig bed_cfg;
+  if (const Status status = ReadTestbedConfig(config, bed_cfg); !status.ok()) {
+    std::fprintf(stderr, "config error: %s\n", status.ToString().c_str());
+    std::exit(1);
+  }
+  bed_cfg.track_content = track_content;
+  bed_cfg.obs = obs;
+  Stack stack;
+  stack.bed = std::make_unique<harness::Testbed>(bed_cfg);
+  harness::Testbed& bed = *stack.bed;
+  stack.dispatch = &bed.stock();
+  if (config.StringOr("middleware", "type", "s4d") == "s4d") {
+    stack.s4d = bed.MakeS4D(ReadS4DConfig(config, schedule));
+    stack.dispatch = stack.s4d.get();
+  }
+  stack.policy = MakePolicyEngine(config, stack.s4d.get(), obs);
+  stack.tenants =
+      MakeTenantManager(config, bed.engine(), stack.s4d.get(), obs);
+  stack.calibration = MakeCalibration(config, bed, stack.s4d.get(), obs);
+  stack.injector = std::make_unique<fault::FaultInjector>(
+      bed.engine(), bed.dservers(), bed.cservers(), stack.s4d.get());
+  if (obs != nullptr) stack.injector->SetObservability(obs);
+  if (!schedule.empty()) stack.injector->Arm(schedule);
+  return stack;
+}
+
+// Lets the Rebuilder finish its flush and fetch work.
+void Settle(Stack& stack) {
+  if (!stack.s4d) return;
+  core::S4DCache& s4d = *stack.s4d;
+  harness::DrainUntil(stack.bed->engine(),
+                      [&s4d] { return s4d.BackgroundQuiescent(); },
+                      FromSeconds(3600));
 }
 
 std::unique_ptr<workloads::Workload> MakeWorkload(const ConfigParser& config) {
@@ -318,26 +501,6 @@ std::unique_ptr<workloads::Workload> MakeWorkload(const ConfigParser& config) {
     cfg.region_spacing = config.SizeOr("workload", "region_spacing", 0);
     cfg.kind = kind;
     return std::make_unique<workloads::HpioWorkload>(cfg);
-  }
-  if (type == "replay") {
-    // workload.trace = path to a CSV captured by a previous run.
-    const std::string path = config.StringOr("workload", "trace", "");
-    std::ifstream in(path);
-    if (!in) {
-      std::fprintf(stderr, "cannot open trace: %s\n", path.c_str());
-      std::exit(1);
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    auto entries = workloads::ReplayWorkload::ParseCsv(buffer.str());
-    if (!entries.ok()) {
-      std::fprintf(stderr, "trace parse error: %s\n",
-                   entries.status().ToString().c_str());
-      std::exit(1);
-    }
-    return std::make_unique<workloads::ReplayWorkload>(
-        config.StringOr("workload", "file", "replay.dat"),
-        std::move(*entries));
   }
   if (type == "tile") {
     workloads::TileIoConfig cfg;
@@ -392,17 +555,9 @@ TraceSpec LoadTraceSpec(const ConfigParser& config) {
   TraceSpec spec;
   spec.trace = std::move(*trace);
 
-  const std::string mode = config.StringOr("trace", "mode", "open");
-  if (mode == "open") {
-    spec.mode = tracein::ReplayMode::kOpenLoop;
-  } else if (mode == "closed") {
-    spec.mode = tracein::ReplayMode::kClosedLoop;
-  } else {
-    std::fprintf(stderr,
-                 "trace config error: mode wants open or closed, got '%s'\n",
-                 mode.c_str());
-    std::exit(1);
-  }
+  spec.mode = config.StringOr("trace", "mode", "open") == "closed"
+                  ? tracein::ReplayMode::kClosedLoop
+                  : tracein::ReplayMode::kOpenLoop;
   if (spec.mode == tracein::ReplayMode::kOpenLoop &&
       !spec.trace.has_timestamps) {
     std::fprintf(stderr,
@@ -434,6 +589,115 @@ TraceSpec LoadTraceSpec(const ConfigParser& config) {
   return spec;
 }
 
+// What driving the workload measured: the last pass, and the span of the
+// measured passes (after any warm-up).
+struct Drive {
+  harness::RunResult last{};
+  SimTime begin = 0;
+  SimTime end = 0;
+};
+
+// Drives the configured workload through `stack`: the trace replay, or the
+// kind = read warm-up (the paper's "second run" methodology: write pass,
+// settle, cold read pass that identifies and fetches critical data, settle)
+// followed by the `repeat` measured passes. A single run passes its
+// options (checker, capture hook) and its obs bundle, and gets the
+// per-pass report printed; a sweep run passes neither and prints nothing.
+Drive DriveWorkload(const ConfigParser& config, Stack& stack,
+                    const harness::DriverOptions* run,
+                    obs::Observability* obs) {
+  const harness::DriverOptions none;
+  const harness::DriverOptions& options = run != nullptr ? *run : none;
+  sim::Engine& engine = stack.bed->engine();
+  mpiio::MpiIoLayer layer(engine, *stack.dispatch);
+  const int repeat = static_cast<int>(config.IntOr("workload", "repeat", 1));
+  Drive drive;
+
+  if (config.StringOr("workload", "type", "ior") == "trace") {
+    // Timed trace replay: the trace's own arrival schedule drives the run,
+    // so the closed-loop driver (and its read-warm machinery) is bypassed.
+    // It is seed-independent: every sweep row is identical.
+    TraceSpec spec = LoadTraceSpec(config);
+    tracein::TraceReplayWorkload wl(std::move(spec.trace), spec.file);
+    if (run != nullptr) {
+      std::printf("trace: %zu requests over %d ranks (%s from %s), %s-loop "
+                  "replay, time scale %g\n",
+                  wl.trace().records.size(), wl.trace().ranks,
+                  FormatBytes(wl.trace().total_bytes).c_str(),
+                  wl.trace().source.c_str(),
+                  tracein::ReplayModeName(spec.mode), spec.time_scale);
+    }
+    tracein::ReplayOptions replay_opts;
+    replay_opts.mode = spec.mode;
+    replay_opts.time_scale = spec.time_scale;
+    replay_opts.window = spec.window;
+    replay_opts.checker = options.checker;
+    replay_opts.obs = obs;
+    replay_opts.on_issue = options.on_issue;
+    drive.begin = engine.now();
+    tracein::ReplayResult replay{};
+    for (int pass = 0; pass < repeat; ++pass) {
+      replay = wl.Replay(layer, replay_opts);
+      drive.last = replay.run;
+      if (run == nullptr) continue;
+      std::printf(
+          "pass %d: %.1f MB/s (%lld requests, %s, mean latency %.0f us, "
+          "peak in flight %lld)\n",
+          pass + 1, drive.last.throughput_mbps,
+          static_cast<long long>(drive.last.requests),
+          FormatBytes(drive.last.bytes).c_str(), drive.last.mean_latency_us,
+          static_cast<long long>(replay.peak_in_flight));
+    }
+    drive.end = engine.now();
+    if (run != nullptr && !replay.windows.empty()) {
+      std::printf("\n-- replay windows (%s each) --\n",
+                  FormatTime(spec.window).c_str());
+      TablePrinter wt({"window", "start (ms)", "requests", "reads", "writes",
+                       "bytes", "MB/s", "mean us", "max us"});
+      int index = 0;
+      for (const tracein::ReplayWindow& w : replay.windows) {
+        wt.AddRow({TablePrinter::Int(index++),
+                   TablePrinter::Num(ToMillis(w.start), 1),
+                   TablePrinter::Int(w.requests), TablePrinter::Int(w.reads),
+                   TablePrinter::Int(w.writes), FormatBytes(w.bytes),
+                   TablePrinter::Num(w.throughput_mbps, 2),
+                   TablePrinter::Num(w.mean_latency_us, 1),
+                   TablePrinter::Num(w.max_latency_us, 1)});
+      }
+      wt.Print(std::cout);
+    }
+    return drive;
+  }
+
+  auto workload = MakeWorkload(config);
+  if (config.StringOr("workload", "kind", "write") == "read") {
+    if (run != nullptr) {
+      std::printf("warming: write pass + settle + cold read pass + settle\n");
+    }
+    ConfigParser write_config = config;
+    write_config.Set("workload", "kind", "write");
+    auto writer = MakeWorkload(write_config);
+    harness::RunClosedLoop(layer, *writer, options);
+    Settle(stack);
+    auto cold_reader = MakeWorkload(config);
+    harness::RunClosedLoop(layer, *cold_reader, options);
+    Settle(stack);
+  }
+  drive.begin = engine.now();
+  for (int pass = 0; pass < repeat; ++pass) {
+    workload->Reset();
+    drive.last = harness::RunClosedLoop(layer, *workload, options);
+    if (run == nullptr) continue;
+    std::printf(
+        "pass %d: %.1f MB/s (%lld requests, %s, mean latency %.0f us)\n",
+        pass + 1, drive.last.throughput_mbps,
+        static_cast<long long>(drive.last.requests),
+        FormatBytes(drive.last.bytes).c_str(), drive.last.mean_latency_us);
+  }
+  drive.end = engine.now();
+  return drive;
+}
+
 int Run(const ConfigParser& config) {
   auto schedule = fault::FaultSchedule::FromConfig(config);
   if (!schedule.ok()) {
@@ -454,76 +718,16 @@ int Run(const ConfigParser& config) {
   obs::Observability obs;
   obs.tracer.set_enabled(!trace_out.empty());
 
-  harness::TestbedConfig bed_cfg;
-  if (const Status shape = ReadClusterShape(config, bed_cfg); !shape.ok()) {
-    std::fprintf(stderr, "config error: %s\n", shape.ToString().c_str());
-    return 1;
-  }
-  bed_cfg.track_content = verify;
-  // Optional SSD wear model: a P/E-cycle budget turns on WearFraction()
-  // (and with it the endurance veto's end-of-life gate).
-  bed_cfg.ssd.pe_cycle_budget =
-      config.DoubleOr("cluster", "ssd_pe_cycles", bed_cfg.ssd.pe_cycle_budget);
-  bed_cfg.ssd.write_amplification = config.DoubleOr(
-      "cluster", "ssd_write_amp", bed_cfg.ssd.write_amplification);
-  if (observed) bed_cfg.obs = &obs;
-  if (const Status overrides = harness::ApplyClusterOverrides(config, bed_cfg);
-      !overrides.ok()) {
-    std::fprintf(stderr, "config error: %s\n", overrides.ToString().c_str());
-    return 1;
-  }
-  harness::Testbed bed(bed_cfg);
+  Stack stack =
+      BuildStack(config, *schedule, observed ? &obs : nullptr, verify);
+  harness::Testbed& bed = *stack.bed;
+  core::S4DCache* s4d = stack.s4d.get();
+  const auto& calibration = stack.calibration;
 
   trace::TraceCollector collector;
   collector.Attach(bed.dservers(), "DServers");
   collector.Attach(bed.cservers(), "CServers");
 
-  const std::string mw_type = config.StringOr("middleware", "type", "s4d");
-  std::unique_ptr<core::S4DCache> s4d;
-  mpiio::IoDispatch* dispatch = &bed.stock();
-  if (mw_type == "s4d") {
-    core::S4DConfig cfg;
-    cfg.cache_capacity = config.SizeOr("middleware", "cache_capacity", 128 * MiB);
-    const std::string policy =
-        config.StringOr("middleware", "policy", "cost-model");
-    cfg.policy = policy == "always" ? core::AdmissionPolicy::kAlways
-                 : policy == "never" ? core::AdmissionPolicy::kNever
-                                     : core::AdmissionPolicy::kCostModel;
-    cfg.rebuilder.interval =
-        config.DurationOr("middleware", "rebuild_interval", FromMillis(100));
-    cfg.metadata_overhead_per_op = config.DurationOr(
-        "middleware", "metadata_overhead", cfg.metadata_overhead_per_op);
-    cfg.dmt_update_latency = config.DurationOr(
-        "middleware", "dmt_update_latency", cfg.dmt_update_latency);
-    cfg.degraded_read_mode =
-        config.StringOr("middleware", "degraded_reads", "queue") == "stale"
-            ? core::DegradedReadMode::kServeStale
-            : core::DegradedReadMode::kQueue;
-    // With faults in play, background I/O can be failed mid-flight by a
-    // crash; a watchdog keeps a stalled flush run from wedging the
-    // Rebuilder. Fault-free runs keep the timeout off (no extra events).
-    cfg.rebuilder.io_timeout = config.DurationOr(
-        "middleware", "io_timeout",
-        schedule->empty() ? SimTime{0} : FromSeconds(5));
-    // kQueue mode: a read held for the down cache tier is promoted to a
-    // stale DServer read after this long (0 = queue forever).
-    cfg.queue_stale_timeout =
-        config.DurationOr("faults", "queue_stale_timeout", 0);
-    cfg.cache_unhealthy_degrade = config.DoubleOr(
-        "middleware", "cache_unhealthy_degrade", cfg.cache_unhealthy_degrade);
-    s4d = bed.MakeS4D(cfg);
-    dispatch = s4d.get();
-  } else if (mw_type != "stock") {
-    std::fprintf(stderr, "unknown middleware type: %s\n", mw_type.c_str());
-    return 1;
-  }
-
-  auto policy_engine =
-      MakePolicyEngine(config, s4d.get(), observed ? &obs : nullptr);
-  auto tenant_manager = MakeTenantManager(config, bed.engine(), s4d.get(),
-                                          observed ? &obs : nullptr);
-  auto calibration =
-      MakeCalibration(config, bed, s4d.get(), observed ? &obs : nullptr);
   if (calibration) {
     std::printf("calibration: forget %g, min_samples %lld, queue gain %g%s\n",
                 calibration->config().forget,
@@ -533,12 +737,15 @@ int Run(const ConfigParser& config) {
                     ? ", saturation probe armed"
                     : "");
   }
+  if (!schedule->empty()) {
+    std::printf("faults: %zu scheduled\n", schedule->size());
+  }
 
   harness::ContentChecker checker;
   harness::DriverOptions run_options;
   if (verify) {
     run_options.checker = &checker;
-    if (s4d) {
+    if (s4d != nullptr) {
       s4d->SetDirtyLossHook([&checker](const std::string& file,
                                        byte_count offset, byte_count length) {
         checker.MarkMaybeLost(file, offset, length);
@@ -563,14 +770,6 @@ int Run(const ConfigParser& config) {
     };
   }
 
-  fault::FaultInjector injector(bed.engine(), bed.dservers(), bed.cservers(),
-                                s4d.get());
-  if (observed) injector.SetObservability(&obs);
-  if (!schedule->empty()) {
-    injector.Arm(*schedule);
-    std::printf("faults: %zu scheduled\n", schedule->size());
-  }
-
   // Periodic time series (written into the metrics dump). Probes are
   // read-only: outstanding sub-requests and middleware counters.
   obs::TimeSeriesSampler sampler(bed.engine(), sample_interval);
@@ -581,8 +780,8 @@ int Run(const ConfigParser& config) {
     sampler.AddProbe("cpfs.outstanding_subs", [&bed] {
       return static_cast<double>(bed.cservers().outstanding_subs());
     });
-    if (s4d) {
-      core::S4DCache* cache = s4d.get();
+    if (s4d != nullptr) {
+      core::S4DCache* cache = s4d;
       sampler.AddProbe("s4d.dirty_bytes", [cache] {
         return static_cast<double>(cache->dmt().dirty_bytes());
       });
@@ -618,10 +817,10 @@ int Run(const ConfigParser& config) {
         return static_cast<double>(cal->stats().samples);
       });
     }
-    if (s4d && !trace_out.empty()) {
+    if (s4d != nullptr && !trace_out.empty()) {
       // Per-tick dirty-age instant: richer than the two scalar series above
       // (extent count + oldest/mean/p50) at the same cadence.
-      core::S4DCache* cache = s4d.get();
+      core::S4DCache* cache = s4d;
       obs::Observability* ob = &obs;
       const std::uint32_t dirty_lane = obs.tracer.Lane("dmt");
       sampler.SetTickHook([cache, ob, dirty_lane](SimTime t) {
@@ -638,102 +837,11 @@ int Run(const ConfigParser& config) {
     sampler.Start();
   }
 
-  mpiio::MpiIoLayer layer(bed.engine(), *dispatch);
-  const std::string wl_type = config.StringOr("workload", "type", "ior");
-  const int repeat =
-      static_cast<int>(config.IntOr("workload", "repeat", 1));
-  harness::RunResult last{};
-  SimTime begin = 0;
-  SimTime end = 0;
-
-  if (wl_type == "trace") {
-    // Timed trace replay: the trace's own arrival schedule drives the run,
-    // so the closed-loop driver (and its read-warm machinery) is bypassed.
-    TraceSpec spec = LoadTraceSpec(config);
-    tracein::TraceReplayWorkload wl(std::move(spec.trace), spec.file);
-    std::printf("trace: %zu requests over %d ranks (%s from %s), %s-loop "
-                "replay, time scale %g\n",
-                wl.trace().records.size(), wl.trace().ranks,
-                FormatBytes(wl.trace().total_bytes).c_str(),
-                wl.trace().source.c_str(),
-                tracein::ReplayModeName(spec.mode), spec.time_scale);
-    tracein::ReplayOptions replay_opts;
-    replay_opts.mode = spec.mode;
-    replay_opts.time_scale = spec.time_scale;
-    replay_opts.window = spec.window;
-    replay_opts.checker = verify ? &checker : nullptr;
-    replay_opts.obs = observed ? &obs : nullptr;
-    replay_opts.on_issue = run_options.on_issue;  // capture, when armed
-    begin = bed.engine().now();
-    tracein::ReplayResult replay{};
-    for (int pass = 0; pass < repeat; ++pass) {
-      replay = wl.Replay(layer, replay_opts);
-      last = replay.run;
-      std::printf(
-          "pass %d: %.1f MB/s (%lld requests, %s, mean latency %.0f us, "
-          "peak in flight %lld)\n",
-          pass + 1, last.throughput_mbps,
-          static_cast<long long>(last.requests),
-          FormatBytes(last.bytes).c_str(), last.mean_latency_us,
-          static_cast<long long>(replay.peak_in_flight));
-    }
-    end = bed.engine().now();
-    if (!replay.windows.empty()) {
-      std::printf("\n-- replay windows (%s each) --\n",
-                  FormatTime(spec.window).c_str());
-      TablePrinter wt({"window", "start (ms)", "requests", "reads", "writes",
-                       "bytes", "MB/s", "mean us", "max us"});
-      int index = 0;
-      for (const tracein::ReplayWindow& w : replay.windows) {
-        wt.AddRow({TablePrinter::Int(index++),
-                   TablePrinter::Num(ToMillis(w.start), 1),
-                   TablePrinter::Int(w.requests), TablePrinter::Int(w.reads),
-                   TablePrinter::Int(w.writes), FormatBytes(w.bytes),
-                   TablePrinter::Num(w.throughput_mbps, 2),
-                   TablePrinter::Num(w.mean_latency_us, 1),
-                   TablePrinter::Num(w.max_latency_us, 1)});
-      }
-      wt.Print(std::cout);
-    }
-  } else {
-    auto workload = MakeWorkload(config);
-
-    // For read measurements, lay the data down and warm the cache first (the
-    // paper's "second run" methodology): write pass, settle, cold read pass
-    // (identifies + fetches critical data), settle again.
-    if (config.StringOr("workload", "kind", "write") == "read") {
-      std::printf("warming: write pass + settle + cold read pass + settle\n");
-      ConfigParser write_config = config;
-      write_config.Set("workload", "kind", "write");
-      auto writer = MakeWorkload(write_config);
-      harness::RunClosedLoop(layer, *writer, run_options);
-      auto settle = [&] {
-        if (!s4d) return;
-        harness::DrainUntil(bed.engine(),
-                            [&] { return s4d->BackgroundQuiescent(); },
-                            FromSeconds(3600));
-      };
-      settle();
-      auto cold_reader = MakeWorkload(config);
-      harness::RunClosedLoop(layer, *cold_reader, run_options);
-      settle();
-    }
-
-    begin = bed.engine().now();
-    for (int pass = 0; pass < repeat; ++pass) {
-      workload->Reset();
-      last = harness::RunClosedLoop(layer, *workload, run_options);
-      std::printf(
-          "pass %d: %.1f MB/s (%lld requests, %s, mean latency %.0f us)\n",
-          pass + 1, last.throughput_mbps,
-          static_cast<long long>(last.requests),
-          FormatBytes(last.bytes).c_str(), last.mean_latency_us);
-    }
-    end = bed.engine().now();
-  }
+  const Drive drive =
+      DriveWorkload(config, stack, &run_options, observed ? &obs : nullptr);
 
   std::printf("\n-- routing --\n");
-  const auto dist = collector.RequestDistribution(begin, end);
+  const auto dist = collector.RequestDistribution(drive.begin, drive.end);
   TablePrinter routing({"servers", "requests", "%", "bytes"});
   for (const std::string group : {"DServers", "CServers"}) {
     const auto rit = dist.requests.find(group);
@@ -745,7 +853,7 @@ int Run(const ConfigParser& config) {
   }
   routing.Print(std::cout);
 
-  if (s4d) {
+  if (s4d != nullptr) {
     const auto& rs = s4d->redirector_stats();
     const auto& bs = s4d->rebuilder_stats();
     std::printf("\n-- middleware --\n");
@@ -771,17 +879,17 @@ int Run(const ConfigParser& config) {
                 FormatBytes(s4d->cache_space().capacity()).c_str(),
                 s4d->dmt().entry_count(),
                 FormatBytes(s4d->dmt().dirty_bytes()).c_str());
-    if (policy_engine) {
-      const auto& as = policy_engine->admission().stats();
+    if (stack.policy) {
+      const auto& as = stack.policy->admission().stats();
       std::printf(
           "policy: %s, %lld admits, %lld threshold rejects, %lld pressure "
           "vetoes\n",
-          policy::PolicyModeName(policy_engine->config().mode),
+          policy::PolicyModeName(stack.policy->config().mode),
           static_cast<long long>(as.admits),
           static_cast<long long>(as.threshold_rejects),
           static_cast<long long>(as.pressure_vetoes));
     }
-    if (tenant_manager) tenant_manager->PrintReport();
+    if (stack.tenants) stack.tenants->PrintReport();
     if (calibration) {
       std::printf("\n-- calibration --\n");
       calibration->PrintReport(std::cout);
@@ -802,12 +910,8 @@ int Run(const ConfigParser& config) {
   if (!schedule->empty()) {
     // Let recovery finish (queued reads re-issued, flush backlog drained)
     // before judging the final state.
-    if (s4d) {
-      harness::DrainUntil(bed.engine(),
-                          [&] { return s4d->BackgroundQuiescent(); },
-                          FromSeconds(3600));
-    }
-    const auto& is = injector.stats();
+    Settle(stack);
+    const auto& is = stack.injector->stats();
     std::printf("\n-- faults --\n");
     std::printf(
         "injected: %lld events (%lld crashes, %lld wipes, %lld restarts, "
@@ -822,7 +926,7 @@ int Run(const ConfigParser& config) {
                                        bed.cservers().stats().failed_requests),
                 static_cast<long long>(bed.dservers().stats().failed_requests),
                 static_cast<long long>(bed.cservers().stats().failed_requests));
-    if (s4d) {
+    if (s4d != nullptr) {
       const auto& c = s4d->counters();
       const auto& rs = s4d->redirector_stats();
       const auto& bs = s4d->rebuilder_stats();
@@ -909,7 +1013,7 @@ int Run(const ConfigParser& config) {
   }
 
   if (verify) {
-    checker.CheckAll(*dispatch);
+    checker.CheckAll(*stack.dispatch);
     std::printf("\n-- verification --\n");
     std::printf(
         "%lld checks, %lld failures, %lld reads in reported loss window "
@@ -942,121 +1046,16 @@ struct SeedMetrics {
 SeedMetrics RunOneSeed(const ConfigParser& base, std::uint64_t seed) {
   ConfigParser config = base;
   config.Set("workload", "seed", std::to_string(seed));
-
   auto schedule = fault::FaultSchedule::FromConfig(config);
   if (!schedule.ok()) {
     std::fprintf(stderr, "fault config error: %s\n",
                  schedule.status().ToString().c_str());
     std::exit(1);
   }
-
-  harness::TestbedConfig bed_cfg;
-  if (const Status shape = ReadClusterShape(config, bed_cfg); !shape.ok()) {
-    std::fprintf(stderr, "config error: %s\n", shape.ToString().c_str());
-    std::exit(1);
-  }
-  bed_cfg.ssd.pe_cycle_budget =
-      config.DoubleOr("cluster", "ssd_pe_cycles", bed_cfg.ssd.pe_cycle_budget);
-  bed_cfg.ssd.write_amplification = config.DoubleOr(
-      "cluster", "ssd_write_amp", bed_cfg.ssd.write_amplification);
-  if (const Status overrides = harness::ApplyClusterOverrides(config, bed_cfg);
-      !overrides.ok()) {
-    std::fprintf(stderr, "config error: %s\n", overrides.ToString().c_str());
-    std::exit(1);
-  }
-  harness::Testbed bed(bed_cfg);
-
-  const std::string mw_type = config.StringOr("middleware", "type", "s4d");
-  std::unique_ptr<core::S4DCache> s4d;
-  mpiio::IoDispatch* dispatch = &bed.stock();
-  if (mw_type == "s4d") {
-    core::S4DConfig cfg;
-    cfg.cache_capacity =
-        config.SizeOr("middleware", "cache_capacity", 128 * MiB);
-    const std::string policy =
-        config.StringOr("middleware", "policy", "cost-model");
-    cfg.policy = policy == "always" ? core::AdmissionPolicy::kAlways
-                 : policy == "never" ? core::AdmissionPolicy::kNever
-                                     : core::AdmissionPolicy::kCostModel;
-    cfg.rebuilder.interval =
-        config.DurationOr("middleware", "rebuild_interval", FromMillis(100));
-    cfg.rebuilder.io_timeout = config.DurationOr(
-        "middleware", "io_timeout",
-        schedule->empty() ? SimTime{0} : FromSeconds(5));
-    s4d = bed.MakeS4D(cfg);
-    dispatch = s4d.get();
-  } else if (mw_type != "stock") {
-    std::fprintf(stderr, "unknown middleware type: %s\n", mw_type.c_str());
-    std::exit(1);
-  }
-
-  auto policy_engine = MakePolicyEngine(config, s4d.get(), nullptr);
-  auto tenant_manager =
-      MakeTenantManager(config, bed.engine(), s4d.get(), nullptr);
-  auto calibration = MakeCalibration(config, bed, s4d.get(), nullptr);
-
-  fault::FaultInjector injector(bed.engine(), bed.dservers(), bed.cservers(),
-                                s4d.get());
-  if (!schedule->empty()) injector.Arm(*schedule);
-
-  mpiio::MpiIoLayer layer(bed.engine(), *dispatch);
-  auto settle = [&] {
-    if (!s4d) return;
-    harness::DrainUntil(bed.engine(), [&] { return s4d->BackgroundQuiescent(); },
-                        FromSeconds(3600));
-  };
-  if (config.StringOr("workload", "kind", "write") == "read") {
-    ConfigParser write_config = config;
-    write_config.Set("workload", "kind", "write");
-    auto writer = MakeWorkload(write_config);
-    harness::RunClosedLoop(layer, *writer);
-    settle();
-    auto cold_reader = MakeWorkload(config);
-    harness::RunClosedLoop(layer, *cold_reader);
-    settle();
-  }
-
-  SeedMetrics metrics;
-  metrics.seed = seed;
-  const int repeat = static_cast<int>(config.IntOr("workload", "repeat", 1));
-  if (config.StringOr("workload", "type", "ior") == "trace") {
-    // The trace replay is seed-independent (every sweep row identical);
-    // the sweep still exercises --jobs determinism end to end.
-    TraceSpec spec = LoadTraceSpec(config);
-    tracein::TraceReplayWorkload wl(std::move(spec.trace), spec.file);
-    tracein::ReplayOptions replay_opts;
-    replay_opts.mode = spec.mode;
-    replay_opts.time_scale = spec.time_scale;
-    replay_opts.window = spec.window;
-    for (int pass = 0; pass < repeat; ++pass) {
-      metrics.result = wl.Replay(layer, replay_opts).run;
-    }
-  } else {
-    auto workload = MakeWorkload(config);
-    for (int pass = 0; pass < repeat; ++pass) {
-      workload->Reset();
-      metrics.result = harness::RunClosedLoop(layer, *workload);
-    }
-  }
-  metrics.sim_end = bed.engine().now();
-  metrics.events_fired = bed.engine().events_fired();
-  return metrics;
-}
-
-// Parses `flag`'s value as a whole positive decimal ("4"; not "abc", "0",
-// "-2" or "3x") into `out`. On anything else prints an error naming the
-// flag and the value and returns false.
-bool ParsePositiveFlag(const char* flag, const std::string& text, int& out) {
-  int value = 0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc() || ptr != end || value < 1) {
-    std::fprintf(stderr, "%s wants a positive integer, got '%s'\n", flag,
-                 text.c_str());
-    return false;
-  }
-  out = value;
-  return true;
+  Stack stack = BuildStack(config, *schedule, nullptr, false);
+  const Drive drive = DriveWorkload(config, stack, nullptr, nullptr);
+  return {seed, drive.last, stack.bed->engine().now(),
+          stack.bed->engine().events_fired()};
 }
 
 int RunSweep(const ConfigParser& config, int seeds, int jobs) {
@@ -1125,9 +1124,11 @@ int main(int argc, char** argv) {
     } else if (auto v = flag_value("--capture-out=")) {
       overrides.push_back({"obs", "capture_out", *v});
     } else if (auto v = flag_value("--sweep-seeds=")) {
-      if (!ParsePositiveFlag("--sweep-seeds", *v, sweep_seeds)) return 1;
+      if (!harness::ParsePositiveFlag("--sweep-seeds", *v, sweep_seeds)) {
+        return 1;
+      }
     } else if (auto v = flag_value("--jobs=")) {
-      if (!ParsePositiveFlag("--jobs", *v, jobs)) return 1;
+      if (!harness::ParsePositiveFlag("--jobs", *v, jobs)) return 1;
     } else if (arg.rfind("--", 0) == 0) {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       return 1;
@@ -1145,26 +1146,14 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "config error: %s\n", status.ToString().c_str());
       return 1;
     }
-    const Status known = ValidateConfig(config);
-    if (!known.ok()) {
-      std::fprintf(stderr, "config error: %s\n", known.ToString().c_str());
-      return 1;
-    }
-    // Relative trace paths resolve against the config file's directory,
+    // A relative trace path resolves against the config file's directory,
     // so a config can name a trace bundled next to it (examples/traces/)
     // no matter where s4dsim is invoked from.
     const std::string path = config_path;
     const std::size_t slash = path.find_last_of('/');
-    if (slash != std::string::npos) {
-      const std::string dir = path.substr(0, slash + 1);
-      const std::pair<const char*, const char*> trace_keys[] = {
-          {"trace", "path"}, {"workload", "trace"}};
-      for (const auto& [section, key] : trace_keys) {
-        const std::string value = config.StringOr(section, key, "");
-        if (!value.empty() && value.front() != '/') {
-          config.Set(section, key, dir + value);
-        }
-      }
+    const std::string trace = config.StringOr("trace", "path", "");
+    if (slash != std::string::npos && !trace.empty() && trace.front() != '/') {
+      config.Set("trace", "path", path.substr(0, slash + 1) + trace);
     }
   } else {
     (void)config.Parse(kDefaultConfig);
@@ -1173,6 +1162,10 @@ int main(int argc, char** argv) {
   }
   // CLI flags override the config file.
   for (const Override& o : overrides) config.Set(o.section, o.key, o.value);
+  if (const Status valid = ValidateConfig(config); !valid.ok()) {
+    std::fprintf(stderr, "config error: %s\n", valid.ToString().c_str());
+    return 1;
+  }
   if (sweep_seeds > 0) return RunSweep(config, sweep_seeds, jobs);
   return Run(config);
 }
