@@ -52,6 +52,27 @@ class ConfigParser {
   std::optional<SimTime> GetDuration(const std::string& section,
                                      const std::string& key) const;
 
+  // Reads `section.key` with getter `get` into `*out` when the key is
+  // present, and leaves `*out` alone when it is absent. A present value
+  // that does not parse is InvalidArgument naming `section.key` and the
+  // value, never a silent fallback to the default (which the *Or variants
+  // below are).
+  template <typename T>
+  Status Read(const std::string& section, const std::string& key,
+              std::optional<T> (ConfigParser::*get)(const std::string&,
+                                                    const std::string&) const,
+              T* out) const {
+    const std::optional<std::string> raw = GetString(section, key);
+    if (!raw) return Status::Ok();
+    const std::optional<T> value = (this->*get)(section, key);
+    if (!value) {
+      return Status::InvalidArgument(section + "." + key +
+                                     ": cannot parse '" + *raw + "'");
+    }
+    *out = *value;
+    return Status::Ok();
+  }
+
   // Convenience with-default variants.
   std::string StringOr(const std::string& section, const std::string& key,
                        std::string fallback) const;

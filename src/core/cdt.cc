@@ -7,14 +7,18 @@
 namespace s4d::core {
 
 bool CriticalDataTable::Add(const CdtKey& key) {
-  auto [it, inserted] = entries_.emplace(key, Info{});
-  if (!inserted) return false;
+  // Find first: emplace would build (and free) a node, with a copy of the
+  // file name, for every request that is already recorded.
+  if (entries_.find(key) != entries_.end()) return false;
+  entries_.emplace(key, Info{});
   ++mutation_epoch_;
   insertion_order_.push_back(key);
   while (entries_.size() > max_entries_ && !insertion_order_.empty()) {
-    const CdtKey& victim = insertion_order_.front();
     // The victim may equal the key just inserted only if max_entries_ == 0;
     // the FIFO guarantees oldest-first otherwise.
+    auto victim = entries_.find(insertion_order_.front());
+    S4D_CHECK(victim != entries_.end()) << "CDT FIFO holds a dead key";
+    if (victim->second.c_flag) --flagged_count_;
     entries_.erase(victim);
     insertion_order_.pop_front();
     ++evictions_;
@@ -29,6 +33,7 @@ bool CriticalDataTable::SetCacheFlag(const CdtKey& key, int owner) {
   ++mutation_epoch_;
   if (!it->second.c_flag) {
     it->second.c_flag = true;
+    ++flagged_count_;
     flagged_.push_back(key);
   }
   it->second.flag_owner = owner;
@@ -40,6 +45,7 @@ void CriticalDataTable::ClearCacheFlag(const CdtKey& key) {
   auto it = entries_.find(key);
   if (it != entries_.end()) {
     ++mutation_epoch_;
+    if (it->second.c_flag) --flagged_count_;
     it->second.c_flag = false;
     it->second.flag_owner = -1;
   }
@@ -48,14 +54,6 @@ void CriticalDataTable::ClearCacheFlag(const CdtKey& key) {
 bool CriticalDataTable::CacheFlag(const CdtKey& key) const {
   auto it = entries_.find(key);
   return it != entries_.end() && it->second.c_flag;
-}
-
-bool CriticalDataTable::AnyPendingFetch() const {
-  for (const CdtKey& key : flagged_) {
-    auto it = entries_.find(key);
-    if (it != entries_.end() && it->second.c_flag) return true;
-  }
-  return false;
 }
 
 std::vector<PendingFetch> CriticalDataTable::PendingFetches(
@@ -100,11 +98,16 @@ void CriticalDataTable::AuditInvariants() const {
     auto it = entries_.find(key);
     if (it != entries_.end()) queued.insert(&it->first);
   }
+  std::size_t flagged = 0;
   for (const auto& [key, info] : entries_) {
     S4D_CHECK(!info.c_flag || queued.count(&key) > 0)
         << "C_flagged entry " << key.file << ":" << key.offset << "+"
         << key.length << " missing from the fetch queue";
+    if (info.c_flag) ++flagged;
   }
+  S4D_CHECK(flagged == flagged_count_)
+      << "CDT counts " << flagged_count_ << " live C_flags, " << flagged
+      << " entries carry one";
 }
 
 }  // namespace s4d::core

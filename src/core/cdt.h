@@ -10,6 +10,11 @@
 // The table is bounded: when full, the oldest entries are dropped FIFO
 // (the paper leaves CDT sizing unspecified; an unbounded table would grow
 // with every unique critical request ever seen).
+//
+// C_flagged entries queue in flag order for the Rebuilder; the queue is
+// pruned lazily, so the table also counts its live flags, which makes
+// AnyPendingFetch() (the drain's idle check, polled every slice) O(1).
+// Add looks a key up before inserting it: most critical requests recur.
 #pragma once
 
 #include <cstdint>
@@ -78,8 +83,9 @@ class CriticalDataTable {
   // met on the way are dropped at O(1) each.
   std::vector<PendingFetch> PendingFetches(std::size_t limit);
 
-  // True iff any entry currently has its C_flag set.
-  bool AnyPendingFetch() const;
+  // True iff any entry currently has its C_flag set. O(1): the table
+  // counts its live flags.
+  bool AnyPendingFetch() const { return flagged_count_ > 0; }
 
   std::size_t size() const { return entries_.size(); }
   std::int64_t evictions() const { return evictions_; }
@@ -92,13 +98,15 @@ class CriticalDataTable {
 
   // S4D_CHECKs the table's bookkeeping: the entry count within the bound,
   // the FIFO holding exactly the live keys (so eviction order is
-  // well-defined), and every C_flagged entry present in the fetch queue —
-  // a flagged entry outside it would never be fetched by the Rebuilder.
-  // O(entries + queued). Paranoid builds run it every few mutations; tests
-  // call it directly.
+  // well-defined), every C_flagged entry present in the fetch queue — a
+  // flagged entry outside it would never be fetched by the Rebuilder — and
+  // the live-flag count equal to the flagged entries. O(entries + queued).
+  // Paranoid builds run it every few mutations; tests call it directly.
   void AuditInvariants() const;
 
  private:
+  friend struct CdtTestPeer;  // corruption injection in test_cdt
+
   // Paranoid-build hook (stride keeps the fuzz suites from going
   // quadratic; the stride counter is deterministic).
 #ifdef S4D_PARANOID
@@ -119,6 +127,9 @@ class CriticalDataTable {
   std::unordered_map<CdtKey, Info, CdtKeyHash> entries_;
   std::deque<CdtKey> insertion_order_;   // FIFO eviction
   std::deque<CdtKey> flagged_;           // SetCacheFlag order, lazily pruned
+  // Entries whose C_flag is set: SetCacheFlag, ClearCacheFlag and FIFO
+  // eviction keep it exact, so AnyPendingFetch never walks flagged_.
+  std::size_t flagged_count_ = 0;
   std::int64_t evictions_ = 0;
   std::uint64_t mutation_epoch_ = 0;
 };

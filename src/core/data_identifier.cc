@@ -1,8 +1,29 @@
 #include "core/data_identifier.h"
 
+#include <algorithm>
 #include <cstdlib>
 
+#include "common/check.h"
+
 namespace s4d::core {
+
+namespace {
+
+using Tail = std::pair<byte_count, std::uint64_t>;
+
+// First tail past `pos` / at or past `pos`.
+template <typename It>
+It TailAfter(It first, It last, byte_count pos) {
+  return std::upper_bound(
+      first, last, pos, [](byte_count p, const Tail& t) { return p < t.first; });
+}
+template <typename It>
+It TailAtOrAfter(It first, It last, byte_count pos) {
+  return std::lower_bound(
+      first, last, pos, [](const Tail& t, byte_count p) { return t.first < p; });
+}
+
+}  // namespace
 
 byte_count DataIdentifier::DistanceFor(const std::string& file, int rank,
                                        byte_count offset) const {
@@ -13,9 +34,9 @@ byte_count DataIdentifier::DistanceFor(const std::string& file, int rank,
   const byte_count reach =
       model_.params().hdd.readahead_window * model_.params().hdd_servers;
   if (auto git = global_tails_.find(file); git != global_tails_.end()) {
-    const auto& tails = git->second;
+    const TailTable& tails = git->second;
     // Greatest tail at or before `offset` = smallest forward gap.
-    auto it = tails.upper_bound(offset);
+    auto it = TailAfter(tails.begin(), tails.end(), offset);
     if (it != tails.begin()) {
       auto prev = std::prev(it);
       const byte_count gap = offset - prev->first;
@@ -52,21 +73,36 @@ Decision DataIdentifier::Identify(const std::string& file, int rank,
   // used tail when the table is full.
   const byte_count reach =
       model_.params().hdd.readahead_window * model_.params().hdd_servers;
-  auto& tails = global_tails_[file];
-  auto it = tails.upper_bound(offset);
-  if (it != tails.begin()) {
-    auto prev = std::prev(it);
-    if (offset - prev->first >= 0 && offset - prev->first < reach) {
+  S4D_DCHECK(size >= 0) << "negative request size " << size;
+  TailTable& tails = global_tails_[file];
+  const byte_count tail = offset + size;
+  const std::uint64_t seq = ++tail_seq_;
+  auto next = TailAfter(tails.begin(), tails.end(), offset);
+  // Every tail before `next` is at or before `offset`, so `tail` sorts at
+  // or after `next`.
+  auto pos = TailAtOrAfter(next, tails.end(), tail);
+  const bool known = pos != tails.end() && pos->first == tail;
+  if (next != tails.begin() && offset - std::prev(next)->first < reach) {
+    // The greatest tail at or before `offset` is continued: it moves
+    // forward to `tail`, and the tails it passes (usually none) slide down
+    // one slot over its old place, so nothing is inserted.
+    const auto prev = std::prev(next);
+    if (known) {
+      pos->second = seq;
       tails.erase(prev);
+    } else {
+      *std::move(next, pos, prev) = Tail{tail, seq};
     }
+  } else if (known) {
+    pos->second = seq;
+  } else {
+    tails.insert(pos, Tail{tail, seq});
   }
-  tails[offset + size] = ++tail_seq_;
   if (tails.size() > kMaxTailsPerFile) {
-    auto victim = tails.begin();
-    for (auto scan = tails.begin(); scan != tails.end(); ++scan) {
-      if (scan->second < victim->second) victim = scan;
-    }
-    tails.erase(victim);
+    // The least recently used tail: the smallest sequence number.
+    tails.erase(std::min_element(
+        tails.begin(), tails.end(),
+        [](const Tail& a, const Tail& b) { return a.second < b.second; }));
   }
 
   // Health-aware admission: T_C stretches by the tier's current slowdown,

@@ -14,14 +14,20 @@
 // file servers serve them as streams; a request continuing any recent tail
 // within the readahead window is measured by that small forward gap
 // instead of its per-rank jump.
+//
+// The tail table is a position-sorted vector of (tail, recency) pairs, at
+// most kMaxTailsPerFile per file. Most requests continue a tail, and a
+// continuation rewrites that tail in place (sliding any tails it passes),
+// so the table neither allocates nor rebalances per request.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "core/cache_extension.h"
 #include "core/cdt.h"
@@ -95,12 +101,13 @@ class DataIdentifier {
   const CostModel& model_;
   CriticalDataTable& cdt_;
   std::unordered_map<StreamKey, byte_count, StreamKeyHash> last_end_;
-  // Per file: recent stream tails across all ranks, ordered by position for
-  // O(log n) nearest-preceding-tail lookup; values are recency sequence
-  // numbers for LRU eviction. Sized like the servers' aggregate stream
-  // capacity (max_streams per disk x M disks).
-  std::unordered_map<std::string, std::map<byte_count, std::uint64_t>>
-      global_tails_;
+  // Per file: recent stream tails across all ranks as (position, recency
+  // sequence number) pairs, sorted by position for a binary-searched
+  // nearest-preceding-tail lookup; the smallest sequence number is the LRU
+  // victim. Sized like the servers' aggregate stream capacity (max_streams
+  // per disk x M disks).
+  using TailTable = std::vector<std::pair<byte_count, std::uint64_t>>;
+  std::unordered_map<std::string, TailTable> global_tails_;
   std::uint64_t tail_seq_ = 0;
   IdentifierStats stats_;
   TierSignals tier_;

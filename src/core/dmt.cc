@@ -19,14 +19,16 @@ std::string RecordKey(const std::string& file, byte_count begin) {
 DataMappingTable::DataMappingTable(kv::KvStore* store) : store_(store) {}
 
 std::uint32_t DataMappingTable::InternFile(const std::string& file) {
-  auto [it, inserted] = file_index_.emplace(
-      file, static_cast<std::uint32_t>(file_names_.size()));
-  if (inserted) {
-    file_names_.push_back(file);
-    files_.emplace_back();
-    dirty_index_.emplace_back();
+  // Find first: emplace would build (and free) a node on every hit.
+  if (auto it = file_index_.find(file); it != file_index_.end()) {
+    return it->second;
   }
-  return it->second;
+  const auto index = static_cast<std::uint32_t>(file_names_.size());
+  file_index_.emplace(file, index);
+  file_names_.push_back(file);
+  files_.emplace_back();
+  dirty_index_.emplace_back();
+  return index;
 }
 
 DataMappingTable::FileMap* DataMappingTable::FindFile(
@@ -320,8 +322,13 @@ void DataMappingTable::Touch(const std::string& file, byte_count offset,
     if (prev->second.end > offset) it = prev;
   }
   for (; it != map.end() && it->first < end; ++it) {
-    UnindexLru(it->second);
-    IndexLru(idx_it->second, it->first, it->second);
+    // Re-key the entry's own LRU node to the newest sequence number: the
+    // same order as erase plus emplace, without freeing and allocating.
+    auto node = lru_index_.extract(it->second.lru_seq);
+    S4D_DCHECK(!node.empty()) << "LRU index lost the extent at " << it->first;
+    it->second.lru_seq = next_lru_seq_++;
+    node.key() = it->second.lru_seq;
+    lru_index_.insert(lru_index_.end(), std::move(node));
   }
   MaybeAudit();
 }
@@ -392,6 +399,7 @@ std::vector<DirtyRun> DataMappingTable::CollectDirtyRuns(
     byte_count max_total_bytes, byte_count max_run_bytes,
     const DirtyExtentSet* in_flight) const {
   std::vector<DirtyRun> runs;
+  if (dirty_bytes_ == 0) return runs;  // every tick of an idle drain
   byte_count total = 0;
   for (std::size_t i = 0; i < files_.size() && total < max_total_bytes; ++i) {
     const auto file_index = static_cast<std::uint32_t>(i);

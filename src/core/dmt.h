@@ -23,6 +23,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/inline_vector.h"
 #include "common/sim_time.h"
 #include "common/status.h"
 #include "common/units.h"
@@ -38,9 +39,11 @@ struct MappedSegment {
   bool dirty = false;
 };
 
+// A query's mapped pieces and gaps, inline up to four of each: most
+// requests touch one extent or none, so a lookup allocates nothing.
 struct DmtLookup {
-  std::vector<MappedSegment> mapped;  // ascending, clipped to the query
-  std::vector<std::pair<byte_count, byte_count>> gaps;
+  InlineVector<MappedSegment, 4> mapped;  // ascending, clipped to the query
+  InlineVector<std::pair<byte_count, byte_count>, 4> gaps;
 
   bool fully_mapped() const { return gaps.empty() && !mapped.empty(); }
   bool fully_unmapped() const { return mapped.empty(); }

@@ -163,8 +163,8 @@ RoutingPlan Redirector::PlanWrite(const std::string& file, byte_count offset,
     if (!lookup.mapped.empty()) {
       dmt_.SetDirty(file, offset, size, true);
     }
-    std::vector<std::pair<byte_count, byte_count>> allocated;  // cache off, size
-    std::vector<std::pair<byte_count, byte_count>> gap_ranges;
+    InlineVector<std::pair<byte_count, byte_count>, 4> allocated;  // off, size
+    InlineVector<std::pair<byte_count, byte_count>, 4> gap_ranges;
     bool ok = true;
     for (const auto& [gap_begin, gap_end] : lookup.gaps) {
       const byte_count gap_size = gap_end - gap_begin;

@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "common/inline_vector.h"
 #include "core/cache_extension.h"
 #include "core/cache_space.h"
 #include "core/cdt.h"
@@ -57,7 +58,9 @@ struct IoSegment {
 };
 
 struct RoutingPlan {
-  std::vector<IoSegment> segments;
+  // Inline up to four segments (a partial hit with a few gaps), so a plan
+  // allocates nothing on the request path.
+  InlineVector<IoSegment, 4> segments;
   bool served_fully_by_cache = false;
   bool admitted = false;     // a new mapping was created for this request
   bool lazy_fetch_marked = false;  // C_flag set for a critical read miss

@@ -149,8 +149,18 @@ void S4DCache::StampPlanContent(const mpiio::FileRequest& request,
   }
 }
 
+S4DCache::ExecJoin* S4DCache::AcquireJoin() {
+  if (join_free_.empty()) {
+    join_pool_.push_back(std::make_unique<ExecJoin>());
+    join_free_.push_back(join_pool_.back().get());
+  }
+  ExecJoin* join = join_free_.back();
+  join_free_.pop_back();
+  return join;
+}
+
 void S4DCache::Execute(device::IoKind kind, const mpiio::FileRequest& request,
-                       const Decision& decision, RoutingPlan plan,
+                       const Decision& decision, const RoutingPlan& plan,
                        mpiio::IoCompletion done) {
   S4D_DCHECK(!plan.segments.empty());
 
@@ -192,35 +202,21 @@ void S4DCache::Execute(device::IoKind kind, const mpiio::FileRequest& request,
     }
   }
 
-  const pfs::FileId orig_id = dservers_.OpenOrCreate(request.file);
-  const pfs::FileId cache_id =
-      c_bytes > 0 ? cservers_.OpenOrCreate(CacheFileName(request.file))
-                  : pfs::kInvalidFile;
-
-  // Failure-aware join: the operation resolves (once) when its last
-  // segment does. A failed segment — a server crashed mid-request — still
-  // resolves the operation (the application would see an I/O error and the
-  // closed-loop driver moves on), but it is counted.
-  struct ExecJoin {
-    int remaining;
-    SimTime last = 0;
-    bool failed = false;
-    mpiio::IoCompletion done;
-    SimTime issued_at = 0;
-    obs::SpanId span = obs::kNoSpan;
-    // The plan's segments, issued by the delayed dispatch below.
-    std::vector<IoSegment> segments;
-    // Decision/outcome record for the extensions; only filled in when one
-    // is attached.
-    std::optional<RequestOutcome> outcome;
-  };
-  auto join = std::make_shared<ExecJoin>();
+  ExecJoin* join = AcquireJoin();
+  join->kind = kind;
+  join->orig_id = dservers_.OpenOrCreate(request.file);
+  join->cache_id = c_bytes > 0
+                       ? cservers_.OpenOrCreate(CacheFileName(request.file))
+                       : pfs::kInvalidFile;
   join->remaining = static_cast<int>(plan.segments.size());
-  join->done = std::move(done);
+  join->failed = false;
+  join->last = 0;
   join->issued_at = issued_at;
   join->span = span;
-  if (!extensions_.attached.empty()) {
-    RequestOutcome outcome;
+  join->segments = plan.segments;
+  join->report_outcome = !extensions_.attached.empty();
+  if (join->report_outcome) {
+    RequestOutcome& outcome = join->outcome;
     outcome.file = request.file;
     outcome.rank = request.rank;
     outcome.kind = kind;
@@ -233,9 +229,8 @@ void S4DCache::Execute(device::IoKind kind, const mpiio::FileRequest& request,
     outcome.cache_bytes = c_bytes;
     outcome.dserver_bytes = d_bytes;
     outcome.issued_at = issued_at;
-    join->outcome = std::move(outcome);
   }
-  join->segments = std::move(plan.segments);
+  join->done = std::move(done);
 
   // The in-memory bookkeeping (cost model, CDT/DMT lookups) delays the
   // physical I/O by a small constant (§V-E.2); a plan that changed the
@@ -258,43 +253,53 @@ void S4DCache::Execute(device::IoKind kind, const mpiio::FileRequest& request,
       obs_->tracer.AddArg(persist, "shard", static_cast<std::int64_t>(shard));
     }
   }
-  engine_.ScheduleAfter(delay, [this, kind, join, orig_id, cache_id]() {
-    auto arrive = [this, join, kind](SimTime t, bool ok) {
-      join->last = std::max(join->last, t);
-      if (!ok) join->failed = true;
-      if (--join->remaining > 0) return;
-      if (join->failed) ++counters_.failed_requests;
-      if (obs_ != nullptr) {
-        (kind == device::IoKind::kRead ? obs_read_latency_ns_
-                                       : obs_write_latency_ns_)
-            ->Record(join->last - join->issued_at);
-        if (join->span != obs::kNoSpan) {
-          obs_->tracer.End(join->span, join->last);
-          if (join->failed) obs_->tracer.AddArg(join->span, "failed", 1);
-        }
-      }
-      if (join->outcome) {
-        join->outcome->latency = join->last - join->issued_at;
-        for (CacheExtension* extension : extensions_.attached) {
-          extension->OnOutcome(*join->outcome);
-        }
-      }
-      if (join->done) join->done(join->last);
-    };
-    for (const IoSegment& seg : join->segments) {
-      auto on_complete = [arrive](SimTime t) { arrive(t, true); };
-      auto on_failure = [arrive](SimTime t) { arrive(t, false); };
-      if (seg.target == IoSegment::Target::kCServers) {
-        cservers_.Submit(cache_id, kind, seg.offset, seg.size,
-                         pfs::Priority::kNormal, std::move(on_complete),
-                         std::move(on_failure), join->span);
-      } else {
-        dservers_.Submit(orig_id, kind, seg.offset, seg.size,
-                         pfs::Priority::kNormal, std::move(on_complete),
-                         std::move(on_failure), join->span);
-      }
+  engine_.ScheduleAfter(delay, [this, join]() { DispatchSegments(join); });
+}
+
+void S4DCache::DispatchSegments(ExecJoin* join) {
+  // {this, join}: 16 bytes, so each std::function stores it inline.
+  for (const IoSegment& seg : join->segments) {
+    auto on_complete = [this, join](SimTime t) { JoinArrive(join, t, true); };
+    auto on_failure = [this, join](SimTime t) { JoinArrive(join, t, false); };
+    if (seg.target == IoSegment::Target::kCServers) {
+      cservers_.Submit(join->cache_id, join->kind, seg.offset, seg.size,
+                       pfs::Priority::kNormal, on_complete, on_failure,
+                       join->span);
+    } else {
+      dservers_.Submit(join->orig_id, join->kind, seg.offset, seg.size,
+                       pfs::Priority::kNormal, on_complete, on_failure,
+                       join->span);
     }
-  });
+  }
+}
+
+void S4DCache::JoinArrive(ExecJoin* join, SimTime t, bool ok) {
+  join->last = std::max(join->last, t);
+  if (!ok) join->failed = true;
+  if (--join->remaining > 0) return;
+  if (join->failed) ++counters_.failed_requests;
+  if (obs_ != nullptr) {
+    (join->kind == device::IoKind::kRead ? obs_read_latency_ns_
+                                         : obs_write_latency_ns_)
+        ->Record(join->last - join->issued_at);
+    if (join->span != obs::kNoSpan) {
+      obs_->tracer.End(join->span, join->last);
+      if (join->failed) obs_->tracer.AddArg(join->span, "failed", 1);
+    }
+  }
+  if (join->report_outcome) {
+    join->outcome.latency = join->last - join->issued_at;
+    for (CacheExtension* extension : extensions_.attached) {
+      extension->OnOutcome(join->outcome);
+    }
+  }
+  // Recycle before completing: `done` may issue the rank's next request,
+  // which takes a join from the free list (maybe this one).
+  mpiio::IoCompletion done = std::move(join->done);
+  join->done = nullptr;
+  const SimTime last = join->last;
+  join_free_.push_back(join);
+  if (done) done(last);
 }
 
 Decision S4DCache::Decide(const mpiio::FileRequest& request,
@@ -314,8 +319,7 @@ void S4DCache::Write(const mpiio::FileRequest& request,
   RoutingPlan plan = redirector_.PlanWrite(request.file, request.offset,
                                            request.size, decision.critical);
   StampPlanContent(request, plan);
-  Execute(device::IoKind::kWrite, request, decision, std::move(plan),
-          std::move(done));
+  Execute(device::IoKind::kWrite, request, decision, plan, std::move(done));
 }
 
 void S4DCache::Read(const mpiio::FileRequest& request,
@@ -350,15 +354,14 @@ void S4DCache::Read(const mpiio::FileRequest& request,
     // kServeStale: deliver the DServer copy now; the dirty ranges we are
     // bypassing are part of the reported loss window.
     ++counters_.stale_dirty_reads;
-    ServeStale(request, decision, std::move(plan), std::move(done));
+    ServeStale(request, decision, plan, std::move(done));
     return;
   }
-  Execute(device::IoKind::kRead, request, decision, std::move(plan),
-          std::move(done));
+  Execute(device::IoKind::kRead, request, decision, plan, std::move(done));
 }
 
 void S4DCache::ServeStale(const mpiio::FileRequest& request,
-                          const Decision& decision, RoutingPlan plan,
+                          const Decision& decision, const RoutingPlan& plan,
                           mpiio::IoCompletion done) {
   if (dirty_loss_hook_) {
     const DmtLookup lookup =
@@ -370,8 +373,7 @@ void S4DCache::ServeStale(const mpiio::FileRequest& request,
       }
     }
   }
-  Execute(device::IoKind::kRead, request, decision, std::move(plan),
-          std::move(done));
+  Execute(device::IoKind::kRead, request, decision, plan, std::move(done));
 }
 
 void S4DCache::PromoteQueuedRead(std::uint64_t id) {
@@ -395,7 +397,7 @@ void S4DCache::PromoteQueuedRead(std::uint64_t id) {
   RoutingPlan plan =
       redirector_.PlanRead(pending.request.file, pending.request.offset,
                            pending.request.size, false);
-  ServeStale(pending.request, pending.decision, std::move(plan),
+  ServeStale(pending.request, pending.decision, plan,
              std::move(pending.done));
 }
 
@@ -413,7 +415,7 @@ void S4DCache::OnCacheTierRestored() {
         redirector_.PlanRead(p.request.file, p.request.offset, p.request.size,
                              p.decision.critical);
     S4D_DCHECK(!plan.blocked_on_cache);
-    Execute(device::IoKind::kRead, p.request, p.decision, std::move(plan),
+    Execute(device::IoKind::kRead, p.request, p.decision, plan,
             std::move(p.done));
   }
 }

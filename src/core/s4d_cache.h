@@ -16,6 +16,12 @@
 // Optional subsystems join each request's decision as CacheExtensions
 // (policy, tenants) or through TierSignals, which every component reads
 // the cache tier through (calibration, via the cost model).
+//
+// Once warm, a request that leaves the mapping unchanged (a DServer bypass
+// or a cache hit) runs from Read/Write to its completion without a heap
+// allocation: plans and lookups keep their segments inline, each request's
+// join comes from a free list, and every callback captures at most 16
+// bytes (tests/test_io_path_alloc.cc holds it to that).
 #pragma once
 
 #include <memory>
@@ -139,6 +145,9 @@ class S4DCache final : public mpiio::IoDispatch {
   Redirector& redirector() { return redirector_; }
   const CostModel& cost_model() const { return cost_model_; }
   const S4DConfig& config() const { return config_; }
+  // Request joins made so far: the most foreground requests that were ever
+  // in flight at once, since finished requests return theirs for reuse.
+  std::size_t join_pool_size() const { return join_pool_.size(); }
 
   std::string CacheFileName(const std::string& file) const {
     return file + config_.cache_file_suffix;
@@ -220,11 +229,41 @@ class S4DCache final : public mpiio::IoDispatch {
   void MaybeAudit() const {}
 #endif
 
+  // Failure-aware join for one foreground request: it resolves (once)
+  // when its last segment does. A failed segment (a server crashed
+  // mid-request) still resolves it, as the application would see an I/O
+  // error, and is counted. Joins come from a free list and go back to it
+  // before `done` runs, so the delayed dispatch and every segment
+  // completion capture only {S4DCache*, ExecJoin*}, which std::function
+  // stores inline.
+  struct ExecJoin {
+    device::IoKind kind = device::IoKind::kRead;
+    pfs::FileId orig_id = pfs::kInvalidFile;
+    pfs::FileId cache_id = pfs::kInvalidFile;
+    int remaining = 0;
+    bool failed = false;
+    SimTime last = 0;
+    SimTime issued_at = 0;
+    obs::SpanId span = obs::kNoSpan;
+    // The plan's segments, issued by the delayed dispatch.
+    InlineVector<IoSegment, 4> segments;
+    // Decision/outcome record for the extensions; filled in only when one
+    // is attached.
+    bool report_outcome = false;
+    RequestOutcome outcome;
+    mpiio::IoCompletion done;
+  };
+
   // Runs the extensions' start stages, then the Identifier.
   Decision Decide(const mpiio::FileRequest& request, device::IoKind kind);
   void Execute(device::IoKind kind, const mpiio::FileRequest& request,
-               const Decision& decision, RoutingPlan plan,
+               const Decision& decision, const RoutingPlan& plan,
                mpiio::IoCompletion done);
+  ExecJoin* AcquireJoin();
+  // Submits the join's segments (after the metadata delay).
+  void DispatchSegments(ExecJoin* join);
+  // One segment resolved; the last one resolves the request.
+  void JoinArrive(ExecJoin* join, SimTime t, bool ok);
   void StampPlanContent(const mpiio::FileRequest& request,
                         const RoutingPlan& plan);
   void SetupObservability();
@@ -234,7 +273,7 @@ class S4DCache final : public mpiio::IoDispatch {
   // Serves a dirty-blocked read from the stale DServer copy, reporting the
   // bypassed dirty ranges through the loss hook.
   void ServeStale(const mpiio::FileRequest& request, const Decision& decision,
-                  RoutingPlan plan, mpiio::IoCompletion done);
+                  const RoutingPlan& plan, mpiio::IoCompletion done);
 
   sim::Engine& engine_;
   pfs::FileSystem& dservers_;
@@ -267,6 +306,10 @@ class S4DCache final : public mpiio::IoDispatch {
     mpiio::IoCompletion done;
   };
   std::vector<PendingRead> queued_reads_;
+  // Every join made so far, and the idle ones. The pool grows on demand,
+  // never in the constructor.
+  std::vector<std::unique_ptr<ExecJoin>> join_pool_;
+  std::vector<ExecJoin*> join_free_;
   std::uint64_t next_pending_id_ = 1;
   DirtyLossHook dirty_loss_hook_;
 

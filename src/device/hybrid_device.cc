@@ -1,7 +1,8 @@
 #include "device/hybrid_device.h"
 
 #include <algorithm>
-#include <cassert>
+
+#include "common/check.h"
 
 namespace s4d::device {
 
@@ -40,7 +41,8 @@ AccessCosts HybridHddSsd::InsertBlock(byte_count block, bool dirty) {
 
 AccessCosts HybridHddSsd::Access(IoKind kind, byte_count offset,
                                  byte_count size) {
-  assert(size > 0);
+  S4D_CHECK(size > 0) << "hybrid device access of " << size << " bytes at "
+                      << offset;
   const byte_count first = offset / profile_.block_size;
   const byte_count last = (offset + size - 1) / profile_.block_size;
 

@@ -23,7 +23,16 @@ RunResult RunClosedLoop(mpiio::MpiIoLayer& layer,
     files[static_cast<std::size_t>(r)] = layer.Open(r, workload.file());
   }
 
-  std::function<void(int)> issue = [&](int rank) {
+  // A rank has at most one request outstanding, so its issue time waits in
+  // a per-rank slot and a completion captures only {&complete, rank}: 16
+  // bytes, which std::function stores without allocating.
+  std::vector<SimTime> issued(static_cast<std::size_t>(ranks));
+  std::function<void(int)> issue;
+  auto complete = [&](int rank, SimTime t) {
+    latency_us.Add(ToMicros(t - issued[static_cast<std::size_t>(rank)]));
+    issue(rank);
+  };
+  issue = [&](int rank) {
     const auto request = workload.Next(rank);
     if (!request) {
       layer.Close(files[static_cast<std::size_t>(rank)]);
@@ -33,11 +42,8 @@ RunResult RunClosedLoop(mpiio::MpiIoLayer& layer,
     if (options.on_issue) options.on_issue(rank, *request);
     ++result.requests;
     result.bytes += request->size;
-    const SimTime issued = engine.now();
-    auto done = [&, rank, issued](SimTime t) {
-      latency_us.Add(ToMicros(t - issued));
-      issue(rank);
-    };
+    issued[static_cast<std::size_t>(rank)] = engine.now();
+    auto done = [&complete, rank](SimTime t) { complete(rank, t); };
     mpiio::MpiFile& file = files[static_cast<std::size_t>(rank)];
     if (request->kind == device::IoKind::kWrite) {
       std::uint64_t token = 0;

@@ -6,28 +6,36 @@ Status ApplyClusterOverrides(const ConfigParser& config, TestbedConfig& bed) {
   device::HddProfile& hdd = bed.hdd;
   device::SsdProfile& ssd = bed.ssd;
   net::LinkProfile& link = bed.link;
-  hdd.transfer_bps =
-      config.DoubleOr("cluster", "hdd_transfer_bps", hdd.transfer_bps);
-  hdd.rpm = config.DoubleOr("cluster", "hdd_rpm", hdd.rpm);
-  hdd.average_seek =
-      config.DurationOr("cluster", "hdd_avg_seek", hdd.average_seek);
-  hdd.max_seek = config.DurationOr("cluster", "hdd_max_seek", hdd.max_seek);
-  hdd.track_to_track_seek =
-      config.DurationOr("cluster", "hdd_track_seek", hdd.track_to_track_seek);
-  hdd.command_overhead = config.DurationOr("cluster", "hdd_command_overhead",
-                                           hdd.command_overhead);
-  hdd.readahead_window =
-      config.SizeOr("cluster", "hdd_readahead", hdd.readahead_window);
-  ssd.read_bps = config.DoubleOr("cluster", "ssd_read_bps", ssd.read_bps);
-  ssd.write_bps = config.DoubleOr("cluster", "ssd_write_bps", ssd.write_bps);
-  ssd.read_latency =
-      config.DurationOr("cluster", "ssd_read_latency", ssd.read_latency);
-  ssd.write_latency =
-      config.DurationOr("cluster", "ssd_write_latency", ssd.write_latency);
-  link.bandwidth_bps =
-      config.DoubleOr("cluster", "link_bps", link.bandwidth_bps);
-  link.message_latency =
-      config.DurationOr("cluster", "link_latency", link.message_latency);
+  // A present value that does not parse is an error naming the key.
+  for (const Status& st : {
+           config.Read("cluster", "hdd_transfer_bps", &ConfigParser::GetDouble,
+                       &hdd.transfer_bps),
+           config.Read("cluster", "hdd_rpm", &ConfigParser::GetDouble,
+                       &hdd.rpm),
+           config.Read("cluster", "hdd_avg_seek", &ConfigParser::GetDuration,
+                       &hdd.average_seek),
+           config.Read("cluster", "hdd_max_seek", &ConfigParser::GetDuration,
+                       &hdd.max_seek),
+           config.Read("cluster", "hdd_track_seek", &ConfigParser::GetDuration,
+                       &hdd.track_to_track_seek),
+           config.Read("cluster", "hdd_command_overhead",
+                       &ConfigParser::GetDuration, &hdd.command_overhead),
+           config.Read("cluster", "hdd_readahead", &ConfigParser::GetSize,
+                       &hdd.readahead_window),
+           config.Read("cluster", "ssd_read_bps", &ConfigParser::GetDouble,
+                       &ssd.read_bps),
+           config.Read("cluster", "ssd_write_bps", &ConfigParser::GetDouble,
+                       &ssd.write_bps),
+           config.Read("cluster", "ssd_read_latency",
+                       &ConfigParser::GetDuration, &ssd.read_latency),
+           config.Read("cluster", "ssd_write_latency",
+                       &ConfigParser::GetDuration, &ssd.write_latency),
+           config.Read("cluster", "link_bps", &ConfigParser::GetDouble,
+                       &link.bandwidth_bps),
+           config.Read("cluster", "link_latency", &ConfigParser::GetDuration,
+                       &link.message_latency)}) {
+    if (!st.ok()) return st;
+  }
   if (hdd.transfer_bps <= 0 || hdd.rpm <= 0 || ssd.read_bps <= 0 ||
       ssd.write_bps <= 0 || link.bandwidth_bps <= 0) {
     return Status::InvalidArgument(

@@ -57,7 +57,8 @@ struct TestbedConfig {
 //   ssd_write_latency    -> ssd.write_latency      (duration)
 //   link_bps             -> link.bandwidth_bps     (double, bytes/s)
 //   link_latency         -> link.message_latency   (duration)
-// Returns InvalidArgument on non-positive values; the CostModel derives
+// Returns InvalidArgument naming `cluster.<key>` on a present value that
+// does not parse, and on non-positive values; the CostModel derives
 // its T_D/T_C parameters from these profiles, so overrides flow into the
 // paper's Eqs. 1-8 automatically.
 Status ApplyClusterOverrides(const ConfigParser& config, TestbedConfig& bed);

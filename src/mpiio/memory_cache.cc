@@ -1,6 +1,6 @@
 #include "mpiio/memory_cache.h"
 
-#include <cassert>
+#include "common/check.h"
 
 namespace s4d::mpiio {
 
@@ -8,7 +8,8 @@ MemoryCacheDispatch::MemoryCacheDispatch(sim::Engine& engine,
                                          IoDispatch& backend,
                                          MemoryCacheConfig config)
     : engine_(engine), backend_(backend), config_(config) {
-  assert(config_.page_size > 0);
+  S4D_CHECK(config_.page_size > 0)
+      << "memory cache page size " << config_.page_size << " must be > 0";
   max_pages_ = static_cast<std::size_t>(
       std::max<byte_count>(1, config_.capacity / config_.page_size));
 }

@@ -1,5 +1,7 @@
 #include "mpiio/mpi_io.h"
 
+#include "common/check.h"
+
 namespace s4d::mpiio {
 
 MpiFile MpiIoLayer::Open(int rank, const std::string& name) {
@@ -17,7 +19,9 @@ MpiFile MpiIoLayer::Open(int rank, const std::string& name) {
 void MpiIoLayer::Close(MpiFile& file) {
   if (!file.valid()) return;
   auto it = open_counts_.find(file.name_);
-  assert(it != open_counts_.end() && it->second > 0);
+  S4D_CHECK(it != open_counts_.end() && it->second > 0)
+      << "closing " << file.name_ << " (rank " << file.rank_
+      << "), which is not open";
   if (--it->second == 0) {
     open_counts_.erase(it);
     dispatch_.Close(file.name_);
@@ -26,7 +30,7 @@ void MpiIoLayer::Close(MpiFile& file) {
 }
 
 void MpiIoLayer::Seek(MpiFile& file, byte_count offset, Whence whence) {
-  assert(file.valid());
+  S4D_CHECK(file.valid()) << "seek on a closed handle of " << file.name_;
   switch (whence) {
     case Whence::kSet:
       file.position_ = offset;
@@ -35,12 +39,13 @@ void MpiIoLayer::Seek(MpiFile& file, byte_count offset, Whence whence) {
       file.position_ += offset;
       break;
   }
-  assert(file.position_ >= 0);
+  S4D_CHECK(file.position_ >= 0)
+      << "seek to negative offset " << file.position_ << " in " << file.name_;
 }
 
 void MpiIoLayer::Read(MpiFile& file, byte_count size, IoCompletion done,
                       std::uint64_t content_token) {
-  assert(file.valid());
+  S4D_CHECK(file.valid()) << "read on a closed handle of " << file.name_;
   const byte_count offset = file.position_;
   file.position_ += size;
   Submit(device::IoKind::kRead, file, offset, size, std::move(done),
@@ -49,7 +54,7 @@ void MpiIoLayer::Read(MpiFile& file, byte_count size, IoCompletion done,
 
 void MpiIoLayer::Write(MpiFile& file, byte_count size, IoCompletion done,
                        std::uint64_t content_token) {
-  assert(file.valid());
+  S4D_CHECK(file.valid()) << "write on a closed handle of " << file.name_;
   const byte_count offset = file.position_;
   file.position_ += size;
   Submit(device::IoKind::kWrite, file, offset, size, std::move(done),
@@ -71,7 +76,7 @@ void MpiIoLayer::WriteAt(MpiFile& file, byte_count offset, byte_count size,
 void MpiIoLayer::Submit(device::IoKind kind, MpiFile& file, byte_count offset,
                         byte_count size, IoCompletion done,
                         std::uint64_t token) {
-  assert(file.valid());
+  S4D_CHECK(file.valid()) << "I/O on a closed handle of " << file.name_;
   FileRequest request;
   request.file = file.name_;
   request.rank = file.rank_;

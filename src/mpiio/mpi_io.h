@@ -8,10 +8,10 @@
 // workload drivers chain completions to model blocking MPI I/O.
 #pragma once
 
-#include <cassert>
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 
 #include "mpiio/io_dispatch.h"
 #include "sim/engine.h"
@@ -22,11 +22,25 @@ enum class Whence { kSet, kCurrent };
 
 class MpiIoLayer;
 
-// A per-rank open file. Move-only value handle; closing is explicit
-// (as in MPI), but the destructor tolerates un-closed handles.
+// A per-rank open file. Move-only value handle: a copy would close the
+// file a second time, so copies do not compile, and a moved-from handle is
+// invalid (closing it is a no-op). Closing is explicit (as in MPI), but the
+// destructor tolerates un-closed handles.
 class MpiFile {
  public:
   MpiFile() = default;
+  MpiFile(const MpiFile&) = delete;
+  MpiFile& operator=(const MpiFile&) = delete;
+  MpiFile(MpiFile&& other) noexcept { *this = std::move(other); }
+  MpiFile& operator=(MpiFile&& other) noexcept {
+    if (this != &other) {
+      layer_ = std::exchange(other.layer_, nullptr);
+      name_ = std::move(other.name_);
+      rank_ = other.rank_;
+      position_ = other.position_;
+    }
+    return *this;
+  }
 
   bool valid() const { return layer_ != nullptr; }
   const std::string& name() const { return name_; }

@@ -24,13 +24,16 @@ FileSystem::FileSystem(sim::Engine& engine, FsConfig config,
 }
 
 FileId FileSystem::OpenOrCreate(const std::string& name) {
-  auto [it, inserted] =
-      files_by_name_.emplace(name, static_cast<FileId>(file_names_.size()));
-  if (inserted) {
-    file_names_.push_back(name);
-    if (config_.track_content) contents_.emplace_back();
+  // Find first: emplace builds its node (and a copy of the name) before it
+  // looks the key up, and nearly every call names an open file.
+  if (auto it = files_by_name_.find(name); it != files_by_name_.end()) {
+    return it->second;
   }
-  return it->second;
+  const auto id = static_cast<FileId>(file_names_.size());
+  files_by_name_.emplace(name, id);
+  file_names_.push_back(name);
+  if (config_.track_content) contents_.emplace_back();
+  return id;
 }
 
 FileId FileSystem::Lookup(const std::string& name) const {

@@ -7,29 +7,6 @@
 
 namespace s4d::policy {
 
-namespace {
-
-// Reads [policy] `key` into `*out` when the key is present. A value that
-// does not parse is an error naming the key, never a silent fallback to
-// the default.
-template <typename T>
-Status ReadKey(const ConfigParser& config, const std::string& key,
-               std::optional<T> (ConfigParser::*get)(const std::string&,
-                                                     const std::string&) const,
-               T* out) {
-  const std::optional<std::string> raw = config.GetString("policy", key);
-  if (!raw) return Status::Ok();
-  const std::optional<T> value = (config.*get)("policy", key);
-  if (!value) {
-    return Status::InvalidArgument("policy." + key + ": cannot parse '" +
-                                   *raw + "'");
-  }
-  *out = *value;
-  return Status::Ok();
-}
-
-}  // namespace
-
 const char* PolicyModeName(PolicyMode mode) {
   switch (mode) {
     case PolicyMode::kPaperDefault: return "paper-default";
@@ -76,15 +53,16 @@ Result<PolicyConfig> ParsePolicyConfig(const ConfigParser& config) {
   }
 
   for (const Status& st :
-       {ReadKey(config, "ewma_alpha", &ConfigParser::GetDouble, &a.ewma_alpha),
-        ReadKey(config, "threshold_step", &ConfigParser::GetDuration,
-                &a.threshold_step),
-        ReadKey(config, "threshold_max", &ConfigParser::GetDuration,
-                &a.threshold_max),
-        ReadKey(config, "pressure_max_queue", &ConfigParser::GetDouble,
-                &a.pressure_max_queue),
-        ReadKey(config, "pressure_max_delay", &ConfigParser::GetDuration,
-                &a.pressure_max_delay)}) {
+       {config.Read("policy", "ewma_alpha", &ConfigParser::GetDouble,
+                    &a.ewma_alpha),
+        config.Read("policy", "threshold_step", &ConfigParser::GetDuration,
+                    &a.threshold_step),
+        config.Read("policy", "threshold_max", &ConfigParser::GetDuration,
+                    &a.threshold_max),
+        config.Read("policy", "pressure_max_queue", &ConfigParser::GetDouble,
+                    &a.pressure_max_queue),
+        config.Read("policy", "pressure_max_delay", &ConfigParser::GetDuration,
+                    &a.pressure_max_delay)}) {
     if (!st.ok()) return st;
   }
 

@@ -151,28 +151,38 @@ Result<TenantsConfig> ParseTenantsConfig(const ConfigParser& config,
                                    "' (observe | enforce)");
   }
 
-  out.auto_group_ranks =
-      static_cast<int>(config.IntOr("tenants", "auto_group_ranks", 0));
+  // Absent keys keep TenantsConfig's defaults; a present value that does
+  // not parse is an error naming the key.
+  std::int64_t groups = out.auto_group_ranks;
+  auto ghosts = static_cast<std::int64_t>(out.ghost_capacity);
+  for (const Status& st :
+       {config.Read("tenants", "auto_group_ranks", &ConfigParser::GetInt,
+                    &groups),
+        config.Read("tenants", "sizer_interval", &ConfigParser::GetDuration,
+                    &out.sizer_interval),
+        config.Read("tenants", "ghost_capacity", &ConfigParser::GetInt,
+                    &ghosts),
+        config.Read("tenants", "endurance", &ConfigParser::GetBool,
+                    &out.endurance),
+        config.Read("tenants", "write_cost_ns_per_byte",
+                    &ConfigParser::GetDouble, &out.write_cost_ns_per_byte),
+        config.Read("tenants", "pressure_max_queue", &ConfigParser::GetDouble,
+                    &out.pressure_max_queue),
+        config.Read("tenants", "wear_veto_fraction", &ConfigParser::GetDouble,
+                    &out.wear_veto_fraction)}) {
+    if (!st.ok()) return st;
+  }
+  out.auto_group_ranks = static_cast<int>(groups);
   if (out.auto_group_ranks < 0) {
     return Status::InvalidArgument("tenants.auto_group_ranks must be >= 0");
   }
-  out.sizer_interval = config.DurationOr("tenants", "sizer_interval", 0);
   if (out.sizer_interval < 0) {
     return Status::InvalidArgument("tenants.sizer_interval must be >= 0");
   }
-  const std::int64_t ghosts =
-      config.IntOr("tenants", "ghost_capacity", 4096);
   if (ghosts < 0) {
     return Status::InvalidArgument("tenants.ghost_capacity must be >= 0");
   }
   out.ghost_capacity = static_cast<std::size_t>(ghosts);
-  out.endurance = config.BoolOr("tenants", "endurance", false);
-  out.write_cost_ns_per_byte =
-      config.DoubleOr("tenants", "write_cost_ns_per_byte", 0.0);
-  out.pressure_max_queue =
-      config.DoubleOr("tenants", "pressure_max_queue", 0.0);
-  out.wear_veto_fraction =
-      config.DoubleOr("tenants", "wear_veto_fraction", 1.0);
   if (out.write_cost_ns_per_byte < 0 || out.pressure_max_queue < 0 ||
       out.wear_veto_fraction <= 0) {
     return Status::InvalidArgument(

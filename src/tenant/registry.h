@@ -80,7 +80,9 @@ struct TenantsConfig {
 
 // Parses and validates the [tenants] section. `capacity` is the resolved
 // cache capacity the quotas are checked against. Rejects (InvalidArgument):
-// malformed tenant specs, duplicate names, overlapping rank ranges,
+// a present value that does not parse as its key's type (naming
+// `tenants.<key>`), malformed tenant specs, duplicate names, overlapping
+// rank ranges,
 // quota/floor sums exceeding the capacity, per-tenant floor > quota, and
 // auto_group_ranks combined with explicit tenant* entries. Returns a config
 // with no specs when the section is absent (tenancy disabled).

@@ -3,6 +3,21 @@
 #include <gtest/gtest.h>
 
 namespace s4d::core {
+
+// Reads and corrupts the table's private bookkeeping.
+struct CdtTestPeer {
+  // AnyPendingFetch() as it was before the table counted its live flags: a
+  // walk over the fetch queue for a key whose entry is still flagged.
+  static bool QueueHoldsLiveFlag(const CriticalDataTable& cdt) {
+    for (const CdtKey& key : cdt.flagged_) {
+      auto it = cdt.entries_.find(key);
+      if (it != cdt.entries_.end() && it->second.c_flag) return true;
+    }
+    return false;
+  }
+  static void MiscountFlags(CriticalDataTable& cdt) { ++cdt.flagged_count_; }
+};
+
 namespace {
 
 const CdtKey kA{"file", 0, 16384};
@@ -162,6 +177,64 @@ TEST(Cdt, EvictedFlaggedEntryDisappearsFromPending) {
   EXPECT_FALSE(cdt.Contains(kA));
   EXPECT_TRUE(cdt.PendingFetches(10).empty());
   EXPECT_FALSE(cdt.AnyPendingFetch());
+}
+
+TEST(Cdt, LiveFlagCountMatchesQueueWalk) {
+  CriticalDataTable cdt(/*max_entries=*/2);
+  auto expect_agree = [&](const char* step) {
+    EXPECT_EQ(cdt.AnyPendingFetch(), CdtTestPeer::QueueHoldsLiveFlag(cdt))
+        << step;
+    cdt.AuditInvariants();
+  };
+  expect_agree("empty");
+  cdt.Add(kA);
+  cdt.Add(kB);
+  expect_agree("added, unflagged");
+  EXPECT_TRUE(cdt.SetCacheFlag(kA));
+  expect_agree("flag A");
+  EXPECT_TRUE(cdt.AnyPendingFetch());
+  EXPECT_TRUE(cdt.SetCacheFlag(kA, /*owner=*/1));
+  expect_agree("re-flag A");
+  cdt.ClearCacheFlag(kA);
+  expect_agree("clear A");
+  EXPECT_FALSE(cdt.AnyPendingFetch());
+  cdt.ClearCacheFlag(kA);
+  expect_agree("clear A again");
+  cdt.ClearCacheFlag(kC);
+  expect_agree("clear an unknown key");
+  EXPECT_TRUE(cdt.SetCacheFlag(kA));
+  EXPECT_TRUE(cdt.SetCacheFlag(kB));
+  expect_agree("flag A and B");
+  // A is the oldest entry: adding C evicts it, flag and all.
+  cdt.Add(kC);
+  expect_agree("FIFO-evict flagged A");
+  EXPECT_FALSE(cdt.CacheFlag(kA));
+  EXPECT_TRUE(cdt.AnyPendingFetch());
+  // B is next: evicting it leaves no live flag, only stale queue keys.
+  cdt.Add(kA);
+  expect_agree("FIFO-evict flagged B");
+  EXPECT_FALSE(cdt.AnyPendingFetch());
+  EXPECT_TRUE(cdt.SetCacheFlag(kC));
+  expect_agree("flag C");
+  // Pruning drops the stale keys in front of C and keeps C queued.
+  const auto pending = cdt.PendingFetches(8);
+  ASSERT_EQ(pending.size(), 1u);
+  EXPECT_EQ(pending[0].key, kC);
+  expect_agree("prune");
+  EXPECT_TRUE(cdt.AnyPendingFetch());
+  cdt.ClearCacheFlag(kC);
+  expect_agree("clear C");
+  EXPECT_TRUE(cdt.PendingFetches(8).empty());
+  expect_agree("prune to empty");
+}
+
+TEST(Cdt, AuditCatchesAMiscountedFlag) {
+  CriticalDataTable cdt;
+  cdt.Add(kA);
+  cdt.SetCacheFlag(kA);
+  cdt.AuditInvariants();
+  CdtTestPeer::MiscountFlags(cdt);
+  EXPECT_DEATH(cdt.AuditInvariants(), "live C_flags");
 }
 
 }  // namespace

@@ -106,6 +106,39 @@ struct Recorder final : core::CacheExtension {
   std::vector<core::RequestOutcome> outcomes;
 };
 
+TEST(FaultRecovery, FailedSegmentOfSplitReadResolvesOnce) {
+  Rig rig(Rig::CacheAllConfig());
+  rig.Write(0, 64 * KiB);  // admitted: [0, 64 KiB) is dirty in the cache
+  ASSERT_EQ(rig.s4d->join_pool_size(), 1u);
+
+  // [0, 128 KiB) is a partial hit: the mapped half from the CServers, the
+  // gap (stripe 1, on DServer 1) from the DServers.
+  mpiio::FileRequest request;
+  request.file = kFile;
+  request.offset = 0;
+  request.size = 128 * KiB;
+  int completions = 0;
+  rig.s4d->Read(request, [&completions](SimTime) { ++completions; });
+  ASSERT_EQ(rig.s4d->counters().split_requests, 1);
+  // Past the metadata delay both segments are submitted; the DServer
+  // segment fails with its server.
+  rig.bed.engine().RunUntil(rig.bed.engine().now() + FromMicros(10));
+  rig.bed.dservers().server(1).Crash();
+  rig.bed.engine().RunUntil(rig.bed.engine().now() + FromSeconds(2));
+  EXPECT_EQ(completions, 1);
+  EXPECT_EQ(rig.s4d->counters().failed_requests, 1);
+  EXPECT_EQ(rig.bed.dservers().stats().failed_requests, 1);
+  EXPECT_EQ(rig.bed.cservers().stats().failed_requests, 0);
+
+  // The next request runs on the recycled join.
+  request.size = 64 * KiB;
+  rig.s4d->Read(request, [&completions](SimTime) { ++completions; });
+  rig.bed.engine().RunUntil(rig.bed.engine().now() + FromSeconds(2));
+  EXPECT_EQ(completions, 2);
+  EXPECT_EQ(rig.s4d->counters().failed_requests, 1);
+  EXPECT_EQ(rig.s4d->join_pool_size(), 1u);
+}
+
 TEST(FaultRecovery, DegradedWriteBypassesDownCacheTier) {
   Rig rig(Rig::CacheAllConfig());
   rig.Write(0, 256 * KiB);  // admitted: dirty in the cache

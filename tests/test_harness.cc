@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/config_parser.h"
 #include "harness/testbed.h"
 #include "workloads/ior.h"
 
@@ -23,6 +24,55 @@ TEST(Testbed, MakeS4DWiresCostModel) {
   EXPECT_EQ(s4d->cost_model().params().ssd_servers, 4);
   s4d->rebuilder().Stop();
 }
+
+TEST(ClusterOverrides, PresentKeysOverrideTheProfiles) {
+  ConfigParser config;
+  ASSERT_TRUE(config
+                  .Parse("[cluster]\n"
+                         "hdd_rpm = 10000\n"
+                         "hdd_avg_seek = 4ms\n"
+                         "hdd_readahead = 1m\n"
+                         "link_bps = 5e8\n")
+                  .ok());
+  TestbedConfig bed;
+  const TestbedConfig defaults;
+  ASSERT_TRUE(ApplyClusterOverrides(config, bed).ok());
+  EXPECT_EQ(bed.hdd.rpm, 10000.0);
+  EXPECT_EQ(bed.hdd.average_seek, FromMillis(4));
+  EXPECT_EQ(bed.hdd.readahead_window, 1 * MiB);
+  EXPECT_EQ(bed.link.bandwidth_bps, 5e8);
+  EXPECT_EQ(bed.hdd.max_seek, defaults.hdd.max_seek);
+  EXPECT_EQ(bed.ssd.read_bps, defaults.ssd.read_bps);
+}
+
+// A present value that does not parse is an error naming the key, never a
+// silent fallback to the paper's profile.
+class ClusterOverridesMalformed
+    : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(ClusterOverridesMalformed, RejectsNamingTheKey) {
+  const std::string key = GetParam();
+  ConfigParser config;
+  ASSERT_TRUE(config.Parse("[cluster]\n" + key + " = 3x\n").ok());
+  TestbedConfig bed;
+  const Status status = ApplyClusterOverrides(config, bed);
+  ASSERT_FALSE(status.ok()) << key << " = 3x applied";
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("cluster." + key + ": cannot parse '3x'"),
+            std::string::npos)
+      << status.ToString();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryKey, ClusterOverridesMalformed,
+    ::testing::Values("hdd_transfer_bps", "hdd_rpm", "hdd_avg_seek",
+                      "hdd_max_seek", "hdd_track_seek", "hdd_command_overhead",
+                      "hdd_readahead", "ssd_read_bps", "ssd_write_bps",
+                      "ssd_read_latency", "ssd_write_latency", "link_bps",
+                      "link_latency"),
+    [](const ::testing::TestParamInfo<const char*>& info) {
+      return std::string(info.param);
+    });
 
 TEST(Driver, RunsIorToCompletion) {
   Testbed bed{TestbedConfig{}};

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "mpiio/stock_dispatch.h"
@@ -60,6 +62,41 @@ TEST_F(MpiIoTest, OpenCloseRefCounted) {
   ASSERT_EQ(dispatch_.ops.size(), 2u);
   EXPECT_EQ(dispatch_.ops[0].what, "open");
   EXPECT_EQ(dispatch_.ops[1].what, "close");
+}
+
+// A copied handle would close its file twice; copies must not compile.
+static_assert(!std::is_copy_constructible_v<MpiFile>);
+static_assert(!std::is_copy_assignable_v<MpiFile>);
+static_assert(std::is_nothrow_move_constructible_v<MpiFile>);
+
+TEST_F(MpiIoTest, MovedFromHandleIsInvalidAndClosesAsNoOp) {
+  MpiFile a = layer_.Open(2, "shared");
+  layer_.Seek(a, 64);
+  MpiFile b = std::move(a);
+  EXPECT_FALSE(a.valid());  // NOLINT(bugprone-use-after-move)
+  ASSERT_TRUE(b.valid());
+  EXPECT_EQ(b.name(), "shared");
+  EXPECT_EQ(b.rank(), 2);
+  EXPECT_EQ(b.position(), 64);
+  layer_.Close(a);  // no-op: the file stays open through b
+  ASSERT_EQ(dispatch_.ops.size(), 1u);
+  MpiFile c;
+  c = std::move(b);
+  EXPECT_FALSE(b.valid());  // NOLINT(bugprone-use-after-move)
+  layer_.Close(b);
+  layer_.Close(c);
+  ASSERT_EQ(dispatch_.ops.size(), 2u);
+  EXPECT_EQ(dispatch_.ops[1].what, "close");
+}
+
+TEST_F(MpiIoTest, ClosingAFileThatIsNotOpenDies) {
+  MpiFile a = layer_.Open(0, "shared");
+  // `other` never opened "shared", so the handle names a file that is not
+  // open there, as a second close of one open would.
+  MpiIoLayer other(engine_, dispatch_);
+  EXPECT_DEATH(other.Close(a),
+               "closing shared \\(rank 0\\), which is not open");
+  layer_.Close(a);
 }
 
 TEST_F(MpiIoTest, ReadAdvancesFilePointer) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -34,6 +35,45 @@ TEST(TenantsConfig, EmptySectionYieldsEnforcedDefaults) {
   EXPECT_FALSE(cfg->endurance);
   EXPECT_EQ(cfg->sizer_interval, 0);
 }
+
+// A present value that does not parse is an error naming the key, never a
+// silent fallback to the default.
+struct MalformedKey {
+  const char* key;
+  const char* value;
+  friend void PrintTo(const MalformedKey& bad, std::ostream* os) {
+    *os << bad.key << " = " << bad.value;
+  }
+};
+
+class TenantsConfigMalformed : public ::testing::TestWithParam<MalformedKey> {
+};
+
+TEST_P(TenantsConfigMalformed, RejectsNamingTheKey) {
+  const MalformedKey& bad = GetParam();
+  auto cfg = ParseText(std::string("[tenants]\n") + bad.key + " = " +
+                       bad.value + "\n");
+  ASSERT_FALSE(cfg.ok()) << bad.key << " = " << bad.value << " parsed";
+  EXPECT_EQ(cfg.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(cfg.status().message().find(std::string("tenants.") + bad.key),
+            std::string::npos)
+      << cfg.status().ToString();
+  EXPECT_NE(cfg.status().message().find(bad.value), std::string::npos)
+      << cfg.status().ToString();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryScalarKey, TenantsConfigMalformed,
+    ::testing::Values(MalformedKey{"auto_group_ranks", "two"},
+                      MalformedKey{"sizer_interval", "2xs"},
+                      MalformedKey{"ghost_capacity", "lots"},
+                      MalformedKey{"endurance", "maybe"},
+                      MalformedKey{"write_cost_ns_per_byte", "nan"},
+                      MalformedKey{"pressure_max_queue", "deep"},
+                      MalformedKey{"wear_veto_fraction", "inf"}),
+    [](const ::testing::TestParamInfo<MalformedKey>& info) {
+      return std::string(info.param.key);
+    });
 
 TEST(TenantsConfig, ParsesExplicitTenantSpecs) {
   auto cfg = ParseText(
