@@ -37,10 +37,12 @@ int Main(int argc, char** argv) {
     return 1;
   }
 
-  core::DataMappingTable dmt(store->get());
+  core::FileTable files;
+  core::DataMappingTable dmt(store->get(), &files);
+  const core::FileIndex file = files.Intern("app.dat");
   const std::int64_t entries = cache_size / request;
   for (std::int64_t i = 0; i < entries; ++i) {
-    dmt.Insert("app.dat", i * request, request, i * request, i % 2 == 0);
+    dmt.Insert(file, i * request, request, i * request, i % 2 == 0);
   }
   (void)(*store)->Compact();
 

@@ -68,7 +68,7 @@ void BM_CdtAddContains(benchmark::State& state) {
   core::CriticalDataTable cdt;
   std::int64_t i = 0;
   for (auto _ : state) {
-    const core::CdtKey key{"file", (i % 100000) * 16 * KiB, 16 * KiB};
+    const core::CdtKey key{0, (i % 100000) * 16 * KiB, 16 * KiB};
     cdt.Add(key);
     benchmark::DoNotOptimize(cdt.Contains(key));
     ++i;
@@ -80,12 +80,12 @@ void BM_DmtLookupHit(benchmark::State& state) {
   core::DataMappingTable dmt;
   const std::int64_t entries = state.range(0);
   for (std::int64_t i = 0; i < entries; ++i) {
-    dmt.Insert("file", i * 32 * KiB, 16 * KiB, i * 16 * KiB, false);
+    dmt.Insert(0, i * 32 * KiB, 16 * KiB, i * 16 * KiB, false);
   }
   std::int64_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        dmt.Lookup("file", (i % entries) * 32 * KiB, 16 * KiB));
+        dmt.Lookup(0, (i % entries) * 32 * KiB, 16 * KiB));
     ++i;
   }
 }
@@ -95,7 +95,7 @@ void BM_DmtInsertEvict(benchmark::State& state) {
   core::DataMappingTable dmt;
   std::int64_t i = 0;
   for (auto _ : state) {
-    dmt.Insert("file", i * 16 * KiB, 16 * KiB, (i % 4096) * 16 * KiB, false);
+    dmt.Insert(0, i * 16 * KiB, 16 * KiB, (i % 4096) * 16 * KiB, false);
     if (dmt.entry_count() > 4096) {
       benchmark::DoNotOptimize(dmt.EvictLruClean());
     }
@@ -108,18 +108,16 @@ BENCHMARK(BM_DmtInsertEvict);
 // dirty 16 KiB extents, none adjacent, all but 64 still being flushed.
 void BM_FlushCollectInflight(benchmark::State& state) {
   core::DataMappingTable dmt;
-  core::DirtyExtentSet in_flight;
   for (std::int64_t i = 0; i < 2048; ++i) {
-    dmt.Insert("file", i * 32 * KiB, 16 * KiB, i * 16 * KiB, true);
+    dmt.Insert(0, i * 32 * KiB, 16 * KiB, i * 16 * KiB, true);
   }
   for (const core::DirtyRun& run : dmt.CollectDirtyRuns(64 * MiB, 4 * MiB)) {
     for (const core::DirtyRange& range : run.segments) {
-      if (range.orig_begin % (1 * MiB) != 0) in_flight.insert(range.key());
+      if (range.orig_begin % (1 * MiB) != 0) dmt.BeginFlush(range.key());
     }
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        dmt.CollectDirtyRuns(32 * MiB, 4 * MiB, &in_flight));
+    benchmark::DoNotOptimize(dmt.CollectDirtyRuns(32 * MiB, 4 * MiB));
   }
 }
 BENCHMARK(BM_FlushCollectInflight);
@@ -131,12 +129,12 @@ void BM_RedirectorPlanWriteHit(benchmark::State& state) {
   core::Redirector redirector(cdt, dmt, space);
   // Pre-admit a working set, then measure steady-state mapped writes.
   for (int i = 0; i < 1024; ++i) {
-    redirector.PlanWrite("file", i * 16 * KiB, 16 * KiB, true);
+    redirector.PlanWrite(0, i * 16 * KiB, 16 * KiB, true);
   }
   std::int64_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        redirector.PlanWrite("file", (i % 1024) * 16 * KiB, 16 * KiB, true));
+        redirector.PlanWrite(0, (i % 1024) * 16 * KiB, 16 * KiB, true));
     ++i;
   }
 }

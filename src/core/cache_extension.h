@@ -11,7 +11,6 @@
 #pragma once
 
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "common/sim_time.h"
@@ -24,7 +23,6 @@ namespace s4d::core {
 
 // Everything the Identifier knows about a request at decision time.
 struct AdmissionContext {
-  const std::string& file;
   int rank;  // issuing MPI rank (tenant attribution)
   device::IoKind kind;
   byte_count offset;
@@ -38,7 +36,6 @@ struct AdmissionContext {
 // Per-request completion record: everything needed to compare the cost
 // model's promise against what the routed request actually experienced.
 struct RequestOutcome {
-  std::string file;
   int rank = -1;  // issuing MPI rank (tenant attribution)
   device::IoKind kind = device::IoKind::kRead;
   byte_count offset = 0;

@@ -7,8 +7,8 @@
 namespace s4d::core {
 
 bool CriticalDataTable::Add(const CdtKey& key) {
-  // Find first: emplace would build (and free) a node, with a copy of the
-  // file name, for every request that is already recorded.
+  // Find first: emplace would build (and free) a node for every request
+  // that is already recorded.
   if (entries_.find(key) != entries_.end()) return false;
   entries_.emplace(key, Info{});
   ++mutation_epoch_;
@@ -87,7 +87,7 @@ void CriticalDataTable::AuditInvariants() const {
       << entries_.size() << " entries";
   for (const CdtKey& key : insertion_order_) {
     S4D_CHECK(entries_.find(key) != entries_.end())
-        << "CDT FIFO key " << key.file << ":" << key.offset << "+"
+        << "CDT FIFO key file " << key.file << ":" << key.offset << "+"
         << key.length << " not in the table";
   }
   // flagged_ is pruned lazily, so stale keys are fine — but every live
@@ -101,7 +101,7 @@ void CriticalDataTable::AuditInvariants() const {
   std::size_t flagged = 0;
   for (const auto& [key, info] : entries_) {
     S4D_CHECK(!info.c_flag || queued.count(&key) > 0)
-        << "C_flagged entry " << key.file << ":" << key.offset << "+"
+        << "C_flagged entry file " << key.file << ":" << key.offset << "+"
         << key.length << " missing from the fetch queue";
     if (info.c_flag) ++flagged;
   }

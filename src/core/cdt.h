@@ -1,8 +1,9 @@
 // Critical Data Table (CDT), §III-C Fig. 5.
 //
 // Each entry records one performance-critical request: (D_file, D_offset,
-// Length) plus the C_flag that tells the Rebuilder the range still needs to
-// be fetched into CServers ("lazy" read caching, §III-E line 18).
+// Length), the file named by its dense id (file_table.h), plus the C_flag
+// that tells the Rebuilder the range still needs to be fetched into
+// CServers ("lazy" read caching, §III-E line 18).
 // Lookup is exact-match on (file, offset, length) — the table exists to
 // recognize *recurring* requests, and MPI applications re-issue requests
 // with identical shapes across runs (§V-A).
@@ -19,16 +20,16 @@
 
 #include <cstdint>
 #include <deque>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "common/units.h"
+#include "core/file_table.h"
 
 namespace s4d::core {
 
 struct CdtKey {
-  std::string file;
+  FileIndex file = 0;
   byte_count offset = 0;
   byte_count length = 0;
 
@@ -43,13 +44,14 @@ struct PendingFetch {
 };
 
 struct CdtKeyHash {
-  std::size_t operator()(const CdtKey& k) const {
-    std::size_t h = std::hash<std::string>{}(k.file);
-    h ^= std::hash<byte_count>{}(k.offset) + 0x9e3779b97f4a7c15ULL + (h << 6) +
-         (h >> 2);
-    h ^= std::hash<byte_count>{}(k.length) + 0x9e3779b97f4a7c15ULL + (h << 6) +
-         (h >> 2);
-    return h;
+  // Multiplicative mix of the three integers; the high half folds into the
+  // low bits the bucket index is taken from.
+  std::size_t operator()(const CdtKey& k) const noexcept {
+    std::uint64_t h = static_cast<std::uint64_t>(k.offset) ^
+                      (static_cast<std::uint64_t>(k.length) << 24) ^
+                      (std::uint64_t{k.file} << 48);
+    h *= 0x9E3779B97F4A7C15ULL;
+    return static_cast<std::size_t>(h ^ (h >> 29));
   }
 };
 

@@ -25,7 +25,7 @@ It TailAtOrAfter(It first, It last, byte_count pos) {
 
 }  // namespace
 
-byte_count DataIdentifier::DistanceFor(const std::string& file, int rank,
+byte_count DataIdentifier::DistanceFor(FileIndex file, int rank,
                                        byte_count offset) const {
   // Global stream table first: a request continuing any rank's recent tail
   // within the servers' readahead reach is a stream continuation, however
@@ -33,8 +33,8 @@ byte_count DataIdentifier::DistanceFor(const std::string& file, int rank,
   // local window spread over the M servers of the layout.
   const byte_count reach =
       model_.params().hdd.readahead_window * model_.params().hdd_servers;
-  if (auto git = global_tails_.find(file); git != global_tails_.end()) {
-    const TailTable& tails = git->second;
+  if (file < global_tails_.size()) {
+    const TailTable& tails = global_tails_[file];
     // Greatest tail at or before `offset` = smallest forward gap.
     auto it = TailAfter(tails.begin(), tails.end(), offset);
     if (it != tails.begin()) {
@@ -51,7 +51,7 @@ byte_count DataIdentifier::DistanceFor(const std::string& file, int rank,
     }
   }
 
-  auto it = last_end_.find(StreamKey{file, rank});
+  auto it = last_end_.find(StreamKey(file, rank));
   // The first request of a stream has no predecessor; treat it as fully
   // random (maximum uncertainty), which is also what a cold disk head sees.
   if (it == last_end_.end()) return model_.params().hdd.capacity;
@@ -60,13 +60,13 @@ byte_count DataIdentifier::DistanceFor(const std::string& file, int rank,
   return offset - it->second;
 }
 
-Decision DataIdentifier::Identify(const std::string& file, int rank,
+Decision DataIdentifier::Identify(FileIndex file, int rank,
                                   device::IoKind kind, byte_count offset,
                                   byte_count size,
                                   std::span<CacheExtension* const> extensions) {
   ++stats_.requests;
   const byte_count distance = DistanceFor(file, rank, offset);
-  last_end_[StreamKey{file, rank}] = offset + size;
+  last_end_[StreamKey(file, rank)] = offset + size;
 
   // Maintain the global tail table: a continuation replaces the tail it
   // extends; anything else opens a new stream, evicting the least recently
@@ -74,6 +74,7 @@ Decision DataIdentifier::Identify(const std::string& file, int rank,
   const byte_count reach =
       model_.params().hdd.readahead_window * model_.params().hdd_servers;
   S4D_DCHECK(size >= 0) << "negative request size " << size;
+  if (file >= global_tails_.size()) global_tails_.resize(std::size_t{file} + 1);
   TailTable& tails = global_tails_[file];
   const byte_count tail = offset + size;
   const std::uint64_t seq = ++tail_seq_;
@@ -126,8 +127,7 @@ Decision DataIdentifier::Identify(const std::string& file, int rank,
   // Extension admission stages see every request and may override the
   // verdict — feedback thresholds, pressure and endurance vetoes lower it.
   if (!extensions.empty()) {
-    const AdmissionContext ctx{file,   rank, kind,
-                               offset, size, distance,
+    const AdmissionContext ctx{rank, kind, offset, size, distance,
                                decision.benefit, decision.dserver_cost,
                                decision.cserver_cost};
     for (CacheExtension* extension : extensions) {

@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <functional>
 #include <span>
-#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -74,40 +73,33 @@ class DataIdentifier {
   // the CDT when it is critical (and not already present). Always advances
   // the (file, rank) stream position. The model's verdict (B > 0 after the
   // health veto) passes through each extension's Admit stage in order.
-  Decision Identify(const std::string& file, int rank, device::IoKind kind,
+  Decision Identify(FileIndex file, int rank, device::IoKind kind,
                     byte_count offset, byte_count size,
                     std::span<CacheExtension* const> extensions = {});
 
   // Current *signed* stream distance a request at `offset` would have
   // (negative = backward jump). Exposed for tests.
-  byte_count DistanceFor(const std::string& file, int rank,
-                         byte_count offset) const;
+  byte_count DistanceFor(FileIndex file, int rank, byte_count offset) const;
 
   const IdentifierStats& stats() const { return stats_; }
 
  private:
-  struct StreamKey {
-    std::string file;
-    int rank;
-    friend bool operator==(const StreamKey&, const StreamKey&) = default;
-  };
-  struct StreamKeyHash {
-    std::size_t operator()(const StreamKey& k) const {
-      return std::hash<std::string>{}(k.file) * 31 +
-             std::hash<int>{}(k.rank);
-    }
-  };
+  // One (file, rank) stream: the file id in the high half, the rank's
+  // bits in the low half.
+  static std::uint64_t StreamKey(FileIndex file, int rank) {
+    return (std::uint64_t{file} << 32) | static_cast<std::uint32_t>(rank);
+  }
 
   const CostModel& model_;
   CriticalDataTable& cdt_;
-  std::unordered_map<StreamKey, byte_count, StreamKeyHash> last_end_;
+  std::unordered_map<std::uint64_t, byte_count> last_end_;  // by StreamKey
   // Per file: recent stream tails across all ranks as (position, recency
   // sequence number) pairs, sorted by position for a binary-searched
   // nearest-preceding-tail lookup; the smallest sequence number is the LRU
   // victim. Sized like the servers' aggregate stream capacity (max_streams
   // per disk x M disks).
   using TailTable = std::vector<std::pair<byte_count, std::uint64_t>>;
-  std::unordered_map<std::string, TailTable> global_tails_;
+  std::vector<TailTable> global_tails_;  // by file id
   std::uint64_t tail_seq_ = 0;
   IdentifierStats stats_;
   TierSignals tier_;

@@ -16,60 +16,68 @@ std::string RecordKey(const std::string& file, byte_count begin) {
 
 }  // namespace
 
-DataMappingTable::DataMappingTable(kv::KvStore* store) : store_(store) {}
+DataMappingTable::DataMappingTable(kv::KvStore* store, FileTable* files)
+    : store_(store), names_(files) {
+  S4D_CHECK(store_ == nullptr || names_ != nullptr)
+      << "a persisted DMT needs the file table to name its records";
+}
 
-std::uint32_t DataMappingTable::InternFile(const std::string& file) {
-  // Find first: emplace would build (and free) a node on every hit.
-  if (auto it = file_index_.find(file); it != file_index_.end()) {
-    return it->second;
+DataMappingTable::File& DataMappingTable::MappedFile(FileIndex file) {
+  if (file >= files_.size()) files_.resize(std::size_t{file} + 1);
+  File& f = files_[file];
+  if (!f.mapped) {
+    f.mapped = true;
+    order_.push_back(file);
   }
-  const auto index = static_cast<std::uint32_t>(file_names_.size());
-  file_index_.emplace(file, index);
-  file_names_.push_back(file);
-  files_.emplace_back();
-  dirty_index_.emplace_back();
-  return index;
+  return f;
 }
 
-DataMappingTable::FileMap* DataMappingTable::FindFile(
-    const std::string& file) {
-  auto it = file_index_.find(file);
-  return it == file_index_.end() ? nullptr : &files_[it->second];
-}
-
-const DataMappingTable::FileMap* DataMappingTable::FindFile(
-    const std::string& file) const {
-  auto it = file_index_.find(file);
-  return it == file_index_.end() ? nullptr : &files_[it->second];
-}
-
-void DataMappingTable::IndexLru(std::uint32_t file_index, byte_count begin,
-                                Entry& entry) {
-  entry.lru_seq = next_lru_seq_++;
-  lru_index_.emplace(entry.lru_seq, LruRef{file_index, begin});
+void DataMappingTable::IndexLru(FileIndex file, FileMap::iterator it) {
+  it->second.lru_seq = next_lru_seq_++;
+  if (!it->second.dirty) {
+    lru_index_.emplace_hint(lru_index_.end(), it->second.lru_seq,
+                            LruRef{file, it});
+  }
 }
 
 void DataMappingTable::UnindexLru(const Entry& entry) {
-  lru_index_.erase(entry.lru_seq);
+  if (!entry.dirty) lru_index_.erase(entry.lru_seq);
 }
 
-void DataMappingTable::SetEntryDirty(std::uint32_t file_index,
-                                     byte_count begin, Entry& entry,
+void DataMappingTable::SetEntryDirty(FileIndex file, FileMap::iterator it,
                                      bool dirty) {
+  Entry& entry = it->second;
   if (entry.dirty == dirty) return;
   entry.dirty = dirty;
   entry.dirty_since = dirty ? ClockNow() : 0;
-  const byte_count len = entry.end - begin;
+  const byte_count len = entry.end - it->first;
   dirty_bytes_ += dirty ? len : -len;
+  File& f = files_[file];
   if (dirty) {
-    dirty_index_[file_index].insert(begin);
+    f.dirty.emplace(it->first, &entry);
+    // A new entry (sequence 0, not yet indexed) has nothing to unindex.
+    if (entry.lru_seq != 0) lru_index_.erase(entry.lru_seq);
   } else {
-    dirty_index_[file_index].erase(begin);
+    f.dirty.erase(it->first);
+    lru_index_.emplace(entry.lru_seq, LruRef{file, it});
   }
 }
 
-void DataMappingTable::PersistEntry(std::uint32_t file_index,
-                                    byte_count begin, const Entry& entry) {
+void DataMappingTable::EraseEntry(FileIndex file, FileMap::iterator it) {
+  const byte_count len = it->second.end - it->first;
+  mapped_bytes_ -= len;
+  if (it->second.dirty) {
+    dirty_bytes_ -= len;
+    files_[file].dirty.erase(it->first);
+  }
+  UnindexLru(it->second);
+  ErasePersisted(file, it->first);
+  files_[file].extents.erase(it);
+  --entry_count_;
+}
+
+void DataMappingTable::PersistEntry(FileIndex file, byte_count begin,
+                                    const Entry& entry) {
   if (!store_) return;
   char value[96];
   std::snprintf(value, sizeof(value), "%lld %lld %d %llu",
@@ -77,14 +85,13 @@ void DataMappingTable::PersistEntry(std::uint32_t file_index,
                 static_cast<long long>(entry.cache_offset),
                 entry.dirty ? 1 : 0,
                 static_cast<unsigned long long>(entry.version));
-  const Status s = store_->Put(RecordKey(file_names_[file_index], begin), value);
+  const Status s = store_->Put(RecordKey(names_->name(file), begin), value);
   S4D_CHECK(s.ok()) << "DMT write-through failed: " << s.ToString();
 }
 
-void DataMappingTable::ErasePersisted(std::uint32_t file_index,
-                                      byte_count begin) {
+void DataMappingTable::ErasePersisted(FileIndex file, byte_count begin) {
   if (!store_) return;
-  (void)store_->Delete(RecordKey(file_names_[file_index], begin));
+  (void)store_->Delete(RecordKey(names_->name(file), begin));
 }
 
 Status DataMappingTable::LoadFromStore() {
@@ -96,7 +103,7 @@ Status DataMappingTable::LoadFromStore() {
     if (last_sep == std::string::npos || last_sep < 2) {
       return Status::Corruption("bad DMT key: " + key);
     }
-    const std::string file = key.substr(2, last_sep - 2);
+    const std::string name = key.substr(2, last_sep - 2);
     byte_count begin = 0;
     {
       const char* first = key.data() + last_sep + 1;
@@ -116,19 +123,20 @@ Status DataMappingTable::LoadFromStore() {
       return Status::Corruption("bad DMT record: " + *value);
     }
 
-    const std::uint32_t file_index = InternFile(file);
+    const FileIndex file = names_->Intern(name);
     Entry entry;
     entry.end = end;
     entry.cache_offset = cache_offset;
     entry.version = version;
     next_version_ = std::max(next_version_, entry.version + 1);
-    auto [it, inserted] = files_[file_index].emplace(begin, entry);
+    auto [it, inserted] = MappedFile(file).extents.emplace(begin, entry);
     if (!inserted) return Status::Corruption("duplicate DMT record: " + key);
     mapped_bytes_ += entry.end - begin;
+    ++entry_count_;
     // The stamp is not persisted; a recovered dirty extent's exposure
     // clock restarts at load time.
-    SetEntryDirty(file_index, begin, it->second, dirty != 0);
-    IndexLru(file_index, begin, it->second);
+    SetEntryDirty(file, it, dirty != 0);
+    IndexLru(file, it);
   }
 #ifdef S4D_PARANOID
   AuditInvariants();
@@ -137,10 +145,9 @@ Status DataMappingTable::LoadFromStore() {
 }
 
 DataMappingTable::FileMap::const_iterator
-DataMappingTable::FirstOverlapCandidate(const FileMap& map,
-                                        std::uint32_t file_index,
+DataMappingTable::FirstOverlapCandidate(const FileMap& map, FileIndex file,
                                         byte_count offset) const {
-  if (hint_valid_ && hint_file_ == file_index) {
+  if (hint_valid_ && hint_file_ == file) {
     auto h = hint_it_;
     // The hint (or one of its next two neighbours) decides the query
     // locally when it is the floor entry for `offset`.
@@ -160,17 +167,15 @@ DataMappingTable::FirstOverlapCandidate(const FileMap& map,
   return it;
 }
 
-DmtLookup DataMappingTable::Lookup(const std::string& file, byte_count offset,
+DmtLookup DataMappingTable::Lookup(FileIndex file, byte_count offset,
                                    byte_count size) const {
   DmtLookup result;
   if (size <= 0) return result;
   const byte_count end = offset + size;
   byte_count cursor = offset;
-  auto idx_it = file_index_.find(file);
-  if (idx_it != file_index_.end()) {
-    const std::uint32_t file_index = idx_it->second;
-    const FileMap& map = files_[file_index];
-    auto it = FirstOverlapCandidate(map, file_index, offset);
+  if (const FileMap* found = FindExtents(file)) {
+    const FileMap& map = *found;
+    auto it = FirstOverlapCandidate(map, file, offset);
     auto last_examined = map.end();
     for (; it != map.end() && it->first < end; ++it) {
       last_examined = it;
@@ -188,7 +193,7 @@ DmtLookup DataMappingTable::Lookup(const std::string& file, byte_count offset,
     }
     if (last_examined != map.end()) {
       hint_valid_ = true;
-      hint_file_ = file_index;
+      hint_file_ = file;
       hint_it_ = last_examined;
     }
   }
@@ -196,125 +201,109 @@ DmtLookup DataMappingTable::Lookup(const std::string& file, byte_count offset,
   return result;
 }
 
-void DataMappingTable::SplitAt(std::uint32_t file_index, byte_count pos) {
+void DataMappingTable::SplitAt(FileIndex file, byte_count pos) {
   InvalidateHint();
-  FileMap& map = files_[file_index];
-  auto it = map.upper_bound(pos);
-  if (it == map.begin()) return;
+  File& f = files_[file];
+  auto it = f.extents.upper_bound(pos);
+  if (it == f.extents.begin()) return;
   --it;
   if (it->first >= pos || it->second.end <= pos) return;
 
   Entry right = it->second;
   right.cache_offset += pos - it->first;
+  // A flush in flight snapshotted the left part's begin, so only the left
+  // part keeps the mark.
+  right.flushing = kNotFlushing;
   // Halves keep the version: a flush snapshot identifies its target by the
   // exact (begin, end) range, so a split alone invalidates the snapshot
   // match without needing a version bump.
   it->second.end = pos;
-  PersistEntry(file_index, it->first, it->second);
-  auto [new_it, inserted] = map.emplace(pos, right);
+  PersistEntry(file, it->first, it->second);
+  auto [new_it, inserted] = f.extents.emplace(pos, right);
   S4D_CHECK(inserted) << "split position " << pos << " already a boundary";
-  if (right.dirty) dirty_index_[file_index].insert(pos);
-  IndexLru(file_index, pos, new_it->second);
-  PersistEntry(file_index, pos, new_it->second);
+  ++entry_count_;
+  if (right.dirty) f.dirty.emplace(pos, &new_it->second);
+  IndexLru(file, new_it);
+  PersistEntry(file, pos, new_it->second);
 }
 
-void DataMappingTable::Insert(const std::string& file, byte_count offset,
+void DataMappingTable::Insert(FileIndex file, byte_count offset,
                               byte_count size, byte_count cache_offset,
                               bool dirty) {
-  S4D_CHECK(size > 0) << "inserting empty mapping for " << file;
+  S4D_CHECK(size > 0) << "inserting empty mapping for file " << file;
   InvalidateHint();
-  const std::uint32_t file_index = InternFile(file);
-  FileMap& map = files_[file_index];
 #ifndef NDEBUG
   {
     const DmtLookup existing = Lookup(file, offset, size);
     S4D_CHECK(existing.mapped.empty())
-        << "Insert over an existing mapping: " << file << " [" << offset
+        << "Insert over an existing mapping: file " << file << " [" << offset
         << ", " << offset + size << ")";
   }
 #endif
+  FileMap& map = MappedFile(file).extents;
   Entry entry;
   entry.end = offset + size;
   entry.cache_offset = cache_offset;
   entry.version = next_version_++;
   auto [it, inserted] = map.emplace(offset, entry);
-  S4D_CHECK(inserted) << "mapping already begins at " << offset << " in "
-                      << file;
-  SetEntryDirty(file_index, offset, it->second, dirty);
-  IndexLru(file_index, offset, it->second);
-  PersistEntry(file_index, offset, it->second);
+  S4D_CHECK(inserted) << "mapping already begins at " << offset
+                      << " in file " << file;
+  ++entry_count_;
+  SetEntryDirty(file, it, dirty);
+  IndexLru(file, it);
+  PersistEntry(file, offset, it->second);
   mapped_bytes_ += size;
   ++coverage_epoch_;
   MaybeAudit();
 }
 
-std::vector<RemovedExtent> DataMappingTable::Invalidate(
-    const std::string& file, byte_count offset, byte_count size) {
+std::vector<RemovedExtent> DataMappingTable::Invalidate(FileIndex file,
+                                                        byte_count offset,
+                                                        byte_count size) {
   std::vector<RemovedExtent> removed;
-  if (size <= 0) return removed;
-  auto idx_it = file_index_.find(file);
-  if (idx_it == file_index_.end()) return removed;
-  const std::uint32_t file_index = idx_it->second;
+  if (size <= 0 || FindExtents(file) == nullptr) return removed;
   const byte_count end = offset + size;
 
-  SplitAt(file_index, offset);
-  SplitAt(file_index, end);
+  SplitAt(file, offset);
+  SplitAt(file, end);
   InvalidateHint();
 
-  FileMap& map = files_[file_index];
+  FileMap& map = files_[file].extents;
   auto it = map.lower_bound(offset);
   while (it != map.end() && it->first < end) {
     S4D_DCHECK(it->second.end <= end);
-    RemovedExtent ext;
-    ext.file = file;
-    ext.orig_begin = it->first;
-    ext.orig_end = it->second.end;
-    ext.cache_offset = it->second.cache_offset;
-    ext.dirty = it->second.dirty;
-    removed.push_back(ext);
-
-    mapped_bytes_ -= ext.length();
-    if (ext.dirty) {
-      dirty_bytes_ -= ext.length();
-      dirty_index_[file_index].erase(ext.orig_begin);
-    }
-    UnindexLru(it->second);
-    ErasePersisted(file_index, it->first);
-    it = map.erase(it);
+    removed.push_back(RemovedExtent{file, it->first, it->second.end,
+                                    it->second.cache_offset,
+                                    it->second.dirty});
+    EraseEntry(file, it++);
   }
   if (!removed.empty()) ++coverage_epoch_;
   MaybeAudit();
   return removed;
 }
 
-void DataMappingTable::SetDirty(const std::string& file, byte_count offset,
+void DataMappingTable::SetDirty(FileIndex file, byte_count offset,
                                 byte_count size, bool dirty) {
-  if (size <= 0) return;
-  auto idx_it = file_index_.find(file);
-  if (idx_it == file_index_.end()) return;
-  const std::uint32_t file_index = idx_it->second;
+  if (size <= 0 || FindExtents(file) == nullptr) return;
   const byte_count end = offset + size;
 
-  SplitAt(file_index, offset);
-  SplitAt(file_index, end);
+  SplitAt(file, offset);
+  SplitAt(file, end);
 
-  FileMap& map = files_[file_index];
+  FileMap& map = files_[file].extents;
   for (auto it = map.lower_bound(offset); it != map.end() && it->first < end;
        ++it) {
-    Entry& entry = it->second;
-    SetEntryDirty(file_index, it->first, entry, dirty);
-    if (dirty) entry.version = next_version_++;
-    PersistEntry(file_index, it->first, entry);
+    SetEntryDirty(file, it, dirty);
+    if (dirty) it->second.version = next_version_++;
+    PersistEntry(file, it->first, it->second);
   }
   MaybeAudit();
 }
 
-void DataMappingTable::Touch(const std::string& file, byte_count offset,
+void DataMappingTable::Touch(FileIndex file, byte_count offset,
                              byte_count size) {
-  if (size <= 0) return;
-  auto idx_it = file_index_.find(file);
-  if (idx_it == file_index_.end()) return;
-  FileMap& map = files_[idx_it->second];
+  if (size <= 0 || FindExtents(file) == nullptr) return;
+  FileMap& map = files_[file].extents;
   const byte_count end = offset + size;
   auto it = map.upper_bound(offset);
   if (it != map.begin()) {
@@ -322,73 +311,44 @@ void DataMappingTable::Touch(const std::string& file, byte_count offset,
     if (prev->second.end > offset) it = prev;
   }
   for (; it != map.end() && it->first < end; ++it) {
-    // Re-key the entry's own LRU node to the newest sequence number: the
-    // same order as erase plus emplace, without freeing and allocating.
-    auto node = lru_index_.extract(it->second.lru_seq);
-    S4D_DCHECK(!node.empty()) << "LRU index lost the extent at " << it->first;
-    it->second.lru_seq = next_lru_seq_++;
-    node.key() = it->second.lru_seq;
-    lru_index_.insert(lru_index_.end(), std::move(node));
+    Entry& entry = it->second;
+    const std::uint64_t seq = next_lru_seq_++;
+    if (!entry.dirty) {
+      // Re-key the entry's own LRU node to the newest sequence number: the
+      // same order as erase plus emplace, without freeing and allocating.
+      auto node = lru_index_.extract(entry.lru_seq);
+      S4D_DCHECK(!node.empty()) << "LRU index lost the extent at " << it->first;
+      node.key() = seq;
+      lru_index_.insert(lru_index_.end(), std::move(node));
+    }
+    entry.lru_seq = seq;
   }
   MaybeAudit();
 }
 
 std::optional<RemovedExtent> DataMappingTable::EvictLruClean() {
-  InvalidateHint();
-  for (auto lru_it = lru_index_.begin(); lru_it != lru_index_.end();
-       ++lru_it) {
-    const LruRef ref = lru_it->second;
-    FileMap& map = files_[ref.file_index];
-    auto it = map.find(ref.begin);
-    S4D_CHECK(it != map.end() && it->second.lru_seq == lru_it->first)
-        << "LRU index out of sync for " << file_names_[ref.file_index]
-        << " at " << ref.begin;
-    if (it->second.dirty) continue;  // only clean space is reclaimable
-
-    RemovedExtent ext;
-    ext.file = file_names_[ref.file_index];
-    ext.orig_begin = it->first;
-    ext.orig_end = it->second.end;
-    ext.cache_offset = it->second.cache_offset;
-    ext.dirty = false;
-
-    mapped_bytes_ -= ext.length();
-    ++coverage_epoch_;
-    lru_index_.erase(lru_it);
-    ErasePersisted(ref.file_index, it->first);
-    map.erase(it);
-    MaybeAudit();
-    return ext;
-  }
-  return std::nullopt;
+  return EvictLruCleanIf(nullptr);
 }
 
 std::optional<RemovedExtent> DataMappingTable::EvictLruCleanIf(
     const std::function<bool(const RemovedExtent&)>& pred) {
   InvalidateHint();
+  // Only clean space is reclaimable, and the index holds nothing else.
   for (auto lru_it = lru_index_.begin(); lru_it != lru_index_.end();
        ++lru_it) {
-    const LruRef ref = lru_it->second;
-    FileMap& map = files_[ref.file_index];
-    auto it = map.find(ref.begin);
-    S4D_CHECK(it != map.end() && it->second.lru_seq == lru_it->first)
-        << "LRU index out of sync for " << file_names_[ref.file_index]
-        << " at " << ref.begin;
-    if (it->second.dirty) continue;  // only clean space is reclaimable
-
-    RemovedExtent ext;
-    ext.file = file_names_[ref.file_index];
-    ext.orig_begin = it->first;
-    ext.orig_end = it->second.end;
-    ext.cache_offset = it->second.cache_offset;
-    ext.dirty = false;
+    const auto [file, it] = lru_it->second;
+    S4D_DCHECK(!it->second.dirty && it->second.lru_seq == lru_it->first)
+        << "LRU index out of sync for file " << file << " at " << it->first;
+    const RemovedExtent ext{file, it->first, it->second.end,
+                            it->second.cache_offset, false};
     if (pred && !pred(ext)) continue;  // outside the caller's partition
 
     mapped_bytes_ -= ext.length();
+    --entry_count_;
     ++coverage_epoch_;
     lru_index_.erase(lru_it);
-    ErasePersisted(ref.file_index, it->first);
-    map.erase(it);
+    ErasePersisted(file, ext.orig_begin);
+    files_[file].extents.erase(it);
     MaybeAudit();
     return ext;
   }
@@ -396,15 +356,14 @@ std::optional<RemovedExtent> DataMappingTable::EvictLruCleanIf(
 }
 
 std::vector<DirtyRun> DataMappingTable::CollectDirtyRuns(
-    byte_count max_total_bytes, byte_count max_run_bytes,
-    const DirtyExtentSet* in_flight) const {
+    byte_count max_total_bytes, byte_count max_run_bytes) const {
   std::vector<DirtyRun> runs;
   if (dirty_bytes_ == 0) return runs;  // every tick of an idle drain
   byte_count total = 0;
-  for (std::size_t i = 0; i < files_.size() && total < max_total_bytes; ++i) {
-    const auto file_index = static_cast<std::uint32_t>(i);
+  for (const FileIndex file : order_) {
+    if (total >= max_total_bytes) break;
     // The open run spans [run.orig_begin, run.orig_end) once `open`; a busy
-    // run (one holding an in-flight extent) keeps only its span.
+    // run (one holding an extent under flush) keeps only its span.
     DirtyRun run;
     bool open = false;
     bool busy = false;
@@ -418,47 +377,65 @@ std::vector<DirtyRun> DataMappingTable::CollectDirtyRuns(
     };
     // Only dirty extents are visited. A clean extent between two dirty ones
     // breaks their adjacency anyway, so the runs match a full-table walk.
-    for (const byte_count begin : dirty_index_[i]) {
+    for (const auto& [begin, entry] : files_[file].dirty) {
       if (total + run.length() >= max_total_bytes) break;
-      const Entry& entry = files_[i].find(begin)->second;
-      const bool continues = open && run.orig_end == begin &&
-                             run.length() + (entry.end - begin) <= max_run_bytes;
+      const bool continues =
+          open && run.orig_end == begin &&
+          run.length() + (entry->end - begin) <= max_run_bytes;
       if (!continues) emit();
       if (!open) {
         open = true;
+        run.file = file;
         run.orig_begin = begin;
       }
-      run.orig_end = entry.end;
+      run.orig_end = entry->end;
       if (busy) continue;
-      if (in_flight != nullptr &&
-          in_flight->contains({file_index, begin, entry.version})) {
+      if (entry->flushing == entry->version) {
         busy = true;
         run.segments.clear();
         continue;
       }
-      if (run.segments.empty()) run.file = file_names_[i];
-      run.segments.push_back(DirtyRange{file_names_[i], begin, entry.end,
-                                        entry.cache_offset, entry.version,
-                                        file_index});
+      run.segments.push_back(DirtyRange{file, begin, entry->end,
+                                        entry->cache_offset, entry->version});
     }
     emit();
   }
   return runs;
 }
 
-bool DataMappingTable::MarkCleanIfVersion(const std::string& file,
-                                          byte_count begin, byte_count end,
+void DataMappingTable::BeginFlush(const DirtyExtentKey& key) {
+  FileMap& map = files_.at(key.file).extents;
+  auto it = map.find(key.begin);
+  S4D_CHECK(it != map.end() && it->second.dirty &&
+            it->second.version == key.version)
+      << "flush of a stale snapshot: file " << key.file << " at " << key.begin;
+  it->second.flushing = key.version;
+}
+
+void DataMappingTable::EndFlush(const DirtyExtentKey& key) {
+  if (key.file >= files_.size()) return;
+  FileMap& map = files_[key.file].extents;
+  // The entry may be gone (invalidated) or re-flushed at a newer version.
+  auto it = map.find(key.begin);
+  if (it != map.end() && it->second.flushing == key.version) {
+    it->second.flushing = kNotFlushing;
+  }
+}
+
+bool DataMappingTable::MarkCleanIfVersion(FileIndex file, byte_count begin,
+                                          byte_count end,
                                           std::uint64_t version) {
-  auto idx_it = file_index_.find(file);
-  if (idx_it == file_index_.end()) return false;
-  FileMap& map = files_[idx_it->second];
+  if (FindExtents(file) == nullptr) return false;
+  FileMap& map = files_[file].extents;
   auto it = map.find(begin);
-  if (it == map.end() || it->second.end != end ||
-      it->second.version != version || !it->second.dirty) {
+  if (it == map.end()) return false;
+  if (it->second.flushing == version) it->second.flushing = kNotFlushing;
+  if (it->second.end != end || it->second.version != version ||
+      !it->second.dirty) {
     return false;  // the extent changed while the flush was in flight
   }
-  SetEntryDirty(idx_it->second, begin, it->second, false);
-  PersistEntry(idx_it->second, begin, it->second);
+  SetEntryDirty(file, it, false);
+  PersistEntry(file, begin, it->second);
   MaybeAudit();
   return true;
 }
@@ -475,11 +452,10 @@ DataMappingTable::DirtyAgeSummary DataMappingTable::SummarizeDirtyAges(
   std::uint64_t stride = 1;
   std::uint64_t index = 0;
   long double total = 0.0L;
-  for (std::size_t i = 0; i < files_.size(); ++i) {
-    for (const byte_count begin : dirty_index_[i]) {
-      const Entry& entry = files_[i].find(begin)->second;
+  for (const FileIndex file : order_) {
+    for (const auto& [begin, entry] : files_[file].dirty) {
       const SimTime age =
-          now > entry.dirty_since ? now - entry.dirty_since : 0;
+          now > entry->dirty_since ? now - entry->dirty_since : 0;
       ++summary.dirty_extents;
       summary.oldest = std::max(summary.oldest, age);
       total += static_cast<long double>(age);
@@ -510,56 +486,63 @@ DataMappingTable::DirtyAgeSummary DataMappingTable::SummarizeDirtyAges(
 
 std::vector<RemovedExtent> DataMappingTable::AllExtents() const {
   std::vector<RemovedExtent> out;
-  out.reserve(lru_index_.size());
-  for (std::size_t i = 0; i < files_.size(); ++i) {
-    for (const auto& [begin, entry] : files_[i]) {
-      RemovedExtent ext;
-      ext.file = file_names_[i];
-      ext.orig_begin = begin;
-      ext.orig_end = entry.end;
-      ext.cache_offset = entry.cache_offset;
-      ext.dirty = entry.dirty;
-      out.push_back(std::move(ext));
+  out.reserve(entry_count_);
+  for (const FileIndex file : order_) {
+    for (const auto& [begin, entry] : files_[file].extents) {
+      out.push_back(RemovedExtent{file, begin, entry.end, entry.cache_offset,
+                                  entry.dirty});
     }
   }
   return out;
 }
 
 void DataMappingTable::AuditInvariants() const {
-  S4D_CHECK(files_.size() == file_names_.size());
-  S4D_CHECK(file_index_.size() == file_names_.size());
-  S4D_CHECK(dirty_index_.size() == files_.size());
   byte_count mapped = 0;
   byte_count dirty = 0;
   std::size_t entries = 0;
+  std::size_t clean_entries = 0;
+  std::size_t listed = 0;
   for (std::size_t i = 0; i < files_.size(); ++i) {
+    const File& f = files_[i];
+    S4D_CHECK(f.mapped || f.extents.empty())
+        << "file " << i << " holds extents but is not in the walk order";
+    if (f.mapped) ++listed;
     byte_count prev_end = 0;
     bool first = true;
     std::size_t dirty_entries = 0;
-    for (const auto& [begin, entry] : files_[i]) {
+    for (const auto& [begin, entry] : f.extents) {
       S4D_CHECK(entry.end > begin)
           << "empty/negative extent [" << begin << ", " << entry.end
-          << ") in " << file_names_[i];
+          << ") in file " << i;
       S4D_CHECK(first || begin >= prev_end)
-          << "overlapping extents in " << file_names_[i] << ": previous ends "
+          << "overlapping extents in file " << i << ": previous ends "
           << prev_end << ", next begins " << begin;
       S4D_CHECK(entry.cache_offset >= 0);
       S4D_CHECK(entry.version < next_version_)
           << "version " << entry.version << " >= allocator cursor "
           << next_version_;
+      S4D_CHECK(entry.lru_seq < next_lru_seq_)
+          << "LRU sequence " << entry.lru_seq << " >= cursor " << next_lru_seq_;
       const auto lru = lru_index_.find(entry.lru_seq);
-      S4D_CHECK(lru != lru_index_.end())
-          << "extent at " << begin << " in " << file_names_[i]
-          << " missing from the LRU index";
-      S4D_CHECK(lru->second.file_index == i && lru->second.begin == begin)
-          << "LRU index points elsewhere for extent at " << begin;
       mapped += entry.end - begin;
       if (entry.dirty) {
         dirty += entry.end - begin;
         ++dirty_entries;
-        S4D_CHECK(dirty_index_[i].count(begin) > 0)
-            << "dirty extent at " << begin << " in " << file_names_[i]
+        const auto indexed = f.dirty.find(begin);
+        S4D_CHECK(indexed != f.dirty.end() && indexed->second == &entry)
+            << "dirty extent at " << begin << " in file " << i
             << " missing from the dirty index";
+        S4D_CHECK(lru == lru_index_.end())
+            << "dirty extent at " << begin << " in file " << i
+            << " listed in the clean LRU index";
+      } else {
+        ++clean_entries;
+        S4D_CHECK(lru != lru_index_.end())
+            << "clean extent at " << begin << " in file " << i
+            << " missing from the clean LRU index";
+        S4D_CHECK(lru->second.file == i && lru->second.it->first == begin &&
+                  &lru->second.it->second == &entry)
+            << "clean LRU index points elsewhere for extent at " << begin;
       }
       ++entries;
       prev_end = entry.end;
@@ -567,13 +550,20 @@ void DataMappingTable::AuditInvariants() const {
     }
     // Every dirty extent is indexed, so equal sizes leave no room for a
     // stale index entry.
-    S4D_CHECK(dirty_index_[i].size() == dirty_entries)
-        << "dirty index holds " << dirty_index_[i].size() << " extents of "
-        << file_names_[i] << " but " << dirty_entries << " are dirty";
+    S4D_CHECK(f.dirty.size() == dirty_entries)
+        << "dirty index holds " << f.dirty.size() << " extents of file " << i
+        << " but " << dirty_entries << " are dirty";
   }
-  S4D_CHECK(entries == lru_index_.size())
-      << "LRU index holds " << lru_index_.size() << " refs for " << entries
-      << " extents";
+  S4D_CHECK(listed == order_.size())
+      << "walk order lists " << order_.size() << " files, " << listed
+      << " are mapped";
+  // Every clean extent is indexed under its own sequence number, so equal
+  // sizes leave no room for a stale LRU reference.
+  S4D_CHECK(clean_entries == lru_index_.size())
+      << "clean LRU index holds " << lru_index_.size() << " refs for "
+      << clean_entries << " clean extents";
+  S4D_CHECK(entries == entry_count_)
+      << "entry counter " << entry_count_ << " != recomputed " << entries;
   S4D_CHECK(mapped == mapped_bytes_)
       << "mapped_bytes counter " << mapped_bytes_ << " != recomputed "
       << mapped;
@@ -581,12 +571,5 @@ void DataMappingTable::AuditInvariants() const {
       << "dirty_bytes counter " << dirty_bytes_ << " != recomputed " << dirty;
   S4D_CHECK(!hint_valid_ || hint_file_ < files_.size());
 }
-
-std::size_t DataMappingTable::entry_count() const {
-  return lru_index_.size();
-}
-
-byte_count DataMappingTable::mapped_bytes() const { return mapped_bytes_; }
-byte_count DataMappingTable::dirty_bytes() const { return dirty_bytes_; }
 
 }  // namespace s4d::core

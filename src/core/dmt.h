@@ -2,11 +2,13 @@
 //
 // Tracks which byte ranges of each original (DServer) file are cached in
 // the corresponding cache (CServer) file, where they live there, and
-// whether the cached copy is dirty (D_flag). The in-memory table is a
-// per-file ordered extent map supporting range lookup, splitting on partial
-// overwrite/invalidation, LRU victim selection over *clean* extents, and a
-// per-extent version counter that lets the Rebuilder detect writes that
-// raced with an in-flight flush.
+// whether the cached copy is dirty (D_flag). Files are named by their
+// dense id (file_table.h). The in-memory table is a per-file ordered
+// extent map supporting range lookup, splitting on partial
+// overwrite/invalidation, LRU victim selection over *clean* extents (the
+// LRU index holds only those, so eviction never walks past dirty data),
+// and a per-extent version counter that lets the Rebuilder detect writes
+// that raced with an in-flight flush.
 //
 // When constructed with a KvStore, every mutation is written through to the
 // store (the paper persists the DMT synchronously via Berkeley DB so it
@@ -17,9 +19,8 @@
 #include <functional>
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
-#include <unordered_map>
+#include <type_traits>
 #include <unordered_set>
 #include <vector>
 
@@ -27,6 +28,7 @@
 #include "common/sim_time.h"
 #include "common/status.h"
 #include "common/units.h"
+#include "core/file_table.h"
 #include "kvstore/kvstore.h"
 
 namespace s4d::core {
@@ -52,7 +54,7 @@ struct DmtLookup {
 // A mapping removed by eviction or invalidation; the caller returns
 // [cache_offset, cache_offset + (orig_end - orig_begin)) to the allocator.
 struct RemovedExtent {
-  std::string file;
+  FileIndex file = 0;
   byte_count orig_begin = 0;
   byte_count orig_end = 0;
   byte_count cache_offset = 0;
@@ -61,11 +63,11 @@ struct RemovedExtent {
   byte_count length() const { return orig_end - orig_begin; }
 };
 
-// Names one dirty-extent snapshot by the DMT's dense file index, the
-// extent's begin and its version. The Rebuilder keys its in-flight flushes
-// by it: a re-dirtied extent has a new version and so a new key.
+// Names one dirty-extent snapshot by its file, begin and version. The
+// Rebuilder keeps a ledger of its flushes in flight under these keys: a
+// re-dirtied extent has a new version and so a new key.
 struct DirtyExtentKey {
-  std::uint32_t file_index = 0;
+  FileIndex file = 0;
   byte_count begin = 0;
   std::uint64_t version = 0;
 
@@ -77,7 +79,7 @@ struct DirtyExtentKeyHash {
   std::size_t operator()(const DirtyExtentKey& key) const noexcept {
     const std::uint64_t mixed = key.version ^
                                 (static_cast<std::uint64_t>(key.begin) << 1) ^
-                                (std::uint64_t{key.file_index} << 48);
+                                (std::uint64_t{key.file} << 48);
     return static_cast<std::size_t>(mixed * 0x9E3779B97F4A7C15ULL);
   }
 };
@@ -86,14 +88,13 @@ using DirtyExtentSet = std::unordered_set<DirtyExtentKey, DirtyExtentKeyHash>;
 
 // A dirty range snapshot handed to the Rebuilder for flushing.
 struct DirtyRange {
-  std::string file;
+  FileIndex file = 0;
   byte_count orig_begin = 0;
   byte_count orig_end = 0;
   byte_count cache_offset = 0;
   std::uint64_t version = 0;  // entry version at snapshot time
-  std::uint32_t file_index = 0;  // the DMT's dense index of `file`
 
-  DirtyExtentKey key() const { return {file_index, orig_begin, version}; }
+  DirtyExtentKey key() const { return {file, orig_begin, version}; }
 };
 
 // A run of dirty extents contiguous in *original-file* space. The segments
@@ -102,7 +103,7 @@ struct DirtyRange {
 // large sequential HDD write — the coalescing that lets the Rebuilder keep
 // up with random-write admission.
 struct DirtyRun {
-  std::string file;
+  FileIndex file = 0;
   byte_count orig_begin = 0;
   byte_count orig_end = 0;
   std::vector<DirtyRange> segments;  // ascending, exactly covering the run
@@ -112,69 +113,89 @@ struct DirtyRun {
 
 class DataMappingTable {
  public:
-  // `store` may be null (volatile DMT — used by tests and ablations).
-  explicit DataMappingTable(kv::KvStore* store = nullptr);
+  // `store` may be null (volatile DMT — used by tests and ablations). A
+  // persisted DMT names its records by file name, so it needs `files`; a
+  // volatile one never reads names.
+  explicit DataMappingTable(kv::KvStore* store = nullptr,
+                            FileTable* files = nullptr);
+
+  // The indexes point into the extent maps: the table moves, never copies.
+  DataMappingTable(const DataMappingTable&) = delete;
+  DataMappingTable& operator=(const DataMappingTable&) = delete;
+  DataMappingTable(DataMappingTable&&) = default;
 
   // Rebuilds the in-memory table from the persisted records.
   Status LoadFromStore();
 
-  DmtLookup Lookup(const std::string& file, byte_count offset,
-                   byte_count size) const;
+  DmtLookup Lookup(FileIndex file, byte_count offset, byte_count size) const;
 
   // Maps [offset, offset+size) -> cache [cache_offset, ...). The range must
   // currently be unmapped (callers Invalidate or fill gaps only).
-  void Insert(const std::string& file, byte_count offset, byte_count size,
+  void Insert(FileIndex file, byte_count offset, byte_count size,
               byte_count cache_offset, bool dirty);
 
   // Removes all mappings overlapping [offset, offset+size), splitting
   // boundary entries. Returns the removed (clipped) extents.
-  std::vector<RemovedExtent> Invalidate(const std::string& file,
-                                        byte_count offset, byte_count size);
+  std::vector<RemovedExtent> Invalidate(FileIndex file, byte_count offset,
+                                        byte_count size);
 
   // Sets/clears D_flag over the mapped parts of the range (splits entries
   // at the boundaries). Setting dirty bumps the entries' versions.
-  void SetDirty(const std::string& file, byte_count offset, byte_count size,
+  void SetDirty(FileIndex file, byte_count offset, byte_count size,
                 bool dirty);
 
   // LRU bump over mapped parts of the range (no splitting: recency applies
   // to whole entries).
-  void Touch(const std::string& file, byte_count offset, byte_count size);
+  void Touch(FileIndex file, byte_count offset, byte_count size);
 
   // Removes and returns the least-recently-used *clean* mapping, or
   // nullopt when every mapping is dirty (or the table is empty).
   std::optional<RemovedExtent> EvictLruClean();
 
   // Like EvictLruClean(), but only mappings for which `pred` returns true
-  // qualify (pred sees the candidate before removal). Walks the recency
-  // index oldest-first, so with an always-true predicate the selection is
-  // identical to EvictLruClean(). Used by the tenant subsystem to restrict
-  // victim selection to one cache partition.
+  // qualify (pred sees the candidate before removal). Walks the clean
+  // extents oldest-first, so with an always-true predicate the selection
+  // is identical to EvictLruClean(). Used by the tenant subsystem to
+  // restrict victim selection to one cache partition.
   std::optional<RemovedExtent> EvictLruCleanIf(
       const std::function<bool(const RemovedExtent&)>& pred);
 
-  // Snapshots dirty extents in file order, coalescing extents adjacent in
-  // the original file into runs of at most `max_run_bytes`, until about
-  // `max_total_bytes` have been collected. A run holding an extent whose
-  // key is in `in_flight` is not materialised, but its bytes still count
-  // toward `max_total_bytes`: the result is exactly the in-flight-free runs
-  // of the full collection, in the same order.
-  std::vector<DirtyRun> CollectDirtyRuns(
-      byte_count max_total_bytes, byte_count max_run_bytes,
-      const DirtyExtentSet* in_flight = nullptr) const;
+  // Snapshots dirty extents in file order (the order in which files got
+  // their first mapping), coalescing extents adjacent in the original file
+  // into runs of at most `max_run_bytes`, until about `max_total_bytes`
+  // have been collected. A run holding an extent whose current version is
+  // under flush (BeginFlush) is not materialised, but its bytes still
+  // count toward `max_total_bytes`: the result is exactly the flush-free
+  // runs of the full collection, in the same order.
+  std::vector<DirtyRun> CollectDirtyRuns(byte_count max_total_bytes,
+                                         byte_count max_run_bytes) const;
 
-  // Clears D_flag on the entry exactly spanning [begin, end) iff its
-  // version still equals `version` (no write raced the flush). Returns
-  // whether the entry was cleaned.
-  bool MarkCleanIfVersion(const std::string& file, byte_count begin,
-                          byte_count end, std::uint64_t version);
+  // Marks the dirty extent `key` names (a DirtyRange::key() of the
+  // current table) as under flush at its version. The mark stays with the
+  // entry's left part when it splits and stops counting once the entry is
+  // re-dirtied (new version), so a split's right half and a newer version
+  // flush again. EndFlush (an aborted flush) and MarkCleanIfVersion (a
+  // written one) clear the mark if it still names `key`'s version; the
+  // entry may be gone.
+  void BeginFlush(const DirtyExtentKey& key);
+  void EndFlush(const DirtyExtentKey& key);
 
-  // Every current mapping (ascending per file). Used for recovery-time
-  // cache-space re-reservation and by diagnostics.
+  // The flush of [begin, end) at `version` has written it back: ends that
+  // flush as EndFlush does, then clears D_flag on the entry exactly
+  // spanning [begin, end) iff its version still equals `version` (no write
+  // raced the flush). Returns whether the entry was cleaned.
+  bool MarkCleanIfVersion(FileIndex file, byte_count begin, byte_count end,
+                          std::uint64_t version);
+
+  // Every current mapping (ascending per file, files in first-mapping
+  // order). Used for recovery-time cache-space re-reservation and by
+  // diagnostics.
   std::vector<RemovedExtent> AllExtents() const;
 
-  std::size_t entry_count() const;
-  byte_count mapped_bytes() const;
-  byte_count dirty_bytes() const;
+  // Every mapping, clean or dirty.
+  std::size_t entry_count() const { return entry_count_; }
+  byte_count mapped_bytes() const { return mapped_bytes_; }
+  byte_count dirty_bytes() const { return dirty_bytes_; }
 
   // Moves whenever mapped coverage changes: on every Insert and every
   // removal (invalidation, eviction, recovery load). Dirty flips, touches
@@ -205,12 +226,12 @@ class DataMappingTable {
 
   // Walks the whole table and S4D_CHECKs the representation invariants:
   // per-file extents sorted and non-overlapping with positive length, the
-  // mapped/dirty byte counters equal to the recomputed sums, every entry
-  // indexed by the LRU map (and vice versa), the dirty-extent index holding
-  // exactly the dirty extents, and versions below the allocator cursor.
-  // O(entries log entries); aborts with the violated invariant on
-  // failure. Paranoid builds (-DS4D_PARANOID=ON) run it automatically every
-  // few mutations; tests call it directly.
+  // mapped/dirty byte and entry counters equal to the recomputed sums, the
+  // clean LRU index holding exactly the clean extents, the dirty-extent
+  // index holding exactly the dirty extents, and versions below the
+  // allocator cursor. O(entries log entries); aborts with the violated
+  // invariant on failure. Paranoid builds (-DS4D_PARANOID=ON) run it
+  // automatically every few mutations; tests call it directly.
   void AuditInvariants() const;
 
   // Serialized size of one persisted record; reported by bench_metadata to
@@ -220,12 +241,19 @@ class DataMappingTable {
  private:
   friend struct DmtTestPeer;  // corruption injection in test_invariants
 
+  // No version reaches this value: the entry is not under flush.
+  static constexpr std::uint64_t kNotFlushing = ~std::uint64_t{0};
+
   struct Entry {
     byte_count end = 0;           // exclusive
     byte_count cache_offset = 0;  // of the entry's begin
     bool dirty = false;
     std::uint64_t version = 0;
     std::uint64_t lru_seq = 0;
+    // The version a flush in flight snapshotted (BeginFlush). The extent
+    // is under flush while this equals `version`. A split's right half
+    // starts with no mark, as it has a new begin.
+    std::uint64_t flushing = kNotFlushing;
     // When the extent last transitioned clean→dirty (0 = no clock or
     // clean). In-memory only — never persisted. Splits copy the Entry, so
     // both halves keep the original exposure time.
@@ -233,14 +261,29 @@ class DataMappingTable {
   };
   using FileMap = std::map<byte_count, Entry>;  // begin -> Entry
 
+  // One file's extents and the index of its dirty ones (begin -> entry):
+  // the flush and dirty-age walks visit only these, in offset order, and
+  // reach each entry without a search. Map nodes never move, so the
+  // pointers stay valid until their entry is erased.
+  struct File {
+    FileMap extents;
+    std::map<byte_count, Entry*> dirty;
+    bool mapped = false;  // listed in order_
+  };
+  static_assert(std::is_nothrow_move_constructible_v<File>,
+                "growing files_ must move the maps, keeping their nodes");
+
+  // A clean extent in the LRU index.
   struct LruRef {
-    std::uint32_t file_index;
-    byte_count begin;
+    FileIndex file;
+    FileMap::iterator it;
   };
 
-  FileMap* FindFile(const std::string& file);
-  const FileMap* FindFile(const std::string& file) const;
-  std::uint32_t InternFile(const std::string& file);
+  // Grows files_ to hold `file`; its first mapping lists it in order_.
+  File& MappedFile(FileIndex file);
+  const FileMap* FindExtents(FileIndex file) const {
+    return file < files_.size() ? &files_[file].extents : nullptr;
+  }
 
   // First entry a range query at `offset` must examine: the entry covering
   // `offset` if any, else the first entry past it. Checks the last-hit
@@ -248,24 +291,30 @@ class DataMappingTable {
   // upper_bound — sequential scans, the dominant access pattern, land on
   // the hint nearly every time.
   FileMap::const_iterator FirstOverlapCandidate(const FileMap& map,
-                                                std::uint32_t file_index,
+                                                FileIndex file,
                                                 byte_count offset) const;
   void InvalidateHint() const { hint_valid_ = false; }
 
   // Splits the entry containing `pos` (if any) so `pos` becomes a boundary.
-  void SplitAt(std::uint32_t file_index, byte_count pos);
+  void SplitAt(FileIndex file, byte_count pos);
 
-  void IndexLru(std::uint32_t file_index, byte_count begin, Entry& entry);
+  // Gives the entry the newest LRU sequence number; a clean entry joins
+  // the LRU index under it.
+  void IndexLru(FileIndex file, FileMap::iterator it);
+  // Drops a clean entry from the LRU index (a dirty one is not in it).
   void UnindexLru(const Entry& entry);
 
-  // Sets an entry's D_flag, keeping dirty_bytes_ and the dirty-extent
-  // index in step. A clean→dirty flip stamps the exposure time.
-  void SetEntryDirty(std::uint32_t file_index, byte_count begin,
-                     Entry& entry, bool dirty);
+  // Sets an entry's D_flag, keeping dirty_bytes_, the dirty-extent index
+  // and the clean LRU index in step. A clean→dirty flip stamps the
+  // exposure time; a cleaned entry rejoins the LRU index under the
+  // sequence number it kept.
+  void SetEntryDirty(FileIndex file, FileMap::iterator it, bool dirty);
 
-  void PersistEntry(std::uint32_t file_index, byte_count begin,
-                    const Entry& entry);
-  void ErasePersisted(std::uint32_t file_index, byte_count begin);
+  // Removes an entry from every index, the counters and the store.
+  void EraseEntry(FileIndex file, FileMap::iterator it);
+
+  void PersistEntry(FileIndex file, byte_count begin, const Entry& entry);
+  void ErasePersisted(FileIndex file, byte_count begin);
 
   // Paranoid-build hook: audits every 8th mutation (deterministic stride —
   // the full walk after every mutation would make the fuzz suites
@@ -282,22 +331,23 @@ class DataMappingTable {
   SimTime ClockNow() const { return clock_ ? clock_() : 0; }
 
   kv::KvStore* store_;
+  FileTable* names_;
   std::function<SimTime()> clock_;
   // Last-hit lookup hint; points at a dereferenceable entry of
   // files_[hint_file_] whenever hint_valid_. Conservatively invalidated by
   // every structural mutation.
   mutable bool hint_valid_ = false;
-  mutable std::uint32_t hint_file_ = 0;
+  mutable FileIndex hint_file_ = 0;
   mutable FileMap::const_iterator hint_it_;
-  std::unordered_map<std::string, std::uint32_t> file_index_;
-  std::vector<std::string> file_names_;
-  std::vector<FileMap> files_;
-  // Per file, the begins of its dirty extents: the flush and dirty-age
-  // walks visit only these, in the table's file-then-offset order.
-  std::vector<std::set<byte_count>> dirty_index_;
-  std::map<std::uint64_t, LruRef> lru_index_;  // lru_seq -> entry
+  std::vector<File> files_;  // by file id
+  // Files in the order of their first mapping: the order of the flush,
+  // dirty-age and AllExtents walks, whatever order the ids came in.
+  std::vector<FileIndex> order_;
+  // Clean extents only, by lru_seq: the first one is the LRU victim.
+  std::map<std::uint64_t, LruRef> lru_index_;
   std::uint64_t next_lru_seq_ = 1;
   std::uint64_t next_version_ = 1;
+  std::size_t entry_count_ = 0;
   byte_count mapped_bytes_ = 0;
   byte_count dirty_bytes_ = 0;
   std::uint64_t coverage_epoch_ = 0;

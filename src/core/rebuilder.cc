@@ -35,18 +35,19 @@ void Rebuilder::SetObservability(obs::Observability* obs) {
   obs_flush_run_ns_ = obs_->metrics.GetHistogram("rebuilder.flush_run_ns");
 }
 
-Rebuilder::Rebuilder(
-    sim::Engine& engine, pfs::FileSystem& dservers, pfs::FileSystem& cservers,
-    DataMappingTable& dmt, CriticalDataTable& cdt, Redirector& redirector,
-    TierSignals tier, std::string cache_file_suffix, RebuilderConfig config)
+Rebuilder::Rebuilder(sim::Engine& engine, pfs::FileSystem& dservers,
+                     pfs::FileSystem& cservers, FileTable& files,
+                     DataMappingTable& dmt, CriticalDataTable& cdt,
+                     Redirector& redirector, TierSignals tier,
+                     RebuilderConfig config)
     : engine_(engine),
       dservers_(dservers),
       cservers_(cservers),
+      files_(files),
       dmt_(dmt),
       cdt_(cdt),
       redirector_(redirector),
       tier_(tier),
-      cache_file_suffix_(std::move(cache_file_suffix)),
       config_(config) {}
 
 void Rebuilder::Start() {
@@ -112,6 +113,7 @@ void Rebuilder::AbortFlushRun(const std::shared_ptr<FlushRun>& state) {
   }
   for (const DirtyRange& seg : state->run.segments) {
     inflight_flush_.erase(seg.key());
+    dmt_.EndFlush(seg.key());
   }
   if (obs_ != nullptr) {
     obs_flush_aborts_->Inc();
@@ -127,9 +129,8 @@ void Rebuilder::FlushDirty() {
   // Dirty extents in file order, coalesced into runs. A run holding an
   // extent whose flush is still in flight is skipped; its bytes still count
   // toward the tick's budget.
-  for (DirtyRun& collected :
-       dmt_.CollectDirtyRuns(config_.flush_batch_bytes,
-                             config_.flush_run_bytes, &inflight_flush_)) {
+  for (DirtyRun& collected : dmt_.CollectDirtyRuns(config_.flush_batch_bytes,
+                                                   config_.flush_run_bytes)) {
     auto state = std::make_shared<FlushRun>();
     state->run = std::move(collected);
     const DirtyRun& run = state->run;
@@ -137,8 +138,8 @@ void Rebuilder::FlushDirty() {
     stats_.flushes_started += static_cast<std::int64_t>(run.segments.size());
     stats_.flushed_bytes += run.length();
 
-    state->cache_id = cservers_.OpenOrCreate(run.file + cache_file_suffix_);
-    state->orig_id = dservers_.OpenOrCreate(run.file);
+    state->cache_id = files_.CServerFile(run.file);
+    state->orig_id = files_.DServerFile(run.file);
     state->reads_left = static_cast<int>(run.segments.size());
     state->started_at = engine_.now();
     if (obs_ != nullptr) {
@@ -155,8 +156,9 @@ void Rebuilder::FlushDirty() {
 
     for (const DirtyRange& seg : run.segments) {
       const bool fresh = inflight_flush_.insert(seg.key()).second;
-      S4D_DCHECK(fresh) << "flush issued twice for " << seg.file << " at "
-                        << seg.orig_begin;
+      S4D_DCHECK(fresh) << "flush issued twice for file " << seg.file
+                        << " at " << seg.orig_begin;
+      dmt_.BeginFlush(seg.key());
       // Copy the cached tokens to the original file at issue time — the
       // simulator's linearization point for content effects.
       for (const auto& entry : cservers_.ReadContent(
@@ -319,9 +321,8 @@ void Rebuilder::FetchCritical() {
       }
     }
 
-    const std::string cache_file = key.file + cache_file_suffix_;
-    const pfs::FileId cache_id = cservers_.OpenOrCreate(cache_file);
-    const pfs::FileId orig_id = dservers_.OpenOrCreate(key.file);
+    const pfs::FileId cache_id = files_.CServerFile(key.file);
+    const pfs::FileId orig_id = files_.DServerFile(key.file);
 
     // Mapping inserted at issue time (clean): see header comment.
     dmt_.Insert(key.file, key.offset, key.length, *cache_offset,

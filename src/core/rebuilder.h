@@ -18,17 +18,19 @@
 // optimism for reads that hit during the fetch's flight time.
 //
 // Each tick costs the work it does, not the size of the tables: the flush
-// pass walks the DMT's dirty-extent index, and a fetch pass that failed
-// every candidate for want of free bytes *parks* (see FetchCritical).
+// pass walks the DMT's dirty-extent index, which reaches each entry without
+// a search and reads its flush mark (DataMappingTable::BeginFlush) to skip
+// runs already in flight, and a fetch pass that failed every candidate for
+// want of free bytes *parks* (see FetchCritical).
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <string>
 
 #include "core/cdt.h"
 #include "core/dmt.h"
+#include "core/file_table.h"
 #include "core/redirector.h"
 #include "core/tier_signals.h"
 #include "obs/observability.h"
@@ -88,13 +90,13 @@ struct RebuilderStats {
 
 class Rebuilder {
  public:
-  // An original file's cache file is its name plus `cache_file_suffix`.
-  // While `tier` reports the cache tier unreachable, ticks do no work
-  // (reorganization I/O against a down tier would only fail).
+  // `files` names the DMT's and the CDT's file ids and holds their files
+  // on both tiers. While `tier` reports the cache tier unreachable, ticks
+  // do no work (reorganization I/O against a down tier would only fail).
   Rebuilder(sim::Engine& engine, pfs::FileSystem& dservers,
-            pfs::FileSystem& cservers, DataMappingTable& dmt,
+            pfs::FileSystem& cservers, FileTable& files, DataMappingTable& dmt,
             CriticalDataTable& cdt, Redirector& redirector, TierSignals tier,
-            std::string cache_file_suffix, RebuilderConfig config);
+            RebuilderConfig config);
 
   // Starts the periodic ticks (idempotent).
   void Start();
@@ -139,17 +141,18 @@ class Rebuilder {
   sim::Engine& engine_;
   pfs::FileSystem& dservers_;
   pfs::FileSystem& cservers_;
+  FileTable& files_;
   DataMappingTable& dmt_;
   CriticalDataTable& cdt_;
   Redirector& redirector_;
   TierSignals tier_;
-  std::string cache_file_suffix_;
   RebuilderConfig config_;
 
   bool running_ = false;
   sim::EventId pending_tick_ = sim::kInvalidEvent;
-  // Flushes in flight, keyed by (file index, begin, version) so a
-  // re-dirtied extent can be flushed again once the first flush resolves.
+  // Ledger of the flushes in flight, keyed by (file, begin, version): it
+  // answers idle() and holds a re-dirtied extent's older flush until that
+  // resolves. Which extents a pass skips comes from the DMT's flush marks.
   DirtyExtentSet inflight_flush_;
   // No reorganization I/O is issued before this time (failure backoff).
   SimTime retry_at_ = 0;

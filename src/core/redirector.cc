@@ -70,7 +70,7 @@ std::optional<byte_count> Redirector::AllocateCacheSpace(byte_count size) {
 }
 
 std::vector<RemovedExtent> Redirector::InvalidateAndRelease(
-    const std::string& file, byte_count offset, byte_count size) {
+    FileIndex file, byte_count offset, byte_count size) {
   auto removed = dmt_.Invalidate(file, offset, size);
   for (const RemovedExtent& ext : removed) {
     Release(ext, /*evicted=*/false);
@@ -79,7 +79,7 @@ std::vector<RemovedExtent> Redirector::InvalidateAndRelease(
   return removed;
 }
 
-void Redirector::InvalidateCleanAndRelease(const std::string& file,
+void Redirector::InvalidateCleanAndRelease(FileIndex file,
                                            byte_count offset,
                                            byte_count size) {
   const DmtLookup lookup = dmt_.Lookup(file, offset, size);
@@ -90,8 +90,8 @@ void Redirector::InvalidateCleanAndRelease(const std::string& file,
   }
 }
 
-RoutingPlan Redirector::PlanDegradedWrite(const std::string& file,
-                                          byte_count offset, byte_count size) {
+RoutingPlan Redirector::PlanDegradedWrite(FileIndex file, byte_count offset,
+                                          byte_count size) {
   // Cache tier unreachable: the whole write goes to DServers. Overlapping
   // mappings — clean or dirty — are superseded by the new data over the
   // clipped overlap, so invalidating them loses nothing; dirty extents
@@ -105,8 +105,8 @@ RoutingPlan Redirector::PlanDegradedWrite(const std::string& file,
   return plan;
 }
 
-RoutingPlan Redirector::PlanDegradedRead(const std::string& file,
-                                         byte_count offset, byte_count size) {
+RoutingPlan Redirector::PlanDegradedRead(FileIndex file, byte_count offset,
+                                         byte_count size) {
   // Clean mapped data has an identical DServer copy, so a full-range
   // DServer read serves it correctly. Dirty overlap means the only
   // up-to-date bytes are unreachable: flag the plan and let the caller
@@ -125,7 +125,7 @@ RoutingPlan Redirector::PlanDegradedRead(const std::string& file,
   return plan;
 }
 
-RoutingPlan Redirector::PlanWrite(const std::string& file, byte_count offset,
+RoutingPlan Redirector::PlanWrite(FileIndex file, byte_count offset,
                                   byte_count size, bool critical) {
   ++stats_.write_requests;
   if (!tier_.Reachable()) return PlanDegradedWrite(file, offset, size);
@@ -217,7 +217,7 @@ RoutingPlan Redirector::PlanWrite(const std::string& file, byte_count offset,
   return plan;
 }
 
-RoutingPlan Redirector::PlanRead(const std::string& file, byte_count offset,
+RoutingPlan Redirector::PlanRead(FileIndex file, byte_count offset,
                                  byte_count size, bool critical) {
   ++stats_.read_requests;
   if (!tier_.Reachable()) return PlanDegradedRead(file, offset, size);

@@ -28,7 +28,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "common/inline_vector.h"
@@ -118,12 +117,11 @@ struct RedirectorStats {
 class Redirector {
  public:
   // `on_release` fires whenever a mapping's cache extent is released back
-  // to the allocator (eviction or invalidation) with the *original* file
-  // name and the cache-file range — the facade uses it to scrub recycled
+  // to the allocator (eviction or invalidation) with the *original* file's
+  // id and the cache-file range — the facade uses it to scrub recycled
   // space so a later tenant never observes a previous tenant's bytes.
-  using ReleaseHook = std::function<void(const std::string& orig_file,
-                                         byte_count cache_offset,
-                                         byte_count length)>;
+  using ReleaseHook = std::function<void(
+      FileIndex orig_file, byte_count cache_offset, byte_count length)>;
 
   // `tier` reports reachability and saturation. Every allocation and
   // release consults `extensions` (not owned; null = none): their gates,
@@ -152,10 +150,10 @@ class Redirector {
 
   // `critical` is the Data Identifier's verdict for this request (ignored
   // under kAlways / kNever policies).
-  RoutingPlan PlanWrite(const std::string& file, byte_count offset,
-                        byte_count size, bool critical);
-  RoutingPlan PlanRead(const std::string& file, byte_count offset,
-                       byte_count size, bool critical);
+  RoutingPlan PlanWrite(FileIndex file, byte_count offset, byte_count size,
+                        bool critical);
+  RoutingPlan PlanRead(FileIndex file, byte_count offset, byte_count size,
+                       bool critical);
 
   // Allocates cache space, evicting clean LRU mappings as needed
   // (Algorithm 1 lines 4–10). Exposed for the Rebuilder's fetch path.
@@ -170,7 +168,7 @@ class Redirector {
   // Drops every mapping overlapping [offset, offset+size) (clipped at the
   // boundaries) and returns its cache space to the allocator. Returns the
   // removed extents so the caller can account for dirty data among them.
-  std::vector<RemovedExtent> InvalidateAndRelease(const std::string& file,
+  std::vector<RemovedExtent> InvalidateAndRelease(FileIndex file,
                                                   byte_count offset,
                                                   byte_count size);
 
@@ -178,7 +176,7 @@ class Redirector {
   // aborting a failed background fetch whose clean placeholder mapping may
   // have been dirtied by a racing foreground write (that dirty data is
   // real and must survive).
-  void InvalidateCleanAndRelease(const std::string& file, byte_count offset,
+  void InvalidateCleanAndRelease(FileIndex file, byte_count offset,
                                  byte_count size);
 
   const RedirectorStats& stats() const { return stats_; }
@@ -198,9 +196,9 @@ class Redirector {
   // True when every extension's free-space gate passes.
   bool FreeAllocationAllowed(byte_count size) const;
   void Release(const RemovedExtent& extent, bool evicted);
-  RoutingPlan PlanDegradedWrite(const std::string& file, byte_count offset,
+  RoutingPlan PlanDegradedWrite(FileIndex file, byte_count offset,
                                 byte_count size);
-  RoutingPlan PlanDegradedRead(const std::string& file, byte_count offset,
+  RoutingPlan PlanDegradedRead(FileIndex file, byte_count offset,
                                byte_count size);
 
   CriticalDataTable& cdt_;

@@ -16,22 +16,22 @@ S4DCache::S4DCache(sim::Engine& engine, pfs::FileSystem& dservers,
       cost_model_(std::move(cost_model)),
       config_(std::move(config)),
       tier_(cservers_, cost_model_),
+      files_(dservers_, cservers_, config_.cache_file_suffix),
       cdt_(config_.cdt_max_entries),
-      dmt_(dmt_store),
+      dmt_(dmt_store, &files_),
       space_(config_.cache_capacity, cservers.config().stripe.stripe_size),
       identifier_(cost_model_, cdt_, tier_, config_.cache_unhealthy_degrade),
       redirector_(
           cdt_, dmt_, space_, config_.policy,
-          [this](const std::string& orig_file, byte_count cache_offset,
+          [this](FileIndex orig_file, byte_count cache_offset,
                  byte_count length) {
             // Scrub recycled cache space (verification content).
-            const pfs::FileId id =
-                cservers_.OpenOrCreate(CacheFileName(orig_file));
-            cservers_.EraseContent(id, cache_offset, length);
+            cservers_.EraseContent(files_.CServerFile(orig_file), cache_offset,
+                                   length);
           },
           tier_, &extensions_),
-      rebuilder_(engine_, dservers_, cservers_, dmt_, cdt_, redirector_, tier_,
-                 config_.cache_file_suffix, config_.rebuilder) {
+      rebuilder_(engine_, dservers_, cservers_, files_, dmt_, cdt_,
+                 redirector_, tier_, config_.rebuilder) {
   // Dirty-age accounting: stamp clean→dirty transitions with sim time.
   dmt_.SetClock([this] { return engine_.now(); });
   if (dmt_store != nullptr) {
@@ -46,7 +46,8 @@ S4DCache::S4DCache(sim::Engine& engine, pfs::FileSystem& dservers,
       for (const RemovedExtent& ext : dmt_.AllExtents()) {
         if (space_.Reserve(ext.cache_offset, ext.length())) continue;
         if (ext.dirty) {
-          S4D_ERROR("dropping unrecoverable dirty mapping for " + ext.file);
+          S4D_ERROR("dropping unrecoverable dirty mapping for " +
+                    files_.name(ext.file));
         }
         (void)dmt_.Invalidate(ext.file, ext.orig_begin, ext.length());
       }
@@ -126,25 +127,27 @@ void S4DCache::Attach(CacheExtension& extension, bool selects_victims) {
 }
 
 void S4DCache::Open(const std::string& file) {
-  // §IV-B MPI_File_open: open the original file and its companion cache
-  // file (and make sure the DMT is resident — ours always is).
-  dservers_.OpenOrCreate(file);
-  cservers_.OpenOrCreate(CacheFileName(file));
-  open_files_.insert(file);
+  // §IV-B MPI_File_open: resolve the file's id, open the original file and
+  // its companion cache file (and make sure the DMT is resident — ours
+  // always is).
+  const FileIndex id = files_.Intern(file);
+  files_.DServerFile(id);
+  files_.CServerFile(id);
 }
 
-void S4DCache::Close(const std::string& file) { open_files_.erase(file); }
+// The id and both files stay resolved: a reopen finds them.
+void S4DCache::Close(const std::string& /*file*/) {}
 
 void S4DCache::StampPlanContent(const mpiio::FileRequest& request,
-                                const RoutingPlan& plan) {
+                                FileIndex file, const RoutingPlan& plan) {
   if (request.content_token == 0) return;
   for (const IoSegment& seg : plan.segments) {
     if (seg.target == IoSegment::Target::kCServers) {
-      const pfs::FileId id = cservers_.OpenOrCreate(CacheFileName(request.file));
-      cservers_.StampContent(id, seg.offset, seg.size, request.content_token);
+      cservers_.StampContent(files_.CServerFile(file), seg.offset, seg.size,
+                             request.content_token);
     } else {
-      const pfs::FileId id = dservers_.OpenOrCreate(request.file);
-      dservers_.StampContent(id, seg.offset, seg.size, request.content_token);
+      dservers_.StampContent(files_.DServerFile(file), seg.offset, seg.size,
+                             request.content_token);
     }
   }
 }
@@ -160,8 +163,8 @@ S4DCache::ExecJoin* S4DCache::AcquireJoin() {
 }
 
 void S4DCache::Execute(device::IoKind kind, const mpiio::FileRequest& request,
-                       const Decision& decision, const RoutingPlan& plan,
-                       mpiio::IoCompletion done) {
+                       FileIndex file, const Decision& decision,
+                       const RoutingPlan& plan, mpiio::IoCompletion done) {
   S4D_DCHECK(!plan.segments.empty());
 
   // Routing accounting (Table III): a request counts toward the side that
@@ -204,10 +207,9 @@ void S4DCache::Execute(device::IoKind kind, const mpiio::FileRequest& request,
 
   ExecJoin* join = AcquireJoin();
   join->kind = kind;
-  join->orig_id = dservers_.OpenOrCreate(request.file);
-  join->cache_id = c_bytes > 0
-                       ? cservers_.OpenOrCreate(CacheFileName(request.file))
-                       : pfs::kInvalidFile;
+  join->orig_id = files_.DServerFile(file);
+  join->cache_id =
+      c_bytes > 0 ? files_.CServerFile(file) : pfs::kInvalidFile;
   join->remaining = static_cast<int>(plan.segments.size());
   join->failed = false;
   join->last = 0;
@@ -217,7 +219,6 @@ void S4DCache::Execute(device::IoKind kind, const mpiio::FileRequest& request,
   join->report_outcome = !extensions_.attached.empty();
   if (join->report_outcome) {
     RequestOutcome& outcome = join->outcome;
-    outcome.file = request.file;
     outcome.rank = request.rank;
     outcome.kind = kind;
     outcome.offset = request.offset;
@@ -239,7 +240,7 @@ void S4DCache::Execute(device::IoKind kind, const mpiio::FileRequest& request,
   SimTime delay = config_.metadata_overhead_per_op;
   if (plan.dmt_mutated && config_.dmt_update_latency > 0) {
     const std::size_t shard =
-        (std::hash<std::string>{}(request.file) ^
+        (files_.name_hash(file) ^
          static_cast<std::size_t>(request.offset / MiB)) %
         metadata_shard_free_at_.size();
     SimTime& free_at = metadata_shard_free_at_[shard];
@@ -302,39 +303,42 @@ void S4DCache::JoinArrive(ExecJoin* join, SimTime t, bool ok) {
   if (done) done(last);
 }
 
-Decision S4DCache::Decide(const mpiio::FileRequest& request,
+Decision S4DCache::Decide(const mpiio::FileRequest& request, FileIndex file,
                           device::IoKind kind) {
   MaybeAudit();
   for (CacheExtension* extension : extensions_.attached) {
     extension->OnRequestStart(request, kind);
   }
-  return identifier_.Identify(request.file, request.rank, kind, request.offset,
+  return identifier_.Identify(file, request.rank, kind, request.offset,
                               request.size, extensions_.attached);
 }
 
 void S4DCache::Write(const mpiio::FileRequest& request,
                      mpiio::IoCompletion done) {
   S4D_CHECK(request.size > 0) << "zero-size write on " << request.file;
-  const Decision decision = Decide(request, device::IoKind::kWrite);
-  RoutingPlan plan = redirector_.PlanWrite(request.file, request.offset,
-                                           request.size, decision.critical);
-  StampPlanContent(request, plan);
-  Execute(device::IoKind::kWrite, request, decision, plan, std::move(done));
+  const FileIndex file = files_.Intern(request.file);
+  const Decision decision = Decide(request, file, device::IoKind::kWrite);
+  RoutingPlan plan = redirector_.PlanWrite(file, request.offset, request.size,
+                                           decision.critical);
+  StampPlanContent(request, file, plan);
+  Execute(device::IoKind::kWrite, request, file, decision, plan,
+          std::move(done));
 }
 
 void S4DCache::Read(const mpiio::FileRequest& request,
                     mpiio::IoCompletion done) {
   S4D_CHECK(request.size > 0) << "zero-size read on " << request.file;
-  const Decision decision = Decide(request, device::IoKind::kRead);
-  RoutingPlan plan = redirector_.PlanRead(request.file, request.offset,
-                                          request.size, decision.critical);
+  const FileIndex file = files_.Intern(request.file);
+  const Decision decision = Decide(request, file, device::IoKind::kRead);
+  RoutingPlan plan = redirector_.PlanRead(file, request.offset, request.size,
+                                          decision.critical);
   if (plan.blocked_on_cache) {
     // Degraded mode, dirty overlap: the only up-to-date copy is on the
     // unreachable cache tier.
     if (config_.degraded_read_mode == DegradedReadMode::kQueue) {
       ++counters_.queued_degraded_reads;
       const std::uint64_t id = next_pending_id_++;
-      queued_reads_.push_back(PendingRead{id, request, decision,
+      queued_reads_.push_back(PendingRead{id, request, file, decision,
                                           redirector_.charge_owner(),
                                           std::move(done)});
       if (obs_ != nullptr && obs_->tracing()) {
@@ -354,18 +358,18 @@ void S4DCache::Read(const mpiio::FileRequest& request,
     // kServeStale: deliver the DServer copy now; the dirty ranges we are
     // bypassing are part of the reported loss window.
     ++counters_.stale_dirty_reads;
-    ServeStale(request, decision, plan, std::move(done));
+    ServeStale(request, file, decision, plan, std::move(done));
     return;
   }
-  Execute(device::IoKind::kRead, request, decision, plan, std::move(done));
+  Execute(device::IoKind::kRead, request, file, decision, plan,
+          std::move(done));
 }
 
-void S4DCache::ServeStale(const mpiio::FileRequest& request,
+void S4DCache::ServeStale(const mpiio::FileRequest& request, FileIndex file,
                           const Decision& decision, const RoutingPlan& plan,
                           mpiio::IoCompletion done) {
   if (dirty_loss_hook_) {
-    const DmtLookup lookup =
-        dmt_.Lookup(request.file, request.offset, request.size);
+    const DmtLookup lookup = dmt_.Lookup(file, request.offset, request.size);
     for (const MappedSegment& seg : lookup.mapped) {
       if (seg.dirty) {
         dirty_loss_hook_(request.file, seg.orig_begin,
@@ -373,7 +377,8 @@ void S4DCache::ServeStale(const mpiio::FileRequest& request,
       }
     }
   }
-  Execute(device::IoKind::kRead, request, decision, plan, std::move(done));
+  Execute(device::IoKind::kRead, request, file, decision, plan,
+          std::move(done));
 }
 
 void S4DCache::PromoteQueuedRead(std::uint64_t id) {
@@ -394,10 +399,9 @@ void S4DCache::PromoteQueuedRead(std::uint64_t id) {
   }
   // Re-plan as non-critical: the tier is still down, so the plan routes to
   // the DServers; the dirty ranges it bypasses are reported as the loss.
-  RoutingPlan plan =
-      redirector_.PlanRead(pending.request.file, pending.request.offset,
-                           pending.request.size, false);
-  ServeStale(pending.request, pending.decision, plan,
+  RoutingPlan plan = redirector_.PlanRead(
+      pending.file, pending.request.offset, pending.request.size, false);
+  ServeStale(pending.request, pending.file, pending.decision, plan,
              std::move(pending.done));
 }
 
@@ -411,11 +415,10 @@ void S4DCache::OnCacheTierRestored() {
   pending.swap(queued_reads_);
   for (PendingRead& p : pending) {
     redirector_.set_charge_owner(p.charge_owner);
-    RoutingPlan plan =
-        redirector_.PlanRead(p.request.file, p.request.offset, p.request.size,
-                             p.decision.critical);
+    RoutingPlan plan = redirector_.PlanRead(
+        p.file, p.request.offset, p.request.size, p.decision.critical);
     S4D_DCHECK(!plan.blocked_on_cache);
-    Execute(device::IoKind::kRead, p.request, p.decision, plan,
+    Execute(device::IoKind::kRead, p.request, p.file, p.decision, plan,
             std::move(p.done));
   }
 }
@@ -439,11 +442,12 @@ void S4DCache::HandleCacheServerWiped(int server) {
     if (!touches) continue;
     ++counters_.wiped_extents;
     if (ext.dirty) {
+      const std::string& name = files_.name(ext.file);
       counters_.lost_dirty_bytes += ext.length();
       if (dirty_loss_hook_) {
-        dirty_loss_hook_(ext.file, ext.orig_begin, ext.length());
+        dirty_loss_hook_(name, ext.orig_begin, ext.length());
       }
-      S4D_WARN("wiped dirty extent " + ext.file + " [" +
+      S4D_WARN("wiped dirty extent " + name + " [" +
                std::to_string(ext.orig_begin) + ", " +
                std::to_string(ext.orig_end) + ")");
     }
@@ -455,9 +459,10 @@ void S4DCache::HandleCacheServerWiped(int server) {
 void S4DCache::StampContent(const std::string& file, byte_count offset,
                             byte_count size, std::uint64_t token) {
   if (size <= 0 || token == 0) return;
-  const DmtLookup lookup = dmt_.Lookup(file, offset, size);
-  const pfs::FileId orig_id = dservers_.OpenOrCreate(file);
-  const pfs::FileId cache_id = cservers_.OpenOrCreate(CacheFileName(file));
+  const FileIndex id = files_.Intern(file);
+  const DmtLookup lookup = dmt_.Lookup(id, offset, size);
+  const pfs::FileId orig_id = files_.DServerFile(id);
+  const pfs::FileId cache_id = files_.CServerFile(id);
   for (const MappedSegment& seg : lookup.mapped) {
     cservers_.StampContent(cache_id, seg.cache_offset,
                            seg.orig_end - seg.orig_begin, token);
@@ -474,10 +479,11 @@ std::vector<mpiio::ContentEntry> S4DCache::ReadContent(const std::string& file,
   // ranges come from the cache file, gaps from the original file. Entries
   // are reported in original-file coordinates.
   std::vector<mpiio::ContentEntry> out;
-  const DmtLookup lookup = dmt_.Lookup(file, offset, size);
+  const FileIndex id = files_.Intern(file);
+  const DmtLookup lookup = dmt_.Lookup(id, offset, size);
 
-  const pfs::FileId orig_id = dservers_.OpenOrCreate(file);
-  const pfs::FileId cache_id = cservers_.OpenOrCreate(CacheFileName(file));
+  const pfs::FileId orig_id = files_.DServerFile(id);
+  const pfs::FileId cache_id = files_.CServerFile(id);
 
   for (const MappedSegment& seg : lookup.mapped) {
     for (const auto& entry : cservers_.ReadContent(
@@ -510,17 +516,18 @@ void S4DCache::AuditInvariants(bool expect_quiescent) const {
   std::vector<RemovedExtent> extents = dmt_.AllExtents();
   for (const RemovedExtent& ext : extents) {
     S4D_CHECK(space_.IsAllocated(ext.cache_offset, ext.length()))
-        << "DMT extent " << ext.file << " [" << ext.orig_begin << ", "
-        << ext.orig_end << ") maps cache range [" << ext.cache_offset << ", "
-        << ext.cache_offset + ext.length() << ") that is (partly) free";
+        << "DMT extent " << files_.name(ext.file) << " [" << ext.orig_begin
+        << ", " << ext.orig_end << ") maps cache range [" << ext.cache_offset
+        << ", " << ext.cache_offset + ext.length()
+        << ") that is (partly) free";
     // With partition tracking on, each extent is charged to exactly one
     // tenant (the allocator's own audit proves the per-tenant sums).
     if (space_.partition_tracking()) {
       S4D_CHECK(space_.OwnerOf(ext.cache_offset, ext.length()) !=
                 CacheSpaceAllocator::kNoOwner)
-          << "DMT extent " << ext.file << " [" << ext.orig_begin << ", "
-          << ext.orig_end << ") cache range [" << ext.cache_offset << ", "
-          << ext.cache_offset + ext.length()
+          << "DMT extent " << files_.name(ext.file) << " [" << ext.orig_begin
+          << ", " << ext.orig_end << ") cache range [" << ext.cache_offset
+          << ", " << ext.cache_offset + ext.length()
           << ") spans multiple tenant partitions";
     }
   }
@@ -532,10 +539,10 @@ void S4DCache::AuditInvariants(bool expect_quiescent) const {
     const RemovedExtent& prev = extents[i - 1];
     const RemovedExtent& cur = extents[i];
     S4D_CHECK(prev.cache_offset + prev.length() <= cur.cache_offset)
-        << "DMT extents share cache bytes: " << prev.file << " ["
-        << prev.orig_begin << ", " << prev.orig_end << ") and " << cur.file
-        << " [" << cur.orig_begin << ", " << cur.orig_end << ") overlap at "
-        << cur.cache_offset;
+        << "DMT extents share cache bytes: " << files_.name(prev.file)
+        << " [" << prev.orig_begin << ", " << prev.orig_end << ") and "
+        << files_.name(cur.file) << " [" << cur.orig_begin << ", "
+        << cur.orig_end << ") overlap at " << cur.cache_offset;
   }
 
   // The allocator covers at least the mapped bytes; the slack is space

@@ -13,6 +13,10 @@
 // offsets come from one global allocator sized by `cache_capacity`
 // (the paper sets it to 20% of the application's data size).
 //
+// A file name is resolved once per request (or at Open) to a dense id
+// (file_table.h); every component below keys its tables by that id, and
+// the file table caches both pfs::FileIds of each file.
+//
 // Optional subsystems join each request's decision as CacheExtensions
 // (policy, tenants) or through TierSignals, which every component reads
 // the cache tier through (calibration, via the cost model).
@@ -26,13 +30,13 @@
 
 #include <memory>
 #include <string>
-#include <unordered_set>
 
 #include "core/cache_extension.h"
 #include "core/cdt.h"
 #include "core/cost_model.h"
 #include "core/data_identifier.h"
 #include "core/dmt.h"
+#include "core/file_table.h"
 #include "core/rebuilder.h"
 #include "core/redirector.h"
 #include "core/tier_signals.h"
@@ -145,13 +149,12 @@ class S4DCache final : public mpiio::IoDispatch {
   Redirector& redirector() { return redirector_; }
   const CostModel& cost_model() const { return cost_model_; }
   const S4DConfig& config() const { return config_; }
+  // The ids every component keys its tables by; Intern a name to query
+  // the DMT or the CDT directly.
+  FileTable& files() { return files_; }
   // Request joins made so far: the most foreground requests that were ever
   // in flight at once, since finished requests return theirs for reuse.
   std::size_t join_pool_size() const { return join_pool_.size(); }
-
-  std::string CacheFileName(const std::string& file) const {
-    return file + config_.cache_file_suffix;
-  }
 
   // Current simulated time (the engine the cache runs on).
   SimTime now() const { return engine_.now(); }
@@ -255,16 +258,17 @@ class S4DCache final : public mpiio::IoDispatch {
   };
 
   // Runs the extensions' start stages, then the Identifier.
-  Decision Decide(const mpiio::FileRequest& request, device::IoKind kind);
+  Decision Decide(const mpiio::FileRequest& request, FileIndex file,
+                  device::IoKind kind);
   void Execute(device::IoKind kind, const mpiio::FileRequest& request,
-               const Decision& decision, const RoutingPlan& plan,
-               mpiio::IoCompletion done);
+               FileIndex file, const Decision& decision,
+               const RoutingPlan& plan, mpiio::IoCompletion done);
   ExecJoin* AcquireJoin();
   // Submits the join's segments (after the metadata delay).
   void DispatchSegments(ExecJoin* join);
   // One segment resolved; the last one resolves the request.
   void JoinArrive(ExecJoin* join, SimTime t, bool ok);
-  void StampPlanContent(const mpiio::FileRequest& request,
+  void StampPlanContent(const mpiio::FileRequest& request, FileIndex file,
                         const RoutingPlan& plan);
   void SetupObservability();
   std::uint32_t RankLane(int rank);
@@ -272,8 +276,9 @@ class S4DCache final : public mpiio::IoDispatch {
   void PromoteQueuedRead(std::uint64_t id);
   // Serves a dirty-blocked read from the stale DServer copy, reporting the
   // bypassed dirty ranges through the loss hook.
-  void ServeStale(const mpiio::FileRequest& request, const Decision& decision,
-                  const RoutingPlan& plan, mpiio::IoCompletion done);
+  void ServeStale(const mpiio::FileRequest& request, FileIndex file,
+                  const Decision& decision, const RoutingPlan& plan,
+                  mpiio::IoCompletion done);
 
   sim::Engine& engine_;
   pfs::FileSystem& dservers_;
@@ -283,6 +288,7 @@ class S4DCache final : public mpiio::IoDispatch {
   TierSignals tier_;
   ExtensionList extensions_;
 
+  FileTable files_;
   CriticalDataTable cdt_;
   DataMappingTable dmt_;
   CacheSpaceAllocator space_;
@@ -290,7 +296,6 @@ class S4DCache final : public mpiio::IoDispatch {
   Redirector redirector_;
   Rebuilder rebuilder_;
 
-  std::unordered_set<std::string> open_files_;
   S4DCounters counters_;
   // Busy-until times of the sharded metadata-persistence path.
   std::vector<SimTime> metadata_shard_free_at_;
@@ -301,6 +306,7 @@ class S4DCache final : public mpiio::IoDispatch {
   struct PendingRead {
     std::uint64_t id = 0;
     mpiio::FileRequest request;
+    FileIndex file = 0;
     Decision decision;
     int charge_owner = -1;
     mpiio::IoCompletion done;

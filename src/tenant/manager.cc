@@ -234,7 +234,8 @@ void TenantManager::OnRemoved(const core::RemovedExtent& extent,
   if (owner < 0 || owner >= count()) owner = 0;
   GhostCache* ghost = ghosts_[static_cast<std::size_t>(owner)].get();
   if (ghost != nullptr) {
-    ghost->Insert(extent.file, extent.orig_begin, extent.orig_end);
+    ghost->Insert(cache_->files().name(extent.file), extent.orig_begin,
+                  extent.orig_end);
   }
 }
 

@@ -20,9 +20,13 @@ struct CdtTestPeer {
 
 namespace {
 
-const CdtKey kA{"file", 0, 16384};
-const CdtKey kB{"file", 16384, 16384};
-const CdtKey kC{"other", 0, 16384};
+// File ids of two files.
+constexpr FileIndex kFile = 0;
+constexpr FileIndex kOther = 1;
+
+const CdtKey kA{kFile, 0, 16384};
+const CdtKey kB{kFile, 16384, 16384};
+const CdtKey kC{kOther, 0, 16384};
 
 TEST(Cdt, AddAndContains) {
   CriticalDataTable cdt;
@@ -36,8 +40,8 @@ TEST(Cdt, AddAndContains) {
 TEST(Cdt, ExactMatchSemantics) {
   CriticalDataTable cdt;
   cdt.Add(kA);
-  EXPECT_FALSE(cdt.Contains(CdtKey{"file", 0, 8192}));
-  EXPECT_FALSE(cdt.Contains(CdtKey{"file", 1, 16384}));
+  EXPECT_FALSE(cdt.Contains(CdtKey{kFile, 0, 8192}));
+  EXPECT_FALSE(cdt.Contains(CdtKey{kFile, 1, 16384}));
   EXPECT_FALSE(cdt.Contains(kC));
 }
 
@@ -112,7 +116,7 @@ TEST(Cdt, PendingFetchesPrunesStaleKeysInOneCall) {
   constexpr int kKeys = 10000;
   std::vector<CdtKey> live;
   for (int i = 0; i < kKeys; ++i) {
-    const CdtKey key{"f", static_cast<byte_count>(i) * 4096, 4096};
+    const CdtKey key{kFile, static_cast<byte_count>(i) * 4096, 4096};
     cdt.Add(key);
     cdt.SetCacheFlag(key);
     if (i % 1000 == 999) {
@@ -159,13 +163,13 @@ TEST(Cdt, MutationEpochMovesOnlyOnChanges) {
 TEST(Cdt, FifoEvictionWhenFull) {
   CriticalDataTable cdt(/*max_entries=*/3);
   for (int i = 0; i < 5; ++i) {
-    cdt.Add(CdtKey{"f", i * 100, 100});
+    cdt.Add(CdtKey{kFile, i * 100, 100});
   }
   EXPECT_EQ(cdt.size(), 3u);
   EXPECT_EQ(cdt.evictions(), 2);
-  EXPECT_FALSE(cdt.Contains(CdtKey{"f", 0, 100}));
-  EXPECT_FALSE(cdt.Contains(CdtKey{"f", 100, 100}));
-  EXPECT_TRUE(cdt.Contains(CdtKey{"f", 400, 100}));
+  EXPECT_FALSE(cdt.Contains(CdtKey{kFile, 0, 100}));
+  EXPECT_FALSE(cdt.Contains(CdtKey{kFile, 100, 100}));
+  EXPECT_TRUE(cdt.Contains(CdtKey{kFile, 400, 100}));
 }
 
 TEST(Cdt, EvictedFlaggedEntryDisappearsFromPending) {

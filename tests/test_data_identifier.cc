@@ -17,6 +17,11 @@ CostModel PaperModel() {
       net::GigabitEthernet()));
 }
 
+// File ids of the files the tests name.
+constexpr FileIndex kF = 0;
+constexpr FileIndex kG = 1;
+constexpr FileIndex kTile = 2;
+
 class DataIdentifierTest : public ::testing::Test {
  protected:
   CostModel model_ = PaperModel();
@@ -25,28 +30,28 @@ class DataIdentifierTest : public ::testing::Test {
 };
 
 TEST_F(DataIdentifierTest, FirstRequestTreatedAsRandom) {
-  EXPECT_EQ(identifier_.DistanceFor("f", 0, 0),
+  EXPECT_EQ(identifier_.DistanceFor(kF, 0, 0),
             model_.params().hdd.capacity);
 }
 
 TEST_F(DataIdentifierTest, DistanceTracksStreamEnd) {
-  identifier_.Identify("f", 0, device::IoKind::kWrite, 0, 16 * KiB);
-  EXPECT_EQ(identifier_.DistanceFor("f", 0, 16 * KiB), 0);
-  EXPECT_EQ(identifier_.DistanceFor("f", 0, 48 * KiB), 32 * KiB);
-  EXPECT_EQ(identifier_.DistanceFor("f", 0, 0), -16 * KiB)
+  identifier_.Identify(kF, 0, device::IoKind::kWrite, 0, 16 * KiB);
+  EXPECT_EQ(identifier_.DistanceFor(kF, 0, 16 * KiB), 0);
+  EXPECT_EQ(identifier_.DistanceFor(kF, 0, 48 * KiB), 32 * KiB);
+  EXPECT_EQ(identifier_.DistanceFor(kF, 0, 0), -16 * KiB)
       << "backward jumps carry their sign";
 }
 
 TEST_F(DataIdentifierTest, StreamsPerFileAndRank) {
-  identifier_.Identify("f", 0, device::IoKind::kWrite, 0, 16 * KiB);
+  identifier_.Identify(kF, 0, device::IoKind::kWrite, 0, 16 * KiB);
   // Another rank continuing rank 0's stream is a *global* continuation —
   // the buffered servers serve it from readahead no matter who issues it.
-  EXPECT_EQ(identifier_.DistanceFor("f", 1, 16 * KiB), 0);
+  EXPECT_EQ(identifier_.DistanceFor(kF, 1, 16 * KiB), 0);
   // A different file shares nothing.
-  EXPECT_EQ(identifier_.DistanceFor("g", 0, 16 * KiB),
+  EXPECT_EQ(identifier_.DistanceFor(kG, 0, 16 * KiB),
             model_.params().hdd.capacity);
   // A far-away offset on the same file falls back to the rank stream.
-  EXPECT_EQ(identifier_.DistanceFor("f", 1, 10 * GiB),
+  EXPECT_EQ(identifier_.DistanceFor(kF, 1, 10 * GiB),
             model_.params().hdd.capacity);
 }
 
@@ -59,10 +64,10 @@ TEST_F(DataIdentifierTest, GlobalTailsAbsorbInterleavedDensePatterns) {
       const byte_count offset = (row * 4 + r) * chunk;
       if (row + r > 0) {
         // Every request after the very first continues the global stream.
-        EXPECT_EQ(identifier_.DistanceFor("tile", r, offset), 0)
+        EXPECT_EQ(identifier_.DistanceFor(kTile, r, offset), 0)
             << "row " << row << " rank " << r;
       }
-      identifier_.Identify("tile", r, device::IoKind::kWrite, offset, chunk);
+      identifier_.Identify(kTile, r, device::IoKind::kWrite, offset, chunk);
     }
   }
   // Dense interleaved writes must not flood the CDT: at most the cold
@@ -76,9 +81,9 @@ TEST_F(DataIdentifierTest, SmallRandomRequestsEnterCdt) {
   for (int i = 0; i < 10; ++i) {
     const byte_count offset = static_cast<byte_count>(i) * 1 * GiB;
     EXPECT_TRUE(identifier_
-                    .Identify("f", 0, device::IoKind::kWrite, offset, 16 * KiB)
+                    .Identify(kF, 0, device::IoKind::kWrite, offset, 16 * KiB)
                     .critical);
-    EXPECT_TRUE(cdt_.Contains(CdtKey{"f", offset, 16 * KiB}));
+    EXPECT_TRUE(cdt_.Contains(CdtKey{kF, offset, 16 * KiB}));
   }
   EXPECT_EQ(identifier_.stats().critical, 10);
   EXPECT_EQ(identifier_.stats().cdt_inserts, 10);
@@ -88,11 +93,11 @@ TEST_F(DataIdentifierTest, LargeSequentialRequestsStayOut) {
   // A long sequential scan of 4 MiB requests: after the first (cold)
   // request, none should be critical.
   byte_count offset = 0;
-  identifier_.Identify("f", 0, device::IoKind::kWrite, offset, 4 * MiB);
+  identifier_.Identify(kF, 0, device::IoKind::kWrite, offset, 4 * MiB);
   for (int i = 1; i < 10; ++i) {
     offset += 4 * MiB;
     EXPECT_FALSE(
-        identifier_.Identify("f", 0, device::IoKind::kWrite, offset, 4 * MiB)
+        identifier_.Identify(kF, 0, device::IoKind::kWrite, offset, 4 * MiB)
             .critical)
         << "sequential 4 MiB request " << i << " wrongly critical";
   }
@@ -100,11 +105,11 @@ TEST_F(DataIdentifierTest, LargeSequentialRequestsStayOut) {
 }
 
 TEST_F(DataIdentifierTest, RepeatedRequestInsertsOnce) {
-  identifier_.Identify("f", 0, device::IoKind::kRead, 1 * GiB, 16 * KiB);
-  identifier_.Identify("f", 0, device::IoKind::kRead, 5 * GiB, 16 * KiB);
+  identifier_.Identify(kF, 0, device::IoKind::kRead, 1 * GiB, 16 * KiB);
+  identifier_.Identify(kF, 0, device::IoKind::kRead, 5 * GiB, 16 * KiB);
   // The immediate repeat touches data just read — resident in the server
   // caches (a stream tail sits 16 KiB ahead), so it is not critical again.
-  identifier_.Identify("f", 0, device::IoKind::kRead, 1 * GiB, 16 * KiB);
+  identifier_.Identify(kF, 0, device::IoKind::kRead, 1 * GiB, 16 * KiB);
   EXPECT_EQ(identifier_.stats().critical, 2);
   EXPECT_EQ(identifier_.stats().cdt_inserts, 2);
   EXPECT_EQ(cdt_.size(), 2u);
@@ -133,7 +138,7 @@ TEST_F(DataIdentifierTest, EvaluatesEachCostOncePerRequest) {
   CountingCalibration calibration;
   model_.SetCalibration(&calibration);
   const Decision decision =
-      identifier_.Identify("f", 0, device::IoKind::kWrite, 3 * GiB, 16 * KiB);
+      identifier_.Identify(kF, 0, device::IoKind::kWrite, 3 * GiB, 16 * KiB);
   EXPECT_EQ(calibration.dserver_calls, 1);
   EXPECT_EQ(calibration.cserver_calls, 1);
   // Eq. 8: the benefit is the difference of the two costs it reports.
@@ -230,6 +235,7 @@ TEST_F(DataIdentifierTest, FlatTailTableMatchesMapOracle) {
     for (int step = 0; step < 12000; ++step) {
       const int f = static_cast<int>(rng.NextBelow(3));
       const std::string& file = files[f];
+      const auto id = static_cast<FileIndex>(f);  // the oracle keeps names
       const int rank = static_cast<int>(rng.NextBelow(kRanks));
       byte_count offset = 0;
       byte_count size = 16 * KiB;
@@ -260,14 +266,14 @@ TEST_F(DataIdentifierTest, FlatTailTableMatchesMapOracle) {
       const int probe_rank = static_cast<int>(rng.NextBelow(kRanks));
       const byte_count probe =
           std::max<byte_count>(0, offset + rng.NextInRange(-8 * MiB, 8 * MiB));
-      ASSERT_EQ(identifier.DistanceFor(file, rank, offset),
+      ASSERT_EQ(identifier.DistanceFor(id, rank, offset),
                 oracle.DistanceFor(file, rank, offset))
           << "seed " << seed << " step " << step << " file " << file
           << " offset " << offset;
-      identifier.Identify(file, rank, device::IoKind::kWrite, offset, size);
+      identifier.Identify(id, rank, device::IoKind::kWrite, offset, size);
       oracle.Identify(file, rank, offset, size);
       if (oracle.tails(file) == 512) ++full_steps[f];
-      ASSERT_EQ(identifier.DistanceFor(file, probe_rank, probe),
+      ASSERT_EQ(identifier.DistanceFor(id, probe_rank, probe),
                 oracle.DistanceFor(file, probe_rank, probe))
           << "seed " << seed << " step " << step << " file " << file
           << " probe " << probe;

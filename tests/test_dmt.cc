@@ -5,7 +5,10 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <functional>
 #include <limits>
+#include <map>
+#include <optional>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -15,6 +18,11 @@
 
 namespace s4d::core {
 namespace {
+
+// File ids. A volatile table never reads names, so these need none.
+constexpr FileIndex kF = 0;
+constexpr FileIndex kA = 1;
+constexpr FileIndex kB = 2;
 
 // Every dirty extent, snapshotted as the flush pass's runs hold them (file
 // order, no byte budget).
@@ -29,7 +37,7 @@ std::vector<DirtyRange> DirtySnapshot(const DataMappingTable& dmt) {
 
 TEST(Dmt, EmptyLookup) {
   DataMappingTable dmt;
-  const auto result = dmt.Lookup("f", 0, 100);
+  const auto result = dmt.Lookup(kF, 0, 100);
   EXPECT_TRUE(result.mapped.empty());
   ASSERT_EQ(result.gaps.size(), 1u);
   EXPECT_EQ(result.gaps[0].first, 0);
@@ -40,8 +48,8 @@ TEST(Dmt, EmptyLookup) {
 
 TEST(Dmt, InsertAndExactLookup) {
   DataMappingTable dmt;
-  dmt.Insert("f", 1000, 500, 0, /*dirty=*/true);
-  const auto result = dmt.Lookup("f", 1000, 500);
+  dmt.Insert(kF, 1000, 500, 0, /*dirty=*/true);
+  const auto result = dmt.Lookup(kF, 1000, 500);
   ASSERT_TRUE(result.fully_mapped());
   ASSERT_EQ(result.mapped.size(), 1u);
   EXPECT_EQ(result.mapped[0].orig_begin, 1000);
@@ -54,17 +62,17 @@ TEST(Dmt, InsertAndExactLookup) {
 
 TEST(Dmt, SubRangeLookupTranslatesCacheOffset) {
   DataMappingTable dmt;
-  dmt.Insert("f", 1000, 500, 8000, false);
-  const auto result = dmt.Lookup("f", 1200, 100);
+  dmt.Insert(kF, 1000, 500, 8000, false);
+  const auto result = dmt.Lookup(kF, 1200, 100);
   ASSERT_TRUE(result.fully_mapped());
   EXPECT_EQ(result.mapped[0].cache_offset, 8200);
 }
 
 TEST(Dmt, PartialOverlapYieldsMappedAndGaps) {
   DataMappingTable dmt;
-  dmt.Insert("f", 100, 100, 0, false);
-  dmt.Insert("f", 300, 100, 100, false);
-  const auto result = dmt.Lookup("f", 0, 500);
+  dmt.Insert(kF, 100, 100, 0, false);
+  dmt.Insert(kF, 300, 100, 100, false);
+  const auto result = dmt.Lookup(kF, 0, 500);
   ASSERT_EQ(result.mapped.size(), 2u);
   ASSERT_EQ(result.gaps.size(), 3u);
   EXPECT_EQ(result.gaps[0], (std::pair<byte_count, byte_count>{0, 100}));
@@ -74,49 +82,49 @@ TEST(Dmt, PartialOverlapYieldsMappedAndGaps) {
 
 TEST(Dmt, FilesAreIndependent) {
   DataMappingTable dmt;
-  dmt.Insert("a", 0, 100, 0, false);
-  EXPECT_TRUE(dmt.Lookup("b", 0, 100).fully_unmapped());
+  dmt.Insert(kA, 0, 100, 0, false);
+  EXPECT_TRUE(dmt.Lookup(kB, 0, 100).fully_unmapped());
 }
 
 TEST(Dmt, InvalidateSplitsBoundaries) {
   DataMappingTable dmt;
-  dmt.Insert("f", 0, 300, 0, true);
-  const auto removed = dmt.Invalidate("f", 100, 100);
+  dmt.Insert(kF, 0, 300, 0, true);
+  const auto removed = dmt.Invalidate(kF, 100, 100);
   ASSERT_EQ(removed.size(), 1u);
   EXPECT_EQ(removed[0].orig_begin, 100);
   EXPECT_EQ(removed[0].orig_end, 200);
   EXPECT_EQ(removed[0].cache_offset, 100);
   EXPECT_TRUE(removed[0].dirty);
   // Left and right halves survive with translated cache offsets.
-  const auto left = dmt.Lookup("f", 0, 100);
+  const auto left = dmt.Lookup(kF, 0, 100);
   ASSERT_TRUE(left.fully_mapped());
   EXPECT_EQ(left.mapped[0].cache_offset, 0);
-  const auto right = dmt.Lookup("f", 200, 100);
+  const auto right = dmt.Lookup(kF, 200, 100);
   ASSERT_TRUE(right.fully_mapped());
   EXPECT_EQ(right.mapped[0].cache_offset, 200);
-  EXPECT_TRUE(dmt.Lookup("f", 100, 100).fully_unmapped());
+  EXPECT_TRUE(dmt.Lookup(kF, 100, 100).fully_unmapped());
   EXPECT_EQ(dmt.mapped_bytes(), 200);
   EXPECT_EQ(dmt.dirty_bytes(), 200);
 }
 
 TEST(Dmt, SetDirtyAndCleanAdjustCounters) {
   DataMappingTable dmt;
-  dmt.Insert("f", 0, 100, 0, false);
+  dmt.Insert(kF, 0, 100, 0, false);
   EXPECT_EQ(dmt.dirty_bytes(), 0);
-  dmt.SetDirty("f", 0, 50, true);
+  dmt.SetDirty(kF, 0, 50, true);
   EXPECT_EQ(dmt.dirty_bytes(), 50);
-  dmt.SetDirty("f", 0, 100, true);
+  dmt.SetDirty(kF, 0, 100, true);
   EXPECT_EQ(dmt.dirty_bytes(), 100);
-  dmt.SetDirty("f", 25, 50, false);
+  dmt.SetDirty(kF, 25, 50, false);
   EXPECT_EQ(dmt.dirty_bytes(), 50);
 }
 
 TEST(Dmt, EvictLruCleanPrefersOldest) {
   DataMappingTable dmt;
-  dmt.Insert("f", 0, 100, 0, false);
-  dmt.Insert("f", 100, 100, 100, false);
-  dmt.Insert("f", 200, 100, 200, false);
-  dmt.Touch("f", 0, 100);  // entry 0 becomes most recent
+  dmt.Insert(kF, 0, 100, 0, false);
+  dmt.Insert(kF, 100, 100, 100, false);
+  dmt.Insert(kF, 200, 100, 200, false);
+  dmt.Touch(kF, 0, 100);  // entry 0 becomes most recent
   const auto victim = dmt.EvictLruClean();
   ASSERT_TRUE(victim.has_value());
   EXPECT_EQ(victim->orig_begin, 100) << "second-inserted is now LRU";
@@ -125,8 +133,8 @@ TEST(Dmt, EvictLruCleanPrefersOldest) {
 
 TEST(Dmt, EvictSkipsDirty) {
   DataMappingTable dmt;
-  dmt.Insert("f", 0, 100, 0, true);
-  dmt.Insert("f", 100, 100, 100, false);
+  dmt.Insert(kF, 0, 100, 0, true);
+  dmt.Insert(kF, 100, 100, 100, false);
   const auto victim = dmt.EvictLruClean();
   ASSERT_TRUE(victim.has_value());
   EXPECT_EQ(victim->orig_begin, 100);
@@ -135,8 +143,8 @@ TEST(Dmt, EvictSkipsDirty) {
 
 TEST(Dmt, CollectDirtyRunsReturnsSnapshotsWithVersions) {
   DataMappingTable dmt;
-  dmt.Insert("f", 0, 100, 500, true);
-  dmt.Insert("f", 200, 100, 600, false);
+  dmt.Insert(kF, 0, 100, 500, true);
+  dmt.Insert(kF, 200, 100, 600, false);
   const auto runs = dmt.CollectDirtyRuns(1 << 20, 1 << 20);
   ASSERT_EQ(runs.size(), 1u);
   ASSERT_EQ(runs[0].segments.size(), 1u);
@@ -150,10 +158,10 @@ TEST(Dmt, CollectDirtyRunsCoalescesAdjacent) {
   DataMappingTable dmt;
   // Three adjacent dirty extents with scattered cache offsets, then a gap,
   // then another dirty extent.
-  dmt.Insert("f", 0, 100, 500, true);
-  dmt.Insert("f", 100, 100, 900, true);
-  dmt.Insert("f", 200, 100, 100, true);
-  dmt.Insert("f", 400, 50, 700, true);
+  dmt.Insert(kF, 0, 100, 500, true);
+  dmt.Insert(kF, 100, 100, 900, true);
+  dmt.Insert(kF, 200, 100, 100, true);
+  dmt.Insert(kF, 400, 50, 700, true);
   const auto runs = dmt.CollectDirtyRuns(1 << 20, 1 << 20);
   ASSERT_EQ(runs.size(), 2u);
   EXPECT_EQ(runs[0].orig_begin, 0);
@@ -166,9 +174,9 @@ TEST(Dmt, CollectDirtyRunsCoalescesAdjacent) {
 
 TEST(Dmt, CollectDirtyRunsSkipsCleanNeighbours) {
   DataMappingTable dmt;
-  dmt.Insert("f", 0, 100, 0, true);
-  dmt.Insert("f", 100, 100, 100, false);  // clean: breaks the run
-  dmt.Insert("f", 200, 100, 200, true);
+  dmt.Insert(kF, 0, 100, 0, true);
+  dmt.Insert(kF, 100, 100, 100, false);  // clean: breaks the run
+  dmt.Insert(kF, 200, 100, 200, true);
   const auto runs = dmt.CollectDirtyRuns(1 << 20, 1 << 20);
   ASSERT_EQ(runs.size(), 2u);
   EXPECT_EQ(runs[0].orig_end, 100);
@@ -178,7 +186,7 @@ TEST(Dmt, CollectDirtyRunsSkipsCleanNeighbours) {
 TEST(Dmt, CollectDirtyRunsRespectsRunCap) {
   DataMappingTable dmt;
   for (int i = 0; i < 10; ++i) {
-    dmt.Insert("f", i * 100, 100, i * 100, true);
+    dmt.Insert(kF, i * 100, 100, i * 100, true);
   }
   const auto runs = dmt.CollectDirtyRuns(1 << 20, 250);
   // 1000 contiguous dirty bytes in runs of <= 250.
@@ -194,7 +202,7 @@ TEST(Dmt, CollectDirtyRunsRespectsRunCap) {
 TEST(Dmt, CollectDirtyRunsRespectsTotalBudget) {
   DataMappingTable dmt;
   for (int i = 0; i < 10; ++i) {
-    dmt.Insert("f", i * 1000, 100, i * 100, true);  // non-adjacent
+    dmt.Insert(kF, i * 1000, 100, i * 100, true);  // non-adjacent
   }
   const auto runs = dmt.CollectDirtyRuns(350, 1 << 20);
   // Stops once ~350 bytes are collected (4 x 100-byte runs).
@@ -203,8 +211,8 @@ TEST(Dmt, CollectDirtyRunsRespectsTotalBudget) {
 
 TEST(Dmt, CollectDirtyRunsSpansFiles) {
   DataMappingTable dmt;
-  dmt.Insert("a", 0, 100, 0, true);
-  dmt.Insert("b", 0, 100, 100, true);
+  dmt.Insert(kA, 0, 100, 0, true);
+  dmt.Insert(kB, 0, 100, 100, true);
   const auto runs = dmt.CollectDirtyRuns(1 << 20, 1 << 20);
   ASSERT_EQ(runs.size(), 2u);
   EXPECT_NE(runs[0].file, runs[1].file);
@@ -215,11 +223,11 @@ TEST(Dmt, CollectDirtyRunsSpansFiles) {
 // in-flight-free runs, whatever the in-flight set.
 TEST(Dmt, CollectDirtyRunsSkipsInFlightRunButSpendsItsBudget) {
   DataMappingTable dmt;
-  dmt.Insert("a", 0, 100, 0, true);      // A
-  dmt.Insert("a", 200, 100, 100, true);  // B1, B2, B3: one coalesced run
-  dmt.Insert("a", 300, 100, 200, true);
-  dmt.Insert("a", 400, 100, 300, true);
-  dmt.Insert("b", 0, 100, 400, true);  // C
+  dmt.Insert(kA, 0, 100, 0, true);      // A
+  dmt.Insert(kA, 200, 100, 100, true);  // B1, B2, B3: one coalesced run
+  dmt.Insert(kA, 300, 100, 200, true);
+  dmt.Insert(kA, 400, 100, 300, true);
+  dmt.Insert(kB, 0, 100, 400, true);  // C
   const auto all = dmt.CollectDirtyRuns(350, 1 << 20);
   // B straddles the 350-byte budget: it starts at 100 bytes and ends at
   // 400, so the walk stops before file b.
@@ -229,24 +237,24 @@ TEST(Dmt, CollectDirtyRunsSkipsInFlightRunButSpendsItsBudget) {
 
   // B2 in flight: B1 and B3 do not flush on their own, and C stays past
   // the budget B still spends.
-  const DirtyExtentSet in_flight{all[1].segments[1].key()};
-  const auto runs = dmt.CollectDirtyRuns(350, 1 << 20, &in_flight);
+  dmt.BeginFlush(all[1].segments[1].key());
+  const auto runs = dmt.CollectDirtyRuns(350, 1 << 20);
   ASSERT_EQ(runs.size(), 1u);
-  EXPECT_EQ(runs[0].file, "a");
+  EXPECT_EQ(runs[0].file, kA);
   EXPECT_EQ(runs[0].orig_begin, 0);
   EXPECT_EQ(runs[0].orig_end, 100);
 }
 
 TEST(Dmt, ReDirtiedExtentIsCollectedWhileOldVersionIsInFlight) {
   DataMappingTable dmt;
-  dmt.Insert("f", 0, 100, 0, true);
+  dmt.Insert(kF, 0, 100, 0, true);
   const auto first = dmt.CollectDirtyRuns(1 << 20, 1 << 20);
   ASSERT_EQ(first.size(), 1u);
-  const DirtyExtentSet in_flight{first[0].segments[0].key()};
-  EXPECT_TRUE(dmt.CollectDirtyRuns(1 << 20, 1 << 20, &in_flight).empty());
+  dmt.BeginFlush(first[0].segments[0].key());
+  EXPECT_TRUE(dmt.CollectDirtyRuns(1 << 20, 1 << 20).empty());
 
-  dmt.SetDirty("f", 0, 100, true);  // a write hit: same extent, new version
-  const auto again = dmt.CollectDirtyRuns(1 << 20, 1 << 20, &in_flight);
+  dmt.SetDirty(kF, 0, 100, true);  // a write hit: same extent, new version
+  const auto again = dmt.CollectDirtyRuns(1 << 20, 1 << 20);
   ASSERT_EQ(again.size(), 1u);
   EXPECT_EQ(again[0].orig_begin, 0);
   EXPECT_GT(again[0].segments[0].version, first[0].segments[0].version);
@@ -254,31 +262,31 @@ TEST(Dmt, ReDirtiedExtentIsCollectedWhileOldVersionIsInFlight) {
 
 TEST(Dmt, MarkCleanIfVersionMatches) {
   DataMappingTable dmt;
-  dmt.Insert("f", 0, 100, 0, true);
+  dmt.Insert(kF, 0, 100, 0, true);
   const auto dirty = DirtySnapshot(dmt);
   ASSERT_EQ(dirty.size(), 1u);
-  EXPECT_TRUE(dmt.MarkCleanIfVersion("f", 0, 100, dirty[0].version));
+  EXPECT_TRUE(dmt.MarkCleanIfVersion(kF, 0, 100, dirty[0].version));
   EXPECT_EQ(dmt.dirty_bytes(), 0);
-  EXPECT_FALSE(dmt.MarkCleanIfVersion("f", 0, 100, dirty[0].version))
+  EXPECT_FALSE(dmt.MarkCleanIfVersion(kF, 0, 100, dirty[0].version))
       << "already clean";
 }
 
 TEST(Dmt, MarkCleanFailsAfterRedirtying) {
   DataMappingTable dmt;
-  dmt.Insert("f", 0, 100, 0, true);
+  dmt.Insert(kF, 0, 100, 0, true);
   const auto snapshot = DirtySnapshot(dmt);
   // A write races the in-flight flush and re-dirties the extent.
-  dmt.SetDirty("f", 0, 100, true);
-  EXPECT_FALSE(dmt.MarkCleanIfVersion("f", 0, 100, snapshot[0].version));
+  dmt.SetDirty(kF, 0, 100, true);
+  EXPECT_FALSE(dmt.MarkCleanIfVersion(kF, 0, 100, snapshot[0].version));
   EXPECT_EQ(dmt.dirty_bytes(), 100) << "racing write's dirtiness preserved";
 }
 
 TEST(Dmt, MarkCleanFailsAfterSplit) {
   DataMappingTable dmt;
-  dmt.Insert("f", 0, 100, 0, true);
+  dmt.Insert(kF, 0, 100, 0, true);
   const auto snapshot = DirtySnapshot(dmt);
-  (void)dmt.Invalidate("f", 40, 20);
-  EXPECT_FALSE(dmt.MarkCleanIfVersion("f", 0, 100, snapshot[0].version));
+  (void)dmt.Invalidate(kF, 40, 20);
+  EXPECT_FALSE(dmt.MarkCleanIfVersion(kF, 0, 100, snapshot[0].version));
 }
 
 TEST(Dmt, CoverageEpochMovesOnlyWhenMappedCoverageChanges) {
@@ -289,16 +297,16 @@ TEST(Dmt, CoverageEpochMovesOnlyWhenMappedCoverageChanges) {
     epoch = dmt.coverage_epoch();
     return m;
   };
-  dmt.Insert("f", 0, 100, 0, false);
-  dmt.Insert("f", 200, 100, 100, true);
+  dmt.Insert(kF, 0, 100, 0, false);
+  dmt.Insert(kF, 200, 100, 100, true);
   EXPECT_TRUE(moved());
-  dmt.SetDirty("f", 20, 10, true);  // splits and dirties
-  dmt.SetDirty("f", 0, 100, false);
-  dmt.Touch("f", 0, 300);
+  dmt.SetDirty(kF, 20, 10, true);  // splits and dirties
+  dmt.SetDirty(kF, 0, 100, false);
+  dmt.Touch(kF, 0, 300);
   EXPECT_FALSE(moved());
-  (void)dmt.Invalidate("f", 100, 100);  // nothing mapped there
+  (void)dmt.Invalidate(kF, 100, 100);  // nothing mapped there
   EXPECT_FALSE(moved());
-  (void)dmt.Invalidate("f", 290, 20);
+  (void)dmt.Invalidate(kF, 290, 20);
   EXPECT_TRUE(moved());
   ASSERT_TRUE(dmt.EvictLruClean().has_value());
   EXPECT_TRUE(moved());
@@ -309,8 +317,8 @@ TEST(Dmt, CoverageEpochMovesOnlyWhenMappedCoverageChanges) {
 
 TEST(Dmt, AllExtentsEnumeratesEverything) {
   DataMappingTable dmt;
-  dmt.Insert("a", 0, 100, 0, true);
-  dmt.Insert("b", 50, 25, 100, false);
+  dmt.Insert(kA, 0, 100, 0, true);
+  dmt.Insert(kB, 50, 25, 100, false);
   const auto all = dmt.AllExtents();
   EXPECT_EQ(all.size(), 2u);
 }
@@ -342,18 +350,21 @@ class DmtPersistenceTest : public ::testing::Test {
 TEST_F(DmtPersistenceTest, RoundTripsThroughStore) {
   {
     auto store = OpenStore();
-    DataMappingTable dmt(store.get());
-    dmt.Insert("data/file1", 0, 16384, 0, true);
-    dmt.Insert("data/file1", 32768, 16384, 16384, false);
-    dmt.Insert("data/file2", 100, 50, 32768, false);
+    FileTable files;
+    DataMappingTable dmt(store.get(), &files);
+    dmt.Insert(files.Intern("data/file1"), 0, 16384, 0, true);
+    dmt.Insert(files.Intern("data/file1"), 32768, 16384, 16384, false);
+    dmt.Insert(files.Intern("data/file2"), 100, 50, 32768, false);
   }
   auto store = OpenStore();
-  DataMappingTable recovered(store.get());
+  FileTable files;
+  DataMappingTable recovered(store.get(), &files);
   ASSERT_TRUE(recovered.LoadFromStore().ok());
   EXPECT_EQ(recovered.entry_count(), 3u);
   EXPECT_EQ(recovered.mapped_bytes(), 16384 + 16384 + 50);
   EXPECT_EQ(recovered.dirty_bytes(), 16384);
-  const auto result = recovered.Lookup("data/file1", 32768, 16384);
+  const auto result =
+      recovered.Lookup(files.Intern("data/file1"), 32768, 16384);
   ASSERT_TRUE(result.fully_mapped());
   EXPECT_EQ(result.mapped[0].cache_offset, 16384);
   EXPECT_FALSE(result.mapped[0].dirty);
@@ -362,19 +373,23 @@ TEST_F(DmtPersistenceTest, RoundTripsThroughStore) {
 TEST_F(DmtPersistenceTest, MutationsArePersisted) {
   {
     auto store = OpenStore();
-    DataMappingTable dmt(store.get());
-    dmt.Insert("f", 0, 1000, 0, true);
-    (void)dmt.Invalidate("f", 200, 100);  // split + removal
-    dmt.SetDirty("f", 0, 200, false);
+    FileTable files;
+    DataMappingTable dmt(store.get(), &files);
+    const FileIndex f = files.Intern("f");
+    dmt.Insert(f, 0, 1000, 0, true);
+    (void)dmt.Invalidate(f, 200, 100);  // split + removal
+    dmt.SetDirty(f, 0, 200, false);
   }
   auto store = OpenStore();
-  DataMappingTable recovered(store.get());
+  FileTable files;
+  DataMappingTable recovered(store.get(), &files);
   ASSERT_TRUE(recovered.LoadFromStore().ok());
-  EXPECT_TRUE(recovered.Lookup("f", 200, 100).fully_unmapped());
-  const auto left = recovered.Lookup("f", 0, 200);
+  const FileIndex f = files.Intern("f");
+  EXPECT_TRUE(recovered.Lookup(f, 200, 100).fully_unmapped());
+  const auto left = recovered.Lookup(f, 0, 200);
   ASSERT_TRUE(left.fully_mapped());
   EXPECT_FALSE(left.mapped[0].dirty);
-  const auto right = recovered.Lookup("f", 300, 700);
+  const auto right = recovered.Lookup(f, 300, 700);
   ASSERT_TRUE(right.fully_mapped());
   EXPECT_TRUE(right.mapped[0].dirty);
   EXPECT_EQ(right.mapped[0].cache_offset, 300);
@@ -383,12 +398,14 @@ TEST_F(DmtPersistenceTest, MutationsArePersisted) {
 TEST_F(DmtPersistenceTest, EvictionRemovesPersistedRecord) {
   {
     auto store = OpenStore();
-    DataMappingTable dmt(store.get());
-    dmt.Insert("f", 0, 100, 0, false);
+    FileTable files;
+    DataMappingTable dmt(store.get(), &files);
+    dmt.Insert(files.Intern("f"), 0, 100, 0, false);
     ASSERT_TRUE(dmt.EvictLruClean().has_value());
   }
   auto store = OpenStore();
-  DataMappingTable recovered(store.get());
+  FileTable files;
+  DataMappingTable recovered(store.get(), &files);
   ASSERT_TRUE(recovered.LoadFromStore().ok());
   EXPECT_EQ(recovered.entry_count(), 0u);
 }
@@ -403,46 +420,6 @@ TEST_F(DmtPersistenceTest, EvictionRemovesPersistedRecord) {
 // must also return exactly what collect-then-skip returns.
 
 using TableScan = std::vector<DmtTestPeer::ScannedExtent>;
-
-std::vector<DirtyRun> ReferenceDirtyRuns(const TableScan& scan,
-                                         byte_count max_total_bytes,
-                                         byte_count max_run_bytes) {
-  std::vector<DirtyRun> runs;
-  byte_count total = 0;
-  std::size_t i = 0;
-  while (i < scan.size() && total < max_total_bytes) {
-    const std::string file = scan[i].file;
-    DirtyRun run;
-    auto emit = [&] {
-      if (!run.segments.empty()) {
-        total += run.length();
-        runs.push_back(std::move(run));
-        run = DirtyRun{};
-      }
-    };
-    for (; i < scan.size() && scan[i].file == file; ++i) {
-      const DmtTestPeer::ScannedExtent& e = scan[i];
-      if (total + run.length() >= max_total_bytes) break;
-      if (!e.dirty) {
-        emit();
-        continue;
-      }
-      const bool continues = !run.segments.empty() && run.orig_end == e.begin &&
-                             run.length() + (e.end - e.begin) <= max_run_bytes;
-      if (!continues) emit();
-      if (run.segments.empty()) {
-        run.file = file;
-        run.orig_begin = e.begin;
-      }
-      run.orig_end = e.end;
-      run.segments.push_back(DirtyRange{file, e.begin, e.end, e.cache_offset,
-                                        e.version, e.file_index});
-    }
-    emit();
-    while (i < scan.size() && scan[i].file == file) ++i;  // budget spent
-  }
-  return runs;
-}
 
 DataMappingTable::DirtyAgeSummary ReferenceDirtyAges(const TableScan& scan,
                                                      SimTime now) {
@@ -500,9 +477,8 @@ std::string RunsText(const std::vector<DirtyRun>& runs) {
   for (const DirtyRun& run : runs) {
     out << run.file << "[" << run.orig_begin << "," << run.orig_end << "):";
     for (const DirtyRange& seg : run.segments) {
-      out << " " << seg.file << "#" << seg.file_index << "[" << seg.orig_begin
-          << "," << seg.orig_end << ")@" << seg.cache_offset << "v"
-          << seg.version;
+      out << " " << seg.file << "[" << seg.orig_begin << "," << seg.orig_end
+          << ")@" << seg.cache_offset << "v" << seg.version;
     }
     out << "\n";
   }
@@ -510,14 +486,16 @@ std::string RunsText(const std::vector<DirtyRun>& runs) {
 }
 
 TEST_F(DmtPersistenceTest, DirtyIndexWalksMatchFullScanUnderFuzz) {
-  const std::string files[] = {"a", "b", "c"};
   constexpr byte_count kSpan = 16 * 1024;  // per-file offset range
   for (std::uint64_t seed = 1; seed <= 2; ++seed) {
     std::filesystem::remove(path_);
     auto store = OpenStore();
+    FileTable names;
+    const FileIndex files[] = {names.Intern("a"), names.Intern("b"),
+                               names.Intern("c")};
     Rng rng(seed);
     SimTime now = 0;
-    auto dmt = std::make_unique<DataMappingTable>(store.get());
+    auto dmt = std::make_unique<DataMappingTable>(store.get(), &names);
     dmt->SetClock([&now] { return now; });
     byte_count next_cache = 0;
     std::int64_t most_dirty = 0;
@@ -528,7 +506,7 @@ TEST_F(DmtPersistenceTest, DirtyIndexWalksMatchFullScanUnderFuzz) {
     std::int64_t busy_runs = 0;
     for (int step = 0; step < 4000; ++step) {
       now += rng.NextInRange(0, 1000);
-      const std::string& file = files[rng.NextBelow(3)];
+      const FileIndex file = files[rng.NextBelow(3)];
       const byte_count offset = rng.NextInRange(0, kSpan - 1);
       const byte_count size = rng.NextBool(0.95) ? rng.NextInRange(1, 32)
                                                  : rng.NextInRange(33, 1024);
@@ -575,9 +553,11 @@ TEST_F(DmtPersistenceTest, DirtyIndexWalksMatchFullScanUnderFuzz) {
           break;
         default:
           if (rng.NextBool(0.05)) {  // restart from the persisted records
-            dmt = std::make_unique<DataMappingTable>(store.get());
+            dmt = std::make_unique<DataMappingTable>(store.get(), &names);
             dmt->SetClock([&now] { return now; });
             ASSERT_TRUE(dmt->LoadFromStore().ok());
+            // A restarted cache has no flush in flight.
+            kept_in_flight.clear();
           } else {
             dmt->Touch(file, offset, size);
           }
@@ -591,19 +571,32 @@ TEST_F(DmtPersistenceTest, DirtyIndexWalksMatchFullScanUnderFuzz) {
       const byte_count run_cap = rng.NextInRange(1, 1024);
       const std::vector<DirtyRun> want_runs =
           ReferenceDirtyRuns(scan, budget, run_cap);
+      // The flushes begun at the previous check are still in flight: their
+      // marks rode this check's splits, re-dirties and removals. With none
+      // kept, this is the full collection.
       ASSERT_EQ(RunsText(dmt->CollectDirtyRuns(budget, run_cap)),
-                RunsText(want_runs))
+                RunsText(SkipInFlight(want_runs,
+                                      DirtyExtentSet(kept_in_flight.begin(),
+                                                     kept_in_flight.end()))))
           << "seed " << seed << " step " << step;
       // A random in-flight subset: keys kept from earlier checks (their
       // extents may since have been re-dirtied, split or removed) and some
-      // of the current dirty extents.
+      // of the current dirty extents. The rest of the kept flushes end.
       std::vector<DirtyExtentKey> keys;
       for (const DirtyExtentKey& key : kept_in_flight) {
-        if (busy_rng.NextBool(0.5)) keys.push_back(key);
+        if (busy_rng.NextBool(0.5)) {
+          keys.push_back(key);
+        } else {
+          dmt->EndFlush(key);
+        }
       }
       for (const DmtTestPeer::ScannedExtent& e : scan) {
         if (e.dirty && busy_rng.NextBool(0.2)) {
-          keys.push_back({e.file_index, e.begin, e.version});
+          const DirtyExtentKey key{e.file, e.begin, e.version};
+          // The Rebuilder never flushes an extent already in flight.
+          if (std::find(keys.begin(), keys.end(), key) != keys.end()) continue;
+          keys.push_back(key);
+          dmt->BeginFlush(key);
         }
       }
       kept_in_flight = keys;
@@ -612,7 +605,7 @@ TEST_F(DmtPersistenceTest, DirtyIndexWalksMatchFullScanUnderFuzz) {
           SkipInFlight(want_runs, in_flight);
       busy_runs +=
           static_cast<std::int64_t>(want_runs.size() - want_free.size());
-      ASSERT_EQ(RunsText(dmt->CollectDirtyRuns(budget, run_cap, &in_flight)),
+      ASSERT_EQ(RunsText(dmt->CollectDirtyRuns(budget, run_cap)),
                 RunsText(want_free))
           << "seed " << seed << " step " << step;
       const auto ages = dmt->SummarizeDirtyAges(now);
@@ -632,13 +625,144 @@ TEST_F(DmtPersistenceTest, DirtyIndexWalksMatchFullScanUnderFuzz) {
 TEST_F(DmtPersistenceTest, FileNamesWithSeparatorsRoundTrip) {
   {
     auto store = OpenStore();
-    DataMappingTable dmt(store.get());
-    dmt.Insert("weird|name|with|pipes", 10, 20, 0, true);
+    FileTable files;
+    DataMappingTable dmt(store.get(), &files);
+    dmt.Insert(files.Intern("weird|name|with|pipes"), 10, 20, 0, true);
   }
   auto store = OpenStore();
-  DataMappingTable recovered(store.get());
+  FileTable files;
+  DataMappingTable recovered(store.get(), &files);
   ASSERT_TRUE(recovered.LoadFromStore().ok());
-  EXPECT_TRUE(recovered.Lookup("weird|name|with|pipes", 10, 20).fully_mapped());
+  EXPECT_TRUE(recovered.Lookup(files.Intern("weird|name|with|pipes"), 10, 20)
+                  .fully_mapped());
+}
+
+// --- clean LRU index ---------------------------------------------------------
+//
+// The LRU index holds only clean extents, so eviction takes its first entry
+// (or the first that passes the predicate) without walking dirty ones. The
+// reference is the walk it replaced: every extent in recency order, dirty
+// ones skipped.
+
+std::optional<DmtTestPeer::ScannedExtent> ReferenceLruVictim(
+    TableScan scan, const std::function<bool(const RemovedExtent&)>& pred) {
+  std::sort(scan.begin(), scan.end(), [](const auto& a, const auto& b) {
+    return a.lru_seq < b.lru_seq;
+  });
+  for (const DmtTestPeer::ScannedExtent& e : scan) {
+    if (e.dirty) continue;
+    if (pred && !pred(RemovedExtent{e.file, e.begin, e.end, e.cache_offset,
+                                    false})) {
+      continue;
+    }
+    return e;
+  }
+  return std::nullopt;
+}
+
+// Each extent's LRU sequence number by (file, begin).
+std::map<std::pair<FileIndex, byte_count>, std::uint64_t> Recency(
+    const TableScan& scan) {
+  std::map<std::pair<FileIndex, byte_count>, std::uint64_t> out;
+  for (const DmtTestPeer::ScannedExtent& e : scan) {
+    out[{e.file, e.begin}] = e.lru_seq;
+  }
+  return out;
+}
+
+TEST(Dmt, CleanLruIndexMatchesFullWalkUnderChurn) {
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    DataMappingTable dmt;
+    constexpr byte_count kSpan = 8 * 1024;  // per-file offset range
+    Rng rng(seed);
+    byte_count next_cache = 0;
+    std::int64_t evictions = 0;
+    std::int64_t past_dirty = 0;  // victims younger than some dirty extent
+    for (int step = 0; step < 6000; ++step) {
+      const auto file = static_cast<FileIndex>(rng.NextBelow(3));
+      const byte_count offset = rng.NextInRange(0, kSpan - 1);
+      const byte_count size = rng.NextInRange(1, 256);
+      // Dirty flips, cleans and invalidations leave recency alone: every
+      // extent that keeps its begin keeps its sequence number (a split's
+      // right half is a new begin and the newest).
+      const auto recency_before = Recency(DmtTestPeer::Scan(dmt));
+      bool keeps_recency = true;
+      switch (rng.NextBelow(9)) {
+        case 0:
+        case 1: {  // admission: map the gaps of a range
+          const bool dirty = rng.NextBool(0.5);
+          for (const auto& [gap_begin, gap_end] :
+               dmt.Lookup(file, offset, size).gaps) {
+            dmt.Insert(file, gap_begin, gap_end - gap_begin, next_cache,
+                       dirty);
+            next_cache += gap_end - gap_begin;
+          }
+          break;
+        }
+        case 2:  // write hit: splits at both ends, dirties the middle
+          dmt.SetDirty(file, offset, size, true);
+          break;
+        case 3: {  // flush completion cleans one dirty extent
+          const std::vector<DirtyRange> dirty = DirtySnapshot(dmt);
+          if (dirty.empty()) break;
+          const DirtyRange& d = dirty[rng.NextBelow(dirty.size())];
+          ASSERT_TRUE(dmt.MarkCleanIfVersion(d.file, d.orig_begin, d.orig_end,
+                                             d.version));
+          break;
+        }
+        case 4:
+          dmt.SetDirty(file, offset, size, false);
+          break;
+        case 5:
+          dmt.Touch(file, offset, size);
+          keeps_recency = false;
+          break;
+        case 6:  // non-admitted write: splits, removes the middle
+          (void)dmt.Invalidate(file, offset, size);
+          break;
+        default: {
+          keeps_recency = false;
+          const TableScan scan = DmtTestPeer::Scan(dmt);
+          std::function<bool(const RemovedExtent&)> pred;
+          if (rng.NextBool(0.5)) {
+            const byte_count parity = rng.NextInRange(0, 1);
+            pred = [parity](const RemovedExtent& e) {
+              return e.orig_begin % 2 == parity;
+            };
+          }
+          const auto want = ReferenceLruVictim(scan, pred);
+          const auto got =
+              pred ? dmt.EvictLruCleanIf(pred) : dmt.EvictLruClean();
+          ASSERT_EQ(got.has_value(), want.has_value())
+              << "seed " << seed << " step " << step;
+          if (!got) break;
+          ASSERT_EQ(got->file, want->file) << "step " << step;
+          ASSERT_EQ(got->orig_begin, want->begin) << "step " << step;
+          ASSERT_EQ(got->orig_end, want->end) << "step " << step;
+          ASSERT_EQ(got->cache_offset, want->cache_offset) << "step " << step;
+          ++evictions;
+          if (std::any_of(scan.begin(), scan.end(), [&](const auto& e) {
+                return e.dirty && e.lru_seq < want->lru_seq;
+              })) {
+            ++past_dirty;
+          }
+        }
+      }
+      if (step % 16 == 15) dmt.AuditInvariants();
+      const TableScan after = DmtTestPeer::Scan(dmt);
+      ASSERT_EQ(dmt.entry_count(), after.size());
+      if (!keeps_recency) continue;
+      for (const DmtTestPeer::ScannedExtent& e : after) {
+        const auto before = recency_before.find({e.file, e.begin});
+        if (before == recency_before.end()) continue;
+        ASSERT_EQ(e.lru_seq, before->second)
+            << "seed " << seed << " step " << step << " file " << e.file
+            << " extent at " << e.begin;
+      }
+    }
+    EXPECT_GT(evictions, 300) << "seed " << seed;
+    EXPECT_GT(past_dirty, 100) << "seed " << seed;
+  }
 }
 
 }  // namespace

@@ -41,14 +41,18 @@ struct CacheSpaceTestPeer {
 
 namespace {
 
+// File ids of a.dat and b.dat.
+constexpr FileIndex kA = 0;
+constexpr FileIndex kB = 1;
+
 DataMappingTable MakeBusyDmt() {
   DataMappingTable dmt;
-  dmt.Insert("a.dat", 0, 100, 0, false);
-  dmt.Insert("a.dat", 200, 50, 100, true);
-  dmt.Insert("b.dat", 0, 4096, 150, false);
-  dmt.Touch("a.dat", 0, 100);
-  dmt.SetDirty("b.dat", 0, 1024, true);
-  dmt.Invalidate("a.dat", 220, 10);
+  dmt.Insert(kA, 0, 100, 0, false);
+  dmt.Insert(kA, 200, 50, 100, true);
+  dmt.Insert(kB, 0, 4096, 150, false);
+  dmt.Touch(kA, 0, 100);
+  dmt.SetDirty(kB, 0, 1024, true);
+  dmt.Invalidate(kA, 220, 10);
   return dmt;
 }
 
@@ -80,6 +84,12 @@ TEST(DmtAuditDeathTest, CatchesDirtyExtentMissingFromIndex) {
   DataMappingTable dmt = MakeBusyDmt();
   DmtTestPeer::DropDirtyIndexEntry(dmt);
   EXPECT_DEATH(dmt.AuditInvariants(), "missing from the dirty index");
+}
+
+TEST(DmtAuditDeathTest, CatchesDirtyExtentInCleanLruIndex) {
+  DataMappingTable dmt = MakeBusyDmt();
+  DmtTestPeer::IndexFirstDirtyExtentAsClean(dmt);  // a.dat [200, 220)
+  EXPECT_DEATH(dmt.AuditInvariants(), "listed in the clean LRU index");
 }
 
 TEST(DmtAuditDeathTest, CatchesCleanExtentInDirtyIndex) {

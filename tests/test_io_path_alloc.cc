@@ -179,26 +179,30 @@ constexpr bool kAuditsAllocate = false;
 constexpr int kS4DRanks = 32;
 constexpr int kS4DRequests = 1000;
 // perfbench's file name: it and its cache file's name (ior.0.s4d) fit the
-// small-string buffer, so copying either allocates nothing.
+// small-string buffer, so a copy of either would allocate nothing.
 const char* const kFile = "ior.0";
+// 40 characters, past the small-string buffer: any copy of the name, or a
+// name built from it per request, allocates.
+constexpr char kLongFile[] = "checkpoints/run-0042/rank-set-a/ior.dat0";
+static_assert(sizeof(kLongFile) - 1 == 40);
 
-// 32 closed-loop ranks issuing S4D requests of one kind on kFile. Each rank
-// walks its own list of offsets, and its cursor carries over from one Run
-// to the next.
+// 32 closed-loop ranks issuing S4D requests of one kind on `file`. Each
+// rank walks its own list of offsets, and its cursor carries over from one
+// Run to the next.
 class S4DLoop {
  public:
-  S4DLoop(sim::Engine& engine, S4DCache& s4d, byte_count size,
-          std::vector<std::vector<byte_count>> offsets)
+  S4DLoop(sim::Engine& engine, S4DCache& s4d, const char* file,
+          byte_count size, std::vector<std::vector<byte_count>> offsets)
       : engine_(engine), s4d_(s4d), offsets_(std::move(offsets)) {
     for (int r = 0; r < kS4DRanks; ++r) {
       mpiio::FileRequest request;
-      request.file = kFile;
+      request.file = file;
       request.rank = r;
       request.size = size;
       requests_.push_back(request);
     }
     cursors_.assign(offsets_.size(), 0);
-    s4d_.Open(kFile);
+    s4d_.Open(file);
   }
   // Completions hold `this`.
   S4DLoop(const S4DLoop&) = delete;
@@ -270,7 +274,7 @@ std::unique_ptr<S4DCache> MakeForegroundS4D(harness::Testbed& bed) {
 // Case (a): 4 MiB sequential requests, which the cost model sends to the
 // DServers (B <= 0). Rank r streams through its own GiB, so every request
 // continues its rank's stream, writes and reads alike.
-TEST(IoPathAlloc, S4DBypassRequestsAllocateNothing) {
+void CheckBypassRequestsAllocateNothing(const char* file) {
   harness::Testbed bed(harness::TestbedConfig{});
   auto s4d = MakeForegroundS4D(bed);
   constexpr byte_count kSize = 4 * MiB;
@@ -280,7 +284,7 @@ TEST(IoPathAlloc, S4DBypassRequestsAllocateNothing) {
       offsets[static_cast<std::size_t>(r)].push_back(r * GiB + k * kSize);
     }
   }
-  S4DLoop loop(bed.engine(), *s4d, kSize, std::move(offsets));
+  S4DLoop loop(bed.engine(), *s4d, file, kSize, std::move(offsets));
   loop.Run(device::IoKind::kWrite, kS4DRequests);  // warm-up
   loop.Run(device::IoKind::kRead, kS4DRequests);
 
@@ -304,10 +308,20 @@ TEST(IoPathAlloc, S4DBypassRequestsAllocateNothing) {
   EXPECT_EQ(s4d->dmt().entry_count(), 0u);
 }
 
+TEST(IoPathAlloc, S4DBypassRequestsAllocateNothing) {
+  CheckBypassRequestsAllocateNothing(kFile);
+}
+
+// Every table keys the file by its id, resolved by a lookup that copies
+// nothing.
+TEST(IoPathAlloc, S4DBypassRequestsOnALongFileNameAllocateNothing) {
+  CheckBypassRequestsAllocateNothing(kLongFile);
+}
+
 // Case (b): 16 KiB reads of ranges admitted during the warm-up. Each range
 // is read once before counting (its first read may record a CDT entry), so
 // every counted read is a cache hit.
-TEST(IoPathAlloc, S4DCacheHitsAllocateNothing) {
+void CheckCacheHitsAllocateNothing(const char* file) {
   harness::Testbed bed(harness::TestbedConfig{});
   auto s4d = MakeForegroundS4D(bed);
   constexpr byte_count kSize = 16 * KiB;
@@ -320,7 +334,7 @@ TEST(IoPathAlloc, S4DCacheHitsAllocateNothing) {
     const byte_count slot = (static_cast<byte_count>(i) * 7919) % 4096;
     offsets[static_cast<std::size_t>(i % kS4DRanks)].push_back(slot * kSlot);
   }
-  S4DLoop loop(bed.engine(), *s4d, kSize, std::move(offsets));
+  S4DLoop loop(bed.engine(), *s4d, file, kSize, std::move(offsets));
   loop.Run(device::IoKind::kWrite, kS4DRequests);  // warm-up: admissions
   ASSERT_EQ(s4d->redirector_stats().write_admissions, kS4DRequests);
   loop.Run(device::IoKind::kRead, kS4DRequests);
@@ -336,6 +350,16 @@ TEST(IoPathAlloc, S4DCacheHitsAllocateNothing) {
   EXPECT_EQ(s4d->counters().cserver_requests,
             cserver_requests + kS4DRequests);
   EXPECT_EQ(s4d->counters().failed_requests, 0);
+}
+
+TEST(IoPathAlloc, S4DCacheHitsAllocateNothing) {
+  CheckCacheHitsAllocateNothing(kFile);
+}
+
+// A hit reaches the cache file through the id's cached pfs::FileId, never
+// by building the cache file's name.
+TEST(IoPathAlloc, S4DCacheHitsOnALongFileNameAllocateNothing) {
+  CheckCacheHitsAllocateNothing(kLongFile);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include "common/rng.h"
 #include "core/s4d_cache.h"
+#include "dmt_test_peer.h"
 #include "harness/testbed.h"
 
 namespace s4d::core {
@@ -20,11 +21,11 @@ struct RebuilderTestPeer {
     return Sorted({rebuilder.inflight_flush_.begin(),
                    rebuilder.inflight_flush_.end()});
   }
-  // In (file index, begin, version) order.
+  // In (file, begin, version) order.
   static std::vector<DirtyExtentKey> Sorted(std::vector<DirtyExtentKey> keys) {
     std::sort(keys.begin(), keys.end(), [](const auto& a, const auto& b) {
-      return std::tie(a.file_index, a.begin, a.version) <
-             std::tie(b.file_index, b.begin, b.version);
+      return std::tie(a.file, a.begin, a.version) <
+             std::tie(b.file, b.begin, b.version);
     });
     return keys;
   }
@@ -92,6 +93,7 @@ TEST(Rebuilder, FlushedCleanDataBecomesEvictable) {
   cfg.cache_capacity = 32 * KiB;
   auto s4d = bed.MakeS4D(cfg);
   s4d->Open("f");
+  const FileIndex f = s4d->files().Intern("f");
   DoIo(bed, *s4d, device::IoKind::kWrite, "f", 0, 100 * MiB, 16 * KiB);
   DoIo(bed, *s4d, device::IoKind::kWrite, "f", 0, 200 * MiB, 16 * KiB);
   // Cache full of dirty data: next admission fails.
@@ -105,13 +107,14 @@ TEST(Rebuilder, FlushedCleanDataBecomesEvictable) {
   // Now the same write is admitted by evicting clean LRU space.
   DoIo(bed, *s4d, device::IoKind::kWrite, "f", 0, 400 * MiB, 16 * KiB);
   EXPECT_GT(s4d->redirector_stats().evictions, 0);
-  EXPECT_TRUE(s4d->dmt().Lookup("f", 400 * MiB, 16 * KiB).fully_mapped());
+  EXPECT_TRUE(s4d->dmt().Lookup(f, 400 * MiB, 16 * KiB).fully_mapped());
 }
 
 TEST(Rebuilder, LazyFetchCachesCriticalReadData) {
   harness::Testbed bed(SmallTestbed());
   auto s4d = bed.MakeS4D(ManualRebuilder());
   s4d->Open("f");
+  const FileIndex f = s4d->files().Intern("f");
   // Seed the original file's content via a large sequential (non-critical)
   // write that lands on DServers. 12 MiB so that a read near the start is
   // far outside the servers' cache reach (readahead window x M = 4 MiB
@@ -129,7 +132,7 @@ TEST(Rebuilder, LazyFetchCachesCriticalReadData) {
 
   EXPECT_FALSE(s4d->cdt().AnyPendingFetch());
   EXPECT_EQ(s4d->rebuilder_stats().fetches_completed, 1);
-  EXPECT_TRUE(s4d->dmt().Lookup("f", 2 * MiB, 16 * KiB).fully_mapped());
+  EXPECT_TRUE(s4d->dmt().Lookup(f, 2 * MiB, 16 * KiB).fully_mapped());
   EXPECT_EQ(s4d->dmt().dirty_bytes(), 0) << "fetched data is clean";
 
   // An immediate re-read lands right behind its own fresh stream tail, so
@@ -138,7 +141,7 @@ TEST(Rebuilder, LazyFetchCachesCriticalReadData) {
   // genuinely random future accesses, and the content is correct.
   DoIo(bed, *s4d, device::IoKind::kRead, "f", 1, 2 * MiB, 16 * KiB);
   EXPECT_EQ(s4d->redirector_stats().read_clean_bypasses, 1);
-  EXPECT_TRUE(s4d->dmt().Lookup("f", 2 * MiB, 16 * KiB).fully_mapped());
+  EXPECT_TRUE(s4d->dmt().Lookup(f, 2 * MiB, 16 * KiB).fully_mapped());
   const auto content = s4d->ReadContent("f", 2 * MiB, 16 * KiB);
   ASSERT_EQ(content.size(), 1u);
   EXPECT_EQ(content[0].value, 5u);
@@ -166,6 +169,7 @@ TEST(Rebuilder, DefaultFetchNeverEvictsEstablishedMappings) {
   cfg.cache_capacity = 16 * KiB;
   auto s4d = bed.MakeS4D(cfg);
   s4d->Open("f");
+  const FileIndex f = s4d->files().Intern("f");
   // Fill the cache, flush it clean, then mark a fetch: the default policy
   // must leave the clean mapping alone and keep the fetch pending.
   DoIo(bed, *s4d, device::IoKind::kWrite, "f", 0, 100 * MiB, 16 * KiB);
@@ -178,7 +182,7 @@ TEST(Rebuilder, DefaultFetchNeverEvictsEstablishedMappings) {
   bed.engine().Run();
   EXPECT_TRUE(s4d->cdt().AnyPendingFetch()) << "fetch must stay pending";
   EXPECT_EQ(s4d->rebuilder_stats().fetches_completed, 0);
-  EXPECT_TRUE(s4d->dmt().Lookup("f", 100 * MiB, 16 * KiB).fully_mapped())
+  EXPECT_TRUE(s4d->dmt().Lookup(f, 100 * MiB, 16 * KiB).fully_mapped())
       << "established mapping must survive";
 }
 
@@ -302,11 +306,12 @@ TEST(RebuilderParking, NewCacheFlagUnparks) {
 TEST(RebuilderParking, DmtInsertCoveringPendingKeyUnparks) {
   harness::Testbed bed(SmallTestbed());
   auto s4d = FullCleanCacheWithPendingFetches(bed);
+  const FileIndex f = s4d->files().Intern("f");
   Ticks(*s4d, 5);
   ASSERT_EQ(s4d->rebuilder_stats().fetch_space_failures, kPendingFetches);
   // Cover the first pending key with a mapping. Only mapped coverage moves
   // (the synthetic mapping claims no allocator space).
-  s4d->dmt().Insert("f", 500 * MiB, 16 * KiB, 0, /*dirty=*/false);
+  s4d->dmt().Insert(f, 500 * MiB, 16 * KiB, 0, /*dirty=*/false);
   s4d->rebuilder().Tick();
   EXPECT_EQ(s4d->rebuilder_stats().fetch_space_failures,
             kPendingFetches + (kPendingFetches - 1))
@@ -405,13 +410,14 @@ TEST(Rebuilder, RacingWriteKeepsExtentDirty) {
 }
 
 // The flush pass's runs before the DMT learned the in-flight set: collect
-// every run in the tick's order, then skip each run holding an extent whose
-// flush is still in flight.
+// every run in the tick's order (a full-table walk), then skip each run
+// holding an extent whose flush is still in flight.
 std::vector<DirtyRun> ReferenceFlushPass(
     const DataMappingTable& dmt, const RebuilderConfig& config,
     const std::vector<DirtyExtentKey>& busy) {
   std::vector<DirtyRun> runs =
-      dmt.CollectDirtyRuns(config.flush_batch_bytes, config.flush_run_bytes);
+      ReferenceDirtyRuns(DmtTestPeer::Scan(dmt), config.flush_batch_bytes,
+                         config.flush_run_bytes);
   std::erase_if(runs, [&](const DirtyRun& run) {
     return std::any_of(
         run.segments.begin(), run.segments.end(), [&](const DirtyRange& seg) {
@@ -439,7 +445,7 @@ std::string IssueText(const std::vector<DirtyRun>& runs) {
 // Under seeded insert / re-dirty / split / invalidate churn, with flushes
 // left in flight for a random number of engine events, every tick issues
 // exactly the reference's runs: the same run lengths and extent counts,
-// the same cache reads in the same order, and the same (file index, begin,
+// the same cache reads in the same order, and the same (file, begin,
 // version) keys enter the in-flight set.
 TEST(Rebuilder, FlushPassMatchesCollectThenSkipReference) {
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
@@ -458,14 +464,15 @@ TEST(Rebuilder, FlushPassMatchesCollectThenSkipReference) {
     });
 
     DataMappingTable& dmt = s4d->dmt();
-    const std::string files[] = {"a", "b"};
+    const FileIndex files[] = {s4d->files().Intern("a"),
+                               s4d->files().Intern("b")};
     Rng rng(seed);
     byte_count next_cache = 0;
     std::int64_t skipped = 0;
     std::int64_t reflushed = 0;
     for (int tick = 0; tick < 400; ++tick) {
       for (std::int64_t m = rng.NextInRange(1, 6); m > 0; --m) {
-        const std::string& file = files[rng.NextBelow(2)];
+        const FileIndex file = files[rng.NextBelow(2)];
         const byte_count offset = rng.NextInRange(0, 127) * 4 * KiB;
         const byte_count size = rng.NextInRange(1, 8) * 4 * KiB;
         switch (rng.NextBelow(7)) {
@@ -502,7 +509,7 @@ TEST(Rebuilder, FlushPassMatchesCollectThenSkipReference) {
           want_keys.push_back(seg.key());
           reflushed += std::count_if(
               before.begin(), before.end(), [&](const DirtyExtentKey& k) {
-                return k.file_index == seg.file_index &&
+                return k.file == seg.file &&
                        k.begin == seg.orig_begin && k.version != seg.version;
               });
         }
@@ -547,13 +554,14 @@ TEST(Rebuilder, ReDirtiedExtentFlushesAgainWhileOldVersionInFlight) {
   harness::Testbed bed(SmallTestbed());
   auto s4d = bed.MakeS4D(ManualRebuilder());
   s4d->Open("f");
+  const FileIndex f = s4d->files().Intern("f");
   DoIo(bed, *s4d, device::IoKind::kWrite, "f", 0, 200 * MiB, 16 * KiB, 1);
 
   s4d->rebuilder().Tick();  // the flush stays in flight: no engine steps
   s4d->rebuilder().Tick();  // same version still in flight: skipped
   EXPECT_EQ(s4d->rebuilder_stats().flush_runs_started, 1);
 
-  s4d->dmt().SetDirty("f", 200 * MiB, 16 * KiB, true);  // new version
+  s4d->dmt().SetDirty(f, 200 * MiB, 16 * KiB, true);  // new version
   s4d->rebuilder().Tick();
   EXPECT_EQ(s4d->rebuilder_stats().flush_runs_started, 2);
   EXPECT_EQ(RebuilderTestPeer::InFlight(s4d->rebuilder()).size(), 2u);

@@ -32,10 +32,10 @@ TEST_P(RedirectorFuzz, InvariantsHoldAfterEveryOperation) {
 
   Rng rng(param.seed);
   constexpr byte_count kSpace = 4 * MiB;
-  const std::vector<std::string> files = {"x", "y", "z"};
+  const std::vector<FileIndex> files = {0, 1, 2};  // x, y, z
 
   for (int op = 0; op < 3000; ++op) {
-    const std::string& file = files[rng.NextBelow(files.size())];
+    const FileIndex file = files[rng.NextBelow(files.size())];
     const byte_count size = rng.NextInRange(1, 128 * KiB);
     const byte_count offset = rng.NextInRange(0, kSpace - size);
     const bool critical = rng.NextBool(param.critical_probability);

@@ -390,8 +390,9 @@ TEST(S4DCache, DmtPersistenceAcrossRestart) {
     harness::Testbed bed(SmallTestbed());
     auto s4d = bed.MakeS4D(NoRebuilderConfig(), store->get());
     s4d->Open("f");
+    const FileIndex f = s4d->files().Intern("f");
     EXPECT_GT(s4d->dmt().entry_count(), 0u);
-    EXPECT_TRUE(s4d->dmt().Lookup("f", 300 * MiB, 16 * KiB).fully_mapped());
+    EXPECT_TRUE(s4d->dmt().Lookup(f, 300 * MiB, 16 * KiB).fully_mapped());
     // The recovered mapping routes a read straight to CServers.
     DoIo(bed, *s4d, device::IoKind::kRead, "f", 0, 300 * MiB, 16 * KiB);
     EXPECT_EQ(s4d->redirector_stats().read_cache_hits, 1);
