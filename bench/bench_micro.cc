@@ -91,6 +91,82 @@ void BM_DmtLookupHit(benchmark::State& state) {
 }
 BENCHMARK(BM_DmtLookupHit)->Arg(1024)->Arg(65536);
 
+// perfbench hpio-stages' lookup order: 32 ranks, each walking its own
+// contiguous slice of an HPIO-strided table (16 KiB regions, 16 KiB
+// spacing, 8,192 extents), the ranks' lookups interleaved. Consecutive
+// lookups land 256 extents apart, so a last-hit hint would miss.
+void BM_DmtLookupInterleaved(benchmark::State& state) {
+  constexpr std::int64_t kExtents = 8192;
+  constexpr std::int64_t kRanks = 32;
+  constexpr std::int64_t kPerRank = kExtents / kRanks;
+  core::DataMappingTable dmt;
+  for (std::int64_t i = 0; i < kExtents; ++i) {
+    dmt.Insert(0, i * 32 * KiB, 16 * KiB, i * 16 * KiB, false);
+  }
+  std::int64_t i = 0;
+  for (auto _ : state) {
+    const std::int64_t rank = i % kRanks;
+    const std::int64_t step = (i / kRanks) % kPerRank;
+    benchmark::DoNotOptimize(
+        dmt.Lookup(0, (rank * kPerRank + step) * 32 * KiB, 16 * KiB));
+    ++i;
+  }
+}
+BENCHMARK(BM_DmtLookupInterleaved);
+
+// A write hit dirties a clean extent, and its flush is begun and written
+// back: two dirty<->clean flips, each moving the extent between the dirty
+// index and the clean LRU index.
+void BM_DmtDirtyFlip(benchmark::State& state) {
+  constexpr std::int64_t kExtents = 4096;
+  core::DataMappingTable dmt;
+  for (std::int64_t i = 0; i < kExtents; ++i) {
+    dmt.Insert(0, i * 32 * KiB, 16 * KiB, i * 16 * KiB, false);
+  }
+  // Versions come from one counter: each insert and each dirtying takes
+  // the next one.
+  std::uint64_t version = kExtents;
+  std::int64_t i = 0;
+  for (auto _ : state) {
+    const byte_count begin = ((i * 97) % kExtents) * 32 * KiB;
+    dmt.SetDirty(0, begin, 16 * KiB, true);
+    ++version;
+    dmt.BeginFlush(core::DirtyExtentKey{0, begin, version});
+    benchmark::DoNotOptimize(
+        dmt.MarkCleanIfVersion(0, begin, begin + 16 * KiB, version));
+    ++i;
+  }
+}
+BENCHMARK(BM_DmtDirtyFlip);
+
+// A full CDT of `range(0)` entries on a stream of critical requests: three
+// in four recur (a hit), one in four is new (FIFO eviction), and each is
+// C_flagged. A fetch pass lists the pending flags every `range(0)`
+// requests, as the Rebuilder's tick does.
+void BM_CdtAddSetFlag(benchmark::State& state) {
+  const auto entries = static_cast<std::size_t>(state.range(0));
+  core::CriticalDataTable cdt(entries);
+  std::int64_t next = 0;
+  auto key_of = [](std::int64_t n) {
+    return core::CdtKey{static_cast<core::FileIndex>(n % 3), n * 16 * KiB,
+                        16 * KiB};
+  };
+  for (std::size_t k = 0; k < entries; ++k) cdt.Add(key_of(next++));
+  std::int64_t i = 0;
+  for (auto _ : state) {
+    const core::CdtKey key =
+        i % 4 == 0 ? key_of(next++)
+                   : key_of(next - 1 -
+                            (i * 7919) % static_cast<std::int64_t>(entries / 2));
+    benchmark::DoNotOptimize(cdt.Add(key));
+    benchmark::DoNotOptimize(cdt.SetCacheFlag(key));
+    if (++i % static_cast<std::int64_t>(entries) == 0) {
+      benchmark::DoNotOptimize(cdt.PendingFetches(entries));
+    }
+  }
+}
+BENCHMARK(BM_CdtAddSetFlag)->Arg(16384);
+
 void BM_DmtInsertEvict(benchmark::State& state) {
   core::DataMappingTable dmt;
   std::int64_t i = 0;

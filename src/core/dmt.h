@@ -3,12 +3,18 @@
 // Tracks which byte ranges of each original (DServer) file are cached in
 // the corresponding cache (CServer) file, where they live there, and
 // whether the cached copy is dirty (D_flag). Files are named by their
-// dense id (file_table.h). The in-memory table is a per-file ordered
-// extent map supporting range lookup, splitting on partial
-// overwrite/invalidation, LRU victim selection over *clean* extents (the
-// LRU index holds only those, so eviction never walks past dirty data),
-// and a per-extent version counter that lets the Rebuilder detect writes
-// that raced with an in-flight flush.
+// dense id (file_table.h). The table supports range lookup, splitting on
+// partial overwrite/invalidation, LRU victim selection over *clean*
+// extents (the LRU index holds only those, so eviction never walks past
+// dirty data), and a per-extent version counter that lets the Rebuilder
+// detect writes that raced with an in-flight flush.
+//
+// The entries live in one slab (a vector with a free list, so each has a
+// stable 32-bit slot id), indexed by three flat B+-trees
+// (common/flat_btree.h): each file's extents by begin, each file's dirty
+// extents by begin, and the clean extents by LRU sequence. Lookups,
+// touches, dirty<->clean flips and the flush walk read contiguous arrays,
+// and a table at its working size allocates nothing.
 //
 // When constructed with a KvStore, every mutation is written through to the
 // store (the paper persists the DMT synchronously via Berkeley DB so it
@@ -17,13 +23,12 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
-#include <type_traits>
 #include <unordered_set>
 #include <vector>
 
+#include "common/flat_btree.h"
 #include "common/inline_vector.h"
 #include "common/sim_time.h"
 #include "common/status.h"
@@ -119,12 +124,12 @@ class DataMappingTable {
   explicit DataMappingTable(kv::KvStore* store = nullptr,
                             FileTable* files = nullptr);
 
-  // The indexes point into the extent maps: the table moves, never copies.
-  DataMappingTable(const DataMappingTable&) = delete;
-  DataMappingTable& operator=(const DataMappingTable&) = delete;
-  DataMappingTable(DataMappingTable&&) = default;
-
-  // Rebuilds the in-memory table from the persisted records.
+  // Rebuilds the in-memory table from the persisted records: all of them
+  // or none. Every record is parsed and checked (begin >= 0, end > begin,
+  // cache offset >= 0, D_flag 0 or 1, a version below the flush sentinel,
+  // nothing after the four fields, no overlap with a neighbouring record
+  // of its file) before any is loaded, so a Corruption leaves the table
+  // empty. The table must be empty to load.
   Status LoadFromStore();
 
   DmtLookup Lookup(FileIndex file, byte_count offset, byte_count size) const;
@@ -225,13 +230,16 @@ class DataMappingTable {
   DirtyAgeSummary SummarizeDirtyAges(SimTime now) const;
 
   // Walks the whole table and S4D_CHECKs the representation invariants:
-  // per-file extents sorted and non-overlapping with positive length, the
-  // mapped/dirty byte and entry counters equal to the recomputed sums, the
-  // clean LRU index holding exactly the clean extents, the dirty-extent
-  // index holding exactly the dirty extents, and versions below the
-  // allocator cursor. O(entries log entries); aborts with the violated
-  // invariant on failure. Paranoid builds (-DS4D_PARANOID=ON) run it
-  // automatically every few mutations; tests call it directly.
+  // each index's own layout (leaf order and minima, its leaf free list),
+  // per-file extents sorted and non-overlapping with positive length, each
+  // extent index key naming its entry, the slab's free list holding
+  // exactly the slots no extent uses, the mapped/dirty byte and entry
+  // counters equal to the recomputed sums, the clean LRU index holding
+  // exactly the clean extents, the dirty-extent index holding exactly the
+  // dirty extents, and versions below the allocator cursor.
+  // O(entries log entries); aborts with the violated invariant on failure.
+  // Paranoid builds (-DS4D_PARANOID=ON) run it automatically every few
+  // mutations; tests call it directly.
   void AuditInvariants() const;
 
   // Serialized size of one persisted record; reported by bench_metadata to
@@ -241,13 +249,16 @@ class DataMappingTable {
  private:
   friend struct DmtTestPeer;  // corruption injection in test_invariants
 
+  using Slot = FlatBTree<byte_count>::Slot;
+  using ExtentIndex = FlatBTree<byte_count>;  // begin -> slot
+
   // No version reaches this value: the entry is not under flush.
   static constexpr std::uint64_t kNotFlushing = ~std::uint64_t{0};
 
   struct Entry {
+    byte_count begin = 0;
     byte_count end = 0;           // exclusive
     byte_count cache_offset = 0;  // of the entry's begin
-    bool dirty = false;
     std::uint64_t version = 0;
     std::uint64_t lru_seq = 0;
     // The version a flush in flight snapshotted (BeginFlush). The extent
@@ -258,62 +269,50 @@ class DataMappingTable {
     // clean). In-memory only — never persisted. Splits copy the Entry, so
     // both halves keep the original exposure time.
     SimTime dirty_since = 0;
+    FileIndex file = 0;
+    bool dirty = false;
   };
-  using FileMap = std::map<byte_count, Entry>;  // begin -> Entry
 
-  // One file's extents and the index of its dirty ones (begin -> entry):
-  // the flush and dirty-age walks visit only these, in offset order, and
-  // reach each entry without a search. Map nodes never move, so the
-  // pointers stay valid until their entry is erased.
+  // One file's extents and the index of its dirty ones: the flush and
+  // dirty-age walks visit only these, in offset order.
   struct File {
-    FileMap extents;
-    std::map<byte_count, Entry*> dirty;
+    ExtentIndex extents;
+    ExtentIndex dirty;
     bool mapped = false;  // listed in order_
-  };
-  static_assert(std::is_nothrow_move_constructible_v<File>,
-                "growing files_ must move the maps, keeping their nodes");
-
-  // A clean extent in the LRU index.
-  struct LruRef {
-    FileIndex file;
-    FileMap::iterator it;
   };
 
   // Grows files_ to hold `file`; its first mapping lists it in order_.
   File& MappedFile(FileIndex file);
-  const FileMap* FindExtents(FileIndex file) const {
-    return file < files_.size() ? &files_[file].extents : nullptr;
-  }
+
+  Slot NewSlot();
+  // Puts a clean, unindexed entry in the slab and the file's extent index
+  // and counts it; the caller sets its D_flag and LRU place.
+  Slot AddEntry(FileIndex file, byte_count begin, byte_count end,
+                byte_count cache_offset, std::uint64_t version);
 
   // First entry a range query at `offset` must examine: the entry covering
-  // `offset` if any, else the first entry past it. Checks the last-hit
-  // hint (and up to two successors) before paying the O(log n)
-  // upper_bound — sequential scans, the dominant access pattern, land on
-  // the hint nearly every time.
-  FileMap::const_iterator FirstOverlapCandidate(const FileMap& map,
-                                                FileIndex file,
-                                                byte_count offset) const;
-  void InvalidateHint() const { hint_valid_ = false; }
+  // `offset` if any, else the first entry past it.
+  ExtentIndex::Iterator FirstOverlap(const ExtentIndex& extents,
+                                     byte_count offset) const;
 
   // Splits the entry containing `pos` (if any) so `pos` becomes a boundary.
   void SplitAt(FileIndex file, byte_count pos);
 
   // Gives the entry the newest LRU sequence number; a clean entry joins
   // the LRU index under it.
-  void IndexLru(FileIndex file, FileMap::iterator it);
-  // Drops a clean entry from the LRU index (a dirty one is not in it).
-  void UnindexLru(const Entry& entry);
+  void IndexLru(Slot slot);
 
   // Sets an entry's D_flag, keeping dirty_bytes_, the dirty-extent index
   // and the clean LRU index in step. A clean→dirty flip stamps the
   // exposure time; a cleaned entry rejoins the LRU index under the
   // sequence number it kept.
-  void SetEntryDirty(FileIndex file, FileMap::iterator it, bool dirty);
+  void SetEntryDirty(Slot slot, bool dirty);
 
-  // Removes an entry from every index, the counters and the store.
-  void EraseEntry(FileIndex file, FileMap::iterator it);
+  // Removes an entry from the dirty and LRU indexes, the counters and the
+  // store, and frees its slot; the caller erases it from its extent index.
+  void ForgetEntry(Slot slot);
 
-  void PersistEntry(FileIndex file, byte_count begin, const Entry& entry);
+  void PersistEntry(const Entry& entry);
   void ErasePersisted(FileIndex file, byte_count begin);
 
   // Paranoid-build hook: audits every 8th mutation (deterministic stride —
@@ -333,18 +332,14 @@ class DataMappingTable {
   kv::KvStore* store_;
   FileTable* names_;
   std::function<SimTime()> clock_;
-  // Last-hit lookup hint; points at a dereferenceable entry of
-  // files_[hint_file_] whenever hint_valid_. Conservatively invalidated by
-  // every structural mutation.
-  mutable bool hint_valid_ = false;
-  mutable FileIndex hint_file_ = 0;
-  mutable FileMap::const_iterator hint_it_;
-  std::vector<File> files_;  // by file id
+  std::vector<Entry> slab_;        // by slot, live or free
+  std::vector<Slot> free_slots_;   // slots of no entry, reused first
+  std::vector<File> files_;        // by file id
   // Files in the order of their first mapping: the order of the flush,
   // dirty-age and AllExtents walks, whatever order the ids came in.
   std::vector<FileIndex> order_;
   // Clean extents only, by lru_seq: the first one is the LRU victim.
-  std::map<std::uint64_t, LruRef> lru_index_;
+  FlatBTree<std::uint64_t> lru_;
   std::uint64_t next_lru_seq_ = 1;
   std::uint64_t next_version_ = 1;
   std::size_t entry_count_ = 0;

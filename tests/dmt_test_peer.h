@@ -27,8 +27,10 @@ struct DmtTestPeer {
   static std::vector<ScannedExtent> Scan(const DataMappingTable& dmt) {
     std::vector<ScannedExtent> out;
     for (const FileIndex file : dmt.order_) {
-      for (const auto& [begin, entry] : dmt.files_[file].extents) {
-        out.push_back(ScannedExtent{file, begin, entry.end,
+      const auto& extents = dmt.files_[file].extents;
+      for (auto it = extents.begin(); it != extents.end(); ++it) {
+        const DataMappingTable::Entry& entry = dmt.slab_[it.slot()];
+        out.push_back(ScannedExtent{file, entry.begin, entry.end,
                                     entry.cache_offset, entry.dirty,
                                     entry.version, entry.dirty_since,
                                     entry.lru_seq});
@@ -37,16 +39,22 @@ struct DmtTestPeer {
     return out;
   }
 
+  // The version of the extent beginning at `begin`; it must exist.
+  static std::uint64_t VersionAt(const DataMappingTable& dmt, FileIndex file,
+                                 byte_count begin) {
+    return dmt.slab_[dmt.files_.at(file).extents.find(begin).slot()].version;
+  }
+
   static void StretchFirstExtent(DataMappingTable& dmt, byte_count delta) {
     // Makes the first extent overlap its successor (or disagree with the
     // mapped-bytes counter when there is no successor).
-    dmt.files_.at(0).extents.begin()->second.end += delta;
+    dmt.slab_[dmt.files_.at(0).extents.begin().slot()].end += delta;
   }
   static void SkewMappedBytes(DataMappingTable& dmt, byte_count delta) {
     dmt.mapped_bytes_ += delta;
   }
   static void DropLruEntry(DataMappingTable& dmt) {
-    dmt.lru_index_.erase(dmt.lru_index_.begin());
+    dmt.lru_.erase(dmt.lru_.begin());
   }
   // Forgets file 0's first dirty extent in the dirty-extent index.
   static void DropDirtyIndexEntry(DataMappingTable& dmt) {
@@ -56,16 +64,31 @@ struct DmtTestPeer {
   // Lists file 0's first extent in the dirty-extent index, dirty or not.
   static void IndexFirstExtentAsDirty(DataMappingTable& dmt) {
     auto& file = dmt.files_.at(0);
-    file.dirty.emplace(file.extents.begin()->first,
-                       &file.extents.begin()->second);
+    file.dirty.insert(file.extents.begin().key(), file.extents.begin().slot());
   }
   // A stale clean LRU index: file 0's first dirty extent stays listed, as
   // if dirtying it had not unindexed it.
   static void IndexFirstDirtyExtentAsClean(DataMappingTable& dmt) {
-    auto& file = dmt.files_.at(0);
-    const auto it = file.extents.find(file.dirty.begin()->first);
-    dmt.lru_index_.emplace(it->second.lru_seq,
-                           DataMappingTable::LruRef{0, it});
+    const auto slot = dmt.files_.at(0).dirty.begin().slot();
+    dmt.lru_.insert(dmt.slab_[slot].lru_seq, slot);
+  }
+  // Puts a live slot (file 0's first extent's) on the slab's free list.
+  static void FreeLiveSlot(DataMappingTable& dmt) {
+    dmt.free_slots_.push_back(dmt.files_.at(0).extents.begin().slot());
+  }
+  // Loses a free slot: it is neither live nor on the free list.
+  static void LeakFreeSlot(DataMappingTable& dmt) {
+    dmt.free_slots_.pop_back();
+  }
+  // Points file 0's first extent key at file 0's second entry.
+  static void CrossExtentSlots(DataMappingTable& dmt) {
+    auto& extents = dmt.files_.at(0).extents;
+    auto it = extents.begin();
+    const byte_count first = it.key();
+    ++it;
+    const auto second = it.slot();
+    extents.erase(first);
+    extents.insert(first, second);
   }
 };
 

@@ -15,6 +15,7 @@
 
 #include "common/rng.h"
 #include "dmt_test_peer.h"
+#include "table_oracles.h"
 
 namespace s4d::core {
 namespace {
@@ -410,6 +411,109 @@ TEST_F(DmtPersistenceTest, EvictionRemovesPersistedRecord) {
   EXPECT_EQ(recovered.entry_count(), 0u);
 }
 
+// Recovery loads every record or none: a store with one bad record leaves
+// the table empty, whatever came before it.
+TEST_F(DmtPersistenceTest, FailedLoadLeavesTableEmpty) {
+  auto store = OpenStore();
+  ASSERT_TRUE(store->Put("D|a|0", "16384 0 1 3").ok());
+  ASSERT_TRUE(store->Put("D|b|0", "not a record").ok());
+  FileTable files;
+  DataMappingTable dmt(store.get(), &files);
+  EXPECT_EQ(dmt.LoadFromStore().code(), StatusCode::kCorruption);
+  EXPECT_EQ(dmt.entry_count(), 0u);
+  EXPECT_EQ(dmt.mapped_bytes(), 0);
+  EXPECT_EQ(dmt.dirty_bytes(), 0);
+  EXPECT_TRUE(dmt.AllExtents().empty());
+  dmt.AuditInvariants();
+}
+
+// Loads a store holding one good record and `records`; returns the status
+// and checks that a failed load left the table empty.
+Status LoadWith(kv::KvStore& store,
+                const std::vector<std::pair<std::string, std::string>>&
+                    records) {
+  EXPECT_TRUE(store.Put("D|good|0", "4096 0 0 1").ok());
+  for (const auto& [key, value] : records) {
+    EXPECT_TRUE(store.Put(key, value).ok());
+  }
+  FileTable files;
+  DataMappingTable dmt(&store, &files);
+  const Status status = dmt.LoadFromStore();
+  if (!status.ok()) {
+    EXPECT_EQ(dmt.entry_count(), 0u);
+    EXPECT_EQ(dmt.mapped_bytes(), 0);
+  }
+  dmt.AuditInvariants();
+  return status;
+}
+
+TEST_F(DmtPersistenceTest, RejectsEmptyExtent) {
+  auto store = OpenStore();
+  // end <= begin would make mapped_bytes fall.
+  EXPECT_EQ(LoadWith(*store, {{"D|f|100", "50 8192 0 2"}}).code(),
+            StatusCode::kCorruption);
+  std::filesystem::remove(path_);
+  store = OpenStore();
+  EXPECT_EQ(LoadWith(*store, {{"D|f|100", "100 8192 0 2"}}).code(),
+            StatusCode::kCorruption);
+}
+
+TEST_F(DmtPersistenceTest, RejectsOverlappingRecords) {
+  auto store = OpenStore();
+  EXPECT_EQ(LoadWith(*store,
+                     {{"D|f|0", "8192 8192 0 2"}, {"D|f|4096", "12288 16384 0 3"}})
+                .code(),
+            StatusCode::kCorruption);
+  // Two keys naming one offset (a leading zero) overlap too.
+  std::filesystem::remove(path_);
+  store = OpenStore();
+  EXPECT_EQ(LoadWith(*store,
+                     {{"D|f|4096", "8192 8192 0 2"}, {"D|f|04096", "8192 16384 0 3"}})
+                .code(),
+            StatusCode::kCorruption);
+  // Touching records and the same range in two files are fine.
+  std::filesystem::remove(path_);
+  store = OpenStore();
+  EXPECT_TRUE(LoadWith(*store,
+                       {{"D|f|0", "4096 8192 0 2"},
+                        {"D|f|4096", "8192 12288 1 3"},
+                        {"D|g|0", "4096 16384 0 4"}})
+                  .ok());
+}
+
+TEST_F(DmtPersistenceTest, RejectsSentinelVersion) {
+  // The largest version is the "not under flush" mark: an extent carrying
+  // it would never be collected for flushing.
+  for (const char* version : {"18446744073709551615", "-1", "-2"}) {
+    std::filesystem::remove(path_);
+    auto store = OpenStore();
+    EXPECT_EQ(LoadWith(*store,
+                       {{"D|f|0", std::string("4096 8192 1 ") + version}})
+                  .code(),
+              StatusCode::kCorruption)
+        << version;
+  }
+}
+
+TEST_F(DmtPersistenceTest, RejectsTrailingGarbage) {
+  for (const char* value :
+       {"4096 8192 1 3 7", "4096 8192 1 3x", "4096 8192 2 3", "4096 -1 0 3",
+        "4096 8192 1", "4096  8192 1 3"}) {
+    std::filesystem::remove(path_);
+    auto store = OpenStore();
+    EXPECT_EQ(LoadWith(*store, {{"D|f|0", value}}).code(),
+              StatusCode::kCorruption)
+        << value;
+  }
+  for (const char* key : {"D|f|12x", "D|f|-4096", "D|f|"}) {
+    std::filesystem::remove(path_);
+    auto store = OpenStore();
+    EXPECT_EQ(LoadWith(*store, {{key, "8192 8192 0 3"}}).code(),
+              StatusCode::kCorruption)
+        << key;
+  }
+}
+
 // --- dirty-extent index ------------------------------------------------------
 //
 // CollectDirtyRuns and SummarizeDirtyAges walk only the dirty-extent index.
@@ -762,6 +866,216 @@ TEST(Dmt, CleanLruIndexMatchesFullWalkUnderChurn) {
     }
     EXPECT_GT(evictions, 300) << "seed " << seed;
     EXPECT_GT(past_dirty, 100) << "seed " << seed;
+  }
+}
+
+// --- reference model -----------------------------------------------------------
+//
+// The std::map DMT the flat table replaced (table_oracles.h) and the flat
+// table run the same seeded mixes of every mutation; after every step both
+// must give the same lookups, extents, dirty runs (with a random in-flight
+// set), victims, dirty ages and counters.
+
+std::string ExtentsText(const std::vector<RemovedExtent>& extents) {
+  std::ostringstream out;
+  for (const RemovedExtent& e : extents) {
+    out << e.file << "[" << e.orig_begin << "," << e.orig_end << ")@"
+        << e.cache_offset << (e.dirty ? "d" : "c") << "\n";
+  }
+  return out.str();
+}
+
+std::string LookupText(const DmtLookup& lookup) {
+  std::ostringstream out;
+  for (const MappedSegment& seg : lookup.mapped) {
+    out << "[" << seg.orig_begin << "," << seg.orig_end << ")@"
+        << seg.cache_offset << (seg.dirty ? "d " : "c ");
+  }
+  out << "|";
+  for (const auto& [begin, end] : lookup.gaps) {
+    out << " [" << begin << "," << end << ")";
+  }
+  return out.str();
+}
+
+std::string VictimText(const std::optional<RemovedExtent>& victim) {
+  return victim ? ExtentsText({*victim}) : "none";
+}
+
+bool SameExtents(const std::vector<RemovedExtent>& a,
+                 const std::vector<RemovedExtent>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const RemovedExtent& x, const RemovedExtent& y) {
+                      return x.file == y.file && x.orig_begin == y.orig_begin &&
+                             x.orig_end == y.orig_end &&
+                             x.cache_offset == y.cache_offset &&
+                             x.dirty == y.dirty;
+                    });
+}
+
+bool SameRuns(const std::vector<DirtyRun>& a, const std::vector<DirtyRun>& b) {
+  return std::equal(
+      a.begin(), a.end(), b.begin(), b.end(),
+      [](const DirtyRun& x, const DirtyRun& y) {
+        return x.file == y.file && x.orig_begin == y.orig_begin &&
+               x.orig_end == y.orig_end &&
+               std::equal(x.segments.begin(), x.segments.end(),
+                          y.segments.begin(), y.segments.end(),
+                          [](const DirtyRange& p, const DirtyRange& q) {
+                            return p.key() == q.key() &&
+                                   p.orig_end == q.orig_end &&
+                                   p.cache_offset == q.cache_offset;
+                          });
+      });
+}
+
+TEST(DmtOracle, FlatTableMatchesMapOracleUnderFuzz) {
+  constexpr byte_count kSpan = 32 * 1024;  // per-file offset range
+  for (std::uint64_t seed = 11; seed <= 13; ++seed) {
+    DataMappingTable dmt;
+    MapDmtOracle oracle;
+    SimTime now = 0;
+    dmt.SetClock([&now] { return now; });
+    oracle.SetClock([&now] { return now; });
+    Rng rng(seed);
+    byte_count next_cache = 0;
+    std::vector<DirtyRange> in_flight;
+    std::int64_t evictions = 0;
+    std::int64_t cleaned = 0;
+    std::size_t most_extents = 0;
+    for (int step = 0; step < 6000; ++step) {
+      now += rng.NextInRange(0, 1000);
+      const auto file = static_cast<FileIndex>(rng.NextBelow(3));
+      const byte_count offset = rng.NextInRange(0, kSpan - 1);
+      const byte_count size = rng.NextBool(0.9) ? rng.NextInRange(1, 64)
+                                                : rng.NextInRange(65, 2048);
+      switch (rng.NextBelow(12)) {
+        case 0:
+        case 1:
+        case 2: {  // admission: map the gaps of a range
+          const bool dirty = rng.NextBool(0.6);
+          const DmtLookup lookup = dmt.Lookup(file, offset, size);
+          for (const auto& [gap_begin, gap_end] : lookup.gaps) {
+            dmt.Insert(file, gap_begin, gap_end - gap_begin, next_cache,
+                       dirty);
+            oracle.Insert(file, gap_begin, gap_end - gap_begin, next_cache,
+                          dirty);
+            next_cache += gap_end - gap_begin;
+          }
+          break;
+        }
+        case 3:  // write hit: splits at both ends, dirties the middle
+          dmt.SetDirty(file, offset, size, true);
+          oracle.SetDirty(file, offset, size, true);
+          break;
+        case 4:
+          dmt.SetDirty(file, offset, size, false);
+          oracle.SetDirty(file, offset, size, false);
+          break;
+        case 5:  // non-admitted write: splits, removes the middle
+          ASSERT_EQ(ExtentsText(dmt.Invalidate(file, offset, size)),
+                    ExtentsText(oracle.Invalidate(file, offset, size)))
+              << "seed " << seed << " step " << step;
+          break;
+        case 6:
+          dmt.Touch(file, offset, size);
+          oracle.Touch(file, offset, size);
+          break;
+        case 7: {  // begin flushes of some collected segments
+          const auto runs = dmt.CollectDirtyRuns(8 * 1024, 1024);
+          for (const DirtyRun& run : runs) {
+            for (const DirtyRange& seg : run.segments) {
+              if (!rng.NextBool(0.3)) continue;
+              dmt.BeginFlush(seg.key());
+              oracle.BeginFlush(seg.key());
+              in_flight.push_back(seg);
+            }
+          }
+          break;
+        }
+        case 8: {  // a flush ends: written back, or aborted
+          if (in_flight.empty()) break;
+          const std::size_t pick = rng.NextBelow(in_flight.size());
+          const DirtyRange seg = in_flight[pick];
+          in_flight.erase(in_flight.begin() +
+                          static_cast<std::ptrdiff_t>(pick));
+          if (rng.NextBool(0.7)) {
+            const bool got = dmt.MarkCleanIfVersion(
+                seg.file, seg.orig_begin, seg.orig_end, seg.version);
+            ASSERT_EQ(got,
+                      oracle.MarkCleanIfVersion(seg.file, seg.orig_begin,
+                                                seg.orig_end, seg.version))
+                << "seed " << seed << " step " << step;
+            if (got) ++cleaned;
+          } else {
+            dmt.EndFlush(seg.key());
+            oracle.EndFlush(seg.key());
+          }
+          break;
+        }
+        case 9:
+          ASSERT_EQ(VictimText(dmt.EvictLruClean()),
+                    VictimText(oracle.EvictLruClean()))
+              << "seed " << seed << " step " << step;
+          ++evictions;
+          break;
+        case 10: {  // a tenant partition: every other 4 KiB of cache
+          const byte_count parity = rng.NextInRange(0, 1);
+          const auto pred = [parity](const RemovedExtent& e) {
+            return (e.cache_offset / 4096) % 2 == parity;
+          };
+          ASSERT_EQ(VictimText(dmt.EvictLruCleanIf(pred)),
+                    VictimText(oracle.EvictLruCleanIf(pred)))
+              << "seed " << seed << " step " << step;
+          ++evictions;
+          break;
+        }
+        default: {  // whole-extent write hits on a dirty run's segments
+          const auto runs = dmt.CollectDirtyRuns(4 * 1024, 512);
+          if (runs.empty()) break;
+          const DirtyRange& seg = runs[rng.NextBelow(runs.size())].segments[0];
+          dmt.SetDirty(seg.file, seg.orig_begin, seg.orig_end - seg.orig_begin,
+                       true);
+          oracle.SetDirty(seg.file, seg.orig_begin,
+                          seg.orig_end - seg.orig_begin, true);
+        }
+      }
+      const std::string where =
+          "seed " + std::to_string(seed) + " step " + std::to_string(step);
+      ASSERT_EQ(dmt.entry_count(), oracle.entry_count()) << where;
+      ASSERT_EQ(dmt.mapped_bytes(), oracle.mapped_bytes()) << where;
+      ASSERT_EQ(dmt.dirty_bytes(), oracle.dirty_bytes()) << where;
+      ASSERT_EQ(dmt.coverage_epoch(), oracle.coverage_epoch()) << where;
+      const auto all = dmt.AllExtents();
+      const auto want_all = oracle.AllExtents();
+      ASSERT_TRUE(SameExtents(all, want_all))
+          << where << "\n" << ExtentsText(all) << "vs\n"
+          << ExtentsText(want_all);
+      const auto q_file = static_cast<FileIndex>(rng.NextBelow(4));
+      const byte_count q_offset = rng.NextInRange(0, kSpan);
+      const byte_count q_size = rng.NextInRange(1, 4096);
+      ASSERT_EQ(LookupText(dmt.Lookup(q_file, q_offset, q_size)),
+                LookupText(oracle.Lookup(q_file, q_offset, q_size)))
+          << where;
+      const byte_count budget = rng.NextInRange(1, 16 * 1024);
+      const byte_count run_cap = rng.NextInRange(1, 2048);
+      const auto runs = dmt.CollectDirtyRuns(budget, run_cap);
+      const auto want_runs = oracle.CollectDirtyRuns(budget, run_cap);
+      ASSERT_TRUE(SameRuns(runs, want_runs))
+          << where << "\n" << RunsText(runs) << "vs\n" << RunsText(want_runs);
+      const auto ages = dmt.SummarizeDirtyAges(now);
+      const auto want = oracle.SummarizeDirtyAges(now);
+      ASSERT_EQ(ages.dirty_extents, want.dirty_extents) << where;
+      ASSERT_EQ(ages.oldest, want.oldest) << where;
+      ASSERT_EQ(ages.mean, want.mean) << where;
+      ASSERT_EQ(ages.p50, want.p50) << where;
+      if (step % 16 == 15) dmt.AuditInvariants();
+      most_extents = std::max(most_extents, dmt.entry_count());
+    }
+    dmt.AuditInvariants();
+    EXPECT_GT(most_extents, 500u) << "seed " << seed;
+    EXPECT_GT(evictions, 500) << "seed " << seed;
+    EXPECT_GT(cleaned, 100) << "seed " << seed;
   }
 }
 

@@ -98,6 +98,24 @@ TEST(DmtAuditDeathTest, CatchesCleanExtentInDirtyIndex) {
   EXPECT_DEATH(dmt.AuditInvariants(), "dirty index holds");
 }
 
+TEST(DmtAuditDeathTest, CatchesALiveSlotOnTheFreeList) {
+  DataMappingTable dmt = MakeBusyDmt();
+  DmtTestPeer::FreeLiveSlot(dmt);
+  EXPECT_DEATH(dmt.AuditInvariants(), "live or listed twice");
+}
+
+TEST(DmtAuditDeathTest, CatchesALeakedSlot) {
+  DataMappingTable dmt = MakeBusyDmt();  // the invalidation freed a slot
+  DmtTestPeer::LeakFreeSlot(dmt);
+  EXPECT_DEATH(dmt.AuditInvariants(), "slab holds");
+}
+
+TEST(DmtAuditDeathTest, CatchesAnExtentKeyNamingAnotherEntry) {
+  DataMappingTable dmt = MakeBusyDmt();
+  DmtTestPeer::CrossExtentSlots(dmt);  // a.dat's 0 names [200, 220)'s slot
+  EXPECT_DEATH(dmt.AuditInvariants(), "extent index of file");
+}
+
 CacheSpaceAllocator MakeBusySpace() {
   CacheSpaceAllocator space(1 << 20, 4096);
   auto a = space.Allocate(10000);

@@ -11,6 +11,9 @@
 // unchanged runs from S4DCache::Read/Write to its completion without an
 // allocation, whether the cost model sends it to the DServers or it hits in
 // the cache.
+//
+// The mapping table under it: once warm, the DMT's dirty flips, flushes,
+// touches and evict-then-refill cycles allocate nothing.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -18,8 +21,10 @@
 #include <new>
 #include <vector>
 
+#include "core/dmt.h"
 #include "core/s4d_cache.h"
 #include "device/hdd_model.h"
+#include "dmt_test_peer.h"
 #include "harness/testbed.h"
 #include "pfs/file_system.h"
 #include "sim/engine.h"
@@ -360,6 +365,47 @@ TEST(IoPathAlloc, S4DCacheHitsAllocateNothing) {
 // by building the cache file's name.
 TEST(IoPathAlloc, S4DCacheHitsOnALongFileNameAllocateNothing) {
   CheckCacheHitsAllocateNothing(kLongFile);
+}
+
+// One cycle on extent k of a table of 16 KiB extents: a write hit dirties
+// it, its flush is written back, a read touches it, and the oldest clean
+// extent is evicted and its range refilled at the same size.
+void DmtCycle(DataMappingTable& dmt, std::int64_t k) {
+  constexpr byte_count kExtent = 16 * KiB;
+  const FileIndex file = static_cast<FileIndex>(k % 2);
+  const byte_count begin = (k / 2) * 2 * kExtent;
+  dmt.SetDirty(file, begin, kExtent, true);
+  const std::uint64_t version = DmtTestPeer::VersionAt(dmt, file, begin);
+  dmt.BeginFlush(DirtyExtentKey{file, begin, version});
+  EXPECT_TRUE(dmt.MarkCleanIfVersion(file, begin, begin + kExtent, version));
+  dmt.Touch(file, begin, kExtent);
+  const std::optional<RemovedExtent> victim = dmt.EvictLruClean();
+  ASSERT_TRUE(victim.has_value());
+  dmt.Insert(victim->file, victim->orig_begin, victim->length(),
+             victim->cache_offset, false);
+}
+
+TEST(IoPathAlloc, DmtFlipsTouchesAndRefillsAllocateNothing) {
+  constexpr std::int64_t kExtents = 4096;
+  constexpr int kCycles = 1000;
+  DataMappingTable dmt;
+  for (std::int64_t k = 0; k < kExtents; ++k) {
+    const byte_count begin = (k / 2) * 2 * 16 * KiB;
+    dmt.Insert(static_cast<FileIndex>(k % 2), begin, 16 * KiB, k * 16 * KiB,
+               /*dirty=*/false);
+  }
+  // Warm-up: the same cycles over every extent, twice.
+  for (std::int64_t k = 0; k < 2 * kExtents; ++k) DmtCycle(dmt, k % kExtents);
+  g_allocations = 0;
+  g_counting = true;
+  for (int i = 0; i < kCycles; ++i) DmtCycle(dmt, (i * 7) % kExtents);
+  g_counting = false;
+  if (!kAuditsAllocate) {
+    EXPECT_EQ(g_allocations, 0);
+  }
+  EXPECT_EQ(dmt.entry_count(), static_cast<std::size_t>(kExtents));
+  EXPECT_EQ(dmt.dirty_bytes(), 0);
+  dmt.AuditInvariants();
 }
 
 }  // namespace

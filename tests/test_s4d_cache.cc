@@ -402,6 +402,35 @@ TEST(S4DCache, DmtPersistenceAcrossRestart) {
   std::filesystem::remove_all(dir);
 }
 
+// A store whose second record is corrupt loads nothing: the first
+// record's extent must not stay mapped while its cache range goes
+// unreserved (a later admission could be handed the same bytes).
+TEST(S4DCache, CorruptDmtStoreStartsEmptyAndConsistent) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("s4d_corrupt_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  const std::string db_path = (dir / "dmt.db").string();
+  kv::Options kv_options;
+  kv_options.sync_writes = false;
+  auto store = kv::KvStore::Open(db_path, kv_options);
+  ASSERT_TRUE(store.ok());
+  ASSERT_TRUE((*store)->Put("D|a|0", "16384 0 1 3").ok());
+  ASSERT_TRUE((*store)->Put("D|b|0", "not a record").ok());
+  {
+    harness::Testbed bed(SmallTestbed());
+    auto s4d = bed.MakeS4D(NoRebuilderConfig(), store->get());
+    s4d->AuditInvariants(/*expect_quiescent=*/true);
+    EXPECT_EQ(s4d->dmt().entry_count(), 0u);
+    EXPECT_EQ(s4d->dmt().dirty_bytes(), 0);
+    EXPECT_EQ(s4d->cache_space().used_bytes(), 0);
+    // Admissions start from an empty cache and stay consistent.
+    s4d->Open("f");
+    DoIo(bed, *s4d, device::IoKind::kWrite, "f", 0, 300 * MiB, 16 * KiB, 7);
+    s4d->AuditInvariants(/*expect_quiescent=*/true);
+  }
+  std::filesystem::remove_all(dir);
+}
+
 TEST(S4DCache, CapacityShrinkDropsUnfittingRecoveredMappings) {
   const auto dir = std::filesystem::temp_directory_path() /
                    ("s4d_shrink_" + std::to_string(::getpid()));
