@@ -81,7 +81,6 @@ VariantResult RunVariant(const BenchArgs& args, bool calibrated,
   if (calibrated) {
     calib::CalibConfig cc;
     cc.min_samples = 32;
-    cc.queue_gain = 1.0;
     // Saturation bound: the depth beyond which the lone CServer is doing
     // strictly worse than spreading over the HDD array. Half the rank
     // count leaves the cache a healthy share of the closed-loop load.

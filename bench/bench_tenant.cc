@@ -74,7 +74,6 @@ const char* SharingName(Sharing s) {
 struct NoisyResult {
   double victim_hit_ratio = 0.0;
   byte_count victim_used = 0;
-  std::int64_t ghost_hits = 0;
 };
 
 NoisyResult RunNoisy(const BenchArgs& args, Sharing sharing, int rounds) {
@@ -139,7 +138,6 @@ NoisyResult RunNoisy(const BenchArgs& args, Sharing sharing, int rounds) {
         static_cast<double>(reads);
   }
   result.victim_used = s4d->cache_space().used_by(0);
-  result.ghost_hits = manager.stats(0).ghost_hits;
   manager.AuditInvariants();
   s4d->AuditInvariants();
   return result;
@@ -149,8 +147,7 @@ void NoisyNeighbor(const BenchArgs& args, BenchReporter& report) {
   std::printf(
       "--- 1. Noisy neighbor: victim re-read hit ratio by sharing ---\n");
   const int rounds = args.full ? 16 : 8;
-  TablePrinter table(
-      {"sharing", "victim hit%", "vs solo", "victim MiB", "ghost hits"});
+  TablePrinter table({"sharing", "victim hit%", "vs solo", "victim MiB"});
   double solo = 0.0, partitioned = 0.0;
   for (Sharing s :
        {Sharing::kSolo, Sharing::kShared, Sharing::kPartitioned}) {
@@ -163,8 +160,7 @@ void NoisyNeighbor(const BenchArgs& args, BenchReporter& report) {
                       ? "--"
                       : TablePrinter::Percent(
                             (r.victim_hit_ratio / solo - 1.0) * 100.0),
-                  TablePrinter::Num(static_cast<double>(r.victim_used) / MiB),
-                  TablePrinter::Num(static_cast<double>(r.ghost_hits))});
+                  TablePrinter::Num(static_cast<double>(r.victim_used) / MiB)});
     report.Add("victim_hit_ratio", r.victim_hit_ratio,
                {{"sharing", SharingName(s)}});
   }
@@ -224,9 +220,8 @@ WearResult RunWriteStream(const BenchArgs& args, bool endurance, int writes) {
   result.cserver_bytes = s4d->counters().cserver_bytes;
   result.wear_fraction = s4d->tier().WearFraction();
   if (manager) {
-    result.vetoes = manager->stats(0).endurance_vetoes +
-                    manager->stats(0).pressure_vetoes +
-                    manager->stats(0).wear_vetoes;
+    result.vetoes =
+        manager->stats(0).endurance_vetoes + manager->stats(0).wear_vetoes;
     manager->AuditInvariants();
   }
   s4d->AuditInvariants();

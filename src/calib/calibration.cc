@@ -21,6 +21,10 @@ constexpr double kVarEps = 1e-6;
 // (load tracks request size), the joint solve is ill-conditioned and we
 // fall back to fitting the size direction alone.
 constexpr double kDetEps = 1e-3;
+// Per-sample exponential forgetting factor of the least-squares moments:
+// 0.99 halves a sample's weight every ~69 samples — fast enough to track
+// load phases, slow enough to smooth noise.
+constexpr double kForget = 0.99;
 
 int KindIndex(device::IoKind kind) {
   return kind == device::IoKind::kWrite ? 1 : 0;
@@ -195,7 +199,7 @@ SimTime CalibrationEngine::TierEstimate(
     const double depth =
         static_cast<double>(depths[static_cast<std::size_t>(server)]);
     const double t = start + p.ns_per_byte * static_cast<double>(share) +
-                     config_.queue_gain * p.queue_ns * depth;
+                     p.queue_ns * depth;
     worst = std::max(worst, t);
   }
   ++*served_counter;
@@ -205,7 +209,6 @@ SimTime CalibrationEngine::TierEstimate(
 SimTime CalibrationEngine::DServerEstimate(SimTime static_startup,
                                            byte_count offset,
                                            byte_count size) const {
-  if (!config_.calibrate_dservers) return -1;
   // T_D is kind-blind in the static model (Eq. 5 has a single beta_D), so
   // the fitted cells are too; kRead is the shared cell's canonical key.
   return TierEstimate(dservers_, d_stripe_, /*cache_tier=*/false,
@@ -217,7 +220,6 @@ SimTime CalibrationEngine::DServerEstimate(SimTime static_startup,
 SimTime CalibrationEngine::CServerEstimate(device::IoKind kind,
                                            byte_count offset,
                                            byte_count size) const {
-  if (!config_.calibrate_cservers) return -1;
   const double beta = kind == device::IoKind::kWrite
                           ? params_.beta_c_write_ns_per_byte
                           : params_.beta_c_read_ns_per_byte;
@@ -243,7 +245,7 @@ void CalibrationEngine::OnSubRequestResolved(
   TierState& tier = cache_tier ? cservers_ : dservers_;
   ++stats_.samples;
   MutableCell(tier, cache_tier, sample.server, sample.kind)
-      .Add(config_.forget, static_cast<double>(sample.size),
+      .Add(kForget, static_cast<double>(sample.size),
            static_cast<double>(sample.depth_at_submit),
            static_cast<double>(sample.complete_time - sample.submit_time));
 }
@@ -255,29 +257,6 @@ double CalibrationEngine::MeanCServerDepth() const {
   std::int64_t total = 0;
   for (std::int32_t d : depths) total += d;
   return static_cast<double>(total) / static_cast<double>(depths.size());
-}
-
-SimTime CalibrationEngine::CServerQueueDelayEstimate() const {
-  if (cservers_.fs == nullptr) return 0;
-  const std::vector<std::int32_t>& depths = cservers_.fs->sub_depths();
-  double worst = 0.0;
-  for (int s = 0; s < params_.ssd_servers; ++s) {
-    double unit = 0.0;
-    int cells = 0;
-    for (device::IoKind kind :
-         {device::IoKind::kRead, device::IoKind::kWrite}) {
-      const ServerFit& fit = Cell(cservers_, true, s, kind);
-      if (!fit.Ready(config_.min_samples)) continue;
-      unit += fit.Solve(0.0).queue_ns;
-      ++cells;
-    }
-    if (cells == 0) continue;
-    unit /= cells;
-    const double delay =
-        unit * static_cast<double>(depths[static_cast<std::size_t>(s)]);
-    worst = std::max(worst, delay);
-  }
-  return static_cast<SimTime>(std::llround(worst));
 }
 
 bool CalibrationEngine::CacheTierSaturated() const {

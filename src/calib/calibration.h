@@ -10,7 +10,7 @@
 // client-side observation per *sub-request* (server, kind, size, the
 // outstanding depth on that server at submit, submit→completion latency)
 // from both FileSystems, and fits, per server and I/O kind, an
-// exponentially-forgetting least-squares model
+// exponentially-forgetting least-squares model (forgetting factor 0.99)
 //
 //     latency ≈ a + b·size + c·depth
 //
@@ -31,6 +31,8 @@
 // Below `min_samples` per involved fit cell the provider declines and the
 // static model is used unchanged — a cold start is byte-identical to the
 // paper default, and so is any run without a `[calib]` config section.
+// Both tiers are always fitted. Past `saturation_depth` the engine also
+// reports the cache tier saturated (the Redirector's load shedding).
 //
 // Every input to a *decision* is client-side: the sub observations are
 // emitted by the FileSystems when each sub-request resolves, and the depth
@@ -62,25 +64,13 @@ class S4DCache;
 namespace s4d::calib {
 
 struct CalibConfig {
-  // Per-sample exponential forgetting factor of the least-squares moments;
-  // closer to 1 = longer memory. 0.99 halves a sample's weight every ~69
-  // samples — fast enough to track load phases, slow enough to smooth noise.
-  double forget = 0.99;
   // Fit cells with fewer (undecayed) samples than this decline, falling
-  // back to the static model. Also the floor under which the fitted queue
-  // term is not trusted.
+  // back to the static model.
   std::int64_t min_samples = 32;
-  // Multiplier on the fitted queue-delay term (c). 1.0 trusts the fit; 0
-  // disables queue awareness while keeping the fitted a/b.
-  double queue_gain = 1.0;
   // Mean outstanding sub-requests per CServer beyond which the cache tier
   // is reported saturated (the Redirector's load shedding). 0 disables the
   // saturation signal.
   double saturation_depth = 0.0;
-  // Which tiers are calibrated. Disabling one leaves that tier's estimate
-  // fully static.
-  bool calibrate_dservers = true;
-  bool calibrate_cservers = true;
 };
 
 struct CalibStats {
@@ -149,8 +139,8 @@ class CalibrationEngine final : public core::CostCalibration,
   // Wires the engine into a live stack: installs itself as both
   // FileSystems' sub-request sink, as the FileServers' serve taps (one
   // ServeTotals per server), and as `cache`'s cost-calibration provider —
-  // which also makes it the source of the cache's queue depth, queue delay
-  // and saturation signals (core::TierSignals). Registers `calib.*` gauges
+  // which also makes it the source of the cache's queue depth and
+  // saturation signals (core::TierSignals). Registers `calib.*` gauges
   // when `obs` is non-null. Call once, before any I/O.
   void Attach(core::S4DCache& cache, pfs::FileSystem& dserver_fs,
               pfs::FileSystem& cserver_fs, obs::Observability* obs);
@@ -166,9 +156,6 @@ class CalibrationEngine final : public core::CostCalibration,
 
   // Mean outstanding sub-requests per CServer (client-side counters).
   double MeanCServerDepth() const override;
-  // Fitted queue delay across the cache tier: the worst server's depth ×
-  // its mean fitted queue unit. Backs the policy's time-unit veto.
-  SimTime CServerQueueDelayEstimate() const override;
   // Mean depth beyond `saturation_depth`; always false (and no poll
   // counted) when unbounded.
   bool CacheTierSaturated() const override;

@@ -6,8 +6,8 @@
 // the cache calls OnRequestStart before the Data Identifier runs, folds
 // Admit over the extensions in attach order starting from the model's
 // post-health verdict (B > 0), and calls OnOutcome at completion. The
-// Redirector's allocations and releases, the Rebuilder's included, call
-// AllowFreeAllocation, SelectVictim and OnRemoved.
+// Redirector's allocations, the Rebuilder's included, call
+// AllowFreeAllocation and SelectVictim.
 #pragma once
 
 #include <optional>
@@ -68,10 +68,6 @@ class CacheExtension {
   virtual std::optional<RemovedExtent> SelectVictim(DataMappingTable& dmt) {
     return dmt.EvictLruClean();
   }
-  // A mapping's cache extent is released (`evicted`: by capacity eviction,
-  // else by invalidation). Runs after the range was scrubbed and before
-  // the allocator frees it, so its owner is still on record.
-  virtual void OnRemoved(const RemovedExtent& /*extent*/, bool /*evicted*/) {}
   virtual void OnOutcome(const RequestOutcome& /*outcome*/) {}
   // S4D_CHECKs the extension's own state; runs with the cache's audits.
   virtual void AuditInvariants() const {}

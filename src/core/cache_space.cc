@@ -136,7 +136,6 @@ void CacheSpaceAllocator::EnablePartitionTracking(int owner_count) {
     owners_.emplace(cursor, OwnedRange{capacity_, 0});
     used_by_[0] += capacity_ - cursor;
   }
-  if (usage_listener_ && used_by_[0] > 0) usage_listener_(0);
   MaybeAudit();
 }
 
@@ -202,15 +201,10 @@ void CacheSpaceAllocator::ChargeRange(byte_count offset, byte_count size) {
     }
   }
   owners_.emplace(begin, OwnedRange{new_end, charge_owner_});
-  if (usage_listener_) usage_listener_(charge_owner_);
 }
 
 void CacheSpaceAllocator::UnchargeRange(byte_count offset, byte_count size) {
   if (used_by_.empty()) return;
-  // Owners credited by this free; notified after the map settles (the
-  // listener may read used_by()/OwnerOf()). A cross-owner free can repeat
-  // an owner — duplicate notifications are harmless.
-  std::vector<int> touched;
   const byte_count end = offset + size;
   auto it = owners_.upper_bound(offset);
   S4D_CHECK(it != owners_.begin())
@@ -227,7 +221,6 @@ void CacheSpaceAllocator::UnchargeRange(byte_count offset, byte_count size) {
     const byte_count cut_begin = std::max(range_begin, offset);
     const byte_count cut_end = std::min(range.end, end);
     used_by_[static_cast<std::size_t>(range.owner)] -= cut_end - cut_begin;
-    if (usage_listener_) touched.push_back(range.owner);
     it = owners_.erase(it);
     if (range_begin < cut_begin) {
       owners_.emplace(range_begin, OwnedRange{cut_begin, range.owner});
@@ -237,7 +230,6 @@ void CacheSpaceAllocator::UnchargeRange(byte_count offset, byte_count size) {
     }
     covered = cut_end;
   }
-  for (const int owner : touched) usage_listener_(owner);
 }
 
 void CacheSpaceAllocator::AuditInvariants() const {

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
 #include <vector>
@@ -102,15 +101,6 @@ class CacheSpaceAllocator {
   // off, the range is not fully allocated, or it spans multiple owners.
   int OwnerOf(byte_count offset, byte_count size) const;
 
-  // Called after used_by(owner) changes, once per affected owner per
-  // mutation. Lets the tenant subsystem keep an incremental over-quota
-  // index instead of rescanning every partition per eviction. The listener
-  // must not allocate or free through this allocator (re-entrancy).
-  using UsageListener = std::function<void(int owner)>;
-  void SetUsageListener(UsageListener listener) {
-    usage_listener_ = std::move(listener);
-  }
-
   // S4D_CHECKs the free-list invariants: extents inside [0, capacity),
   // positive length, sorted, pairwise disjoint with no coalescible
   // neighbours, and the free_bytes counter equal to the recomputed sum (so
@@ -159,7 +149,6 @@ class CacheSpaceAllocator {
   std::map<byte_count, OwnedRange> owners_;
   std::vector<byte_count> used_by_;  // per-owner charged bytes
   int charge_owner_ = 0;
-  UsageListener usage_listener_;
 };
 
 }  // namespace s4d::core

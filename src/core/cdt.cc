@@ -1,5 +1,6 @@
 #include "core/cdt.h"
 
+#include <cstddef>
 #include <unordered_set>
 
 #include "common/check.h"
@@ -34,7 +35,11 @@ bool CriticalDataTable::SetCacheFlag(const CdtKey& key, int owner) {
   if (!it->second.c_flag) {
     it->second.c_flag = true;
     ++flagged_count_;
-    flagged_.push_back(key);
+    // A stale copy still queued from an earlier flag keeps its place.
+    if (it->second.queued_seq == 0) {
+      it->second.queued_seq = ++queued_total_;
+      flagged_.push_back(QueuedKey{key, queued_total_});
+    }
   }
   it->second.flag_owner = owner;
   MaybeAudit();
@@ -59,20 +64,26 @@ bool CriticalDataTable::CacheFlag(const CdtKey& key) const {
 std::vector<PendingFetch> CriticalDataTable::PendingFetches(
     std::size_t limit) {
   std::vector<PendingFetch> out;
-  // Pop the walked prefix off the queue, dropping stale keys (cleared
-  // flags, evicted entries), then push the live ones back in their order:
-  // the queue ends exactly as an in-place prune would leave it.
-  while (!flagged_.empty() && out.size() < limit) {
-    auto it = entries_.find(flagged_.front());
-    if (it != entries_.end() && it->second.c_flag) {
-      out.push_back(PendingFetch{std::move(flagged_.front()),
-                                 it->second.flag_owner});
+  // Walk the queue's front, compacting the live copies to its head and
+  // dropping the stale ones (cleared flags, evicted entries), then erase
+  // the gap between the live copies and the unwalked tail.
+  std::size_t kept = 0;
+  std::size_t walked = 0;
+  while (walked < flagged_.size() && out.size() < limit) {
+    const QueuedKey queued = flagged_[walked++];
+    auto it = entries_.find(queued.key);
+    if (it == entries_.end() || it->second.queued_seq != queued.seq) {
+      continue;  // left behind by an evicted entry
     }
-    flagged_.pop_front();
+    if (!it->second.c_flag) {
+      it->second.queued_seq = 0;  // cleared since it was queued
+      continue;
+    }
+    out.push_back(PendingFetch{queued.key, it->second.flag_owner});
+    flagged_[kept++] = queued;
   }
-  for (auto live = out.rbegin(); live != out.rend(); ++live) {
-    flagged_.push_front(live->key);
-  }
+  flagged_.erase(flagged_.begin() + static_cast<std::ptrdiff_t>(kept),
+                 flagged_.begin() + static_cast<std::ptrdiff_t>(walked));
   return out;
 }
 
@@ -90,17 +101,27 @@ void CriticalDataTable::AuditInvariants() const {
         << "CDT FIFO key file " << key.file << ":" << key.offset << "+"
         << key.length << " not in the table";
   }
-  // flagged_ is pruned lazily, so stale keys are fine — but every live
-  // C_flag must be queued or the Rebuilder will never fetch it.
+  // flagged_ is pruned lazily, so stale copies are fine — but no live
+  // entry may be queued twice (one listing would name it twice), each
+  // entry's queued_seq must name a copy in the queue, and every live C_flag
+  // must be queued or the Rebuilder will never fetch it.
   std::unordered_set<const CdtKey*> queued;
   queued.reserve(flagged_.size());
-  for (const CdtKey& key : flagged_) {
-    auto it = entries_.find(key);
-    if (it != entries_.end()) queued.insert(&it->first);
+  for (const QueuedKey& copy : flagged_) {
+    auto it = entries_.find(copy.key);
+    if (it == entries_.end() || it->second.queued_seq != copy.seq) continue;
+    S4D_CHECK(queued.insert(&it->first).second)
+        << "CDT key file " << copy.key.file << ":" << copy.key.offset << "+"
+        << copy.key.length << " queued twice for fetching";
   }
   std::size_t flagged = 0;
   for (const auto& [key, info] : entries_) {
-    S4D_CHECK(!info.c_flag || queued.count(&key) > 0)
+    const bool has_copy = queued.count(&key) > 0;
+    S4D_CHECK((info.queued_seq != 0) == has_copy)
+        << "CDT entry file " << key.file << ":" << key.offset << "+"
+        << key.length << " records queue copy " << info.queued_seq << ", "
+        << (has_copy ? "found" : "not found") << " in the fetch queue";
+    S4D_CHECK(!info.c_flag || has_copy)
         << "C_flagged entry file " << key.file << ":" << key.offset << "+"
         << key.length << " missing from the fetch queue";
     if (info.c_flag) ++flagged;

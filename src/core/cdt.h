@@ -12,10 +12,14 @@
 // (the paper leaves CDT sizing unspecified; an unbounded table would grow
 // with every unique critical request ever seen).
 //
-// C_flagged entries queue in flag order for the Rebuilder; the queue is
-// pruned lazily, so the table also counts its live flags, which makes
-// AnyPendingFetch() (the drain's idle check, polled every slice) O(1).
-// Add looks a key up before inserting it: most critical requests recur.
+// C_flagged entries queue in flag order for the Rebuilder. The queue is
+// pruned lazily and holds each entry at most once: a key flagged again
+// before its stale copy was pruned keeps that copy's place. An entry
+// records the sequence number of its copy, so the copy an evicted key
+// left behind reads as stale once the key is added again. The table also
+// counts its live flags, which makes AnyPendingFetch() (the drain's idle
+// check, polled every slice) O(1). Add looks a key up before inserting
+// it: most critical requests recur.
 #pragma once
 
 #include <cstdint>
@@ -79,10 +83,10 @@ class CriticalDataTable {
 
   bool CacheFlag(const CdtKey& key) const;
 
-  // Up to `limit` entries whose C_flag is set, oldest-marked first, each
-  // with the owner recorded by SetCacheFlag. Consumes nothing (the
-  // Rebuilder clears flags when fetches complete); stale queue entries
-  // met on the way are dropped at O(1) each.
+  // Up to `limit` distinct entries whose C_flag is set, oldest-marked
+  // first, each with the owner recorded by SetCacheFlag. Consumes nothing
+  // (the Rebuilder clears flags when fetches complete); stale queue copies
+  // met on the way are dropped.
   std::vector<PendingFetch> PendingFetches(std::size_t limit);
 
   // True iff any entry currently has its C_flag set. O(1): the table
@@ -100,9 +104,11 @@ class CriticalDataTable {
 
   // S4D_CHECKs the table's bookkeeping: the entry count within the bound,
   // the FIFO holding exactly the live keys (so eviction order is
-  // well-defined), every C_flagged entry present in the fetch queue — a
-  // flagged entry outside it would never be fetched by the Rebuilder — and
-  // the live-flag count equal to the flagged entries. O(entries + queued).
+  // well-defined), no live key queued twice and each entry's queued_seq
+  // matching the queue, every C_flagged entry present in the fetch queue —
+  // a flagged entry outside it would never be fetched by the Rebuilder —
+  // and the live-flag count equal to the flagged entries.
+  // O(entries + queued).
   // Paranoid builds run it every few mutations; tests call it directly.
   void AuditInvariants() const;
 
@@ -123,12 +129,19 @@ class CriticalDataTable {
   struct Info {
     bool c_flag = false;
     int flag_owner = -1;  // tenant that marked the C_flag, -1 = untagged
+    std::uint64_t queued_seq = 0;  // its copy in flagged_; 0 = none
+  };
+  // A fetch-queue copy: live while its entry's queued_seq names it.
+  struct QueuedKey {
+    CdtKey key;
+    std::uint64_t seq = 0;
   };
 
   std::size_t max_entries_;
   std::unordered_map<CdtKey, Info, CdtKeyHash> entries_;
-  std::deque<CdtKey> insertion_order_;   // FIFO eviction
-  std::deque<CdtKey> flagged_;           // SetCacheFlag order, lazily pruned
+  std::deque<CdtKey> insertion_order_;  // FIFO eviction
+  std::deque<QueuedKey> flagged_;       // SetCacheFlag order, lazily pruned
+  std::uint64_t queued_total_ = 0;      // copies ever queued: the last seq
   // Entries whose C_flag is set: SetCacheFlag, ClearCacheFlag and FIFO
   // eviction keep it exact, so AnyPendingFetch never walks flagged_.
   std::size_t flagged_count_ = 0;

@@ -27,9 +27,10 @@ namespace s4d::core {
 
 // Live calibration provider (src/calib, DESIGN.md §3m): supplies
 // per-server, load-aware estimates fitted from observed sub-request
-// latencies. Either method may *decline* by returning a negative value, in
-// which case the static Table II arithmetic below is used unchanged — a
-// cold or disabled provider is byte-identical to the paper default.
+// latencies, and the cache tier's load signals. Either estimate may
+// *decline* by returning a negative value, in which case the static Table
+// II arithmetic below is used unchanged — a cold provider is
+// byte-identical to the paper default.
 class CostCalibration {
  public:
   virtual ~CostCalibration() = default;
@@ -50,8 +51,6 @@ class CostCalibration {
   // The cache tier's load as the provider sees it, read by TierSignals.
   // Mean outstanding sub-requests per CServer (client-side counters).
   virtual double MeanCServerDepth() const = 0;
-  // Estimated queue delay across the cache tier.
-  virtual SimTime CServerQueueDelayEstimate() const = 0;
   // Whether the tier is past the provider's saturation bound; always false
   // when no bound is configured. Each call under a bound counts as a poll.
   virtual bool CacheTierSaturated() const = 0;

@@ -35,14 +35,9 @@ bool Redirector::FreeAllocationAllowed(byte_count size) const {
   return true;
 }
 
-void Redirector::Release(const RemovedExtent& extent, bool evicted) {
+void Redirector::Release(const RemovedExtent& extent) {
   if (on_release_) {
     on_release_(extent.file, extent.cache_offset, extent.length());
-  }
-  if (extensions_ != nullptr) {
-    for (CacheExtension* extension : extensions_->attached) {
-      extension->OnRemoved(extent, evicted);
-    }
   }
   space_.Free(extent.cache_offset, extent.length());
 }
@@ -64,7 +59,7 @@ std::optional<byte_count> Redirector::AllocateCacheSpace(byte_count size) {
     auto victim = selector != nullptr ? selector->SelectVictim(dmt_)
                                       : dmt_.EvictLruClean();
     if (!victim) return std::nullopt;
-    Release(*victim, /*evicted=*/true);
+    Release(*victim);
     ++stats_.evictions;
   }
 }
@@ -73,7 +68,7 @@ std::vector<RemovedExtent> Redirector::InvalidateAndRelease(
     FileIndex file, byte_count offset, byte_count size) {
   auto removed = dmt_.Invalidate(file, offset, size);
   for (const RemovedExtent& ext : removed) {
-    Release(ext, /*evicted=*/false);
+    Release(ext);
     ++stats_.invalidated_extents;
   }
   return removed;
@@ -208,7 +203,7 @@ RoutingPlan Redirector::PlanWrite(FileIndex file, byte_count offset,
   // an old dirty extent over this write later would corrupt the file.
   const auto removed = dmt_.Invalidate(file, offset, size);
   for (const RemovedExtent& ext : removed) {
-    Release(ext, /*evicted=*/false);
+    Release(ext);
     ++stats_.invalidated_extents;
     plan.dmt_mutated = true;
   }

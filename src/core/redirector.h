@@ -123,9 +123,9 @@ class Redirector {
   using ReleaseHook = std::function<void(
       FileIndex orig_file, byte_count cache_offset, byte_count length)>;
 
-  // `tier` reports reachability and saturation. Every allocation and
-  // release consults `extensions` (not owned; null = none): their gates,
-  // the victim selector (else clean-LRU) and their removal stages.
+  // `tier` reports reachability and saturation. Every allocation consults
+  // `extensions` (not owned; null = none): their gates and the victim
+  // selector (else clean-LRU).
   Redirector(CriticalDataTable& cdt, DataMappingTable& dmt,
              CacheSpaceAllocator& space,
              AdmissionPolicy policy = AdmissionPolicy::kCostModel,
@@ -195,7 +195,7 @@ class Redirector {
 
   // True when every extension's free-space gate passes.
   bool FreeAllocationAllowed(byte_count size) const;
-  void Release(const RemovedExtent& extent, bool evicted);
+  void Release(const RemovedExtent& extent);
   RoutingPlan PlanDegradedWrite(FileIndex file, byte_count offset,
                                 byte_count size);
   RoutingPlan PlanDegradedRead(FileIndex file, byte_count offset,

@@ -564,8 +564,8 @@ void S4DCache::AuditInvariants(bool expect_quiescent) const {
       << ident.cdt_inserts << " CDT inserts of " << ident.critical
       << " critical decisions";
 
-  // Attached extension state (admission counters, partitions, tenant
-  // ghost lists) audits together with the core structures.
+  // Attached extension state (admission counters, tenant partitions)
+  // audits together with the core structures.
   for (const CacheExtension* extension : extensions_.attached) {
     extension->AuditInvariants();
   }

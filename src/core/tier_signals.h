@@ -1,10 +1,10 @@
-// TierSignals: the one reader of the cache tier's state. It answers six
+// TierSignals: the one reader of the cache tier's state. It answers five
 // questions from the CServer file system and, when the calibration
 // subsystem is attached (DESIGN.md §3m), from the CostCalibration provider
 // the cost model holds: that provider's client-side counters replace the
-// servers' queue lengths, and only it estimates queue delay and
-// saturation. A copy reads the same live state. A detached
-// (default-constructed) source reports a healthy, idle tier.
+// servers' queue lengths, and only it reports saturation. A copy reads the
+// same live state. A detached (default-constructed) source reports a
+// healthy, idle tier.
 #pragma once
 
 #include "core/cost_model.h"
@@ -36,12 +36,6 @@ class TierSignals {
       return calibration->MeanCServerDepth();
     }
     return cservers_ != nullptr ? cservers_->MeanQueueDepth() : 0.0;
-  }
-  // Fitted queue delay; 0 without calibration.
-  SimTime QueueDelay() const {
-    const CostCalibration* calibration = Calibration();
-    return calibration != nullptr ? calibration->CServerQueueDelayEstimate()
-                                  : 0;
   }
   // Past the calibration's saturation bound; false without calibration.
   bool Saturated() const {

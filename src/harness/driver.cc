@@ -43,23 +43,9 @@ RunResult RunClosedLoop(mpiio::MpiIoLayer& layer,
     ++result.requests;
     result.bytes += request->size;
     issued[static_cast<std::size_t>(rank)] = engine.now();
-    auto done = [&complete, rank](SimTime t) { complete(rank, t); };
-    mpiio::MpiFile& file = files[static_cast<std::size_t>(rank)];
-    if (request->kind == device::IoKind::kWrite) {
-      std::uint64_t token = 0;
-      if (options.checker) {
-        token = options.checker->OnWrite(workload.file(), request->offset,
-                                         request->size);
-      }
-      layer.WriteAt(file, request->offset, request->size, std::move(done),
-                    token);
-    } else {
-      if (options.checker) {
-        options.checker->CheckRead(layer.dispatch(), workload.file(),
-                                   request->offset, request->size);
-      }
-      layer.ReadAt(file, request->offset, request->size, std::move(done));
-    }
+    IssueRequest(layer, files[static_cast<std::size_t>(rank)], *request,
+                 options.checker,
+                 [&complete, rank](SimTime t) { complete(rank, t); });
   };
 
   for (int r = 0; r < ranks; ++r) issue(r);

@@ -8,7 +8,9 @@
 // exactly how the paper reports bandwidth.
 #pragma once
 
+#include <cstdint>
 #include <functional>
+#include <utility>
 
 #include "common/sim_time.h"
 #include "common/stats.h"
@@ -40,6 +42,31 @@ struct RunResult {
 
 RunResult RunClosedLoop(mpiio::MpiIoLayer& layer, workloads::Workload& workload,
                         const DriverOptions& options = {});
+
+// Issues `request` on `file`, the one issue path of the closed loop and the
+// trace replayer. With a checker, a write first takes its content token and
+// a read is first verified against the reference image. Templated on the
+// completion so a small capture (the closed loop's is 16 bytes) goes
+// straight into the layer's std::function, stored inline.
+template <typename Done>
+void IssueRequest(mpiio::MpiIoLayer& layer, mpiio::MpiFile& file,
+                  const workloads::Request& request, ContentChecker* checker,
+                  Done&& done) {
+  if (request.kind == device::IoKind::kWrite) {
+    const std::uint64_t token =
+        checker != nullptr
+            ? checker->OnWrite(file.name(), request.offset, request.size)
+            : 0;
+    layer.WriteAt(file, request.offset, request.size, std::forward<Done>(done),
+                  token);
+  } else {
+    if (checker != nullptr) {
+      checker->CheckRead(layer.dispatch(), file.name(), request.offset,
+                         request.size);
+    }
+    layer.ReadAt(file, request.offset, request.size, std::forward<Done>(done));
+  }
+}
 
 // Steps the engine until `quiescent()` holds (checked between time slices)
 // or `max_duration` of simulated time elapses. Returns whether quiescence

@@ -16,13 +16,6 @@ bool AdmissionController::Admit(SimTime benefit, bool model_critical,
     ++stats_.pressure_vetoes;
     return false;
   }
-  // Time-unit variant: the calibrated queue-delay estimate speaks the same
-  // unit as B, so the bound transfers across device speeds.
-  if (config_.pressure_max_delay > 0 &&
-      tier.QueueDelay() > config_.pressure_max_delay) {
-    ++stats_.pressure_vetoes;
-    return false;
-  }
   if (!model_critical) return false;
   if (benefit <= threshold_) {
     ++stats_.threshold_rejects;

@@ -41,14 +41,9 @@ struct AdmissionControllerConfig {
   double low_gain = 0.5;
   double high_gain = 0.9;
   // Pressure veto: mean CServer queue depth beyond which admissions are
-  // vetoed. 0 disables the veto.
+  // vetoed. 0 disables the veto. The one admission-stage veto on
+  // cache-tier load.
   double pressure_max_queue = 0.0;
-  // Time-unit pressure veto (calibration subsystem): estimated cache-tier
-  // queue *delay* beyond which admissions are vetoed. Unlike the depth
-  // bound above, this compares in the same unit the benefit B is computed
-  // in, so one bound works across device speeds. 0 disables it; without
-  // calibration the delay reads 0 and it is inert.
-  SimTime pressure_max_delay = 0;
 };
 
 struct AdmissionControllerStats {
@@ -68,9 +63,8 @@ class AdmissionController {
 
   // Admission verdict. `model_critical` is the verdict this stage receives
   // (the Identifier's B > 0 after the health veto), `benefit` the
-  // health-scaled B. The pressure vetoes read the live mean queue depth and
-  // queue delay from `tier` only while their bounds are set (a detached
-  // tier is idle).
+  // health-scaled B. The pressure veto reads the live mean queue depth
+  // from `tier` only while its bound is set (a detached tier is idle).
   bool Admit(SimTime benefit, bool model_critical,
              const core::TierSignals& tier = {});
 

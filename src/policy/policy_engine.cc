@@ -60,9 +60,7 @@ Result<PolicyConfig> ParsePolicyConfig(const ConfigParser& config) {
         config.Read("policy", "threshold_max", &ConfigParser::GetDuration,
                     &a.threshold_max),
         config.Read("policy", "pressure_max_queue", &ConfigParser::GetDouble,
-                    &a.pressure_max_queue),
-        config.Read("policy", "pressure_max_delay", &ConfigParser::GetDuration,
-                    &a.pressure_max_delay)}) {
+                    &a.pressure_max_queue)}) {
     if (!st.ok()) return st;
   }
 
@@ -78,9 +76,6 @@ Result<PolicyConfig> ParsePolicyConfig(const ConfigParser& config) {
   }
   if (a.pressure_max_queue < 0.0) {
     return Status::InvalidArgument("policy.pressure_max_queue must be >= 0");
-  }
-  if (a.pressure_max_delay < 0) {
-    return Status::InvalidArgument("policy.pressure_max_delay must be >= 0");
   }
   return out;
 }

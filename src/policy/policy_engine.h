@@ -3,7 +3,7 @@
 // Takes part in an S4DCache's decisions as a core::CacheExtension (the
 // core never depends on this library) with one admission stage: the Data
 // Identifier's verdict runs through an AdmissionController — the EWMA
-// feedback threshold on B and the LBICA-style pressure vetoes. Eviction
+// feedback threshold on B and the LBICA-style pressure veto. Eviction
 // stays the paper's clean-LRU and destage the Rebuilder's coalesced
 // file-order runs; the engine selects neither.
 //
@@ -41,7 +41,6 @@ struct PolicyConfig {
 //   threshold_step     = <duration>
 //   threshold_max      = <duration>
 //   pressure_max_queue = <mean queue depth; 0 disables the veto>
-//   pressure_max_delay = <duration; 0 disables the veto>
 // Unknown keys are rejected by the caller's schema validation; this
 // function rejects a value that does not parse, an out-of-range value, and
 // any non-mode key present alongside mode=paper-default (those keys would

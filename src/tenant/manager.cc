@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <string>
 #include <utility>
 
 #include "common/check.h"
@@ -27,16 +28,9 @@ TenantManager::TenantManager(sim::Engine& engine, TenantRegistry registry,
   useful_ewma_.assign(n, 0.0);
   window_requests_.assign(n, 0);
   window_useful_.assign(n, 0);
-  window_ghost_hits_.assign(n, 0);
   window_outcomes_.assign(n, 0);
   write_rate_bps_.assign(n, 0.0);
   rate_window_bytes_.assign(n, 0);
-  const std::size_t ghost_capacity = registry_.config().ghost_capacity;
-  for (std::size_t t = 0; t < n; ++t) {
-    ghosts_.push_back(ghost_capacity > 0
-                          ? std::make_unique<GhostCache>(ghost_capacity)
-                          : nullptr);
-  }
 }
 
 TenantManager::~TenantManager() {
@@ -66,15 +60,9 @@ void TenantManager::Attach(core::S4DCache& cache) {
 
   // In enforce mode the manager gates free-space allocation and is the
   // cache's one victim selector — partition containment is a hard
-  // guarantee, see the header. The over-quota reclaim index follows usage
-  // changes instead of rescanning every partition inside each victim
-  // selection.
+  // guarantee, see the header.
   enforce_ = cfg.mode == TenantMode::kEnforce;
-  if (enforce_) {
-    over_excess_.assign(static_cast<std::size_t>(count()), 0);
-    space.SetUsageListener([this](int owner) { RefreshOverIndex(owner); });
-    for (int t = 0; t < count(); ++t) RefreshOverIndex(t);
-  }
+  if (enforce_) over_quota_.reserve(static_cast<std::size_t>(count()));
   cache.Attach(*this, /*selects_victims=*/enforce_);
 
   SetupObservability();
@@ -108,17 +96,6 @@ bool TenantManager::AllowFreeAllocation(byte_count size) {
   return space.free_bytes() >= size + reserved;
 }
 
-void TenantManager::RefreshOverIndex(int owner) {
-  if (!enforce_) return;
-  const auto o = static_cast<std::size_t>(owner);
-  const byte_count excess = std::max<byte_count>(
-      0, cache_->cache_space().used_by(owner) - quota_[o]);
-  if (excess == over_excess_[o]) return;
-  if (over_excess_[o] > 0) over_index_.erase({over_excess_[o], owner});
-  if (excess > 0) over_index_.insert({excess, owner});
-  over_excess_[o] = excess;
-}
-
 std::optional<core::RemovedExtent> TenantManager::SelectVictim(
     core::DataMappingTable& dmt) {
   core::CacheSpaceAllocator& space = cache_->cache_space();
@@ -129,12 +106,19 @@ std::optional<core::RemovedExtent> TenantManager::SelectVictim(
     };
   };
   // 1. Reclaim from over-quota partitions first, most over first (ties to
-  //    the lowest tenant index for determinism). The index is maintained
-  //    incrementally by the allocator's usage listener; a successful
-  //    eviction returns before the ensuing Free mutates the index, and a
-  //    failed probe (no clean extent owned by `o`) mutates nothing, so
-  //    iterating the live set is safe.
-  for (const auto& [excess, o] : over_index_) {
+  //    the lowest tenant index for determinism).
+  over_quota_.clear();
+  for (int o = 0; o < count(); ++o) {
+    const byte_count excess =
+        space.used_by(o) - quota_[static_cast<std::size_t>(o)];
+    if (excess > 0) over_quota_.emplace_back(excess, o);
+  }
+  std::sort(over_quota_.begin(), over_quota_.end(),
+            [](const auto& a, const auto& b) {
+              return a.first != b.first ? a.first > b.first
+                                        : a.second < b.second;
+            });
+  for (const auto& [excess, o] : over_quota_) {
     if (auto victim = dmt.EvictLruCleanIf(owner_is(o))) return victim;
   }
   // 2. The requester's own partition (its floor protects it from others,
@@ -155,16 +139,9 @@ bool TenantManager::Admit(const core::AdmissionContext& ctx, bool verdict) {
   if (!verdict || !cfg.endurance) return verdict;
   const int t = TenantOfRank(ctx.rank);
   TenantStats& s = stats_[static_cast<std::size_t>(t)];
-  // LBICA-style saturation veto: a saturated cache tier serves admissions
-  // slower than the model believes; shed them.
-  if (cfg.pressure_max_queue > 0.0 &&
-      cache_->tier().MeanQueueDepth() > cfg.pressure_max_queue) {
-    ++s.pressure_vetoes;
-    return false;
-  }
   // End-of-life veto: stop converting SSD lifetime into hit ratio once the
-  // wear budget is spent.
-  if (cache_->tier().WearFraction() >= cfg.wear_veto_fraction) {
+  // worst drive's P/E budget is spent.
+  if (cache_->tier().WearFraction() >= 1.0) {
     ++s.wear_vetoes;
     return false;
   }
@@ -199,12 +176,6 @@ void TenantManager::OnRequestStart(const mpiio::FileRequest& request,
   ++s.requests;
   if (kind == device::IoKind::kRead) ++s.read_requests;
   ++window_requests_[static_cast<std::size_t>(t)];
-  GhostCache* ghost = ghosts_[static_cast<std::size_t>(t)].get();
-  if (ghost != nullptr && ghost->Probe(request.file, request.offset,
-                                       request.offset + request.size)) {
-    ++s.ghost_hits;
-    ++window_ghost_hits_[static_cast<std::size_t>(t)];
-  }
 }
 
 void TenantManager::OnOutcome(const core::RequestOutcome& outcome) {
@@ -223,19 +194,6 @@ void TenantManager::OnOutcome(const core::RequestOutcome& outcome) {
       s.cache_write_bytes += outcome.cache_bytes;
       rate_window_bytes_[static_cast<std::size_t>(t)] += outcome.cache_bytes;
     }
-  }
-}
-
-void TenantManager::OnRemoved(const core::RemovedExtent& extent,
-                              bool evicted) {
-  if (!evicted) return;  // invalidations are not would-have-hit evidence
-  int owner = cache_->cache_space().OwnerOf(extent.cache_offset,
-                                            extent.length());
-  if (owner < 0 || owner >= count()) owner = 0;
-  GhostCache* ghost = ghosts_[static_cast<std::size_t>(owner)].get();
-  if (ghost != nullptr) {
-    ghost->Insert(cache_->files().name(extent.file), extent.orig_begin,
-                  extent.orig_end);
   }
 }
 
@@ -270,14 +228,12 @@ void TenantManager::SizerTick() {
   const core::CacheSpaceAllocator& space = cache_->cache_space();
   const auto n = static_cast<std::size_t>(count());
 
-  // EWMA the window's useful-hit ratio (reuse + ghost would-have-hits per
-  // request — ECI-Cache's division signal). Idle tenants keep their last
-  // estimate.
+  // EWMA the window's useful-hit ratio (reuse hits per request —
+  // ECI-Cache's division signal). Idle tenants keep their last estimate.
   for (std::size_t t = 0; t < n; ++t) {
     if (window_requests_[t] > 0) {
-      const double ratio =
-          static_cast<double>(window_useful_[t] + window_ghost_hits_[t]) /
-          static_cast<double>(window_requests_[t]);
+      const double ratio = static_cast<double>(window_useful_[t]) /
+                           static_cast<double>(window_requests_[t]);
       useful_ewma_[t] = kUsefulAlpha * ratio +
                         (1.0 - kUsefulAlpha) * useful_ewma_[t];
     }
@@ -307,7 +263,6 @@ void TenantManager::SizerTick() {
     const byte_count quota = floor_[t] + share;
     if (quota != quota_[t]) changed = true;
     quota_[t] = quota;
-    RefreshOverIndex(static_cast<int>(t));  // excess depends on the quota
   }
   if (changed) ++resizes_;
 
@@ -321,7 +276,6 @@ void TenantManager::SizerTick() {
       obs_->tracer.AddArg(i, "quota_bytes", quota_[t]);
       obs_->tracer.AddArg(i, "requests", window_requests_[t]);
       obs_->tracer.AddArg(i, "useful", window_useful_[t]);
-      obs_->tracer.AddArg(i, "ghost_hits", window_ghost_hits_[t]);
       obs_->tracer.AddArg(
           i, "ewma_x1000",
           static_cast<std::int64_t>(useful_ewma_[t] * 1000.0));
@@ -334,7 +288,6 @@ void TenantManager::SizerTick() {
   for (std::size_t t = 0; t < n; ++t) {
     window_requests_[t] = 0;
     window_useful_[t] = 0;
-    window_ghost_hits_[t] = 0;
     window_outcomes_[t] = 0;
   }
   ScheduleSizer();
@@ -356,9 +309,6 @@ void TenantManager::SetupObservability() {
                  [this, t]() { return stats(t).hit_ratio(); });
     m.SetGaugeFn(prefix + ".cache_write_bytes", [this, t]() {
       return static_cast<double>(stats(t).cache_write_bytes);
-    });
-    m.SetGaugeFn(prefix + ".ghost_hits", [this, t]() {
-      return static_cast<double>(stats(t).ghost_hits);
     });
   }
   m.SetGaugeFn("tenant.cache_wear_fraction", [this]() {
@@ -383,25 +333,6 @@ void TenantManager::AuditInvariants() const {
         << "quotas sum to " << quota_sum << " > capacity "
         << cache_->cache_space().capacity();
   }
-  if (enforce_) {
-    // The incremental over-quota index must agree with a fresh scan.
-    std::size_t over_count = 0;
-    for (std::size_t t = 0; t < n; ++t) {
-      const byte_count excess = std::max<byte_count>(
-          0, cache_->cache_space().used_by(static_cast<int>(t)) - quota_[t]);
-      S4D_CHECK(over_excess_[t] == excess)
-          << "over-quota index stale for tenant " << t << ": indexed "
-          << over_excess_[t] << ", actual " << excess;
-      if (excess > 0) {
-        ++over_count;
-        S4D_CHECK(over_index_.count({excess, static_cast<int>(t)}) == 1)
-            << "tenant " << t << " missing from the over-quota index";
-      }
-    }
-    S4D_CHECK(over_index_.size() == over_count)
-        << "over-quota index holds " << over_index_.size() << " entries, "
-        << over_count << " tenants are over quota";
-  }
   for (std::size_t t = 0; t < n; ++t) {
     const TenantStats& s = stats_[t];
     S4D_CHECK(s.hits <= s.requests)
@@ -416,7 +347,6 @@ void TenantManager::AuditInvariants() const {
     S4D_CHECK(window_useful_[t] <= window_outcomes_[t])
         << "window useful " << window_useful_[t] << " > window outcomes "
         << window_outcomes_[t];
-    if (ghosts_[t] != nullptr) ghosts_[t]->AuditInvariants();
   }
 }
 
@@ -424,21 +354,19 @@ void TenantManager::PrintReport() const {
   std::printf("\n-- tenants (%s%s) --\n",
               TenantModeName(registry_.config().mode),
               registry_.config().endurance ? ", endurance" : "");
-  std::printf("%-12s %10s %10s %10s %10s %7s %8s %10s %8s\n", "tenant",
+  std::printf("%-12s %10s %10s %10s %10s %7s %10s %8s\n", "tenant",
               "used_MB", "quota_MB", "floor_MB", "requests", "hit%",
-              "ghost", "write_MB", "vetoes");
+              "write_MB", "vetoes");
   for (int t = 0; t < count(); ++t) {
     const TenantStats& s = stats(t);
-    std::printf("%-12s %10.1f %10.1f %10.1f %10lld %7.1f %8lld %10.1f %8lld\n",
+    std::printf("%-12s %10.1f %10.1f %10.1f %10lld %7.1f %10.1f %8lld\n",
                 registry_.spec(t).name.c_str(),
                 static_cast<double>(used(t)) / 1e6,
                 static_cast<double>(quota(t)) / 1e6,
                 static_cast<double>(floor(t)) / 1e6,
                 static_cast<long long>(s.requests), s.hit_ratio() * 100.0,
-                static_cast<long long>(s.ghost_hits),
                 static_cast<double>(s.cache_write_bytes) / 1e6,
-                static_cast<long long>(s.endurance_vetoes + s.pressure_vetoes +
-                                       s.wear_vetoes));
+                static_cast<long long>(s.endurance_vetoes + s.wear_vetoes));
   }
 }
 

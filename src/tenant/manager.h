@@ -13,19 +13,21 @@
 //                 caps each tenant at its quota (with borrowable slack
 //                 above other tenants' hard floors) and the manager is the
 //                 cache's victim selector: over-quota partitions are
-//                 reclaimed first, then the requester's own, then any
-//                 partition still above its floor. Floors are never
+//                 reclaimed first (largest excess first, from a fresh
+//                 scan of the few tenants), then the requester's own, then
+//                 any partition still above its floor. Floors are never
 //                 breached by another tenant's allocation.
 //   sizing      — an online PartitionSizer periodically re-divides the
 //                 capacity above the floors in proportion to each tenant's
-//                 EWMA *useful* hit ratio (reuse hits plus per-tenant ghost
-//                 evidence — ECI-Cache's division rule).
+//                 EWMA *useful* (reuse) hit ratio — ECI-Cache's division
+//                 rule.
 //   endurance   — with `endurance = on`, the Admit stage adds a write-cost
-//                 check to the verdict it receives: saturation (mean queue
-//                 depth) and SSD end-of-life (wear model) veto globally,
-//                 and a tenant near its cache-write budget must clear a
-//                 benefit bar that rises with its budget utilization —
-//                 over budget, admissions stop outright.
+//                 check to the verdict it receives: SSD end-of-life (wear
+//                 fraction 1.0) vetoes globally, and a tenant near its
+//                 cache-write budget must clear a benefit bar that rises
+//                 with its budget utilization — over budget, admissions
+//                 stop outright. Cache-tier load is the policy engine's
+//                 veto (policy.pressure_max_queue), not this stage's.
 //
 // With one catch-all tenant in enforce mode and endurance off, every
 // decision reduces to the unpartitioned behaviour (the gate always passes,
@@ -39,17 +41,13 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
-#include <set>
-#include <string>
 #include <utility>
 #include <vector>
 
 #include "core/s4d_cache.h"
 #include "obs/observability.h"
 #include "sim/engine.h"
-#include "tenant/ghost_cache.h"
 #include "tenant/registry.h"
 
 namespace s4d::tenant {
@@ -61,14 +59,15 @@ struct TenantStats {
   std::int64_t hits = 0;
   // Hits against a pre-existing mapping — reuse, not first-touch admission.
   std::int64_t useful_hits = 0;
-  // Would-have-hit evidence from this tenant's ghost list.
-  std::int64_t ghost_hits = 0;
   // Foreground bytes written to the cache tier (SSD wear attribution).
   byte_count cache_write_bytes = 0;
-  // Endurance/pressure admission vetoes.
+  // Endurance admission vetoes: over or near the write budget, and at the
+  // SSD's end of life.
   std::int64_t endurance_vetoes = 0;
-  std::int64_t pressure_vetoes = 0;
   std::int64_t wear_vetoes = 0;
+  // Always 0: the stage has no load veto. perfbench sums it into
+  // tenant.vetoes.
+  std::int64_t pressure_vetoes = 0;
 
   double hit_ratio() const {
     return requests > 0
@@ -96,13 +95,11 @@ class TenantManager final : public core::CacheExtension {
   bool AllowFreeAllocation(byte_count size) override;
   std::optional<core::RemovedExtent> SelectVictim(
       core::DataMappingTable& dmt) override;
-  // Populates the owning tenant's ghost list; the owner is still on record.
-  void OnRemoved(const core::RemovedExtent& extent, bool evicted) override;
   void OnOutcome(const core::RequestOutcome& outcome) override;
   // S4D_CHECKs the partition bookkeeping: quotas respect floors and sum to
-  // the capacity, per-tenant counters are mutually consistent, and every
-  // ghost list's own invariants hold. Runs with the cache's audits, so it
-  // also rides the paranoid-build periodic audits.
+  // the capacity, and per-tenant counters are mutually consistent. Runs
+  // with the cache's audits, so it also rides the paranoid-build periodic
+  // audits.
   void AuditInvariants() const override;
 
   const TenantRegistry& registry() const { return registry_; }
@@ -132,12 +129,6 @@ class TenantManager final : public core::CacheExtension {
   // OnRequestStart for foreground ops, by the Rebuilder for fetches).
   int CurrentTenant() const;
 
-  // Incremental over-quota index maintenance: recomputes `owner`'s excess
-  // (used - quota) and moves its entry in over_index_. Called from the
-  // allocator's usage listener and after quota changes, so SelectVictim
-  // reads reclaim order off the index instead of rescanning every tenant
-  // per eviction.
-  void RefreshOverIndex(int owner);
   // Folds the open rate window into the per-tenant write-rate EWMAs.
   void FoldRateWindow();
   void SizerTick();
@@ -151,30 +142,16 @@ class TenantManager final : public core::CacheExtension {
   std::vector<byte_count> quota_;
   std::vector<byte_count> floor_;
   std::vector<TenantStats> stats_;
-  std::vector<std::unique_ptr<GhostCache>> ghosts_;
-
-  // Over-quota partitions ordered by reclaim priority — excess descending,
-  // ties to the lowest tenant index (the exact order the old per-eviction
-  // scan-and-sort produced). over_excess_ caches each tenant's indexed
-  // excess (0 = absent) so updates are erase+insert, O(log over-quota
-  // tenants). Maintained only in enforce mode.
-  struct OverOrder {
-    bool operator()(const std::pair<byte_count, int>& a,
-                    const std::pair<byte_count, int>& b) const {
-      if (a.first != b.first) return a.first > b.first;
-      return a.second < b.second;
-    }
-  };
-  std::set<std::pair<byte_count, int>, OverOrder> over_index_;
-  std::vector<byte_count> over_excess_;
-  bool enforce_ = false;  // gate, victim selection and the index above
+  bool enforce_ = false;  // the gate and victim selection are live
+  // SelectVictim's (excess, tenant) scratch, sized at Attach so a victim
+  // scan never allocates.
+  std::vector<std::pair<byte_count, int>> over_quota_;
 
   // Sizer state: per-tenant EWMA useful-hit ratio and the open window's
   // deltas (reset every tick).
   std::vector<double> useful_ewma_;
   std::vector<std::int64_t> window_requests_;
   std::vector<std::int64_t> window_useful_;
-  std::vector<std::int64_t> window_ghost_hits_;
   // Completions this window — the audit bound for window_useful_ (requests
   // are counted at issue, so a request can complete into a later window).
   std::vector<std::int64_t> window_outcomes_;

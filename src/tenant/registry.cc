@@ -4,8 +4,6 @@
 #include <cctype>
 #include <sstream>
 
-#include "common/check.h"
-
 namespace s4d::tenant {
 
 namespace {
@@ -153,41 +151,21 @@ Result<TenantsConfig> ParseTenantsConfig(const ConfigParser& config,
 
   // Absent keys keep TenantsConfig's defaults; a present value that does
   // not parse is an error naming the key.
-  std::int64_t groups = out.auto_group_ranks;
-  auto ghosts = static_cast<std::int64_t>(out.ghost_capacity);
   for (const Status& st :
-       {config.Read("tenants", "auto_group_ranks", &ConfigParser::GetInt,
-                    &groups),
-        config.Read("tenants", "sizer_interval", &ConfigParser::GetDuration,
+       {config.Read("tenants", "sizer_interval", &ConfigParser::GetDuration,
                     &out.sizer_interval),
-        config.Read("tenants", "ghost_capacity", &ConfigParser::GetInt,
-                    &ghosts),
         config.Read("tenants", "endurance", &ConfigParser::GetBool,
                     &out.endurance),
         config.Read("tenants", "write_cost_ns_per_byte",
-                    &ConfigParser::GetDouble, &out.write_cost_ns_per_byte),
-        config.Read("tenants", "pressure_max_queue", &ConfigParser::GetDouble,
-                    &out.pressure_max_queue),
-        config.Read("tenants", "wear_veto_fraction", &ConfigParser::GetDouble,
-                    &out.wear_veto_fraction)}) {
+                    &ConfigParser::GetDouble, &out.write_cost_ns_per_byte)}) {
     if (!st.ok()) return st;
-  }
-  out.auto_group_ranks = static_cast<int>(groups);
-  if (out.auto_group_ranks < 0) {
-    return Status::InvalidArgument("tenants.auto_group_ranks must be >= 0");
   }
   if (out.sizer_interval < 0) {
     return Status::InvalidArgument("tenants.sizer_interval must be >= 0");
   }
-  if (ghosts < 0) {
-    return Status::InvalidArgument("tenants.ghost_capacity must be >= 0");
-  }
-  out.ghost_capacity = static_cast<std::size_t>(ghosts);
-  if (out.write_cost_ns_per_byte < 0 || out.pressure_max_queue < 0 ||
-      out.wear_veto_fraction <= 0) {
+  if (out.write_cost_ns_per_byte < 0) {
     return Status::InvalidArgument(
-        "tenants: write_cost_ns_per_byte / pressure_max_queue must be >= 0 "
-        "and wear_veto_fraction > 0");
+        "tenants.write_cost_ns_per_byte must be >= 0");
   }
 
   // Numbered tenant entries, in key order (tenant1 < tenant2 < ...).
@@ -198,12 +176,6 @@ Result<TenantsConfig> ParseTenantsConfig(const ConfigParser& config,
     Status st = ParseTenantSpec(key, value, &spec);
     if (!st.ok()) return st;
     out.specs.push_back(std::move(spec));
-  }
-
-  if (out.auto_group_ranks > 0 && !out.specs.empty()) {
-    return Status::InvalidArgument(
-        "tenants: auto_group_ranks and explicit tenant* entries are mutually "
-        "exclusive");
   }
 
   // Cross-spec validation.
@@ -253,23 +225,8 @@ Result<TenantsConfig> ParseTenantsConfig(const ConfigParser& config,
   return out;
 }
 
-TenantRegistry::TenantRegistry(TenantsConfig config, int total_ranks)
+TenantRegistry::TenantRegistry(TenantsConfig config, int /*ranks*/)
     : config_(std::move(config)) {
-  if (config_.auto_group_ranks > 0) {
-    S4D_CHECK(config_.specs.empty())
-        << "auto grouping with explicit tenant specs";
-    const int group = config_.auto_group_ranks;
-    const int groups =
-        std::max(1, static_cast<int>(CeilDiv(std::max(total_ranks, 1), group)));
-    for (int g = 0; g < groups; ++g) {
-      TenantSpec spec;
-      spec.name = "group" + std::to_string(g);
-      spec.rank_begin = g * group;
-      spec.rank_end = (g + 1) * group - 1;
-      config_.specs.push_back(std::move(spec));
-    }
-    config_.auto_group_ranks = 0;
-  }
   if (config_.specs.empty()) {
     // Single catch-all tenant — the configuration equivalent of "no
     // partitioning" (and pinned byte-identical to it by the tests).

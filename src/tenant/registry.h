@@ -19,10 +19,8 @@
 //                 size suffixes allowed) beyond which admissions are vetoed.
 //                 Default 0 = unlimited.
 //
-// Alternatively `auto_group_ranks = N` builds one tenant per N consecutive
-// ranks with equal shares (incompatible with explicit tenant* entries).
-// Ranks no tenant claims — and rank-less internal requests — fall to
-// tenant 0.
+// With no tenant entries the registry holds one catch-all tenant. Ranks no
+// tenant claims — and rank-less internal requests — fall to tenant 0.
 #pragma once
 
 #include <string>
@@ -35,8 +33,8 @@
 
 namespace s4d::tenant {
 
-// observe — account per-tenant usage, hit ratios and ghost evidence, but
-//           never change any decision (shared-pool behaviour, measured).
+// observe — account per-tenant usage and hit ratios, but never change any
+//           decision (shared-pool behaviour, measured).
 // enforce — partition gate, partition-constrained victim selection and the
 //           (optional) endurance veto are live.
 enum class TenantMode { kObserve, kEnforce };
@@ -58,42 +56,32 @@ struct TenantSpec {
 struct TenantsConfig {
   TenantMode mode = TenantMode::kEnforce;
   std::vector<TenantSpec> specs;
-  int auto_group_ranks = 0;  // > 0: one tenant per N consecutive ranks
   // Online partition re-sizing period (ECI-Cache-style useful-hit-ratio
   // division). 0 = static quotas.
   SimTime sizer_interval = 0;
-  std::size_t ghost_capacity = 4096;  // per-tenant ghost-list entries
   // Endurance-aware admission (wear model + per-tenant write budgets).
   bool endurance = false;
   // Benefit scaling: an admission must beat utilization x size x this cost
   // (ns per byte) once a tenant approaches its write budget. 0 keeps only
   // the hard over-budget veto.
   double write_cost_ns_per_byte = 0.0;
-  // LBICA-style saturation veto: mean CServer queue depth beyond which no
-  // admission passes. 0 disables.
-  double pressure_max_queue = 0.0;
-  // Global end-of-life veto: no admissions once the worst CServer SSD has
-  // consumed this fraction of its P/E budget. >= 1.0 effectively disables
-  // it until actual end-of-life.
-  double wear_veto_fraction = 1.0;
 };
 
 // Parses and validates the [tenants] section. `capacity` is the resolved
 // cache capacity the quotas are checked against. Rejects (InvalidArgument):
 // a present value that does not parse as its key's type (naming
 // `tenants.<key>`), malformed tenant specs, duplicate names, overlapping
-// rank ranges,
-// quota/floor sums exceeding the capacity, per-tenant floor > quota, and
-// auto_group_ranks combined with explicit tenant* entries. Returns a config
-// with no specs when the section is absent (tenancy disabled).
+// rank ranges, quota/floor sums exceeding the capacity, and per-tenant
+// floor > quota. Returns a config with no specs when the section is absent
+// (tenancy disabled).
 Result<TenantsConfig> ParseTenantsConfig(const ConfigParser& config,
                                          byte_count capacity);
 
 class TenantRegistry {
  public:
-  // `total_ranks` bounds auto-group expansion (ignored for explicit specs).
-  // With auto_group_ranks = N, ranks [kN, (k+1)N) become tenant "groupK".
-  explicit TenantRegistry(TenantsConfig config, int total_ranks = 0);
+  // The int is the run's rank count; tenants come from the specs alone, so
+  // it is unused.
+  explicit TenantRegistry(TenantsConfig config, int /*ranks*/ = 0);
 
   int count() const { return static_cast<int>(config_.specs.size()); }
   const TenantSpec& spec(int t) const { return config_.specs.at(t); }

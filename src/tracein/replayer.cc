@@ -103,10 +103,8 @@ ReplayResult TraceReplayWorkload::Replay(mpiio::MpiIoLayer& layer,
   // Issues record `index` now; `done` runs after `account`.
   auto submit = [&](std::size_t index, std::function<void()> done) {
     const TraceRecord& rec = trace_.records[index];
-    if (options.on_issue) {
-      options.on_issue(rec.rank,
-                       workloads::Request{rec.kind, rec.offset, rec.size});
-    }
+    const workloads::Request request{rec.kind, rec.offset, rec.size};
+    if (options.on_issue) options.on_issue(rec.rank, request);
     ++result.run.requests;
     result.run.bytes += rec.size;
     ++in_flight;
@@ -121,20 +119,8 @@ ReplayResult TraceReplayWorkload::Replay(mpiio::MpiIoLayer& layer,
       ++completed;
       done();
     };
-    mpiio::MpiFile& file = files[static_cast<std::size_t>(rec.rank)];
-    if (rec.kind == device::IoKind::kWrite) {
-      std::uint64_t token = 0;
-      if (options.checker != nullptr) {
-        token = options.checker->OnWrite(file_, rec.offset, rec.size);
-      }
-      layer.WriteAt(file, rec.offset, rec.size, std::move(completion), token);
-    } else {
-      if (options.checker != nullptr) {
-        options.checker->CheckRead(layer.dispatch(), file_, rec.offset,
-                                   rec.size);
-      }
-      layer.ReadAt(file, rec.offset, rec.size, std::move(completion));
-    }
+    harness::IssueRequest(layer, files[static_cast<std::size_t>(rec.rank)],
+                          request, options.checker, std::move(completion));
   };
 
   if (options.mode == ReplayMode::kOpenLoop) {

@@ -216,7 +216,6 @@ TEST(CalibrationEngine, ColdEngineDeclinesEveryEstimate) {
   EXPECT_EQ(cal.CServerEstimate(device::IoKind::kWrite, 0, 64 * KiB), -1);
   EXPECT_EQ(cal.DServerEstimate(FromMillis(3), 0, 64 * KiB), -1);
   EXPECT_EQ(cal.stats().declines, 2);
-  EXPECT_EQ(cal.CServerQueueDelayEstimate(), 0);
   EXPECT_FALSE(cal.CacheTierSaturated());
 }
 

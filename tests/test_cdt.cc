@@ -2,6 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <deque>
+#include <map>
+#include <set>
+#include <tuple>
+#include <vector>
+
+#include "common/rng.h"
+
 namespace s4d::core {
 
 // Reads and corrupts the table's private bookkeeping.
@@ -9,13 +19,20 @@ struct CdtTestPeer {
   // AnyPendingFetch() as it was before the table counted its live flags: a
   // walk over the fetch queue for a key whose entry is still flagged.
   static bool QueueHoldsLiveFlag(const CriticalDataTable& cdt) {
-    for (const CdtKey& key : cdt.flagged_) {
-      auto it = cdt.entries_.find(key);
-      if (it != cdt.entries_.end() && it->second.c_flag) return true;
+    for (const auto& copy : cdt.flagged_) {
+      auto it = cdt.entries_.find(copy.key);
+      if (it != cdt.entries_.end() && it->second.queued_seq == copy.seq &&
+          it->second.c_flag) {
+        return true;
+      }
     }
     return false;
   }
   static void MiscountFlags(CriticalDataTable& cdt) { ++cdt.flagged_count_; }
+  // Queues the front copy a second time.
+  static void QueueFrontTwice(CriticalDataTable& cdt) {
+    cdt.flagged_.push_back(cdt.flagged_.front());
+  }
 };
 
 namespace {
@@ -230,6 +247,123 @@ TEST(Cdt, LiveFlagCountMatchesQueueWalk) {
   expect_agree("clear C");
   EXPECT_TRUE(cdt.PendingFetches(8).empty());
   expect_agree("prune to empty");
+}
+
+TEST(Cdt, SetClearSetQueuesTheKeyOnce) {
+  CriticalDataTable cdt;
+  cdt.Add(kA);
+  cdt.Add(kB);
+  cdt.SetCacheFlag(kA);
+  cdt.SetCacheFlag(kB);
+  cdt.ClearCacheFlag(kA);
+  cdt.SetCacheFlag(kA, /*owner=*/2);  // the stale copy keeps its place
+  cdt.AuditInvariants();
+  const auto pending = cdt.PendingFetches(10);
+  ASSERT_EQ(pending.size(), 2u);
+  EXPECT_EQ(pending[0].key, kA);
+  EXPECT_EQ(pending[0].owner, 2);
+  EXPECT_EQ(pending[1].key, kB);
+}
+
+TEST(Cdt, ReaddedKeyIsListedOnce) {
+  CriticalDataTable cdt(/*max_entries=*/2);
+  cdt.Add(kA);
+  cdt.SetCacheFlag(kA);
+  cdt.Add(kB);
+  cdt.SetCacheFlag(kB);
+  cdt.Add(kC);  // evicts kA; its queue copy stays behind
+  cdt.Add(kA);  // evicts kB; kA is a new entry
+  cdt.SetCacheFlag(kA);
+  cdt.AuditInvariants();
+  const auto pending = cdt.PendingFetches(10);
+  ASSERT_EQ(pending.size(), 1u);
+  EXPECT_EQ(pending[0].key, kA);
+  cdt.AuditInvariants();
+}
+
+// Drives Add, SetCacheFlag, ClearCacheFlag and PendingFetches against a
+// model of the entries (FIFO-bounded) and their flags. Every listing must
+// name distinct flagged keys with the owner that flagged them, as many as
+// the limit allows; a third of the steps reuse the last key, so a key is
+// often flagged, cleared and flagged again between listings.
+TEST(Cdt, FuzzedListingsNameEachFlaggedKeyOnce) {
+  constexpr std::size_t kMaxEntries = 6;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    CriticalDataTable cdt(kMaxEntries);
+    std::deque<CdtKey> fifo;
+    std::map<std::tuple<FileIndex, byte_count, byte_count>, int> flags;
+    std::set<std::tuple<FileIndex, byte_count, byte_count>> live;
+    auto tuple_of = [](const CdtKey& k) {
+      return std::make_tuple(k.file, k.offset, k.length);
+    };
+    Rng rng(seed);
+    CdtKey last{kFile, 0, 4096};
+    for (int step = 0; step < 4000; ++step) {
+      CdtKey key = last;
+      if (rng.NextBelow(3) != 0) {
+        key = CdtKey{static_cast<FileIndex>(rng.NextBelow(2)),
+                     static_cast<byte_count>(rng.NextBelow(10)) * 4096, 4096};
+      }
+      last = key;
+      const auto k = tuple_of(key);
+      switch (rng.NextBelow(4)) {
+        case 0: {
+          const bool added = live.count(k) == 0;
+          ASSERT_EQ(cdt.Add(key), added) << "step " << step;
+          if (added) {
+            live.insert(k);
+            fifo.push_back(key);
+            while (fifo.size() > kMaxEntries) {
+              live.erase(tuple_of(fifo.front()));
+              flags.erase(tuple_of(fifo.front()));
+              fifo.pop_front();
+            }
+          }
+          break;
+        }
+        case 1: {
+          const int owner = static_cast<int>(rng.NextBelow(3)) - 1;
+          ASSERT_EQ(cdt.SetCacheFlag(key, owner), live.count(k) > 0)
+              << "step " << step;
+          if (live.count(k) > 0) flags[k] = owner;
+          break;
+        }
+        case 2:
+          cdt.ClearCacheFlag(key);
+          flags.erase(k);
+          break;
+        default: {
+          const auto limit = static_cast<std::size_t>(rng.NextBelow(17));
+          const auto pending = cdt.PendingFetches(limit);
+          std::set<std::tuple<FileIndex, byte_count, byte_count>> listed;
+          for (const PendingFetch& p : pending) {
+            const auto pk = tuple_of(p.key);
+            ASSERT_TRUE(listed.insert(pk).second)
+                << "step " << step << ": key " << p.key.file << ":"
+                << p.key.offset << " listed twice";
+            ASSERT_EQ(flags.count(pk), 1u)
+                << "step " << step << ": listed key not flagged";
+            EXPECT_EQ(p.owner, flags[pk]) << "step " << step;
+          }
+          ASSERT_EQ(pending.size(), std::min(limit, flags.size()))
+              << "step " << step;
+          break;
+        }
+      }
+      ASSERT_EQ(cdt.AnyPendingFetch(), !flags.empty()) << "step " << step;
+      ASSERT_EQ(cdt.size(), live.size()) << "step " << step;
+      cdt.AuditInvariants();
+    }
+  }
+}
+
+TEST(Cdt, AuditCatchesAKeyQueuedTwice) {
+  CriticalDataTable cdt;
+  cdt.Add(kA);
+  cdt.SetCacheFlag(kA);
+  cdt.AuditInvariants();
+  CdtTestPeer::QueueFrontTwice(cdt);
+  EXPECT_DEATH(cdt.AuditInvariants(), "queued twice");
 }
 
 TEST(Cdt, AuditCatchesAMiscountedFlag) {

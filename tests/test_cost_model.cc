@@ -155,7 +155,6 @@ class FakeCalibration : public CostCalibration {
     return c_return;
   }
   double MeanCServerDepth() const override { return 0.0; }
-  SimTime CServerQueueDelayEstimate() const override { return 0; }
   bool CacheTierSaturated() const override { return false; }
 
   SimTime d_return = -1;

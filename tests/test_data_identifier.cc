@@ -128,7 +128,6 @@ class CountingCalibration : public CostCalibration {
     return -1;
   }
   double MeanCServerDepth() const override { return 0.0; }
-  SimTime CServerQueueDelayEstimate() const override { return 0; }
   bool CacheTierSaturated() const override { return false; }
   mutable int dserver_calls = 0;
   mutable int cserver_calls = 0;

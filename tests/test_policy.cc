@@ -42,7 +42,6 @@ class DepthCalibration final : public core::CostCalibration {
     return -1;
   }
   double MeanCServerDepth() const override { return depth; }
-  SimTime CServerQueueDelayEstimate() const override { return 0; }
   bool CacheTierSaturated() const override { return false; }
   double depth = 0.0;
 };
@@ -128,8 +127,7 @@ TEST(ParsePolicyConfig, FullSectionParses) {
       "ewma_alpha = 0.25\n"
       "threshold_step = 25us\n"
       "threshold_max = 2ms\n"
-      "pressure_max_queue = 12\n"
-      "pressure_max_delay = 3ms\n");
+      "pressure_max_queue = 12\n");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   const PolicyConfig& pc = result.value();
   EXPECT_EQ(pc.mode, PolicyMode::kAdaptive);
@@ -138,7 +136,6 @@ TEST(ParsePolicyConfig, FullSectionParses) {
   EXPECT_EQ(pc.admission.threshold_step, FromMicros(25));
   EXPECT_EQ(pc.admission.threshold_max, FromMillis(2));
   EXPECT_DOUBLE_EQ(pc.admission.pressure_max_queue, 12.0);
-  EXPECT_EQ(pc.admission.pressure_max_delay, FromMillis(3));
 }
 
 TEST(ParsePolicyConfig, RejectsInvalidValues) {
@@ -158,8 +155,7 @@ TEST(ParsePolicyConfig, RejectsInvalidValues) {
       {"ewma_alpha", "abc"},         {"ewma_alpha", "nan"},
       {"ewma_alpha", "inf"},         {"pressure_max_queue", "nan"},
       {"pressure_max_queue", "inf"}, {"threshold_step", "nan"},
-      {"threshold_max", "inf"},      {"threshold_max", "1e300s"},
-      {"pressure_max_delay", "nan"}};
+      {"threshold_max", "inf"},      {"threshold_max", "1e300s"}};
   for (const auto& [key, value] : kUnparsable) {
     const auto result = ParseFrom("[policy]\nmode = adaptive\n" + key +
                                   " = " + value + "\n");

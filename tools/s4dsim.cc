@@ -207,19 +207,13 @@ Status ValidateConfig(const ConfigParser& config) {
         {"capture_out"}}},
       {"policy",
        {{"mode"}, {"admission"}, {"ewma_alpha"}, {"threshold_step"},
-        {"threshold_max"}, {"pressure_max_queue"}, {"pressure_max_delay"}}},
+        {"threshold_max"}, {"pressure_max_queue"}}},
       {"calib",
-       {{"enable", V::kBool}, {"forget", V::kDouble},
-        {"min_samples", V::kInt}, {"queue_gain", V::kDouble},
-        {"saturation_depth", V::kDouble}, {"calibrate_dservers", V::kBool},
-        {"calibrate_cservers", V::kBool}}},
+       {{"min_samples", V::kInt}, {"saturation_depth", V::kDouble}}},
       {"tenants",
        {{"tenant*"}, {"mode", {"enforce", "observe"}},
-        {"auto_group_ranks", V::kInt}, {"sizer_interval", V::kDuration},
-        {"ghost_capacity", V::kInt}, {"endurance", V::kBool},
-        {"write_cost_ns_per_byte", V::kDouble},
-        {"pressure_max_queue", V::kDouble},
-        {"wear_veto_fraction", V::kDouble}}},
+        {"sizer_interval", V::kDuration}, {"endurance", V::kBool},
+        {"write_cost_ns_per_byte", V::kDouble}}},
   };
   std::map<std::string, std::vector<std::string>> names;
   for (const auto& [section, keys] : kSchema) {
@@ -320,41 +314,28 @@ std::unique_ptr<tenant::TenantManager> MakeTenantManager(
 }
 
 // Builds the calibration engine for a parsed [calib] section, or null when
-// the config has no such section (or calib.enable = false) — the
-// byte-identical static-cost-model path. Exits on configuration errors.
+// the config has no such section — the byte-identical static-cost-model
+// path. Exits on configuration errors.
 std::unique_ptr<calib::CalibrationEngine> MakeCalibration(
     const ConfigParser& config, harness::Testbed& bed, core::S4DCache* s4d,
     obs::Observability* obs) {
-  if (!HasSection(config, "calib") || !config.BoolOr("calib", "enable", true)) {
-    return nullptr;
-  }
+  if (!HasSection(config, "calib")) return nullptr;
   if (s4d == nullptr) {
     std::fprintf(stderr,
                  "calib config error: [calib] needs middleware.type = s4d\n");
     std::exit(1);
   }
   calib::CalibConfig cfg;
-  cfg.forget = config.DoubleOr("calib", "forget", cfg.forget);
   cfg.min_samples = config.IntOr("calib", "min_samples", cfg.min_samples);
-  cfg.queue_gain = config.DoubleOr("calib", "queue_gain", cfg.queue_gain);
   cfg.saturation_depth =
       config.DoubleOr("calib", "saturation_depth", cfg.saturation_depth);
-  cfg.calibrate_dservers =
-      config.BoolOr("calib", "calibrate_dservers", cfg.calibrate_dservers);
-  cfg.calibrate_cservers =
-      config.BoolOr("calib", "calibrate_cservers", cfg.calibrate_cservers);
-  if (cfg.forget <= 0.0 || cfg.forget > 1.0) {
-    std::fprintf(stderr, "calib config error: calib.forget must be in (0, 1]\n");
-    std::exit(1);
-  }
   if (cfg.min_samples < 1) {
     std::fprintf(stderr, "calib config error: calib.min_samples must be >= 1\n");
     std::exit(1);
   }
-  if (cfg.queue_gain < 0.0 || cfg.saturation_depth < 0.0) {
+  if (cfg.saturation_depth < 0.0) {
     std::fprintf(stderr,
-                 "calib config error: calib.queue_gain and "
-                 "calib.saturation_depth must be >= 0\n");
+                 "calib config error: calib.saturation_depth must be >= 0\n");
     std::exit(1);
   }
   auto engine = std::make_unique<calib::CalibrationEngine>(
@@ -729,10 +710,8 @@ int Run(const ConfigParser& config) {
   collector.Attach(bed.cservers(), "CServers");
 
   if (calibration) {
-    std::printf("calibration: forget %g, min_samples %lld, queue gain %g%s\n",
-                calibration->config().forget,
+    std::printf("calibration: min_samples %lld%s\n",
                 static_cast<long long>(calibration->config().min_samples),
-                calibration->config().queue_gain,
                 calibration->config().saturation_depth > 0.0
                     ? ", saturation probe armed"
                     : "");

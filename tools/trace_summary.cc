@@ -51,7 +51,6 @@ struct TenantAgg {
   long long windows = 0;
   double requests = 0.0;
   double useful = 0.0;
-  double ghost_hits = 0.0;
   double used_bytes = 0.0;
   double quota_bytes = 0.0;
   double ewma = 0.0;
@@ -170,7 +169,6 @@ int main(int argc, char** argv) {
         double v = 0.0;
         if (ExtractNumber(line, "requests", &v)) agg.requests += v;
         if (ExtractNumber(line, "useful", &v)) agg.useful += v;
-        if (ExtractNumber(line, "ghost_hits", &v)) agg.ghost_hits += v;
         ExtractNumber(line, "used_bytes", &agg.used_bytes);
         ExtractNumber(line, "quota_bytes", &agg.quota_bytes);
         if (ExtractNumber(line, "ewma_x1000", &v)) agg.ewma = v / 1000.0;
@@ -256,14 +254,13 @@ int main(int argc, char** argv) {
     }
   }
   if (!tenants.empty()) {
-    std::printf("\n%-16s %8s %10s %10s %10s %12s %12s %8s %10s\n", "tenant",
-                "windows", "requests", "useful", "ghost", "used_MB",
-                "quota_MB", "ewma", "write_MBps");
+    std::printf("\n%-16s %8s %10s %10s %12s %12s %8s %10s\n", "tenant",
+                "windows", "requests", "useful", "used_MB", "quota_MB", "ewma",
+                "write_MBps");
     for (const auto& [who, agg] : tenants) {
-      std::printf("%-16s %8lld %10.0f %10.0f %10.0f %12.2f %12.2f %8.3f "
-                  "%10.2f\n",
+      std::printf("%-16s %8lld %10.0f %10.0f %12.2f %12.2f %8.3f %10.2f\n",
                   who.c_str(), agg.windows, agg.requests, agg.useful,
-                  agg.ghost_hits, agg.used_bytes / (1024.0 * 1024.0),
+                  agg.used_bytes / (1024.0 * 1024.0),
                   agg.quota_bytes / (1024.0 * 1024.0), agg.ewma,
                   agg.write_mbps);
     }
