@@ -60,6 +60,10 @@ int Main(int argc, char** argv) {
     report.Add("overhead_percent",
                (1.0 - s4d_mbps / stock_mbps) * 100.0,
                {{"request", FormatBytes(request)}});
+    report.Add("throughput_mbps", stock_mbps,
+               {{"request", FormatBytes(request)}, {"system", "stock"}});
+    report.Add("throughput_mbps", s4d_mbps,
+               {{"request", FormatBytes(request)}, {"system", "s4d"}});
   }
   table.Print(std::cout);
   std::printf("\npaper: the overhead is almost unobservable.\n");

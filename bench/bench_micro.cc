@@ -16,6 +16,7 @@
 #include "device/hdd_model.h"
 #include "kvstore/kvstore.h"
 #include "pfs/file_server.h"
+#include "pfs/file_system.h"
 #include "pfs/striping.h"
 #include "sim/engine.h"
 
@@ -264,29 +265,60 @@ void BM_HddAccessRandom(benchmark::State& state) {
 }
 BENCHMARK(BM_HddAccessRandom);
 
+// Counts the jobs a server resolves.
+class CountingSink final : public pfs::JobSink {
+ public:
+  void OnJobResolved(std::uint64_t, SimTime, bool) override { ++resolved; }
+  std::int64_t resolved = 0;
+};
+
 // One sub-request through a jittered HDD server: submit, arrival event,
-// service, completion event and callback.
+// service, completion event and sink call.
 void BM_FileServerRoundTrip(benchmark::State& state) {
   sim::Engine engine;
   pfs::FileServer server(
       engine,
       std::make_unique<device::HddModel>(device::SeagateST32502NS(), 1),
       net::LinkModel(net::GigabitEthernet()), "server0");
-  byte_count lba = 0;
+  CountingSink sink;
+  pfs::ServerJob job;
+  job.kind = device::IoKind::kWrite;
+  job.size = 512 * KiB;
+  job.sink = &sink;
+  for (auto _ : state) {
+    server.Submit(job);
+    engine.Run();
+    job.lba += 512 * KiB;
+  }
+  benchmark::DoNotOptimize(sink.resolved);
+}
+BENCHMARK(BM_FileServerRoundTrip);
+
+// One striped request from FileSystem::Submit to its completion on 8
+// jittered HDD servers: the split, the fan-out, every server's round trip
+// and the join.
+void BM_FileSystemSubmit(benchmark::State& state) {
+  sim::Engine engine;
+  pfs::FsConfig cfg;
+  cfg.stripe = {8, 64 * KiB};
+  cfg.link = net::GigabitEthernet();
+  pfs::FileSystem fs(engine, cfg, [](int server) {
+    return std::make_unique<device::HddModel>(
+        device::SeagateST32502NS(), static_cast<std::uint64_t>(server + 1));
+  });
+  const pfs::FileId file = fs.OpenOrCreate("f");
+  const byte_count size = state.range(0);
+  byte_count offset = 0;
   std::int64_t completed = 0;
   for (auto _ : state) {
-    pfs::ServerJob job;
-    job.kind = device::IoKind::kWrite;
-    job.lba = lba;
-    job.size = 512 * KiB;
-    job.on_complete = [&completed](SimTime) { ++completed; };
-    server.Submit(std::move(job));
+    fs.Submit(file, device::IoKind::kWrite, offset, size,
+              pfs::Priority::kNormal, [&completed](SimTime) { ++completed; });
     engine.Run();
-    lba += 512 * KiB;
+    offset = (offset + size) % (1 * GiB);
   }
   benchmark::DoNotOptimize(completed);
 }
-BENCHMARK(BM_FileServerRoundTrip);
+BENCHMARK(BM_FileSystemSubmit)->Arg(16 * KiB)->Arg(4 * MiB);
 
 void BM_KvStorePut(benchmark::State& state) {
   const auto dir = std::filesystem::temp_directory_path() /

@@ -52,6 +52,9 @@ Rebuilder::Rebuilder(sim::Engine& engine, pfs::FileSystem& dservers,
 
 void Rebuilder::Start() {
   if (running_) return;
+  // A tick that re-arms at the same instant would never let time advance.
+  S4D_CHECK(config_.interval > 0)
+      << "rebuilder interval must be positive, got " << config_.interval;
   running_ = true;
   ScheduleNext();
 }

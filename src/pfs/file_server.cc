@@ -39,28 +39,26 @@ void FileServer::SetObservability(obs::Observability* obs,
       [this] { return device_->stats().ewma_service_ns / 1000.0; });
 }
 
-FileServer::Slot FileServer::Store(ServerJob&& job) {
+FileServer::Slot FileServer::Store(const ServerJob& job) {
   Slot slot;
   if (free_slots_.empty()) {
     slot = static_cast<Slot>(slab_.size());
-    slab_.emplace_back();
+    slab_.push_back(SlabEntry{job, kNoSlot});
   } else {
     slot = free_slots_.back();
     free_slots_.pop_back();
+    slab_[slot].job = job;
   }
-  slab_[slot].job = std::move(job);
+  slab_[slot].job.enqueued_at = engine_.now();
   return slot;
 }
 
-std::function<void(SimTime)> FileServer::TakeCallback(Slot slot,
-                                                      bool failed) {
-  ServerJob& j = JobAt(slot);
-  std::function<void(SimTime)> cb =
-      std::move(failed && j.on_failure ? j.on_failure : j.on_complete);
-  j.on_complete = nullptr;
-  j.on_failure = nullptr;
+void FileServer::Resolve(Slot slot, bool failed) {
+  const ServerJob& j = JobAt(slot);
+  JobSink* const sink = j.sink;
+  const std::uint64_t cookie = j.cookie;
   free_slots_.push_back(slot);
-  return cb;
+  sink->OnJobResolved(cookie, engine_.now(), failed);
 }
 
 void FileServer::Push(Fifo& fifo, Slot slot) {
@@ -103,17 +101,16 @@ void FileServer::FailJob(Slot slot) {
   // Failures resolve on the next engine step, not inline: Crash/Submit may
   // themselves run inside an event callback, and re-entering the caller's
   // completion chain synchronously would reorder its state updates.
-  engine_.ScheduleAfter(0, [this, slot]() {
-    auto cb = TakeCallback(slot, /*failed=*/true);
-    if (cb) cb(engine_.now());
-  });
+  engine_.ScheduleAfter(0,
+                        [this, slot]() { Resolve(slot, /*failed=*/true); });
 }
 
-void FileServer::Submit(ServerJob job) {
+void FileServer::Submit(const ServerJob& job) {
   S4D_CHECK(job.size > 0)
       << "server " << name_ << " got a job of " << job.size << " bytes";
-  job.enqueued_at = engine_.now();
-  const Slot slot = Store(std::move(job));
+  S4D_CHECK(job.sink != nullptr)
+      << "server " << name_ << " got a job with no sink";
+  const Slot slot = Store(job);
   if (!up_) {
     // Connection refused: the client learns of the failure after the RPC
     // attempt, modelled as an immediate failure.
@@ -229,8 +226,7 @@ void FileServer::Serve(Slot slot) {
       inflight_event_ = sim::kInvalidEvent;
       inflight_ = kNoSlot;
       busy_ = false;
-      auto cb = TakeCallback(slot, /*failed=*/true);
-      if (cb) cb(engine_.now());
+      Resolve(slot, /*failed=*/true);
       MaybeStartNext();
     });
     return;
@@ -292,8 +288,7 @@ void FileServer::Serve(Slot slot) {
     if (JobAt(slot).priority == Priority::kNormal) {
       last_normal_activity_ = engine_.now();
     }
-    auto cb = TakeCallback(slot, /*failed=*/false);
-    if (cb) cb(engine_.now());
+    Resolve(slot, /*failed=*/false);
     busy_ = false;
     MaybeStartNext();
   });

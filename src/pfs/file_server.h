@@ -7,19 +7,22 @@
 // (the Rebuilder's reorganization I/O, §III-F) are only dequeued when no
 // normal job is waiting, reproducing the paper's low-priority I/O.
 //
+// A job names who resolves it, `{JobSink* sink, cookie}`, so it is a
+// trivially copyable 56-byte record; the server tells the sink, exactly
+// once per job, that the job with that cookie completed or failed.
+//
 // Fault awareness: a server can crash (all pending and in-flight jobs fail,
 // later submissions fail until Restart), be partitioned from the network
 // (jobs queue but none start until the partition heals), serve through a
 // degraded device or link (multipliers on the service-time phases), and
-// probabilistically fail background jobs (deterministic, seeded). Failed
-// jobs invoke `on_failure` when provided, else `on_complete` — legacy
-// callers that predate fault injection keep their exactly-once completion.
+// probabilistically fail background jobs (deterministic, seeded). A failed
+// job reaches its sink with `failed = true`.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.h"
@@ -32,23 +35,41 @@ namespace s4d::pfs {
 
 enum class Priority { kNormal = 0, kBackground = 1 };
 
+// Resolves the jobs that name it. The server calls OnJobResolved exactly
+// once per submitted job, at the simulated time the job completed
+// (`failed` = false) or failed (`failed` = true: refused by a crashed
+// server, dropped by a crash while queued or in service, or failed by an
+// injected background error). The job's slot is already free when the call
+// runs, so the sink may submit to the same server. Jobs hold a sink's
+// address, so a sink is neither copyable nor movable.
+class JobSink {
+ public:
+  virtual void OnJobResolved(std::uint64_t cookie, SimTime time,
+                             bool failed) = 0;
+
+ protected:
+  JobSink() = default;
+  JobSink(const JobSink&) = delete;
+  JobSink& operator=(const JobSink&) = delete;
+  ~JobSink() = default;
+};
+
 struct ServerJob {
   device::IoKind kind = device::IoKind::kRead;
+  Priority priority = Priority::kNormal;
   byte_count lba = 0;  // absolute device address
   byte_count size = 0;
-  Priority priority = Priority::kNormal;
-  // Invoked exactly once, at the simulated completion time.
-  std::function<void(SimTime)> on_complete;
-  // Invoked instead of on_complete when the job fails (server crash,
-  // injected error). Optional: when null, on_complete fires for failures
-  // too, preserving pre-fault-subsystem semantics for legacy callers.
-  std::function<void(SimTime)> on_failure = nullptr;
+  // Who resolves the job, and the cookie it is told. Required.
+  JobSink* sink = nullptr;
+  std::uint64_t cookie = 0;
   // Tracing: the request-level span this sub-request belongs to; the
   // server's service span links to it as its parent.
   obs::SpanId parent_span = obs::kNoSpan;
   // Stamped by Submit; queue-wait time is measured from here.
   SimTime enqueued_at = -1;
 };
+static_assert(std::is_trivially_copyable_v<ServerJob>,
+              "a job is copied into its slab slot once, byte for byte");
 
 // Exact service decomposition of one served job, emitted from Serve() at
 // service start.
@@ -95,9 +116,10 @@ class FileServer {
   FileServer(const FileServer&) = delete;
   FileServer& operator=(const FileServer&) = delete;
 
-  // Enqueues a job; it will be served in FIFO order within its priority.
-  // On a crashed server the job fails immediately (next engine step).
-  void Submit(ServerJob job);
+  // Copies `job` into a slab slot and enqueues it; it will be served in
+  // FIFO order within its priority. On a crashed server the job fails
+  // immediately (next engine step). `job.sink` must be set.
+  void Submit(const ServerJob& job);
 
   // --- fault injection ---------------------------------------------------
   // Crash: every queued job and the in-flight job (if any) fail at the
@@ -148,12 +170,15 @@ class FileServer {
     return normal_queue_.size + background_queue_.size;
   }
   bool busy() const { return busy_; }
+  // Slots the job slab has grown to: the most jobs this server has held at
+  // once.
+  std::size_t slab_slots() const { return slab_.size(); }
 
  private:
   // Every job the server holds — in jitter flight, queued, in service or
   // waiting for its failure event — lives in one slab slot from Submit
-  // until its callback fires. Events capture {this, slot}, and the FIFOs
-  // are intrusive lists through the slots, so a job is moved once and
+  // until its sink is told. Events capture {this, slot}, and the FIFOs are
+  // intrusive lists through the slots, so a job is copied once and
   // queueing allocates nothing once the slab is warm.
   using Slot = std::uint32_t;
   static constexpr Slot kNoSlot = ~Slot{0};
@@ -161,6 +186,7 @@ class FileServer {
     ServerJob job;
     Slot next = kNoSlot;  // FIFO successor while queued
   };
+  static_assert(sizeof(SlabEntry) <= 64, "a slab entry fits a cache line");
   struct Fifo {
     Slot head = kNoSlot;
     Slot tail = kNoSlot;
@@ -168,12 +194,11 @@ class FileServer {
   };
 
   ServerJob& JobAt(Slot slot) { return slab_[slot].job; }
-  Slot Store(ServerJob&& job);
-  // Moves the callback that resolves the job out of its slot and frees the
-  // slot, destroying the other callback; the caller invokes the returned
-  // one. Moving it out first matters: the callback may submit to this
-  // server and grow (reallocate) the slab.
-  std::function<void(SimTime)> TakeCallback(Slot slot, bool failed);
+  Slot Store(const ServerJob& job);
+  // Frees the slot, then tells the job's sink how it ended. Freeing first
+  // matters: the sink may submit to this server and grow (reallocate) the
+  // slab.
+  void Resolve(Slot slot, bool failed);
   void Push(Fifo& fifo, Slot slot);
   Slot Pop(Fifo& fifo);
   void Enqueue(Slot slot);

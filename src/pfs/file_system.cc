@@ -1,6 +1,7 @@
 #include "pfs/file_system.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -102,6 +103,15 @@ void FileSystem::SubTagArrive(SubTag* tag, SimTime t, bool ok) {
   FanoutArrive(fanout, t, ok);
 }
 
+void FileSystem::OnJobResolved(std::uint64_t cookie, SimTime time,
+                               bool failed) {
+  if (sub_sink_ != nullptr) {
+    SubTagArrive(reinterpret_cast<SubTag*>(cookie), time, !failed);
+  } else {
+    FanoutArrive(reinterpret_cast<Fanout*>(cookie), time, !failed);
+  }
+}
+
 FileSystem::Fanout* FileSystem::AcquireFanout() {
   if (fanout_free_.empty()) {
     fanout_pool_.push_back(std::make_unique<Fanout>());
@@ -182,13 +192,15 @@ void FileSystem::Submit(FileId file, device::IoKind kind, byte_count offset,
   state->on_complete = std::move(on_complete);
   state->on_failure = std::move(on_failure);
 
+  ServerJob job;
+  job.kind = kind;
+  job.priority = priority;
+  job.sink = this;
+  job.parent_span = parent_span;
   const byte_count base = FileBaseLba(file);
   for (const SubRequest& sub : subs) {
-    ServerJob job;
-    job.kind = kind;
     job.lba = base + sub.server_offset;
     job.size = sub.size;
-    job.priority = priority;
     if (sub_sink_ != nullptr) {
       SubTag* tag = AcquireSubTag();
       tag->fanout = state;
@@ -198,20 +210,11 @@ void FileSystem::Submit(FileId file, device::IoKind kind, byte_count offset,
       tag->depth = sub_depth_[static_cast<std::size_t>(sub.server)]++;
       tag->kind = static_cast<std::uint8_t>(kind);
       tag->priority = static_cast<std::uint8_t>(priority);
-      // {this, tag} fits std::function's inline buffer: no allocation.
-      job.on_complete = [this, tag](SimTime t) { SubTagArrive(tag, t, true); };
-      job.on_failure = [this, tag](SimTime t) { SubTagArrive(tag, t, false); };
+      job.cookie = reinterpret_cast<std::uintptr_t>(tag);
     } else {
-      // {this, state} fits std::function's inline buffer: no allocation.
-      job.on_complete = [this, state](SimTime t) {
-        FanoutArrive(state, t, true);
-      };
-      job.on_failure = [this, state](SimTime t) {
-        FanoutArrive(state, t, false);
-      };
+      job.cookie = reinterpret_cast<std::uintptr_t>(state);
     }
-    job.parent_span = parent_span;
-    servers_[static_cast<std::size_t>(sub.server)]->Submit(std::move(job));
+    servers_[static_cast<std::size_t>(sub.server)]->Submit(job);
   }
   split_scratch_ = std::move(subs);
 }

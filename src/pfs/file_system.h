@@ -84,7 +84,9 @@ class SubRequestSink {
   virtual void OnSubRequestResolved(const SubRequestSample& sample) = 0;
 };
 
-class FileSystem {
+// The file system is the JobSink of its servers' jobs, so jobs in flight
+// hold its address: like every JobSink, it is neither copyable nor movable.
+class FileSystem final : private JobSink {
  public:
   using DeviceFactory =
       std::function<std::unique_ptr<device::DeviceModel>(int server_index)>;
@@ -106,8 +108,9 @@ class FileSystem {
   // `on_failure` (optional): invoked instead of `on_complete` — still
   // exactly once, when the last sub-request resolves — if any sub-request
   // failed (its server crashed, or a fault injector failed it). Callers
-  // that pass no `on_failure` keep the legacy semantics: failures resolve
-  // through `on_complete`, and only FsStats records them.
+  // that pass no `on_failure`, written before fault injection, keep their
+  // exactly-once completion: a failed request resolves through
+  // `on_complete`, and only FsStats records the failure.
   // `parent_span` (optional): the request-level span the per-server
   // sub-request spans attach to when tracing is enabled.
   void Submit(FileId file, device::IoKind kind, byte_count offset,
@@ -178,10 +181,13 @@ class FileSystem {
  private:
   byte_count FileBaseLba(FileId file) const;
 
+  // Each sub-request job names this file system as its sink. Its cookie
+  // is the request's Fanout*, or its SubTag* while a SubRequestSink is
+  // installed (the sink can only change with no sub-request in flight).
+  void OnJobResolved(std::uint64_t cookie, SimTime time, bool failed) override;
+
   // Failure-aware join state for one striped request, pooled and reused so
-  // the submit hot path performs no per-request heap allocation (the
-  // completion lambdas capture {FileSystem*, Fanout*}, which fits
-  // std::function's inline buffer).
+  // the submit hot path performs no per-request heap allocation.
   struct Fanout {
     int remaining = 0;
     SimTime last = 0;
@@ -193,8 +199,7 @@ class FileSystem {
   void FanoutArrive(Fanout* fanout, SimTime t, bool ok);
 
   // Per-sub observation state, pooled like Fanout so the instrumented
-  // submit path still performs no steady-state allocation (the completion
-  // lambdas capture {FileSystem*, SubTag*}: 16 bytes).
+  // submit path still performs no steady-state allocation.
   struct SubTag {
     Fanout* fanout = nullptr;
     SimTime submit = 0;

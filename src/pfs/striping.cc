@@ -29,32 +29,42 @@ void SplitRequestInto(const StripeConfig& cfg, byte_count offset,
   const byte_count end = offset + size;
   const byte_count first = offset / str;     // B
   const byte_count last = (end - 1) / str;   // E
-  const byte_count touched = std::min(last - first + 1, servers);
+  const byte_count span = last - first;      // Δ = E - B
+  const byte_count touched = std::min(span + 1, servers);
   out.reserve(static_cast<std::size_t>(touched));
 
-  // Stripe first + j (j < touched) is the first stripe the request puts on
-  // server (first + j) % M; that server's stripes then repeat every M
-  // stripes up to E. Only the first stripe of all can start mid-stripe
-  // (head) and only stripe E can end early (tail).
+  // Stripe B + j (j < touched) is the first stripe the request puts on
+  // server (B + j) % M; that server's stripes then repeat every M stripes
+  // up to E. Only stripe B can start mid-stripe (head) and only stripe E
+  // can end early (tail). Write B = q_first·M + r_first and
+  // Δ = q_span·M + r_span. Server r_first + j starts at local stripe
+  // q_first (q_first + 1 once r_first + j wraps past M-1), serves
+  // q_span + 1 stripes if j <= r_span and q_span otherwise, and ends on
+  // stripe E exactly when j == r_span. So the split divides a fixed number
+  // of times per request, however many servers it touches.
+  const byte_count q_first = first / servers;
+  const byte_count r_first = first % servers;
+  const byte_count q_span = span / servers;
+  const byte_count r_span = span % servers;
   const byte_count head = offset - first * str;
   const byte_count tail = (last + 1) * str - end;
-  auto emit = [&](byte_count j) {
-    const byte_count k0 = first + j;
-    const byte_count n = (last - k0) / servers + 1;
-    const byte_count k1 = k0 + (n - 1) * servers;
+  auto emit = [&](byte_count j, byte_count server, byte_count local_stripe) {
+    const byte_count n = j <= r_span ? q_span + 1 : q_span;
     const byte_count trim_head = j == 0 ? head : 0;
-    const byte_count trim_tail = k1 == last ? tail : 0;
-    out.push_back(SubRequest{static_cast<int>(k0 % servers),
-                             std::max(offset, k0 * str),
-                             (k0 / servers) * str + trim_head,
+    const byte_count trim_tail = j == r_span ? tail : 0;
+    out.push_back(SubRequest{static_cast<int>(server),
+                             std::max(offset, (first + j) * str),
+                             local_stripe * str + trim_head,
                              n * str - trim_head - trim_tail});
   };
-  // Ascending server order: when the touched servers wrap past M-1, the
-  // wrapped ones (0, 1, ...) come from the last `wrapped` values of j.
-  const byte_count wrapped =
-      std::max<byte_count>(0, first % servers + touched - servers);
-  for (byte_count j = touched - wrapped; j < touched; ++j) emit(j);
-  for (byte_count j = 0; j < touched - wrapped; ++j) emit(j);
+  // Ascending server order: servers r_first, r_first + 1, ... up to M-1
+  // come from the first `unwrapped` values of j, and the wrapped servers
+  // 0, 1, ... from the rest, which go first.
+  const byte_count unwrapped = std::min(touched, servers - r_first);
+  for (byte_count j = unwrapped; j < touched; ++j) {
+    emit(j, r_first + j - servers, q_first + 1);
+  }
+  for (byte_count j = 0; j < unwrapped; ++j) emit(j, r_first + j, q_first);
 
   S4D_DCHECK(std::all_of(out.begin(), out.end(),
                          [](const SubRequest& sub) { return sub.size > 0; }) &&

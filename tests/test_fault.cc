@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "callback_log.h"
+#include "callback_sink.h"
 #include "common/config_parser.h"
 #include "fault/fault_injector.h"
 #include "fault/fault_schedule.h"
@@ -132,30 +133,27 @@ struct Outcome {
   SimTime last = -1;
 };
 
-pfs::ServerJob Job(Outcome& out,
+pfs::ServerJob Job(testing::CallbackSink& sink, Outcome& out,
                    pfs::Priority priority = pfs::Priority::kNormal) {
-  pfs::ServerJob job;
-  job.kind = device::IoKind::kWrite;
-  job.lba = 0;
-  job.size = 1024;
-  job.priority = priority;
-  job.on_complete = [&out](SimTime t) {
-    ++out.completed;
-    out.last = t;
-  };
-  job.on_failure = [&out](SimTime t) {
-    ++out.failed;
-    out.last = t;
-  };
-  return job;
+  return sink.Job(
+      device::IoKind::kWrite, 0, 1024, priority,
+      [&out](SimTime t) {
+        ++out.completed;
+        out.last = t;
+      },
+      [&out](SimTime t) {
+        ++out.failed;
+        out.last = t;
+      });
 }
 
 TEST(FileServerFaults, CrashFailsQueuedAndInflightJobs) {
   sim::Engine engine;
+  testing::CallbackSink sink;
   pfs::FileServer server(engine, std::make_unique<FakeDevice>(FromMillis(10)),
                          FastLink(), "s0");
   Outcome out;
-  for (int i = 0; i < 3; ++i) server.Submit(Job(out));
+  for (int i = 0; i < 3; ++i) server.Submit(Job(sink, out));
   engine.RunUntil(FromMillis(5));  // first job in flight, two queued
   server.Crash();
   engine.Run();
@@ -169,11 +167,12 @@ TEST(FileServerFaults, CrashFailsQueuedAndInflightJobs) {
 
 TEST(FileServerFaults, SubmitToCrashedServerFails) {
   sim::Engine engine;
+  testing::CallbackSink sink;
   pfs::FileServer server(engine, std::make_unique<FakeDevice>(FromMillis(1)),
                          FastLink(), "s0");
   server.Crash();
   Outcome out;
-  server.Submit(Job(out));
+  server.Submit(Job(sink, out));
   engine.Run();
   EXPECT_EQ(out.completed, 0);
   EXPECT_EQ(out.failed, 1);
@@ -181,6 +180,7 @@ TEST(FileServerFaults, SubmitToCrashedServerFails) {
 
 TEST(FileServerFaults, RestartServesNewJobs) {
   sim::Engine engine;
+  testing::CallbackSink sink;
   pfs::FileServer server(engine, std::make_unique<FakeDevice>(FromMillis(1)),
                          FastLink(), "s0");
   server.Crash();
@@ -188,35 +188,20 @@ TEST(FileServerFaults, RestartServesNewJobs) {
   EXPECT_TRUE(server.up());
   EXPECT_EQ(server.stats().restarts, 1);
   Outcome out;
-  server.Submit(Job(out));
+  server.Submit(Job(sink, out));
   engine.Run();
   EXPECT_EQ(out.completed, 1);
   EXPECT_EQ(out.failed, 0);
 }
 
-TEST(FileServerFaults, FailedJobWithoutFailureCallbackUsesOnComplete) {
-  // Legacy callers pass no on_failure; failures must still resolve their
-  // completion exactly once.
-  sim::Engine engine;
-  pfs::FileServer server(engine, std::make_unique<FakeDevice>(FromMillis(1)),
-                         FastLink(), "s0");
-  server.Crash();
-  int resolved = 0;
-  pfs::ServerJob job;
-  job.size = 1;
-  job.on_complete = [&](SimTime) { ++resolved; };
-  server.Submit(std::move(job));
-  engine.Run();
-  EXPECT_EQ(resolved, 1);
-}
-
 TEST(FileServerFaults, PartitionStallsJobsUntilHeal) {
   sim::Engine engine;
+  testing::CallbackSink sink;
   pfs::FileServer server(engine, std::make_unique<FakeDevice>(FromMillis(1)),
                          FastLink(), "s0");
   server.SetPartitioned(true);
   Outcome out;
-  server.Submit(Job(out));
+  server.Submit(Job(sink, out));
   engine.RunUntil(FromMillis(50));
   EXPECT_EQ(out.completed, 0);  // stalled, not failed
   EXPECT_EQ(out.failed, 0);
@@ -230,11 +215,12 @@ TEST(FileServerFaults, PartitionStallsJobsUntilHeal) {
 TEST(FileServerFaults, DeviceDegradeSlowsService) {
   auto run = [](double degrade) {
     sim::Engine engine;
+    testing::CallbackSink sink;
     pfs::FileServer server(engine, std::make_unique<FakeDevice>(FromMillis(1)),
                            FastLink(), "s0");
     server.device().SetDegrade(degrade);
     Outcome out;
-    server.Submit(Job(out));
+    server.Submit(Job(sink, out));
     engine.Run();
     return out.last;
   };
@@ -244,12 +230,13 @@ TEST(FileServerFaults, DeviceDegradeSlowsService) {
 
 TEST(FileServerFaults, BackgroundErrorRateFailsOnlyBackgroundJobs) {
   sim::Engine engine;
+  testing::CallbackSink sink;
   pfs::FileServer server(engine, std::make_unique<FakeDevice>(FromMillis(1)),
                          FastLink(), "s0", /*background_idle_grace=*/0);
   server.SetBackgroundErrorRate(1.0, 7);
   Outcome normal, background;
-  server.Submit(Job(normal));
-  server.Submit(Job(background, pfs::Priority::kBackground));
+  server.Submit(Job(sink, normal));
+  server.Submit(Job(sink, background, pfs::Priority::kBackground));
   engine.Run();
   EXPECT_EQ(normal.completed, 1);
   EXPECT_EQ(normal.failed, 0);
@@ -271,24 +258,22 @@ net::LinkModel JitteredLink() {
 }
 
 // Submits job `id`; both callbacks log it, and `then` runs after a failure.
-void SubmitLogged(pfs::FileServer& server, std::vector<testing::Fired>& log,
-                  int id, pfs::Priority priority,
+void SubmitLogged(pfs::FileServer& server, testing::CallbackSink& sink,
+                  std::vector<testing::Fired>& log, int id,
+                  pfs::Priority priority,
                   std::function<void()> then = nullptr) {
-  pfs::ServerJob job;
-  job.kind = device::IoKind::kWrite;
-  job.lba = id * 64 * KiB;
-  job.size = 4 * KiB;
-  job.priority = priority;
-  job.on_complete = [&log, id](SimTime t) { log.push_back({id, t, true}); };
-  job.on_failure = [&log, id, then = std::move(then)](SimTime t) {
-    log.push_back({id, t, false});
-    if (then) then();
-  };
-  server.Submit(std::move(job));
+  server.Submit(sink.Job(
+      device::IoKind::kWrite, id * 64 * KiB, 4 * KiB, priority,
+      [&log, id](SimTime t) { log.push_back({id, t, true}); },
+      [&log, id, then = std::move(then)](SimTime t) {
+        log.push_back({id, t, false});
+        if (then) then();
+      }));
 }
 
 TEST(FileServerFaults, CrashResolvesHeldJobsOnceThenSlotsAreReused) {
   sim::Engine engine;
+  testing::CallbackSink sink;
   pfs::FileServer server(engine, std::make_unique<FakeDevice>(FromMillis(1)),
                          JitteredLink(), "s0", /*background_idle_grace=*/0);
   std::vector<testing::Fired> log;
@@ -296,10 +281,10 @@ TEST(FileServerFaults, CrashResolvesHeldJobsOnceThenSlotsAreReused) {
   // Each failure of the first wave resubmits once to the crashed server,
   // where the retry fails again.
   auto retry = [&] {
-    SubmitLogged(server, log, next_id++, pfs::Priority::kNormal);
+    SubmitLogged(server, sink, log, next_id++, pfs::Priority::kNormal);
   };
   for (int i = 0; i < 6; ++i) {
-    SubmitLogged(server, log, next_id++,
+    SubmitLogged(server, sink, log, next_id++,
                  i % 3 == 2 ? pfs::Priority::kBackground
                             : pfs::Priority::kNormal,
                  retry);
@@ -308,14 +293,14 @@ TEST(FileServerFaults, CrashResolvesHeldJobsOnceThenSlotsAreReused) {
   EXPECT_TRUE(server.busy());
   EXPECT_GT(server.queue_depth(), 0u);
   for (int i = 0; i < 2; ++i) {  // still in arrival flight at the crash
-    SubmitLogged(server, log, next_id++, pfs::Priority::kNormal, retry);
+    SubmitLogged(server, sink, log, next_id++, pfs::Priority::kNormal, retry);
   }
   server.Crash();
   EXPECT_EQ(server.queue_depth(), 0u);
   engine.RunUntil(FromMillis(10));
   server.Restart();
   for (int i = 0; i < 5; ++i) {
-    SubmitLogged(server, log, next_id++,
+    SubmitLogged(server, sink, log, next_id++,
                  i == 4 ? pfs::Priority::kBackground : pfs::Priority::kNormal);
   }
   engine.Run();
@@ -329,13 +314,14 @@ TEST(FileServerFaults, CrashResolvesHeldJobsOnceThenSlotsAreReused) {
 
 TEST(FileServerFaults, BackgroundErrorsResolveEachJobOnce) {
   sim::Engine engine;
+  testing::CallbackSink sink;
   pfs::FileServer server(engine, std::make_unique<FakeDevice>(FromMillis(1)),
                          JitteredLink(), "s0", /*background_idle_grace=*/0);
   server.SetBackgroundErrorRate(0.5, 11);
   std::vector<testing::Fired> log;
   constexpr int kJobs = 24;
   for (int id = 0; id < kJobs; ++id) {
-    SubmitLogged(server, log, id,
+    SubmitLogged(server, sink, log, id,
                  id % 3 == 0 ? pfs::Priority::kNormal
                              : pfs::Priority::kBackground);
   }
@@ -351,24 +337,25 @@ TEST(FileServerFaults, BackgroundErrorsResolveEachJobOnce) {
 
 TEST(FileServerFaults, PartitionHealServesHeldJobsOnce) {
   sim::Engine engine;
+  testing::CallbackSink sink;
   pfs::FileServer server(engine, std::make_unique<FakeDevice>(FromMillis(1)),
                          JitteredLink(), "s0", /*background_idle_grace=*/0);
   std::vector<testing::Fired> log;
   int next_id = 0;
   for (int i = 0; i < 3; ++i) {
-    SubmitLogged(server, log, next_id++, pfs::Priority::kNormal);
+    SubmitLogged(server, sink, log, next_id++, pfs::Priority::kNormal);
   }
   engine.RunUntil(FromMicros(1500));
   server.SetPartitioned(true);
   for (int i = 0; i < 6; ++i) {
-    SubmitLogged(server, log, next_id++,
+    SubmitLogged(server, sink, log, next_id++,
                  i % 2 == 0 ? pfs::Priority::kNormal
                             : pfs::Priority::kBackground);
   }
   engine.RunUntil(FromMillis(20));
   EXPECT_GT(server.queue_depth(), 0u);  // held, neither served nor failed
   server.SetPartitioned(false);
-  SubmitLogged(server, log, next_id++, pfs::Priority::kNormal);
+  SubmitLogged(server, sink, log, next_id++, pfs::Priority::kNormal);
   engine.Run();
   testing::ExpectEachFiredOnce(log, next_id);
   EXPECT_EQ(server.stats().failed_jobs, 0);
@@ -419,6 +406,21 @@ TEST(FileSystemFaults, RequestMissingDownServerSucceeds) {
   EXPECT_EQ(completed, 1);
   EXPECT_EQ(failed, 0);
   EXPECT_EQ(fs.stats().failed_requests, 0);
+}
+
+TEST(FileSystemFaults, FailedRequestWithoutFailureCallbackUsesOnComplete) {
+  // Callers written before fault injection pass no on_failure; a failed
+  // request must still resolve their completion exactly once.
+  sim::Engine engine;
+  auto fs = MakeFs(engine, 4);
+  fs.server(0).Crash();
+  const auto file = fs.OpenOrCreate("f");
+  int resolved = 0;
+  fs.Submit(file, device::IoKind::kWrite, 0, 256 * KiB,
+            pfs::Priority::kNormal, [&](SimTime) { ++resolved; });
+  engine.Run();
+  EXPECT_EQ(resolved, 1);
+  EXPECT_EQ(fs.stats().failed_requests, 1);
 }
 
 // --------------------------------------------------------------- injector

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "callback_log.h"
+#include "callback_sink.h"
 #include "device/ssd_model.h"
 
 namespace s4d::pfs {
@@ -44,11 +45,12 @@ net::LinkModel FastLink() {
 
 TEST(FileServer, ServesJobAndCompletesAtServiceTime) {
   sim::Engine engine;
+  testing::CallbackSink sink;
   FileServer server(engine, std::make_unique<FakeDevice>(FromMillis(1)),
                     FastLink(), "s0");
   SimTime completed = -1;
-  server.Submit(ServerJob{device::IoKind::kRead, 0, 1024, Priority::kNormal,
-                          [&](SimTime t) { completed = t; }});
+  server.Submit(sink.Job(device::IoKind::kRead, 0, 1024, Priority::kNormal,
+                         [&](SimTime t) { completed = t; }));
   engine.Run();
   EXPECT_EQ(completed, FromMillis(1));
   EXPECT_EQ(server.stats().requests, 1);
@@ -57,12 +59,13 @@ TEST(FileServer, ServesJobAndCompletesAtServiceTime) {
 
 TEST(FileServer, FifoWithinPriority) {
   sim::Engine engine;
+  testing::CallbackSink sink;
   FileServer server(engine, std::make_unique<FakeDevice>(FromMillis(1)),
                     FastLink(), "s0");
   std::vector<int> order;
   for (int i = 0; i < 5; ++i) {
-    server.Submit(ServerJob{device::IoKind::kWrite, 0, 1, Priority::kNormal,
-                            [&order, i](SimTime) { order.push_back(i); }});
+    server.Submit(sink.Job(device::IoKind::kWrite, 0, 1, Priority::kNormal,
+                           [&order, i](SimTime) { order.push_back(i); }));
   }
   engine.Run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
@@ -70,12 +73,13 @@ TEST(FileServer, FifoWithinPriority) {
 
 TEST(FileServer, JobsSerializeOnTheDevice) {
   sim::Engine engine;
+  testing::CallbackSink sink;
   FileServer server(engine, std::make_unique<FakeDevice>(FromMillis(2)),
                     FastLink(), "s0");
   std::vector<SimTime> completions;
   for (int i = 0; i < 3; ++i) {
-    server.Submit(ServerJob{device::IoKind::kWrite, 0, 1, Priority::kNormal,
-                            [&](SimTime t) { completions.push_back(t); }});
+    server.Submit(sink.Job(device::IoKind::kWrite, 0, 1, Priority::kNormal,
+                           [&](SimTime t) { completions.push_back(t); }));
   }
   engine.Run();
   ASSERT_EQ(completions.size(), 3u);
@@ -86,18 +90,19 @@ TEST(FileServer, JobsSerializeOnTheDevice) {
 
 TEST(FileServer, BackgroundYieldsToNormal) {
   sim::Engine engine;
+  testing::CallbackSink sink;
   FileServer server(engine, std::make_unique<FakeDevice>(FromMillis(1)),
                     FastLink(), "s0");
   std::vector<std::string> order;
   // Queue a normal job to occupy the server, then one background and one
   // more normal: the normal one must be served before the background one
   // even though it was submitted later.
-  server.Submit(ServerJob{device::IoKind::kWrite, 0, 1, Priority::kNormal,
-                          [&](SimTime) { order.push_back("n1"); }});
-  server.Submit(ServerJob{device::IoKind::kWrite, 0, 1, Priority::kBackground,
-                          [&](SimTime) { order.push_back("bg"); }});
-  server.Submit(ServerJob{device::IoKind::kWrite, 0, 1, Priority::kNormal,
-                          [&](SimTime) { order.push_back("n2"); }});
+  server.Submit(sink.Job(device::IoKind::kWrite, 0, 1, Priority::kNormal,
+                         [&](SimTime) { order.push_back("n1"); }));
+  server.Submit(sink.Job(device::IoKind::kWrite, 0, 1, Priority::kBackground,
+                         [&](SimTime) { order.push_back("bg"); }));
+  server.Submit(sink.Job(device::IoKind::kWrite, 0, 1, Priority::kNormal,
+                         [&](SimTime) { order.push_back("n2"); }));
   engine.Run();
   EXPECT_EQ(order, (std::vector<std::string>{"n1", "n2", "bg"}));
   EXPECT_EQ(server.stats().requests, 2);
@@ -106,6 +111,7 @@ TEST(FileServer, BackgroundYieldsToNormal) {
 
 TEST(FileServer, NetworkGatesSlowWire) {
   sim::Engine engine;
+  testing::CallbackSink sink;
   net::LinkProfile slow;
   slow.bandwidth_bps = 1e6;  // 1 MB/s
   slow.message_latency = 0;
@@ -113,14 +119,15 @@ TEST(FileServer, NetworkGatesSlowWire) {
   FileServer server(engine, std::make_unique<FakeDevice>(0, 0),
                     net::LinkModel(slow), "s0");
   SimTime completed = -1;
-  server.Submit(ServerJob{device::IoKind::kRead, 0, 1 * MB, Priority::kNormal,
-                          [&](SimTime t) { completed = t; }});
+  server.Submit(sink.Job(device::IoKind::kRead, 0, 1 * MB, Priority::kNormal,
+                         [&](SimTime t) { completed = t; }));
   engine.Run();
   EXPECT_EQ(completed, FromSeconds(1.0));
 }
 
 TEST(FileServer, DeviceAndWireOverlapTakesMax) {
   sim::Engine engine;
+  testing::CallbackSink sink;
   net::LinkProfile wire;
   wire.bandwidth_bps = 100e6;
   wire.message_latency = 0;
@@ -128,21 +135,22 @@ TEST(FileServer, DeviceAndWireOverlapTakesMax) {
   FileServer server(engine, std::make_unique<FakeDevice>(0, 20),
                     net::LinkModel(wire), "s0");
   SimTime completed = -1;
-  server.Submit(ServerJob{device::IoKind::kRead, 0, 1 * MB, Priority::kNormal,
-                          [&](SimTime t) { completed = t; }});
+  server.Submit(sink.Job(device::IoKind::kRead, 0, 1 * MB, Priority::kNormal,
+                         [&](SimTime t) { completed = t; }));
   engine.Run();
   EXPECT_EQ(completed, FromMillis(20));  // max, not sum
 }
 
 TEST(FileServer, BackgroundWaitsForIdleGrace) {
   sim::Engine engine;
+  testing::CallbackSink sink;
   FileServer server(engine, std::make_unique<FakeDevice>(FromMillis(1)),
                     FastLink(), "s0", /*background_idle_grace=*/FromMillis(5));
   SimTime normal_done = -1, bg_done = -1;
-  server.Submit(ServerJob{device::IoKind::kWrite, 0, 1, Priority::kNormal,
-                          [&](SimTime t) { normal_done = t; }});
-  server.Submit(ServerJob{device::IoKind::kWrite, 0, 1, Priority::kBackground,
-                          [&](SimTime t) { bg_done = t; }});
+  server.Submit(sink.Job(device::IoKind::kWrite, 0, 1, Priority::kNormal,
+                         [&](SimTime t) { normal_done = t; }));
+  server.Submit(sink.Job(device::IoKind::kWrite, 0, 1, Priority::kBackground,
+                         [&](SimTime t) { bg_done = t; }));
   engine.Run();
   EXPECT_EQ(normal_done, FromMillis(1));
   // Background starts only after 5 ms of idle following the normal job.
@@ -151,15 +159,16 @@ TEST(FileServer, BackgroundWaitsForIdleGrace) {
 
 TEST(FileServer, ArrivingNormalJobRestartsGraceClock) {
   sim::Engine engine;
+  testing::CallbackSink sink;
   FileServer server(engine, std::make_unique<FakeDevice>(FromMillis(1)),
                     FastLink(), "s0", FromMillis(5));
   std::vector<std::string> order;
-  server.Submit(ServerJob{device::IoKind::kWrite, 0, 1, Priority::kBackground,
-                          [&](SimTime) { order.push_back("bg"); }});
+  server.Submit(sink.Job(device::IoKind::kWrite, 0, 1, Priority::kBackground,
+                         [&](SimTime) { order.push_back("bg"); }));
   // A normal job arriving 2 ms in defers the background job further.
   engine.ScheduleAt(FromMillis(2), [&] {
-    server.Submit(ServerJob{device::IoKind::kWrite, 0, 1, Priority::kNormal,
-                            [&](SimTime) { order.push_back("n"); }});
+    server.Submit(sink.Job(device::IoKind::kWrite, 0, 1, Priority::kNormal,
+                           [&](SimTime) { order.push_back("n"); }));
   });
   engine.Run();
   ASSERT_EQ(order.size(), 2u);
@@ -171,11 +180,12 @@ TEST(FileServer, ArrivingNormalJobRestartsGraceClock) {
 
 TEST(FileServer, ZeroGraceServesBackgroundImmediatelyWhenIdle) {
   sim::Engine engine;
+  testing::CallbackSink sink;
   FileServer server(engine, std::make_unique<FakeDevice>(FromMillis(1)),
                     FastLink(), "s0", /*background_idle_grace=*/0);
   SimTime bg_done = -1;
-  server.Submit(ServerJob{device::IoKind::kWrite, 0, 1, Priority::kBackground,
-                          [&](SimTime t) { bg_done = t; }});
+  server.Submit(sink.Job(device::IoKind::kWrite, 0, 1, Priority::kBackground,
+                         [&](SimTime t) { bg_done = t; }));
   engine.Run();
   EXPECT_EQ(bg_done, FromMillis(1));
 }
@@ -183,6 +193,7 @@ TEST(FileServer, ZeroGraceServesBackgroundImmediatelyWhenIdle) {
 TEST(FileServer, ArrivalJitterPerturbsOrderDeterministically) {
   auto run = [](const std::string& name) {
     sim::Engine engine;
+    testing::CallbackSink sink;
     net::LinkProfile link;
     link.bandwidth_bps = 1e15;
     link.message_latency = 0;
@@ -191,8 +202,8 @@ TEST(FileServer, ArrivalJitterPerturbsOrderDeterministically) {
                       net::LinkModel(link), name);
     std::vector<int> order;
     for (int i = 0; i < 16; ++i) {
-      server.Submit(ServerJob{device::IoKind::kWrite, 0, 1, Priority::kNormal,
-                              [&order, i](SimTime) { order.push_back(i); }});
+      server.Submit(sink.Job(device::IoKind::kWrite, 0, 1, Priority::kNormal,
+                             [&order, i](SimTime) { order.push_back(i); }));
     }
     engine.Run();
     return order;
@@ -208,10 +219,11 @@ TEST(FileServer, ArrivalJitterPerturbsOrderDeterministically) {
 
 TEST(FileServer, StatsTrackPositioning) {
   sim::Engine engine;
+  testing::CallbackSink sink;
   FileServer server(engine, std::make_unique<FakeDevice>(FromMillis(3)),
                     FastLink(), "s0");
-  server.Submit(ServerJob{device::IoKind::kWrite, 0, 64, Priority::kNormal,
-                          nullptr});
+  server.Submit(sink.Job(device::IoKind::kWrite, 0, 64, Priority::kNormal,
+                         nullptr));
   engine.Run();
   EXPECT_EQ(server.stats().positioning_time, FromMillis(3));
   EXPECT_EQ(server.stats().zero_positioning_jobs, 0);
@@ -225,6 +237,7 @@ TEST(FileServer, StatsTrackPositioning) {
 // (constants recorded from it).
 TEST(FileServer, ResubmittingCompletionsGrowTheSlab) {
   sim::Engine engine;
+  testing::CallbackSink sink;
   net::LinkProfile link;
   link.bandwidth_bps = 1e15;
   link.message_latency = 0;
@@ -237,15 +250,14 @@ TEST(FileServer, ResubmittingCompletionsGrowTheSlab) {
   int submitted = 0;
   std::function<void()> submit = [&] {
     const int id = submitted++;
-    ServerJob job;
-    job.kind = device::IoKind::kWrite;
-    job.lba = id * 4 * KiB;
-    job.size = 1 + (id % 5) * 1000;
-    job.on_complete = [&, id](SimTime t) {
-      log.push_back({id, t, true});
-      for (int k = 0; k < 2 && submitted < kJobs; ++k) submit();
-    };
-    server.Submit(std::move(job));
+    server.Submit(sink.Job(device::IoKind::kWrite, id * 4 * KiB,
+                           1 + (id % 5) * 1000, Priority::kNormal,
+                           [&, id](SimTime t) {
+                             log.push_back({id, t, true});
+                             for (int k = 0; k < 2 && submitted < kJobs; ++k) {
+                               submit();
+                             }
+                           }));
     max_depth = std::max(max_depth, server.queue_depth());
   };
   submit();
@@ -258,6 +270,78 @@ TEST(FileServer, ResubmittingCompletionsGrowTheSlab) {
   EXPECT_EQ(server.queue_depth(), 0u);
   EXPECT_EQ(log.back().time, 21042580);
   EXPECT_EQ(testing::Digest(log), 7496951236146491622u);
+}
+
+// Logs every resolution the server reports, in order, and can act on it
+// from inside the call.
+class RecordingSink final : public JobSink {
+ public:
+  void OnJobResolved(std::uint64_t cookie, SimTime time,
+                     bool failed) override {
+    log.push_back({static_cast<int>(cookie), time, !failed});
+    if (then) then(cookie);
+  }
+
+  std::vector<testing::Fired> log;
+  std::function<void(std::uint64_t)> then;
+};
+
+ServerJob JobFor(RecordingSink& sink, std::uint64_t cookie,
+                 Priority priority = Priority::kNormal) {
+  ServerJob job;
+  job.kind = device::IoKind::kWrite;
+  job.priority = priority;
+  job.size = 4 * KiB;
+  job.sink = &sink;
+  job.cookie = cookie;
+  return job;
+}
+
+// Every way a job can end reaches the sink once, with its cookie and the
+// right outcome: served, failed by an injected background error, dropped
+// by a crash while queued or in service, and refused by a crashed server.
+// A sink that resubmits from inside the call gets the slot just freed.
+TEST(FileServer, SinkSeesEachCookieOnceWithItsOutcome) {
+  sim::Engine engine;
+  RecordingSink sink;
+  FileServer server(engine, std::make_unique<FakeDevice>(FromMillis(1)),
+                    FastLink(), "s0", /*background_idle_grace=*/0);
+  // Served: cookie 0 resubmits cookie 1, which resubmits cookie 2.
+  sink.then = [&](std::uint64_t cookie) {
+    if (cookie < 2) server.Submit(JobFor(sink, cookie + 1));
+  };
+  server.Submit(JobFor(sink, 0));
+  engine.Run();
+  sink.then = nullptr;
+  EXPECT_EQ(server.slab_slots(), 1u) << "a resubmission reuses the freed slot";
+  // Injected background error.
+  server.SetBackgroundErrorRate(1.0, 7);
+  server.Submit(JobFor(sink, 3, Priority::kBackground));
+  engine.Run();
+  server.SetBackgroundErrorRate(0.0, 7);
+  // Crash with cookie 4 in service and cookies 5 and 6 queued.
+  const SimTime crash_at = engine.now() + FromMicros(500);
+  for (std::uint64_t cookie = 4; cookie <= 6; ++cookie) {
+    server.Submit(JobFor(sink, cookie));
+  }
+  engine.RunUntil(crash_at);
+  EXPECT_TRUE(server.busy());
+  server.Crash();
+  // Refused at submit.
+  server.Submit(JobFor(sink, 7));
+  engine.Run();
+
+  ASSERT_EQ(sink.log.size(), 8u);
+  testing::ExpectEachFiredOnce(sink.log, 8);
+  for (const testing::Fired& fired : sink.log) {
+    EXPECT_EQ(fired.ok, fired.id < 3) << "cookie " << fired.id;
+    if (fired.id >= 4) {
+      EXPECT_EQ(fired.time, crash_at) << "cookie " << fired.id;
+    }
+  }
+  EXPECT_EQ(sink.log[2].time, FromMillis(3));
+  EXPECT_EQ(server.stats().requests, 4);  // cookies 0-2 and the crashed 4
+  EXPECT_EQ(server.stats().failed_jobs, 5);
 }
 
 }  // namespace

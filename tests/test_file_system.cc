@@ -3,12 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <type_traits>
 
 #include "device/hdd_model.h"
 #include "device/ssd_model.h"
 
 namespace s4d::pfs {
 namespace {
+
+// Every job in flight names its file system as its sink, by address.
+static_assert(!std::is_copy_constructible_v<FileSystem> &&
+              !std::is_move_constructible_v<FileSystem> &&
+              !std::is_copy_assignable_v<FileSystem> &&
+              !std::is_move_assignable_v<FileSystem>);
 
 FsConfig SsdFsConfig(int servers, bool track_content = false) {
   FsConfig cfg;

@@ -157,11 +157,111 @@ struct KeySpec {
   std::vector<std::string> choices;  // when set, the only values accepted
 };
 
+// [workload] read into each synthetic workload's config. MakeWorkload builds
+// from these, and CheckValues checks them, so both see the same defaults.
+device::IoKind ReadKind(const ConfigParser& config) {
+  return config.StringOr("workload", "kind", "write") == "read"
+             ? device::IoKind::kRead
+             : device::IoKind::kWrite;
+}
+
+workloads::HpioConfig ReadHpioConfig(const ConfigParser& config) {
+  workloads::HpioConfig cfg;
+  cfg.ranks = static_cast<int>(config.IntOr("workload", "ranks", 16));
+  cfg.region_count = config.IntOr("workload", "region_count", 1024);
+  cfg.region_size = config.SizeOr("workload", "region_size", 8 * KiB);
+  cfg.region_spacing = config.SizeOr("workload", "region_spacing", 0);
+  cfg.kind = ReadKind(config);
+  return cfg;
+}
+
+workloads::TileIoConfig ReadTileConfig(const ConfigParser& config) {
+  workloads::TileIoConfig cfg;
+  cfg.ranks = static_cast<int>(config.IntOr("workload", "ranks", 100));
+  cfg.elements_x = static_cast<int>(config.IntOr("workload", "elements_x", 10));
+  cfg.elements_y = static_cast<int>(config.IntOr("workload", "elements_y", 10));
+  cfg.element_size = config.SizeOr("workload", "element_size", 32 * KiB);
+  cfg.kind = ReadKind(config);
+  return cfg;
+}
+
+workloads::IorConfig ReadIorConfig(const ConfigParser& config) {
+  workloads::IorConfig cfg;
+  cfg.ranks = static_cast<int>(config.IntOr("workload", "ranks", 32));
+  cfg.file_size = config.SizeOr("workload", "file_size", 64 * MiB);
+  cfg.request_size = config.SizeOr("workload", "request_size", 16 * KiB);
+  cfg.random = config.BoolOr("workload", "random", true);
+  cfg.kind = ReadKind(config);
+  cfg.seed = static_cast<std::uint64_t>(config.IntOr("workload", "seed", 42));
+  return cfg;
+}
+
+// Values that parse but that no run can use, each failing naming its key:
+// a workload with no ranks, no requests or empty requests (its constructor,
+// or the middleware's zero-size check, would abort), no passes (the run
+// would report nothing and succeed), a count past `int` (it would silently
+// wrap), and a Rebuilder interval that is not positive (the Rebuilder would
+// tick at one instant forever). Called once every value is known to parse.
+Status CheckValues(const ConfigParser& config) {
+  const auto bad = [](const std::string& key, const std::string& why) {
+    return Status::InvalidArgument(key + ": " + why);
+  };
+  if (const auto interval = config.GetDuration("middleware",
+                                               "rebuild_interval");
+      interval && *interval <= 0) {
+    return bad("middleware.rebuild_interval",
+               "must be positive, got '" +
+                   *config.GetString("middleware", "rebuild_interval") + "'");
+  }
+  const std::int64_t int_max = std::numeric_limits<int>::max();
+  for (const char* key : {"ranks", "elements_x", "elements_y", "repeat"}) {
+    const auto value = config.GetInt("workload", key);
+    if (value && (*value < 1 || *value > int_max)) {
+      return bad(std::string("workload.") + key,
+                 "must be in [1, " + std::to_string(int_max) + "], got " +
+                     std::to_string(*value));
+    }
+  }
+  const std::string type = config.StringOr("workload", "type", "ior");
+  if (type == "hpio") {
+    const workloads::HpioConfig hpio = ReadHpioConfig(config);
+    if (hpio.region_count < 1) {
+      return bad("workload.region_count",
+                 "must be >= 1, got " + std::to_string(hpio.region_count));
+    }
+    if (hpio.region_size < 1) {
+      return bad("workload.region_size",
+                 "must be >= 1 byte, got " + std::to_string(hpio.region_size));
+    }
+  } else if (type == "tile") {
+    const workloads::TileIoConfig tile = ReadTileConfig(config);
+    if (tile.element_size < 1) {
+      return bad("workload.element_size", "must be >= 1 byte, got " +
+                                              std::to_string(tile.element_size));
+    }
+  } else if (type == "ior") {
+    const workloads::IorConfig ior = ReadIorConfig(config);
+    if (ior.request_size < 1) {
+      return bad("workload.request_size", "must be >= 1 byte, got " +
+                                              std::to_string(ior.request_size));
+    }
+    // Each rank's partition must hold at least one request.
+    if (ior.file_size / ior.ranks < ior.request_size) {
+      return bad("workload.file_size",
+                 std::to_string(ior.file_size) +
+                     " bytes is less than ranks x request_size (" +
+                     std::to_string(ior.ranks) + " x " +
+                     std::to_string(ior.request_size) + " bytes)");
+    }
+  }
+  return Status::Ok();
+}
+
 // Every key s4dsim understands, by section, with its type. A key outside
 // this schema (a typo like "admision = feedback"), a value that does not
 // parse as its key's type ("dservers = abc") and a value outside its key's
 // choices ("type = hpoi") each fail the run loudly instead of silently
-// running the default.
+// running the default, and so does a value CheckValues rejects.
 Status ValidateConfig(const ConfigParser& config) {
   using V = ValueType;
   static const std::map<std::string, std::vector<KeySpec>> kSchema = {
@@ -252,7 +352,7 @@ Status ValidateConfig(const ConfigParser& config) {
                                      (want.empty() ? "" : want + ")"));
     }
   }
-  return Status::Ok();
+  return CheckValues(config);
 }
 
 // Whether the config sets any key of `section`.
@@ -471,35 +571,13 @@ void Settle(Stack& stack) {
 
 std::unique_ptr<workloads::Workload> MakeWorkload(const ConfigParser& config) {
   const std::string type = config.StringOr("workload", "type", "ior");
-  const auto kind = config.StringOr("workload", "kind", "write") == "read"
-                        ? device::IoKind::kRead
-                        : device::IoKind::kWrite;
   if (type == "hpio") {
-    workloads::HpioConfig cfg;
-    cfg.ranks = static_cast<int>(config.IntOr("workload", "ranks", 16));
-    cfg.region_count = config.IntOr("workload", "region_count", 1024);
-    cfg.region_size = config.SizeOr("workload", "region_size", 8 * KiB);
-    cfg.region_spacing = config.SizeOr("workload", "region_spacing", 0);
-    cfg.kind = kind;
-    return std::make_unique<workloads::HpioWorkload>(cfg);
+    return std::make_unique<workloads::HpioWorkload>(ReadHpioConfig(config));
   }
   if (type == "tile") {
-    workloads::TileIoConfig cfg;
-    cfg.ranks = static_cast<int>(config.IntOr("workload", "ranks", 100));
-    cfg.elements_x = static_cast<int>(config.IntOr("workload", "elements_x", 10));
-    cfg.elements_y = static_cast<int>(config.IntOr("workload", "elements_y", 10));
-    cfg.element_size = config.SizeOr("workload", "element_size", 32 * KiB);
-    cfg.kind = kind;
-    return std::make_unique<workloads::TileIoWorkload>(cfg);
+    return std::make_unique<workloads::TileIoWorkload>(ReadTileConfig(config));
   }
-  workloads::IorConfig cfg;
-  cfg.ranks = static_cast<int>(config.IntOr("workload", "ranks", 32));
-  cfg.file_size = config.SizeOr("workload", "file_size", 64 * MiB);
-  cfg.request_size = config.SizeOr("workload", "request_size", 16 * KiB);
-  cfg.random = config.BoolOr("workload", "random", true);
-  cfg.kind = kind;
-  cfg.seed = static_cast<std::uint64_t>(config.IntOr("workload", "seed", 42));
-  return std::make_unique<workloads::IorWorkload>(cfg);
+  return std::make_unique<workloads::IorWorkload>(ReadIorConfig(config));
 }
 
 // The [trace] section, loaded and validated: the trace itself (already
