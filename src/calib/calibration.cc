@@ -107,9 +107,7 @@ CalibrationEngine::CalibrationEngine(CalibConfig config,
   c_stripe_.server_count = params_.ssd_servers;
   c_stripe_.stripe_size = params_.stripe_size;
   dservers_.fits.resize(static_cast<std::size_t>(params_.hdd_servers));
-  dservers_.serve.resize(static_cast<std::size_t>(params_.hdd_servers));
   cservers_.fits.resize(static_cast<std::size_t>(params_.ssd_servers) * 2);
-  cservers_.serve.resize(static_cast<std::size_t>(params_.ssd_servers));
 }
 
 void CalibrationEngine::Attach(core::S4DCache& cache,
@@ -124,14 +122,6 @@ void CalibrationEngine::Attach(core::S4DCache& cache,
   cservers_.fs = &cserver_fs;
   dserver_fs.SetSubRequestSink(this, kDServerTier);
   cserver_fs.SetSubRequestSink(this, kCServerTier);
-  for (int i = 0; i < params_.hdd_servers; ++i) {
-    dserver_fs.server(i).SetServeTap(
-        &dservers_.serve[static_cast<std::size_t>(i)], &ServeTapThunk);
-  }
-  for (int i = 0; i < params_.ssd_servers; ++i) {
-    cserver_fs.server(i).SetServeTap(
-        &cservers_.serve[static_cast<std::size_t>(i)], &ServeTapThunk);
-  }
   cache.SetCostCalibration(this);
   if (obs != nullptr) {
     // Lazy gauges: resolved at export time.
@@ -181,7 +171,6 @@ SimTime CalibrationEngine::TierEstimate(
   const int involved = pfs::InvolvedServerCount(stripe, offset, size);
   const byte_count share = pfs::MaxSubRequestSize(stripe, offset, size);
   const byte_count first_stripe = offset / stripe.stripe_size;
-  const std::vector<std::int32_t>& depths = tier.fs->sub_depths();
   double worst = 0.0;
   for (int j = 0; j < involved; ++j) {
     const int server = static_cast<int>(
@@ -197,7 +186,7 @@ SimTime CalibrationEngine::TierEstimate(
     const double start = cache_tier ? p.startup_ns
                                     : static_cast<double>(static_startup);
     const double depth =
-        static_cast<double>(depths[static_cast<std::size_t>(server)]);
+        static_cast<double>(tier.fs->server(server).held_jobs());
     const double t = start + p.ns_per_byte * static_cast<double>(share) +
                      p.queue_ns * depth;
     worst = std::max(worst, t);
@@ -231,9 +220,8 @@ SimTime CalibrationEngine::CServerEstimate(device::IoKind kind,
 void CalibrationEngine::OnSubRequestResolved(
     const pfs::SubRequestSample& sample) {
   if (!sample.ok) {
-    // Failed subs are emitted only so the client-side depth counters stay
-    // symmetric; their latency is a timeout/failure artifact, not a device
-    // characteristic.
+    // A failed sub's latency is a timeout/failure artifact, not a device
+    // characteristic: it is counted, not fitted.
     ++stats_.failed_samples;
     return;
   }
@@ -252,11 +240,8 @@ void CalibrationEngine::OnSubRequestResolved(
 
 double CalibrationEngine::MeanCServerDepth() const {
   if (cservers_.fs == nullptr) return 0.0;
-  const std::vector<std::int32_t>& depths = cservers_.fs->sub_depths();
-  if (depths.empty()) return 0.0;
-  std::int64_t total = 0;
-  for (std::int32_t d : depths) total += d;
-  return static_cast<double>(total) / static_cast<double>(depths.size());
+  return static_cast<double>(cservers_.fs->outstanding_subs()) /
+         static_cast<double>(cservers_.fs->server_count());
 }
 
 bool CalibrationEngine::CacheTierSaturated() const {
@@ -267,50 +252,38 @@ bool CalibrationEngine::CacheTierSaturated() const {
   return saturated;
 }
 
-void CalibrationEngine::ServeTapThunk(void* ctx,
-                                      const pfs::ServeSample& sample) {
-  ServeTotals* totals = static_cast<ServeTotals*>(ctx);
-  ++totals->jobs;
-  totals->bytes += sample.size;
-  totals->wait_ns += sample.wait;
-  totals->positioning_ns += sample.positioning;
-  totals->service_ns += sample.service;
-}
-
 std::vector<CalibrationEngine::ServerRow> CalibrationEngine::Rows() const {
   std::vector<ServerRow> rows;
   const TierState* tiers[2] = {&dservers_, &cservers_};
   for (int t = 0; t < 2; ++t) {
     const TierState& tier = *tiers[t];
     const bool cache_tier = t == 1;
-    for (std::size_t s = 0; s < tier.serve.size(); ++s) {
-      const ServeTotals& served = tier.serve[s];
+    if (tier.fs == nullptr) continue;
+    for (int s = 0; s < tier.fs->server_count(); ++s) {
+      const pfs::FileServer& server = tier.fs->server(s);
+      const pfs::ServerStats& served = server.stats();
       ServerRow row;
-      row.name = tier.fs != nullptr
-                     ? tier.fs->server(static_cast<int>(s)).name()
-                     : std::string();
+      row.name = server.name();
       row.cache_tier = cache_tier;
-      row.jobs = served.jobs;
-      row.bytes = served.bytes;
-      if (served.jobs > 0) {
-        const double jobs = static_cast<double>(served.jobs);
-        row.mean_wait_us = static_cast<double>(served.wait_ns) / jobs / 1e3;
+      row.jobs = served.requests + served.background_requests;
+      row.bytes = served.bytes + served.background_bytes;
+      if (row.jobs > 0) {
+        const double jobs = static_cast<double>(row.jobs);
+        row.mean_wait_us =
+            static_cast<double>(served.queue_wait_time) / jobs / 1e3;
         row.mean_service_us =
-            static_cast<double>(served.service_ns) / jobs / 1e3;
+            static_cast<double>(served.busy_time) / jobs / 1e3;
       }
       if (cache_tier) {
-        const ServerFit& rd =
-            Cell(tier, true, static_cast<int>(s), device::IoKind::kRead);
-        const ServerFit& wr =
-            Cell(tier, true, static_cast<int>(s), device::IoKind::kWrite);
+        const ServerFit& rd = Cell(tier, true, s, device::IoKind::kRead);
+        const ServerFit& wr = Cell(tier, true, s, device::IoKind::kWrite);
         row.fit_samples = rd.samples() + wr.samples();
         const bool use_write = wr.samples() >= rd.samples();
         row.fitted = use_write
                          ? wr.Solve(params_.beta_c_write_ns_per_byte)
                          : rd.Solve(params_.beta_c_read_ns_per_byte);
       } else {
-        const ServerFit& fit =
-            Cell(tier, false, static_cast<int>(s), device::IoKind::kRead);
+        const ServerFit& fit = Cell(tier, false, s, device::IoKind::kRead);
         row.fit_samples = fit.samples();
         row.fitted = fit.Solve(params_.beta_d_ns_per_byte);
       }

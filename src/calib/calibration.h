@@ -6,10 +6,10 @@
 // degraded device, or a link that caps below the datasheet rate all make
 // the static model mispredict — and keep admitting into the bottleneck.
 //
-// The CalibrationEngine closes that loop from live telemetry. It taps one
+// The CalibrationEngine closes that loop from live telemetry. It takes one
 // client-side observation per *sub-request* (server, kind, size, the
 // outstanding depth on that server at submit, submit→completion latency)
-// from both FileSystems, and fits, per server and I/O kind, an
+// from both FileSystems' servers, and fits, per server and I/O kind, an
 // exponentially-forgetting least-squares model (forgetting factor 0.99)
 //
 //     latency ≈ a + b·size + c·depth
@@ -34,12 +34,14 @@
 // Both tiers are always fitted. Past `saturation_depth` the engine also
 // reports the cache tier saturated (the Redirector's load shedding).
 //
-// Every input to a *decision* is client-side: the sub observations are
-// emitted by the FileSystems when each sub-request resolves, and the depth
-// counters are client-maintained. The exact server-side service
-// decompositions (wait/positioning/service, tapped in FileServer::Serve)
-// are accumulated per server; they feed the fitted-vs-observed report
-// table, obs export, and tests — never a mid-run decision.
+// Every input to a *decision* is something the client knows: when it
+// submitted a sub-request, how many it had outstanding on that server, and
+// when it was told the result. All three are read from the one record the
+// simulator keeps of a sub-request in flight, the file server's job slab:
+// a server holds a job from Submit until it tells the job's sink, so the
+// jobs it holds are the client's outstanding subs on it. The report table
+// and the trace export read the servers' ServerStats (jobs, bytes, summed
+// queue wait and service time); no mid-run decision does.
 #pragma once
 
 #include <cstdint>
@@ -119,16 +121,6 @@ class ServerFit {
   std::int64_t samples_ = 0;  // undecayed count (warmup gate)
 };
 
-// Exact service-time decomposition for one server, accumulated from the
-// FileServer serve tap.
-struct ServeTotals {
-  std::int64_t jobs = 0;
-  std::int64_t bytes = 0;
-  SimTime wait_ns = 0;
-  SimTime positioning_ns = 0;
-  SimTime service_ns = 0;
-};
-
 class CalibrationEngine final : public core::CostCalibration,
                                 public pfs::SubRequestSink {
  public:
@@ -137,11 +129,11 @@ class CalibrationEngine final : public core::CostCalibration,
   CalibrationEngine(CalibConfig config, const core::CostModelParams& params);
 
   // Wires the engine into a live stack: installs itself as both
-  // FileSystems' sub-request sink, as the FileServers' serve taps (one
-  // ServeTotals per server), and as `cache`'s cost-calibration provider —
-  // which also makes it the source of the cache's queue depth and
-  // saturation signals (core::TierSignals). Registers `calib.*` gauges
-  // when `obs` is non-null. Call once, before any I/O.
+  // FileSystems' sub-request sink and as `cache`'s cost-calibration
+  // provider — which also makes it the source of the cache's queue depth
+  // and saturation signals (core::TierSignals). Registers `calib.*` gauges
+  // when `obs` is non-null. Call once, before any I/O (the report rows
+  // count every job the servers served).
   void Attach(core::S4DCache& cache, pfs::FileSystem& dserver_fs,
               pfs::FileSystem& cserver_fs, obs::Observability* obs);
 
@@ -154,21 +146,21 @@ class CalibrationEngine final : public core::CostCalibration,
   // --- pfs::SubRequestSink -----------------------------------------------
   void OnSubRequestResolved(const pfs::SubRequestSample& sample) override;
 
-  // Mean outstanding sub-requests per CServer (client-side counters).
+  // Mean outstanding sub-requests per CServer (the jobs they hold).
   double MeanCServerDepth() const override;
   // Mean depth beyond `saturation_depth`; always false (and no poll
   // counted) when unbounded.
   bool CacheTierSaturated() const override;
 
-  // One per-server row, read from the live serve-tap totals. `fitted`
+  // One per-server row, read from the servers' live ServerStats. `fitted`
   // solves the read-kind cell for DServers and the busier kind for
-  // CServers — the report table's summary view.
+  // CServers — the report table's summary view. Empty before Attach.
   struct ServerRow {
     std::string name;
     bool cache_tier = false;
-    std::int64_t jobs = 0;      // exact server-side count (serve tap)
+    std::int64_t jobs = 0;      // served jobs, foreground and background
     std::int64_t bytes = 0;
-    double mean_wait_us = 0.0;  // exact decomposition means (serve tap)
+    double mean_wait_us = 0.0;  // enqueue -> service start, per served job
     double mean_service_us = 0.0;
     std::int64_t fit_samples = 0;  // client-side fitted cell (read+write)
     ServerFit::Params fitted;      // solved with the tier's static beta
@@ -194,12 +186,8 @@ class CalibrationEngine final : public core::CostCalibration,
     // one cell per [server * 2 + kind]; the DServer tier mirrors the static
     // model's kind-blind T_D with one cell per server.
     std::vector<ServerFit> fits;
-    // Exact server-side decompositions, one per server (serve tap).
-    std::vector<ServeTotals> serve;
-    const pfs::FileSystem* fs = nullptr;  // depth counters + server names
+    const pfs::FileSystem* fs = nullptr;  // held jobs, stats and names
   };
-
-  static void ServeTapThunk(void* ctx, const pfs::ServeSample& sample);
 
   const ServerFit& Cell(const TierState& tier, bool cache_tier, int server,
                         device::IoKind kind) const;

@@ -455,6 +455,8 @@ void DataMappingTable::BeginFlush(const DirtyExtentKey& key) {
   S4D_CHECK(it != extents.end() && slab_[it.slot()].dirty &&
             slab_[it.slot()].version == key.version)
       << "flush of a stale snapshot: file " << key.file << " at " << key.begin;
+  S4D_DCHECK(slab_[it.slot()].flushing != key.version)
+      << "flush issued twice for file " << key.file << " at " << key.begin;
   slab_[it.slot()].flushing = key.version;
 }
 

@@ -25,7 +25,6 @@
 #include <functional>
 #include <optional>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "common/flat_btree.h"
@@ -68,8 +67,8 @@ struct RemovedExtent {
   byte_count length() const { return orig_end - orig_begin; }
 };
 
-// Names one dirty-extent snapshot by its file, begin and version. The
-// Rebuilder keeps a ledger of its flushes in flight under these keys: a
+// Names one dirty-extent snapshot by its file, begin and version: the
+// flush the Rebuilder issues for it, marked in the table by BeginFlush. A
 // re-dirtied extent has a new version and so a new key.
 struct DirtyExtentKey {
   FileIndex file = 0;
@@ -78,18 +77,6 @@ struct DirtyExtentKey {
 
   bool operator==(const DirtyExtentKey&) const = default;
 };
-
-struct DirtyExtentKeyHash {
-  // Only split halves share a version; the begin tells them apart.
-  std::size_t operator()(const DirtyExtentKey& key) const noexcept {
-    const std::uint64_t mixed = key.version ^
-                                (static_cast<std::uint64_t>(key.begin) << 1) ^
-                                (std::uint64_t{key.file} << 48);
-    return static_cast<std::size_t>(mixed * 0x9E3779B97F4A7C15ULL);
-  }
-};
-
-using DirtyExtentSet = std::unordered_set<DirtyExtentKey, DirtyExtentKeyHash>;
 
 // A dirty range snapshot handed to the Rebuilder for flushing.
 struct DirtyRange {
@@ -176,12 +163,13 @@ class DataMappingTable {
                                          byte_count max_run_bytes) const;
 
   // Marks the dirty extent `key` names (a DirtyRange::key() of the
-  // current table) as under flush at its version. The mark stays with the
-  // entry's left part when it splits and stops counting once the entry is
-  // re-dirtied (new version), so a split's right half and a newer version
-  // flush again. EndFlush (an aborted flush) and MarkCleanIfVersion (a
-  // written one) clear the mark if it still names `key`'s version; the
-  // entry may be gone.
+  // current table, not already under flush at that version) as under flush
+  // at its version. The mark stays with the entry's left part when it
+  // splits and stops counting once the entry is re-dirtied (new version),
+  // so a split's right half and a newer version flush again; flushing the
+  // newer version moves the mark to it. EndFlush (an aborted flush) and
+  // MarkCleanIfVersion (a written one) clear the mark if it still names
+  // `key`'s version; the entry may be gone.
   void BeginFlush(const DirtyExtentKey& key);
   void EndFlush(const DirtyExtentKey& key);
 

@@ -6,11 +6,8 @@
 
 namespace s4d::core {
 
-FileTable::FileTable(pfs::FileSystem& dservers, pfs::FileSystem& cservers,
-                     std::string cache_file_suffix)
-    : dservers_(&dservers),
-      cservers_(&cservers),
-      cache_file_suffix_(std::move(cache_file_suffix)) {}
+FileTable::FileTable(pfs::FileSystem& dservers, pfs::FileSystem& cservers)
+    : dservers_(&dservers), cservers_(&cservers) {}
 
 FileIndex FileTable::Intern(const std::string& name) {
   // Find first: emplace would build (and free) a node on every hit.
@@ -37,7 +34,7 @@ pfs::FileId FileTable::CServerFile(FileIndex file) {
   S4D_DCHECK(cservers_ != nullptr) << "file table not bound to the CServers";
   File& f = files_[file];
   if (f.cserver == pfs::kInvalidFile) {
-    f.cserver = cservers_->OpenOrCreate(f.name + cache_file_suffix_);
+    f.cserver = cservers_->OpenOrCreate(f.name + ".s4d");
   }
   return f.cserver;
 }

@@ -10,9 +10,9 @@
 //
 // Ids are assigned in first-seen order and never reused. A table bound to
 // the DServer and CServer file systems also caches each file's pfs::FileId
-// on both tiers. The cache file's name is the original name plus the
-// cache-file suffix. Each is opened on its first use, because a file
-// system places its files (FileBaseLba) in the order it creates them.
+// on both tiers. The cache file's name is the original name plus ".s4d".
+// Each is opened on its first use, because a file system places its files
+// (FileBaseLba) in the order it creates them.
 #pragma once
 
 #include <cstdint>
@@ -30,8 +30,7 @@ class FileTable {
  public:
   // Names only: the single-structure tests and the DMT's recovery use it.
   FileTable() = default;
-  FileTable(pfs::FileSystem& dservers, pfs::FileSystem& cservers,
-            std::string cache_file_suffix);
+  FileTable(pfs::FileSystem& dservers, pfs::FileSystem& cservers);
 
   FileTable(const FileTable&) = delete;
   FileTable& operator=(const FileTable&) = delete;
@@ -60,7 +59,6 @@ class FileTable {
 
   pfs::FileSystem* dservers_ = nullptr;
   pfs::FileSystem* cservers_ = nullptr;
-  std::string cache_file_suffix_;
   std::unordered_map<std::string, FileIndex> ids_;
   std::vector<File> files_;
 };

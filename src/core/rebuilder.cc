@@ -110,14 +110,12 @@ void Rebuilder::RecoverAfterRestart() {
 void Rebuilder::AbortFlushRun(const std::shared_ptr<FlushRun>& state) {
   if (state->resolved) return;
   state->resolved = true;
+  --flush_runs_in_flight_;
   if (state->timeout_event != sim::kInvalidEvent) {
     engine_.Cancel(state->timeout_event);
     state->timeout_event = sim::kInvalidEvent;
   }
-  for (const DirtyRange& seg : state->run.segments) {
-    inflight_flush_.erase(seg.key());
-    dmt_.EndFlush(seg.key());
-  }
+  for (const DirtyRange& seg : state->run.segments) dmt_.EndFlush(seg.key());
   if (obs_ != nullptr) {
     obs_flush_aborts_->Inc();
     if (state->span != obs::kNoSpan) {
@@ -138,6 +136,7 @@ void Rebuilder::FlushDirty() {
     state->run = std::move(collected);
     const DirtyRun& run = state->run;
     ++stats_.flush_runs_started;
+    ++flush_runs_in_flight_;
     stats_.flushes_started += static_cast<std::int64_t>(run.segments.size());
     stats_.flushed_bytes += run.length();
 
@@ -158,9 +157,6 @@ void Rebuilder::FlushDirty() {
     }
 
     for (const DirtyRange& seg : run.segments) {
-      const bool fresh = inflight_flush_.insert(seg.key()).second;
-      S4D_DCHECK(fresh) << "flush issued twice for file " << seg.file
-                        << " at " << seg.orig_begin;
       dmt_.BeginFlush(seg.key());
       // Copy the cached tokens to the original file at issue time — the
       // simulator's linearization point for content effects.
@@ -199,6 +195,7 @@ void Rebuilder::FlushDirty() {
           [this, state](SimTime) {
             if (state->resolved) return;
             state->resolved = true;
+            --flush_runs_in_flight_;
             if (state->timeout_event != sim::kInvalidEvent) {
               engine_.Cancel(state->timeout_event);
               state->timeout_event = sim::kInvalidEvent;
@@ -210,7 +207,6 @@ void Rebuilder::FlushDirty() {
               }
             }
             for (const DirtyRange& seg : state->run.segments) {
-              inflight_flush_.erase(seg.key());
               if (dmt_.MarkCleanIfVersion(seg.file, seg.orig_begin,
                                           seg.orig_end, seg.version)) {
                 ++stats_.flushes_cleaned;
@@ -269,9 +265,8 @@ void Rebuilder::FetchCritical() {
   // the tenant gate has no side effects and can only veto, so such a
   // failure happens whatever the gate says. A failure with enough free
   // bytes (fragmentation, or a gate veto whose quota moves with the sizer
-  // clock) retries every tick, and an evicting fetch depends on the dirty
-  // state too, so it never parks.
-  bool parkable = !config_.fetch_may_evict;
+  // clock) retries every tick.
+  bool parkable = true;
   bool failed_any = false;
   for (const PendingFetch& pending :
        cdt_.PendingFetches(config_.fetch_batch_ranges)) {
@@ -295,9 +290,10 @@ void Rebuilder::FetchCritical() {
     // Charge the fetched space (and apply the partition gate) to the tenant
     // whose read marked this C_flag; a no-op without partition tracking.
     redirector_.set_charge_owner(pending.owner);
-    auto cache_offset = config_.fetch_may_evict
-                            ? redirector_.AllocateCacheSpace(key.length)
-                            : redirector_.AllocateFreeOnly(key.length);
+    // Fetches are speculative: they take only free space and never evict
+    // established clean mappings (evicting would turn a repeating scan
+    // larger than the cache into pure thrash).
+    auto cache_offset = redirector_.AllocateFreeOnly(key.length);
     if (!cache_offset) {
       ++stats_.fetch_space_failures;
       failed_any = true;

@@ -48,11 +48,6 @@ struct RebuilderConfig {
   byte_count flush_batch_bytes = 32 * MiB;
   byte_count flush_run_bytes = 4 * MiB;
   std::size_t fetch_batch_ranges = 256;
-  // Fetches are speculative: by default they only consume *free* cache
-  // space and never evict established clean mappings. Allowing eviction
-  // turns a repeating scan larger than the cache into pure thrash (every
-  // fetch evicts data the next pass was about to reuse).
-  bool fetch_may_evict = false;
   // Fault handling. After a failed flush or fetch, no new reorganization
   // I/O is issued until `retry_backoff` has elapsed (the periodic tick is
   // the retry loop; the backoff keeps it from hammering a down tier).
@@ -121,14 +116,17 @@ class Rebuilder {
   const RebuilderStats& stats() const { return stats_; }
   bool running() const { return running_; }
 
+  // Flush runs issued and not yet resolved (written back, aborted by a
+  // failed sub-I/O or abandoned by the watchdog).
+  std::int64_t flush_runs_in_flight() const { return flush_runs_in_flight_; }
+
   // No flushes or fetches currently in flight.
   bool idle() const {
-    return inflight_flush_.empty() &&
+    return flush_runs_in_flight_ == 0 &&
            stats_.fetches_started == stats_.fetches_completed;
   }
 
  private:
-  friend struct RebuilderTestPeer;  // reads the in-flight set in tests
   struct FlushRun;
 
   void ScheduleNext();
@@ -150,10 +148,9 @@ class Rebuilder {
 
   bool running_ = false;
   sim::EventId pending_tick_ = sim::kInvalidEvent;
-  // Ledger of the flushes in flight, keyed by (file, begin, version): it
-  // answers idle() and holds a re-dirtied extent's older flush until that
-  // resolves. Which extents a pass skips comes from the DMT's flush marks.
-  DirtyExtentSet inflight_flush_;
+  // Each run resolves exactly once (FlushRun::resolved). Which extents a
+  // pass skips comes from the DMT's flush marks.
+  std::int64_t flush_runs_in_flight_ = 0;
   // No reorganization I/O is issued before this time (failure backoff).
   SimTime retry_at_ = 0;
   RebuilderStats stats_;

@@ -16,8 +16,7 @@ S4DCache::S4DCache(sim::Engine& engine, pfs::FileSystem& dservers,
       cost_model_(std::move(cost_model)),
       config_(std::move(config)),
       tier_(cservers_, cost_model_),
-      files_(dservers_, cservers_, config_.cache_file_suffix),
-      cdt_(config_.cdt_max_entries),
+      files_(dservers_, cservers_),
       dmt_(dmt_store, &files_),
       space_(config_.cache_capacity, cservers.config().stripe.stripe_size),
       identifier_(cost_model_, cdt_, tier_, config_.cache_unhealthy_degrade),

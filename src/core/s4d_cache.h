@@ -78,8 +78,6 @@ struct S4DConfig {
   // metadata can be minimized"). Updates to different file regions hash to
   // different shards and proceed in parallel.
   int dmt_shards = 4;
-  std::size_t cdt_max_entries = 1 << 20;
-  std::string cache_file_suffix = ".s4d";
   DegradedReadMode degraded_read_mode = DegradedReadMode::kQueue;
   // kQueue mode only: a read held for the down cache tier is promoted to
   // a stale DServer read after this long without a recovery — a rank must

@@ -40,24 +40,33 @@ void FileServer::SetObservability(obs::Observability* obs,
 }
 
 FileServer::Slot FileServer::Store(const ServerJob& job) {
+  const auto held = static_cast<std::int32_t>(held_jobs());
   Slot slot;
   if (free_slots_.empty()) {
     slot = static_cast<Slot>(slab_.size());
-    slab_.push_back(SlabEntry{job, kNoSlot});
+    slab_.push_back(SlabEntry{job, kNoSlot, held});
   } else {
     slot = free_slots_.back();
     free_slots_.pop_back();
     slab_[slot].job = job;
+    slab_[slot].depth_at_submit = held;
   }
   slab_[slot].job.enqueued_at = engine_.now();
   return slot;
 }
 
 void FileServer::Resolve(Slot slot, bool failed) {
-  const ServerJob& j = JobAt(slot);
-  JobSink* const sink = j.sink;
-  const std::uint64_t cookie = j.cookie;
+  const SlabEntry& entry = slab_[slot];
+  JobSink* const sink = entry.job.sink;
+  const std::uint64_t cookie = entry.job.cookie;
   free_slots_.push_back(slot);
+  if (sub_sink_ != nullptr) {
+    // The freed entry is read before anything can store into it.
+    sub_sink_->OnSubRequestResolved(SubRequestSample{
+        sub_sink_tag_, sub_sink_server_, entry.job.kind, entry.job.priority,
+        entry.job.size, entry.depth_at_submit, entry.job.enqueued_at,
+        engine_.now(), !failed});
+  }
   sink->OnJobResolved(cookie, engine_.now(), failed);
 }
 
@@ -208,6 +217,7 @@ void FileServer::MaybeStartNext() {
 void FileServer::Serve(Slot slot) {
   const SimTime now = engine_.now();
   const ServerJob& j = JobAt(slot);
+  const SimTime wait = now - j.enqueued_at;
   inflight_ = slot;
   // Injected transient error: the job occupies the request slot for the
   // RPC round-trip (the client had to talk to the server to get the error)
@@ -250,21 +260,10 @@ void FileServer::Serve(Slot slot) {
   }
   stats_.busy_time += service;
   stats_.positioning_time += costs.positioning;
+  stats_.queue_wait_time += wait;
   if (costs.positioning == 0) ++stats_.zero_positioning_jobs;
 
-  if (serve_tap_ != nullptr) {
-    ServeSample sample;
-    sample.kind = j.kind;
-    sample.priority = j.priority;
-    sample.size = j.size;
-    sample.wait = j.enqueued_at >= 0 ? now - j.enqueued_at : 0;
-    sample.positioning = costs.positioning;
-    sample.service = service;
-    serve_tap_(serve_tap_ctx_, sample);
-  }
-
   if (obs_ != nullptr) {
-    const SimTime wait = j.enqueued_at >= 0 ? now - j.enqueued_at : 0;
     obs_jobs_->Inc();
     obs_bytes_->Add(j.size);
     obs_service_ns_->Record(service);

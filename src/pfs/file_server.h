@@ -11,6 +11,13 @@
 // trivially copyable 56-byte record; the server tells the sink, exactly
 // once per job, that the job with that cookie completed or failed.
 //
+// The server's slab entry is the one record of a sub-request in flight: it
+// holds the job from Submit until the sink is told, so the jobs it holds
+// are exactly the sub-requests its client has outstanding on it. With a
+// SubRequestSink installed, the server reports each job as its client saw
+// it (submitted when that many jobs were held, resolved now) just before
+// telling the job's sink.
+//
 // Fault awareness: a server can crash (all pending and in-flight jobs fail,
 // later submissions fail until Restart), be partitioned from the network
 // (jobs queue but none start until the partition heals), serve through a
@@ -71,19 +78,27 @@ struct ServerJob {
 static_assert(std::is_trivially_copyable_v<ServerJob>,
               "a job is copied into its slab slot once, byte for byte");
 
-// Exact service decomposition of one served job, emitted from Serve() at
-// service start.
-struct ServeSample {
+// One resolved sub-request, as the *client* observed it: submitted at
+// `submit_time` when `depth_at_submit` subs were already outstanding on that
+// server, resolved at `complete_time`. Failed subs are emitted too
+// (ok = false).
+struct SubRequestSample {
+  std::uint32_t tag = 0;  // echo of the SetSubRequestSink tag (tier id)
+  std::int32_t server = 0;
   device::IoKind kind = device::IoKind::kRead;
   Priority priority = Priority::kNormal;
   byte_count size = 0;
-  SimTime wait = 0;         // enqueue -> serve start
-  SimTime positioning = 0;  // seek + rotation (0 for SSDs)
-  SimTime service = 0;      // RPC + positioning + overlapped data phase
+  std::int32_t depth_at_submit = 0;
+  SimTime submit_time = 0;
+  SimTime complete_time = 0;
+  bool ok = true;
 };
-// Plain function pointer (no allocation on the serve path); `ctx` is the
-// consumer's per-server state.
-using ServeTapFn = void (*)(void* ctx, const ServeSample& sample);
+
+class SubRequestSink {
+ public:
+  virtual ~SubRequestSink() = default;
+  virtual void OnSubRequestResolved(const SubRequestSample& sample) = 0;
+};
 
 struct ServerStats {
   std::int64_t requests = 0;             // normal-priority jobs served
@@ -92,6 +107,7 @@ struct ServerStats {
   byte_count background_bytes = 0;
   SimTime busy_time = 0;
   SimTime positioning_time = 0;
+  SimTime queue_wait_time = 0;  // enqueue -> service start, summed
   // Jobs that required no positioning (head already in place) — a direct
   // measure of how sequential the stream arriving at this server is.
   std::int64_t zero_positioning_jobs = 0;
@@ -146,12 +162,14 @@ class FileServer {
   // write-back window being widened by transient background-I/O errors.
   void SetBackgroundErrorRate(double rate, std::uint64_t seed);
 
-  // Installs the serve tap (calibration telemetry). Null detaches. The tap
-  // fires once per *served* job (crash-failed and injected-error jobs never
-  // reach the device and are not sampled).
-  void SetServeTap(void* ctx, ServeTapFn tap) {
-    serve_tap_ctx_ = ctx;
-    serve_tap_ = tap;
+  // Installs the per-sub-request observation sink (null = off). Every
+  // job resolved from now on is reported once, `server` and `tag` echoed,
+  // just before its own sink is told.
+  void SetSubRequestSink(SubRequestSink* sink, std::uint32_t tag,
+                         std::int32_t server) {
+    sub_sink_ = sink;
+    sub_sink_tag_ = tag;
+    sub_sink_server_ = server;
   }
 
   // Attaches the shared observability bundle. `fs_label` scopes the shared
@@ -173,6 +191,9 @@ class FileServer {
   // Slots the job slab has grown to: the most jobs this server has held at
   // once.
   std::size_t slab_slots() const { return slab_.size(); }
+  // Jobs held now, from Submit until their sink is told: in jitter flight,
+  // queued, in service or waiting for their failure event.
+  std::size_t held_jobs() const { return slab_.size() - free_slots_.size(); }
 
  private:
   // Every job the server holds — in jitter flight, queued, in service or
@@ -185,6 +206,9 @@ class FileServer {
   struct SlabEntry {
     ServerJob job;
     Slot next = kNoSlot;  // FIFO successor while queued
+    // Jobs held when this one was stored (its depth at submit, stamped
+    // with job.enqueued_at).
+    std::int32_t depth_at_submit = 0;
   };
   static_assert(sizeof(SlabEntry) <= 64, "a slab entry fits a cache line");
   struct Fifo {
@@ -195,7 +219,8 @@ class FileServer {
 
   ServerJob& JobAt(Slot slot) { return slab_[slot].job; }
   Slot Store(const ServerJob& job);
-  // Frees the slot, then tells the job's sink how it ended. Freeing first
+  // Frees the slot, reports the job to the SubRequestSink if one is
+  // installed, then tells the job's sink how it ended. Freeing first
   // matters: the sink may submit to this server and grow (reallocate) the
   // slab.
   void Resolve(Slot slot, bool failed);
@@ -232,9 +257,10 @@ class FileServer {
   double background_error_rate_ = 0.0;
   Rng fault_rng_{1};
 
-  // Serve tap (null = off); fires from Serve().
-  void* serve_tap_ctx_ = nullptr;
-  ServeTapFn serve_tap_ = nullptr;
+  // Sub-request observation (null = off); fires from Resolve().
+  SubRequestSink* sub_sink_ = nullptr;
+  std::uint32_t sub_sink_tag_ = 0;
+  std::int32_t sub_sink_server_ = 0;
 
   // Observability (null = not observed). Handles are resolved once in
   // SetObservability so the service path pays pointer arithmetic only.

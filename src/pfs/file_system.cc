@@ -65,51 +65,17 @@ void FileSystem::SetObservability(obs::Observability* obs) {
 }
 
 void FileSystem::SetSubRequestSink(SubRequestSink* sink, std::uint32_t tag) {
-  S4D_CHECK(outstanding_subs_ == 0)
-      << "SetSubRequestSink with " << outstanding_subs_
-      << " sub-requests in flight (install before any I/O)";
-  sub_sink_ = sink;
-  sub_sink_tag_ = tag;
-  sub_depth_.assign(static_cast<std::size_t>(server_count()), 0);
-}
-
-FileSystem::SubTag* FileSystem::AcquireSubTag() {
-  if (subtag_free_.empty()) {
-    subtag_pool_.push_back(std::make_unique<SubTag>());
-    subtag_free_.push_back(subtag_pool_.back().get());
+  for (int i = 0; i < server_count(); ++i) {
+    servers_[static_cast<std::size_t>(i)]->SetSubRequestSink(sink, tag, i);
   }
-  SubTag* tag = subtag_free_.back();
-  subtag_free_.pop_back();
-  return tag;
 }
 
-void FileSystem::SubTagArrive(SubTag* tag, SimTime t, bool ok) {
-  --sub_depth_[static_cast<std::size_t>(tag->server)];
-  Fanout* fanout = tag->fanout;
-  SubRequestSample sample;
-  sample.tag = sub_sink_tag_;
-  sample.server = tag->server;
-  sample.kind = static_cast<device::IoKind>(tag->kind);
-  sample.priority = static_cast<Priority>(tag->priority);
-  sample.size = tag->size;
-  sample.depth_at_submit = tag->depth;
-  sample.submit_time = tag->submit;
-  sample.complete_time = t;
-  sample.ok = ok;
-  // Recycle before emitting/joining: either callback may submit follow-up
-  // I/O that re-acquires this tag.
-  subtag_free_.push_back(tag);
-  sub_sink_->OnSubRequestResolved(sample);
-  FanoutArrive(fanout, t, ok);
-}
-
-void FileSystem::OnJobResolved(std::uint64_t cookie, SimTime time,
-                               bool failed) {
-  if (sub_sink_ != nullptr) {
-    SubTagArrive(reinterpret_cast<SubTag*>(cookie), time, !failed);
-  } else {
-    FanoutArrive(reinterpret_cast<Fanout*>(cookie), time, !failed);
+std::int64_t FileSystem::outstanding_subs() const {
+  std::int64_t held = 0;
+  for (const auto& server : servers_) {
+    held += static_cast<std::int64_t>(server->held_jobs());
   }
+  return held;
 }
 
 FileSystem::Fanout* FileSystem::AcquireFanout() {
@@ -122,23 +88,24 @@ FileSystem::Fanout* FileSystem::AcquireFanout() {
   return fanout;
 }
 
-void FileSystem::FanoutArrive(Fanout* fanout, SimTime t, bool ok) {
+void FileSystem::OnJobResolved(std::uint64_t cookie, SimTime time,
+                               bool failed) {
+  Fanout* fanout = reinterpret_cast<Fanout*>(cookie);
   S4D_DCHECK(fanout->remaining > 0)
       << "sub-request completion after the request already finished";
-  --outstanding_subs_;
-  fanout->last = std::max(fanout->last, t);
-  if (!ok) fanout->failed = true;
+  fanout->last = std::max(fanout->last, time);
+  if (failed) fanout->failed = true;
   if (--fanout->remaining > 0) return;
   // Move the callbacks out and recycle *before* firing: the callback may
   // submit a follow-up request that re-acquires this very Fanout.
   auto on_complete = std::move(fanout->on_complete);
   auto on_failure = std::move(fanout->on_failure);
-  const bool failed = fanout->failed;
+  const bool request_failed = fanout->failed;
   const SimTime last = fanout->last;
   fanout->on_complete = nullptr;
   fanout->on_failure = nullptr;
   fanout_free_.push_back(fanout);
-  if (failed) {
+  if (request_failed) {
     ++stats_.failed_requests;
     auto& cb = on_failure ? on_failure : on_complete;
     if (cb) cb(last);
@@ -171,7 +138,6 @@ void FileSystem::Submit(FileId file, device::IoKind kind, byte_count offset,
 
   ++stats_.requests;
   stats_.bytes += size;
-  outstanding_subs_ += static_cast<std::int64_t>(subs.size());
 
   RequestRecord record;
   record.file = file;
@@ -196,24 +162,12 @@ void FileSystem::Submit(FileId file, device::IoKind kind, byte_count offset,
   job.kind = kind;
   job.priority = priority;
   job.sink = this;
+  job.cookie = reinterpret_cast<std::uintptr_t>(state);
   job.parent_span = parent_span;
   const byte_count base = FileBaseLba(file);
   for (const SubRequest& sub : subs) {
     job.lba = base + sub.server_offset;
     job.size = sub.size;
-    if (sub_sink_ != nullptr) {
-      SubTag* tag = AcquireSubTag();
-      tag->fanout = state;
-      tag->submit = record.issue_time;
-      tag->size = sub.size;
-      tag->server = sub.server;
-      tag->depth = sub_depth_[static_cast<std::size_t>(sub.server)]++;
-      tag->kind = static_cast<std::uint8_t>(kind);
-      tag->priority = static_cast<std::uint8_t>(priority);
-      job.cookie = reinterpret_cast<std::uintptr_t>(tag);
-    } else {
-      job.cookie = reinterpret_cast<std::uintptr_t>(state);
-    }
     servers_[static_cast<std::size_t>(sub.server)]->Submit(job);
   }
   split_scratch_ = std::move(subs);
@@ -295,6 +249,7 @@ ServerStats FileSystem::TotalServerStats() const {
     total.background_bytes += s.background_bytes;
     total.busy_time += s.busy_time;
     total.positioning_time += s.positioning_time;
+    total.queue_wait_time += s.queue_wait_time;
     total.zero_positioning_jobs += s.zero_positioning_jobs;
   }
   return total;

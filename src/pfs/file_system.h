@@ -3,7 +3,10 @@
 // The system stripes each file round-robin across its servers
 // (src/pfs/striping.h), fans a request out into per-server sub-requests,
 // and completes the request when the *last* sub-request finishes — the
-// max-over-servers behaviour the paper's cost model analyses.
+// max-over-servers behaviour the paper's cost model analyses. It keeps one
+// pooled join record per request; a sub-request in flight is recorded only
+// by the server holding it, so outstanding counts and per-sub samples
+// (SetSubRequestSink) are read from the servers.
 //
 // Two independent instances are built in an S4D deployment: the OPFS over
 // HDD DServers and the CPFS over SSD CServers.
@@ -60,28 +63,6 @@ struct FsStats {
   // Requests in which at least one sub-request failed (crashed server,
   // injected error).
   std::int64_t failed_requests = 0;
-};
-
-// One resolved sub-request, as the *client* observed it: submitted at
-// `submit_time` when `depth_at_submit` subs were already outstanding on that
-// server, resolved at `complete_time`. Failed subs are emitted too
-// (ok = false) so consumers can keep exact outstanding-depth accounting.
-struct SubRequestSample {
-  std::uint32_t tag = 0;  // echo of the SetSubRequestSink tag (tier id)
-  std::int32_t server = 0;
-  device::IoKind kind = device::IoKind::kRead;
-  Priority priority = Priority::kNormal;
-  byte_count size = 0;
-  std::int32_t depth_at_submit = 0;
-  SimTime submit_time = 0;
-  SimTime complete_time = 0;
-  bool ok = true;
-};
-
-class SubRequestSink {
- public:
-  virtual ~SubRequestSink() = default;
-  virtual void OnSubRequestResolved(const SubRequestSample& sample) = 0;
 };
 
 // The file system is the JobSink of its servers' jobs, so jobs in flight
@@ -148,20 +129,15 @@ class FileSystem final : private JobSink {
   const FsStats& stats() const { return stats_; }
   sim::Engine& engine() { return engine_; }
 
-  // Sub-requests submitted and not yet resolved, summed over all servers
-  // (the sampler's per-tier load probe).
-  std::int64_t outstanding_subs() const { return outstanding_subs_; }
+  // Sub-requests submitted and not yet resolved: the jobs the servers
+  // hold, summed (the sampler's per-tier load probe).
+  std::int64_t outstanding_subs() const;
 
-  // Installs the per-sub-request observation sink (src/calib). `tag` is
-  // echoed in every sample so one sink can serve several FileSystems. Must
-  // be installed before any I/O (per-server depth counters start at zero)
-  // and only once; null is a no-op installation-wise but keeps the counters
-  // off. With no sink the submit/complete paths are bit-for-bit the
-  // pre-existing ones.
+  // Installs the per-sub-request observation sink (src/calib) on every
+  // server; null removes it. `tag` is echoed in every sample so one sink
+  // can serve several FileSystems, and each sample names its server by
+  // index. With no sink the submit/complete paths do no sampling work.
   void SetSubRequestSink(SubRequestSink* sink, std::uint32_t tag);
-  // Client-maintained outstanding sub-requests per server; empty until a
-  // sink is installed.
-  const std::vector<std::int32_t>& sub_depths() const { return sub_depth_; }
 
   // Aggregates across servers (for reports).
   ServerStats TotalServerStats() const;
@@ -181,11 +157,6 @@ class FileSystem final : private JobSink {
  private:
   byte_count FileBaseLba(FileId file) const;
 
-  // Each sub-request job names this file system as its sink. Its cookie
-  // is the request's Fanout*, or its SubTag* while a SubRequestSink is
-  // installed (the sink can only change with no sub-request in flight).
-  void OnJobResolved(std::uint64_t cookie, SimTime time, bool failed) override;
-
   // Failure-aware join state for one striped request, pooled and reused so
   // the submit hot path performs no per-request heap allocation.
   struct Fanout {
@@ -196,23 +167,10 @@ class FileSystem final : private JobSink {
     std::function<void(SimTime)> on_failure;
   };
   Fanout* AcquireFanout();
-  void FanoutArrive(Fanout* fanout, SimTime t, bool ok);
 
-  // Per-sub observation state, pooled like Fanout so the instrumented
-  // submit path still performs no steady-state allocation.
-  struct SubTag {
-    Fanout* fanout = nullptr;
-    SimTime submit = 0;
-    byte_count size = 0;
-    std::int32_t server = 0;
-    std::int32_t depth = 0;
-    std::uint8_t kind = 0;
-    std::uint8_t priority = 0;
-  };
-  SubTag* AcquireSubTag();
-  // Decrements the server's depth, emits the sample, recycles the tag,
-  // then joins the fan-out.
-  void SubTagArrive(SubTag* tag, SimTime t, bool ok);
+  // Each sub-request job names this file system as its sink and its
+  // request's Fanout* as its cookie: joins the sub into its request.
+  void OnJobResolved(std::uint64_t cookie, SimTime time, bool failed) override;
 
   sim::Engine& engine_;
   FsConfig config_;
@@ -225,14 +183,7 @@ class FileSystem final : private JobSink {
   std::vector<Fanout*> fanout_free_;
   // Submit's split storage, reused across requests.
   std::vector<SubRequest> split_scratch_;
-  // Sub-observation sink (null = tap off, zero-cost paths).
-  SubRequestSink* sub_sink_ = nullptr;
-  std::uint32_t sub_sink_tag_ = 0;
-  std::vector<std::int32_t> sub_depth_;
-  std::vector<std::unique_ptr<SubTag>> subtag_pool_;
-  std::vector<SubTag*> subtag_free_;
   FsStats stats_;
-  std::int64_t outstanding_subs_ = 0;  // see outstanding_subs()
 };
 
 }  // namespace s4d::pfs

@@ -27,7 +27,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -386,40 +385,6 @@ class Engine {
   std::size_t ring_head_ = 0;
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::vector<std::uint32_t> free_slots_;
-};
-
-// Join-counter: invokes `done` once `Expect`ed completions have all arrived.
-// Used to complete a parallel request when its last sub-request finishes.
-class CompletionJoin {
- public:
-  CompletionJoin(int expected, std::function<void(SimTime last)> done)
-      : remaining_(expected), done_(std::move(done)) {
-    S4D_CHECK(expected > 0) << "join expects " << expected << " arrivals";
-  }
-
-  // Records one arrival at time `t`; fires the callback on the last one.
-  // Arriving after the join has fired is a bug in the caller's completion
-  // accounting and aborts.
-  void Arrive(SimTime t) {
-    S4D_CHECK(remaining_ > 0)
-        << "CompletionJoin::Arrive after the join already fired";
-    last_ = std::max(last_, t);
-    if (--remaining_ == 0) {
-      // Move out and clear *before* invoking: the callback may destroy the
-      // owning request (and with it this join), so done_ must already be
-      // empty — no dangling capture can outlive the firing.
-      auto fn = std::move(done_);
-      done_ = nullptr;
-      if (fn) fn(last_);
-    }
-  }
-
-  int remaining() const { return remaining_; }
-
- private:
-  int remaining_;
-  SimTime last_ = 0;
-  std::function<void(SimTime)> done_;
 };
 
 }  // namespace s4d::sim

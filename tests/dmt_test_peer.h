@@ -39,6 +39,23 @@ struct DmtTestPeer {
     return out;
   }
 
+  // Every flush mark (BeginFlush) as {file, begin, marked version}, in
+  // the order Scan lists the entries. A mark may name an older version
+  // than its entry's (the entry was re-dirtied under the flush).
+  static std::vector<DirtyExtentKey> FlushMarks(const DataMappingTable& dmt) {
+    std::vector<DirtyExtentKey> out;
+    for (const FileIndex file : dmt.order_) {
+      const auto& extents = dmt.files_[file].extents;
+      for (auto it = extents.begin(); it != extents.end(); ++it) {
+        const DataMappingTable::Entry& entry = dmt.slab_[it.slot()];
+        if (entry.flushing != DataMappingTable::kNotFlushing) {
+          out.push_back(DirtyExtentKey{file, entry.begin, entry.flushing});
+        }
+      }
+    }
+    return out;
+  }
+
   // The version of the extent beginning at `begin`; it must exist.
   static std::uint64_t VersionAt(const DataMappingTable& dmt, FileIndex file,
                                  byte_count begin) {

@@ -9,6 +9,7 @@
 #include "harness/driver.h"
 #include "harness/testbed.h"
 #include "mpiio/mpi_io.h"
+#include "obs/observability.h"
 #include "workloads/ior.h"
 
 namespace s4d::calib {
@@ -97,7 +98,7 @@ TEST(ServerFit, WarmupGateCountsUndecayedSamples) {
   EXPECT_TRUE(fit.Ready(32));
 }
 
-// --- Engine-level: serve-tap totals and determinism -----------------------
+// --- Engine-level: report rows and determinism ----------------------------
 
 // One server's own served-job totals (foreground + background).
 struct ServedTotals {
@@ -105,6 +106,8 @@ struct ServedTotals {
   std::int64_t jobs = 0;
   std::int64_t bytes = 0;
   std::int64_t background_jobs = 0;
+  SimTime wait_ns = 0;
+  SimTime service_ns = 0;
 };
 
 struct CalibRun {
@@ -112,16 +115,22 @@ struct CalibRun {
   CalibStats stats;
   std::vector<CalibrationEngine::ServerRow> rows;
   std::vector<ServedTotals> served;  // Rows() order: DServers, then CServers
+  // Per tier (OPFS, then CPFS): the sums of the obs histograms that record
+  // each served job's queue wait and service time.
+  std::int64_t observed_wait_ns[2] = {};
+  std::int64_t observed_service_ns[2] = {};
 };
 
 // One small random-write IOR run with the calibration armed; returns the
 // per-server report and rows, the engine's counters, and every server's
 // own stats.
 CalibRun RunCalibrated(std::uint64_t seed = 7) {
+  obs::Observability obs;
   harness::TestbedConfig bed_cfg;
   bed_cfg.dservers = 4;
   bed_cfg.cservers = 2;
   bed_cfg.seed = seed;
+  bed_cfg.obs = &obs;
   harness::Testbed bed(bed_cfg);
 
   core::S4DConfig cfg;
@@ -152,36 +161,62 @@ CalibRun RunCalibrated(std::uint64_t seed = 7) {
   run.report = out.str();
   run.stats = cal.stats();
   run.rows = cal.Rows();
-  for (pfs::FileSystem* fs : {&bed.dservers(), &bed.cservers()}) {
-    for (int i = 0; i < fs->server_count(); ++i) {
-      const pfs::ServerStats& st = fs->server(i).stats();
-      run.served.push_back({fs->server(i).name(),
+  const pfs::FileSystem* tiers[2] = {&bed.dservers(), &bed.cservers()};
+  for (int t = 0; t < 2; ++t) {
+    const pfs::FileSystem& fs = *tiers[t];
+    for (int i = 0; i < fs.server_count(); ++i) {
+      const pfs::ServerStats& st = fs.server(i).stats();
+      run.served.push_back({fs.server(i).name(),
                             st.requests + st.background_requests,
                             st.bytes + st.background_bytes,
-                            st.background_requests});
+                            st.background_requests, st.queue_wait_time,
+                            st.busy_time});
     }
+    const std::string prefix = "pfs." + fs.config().name + ".";
+    run.observed_wait_ns[t] =
+        obs.metrics.histograms().at(prefix + "queue_wait_ns").sum();
+    run.observed_service_ns[t] =
+        obs.metrics.histograms().at(prefix + "service_ns").sum();
   }
   return run;
 }
 
-TEST(CalibrationEngine, ServeTapTotalsMatchServerStats) {
-  // Rows() reads the per-server serve-tap accumulators directly. Every
-  // served job, foreground or background, passes the tap exactly once, so
-  // each row must agree with its server's own stats.
+TEST(CalibrationEngine, RowsMatchServerStats) {
+  // Rows() reads each server's own stats. Every served job, foreground or
+  // background, counts there once, with the queue wait and service time
+  // that the pfs.<fs>.queue_wait_ns and service_ns histograms record.
   const CalibRun run = RunCalibrated();
   EXPECT_GT(run.stats.samples, 0);
   EXPECT_NE(run.report.find("CPFS/server0"), std::string::npos);
   ASSERT_EQ(run.rows.size(), run.served.size());
   std::int64_t jobs = 0;
   std::int64_t background_jobs = 0;
+  std::int64_t wait_ns[2] = {};
+  std::int64_t service_ns[2] = {};
   for (std::size_t i = 0; i < run.rows.size(); ++i) {
     const ServedTotals& served = run.served[i];
-    EXPECT_EQ(run.rows[i].name, served.name);
-    EXPECT_EQ(run.rows[i].jobs, served.jobs) << served.name;
-    EXPECT_EQ(run.rows[i].bytes, served.bytes) << served.name;
+    const CalibrationEngine::ServerRow& row = run.rows[i];
+    EXPECT_EQ(row.name, served.name);
+    EXPECT_EQ(row.jobs, served.jobs) << served.name;
+    EXPECT_EQ(row.bytes, served.bytes) << served.name;
+    ASSERT_GT(served.jobs, 0) << served.name;
+    const double n = static_cast<double>(served.jobs);
+    EXPECT_DOUBLE_EQ(row.mean_wait_us,
+                     static_cast<double>(served.wait_ns) / n / 1e3)
+        << served.name;
+    EXPECT_DOUBLE_EQ(row.mean_service_us,
+                     static_cast<double>(served.service_ns) / n / 1e3)
+        << served.name;
+    wait_ns[row.cache_tier ? 1 : 0] += served.wait_ns;
+    service_ns[row.cache_tier ? 1 : 0] += served.service_ns;
     jobs += served.jobs;
     background_jobs += served.background_jobs;
   }
+  for (int t = 0; t < 2; ++t) {
+    EXPECT_EQ(wait_ns[t], run.observed_wait_ns[t]) << "tier " << t;
+    EXPECT_EQ(service_ns[t], run.observed_service_ns[t]) << "tier " << t;
+  }
+  EXPECT_GT(wait_ns[0] + wait_ns[1], 0);
   // Both branches of the sum are exercised: the Rebuilder's flushes are
   // background jobs.
   EXPECT_GT(jobs, background_jobs);

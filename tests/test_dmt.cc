@@ -565,12 +565,13 @@ DataMappingTable::DirtyAgeSummary ReferenceDirtyAges(const TableScan& scan,
 
 // The Rebuilder's flush pass before the DMT learned the in-flight set:
 // collect every run, then skip each run holding an in-flight extent.
-std::vector<DirtyRun> SkipInFlight(std::vector<DirtyRun> runs,
-                                   const DirtyExtentSet& in_flight) {
+std::vector<DirtyRun> SkipInFlight(
+    std::vector<DirtyRun> runs, const std::vector<DirtyExtentKey>& in_flight) {
   std::erase_if(runs, [&](const DirtyRun& run) {
     return std::any_of(run.segments.begin(), run.segments.end(),
                        [&](const DirtyRange& seg) {
-                         return in_flight.contains(seg.key());
+                         return std::find(in_flight.begin(), in_flight.end(),
+                                          seg.key()) != in_flight.end();
                        });
   });
   return runs;
@@ -679,9 +680,7 @@ TEST_F(DmtPersistenceTest, DirtyIndexWalksMatchFullScanUnderFuzz) {
       // marks rode this check's splits, re-dirties and removals. With none
       // kept, this is the full collection.
       ASSERT_EQ(RunsText(dmt->CollectDirtyRuns(budget, run_cap)),
-                RunsText(SkipInFlight(want_runs,
-                                      DirtyExtentSet(kept_in_flight.begin(),
-                                                     kept_in_flight.end()))))
+                RunsText(SkipInFlight(want_runs, kept_in_flight)))
           << "seed " << seed << " step " << step;
       // A random in-flight subset: keys kept from earlier checks (their
       // extents may since have been re-dirtied, split or removed) and some
@@ -704,9 +703,7 @@ TEST_F(DmtPersistenceTest, DirtyIndexWalksMatchFullScanUnderFuzz) {
         }
       }
       kept_in_flight = keys;
-      const DirtyExtentSet in_flight(keys.begin(), keys.end());
-      const std::vector<DirtyRun> want_free =
-          SkipInFlight(want_runs, in_flight);
+      const std::vector<DirtyRun> want_free = SkipInFlight(want_runs, keys);
       busy_runs +=
           static_cast<std::int64_t>(want_runs.size() - want_free.size());
       ASSERT_EQ(RunsText(dmt->CollectDirtyRuns(budget, run_cap)),

@@ -191,23 +191,5 @@ TEST(Engine, GenerationWraparound) {
   EXPECT_EQ(fired, 2);
 }
 
-TEST(CompletionJoin, FiresOnLastArrivalWithMaxTime) {
-  SimTime completed = -1;
-  CompletionJoin join(3, [&](SimTime t) { completed = t; });
-  join.Arrive(10);
-  EXPECT_EQ(completed, -1);
-  join.Arrive(30);
-  EXPECT_EQ(completed, -1);
-  join.Arrive(20);
-  EXPECT_EQ(completed, 30);  // max of arrivals, not last
-}
-
-TEST(CompletionJoin, SingleExpectation) {
-  SimTime completed = -1;
-  CompletionJoin join(1, [&](SimTime t) { completed = t; });
-  join.Arrive(7);
-  EXPECT_EQ(completed, 7);
-}
-
 }  // namespace
 }  // namespace s4d::sim

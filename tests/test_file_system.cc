@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <compare>
+#include <functional>
 #include <memory>
 #include <type_traits>
+#include <utility>
+#include <vector>
 
+#include "common/rng.h"
 #include "device/hdd_model.h"
 #include "device/ssd_model.h"
 
@@ -165,6 +171,182 @@ TEST(FileSystem, TotalServerStatsAggregates) {
   const ServerStats total = fs.TotalServerStats();
   EXPECT_EQ(total.requests, 4);
   EXPECT_EQ(total.bytes, 4 * 64 * KiB);
+}
+
+// What a SubRequestSample says about one sub-request that the client
+// also knows at Submit: its server, size, kind and priority, how many of
+// its server's subs it had submitted and not yet seen sampled, and when.
+struct SubRecord {
+  int server = 0;
+  byte_count size = 0;
+  device::IoKind kind = device::IoKind::kRead;
+  Priority priority = Priority::kNormal;
+  std::int32_t depth = 0;
+  SimTime submit_time = 0;
+
+  auto operator<=>(const SubRecord&) const = default;
+};
+
+// Derives every sample from the client's own bookkeeping: Submit splits
+// the request as the file system does and counts each sub against its
+// server; each sample takes one count off again. A sub is expected to fail
+// if its server is down when it is submitted or crashes while the sub is
+// unsampled.
+class SubmitAccounting final : public SubRequestSink {
+ public:
+  SubmitAccounting(sim::Engine& engine, FileSystem& fs)
+      : engine_(engine),
+        fs_(fs),
+        unsampled_(static_cast<std::size_t>(fs.server_count()), 0) {}
+
+  void Submit(FileId file, device::IoKind kind, byte_count offset,
+              byte_count size, Priority priority,
+              std::function<void(SimTime)> done = nullptr) {
+    for (const SubRequest& sub :
+         SplitRequest(fs_.config().stripe, offset, size)) {
+      const SubRecord want{sub.server, sub.size, kind, priority,
+                           unsampled_[static_cast<std::size_t>(sub.server)]++,
+                           engine_.now()};
+      expected.push_back(want);
+      open.push_back({want, !fs_.server(sub.server).up()});
+    }
+    fs_.Submit(file, kind, offset, size, priority, std::move(done));
+  }
+
+  // Crashes server `s`: every sub it holds now is expected to fail.
+  void Crash(int s) {
+    for (auto& [sub, fails] : open) {
+      if (sub.server == s) fails = true;
+    }
+    fs_.server(s).Crash();
+  }
+
+  void OnSubRequestResolved(const SubRequestSample& sample) override {
+    --unsampled_[static_cast<std::size_t>(sample.server)];
+    const SubRecord got{sample.server,          sample.size,
+                        sample.kind,            sample.priority,
+                        sample.depth_at_submit, sample.submit_time};
+    sampled.push_back(got);
+    EXPECT_EQ(sample.tag, 7u);
+    EXPECT_GE(sample.complete_time, sample.submit_time);
+    if (!sample.ok) ++failed;
+    if (got.depth >= 2) ++deep;
+    if (sample.priority == Priority::kBackground) ++background;
+    if (!sample.ok && sample.complete_time == sample.submit_time) ++refused;
+    const auto it = std::find_if(open.begin(), open.end(), [&](const auto& o) {
+      return o.first == got;
+    });
+    if (it == open.end()) {
+      ADD_FAILURE() << "sample of no submitted sub: server " << got.server
+                    << " depth " << got.depth << " at " << got.submit_time;
+      return;
+    }
+    EXPECT_EQ(sample.ok, !it->second)
+        << "server " << got.server << " depth " << got.depth << " at "
+        << got.submit_time;
+    open.erase(it);
+  }
+
+  std::vector<SubRecord> expected;
+  std::vector<SubRecord> sampled;
+  std::vector<std::pair<SubRecord, bool>> open;  // unsampled, fails?
+  std::int64_t failed = 0;
+  std::int64_t deep = 0;        // samples with depth_at_submit >= 2
+  std::int64_t background = 0;  // background-priority samples
+  std::int64_t refused = 0;     // failed at the instant of their submit
+
+ private:
+  sim::Engine& engine_;
+  FileSystem& fs_;
+  std::vector<std::int32_t> unsampled_;
+};
+
+// The sub-request samples carry exactly what the client's own accounting
+// derives at each Submit, on a jittered four-server file system through
+// bursts, a request spanning more than one stripe round, background jobs,
+// a crash with jobs queued and in service, a submit to the crashed server
+// and a restart.
+TEST(FileSystem, SubRequestSamplesMatchSubmitAccounting) {
+  sim::Engine engine;
+  FsConfig cfg = SsdFsConfig(4);
+  cfg.link.arrival_jitter = FromMicros(20);
+  FileSystem fs(engine, cfg, SsdFactory());
+  SubmitAccounting acct(engine, fs);
+  fs.SetSubRequestSink(&acct, 7);
+  const FileId f = fs.OpenOrCreate("f");
+  constexpr byte_count kStripe = 64 * KiB;
+
+  Rng rng(11);
+  auto burst = [&](int requests) {
+    for (int i = 0; i < requests; ++i) {
+      const byte_count offset = rng.NextInRange(0, 255) * 4 * KiB;
+      const byte_count size = rng.NextInRange(1, 48) * 4 * KiB;
+      acct.Submit(f,
+                  rng.NextBool(0.5) ? device::IoKind::kRead
+                                    : device::IoKind::kWrite,
+                  offset, size,
+                  rng.NextBool(0.25) ? Priority::kBackground
+                                     : Priority::kNormal);
+    }
+  };
+  // A closed loop: each completion submits the next request from inside
+  // the completion chain, right after the sample that freed its server.
+  int chain_left = 12;
+  std::function<void(SimTime)> chain = [&](SimTime) {
+    if (chain_left-- <= 0) return;
+    acct.Submit(f, device::IoKind::kWrite,
+                rng.NextInRange(0, 63) * kStripe, kStripe, Priority::kNormal,
+                chain);
+  };
+
+  engine.ScheduleAt(0, [&] {
+    // Stripes 0-6: servers 0-2 each serve two stripes of it.
+    acct.Submit(f, device::IoKind::kWrite, kStripe / 2, 6 * kStripe,
+                Priority::kNormal);
+    burst(16);
+    chain(0);
+  });
+  const SimTime crash_at = FromMicros(400);
+  engine.ScheduleAt(crash_at, [&] {
+    burst(8);
+    ASSERT_TRUE(fs.server(1).busy()) << "a job in service at the crash";
+    ASSERT_GT(fs.server(1).queue_depth(), 0u) << "jobs queued at the crash";
+    acct.Crash(1);
+  });
+  engine.ScheduleAt(crash_at + FromMicros(100), [&] {
+    // Stripes 0-3: server 1 is down and refuses its sub.
+    acct.Submit(f, device::IoKind::kRead, 0, 4 * kStripe, Priority::kNormal);
+    burst(4);
+  });
+  std::int64_t served_before_restart = 0;
+  engine.ScheduleAt(crash_at + FromMillis(2), [&] {
+    served_before_restart = fs.server(1).stats().requests;
+    fs.server(1).Restart();
+    burst(16);
+  });
+  engine.Run();
+
+  EXPECT_TRUE(acct.open.empty()) << acct.open.size() << " subs unsampled";
+  std::vector<SubRecord> want = acct.expected;
+  std::vector<SubRecord> got = acct.sampled;
+  std::sort(want.begin(), want.end());
+  std::sort(got.begin(), got.end());
+  EXPECT_TRUE(got == want) << got.size() << " samples, " << want.size()
+                           << " subs submitted";
+  std::int64_t failed_jobs = 0;
+  for (int s = 0; s < fs.server_count(); ++s) {
+    failed_jobs += fs.server(s).stats().failed_jobs;
+  }
+  EXPECT_EQ(acct.failed, failed_jobs);
+  // Every case the test names was reached.
+  EXPECT_GT(acct.failed, acct.refused);
+  EXPECT_GT(acct.refused, 0);
+  EXPECT_GT(acct.deep, 0);
+  EXPECT_GT(acct.background, 0);
+  EXPECT_LE(chain_left, 0);
+  EXPECT_GT(fs.server(1).stats().requests, served_before_restart)
+      << "served after the restart";
+  EXPECT_EQ(fs.outstanding_subs(), 0);
 }
 
 }  // namespace

@@ -13,25 +13,21 @@
 #include "harness/testbed.h"
 
 namespace s4d::core {
-
-// Test-only friend of Rebuilder (declared in its header).
-struct RebuilderTestPeer {
-  // The keys of the flushes in flight, sorted (see Sorted).
-  static std::vector<DirtyExtentKey> InFlight(const Rebuilder& rebuilder) {
-    return Sorted({rebuilder.inflight_flush_.begin(),
-                   rebuilder.inflight_flush_.end()});
-  }
-  // In (file, begin, version) order.
-  static std::vector<DirtyExtentKey> Sorted(std::vector<DirtyExtentKey> keys) {
-    std::sort(keys.begin(), keys.end(), [](const auto& a, const auto& b) {
-      return std::tie(a.file, a.begin, a.version) <
-             std::tie(b.file, b.begin, b.version);
-    });
-    return keys;
-  }
-};
-
 namespace {
+
+// In (file, begin, version) order.
+std::vector<DirtyExtentKey> Sorted(std::vector<DirtyExtentKey> keys) {
+  std::sort(keys.begin(), keys.end(), [](const auto& a, const auto& b) {
+    return std::tie(a.file, a.begin, a.version) <
+           std::tie(b.file, b.begin, b.version);
+  });
+  return keys;
+}
+
+// The DMT's flush marks, sorted.
+std::vector<DirtyExtentKey> FlushMarks(const DataMappingTable& dmt) {
+  return Sorted(DmtTestPeer::FlushMarks(dmt));
+}
 
 harness::TestbedConfig SmallTestbed() {
   harness::TestbedConfig cfg;
@@ -190,7 +186,6 @@ TEST(Rebuilder, FetchSkippedWhenNoSpace) {
   harness::Testbed bed(SmallTestbed());
   S4DConfig cfg = ManualRebuilder();
   cfg.cache_capacity = 16 * KiB;
-  cfg.rebuilder.fetch_may_evict = true;  // exercise the evicting variant
   auto s4d = bed.MakeS4D(cfg);
   s4d->Open("f");
   // Fill the cache with dirty (unevictable) data.
@@ -199,20 +194,12 @@ TEST(Rebuilder, FetchSkippedWhenNoSpace) {
   DoIo(bed, *s4d, device::IoKind::kRead, "f", 1, 500 * MiB, 16 * KiB);
   ASSERT_TRUE(s4d->cdt().AnyPendingFetch());
 
-  // Suppress the flush so the dirty data stays pinned, isolating the
-  // fetch-space path: use a fetch-only tick by flushing zero ranges.
-  // (Tick flushes too, so instead check stats after a full tick: the flush
-  // is asynchronous and completes later than the fetch attempt.)
+  // The tick's flush is asynchronous and completes after the fetch
+  // attempt, which finds no free space.
   s4d->rebuilder().Tick();
   EXPECT_GT(s4d->rebuilder_stats().fetch_space_failures, 0);
   EXPECT_TRUE(s4d->cdt().AnyPendingFetch()) << "flag kept for retry";
-  bed.engine().Run();
-
-  // After the flush completed, a later tick can fetch.
-  s4d->rebuilder().Tick();
-  bed.engine().Run();
-  EXPECT_FALSE(s4d->cdt().AnyPendingFetch());
-  EXPECT_EQ(s4d->rebuilder_stats().fetches_completed, 1);
+  EXPECT_EQ(s4d->rebuilder_stats().fetches_started, 0);
 }
 
 // --- parked fetch passes -----------------------------------------------------
@@ -363,23 +350,6 @@ TEST(RebuilderParking, GateVetoWithFreeBytesDoesNotPark) {
   EXPECT_EQ(s4d->rebuilder_stats().fetches_started, 0);
 }
 
-TEST(RebuilderParking, EvictingFetchNeverParks) {
-  harness::Testbed bed(SmallTestbed());
-  S4DConfig cfg = ManualRebuilder();
-  cfg.cache_capacity = 16 * KiB;
-  cfg.rebuilder.fetch_may_evict = true;
-  auto s4d = bed.MakeS4D(cfg);
-  s4d->Open("f");
-  // Dirty (unevictable) data fills the cache; its flush is issued by the
-  // first tick but never completes, since the engine does not run.
-  DoIo(bed, *s4d, device::IoKind::kWrite, "f", 0, 100 * MiB, 16 * KiB);
-  DoIo(bed, *s4d, device::IoKind::kRead, "f", 1, 500 * MiB, 16 * KiB);
-  ASSERT_TRUE(s4d->cdt().AnyPendingFetch());
-  Ticks(*s4d, 50);
-  EXPECT_EQ(s4d->rebuilder_stats().fetch_space_failures, 50);
-  EXPECT_EQ(s4d->rebuilder_stats().fetches_started, 0);
-}
-
 TEST(Rebuilder, RacingWriteKeepsExtentDirty) {
   harness::Testbed bed(SmallTestbed());
   auto s4d = bed.MakeS4D(ManualRebuilder());
@@ -409,9 +379,9 @@ TEST(Rebuilder, RacingWriteKeepsExtentDirty) {
   EXPECT_EQ(content[0].value, 2u);
 }
 
-// The flush pass's runs before the DMT learned the in-flight set: collect
+// The flush pass's runs as a collect-then-skip walk finds them: collect
 // every run in the tick's order (a full-table walk), then skip each run
-// holding an extent whose flush is still in flight.
+// holding an extent whose flush at its current version is in flight.
 std::vector<DirtyRun> ReferenceFlushPass(
     const DataMappingTable& dmt, const RebuilderConfig& config,
     const std::vector<DirtyExtentKey>& busy) {
@@ -445,8 +415,9 @@ std::string IssueText(const std::vector<DirtyRun>& runs) {
 // Under seeded insert / re-dirty / split / invalidate churn, with flushes
 // left in flight for a random number of engine events, every tick issues
 // exactly the reference's runs: the same run lengths and extent counts,
-// the same cache reads in the same order, and the same (file, begin,
-// version) keys enter the in-flight set.
+// the same cache reads in the same order. Each issued extent's flush mark
+// names its (file, begin, version), moving off an older version's mark,
+// and each run counts as one more run in flight.
 TEST(Rebuilder, FlushPassMatchesCollectThenSkipReference) {
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     harness::Testbed bed(SmallTestbed());
@@ -497,8 +468,8 @@ TEST(Rebuilder, FlushPassMatchesCollectThenSkipReference) {
             dmt.SetDirty(file, offset, size, false);
         }
       }
-      const std::vector<DirtyExtentKey> before =
-          RebuilderTestPeer::InFlight(s4d->rebuilder());
+      const std::vector<DirtyExtentKey> before = FlushMarks(dmt);
+      const std::int64_t runs_before = s4d->rebuilder().flush_runs_in_flight();
       const std::vector<DirtyRun> want =
           ReferenceFlushPass(dmt, cfg.rebuilder, before);
       skipped += static_cast<std::int64_t>(
@@ -506,15 +477,14 @@ TEST(Rebuilder, FlushPassMatchesCollectThenSkipReference) {
       std::vector<DirtyExtentKey> want_keys = before;
       for (const DirtyRun& run : want) {
         for (const DirtyRange& seg : run.segments) {
+          // An older version's mark on the same extent moves to this one.
+          reflushed += std::erase_if(want_keys, [&](const DirtyExtentKey& k) {
+            return k.file == seg.file && k.begin == seg.orig_begin;
+          });
           want_keys.push_back(seg.key());
-          reflushed += std::count_if(
-              before.begin(), before.end(), [&](const DirtyExtentKey& k) {
-                return k.file == seg.file &&
-                       k.begin == seg.orig_begin && k.version != seg.version;
-              });
         }
       }
-      want_keys = RebuilderTestPeer::Sorted(std::move(want_keys));
+      want_keys = Sorted(std::move(want_keys));
 
       reads.clear();
       const std::size_t first_span = obs.tracer.records().size();
@@ -537,7 +507,9 @@ TEST(Rebuilder, FlushPassMatchesCollectThenSkipReference) {
           "seed " + std::to_string(seed) + " tick " + std::to_string(tick);
       ASSERT_EQ(next_read, reads.size()) << where;
       ASSERT_EQ(got.str(), IssueText(want)) << where;
-      ASSERT_TRUE(RebuilderTestPeer::InFlight(s4d->rebuilder()) == want_keys)
+      ASSERT_TRUE(FlushMarks(dmt) == want_keys) << where;
+      ASSERT_EQ(s4d->rebuilder().flush_runs_in_flight(),
+                runs_before + static_cast<std::int64_t>(want.size()))
           << where;
 
       // Let some flushes resolve and leave the rest in flight.
@@ -562,15 +534,24 @@ TEST(Rebuilder, ReDirtiedExtentFlushesAgainWhileOldVersionInFlight) {
   EXPECT_EQ(s4d->rebuilder_stats().flush_runs_started, 1);
 
   s4d->dmt().SetDirty(f, 200 * MiB, 16 * KiB, true);  // new version
+  const std::uint64_t version =
+      DmtTestPeer::VersionAt(s4d->dmt(), f, 200 * MiB);
   s4d->rebuilder().Tick();
   EXPECT_EQ(s4d->rebuilder_stats().flush_runs_started, 2);
-  EXPECT_EQ(RebuilderTestPeer::InFlight(s4d->rebuilder()).size(), 2u);
+  EXPECT_EQ(s4d->rebuilder().flush_runs_in_flight(), 2);
+  EXPECT_FALSE(s4d->rebuilder().idle());
+  // The extent's mark moved to the new version.
+  const std::vector<DirtyExtentKey> marks = FlushMarks(s4d->dmt());
+  ASSERT_EQ(marks.size(), 1u);
+  EXPECT_TRUE(marks[0] == (DirtyExtentKey{f, 200 * MiB, version}));
 
   bed.engine().Run();
   EXPECT_EQ(s4d->rebuilder_stats().flush_races, 1) << "old version";
   EXPECT_EQ(s4d->rebuilder_stats().flushes_cleaned, 1) << "new version";
   EXPECT_EQ(s4d->dmt().dirty_bytes(), 0);
-  EXPECT_TRUE(RebuilderTestPeer::InFlight(s4d->rebuilder()).empty());
+  EXPECT_EQ(s4d->rebuilder().flush_runs_in_flight(), 0);
+  EXPECT_TRUE(s4d->rebuilder().idle());
+  EXPECT_TRUE(FlushMarks(s4d->dmt()).empty());
 }
 
 TEST(Rebuilder, PeriodicTicksRunWhenEnabled) {

@@ -94,6 +94,7 @@
 #include <vector>
 
 #include "calib/calibration.h"
+#include "common/check.h"
 #include "common/config_parser.h"
 #include "common/table_printer.h"
 #include "core/s4d_cache.h"
@@ -828,9 +829,16 @@ int Run(const ConfigParser& config) {
   }
 
   // Periodic time series (written into the metrics dump). Probes are
-  // read-only: outstanding sub-requests and middleware counters.
+  // read-only: outstanding sub-requests, registry gauges sampled under
+  // their own names, and the dirty-age summary.
   obs::TimeSeriesSampler sampler(bed.engine(), sample_interval);
   if (observed && sample_interval > 0) {
+    auto sample_gauge = [&sampler, &obs](const std::string& name) {
+      const auto it = obs.metrics.gauges().find(name);
+      S4D_CHECK(it != obs.metrics.gauges().end()) << "no gauge " << name;
+      const obs::Gauge* gauge = &it->second;
+      sampler.AddProbe(name, [gauge] { return gauge->value(); });
+    };
     sampler.AddProbe("opfs.outstanding_subs", [&bed] {
       return static_cast<double>(bed.dservers().outstanding_subs());
     });
@@ -839,22 +847,11 @@ int Run(const ConfigParser& config) {
     });
     if (s4d != nullptr) {
       core::S4DCache* cache = s4d;
-      sampler.AddProbe("s4d.dirty_bytes", [cache] {
-        return static_cast<double>(cache->dmt().dirty_bytes());
-      });
-      sampler.AddProbe("s4d.cache_used_bytes", [cache] {
-        return static_cast<double>(cache->cache_space().used_bytes());
-      });
-      sampler.AddProbe("s4d.read_hit_ratio", [cache] {
-        const core::RedirectorStats& rs = cache->redirector_stats();
-        return rs.read_requests > 0
-                   ? static_cast<double>(rs.read_cache_hits +
-                                         rs.read_partial_hits) /
-                         static_cast<double>(rs.read_requests)
-                   : 0.0;
-      });
-      sampler.AddProbe("s4d.cache_tier_slowdown",
-                       [cache] { return cache->tier().Slowdown(); });
+      for (const char* name : {"s4d.dirty_bytes", "s4d.cache_used_bytes",
+                               "s4d.read_hit_ratio",
+                               "s4d.cache_tier_slowdown"}) {
+        sample_gauge(name);
+      }
       // Age of the oldest / median dirty extent: how long acknowledged data
       // has been exposed to cache-tier loss.
       sampler.AddProbe("s4d.dirty_age_oldest_us", [cache, &bed] {
@@ -867,12 +864,8 @@ int Run(const ConfigParser& config) {
       });
     }
     if (calibration) {
-      calib::CalibrationEngine* cal = calibration.get();
-      sampler.AddProbe("calib.cserver_mean_depth",
-                       [cal] { return cal->MeanCServerDepth(); });
-      sampler.AddProbe("calib.samples", [cal] {
-        return static_cast<double>(cal->stats().samples);
-      });
+      sample_gauge("calib.cserver_mean_depth");
+      sample_gauge("calib.samples");
     }
     if (s4d != nullptr && !trace_out.empty()) {
       // Per-tick dirty-age instant: richer than the two scalar series above
