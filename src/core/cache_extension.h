@@ -1,13 +1,14 @@
 // CacheExtension: the one interface through which an optional subsystem
 // (the policy engine, the tenant manager, a bench's scorer) takes part in
 // the middleware's per-request decision; the core never depends on them.
-// Every method defaults to a no-op (Admit passes the verdict on, and
-// SelectVictim takes the paper's clean-LRU victim). Per foreground request
-// the cache calls OnRequestStart before the Data Identifier runs, folds
-// Admit over the extensions in attach order starting from the model's
-// post-health verdict (B > 0), and calls OnOutcome at completion. The
-// Redirector's allocations, the Rebuilder's included, call
-// AllowFreeAllocation and SelectVictim.
+// Every method defaults to a no-op (OnRequestStart names no partition,
+// Admit passes the verdict on, and SelectVictim takes the paper's
+// clean-LRU victim). Per foreground request the cache calls
+// OnRequestStart before the Data Identifier runs, folds Admit over the
+// extensions in attach order starting from the model's post-health
+// verdict (B > 0), and calls OnOutcome at completion. The Redirector's
+// allocations, the Rebuilder's included, call AllowFreeAllocation and
+// SelectVictim with their owner: the partition their request named.
 #pragma once
 
 #include <optional>
@@ -54,18 +55,27 @@ class CacheExtension {
  public:
   virtual ~CacheExtension() = default;
 
-  virtual void OnRequestStart(const mpiio::FileRequest& /*request*/,
-                              device::IoKind /*kind*/) {}
+  // Returns the cache partition (tenant) the request's allocations are
+  // charged to, -1 for none. At most one attached extension names one.
+  virtual int OnRequestStart(const mpiio::FileRequest& /*request*/,
+                             device::IoKind /*kind*/) {
+    return -1;
+  }
   // One admission stage: its verdict, given the earlier stages' verdict.
   virtual bool Admit(const AdmissionContext& /*ctx*/, bool verdict) {
     return verdict;
   }
-  // False vetoes an allocation from free space: the allocation loop turns
-  // to victim selection, and a free-only allocation fails.
-  virtual bool AllowFreeAllocation(byte_count /*size*/) { return true; }
-  // Removes one clean mapping and returns it (nullopt: none left). Only
-  // the extension attached as the victim selector is asked.
-  virtual std::optional<RemovedExtent> SelectVictim(DataMappingTable& dmt) {
+  // False vetoes an allocation from free space for `owner`: the
+  // allocation loop turns to victim selection, and a free-only allocation
+  // fails.
+  virtual bool AllowFreeAllocation(byte_count /*size*/, int /*owner*/) {
+    return true;
+  }
+  // Removes one clean mapping to make room for `owner` and returns it
+  // (nullopt: none left). Only the extension attached as the victim
+  // selector is asked.
+  virtual std::optional<RemovedExtent> SelectVictim(DataMappingTable& dmt,
+                                                    int /*owner*/) {
     return dmt.EvictLruClean();
   }
   virtual void OnOutcome(const RequestOutcome& /*outcome*/) {}

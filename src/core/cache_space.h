@@ -19,8 +19,6 @@ namespace s4d::core {
 
 class CacheSpaceAllocator {
  public:
-  // Owner index meaning "no single owner" from OwnerOf().
-  static constexpr int kNoOwner = -1;
   // `spread_granularity`, when non-zero, rotates the first-fit search start
   // by that amount per allocation (set it to the CPFS stripe size): without
   // it, consecutive small admissions pack into one stripe and serialize on
@@ -28,17 +26,20 @@ class CacheSpaceAllocator {
   explicit CacheSpaceAllocator(byte_count capacity,
                                byte_count spread_granularity = 0);
 
-  // Contiguous allocation (rotating first-fit). nullopt when no fit.
-  std::optional<byte_count> Allocate(byte_count size);
+  // Contiguous allocation (rotating first-fit) charged to `owner` (see
+  // the partition dimension below). nullopt when no fit.
+  std::optional<byte_count> Allocate(byte_count size, int owner = -1);
 
   // Claims exactly [offset, offset+size) if that range is entirely free.
-  // Used when recovering a persisted DMT whose mappings own fixed offsets.
+  // Used when recovering a persisted DMT whose mappings own fixed offsets;
+  // the bytes are charged to owner 0, as recovered mappings record no owner.
   bool Reserve(byte_count offset, byte_count size);
 
-  // Returns [offset, offset+size) to the free pool; the range must have
-  // been allocated (possibly as part of a larger extent — partial frees of
-  // an allocation are allowed and coalesce).
-  void Free(byte_count offset, byte_count size);
+  // Returns [offset, offset+size) to the free pool and credits `owner`,
+  // the owner it was allocated for; the range must have been allocated
+  // (possibly as part of a larger extent — partial frees of an allocation
+  // are allowed and coalesce).
+  void Free(byte_count offset, byte_count size, int owner = -1);
 
   // True iff [offset, offset+size) lies inside the capacity and intersects
   // no free extent — i.e. every byte of it is currently allocated. Used by
@@ -76,11 +77,13 @@ class CacheSpaceAllocator {
 
   // --- Partition (owner) dimension -------------------------------------
   //
-  // When the tenant subsystem is active, every allocated byte is charged to
-  // an integer owner (tenant index). Tracking is off by default and the
-  // owner map stays empty, so the single-tenant/paper-default path pays
-  // nothing and stays byte-identical. Enabling tracking never changes
-  // *which* extents Allocate() returns — it is pure accounting.
+  // When the tenant subsystem is active, the allocator counts the bytes
+  // charged to each integer owner (tenant index): an allocation charges
+  // the owner its caller names, and a free credits the owner its caller
+  // names — the owner the freed DMT extent records, which is the one
+  // record of who owns which bytes. Tracking is off by default and then
+  // nothing is counted, so the single-tenant/paper-default path pays
+  // nothing. Tracking never changes *which* extents Allocate() returns.
 
   // Turns on owner accounting with owners [0, owner_count). Any bytes
   // already allocated (e.g. extents reserved during DMT recovery) are
@@ -89,27 +92,22 @@ class CacheSpaceAllocator {
   bool partition_tracking() const { return !used_by_.empty(); }
   int owner_count() const { return static_cast<int>(used_by_.size()); }
 
-  // Owner future Allocate()/Reserve() calls are charged to. Out-of-range
-  // owners clamp to 0 (the catch-all tenant). No-op when tracking is off.
-  void set_charge_owner(int owner);
-  int charge_owner() const { return charge_owner_; }
+  // The owner `owner`'s bytes are charged to: itself when in
+  // [0, owner_count()), else the catch-all owner 0 (-1 names no owner).
+  int PartitionOf(int owner) const {
+    return owner >= 0 && owner < owner_count() ? owner : 0;
+  }
 
   // Bytes currently charged to `owner` (0 when tracking is off).
   byte_count used_by(int owner) const;
-
-  // The single owner of [offset, offset+size) — kNoOwner when tracking is
-  // off, the range is not fully allocated, or it spans multiple owners.
-  int OwnerOf(byte_count offset, byte_count size) const;
 
   // S4D_CHECKs the free-list invariants: extents inside [0, capacity),
   // positive length, sorted, pairwise disjoint with no coalescible
   // neighbours, and the free_bytes counter equal to the recomputed sum (so
   // used + free == capacity holds by construction). With partition tracking
-  // on it additionally proves owner ranges are sorted/disjoint/valid, never
-  // overlap a free extent, cover exactly the allocated bytes, and that the
-  // per-owner counters match the recomputed sums (so no byte is charged to
-  // two owners and sum(used_by) == used_bytes). O(free + owner extents).
-  // Paranoid builds run it after every mutation; tests call it directly.
+  // on it additionally proves every per-owner counter non-negative and
+  // their sum equal to used_bytes. O(free extents). Paranoid builds run it
+  // after every mutation; tests call it directly.
   void AuditInvariants() const;
 
  private:
@@ -126,12 +124,9 @@ class CacheSpaceAllocator {
   std::optional<byte_count> AllocateAtOrAfter(byte_count from,
                                               byte_count size);
 
-  // Owner-map maintenance (no-ops when tracking is off). Charge records
-  // [offset, offset+size) as owned by charge_owner_; Uncharge credits the
-  // *recorded* owner(s) of the freed range, which is what makes cross-tenant
-  // eviction and partial frees account correctly.
-  void ChargeRange(byte_count offset, byte_count size);
-  void UnchargeRange(byte_count offset, byte_count size);
+  // Adds `delta` bytes to PartitionOf(owner)'s counter (no-op when
+  // tracking is off).
+  void Charge(int owner, byte_count delta);
 
   byte_count capacity_;
   byte_count free_bytes_;
@@ -139,16 +134,8 @@ class CacheSpaceAllocator {
   byte_count hint_ = 0;
   std::uint64_t free_epoch_ = 0;
   std::map<byte_count, byte_count> free_;  // begin -> end, disjoint, sorted
-
-  struct OwnedRange {
-    byte_count end = 0;
-    int owner = 0;
-  };
-  // begin -> (end, owner); disjoint, sorted, adjacent same-owner ranges
-  // coalesced. Empty unless EnablePartitionTracking() ran.
-  std::map<byte_count, OwnedRange> owners_;
-  std::vector<byte_count> used_by_;  // per-owner charged bytes
-  int charge_owner_ = 0;
+  // Per-owner charged bytes; empty unless EnablePartitionTracking() ran.
+  std::vector<byte_count> used_by_;
 };
 
 }  // namespace s4d::core

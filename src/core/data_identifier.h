@@ -41,6 +41,9 @@ struct Decision {
   SimTime benefit = 0;       // health-scaled B
   SimTime dserver_cost = 0;  // model's T_D
   SimTime cserver_cost = 0;  // model's health-scaled T_C
+  // The partition an extension's OnRequestStart named for the request's
+  // allocations and lazy-fetch marks (-1: none). Set by the cache.
+  int owner = -1;
 };
 
 struct IdentifierStats {

@@ -285,8 +285,10 @@ void DataMappingTable::SplitAt(FileIndex file, byte_count pos) {
 
 void DataMappingTable::Insert(FileIndex file, byte_count offset,
                               byte_count size, byte_count cache_offset,
-                              bool dirty) {
+                              bool dirty, int owner) {
   S4D_CHECK(size > 0) << "inserting empty mapping for file " << file;
+  S4D_DCHECK(owner == static_cast<std::int16_t>(owner))
+      << "owner " << owner << " does not fit the extent record";
 #ifndef NDEBUG
   {
     const DmtLookup existing = Lookup(file, offset, size);
@@ -297,6 +299,7 @@ void DataMappingTable::Insert(FileIndex file, byte_count offset,
 #endif
   const Slot slot = AddEntry(file, offset, offset + size, cache_offset,
                              next_version_++);
+  slab_[slot].owner = static_cast<std::int16_t>(owner);
   SetEntryDirty(slot, dirty);
   IndexLru(slot);
   PersistEntry(slab_[slot]);
@@ -320,7 +323,8 @@ std::vector<RemovedExtent> DataMappingTable::Invalidate(FileIndex file,
     const Entry& entry = slab_[it.slot()];
     S4D_DCHECK(entry.end <= end);
     removed.push_back(RemovedExtent{file, entry.begin, entry.end,
-                                    entry.cache_offset, entry.dirty});
+                                    entry.cache_offset, entry.dirty,
+                                    entry.owner});
     ForgetEntry(it.slot());
     it = extents.erase(it);
   }
@@ -383,7 +387,7 @@ std::optional<RemovedExtent> DataMappingTable::EvictLruCleanIf(
         << "LRU index out of sync for file " << entry.file << " at "
         << entry.begin;
     const RemovedExtent ext{entry.file, entry.begin, entry.end,
-                            entry.cache_offset, false};
+                            entry.cache_offset, false, entry.owner};
     if (pred && !pred(ext)) continue;  // outside the caller's partition
 
     mapped_bytes_ -= ext.length();
@@ -543,7 +547,8 @@ std::vector<RemovedExtent> DataMappingTable::AllExtents() const {
     for (auto it = extents.begin(); it != extents.end(); ++it) {
       const Entry& entry = slab_[it.slot()];
       out.push_back(RemovedExtent{file, entry.begin, entry.end,
-                                  entry.cache_offset, entry.dirty});
+                                  entry.cache_offset, entry.dirty,
+                                  entry.owner});
     }
   }
   return out;

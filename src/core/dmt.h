@@ -56,13 +56,15 @@ struct DmtLookup {
 };
 
 // A mapping removed by eviction or invalidation; the caller returns
-// [cache_offset, cache_offset + (orig_end - orig_begin)) to the allocator.
+// [cache_offset, cache_offset + (orig_end - orig_begin)) to the allocator,
+// crediting `owner`.
 struct RemovedExtent {
   FileIndex file = 0;
   byte_count orig_begin = 0;
   byte_count orig_end = 0;
   byte_count cache_offset = 0;
   bool dirty = false;
+  int owner = -1;  // the partition (tenant) the bytes are charged to
 
   byte_count length() const { return orig_end - orig_begin; }
 };
@@ -121,10 +123,12 @@ class DataMappingTable {
 
   DmtLookup Lookup(FileIndex file, byte_count offset, byte_count size) const;
 
-  // Maps [offset, offset+size) -> cache [cache_offset, ...). The range must
-  // currently be unmapped (callers Invalidate or fill gaps only).
+  // Maps [offset, offset+size) -> cache [cache_offset, ...), recording
+  // `owner`, the partition its cache bytes were allocated for (-1: none).
+  // The range must currently be unmapped (callers Invalidate or fill gaps
+  // only).
   void Insert(FileIndex file, byte_count offset, byte_count size,
-              byte_count cache_offset, bool dirty);
+              byte_count cache_offset, bool dirty, int owner = -1);
 
   // Removes all mappings overlapping [offset, offset+size), splitting
   // boundary entries. Returns the removed (clipped) extents.
@@ -258,8 +262,14 @@ class DataMappingTable {
     // both halves keep the original exposure time.
     SimTime dirty_since = 0;
     FileIndex file = 0;
+    // The partition the extent's cache bytes are charged to (Insert); a
+    // split's halves keep it. In-memory only, like dirty_since: a recovered
+    // extent records -1, i.e. partition 0, which holds recovered bytes.
+    std::int16_t owner = -1;
     bool dirty = false;
   };
+  // The owner fits in what was padding: one entry per cache line.
+  static_assert(sizeof(Entry) <= 64, "DMT entry outgrew a cache line");
 
   // One file's extents and the index of its dirty ones: the flush and
   // dirty-age walks visit only these, in offset order.

@@ -256,7 +256,6 @@ void Rebuilder::FetchCritical() {
   if (parked_ && parked_->free_epoch == space.free_epoch() &&
       parked_->coverage_epoch == dmt_.coverage_epoch() &&
       parked_->cdt_epoch == cdt_.mutation_epoch()) {
-    redirector_.set_charge_owner(parked_->charge_owner);
     return;
   }
   parked_.reset();
@@ -287,13 +286,12 @@ void Rebuilder::FetchCritical() {
       continue;
     }
 
-    // Charge the fetched space (and apply the partition gate) to the tenant
-    // whose read marked this C_flag; a no-op without partition tracking.
-    redirector_.set_charge_owner(pending.owner);
     // Fetches are speculative: they take only free space and never evict
     // established clean mappings (evicting would turn a repeating scan
-    // larger than the cache into pure thrash).
-    auto cache_offset = redirector_.AllocateFreeOnly(key.length);
+    // larger than the cache into pure thrash). The space, and the partition
+    // gate, belong to the tenant whose read marked this C_flag.
+    auto cache_offset =
+        redirector_.AllocateFreeOnly(key.length, pending.owner);
     if (!cache_offset) {
       ++stats_.fetch_space_failures;
       failed_any = true;
@@ -325,7 +323,7 @@ void Rebuilder::FetchCritical() {
 
     // Mapping inserted at issue time (clean): see header comment.
     dmt_.Insert(key.file, key.offset, key.length, *cache_offset,
-                /*dirty=*/false);
+                /*dirty=*/false, pending.owner);
 
     // The allocated cache range may be recycled space still carrying a
     // previous tenant's content; clear it so holes in the original file
@@ -362,8 +360,7 @@ void Rebuilder::FetchCritical() {
   }
   if (parkable && failed_any) {
     parked_ = ParkedFetchPass{space.free_epoch(), dmt_.coverage_epoch(),
-                              cdt_.mutation_epoch(),
-                              redirector_.charge_owner()};
+                              cdt_.mutation_epoch()};
   }
 }
 

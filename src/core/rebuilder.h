@@ -9,7 +9,9 @@
 //      was not re-dirtied while the flush was in flight (version check).
 //   2. Fetch — bring CDT entries whose C_flag is set ("lazy" critical read
 //      data, Algorithm 1 line 18) into CServers: allocate cache space, copy
-//      DServers -> CServers, insert a clean DMT mapping, clear C_flag.
+//      DServers -> CServers, insert a clean DMT mapping, clear C_flag. The
+//      space is charged to, and the mapping records, the owner the C_flag
+//      mark recorded (the tenant whose read marked it).
 //
 // The DMT mapping for a fetch is inserted at fetch-issue time so that
 // foreground writes arriving mid-fetch route to the cache copy and dirty
@@ -158,13 +160,11 @@ class Rebuilder {
   // A fetch pass that started nothing, cleared no flag, and failed every
   // candidate with key.length > free_bytes() is a pure function of the
   // free list, the DMT's mapped coverage and the CDT. Until one of their
-  // epochs moves, a rerun fails the same way, so FetchCritical skips it and
-  // only restores the charge owner the pass would have left.
+  // epochs moves, a rerun fails the same way, so FetchCritical skips it.
   struct ParkedFetchPass {
     std::uint64_t free_epoch = 0;
     std::uint64_t coverage_epoch = 0;
     std::uint64_t cdt_epoch = 0;
-    int charge_owner = -1;
   };
   std::optional<ParkedFetchPass> parked_;
 

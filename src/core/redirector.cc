@@ -27,10 +27,10 @@ IoSegment DServerSegment(byte_count orig_offset, byte_count size) {
 
 }  // namespace
 
-bool Redirector::FreeAllocationAllowed(byte_count size) const {
+bool Redirector::FreeAllocationAllowed(byte_count size, int owner) const {
   if (extensions_ == nullptr) return true;
   for (CacheExtension* extension : extensions_->attached) {
-    if (!extension->AllowFreeAllocation(size)) return false;
+    if (!extension->AllowFreeAllocation(size, owner)) return false;
   }
   return true;
 }
@@ -39,10 +39,11 @@ void Redirector::Release(const RemovedExtent& extent) {
   if (on_release_) {
     on_release_(extent.file, extent.cache_offset, extent.length());
   }
-  space_.Free(extent.cache_offset, extent.length());
+  space_.Free(extent.cache_offset, extent.length(), extent.owner);
 }
 
-std::optional<byte_count> Redirector::AllocateCacheSpace(byte_count size) {
+std::optional<byte_count> Redirector::AllocateCacheSpace(byte_count size,
+                                                         int owner) {
   // Algorithm 1: first look for free space (line 4); if none, reclaim clean
   // space chosen by the eviction policy (line 9; clean-LRU unless an
   // extension selects victims) until the allocation fits or nothing clean
@@ -53,10 +54,10 @@ std::optional<byte_count> Redirector::AllocateCacheSpace(byte_count size) {
   CacheExtension* selector =
       extensions_ != nullptr ? extensions_->victim_selector : nullptr;
   while (true) {
-    if (FreeAllocationAllowed(size)) {
-      if (auto offset = space_.Allocate(size)) return offset;
+    if (FreeAllocationAllowed(size, owner)) {
+      if (auto offset = space_.Allocate(size, owner)) return offset;
     }
-    auto victim = selector != nullptr ? selector->SelectVictim(dmt_)
+    auto victim = selector != nullptr ? selector->SelectVictim(dmt_, owner)
                                       : dmt_.EvictLruClean();
     if (!victim) return std::nullopt;
     Release(*victim);
@@ -121,7 +122,7 @@ RoutingPlan Redirector::PlanDegradedRead(FileIndex file, byte_count offset,
 }
 
 RoutingPlan Redirector::PlanWrite(FileIndex file, byte_count offset,
-                                  byte_count size, bool critical) {
+                                  byte_count size, bool critical, int owner) {
   ++stats_.write_requests;
   if (!tier_.Reachable()) return PlanDegradedWrite(file, offset, size);
   RoutingPlan plan;
@@ -163,7 +164,7 @@ RoutingPlan Redirector::PlanWrite(FileIndex file, byte_count offset,
     bool ok = true;
     for (const auto& [gap_begin, gap_end] : lookup.gaps) {
       const byte_count gap_size = gap_end - gap_begin;
-      auto cache_offset = AllocateCacheSpace(gap_size);
+      auto cache_offset = AllocateCacheSpace(gap_size, owner);
       if (!cache_offset) {
         ok = false;
         break;
@@ -175,7 +176,7 @@ RoutingPlan Redirector::PlanWrite(FileIndex file, byte_count offset,
       for (std::size_t i = 0; i < allocated.size(); ++i) {
         dmt_.Insert(file, gap_ranges[i].first,
                     gap_ranges[i].second - gap_ranges[i].first,
-                    allocated[i].first, /*dirty=*/true);
+                    allocated[i].first, /*dirty=*/true, owner);
       }
       dmt_.Touch(file, offset, size);
       // Re-resolve: the whole range is now mapped.
@@ -193,7 +194,7 @@ RoutingPlan Redirector::PlanWrite(FileIndex file, byte_count offset,
     }
     // Roll back partial allocations; fall through to the DServer path.
     for (const auto& [cache_offset, alloc_size] : allocated) {
-      space_.Free(cache_offset, alloc_size);
+      space_.Free(cache_offset, alloc_size, owner);
     }
     ++stats_.admission_failures;
   }
@@ -213,7 +214,7 @@ RoutingPlan Redirector::PlanWrite(FileIndex file, byte_count offset,
 }
 
 RoutingPlan Redirector::PlanRead(FileIndex file, byte_count offset,
-                                 byte_count size, bool critical) {
+                                 byte_count size, bool critical, int owner) {
   ++stats_.read_requests;
   if (!tier_.Reachable()) return PlanDegradedRead(file, offset, size);
   // A saturated tier (still reachable, so dirty data keeps coming from it)
@@ -267,14 +268,14 @@ RoutingPlan Redirector::PlanRead(FileIndex file, byte_count offset,
     if (saturated) {
       // No new background fetch work for a tier already over its depth.
       ++stats_.saturation_fetch_suppressions;
-    } else if (cdt_.SetCacheFlag(CdtKey{file, offset, size}, charge_owner_)) {
+    } else if (cdt_.SetCacheFlag(CdtKey{file, offset, size}, owner)) {
       plan.lazy_fetch_marked = true;
       ++stats_.lazy_fetch_marks;
     }
   } else if (policy_ == AdmissionPolicy::kAlways) {
     // Ablation: track every miss for fetching.
     cdt_.Add(CdtKey{file, offset, size});
-    if (cdt_.SetCacheFlag(CdtKey{file, offset, size}, charge_owner_)) {
+    if (cdt_.SetCacheFlag(CdtKey{file, offset, size}, owner)) {
       plan.lazy_fetch_marked = true;
       ++stats_.lazy_fetch_marks;
     }

@@ -139,30 +139,23 @@ class Redirector {
         tier_(tier),
         extensions_(extensions) {}
 
-  // Tags subsequent allocations (and lazy-fetch C_flag marks) with the
-  // tenant to charge. Forwards to the allocator; a no-op when partition
-  // tracking is off.
-  void set_charge_owner(int owner) {
-    space_.set_charge_owner(owner);
-    charge_owner_ = owner;
-  }
-  int charge_owner() const { return charge_owner_; }
-
   // `critical` is the Data Identifier's verdict for this request (ignored
-  // under kAlways / kNever policies).
+  // under kAlways / kNever policies). `owner` is the partition (tenant) the
+  // request's allocations are charged to and its new mappings and
+  // lazy-fetch marks record (-1: none).
   RoutingPlan PlanWrite(FileIndex file, byte_count offset, byte_count size,
-                        bool critical);
+                        bool critical, int owner = -1);
   RoutingPlan PlanRead(FileIndex file, byte_count offset, byte_count size,
-                       bool critical);
+                       bool critical, int owner = -1);
 
-  // Allocates cache space, evicting clean LRU mappings as needed
-  // (Algorithm 1 lines 4–10). Exposed for the Rebuilder's fetch path.
-  std::optional<byte_count> AllocateCacheSpace(byte_count size);
+  // Allocates cache space for `owner`, evicting clean LRU mappings as
+  // needed (Algorithm 1 lines 4–10).
+  std::optional<byte_count> AllocateCacheSpace(byte_count size, int owner);
 
   // Allocation from free space only — no eviction (speculative fetches).
-  std::optional<byte_count> AllocateFreeOnly(byte_count size) {
-    if (!FreeAllocationAllowed(size)) return std::nullopt;
-    return space_.Allocate(size);
+  std::optional<byte_count> AllocateFreeOnly(byte_count size, int owner) {
+    if (!FreeAllocationAllowed(size, owner)) return std::nullopt;
+    return space_.Allocate(size, owner);
   }
 
   // Drops every mapping overlapping [offset, offset+size) (clipped at the
@@ -193,8 +186,8 @@ class Redirector {
     return false;
   }
 
-  // True when every extension's free-space gate passes.
-  bool FreeAllocationAllowed(byte_count size) const;
+  // True when every extension's free-space gate passes for `owner`.
+  bool FreeAllocationAllowed(byte_count size, int owner) const;
   void Release(const RemovedExtent& extent);
   RoutingPlan PlanDegradedWrite(FileIndex file, byte_count offset,
                                 byte_count size);
@@ -208,7 +201,6 @@ class Redirector {
   ReleaseHook on_release_;
   TierSignals tier_;
   const ExtensionList* extensions_;
-  int charge_owner_ = -1;
   RedirectorStats stats_;
 };
 

@@ -305,11 +305,15 @@ void S4DCache::JoinArrive(ExecJoin* join, SimTime t, bool ok) {
 Decision S4DCache::Decide(const mpiio::FileRequest& request, FileIndex file,
                           device::IoKind kind) {
   MaybeAudit();
+  int owner = -1;
   for (CacheExtension* extension : extensions_.attached) {
-    extension->OnRequestStart(request, kind);
+    owner = std::max(owner, extension->OnRequestStart(request, kind));
   }
-  return identifier_.Identify(file, request.rank, kind, request.offset,
-                              request.size, extensions_.attached);
+  Decision decision =
+      identifier_.Identify(file, request.rank, kind, request.offset,
+                           request.size, extensions_.attached);
+  decision.owner = owner;
+  return decision;
 }
 
 void S4DCache::Write(const mpiio::FileRequest& request,
@@ -318,7 +322,7 @@ void S4DCache::Write(const mpiio::FileRequest& request,
   const FileIndex file = files_.Intern(request.file);
   const Decision decision = Decide(request, file, device::IoKind::kWrite);
   RoutingPlan plan = redirector_.PlanWrite(file, request.offset, request.size,
-                                           decision.critical);
+                                           decision.critical, decision.owner);
   StampPlanContent(request, file, plan);
   Execute(device::IoKind::kWrite, request, file, decision, plan,
           std::move(done));
@@ -330,16 +334,15 @@ void S4DCache::Read(const mpiio::FileRequest& request,
   const FileIndex file = files_.Intern(request.file);
   const Decision decision = Decide(request, file, device::IoKind::kRead);
   RoutingPlan plan = redirector_.PlanRead(file, request.offset, request.size,
-                                          decision.critical);
+                                          decision.critical, decision.owner);
   if (plan.blocked_on_cache) {
     // Degraded mode, dirty overlap: the only up-to-date copy is on the
     // unreachable cache tier.
     if (config_.degraded_read_mode == DegradedReadMode::kQueue) {
       ++counters_.queued_degraded_reads;
       const std::uint64_t id = next_pending_id_++;
-      queued_reads_.push_back(PendingRead{id, request, file, decision,
-                                          redirector_.charge_owner(),
-                                          std::move(done)});
+      queued_reads_.push_back(
+          PendingRead{id, request, file, decision, std::move(done)});
       if (obs_ != nullptr && obs_->tracing()) {
         const obs::SpanId i = obs_->tracer.Instant(
             RankLane(request.rank), "read_queued", "s4d", engine_.now());
@@ -398,8 +401,9 @@ void S4DCache::PromoteQueuedRead(std::uint64_t id) {
   }
   // Re-plan as non-critical: the tier is still down, so the plan routes to
   // the DServers; the dirty ranges it bypasses are reported as the loss.
-  RoutingPlan plan = redirector_.PlanRead(
-      pending.file, pending.request.offset, pending.request.size, false);
+  RoutingPlan plan =
+      redirector_.PlanRead(pending.file, pending.request.offset,
+                           pending.request.size, false, pending.decision.owner);
   ServeStale(pending.request, pending.file, pending.decision, plan,
              std::move(pending.done));
 }
@@ -413,9 +417,9 @@ void S4DCache::OnCacheTierRestored() {
   std::vector<PendingRead> pending;
   pending.swap(queued_reads_);
   for (PendingRead& p : pending) {
-    redirector_.set_charge_owner(p.charge_owner);
-    RoutingPlan plan = redirector_.PlanRead(
-        p.file, p.request.offset, p.request.size, p.decision.critical);
+    RoutingPlan plan =
+        redirector_.PlanRead(p.file, p.request.offset, p.request.size,
+                             p.decision.critical, p.decision.owner);
     S4D_DCHECK(!plan.blocked_on_cache);
     Execute(device::IoKind::kRead, p.request, p.file, p.decision, plan,
             std::move(p.done));
@@ -519,15 +523,22 @@ void S4DCache::AuditInvariants(bool expect_quiescent) const {
         << ", " << ext.orig_end << ") maps cache range [" << ext.cache_offset
         << ", " << ext.cache_offset + ext.length()
         << ") that is (partly) free";
-    // With partition tracking on, each extent is charged to exactly one
-    // tenant (the allocator's own audit proves the per-tenant sums).
-    if (space_.partition_tracking()) {
-      S4D_CHECK(space_.OwnerOf(ext.cache_offset, ext.length()) !=
-                CacheSpaceAllocator::kNoOwner)
-          << "DMT extent " << files_.name(ext.file) << " [" << ext.orig_begin
-          << ", " << ext.orig_end << ") cache range [" << ext.cache_offset
-          << ", " << ext.cache_offset + ext.length()
-          << ") spans multiple tenant partitions";
+  }
+  // Each extent's bytes are charged to the partition it records, so no
+  // partition maps more than it is charged for.
+  if (space_.partition_tracking()) {
+    std::vector<byte_count> mapped_by(
+        static_cast<std::size_t>(space_.owner_count()), 0);
+    for (const RemovedExtent& ext : extents) {
+      mapped_by[static_cast<std::size_t>(space_.PartitionOf(ext.owner))] +=
+          ext.length();
+    }
+    for (int o = 0; o < space_.owner_count(); ++o) {
+      const byte_count mapped = mapped_by[static_cast<std::size_t>(o)];
+      S4D_CHECK(expect_quiescent ? mapped == space_.used_by(o)
+                                 : mapped <= space_.used_by(o))
+          << "partition " << o << " maps " << mapped << " bytes but is charged "
+          << space_.used_by(o);
     }
   }
   std::sort(extents.begin(), extents.end(),

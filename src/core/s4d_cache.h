@@ -210,10 +210,10 @@ class S4DCache final : public mpiio::IoDispatch {
 
   // Cross-structure audit: runs the DMT / cache-space / CDT audits, then
   // S4D_CHECKs that the structures agree — every DMT extent's cache range
-  // is allocated and pairwise disjoint from the others, and the allocator's
-  // used bytes cover the mapped bytes. In-flight Rebuilder work (space
-  // allocated for a fetch whose mapping lands on I/O completion) keeps
-  // used > mapped transiently, so the exact used == mapped equality is only
+  // is allocated and pairwise disjoint from the others, the allocator's
+  // used bytes cover the mapped bytes, and with partition tracking on each
+  // partition's charged bytes cover the bytes of the extents recording it.
+  // The exact equalities (used == mapped, per partition too) are only
   // enforced with `expect_quiescent` (no foreground ops in flight and
   // BackgroundQuiescent()). O(extents log extents). Paranoid builds run the
   // non-quiescent form every 64 foreground requests.
@@ -255,7 +255,8 @@ class S4DCache final : public mpiio::IoDispatch {
     mpiio::IoCompletion done;
   };
 
-  // Runs the extensions' start stages, then the Identifier.
+  // Runs the extensions' start stages, then the Identifier; the decision
+  // carries the partition a start stage named.
   Decision Decide(const mpiio::FileRequest& request, FileIndex file,
                   device::IoKind kind);
   void Execute(device::IoKind kind, const mpiio::FileRequest& request,
@@ -299,14 +300,14 @@ class S4DCache final : public mpiio::IoDispatch {
   std::vector<SimTime> metadata_shard_free_at_;
   // Reads held while the cache tier is down (kQueue mode), re-planned in
   // arrival order on recovery — or promoted to stale after
-  // queue_stale_timeout. A held read keeps the decision it was made with
-  // and the tenant its allocations are charged to, so it is decided once.
+  // queue_stale_timeout. A held read keeps the decision it was made with,
+  // the partition its marks are charged to included, so it is decided
+  // once.
   struct PendingRead {
     std::uint64_t id = 0;
     mpiio::FileRequest request;
     FileIndex file = 0;
     Decision decision;
-    int charge_owner = -1;
     mpiio::IoCompletion done;
   };
   std::vector<PendingRead> queued_reads_;

@@ -69,19 +69,14 @@ void TenantManager::Attach(core::S4DCache& cache) {
   if (cfg.sizer_interval > 0) ScheduleSizer();
 }
 
-int TenantManager::CurrentTenant() const {
-  const int owner = cache_->redirector().charge_owner();
-  return (owner >= 0 && owner < count()) ? owner : 0;
-}
-
 byte_count TenantManager::used(int t) const {
   return cache_ != nullptr ? cache_->cache_space().used_by(t) : 0;
 }
 
-bool TenantManager::AllowFreeAllocation(byte_count size) {
+bool TenantManager::AllowFreeAllocation(byte_count size, int owner) {
   if (!enforce_) return true;  // observe mode: accounting only
-  const int t = CurrentTenant();
   const core::CacheSpaceAllocator& space = cache_->cache_space();
+  const int t = space.PartitionOf(owner);
   if (space.used_by(t) + size <= quota_[static_cast<std::size_t>(t)]) {
     return true;
   }
@@ -97,12 +92,12 @@ bool TenantManager::AllowFreeAllocation(byte_count size) {
 }
 
 std::optional<core::RemovedExtent> TenantManager::SelectVictim(
-    core::DataMappingTable& dmt) {
-  core::CacheSpaceAllocator& space = cache_->cache_space();
-  const int t = CurrentTenant();
+    core::DataMappingTable& dmt, int owner) {
+  const core::CacheSpaceAllocator& space = cache_->cache_space();
+  const int t = space.PartitionOf(owner);
   const auto owner_is = [&space](int target) {
     return [&space, target](const core::RemovedExtent& e) {
-      return space.OwnerOf(e.cache_offset, e.length()) == target;
+      return space.PartitionOf(e.owner) == target;
     };
   };
   // 1. Reclaim from over-quota partitions first, most over first (ties to
@@ -126,8 +121,7 @@ std::optional<core::RemovedExtent> TenantManager::SelectVictim(
   if (auto victim = dmt.EvictLruCleanIf(owner_is(t))) return victim;
   // 3. Anyone still above their hard floor.
   return dmt.EvictLruCleanIf([this, &space, t](const core::RemovedExtent& e) {
-    const int o = space.OwnerOf(e.cache_offset, e.length());
-    if (o < 0 || o >= count()) return true;  // unattributed slack
+    const int o = space.PartitionOf(e.owner);
     return o == t || space.used_by(o) > floor_[static_cast<std::size_t>(o)];
   });
 }
@@ -167,15 +161,15 @@ bool TenantManager::Admit(const core::AdmissionContext& ctx, bool verdict) {
   return true;
 }
 
-void TenantManager::OnRequestStart(const mpiio::FileRequest& request,
-                                   device::IoKind kind) {
+int TenantManager::OnRequestStart(const mpiio::FileRequest& request,
+                                  device::IoKind kind) {
   FoldRateWindow();
   const int t = TenantOfRank(request.rank);
-  cache_->redirector().set_charge_owner(t);
   TenantStats& s = stats_[static_cast<std::size_t>(t)];
   ++s.requests;
   if (kind == device::IoKind::kRead) ++s.read_requests;
   ++window_requests_[static_cast<std::size_t>(t)];
+  return t;
 }
 
 void TenantManager::OnOutcome(const core::RequestOutcome& outcome) {

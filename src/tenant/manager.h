@@ -4,10 +4,11 @@
 // core never depends on this library):
 //
 //   attribution — OnRequestStart maps the issuing rank to its tenant and
-//                 tags the Redirector (set_charge_owner), so every byte the
-//                 plan allocates — including the Rebuilder's later
-//                 background fetch of a C_flagged range — is charged to
-//                 that tenant's partition.
+//                 returns it as the request's partition, which the
+//                 Decision carries into every allocation the plan makes —
+//                 including the Rebuilder's later background fetch of a
+//                 C_flagged range, whose mark records it — so every byte
+//                 is charged to that tenant and its DMT extent records it.
 //   partitions  — CacheSpaceAllocator partition tracking gives per-tenant
 //                 used-byte accounting; in enforce mode the free-space gate
 //                 caps each tenant at its quota (with borrowable slack
@@ -89,12 +90,12 @@ class TenantManager final : public core::CacheExtension {
   void Attach(core::S4DCache& cache);
 
   // --- core::CacheExtension ----------------------------------------------
-  void OnRequestStart(const mpiio::FileRequest& request,
-                      device::IoKind kind) override;
+  int OnRequestStart(const mpiio::FileRequest& request,
+                     device::IoKind kind) override;
   bool Admit(const core::AdmissionContext& ctx, bool verdict) override;
-  bool AllowFreeAllocation(byte_count size) override;
-  std::optional<core::RemovedExtent> SelectVictim(
-      core::DataMappingTable& dmt) override;
+  bool AllowFreeAllocation(byte_count size, int owner) override;
+  std::optional<core::RemovedExtent> SelectVictim(core::DataMappingTable& dmt,
+                                                  int owner) override;
   void OnOutcome(const core::RequestOutcome& outcome) override;
   // S4D_CHECKs the partition bookkeeping: quotas respect floors and sum to
   // the capacity, and per-tenant counters are mutually consistent. Runs
@@ -125,9 +126,6 @@ class TenantManager final : public core::CacheExtension {
 
  private:
   int TenantOfRank(int rank) const { return registry_.TenantOf(rank); }
-  // The tenant charged for the allocation currently being planned (set by
-  // OnRequestStart for foreground ops, by the Rebuilder for fetches).
-  int CurrentTenant() const;
 
   // Folds the open rate window into the per-tenant write-rate EWMAs.
   void FoldRateWindow();

@@ -222,6 +222,30 @@ Result<TenantsConfig> ParseTenantsConfig(const ConfigParser& config,
     return Status::InvalidArgument(
         "tenants: quotas sum to more than the cache capacity");
   }
+  // A floor above a tenant's share of the remainder raises its quota to
+  // the floor, which can over-commit the cache although each quota and
+  // floor fits on its own: resolve the quotas as the manager does.
+  if (out.specs.empty()) return out;
+  const TenantRegistry::Partition resolved =
+      TenantRegistry(out).ResolveQuotas(capacity);
+  byte_count resolved_sum = 0;
+  for (const byte_count quota : resolved.quota) resolved_sum += quota;
+  if (resolved_sum > capacity) {
+    // Explicit quotas hold their floors (checked above), so the culprit
+    // shares the remainder and its quota is its floor.
+    std::size_t t = 0;
+    while (t + 1 < out.specs.size() &&
+           (out.specs[t].quota_fraction >= 0.0 ||
+            out.specs[t].quota_bytes >= 0 ||
+            resolved.quota[t] != resolved.floor[t])) {
+      ++t;
+    }
+    return Status::InvalidArgument(
+        "tenants: tenant '" + out.specs[t].name +
+        "' floor does not fit: the quotas resolve to " +
+        std::to_string(resolved_sum) + " bytes of a " +
+        std::to_string(capacity) + "-byte cache");
+  }
   return out;
 }
 

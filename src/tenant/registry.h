@@ -71,9 +71,11 @@ struct TenantsConfig {
 // cache capacity the quotas are checked against. Rejects (InvalidArgument):
 // a present value that does not parse as its key's type (naming
 // `tenants.<key>`), malformed tenant specs, duplicate names, overlapping
-// rank ranges, quota/floor sums exceeding the capacity, and per-tenant
-// floor > quota. Returns a config with no specs when the section is absent
-// (tenancy disabled).
+// rank ranges, quota/floor sums exceeding the capacity, per-tenant
+// floor > quota, and floors that raise the resolved quotas
+// (TenantRegistry::ResolveQuotas) past the capacity, naming the tenant
+// whose floor does not fit. Returns a config with no specs when the section
+// is absent (tenancy disabled).
 Result<TenantsConfig> ParseTenantsConfig(const ConfigParser& config,
                                          byte_count capacity);
 

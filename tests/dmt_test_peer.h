@@ -97,6 +97,11 @@ struct DmtTestPeer {
   static void LeakFreeSlot(DataMappingTable& dmt) {
     dmt.free_slots_.pop_back();
   }
+  // Rewrites the owner file 0's first extent records.
+  static void SetFirstExtentOwner(DataMappingTable& dmt, int owner) {
+    dmt.slab_[dmt.files_.at(0).extents.begin().slot()].owner =
+        static_cast<std::int16_t>(owner);
+  }
   // Points file 0's first extent key at file 0's second entry.
   static void CrossExtentSlots(DataMappingTable& dmt) {
     auto& extents = dmt.files_.at(0).extents;

@@ -89,9 +89,10 @@ struct Recorder final : core::CacheExtension {
     SimTime dserver_cost;
     SimTime cserver_cost;
   };
-  void OnRequestStart(const mpiio::FileRequest&,
-                      device::IoKind kind) override {
+  int OnRequestStart(const mpiio::FileRequest&,
+                     device::IoKind kind) override {
     starts.push_back(kind);
+    return -1;
   }
   bool Admit(const core::AdmissionContext& ctx, bool verdict) override {
     decisions.push_back(Seen{ctx.kind, ctx.distance, ctx.benefit,

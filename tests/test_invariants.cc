@@ -6,7 +6,9 @@
 
 #include "core/cache_space.h"
 #include "core/dmt.h"
+#include "core/s4d_cache.h"
 #include "dmt_test_peer.h"
+#include "harness/testbed.h"
 #include "sim/engine.h"
 
 namespace s4d::core {
@@ -27,15 +29,6 @@ struct CacheSpaceTestPeer {
   static void SkewOwnerCounter(CacheSpaceAllocator& space, int owner,
                                byte_count delta) {
     space.used_by_[static_cast<std::size_t>(owner)] += delta;
-  }
-  static void DoubleChargeFirstRange(CacheSpaceAllocator& space) {
-    // A second owner record overlapping the first — one extent charged to
-    // two tenants.
-    ASSERT_FALSE(space.owners_.empty());
-    const auto it = space.owners_.begin();
-    space.owners_.emplace(
-        it->first + 1,
-        CacheSpaceAllocator::OwnedRange{it->second.end, 1});
   }
 };
 
@@ -162,10 +155,10 @@ CacheSpaceAllocator MakePartitionedSpace() {
   CacheSpaceAllocator space(1 << 20, 4096);
   auto a = space.Allocate(10000);  // pre-tracking bytes -> owner 0
   space.EnablePartitionTracking(2);
-  space.set_charge_owner(1);
-  auto b = space.Allocate(60000);
+  auto b = space.Allocate(60000, /*owner=*/1);
   EXPECT_TRUE(a && b);
-  space.Free(*a + 1000, 2000);  // partial free inside owner 0's range
+  // A partial free inside owner 0's range.
+  space.Free(*a + 1000, 2000, /*owner=*/0);
   return space;
 }
 
@@ -181,10 +174,28 @@ TEST(CacheSpaceAuditDeathTest, CatchesPerOwnerCounterMiscount) {
   EXPECT_DEATH(space.AuditInvariants(), "used_by");
 }
 
-TEST(CacheSpaceAuditDeathTest, CatchesExtentChargedToTwoOwners) {
-  CacheSpaceAllocator space = MakePartitionedSpace();
-  CacheSpaceTestPeer::DoubleChargeFirstRange(space);
-  EXPECT_DEATH(space.AuditInvariants(), "two owners");
+// A DMT extent recording another partition than the one its bytes are
+// charged to: that partition maps more than it is charged for.
+TEST(S4DCacheAuditDeathTest, CatchesExtentRecordingAnotherPartition) {
+  harness::TestbedConfig bed_cfg;
+  bed_cfg.file_reservation = 2 * GiB;
+  harness::Testbed bed(bed_cfg);
+  S4DConfig cfg;
+  cfg.cache_capacity = 1 * MiB;
+  cfg.policy = AdmissionPolicy::kAlways;
+  cfg.enable_rebuilder = false;
+  auto cache = bed.MakeS4D(cfg);
+  cache->cache_space().EnablePartitionTracking(2);
+  cache->Open("f");  // file 0
+  bool done = false;
+  cache->Write(mpiio::FileRequest{"f", 0, 0, 16 * KiB, 0},
+               [&done](SimTime) { done = true; });
+  bed.engine().Run();
+  ASSERT_TRUE(done);
+  ASSERT_EQ(cache->cache_space().used_by(0), 16 * KiB);
+  cache->AuditInvariants(/*expect_quiescent=*/true);  // must not abort
+  DmtTestPeer::SetFirstExtentOwner(cache->dmt(), 1);
+  EXPECT_DEATH(cache->AuditInvariants(), "partition 1 maps 16384 bytes");
 }
 
 TEST(EngineAuditTest, HealthyEnginePasses) {

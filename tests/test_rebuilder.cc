@@ -213,9 +213,9 @@ constexpr int kPendingFetches = 3;
 
 // A 64 KiB cache holding four clean 16 KiB extents (at 100 MiB + i * 30 MiB)
 // and kPendingFetches critical read misses (at 500 MiB + i * 32 MiB) marked
-// for lazy fetching on behalf of `mark_owner`.
+// for lazy fetching.
 std::unique_ptr<S4DCache> FullCleanCacheWithPendingFetches(
-    harness::Testbed& bed, int mark_owner = -1) {
+    harness::Testbed& bed) {
   S4DConfig cfg = ManualRebuilder();
   cfg.cache_capacity = 64 * KiB;
   auto s4d = bed.MakeS4D(cfg);
@@ -229,7 +229,6 @@ std::unique_ptr<S4DCache> FullCleanCacheWithPendingFetches(
   EXPECT_EQ(s4d->dmt().mapped_bytes(), 64 * KiB);
   EXPECT_EQ(s4d->dmt().dirty_bytes(), 0);
   EXPECT_EQ(s4d->cache_space().free_bytes(), 0);
-  s4d->redirector().set_charge_owner(mark_owner);
   for (int i = 0; i < kPendingFetches; ++i) {
     DoIo(bed, *s4d, device::IoKind::kRead, "f", 1,
          500 * MiB + static_cast<byte_count>(i) * 32 * MiB, 16 * KiB);
@@ -310,20 +309,6 @@ TEST(RebuilderParking, DmtInsertCoveringPendingKeyUnparks) {
   EXPECT_EQ(s4d->rebuilder_stats().fetches_started, 0);
 }
 
-TEST(RebuilderParking, SkippedPassRestoresChargeOwner) {
-  harness::Testbed bed(SmallTestbed());
-  auto s4d = FullCleanCacheWithPendingFetches(bed, /*mark_owner=*/2);
-  s4d->rebuilder().Tick();
-  ASSERT_EQ(s4d->rebuilder_stats().fetch_space_failures, kPendingFetches);
-  // A foreground request retags the redirector between ticks; the skipped
-  // pass leaves the owner where the full pass would have.
-  s4d->redirector().set_charge_owner(7);
-  s4d->rebuilder().Tick();
-  EXPECT_EQ(s4d->rebuilder_stats().fetch_space_failures, kPendingFetches)
-      << "parked";
-  EXPECT_EQ(s4d->redirector().charge_owner(), 2);
-}
-
 TEST(RebuilderParking, GateVetoWithFreeBytesDoesNotPark) {
   harness::Testbed bed(SmallTestbed());
   auto s4d = bed.MakeS4D(ManualRebuilder());  // 64 MiB, nearly all free
@@ -336,7 +321,7 @@ TEST(RebuilderParking, GateVetoWithFreeBytesDoesNotPark) {
   // A partition gate that vetoes every free-space allocation: the quota it
   // enforces may move without any table changing, so nothing parks.
   struct VetoingGate final : CacheExtension {
-    bool AllowFreeAllocation(byte_count) override {
+    bool AllowFreeAllocation(byte_count, int) override {
       ++calls;
       return false;
     }

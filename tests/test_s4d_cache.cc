@@ -230,18 +230,20 @@ class RecordingExtension final : public CacheExtension {
   RecordingExtension(std::string name, std::vector<std::string>& log)
       : name_(std::move(name)), log_(log) {}
 
-  void OnRequestStart(const mpiio::FileRequest&, device::IoKind) override {
+  int OnRequestStart(const mpiio::FileRequest&, device::IoKind) override {
     log_.push_back(name_ + ".start");
+    return -1;
   }
   bool Admit(const AdmissionContext&, bool verdict) override {
     log_.push_back(name_ + ".admit(" + (verdict ? "1" : "0") + ")");
     return invert_verdict ? !verdict : verdict;
   }
-  bool AllowFreeAllocation(byte_count) override {
+  bool AllowFreeAllocation(byte_count, int) override {
     log_.push_back(name_ + ".gate");
     return true;
   }
-  std::optional<RemovedExtent> SelectVictim(DataMappingTable& dmt) override {
+  std::optional<RemovedExtent> SelectVictim(DataMappingTable& dmt,
+                                            int) override {
     log_.push_back(name_ + ".victim");
     return dmt.EvictLruClean();
   }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <memory>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -161,6 +162,38 @@ TEST(TenantsConfig, RejectsFloorAboveQuotaOrCapacity) {
           .ok());
 }
 
+// Floors that each fit on their own but raise the resolved quotas past the
+// capacity are rejected, naming the tenant whose floor does not fit.
+TEST(TenantsConfig, RejectsFloorsOverCommittingCapacity) {
+  // b's share of the remainder is 10%: its 20% floor raises the quotas to
+  // 90% + 20% of the cache.
+  auto raised = ParseText("[tenants]\n"
+                          "tenant1 = a ranks 0-3 quota 90%\n"
+                          "tenant2 = b ranks 4-7 floor 20%\n",
+                          4 * MiB);
+  ASSERT_FALSE(raised.ok());
+  EXPECT_EQ(raised.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(raised.status().message().find(
+                "tenant 'b' floor does not fit: the quotas resolve to "
+                "4613733 bytes of a 4194304-byte cache"),
+            std::string::npos)
+      << raised.status().ToString();
+  auto floors = ParseText("[tenants]\n"
+                          "tenant1 = a ranks 0-3 floor 60%\n"
+                          "tenant2 = b ranks 4-7 floor 60%\n",
+                          4 * MiB);
+  ASSERT_FALSE(floors.ok());
+  EXPECT_NE(floors.status().message().find("tenant 'a' floor does not fit"),
+            std::string::npos)
+      << floors.status().ToString();
+  // Floors within their shares still parse.
+  EXPECT_TRUE(ParseText("[tenants]\n"
+                        "tenant1 = a ranks 0-3 quota 50% floor 25%\n"
+                        "tenant2 = b ranks 4-7 floor 25%\n",
+                        4 * MiB)
+                  .ok());
+}
+
 TEST(TenantsConfig, RejectsBadModeAndNegativeKnobs) {
   EXPECT_FALSE(ParseText("[tenants]\nmode = strict\n").ok());
   EXPECT_FALSE(ParseText("[tenants]\nsizer_interval = -1ms\n").ok());
@@ -193,7 +226,7 @@ TEST(TenantRegistry, MapsRanksToExplicitTenants) {
   EXPECT_EQ(registry.TenantOf(8), 0);
 }
 
-TEST(TenantRegistry, ResolveQuotasSharesRemainderAndClampsToFloors) {
+TEST(TenantRegistry, ResolveQuotasSharesRemainder) {
   auto cfg = ParseText("[tenants]\n"
                        "tenant1 = a ranks 0-3 quota 25%\n"
                        "tenant2 = b ranks 4-7\n");
@@ -204,56 +237,38 @@ TEST(TenantRegistry, ResolveQuotasSharesRemainderAndClampsToFloors) {
   EXPECT_EQ(partition.quota[1], 48 * MiB);  // the unset tenant absorbs the rest
   EXPECT_EQ(partition.floor[0], 0);
 
-  // A floor larger than the remainder share pulls the quota up to the floor.
-  auto tight = ParseText("[tenants]\n"
+  // A floor larger than the remainder share would pull the quota up to the
+  // floor and over-commit the cache, so the config is rejected.
+  EXPECT_FALSE(ParseText("[tenants]\n"
                          "tenant1 = a ranks 0-3 quota 90%\n"
-                         "tenant2 = b ranks 4-7 floor 20%\n");
-  ASSERT_TRUE(tight.ok());
-  TenantRegistry tight_registry(*tight);
-  const auto clamped = tight_registry.ResolveQuotas(64 * MiB);
-  EXPECT_EQ(clamped.quota[1], clamped.floor[1]);
-  EXPECT_GE(clamped.quota[1], static_cast<byte_count>(0.2 * 64 * MiB));
+                         "tenant2 = b ranks 4-7 floor 20%\n")
+                   .ok());
 }
 
 // --- CacheSpaceAllocator partition accounting -------------------------------
 
-TEST(PartitionTracking, ChargesAllocationsAndCreditsRecordedOwner) {
+TEST(PartitionTracking, ChargesAndCreditsTheNamedOwner) {
   core::CacheSpaceAllocator space(1 * MiB);
   const auto pre = space.Allocate(64 * KiB);
   ASSERT_TRUE(pre.has_value());
   space.EnablePartitionTracking(2);
   // Pre-existing allocations land on owner 0.
   EXPECT_EQ(space.used_by(0), 64 * KiB);
-  EXPECT_EQ(space.OwnerOf(*pre, 64 * KiB), 0);
 
-  space.set_charge_owner(1);
-  const auto a = space.Allocate(128 * KiB);
+  const auto a = space.Allocate(128 * KiB, /*owner=*/1);
   ASSERT_TRUE(a.has_value());
   EXPECT_EQ(space.used_by(1), 128 * KiB);
-  EXPECT_EQ(space.OwnerOf(*a, 128 * KiB), 1);
-
-  // Freeing credits the owner recorded at charge time, not the current tag.
-  space.set_charge_owner(0);
-  space.Free(*a, 32 * KiB);  // partial free inside owner 1's range
+  space.Free(*a, 32 * KiB, /*owner=*/1);  // a partial free
   EXPECT_EQ(space.used_by(1), 96 * KiB);
   EXPECT_EQ(space.used_by(0), 64 * KiB);
-  EXPECT_EQ(space.used_by(0) + space.used_by(1), space.used_bytes());
-  space.AuditInvariants();
-}
 
-TEST(PartitionTracking, OwnerOfReportsNoSingleOwnerAcrossBoundaries) {
-  core::CacheSpaceAllocator space(1 * MiB);
-  space.EnablePartitionTracking(2);
-  space.set_charge_owner(0);
-  const auto a = space.Allocate(64 * KiB);
-  space.set_charge_owner(1);
-  const auto b = space.Allocate(64 * KiB);
-  ASSERT_TRUE(a.has_value() && b.has_value());
-  ASSERT_EQ(*b, *a + 64 * KiB) << "first-fit should pack adjacently";
-  EXPECT_EQ(space.OwnerOf(*a, 128 * KiB), core::CacheSpaceAllocator::kNoOwner);
-  space.Free(*a, 64 * KiB);
-  EXPECT_EQ(space.OwnerOf(*a, 64 * KiB), core::CacheSpaceAllocator::kNoOwner)
-      << "freed ranges have no owner";
+  // An owner outside [0, owner_count) is charged to the catch-all owner 0.
+  const auto c = space.Allocate(16 * KiB, /*owner=*/7);
+  ASSERT_TRUE(c.has_value());
+  EXPECT_EQ(space.used_by(0), 80 * KiB);
+  space.Free(*c, 16 * KiB, /*owner=*/-1);
+  EXPECT_EQ(space.used_by(0), 64 * KiB);
+  EXPECT_EQ(space.used_by(0) + space.used_by(1), space.used_bytes());
   space.AuditInvariants();
 }
 
@@ -273,49 +288,25 @@ TEST(PartitionTracking, MidRunEnableChargesPreexistingToOwnerZero) {
   EXPECT_EQ(space.used_by(0), 96 * KiB);
   EXPECT_EQ(space.used_by(1), 0);
   EXPECT_EQ(space.used_by(2), 0);
-  EXPECT_EQ(space.OwnerOf(*a, 64 * KiB), 0);
-  EXPECT_EQ(space.OwnerOf(*c, 32 * KiB), 0);
   space.AuditInvariants();
 
-  space.set_charge_owner(2);
-  const auto d = space.Allocate(128 * KiB);  // should land in the hole
+  const auto d = space.Allocate(128 * KiB, /*owner=*/2);  // lands in the hole
   ASSERT_TRUE(d.has_value());
-  EXPECT_EQ(space.OwnerOf(*d, 128 * KiB), 2);
   EXPECT_EQ(space.used_by(0) + space.used_by(1) + space.used_by(2),
             space.used_bytes());
-  // Freeing a pre-existing extent credits owner 0, not the current tag.
-  space.Free(*a, 64 * KiB);
+  // A pre-existing extent records no owner (-1, as a recovered DMT extent
+  // does): freeing it credits owner 0.
+  space.Free(*a, 64 * KiB, /*owner=*/-1);
   EXPECT_EQ(space.used_by(0), 32 * KiB);
   EXPECT_EQ(space.used_by(2), 128 * KiB);
   space.AuditInvariants();
 }
 
-TEST(PartitionTracking, FreeSpanningOwnersCreditsEachRecordedOwner) {
-  core::CacheSpaceAllocator space(1 * MiB);
-  space.EnablePartitionTracking(2);
-  space.set_charge_owner(0);
-  const auto a = space.Allocate(64 * KiB);
-  space.set_charge_owner(1);
-  const auto b = space.Allocate(64 * KiB);
-  ASSERT_TRUE(a.has_value() && b.has_value());
-  ASSERT_EQ(*b, *a + 64 * KiB) << "first-fit should pack adjacently";
-
-  // One Free spanning both owners' ranges credits each recorded owner,
-  // regardless of the current charge tag.
-  space.set_charge_owner(0);
-  space.Free(*a, 128 * KiB);
-  EXPECT_EQ(space.used_by(0), 0);
-  EXPECT_EQ(space.used_by(1), 0);
-  EXPECT_EQ(space.OwnerOf(*a, 128 * KiB), core::CacheSpaceAllocator::kNoOwner);
-  space.AuditInvariants();
-}
-
 TEST(PartitionTracking, FuzzAuditMatchesShadowModel) {
   // Random allocate / full-free / partial-free sequence under rotating
-  // charge owners, with a shadow model of every live extent. After every
-  // mutation the per-owner counters must match the shadow sums and the
-  // structural audit must pass — the fresh-scan equivalent of the
-  // incremental accounting.
+  // owners, with a shadow model of every live extent and its owner. After
+  // every mutation the per-owner counters must match the shadow sums and
+  // the audit must pass.
   core::CacheSpaceAllocator space(1 * MiB);
   space.EnablePartitionTracking(3);
   struct Shadow {
@@ -331,21 +322,19 @@ TEST(PartitionTracking, FuzzAuditMatchesShadowModel) {
       const int owner = static_cast<int>(rng.NextBelow(3));
       const auto size =
           static_cast<byte_count>(1 + rng.NextBelow(32)) * 4 * KiB;
-      space.set_charge_owner(owner);
-      const auto got = space.Allocate(size);
+      const auto got = space.Allocate(size, owner);
       if (got.has_value()) live.push_back({*got, size, owner});
     } else if (op == 1) {
       const auto idx = static_cast<std::size_t>(rng.NextBelow(live.size()));
-      space.Free(live[idx].offset, live[idx].size);
+      space.Free(live[idx].offset, live[idx].size, live[idx].owner);
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
     } else {
-      // Partial free of the extent's front half; the recorded owner keeps
-      // the tail.
+      // Partial free of the extent's front half; the owner keeps the tail.
       const auto idx = static_cast<std::size_t>(rng.NextBelow(live.size()));
       Shadow& s = live[idx];
       if (s.size < 8 * KiB) continue;
       const byte_count cut = s.size / 2;
-      space.Free(s.offset, cut);
+      space.Free(s.offset, cut, s.owner);
       s.offset += cut;
       s.size -= cut;
     }
@@ -354,9 +343,6 @@ TEST(PartitionTracking, FuzzAuditMatchesShadowModel) {
     for (const Shadow& s : live) {
       shadow_by[s.owner] += s.size;
       shadow_total += s.size;
-      ASSERT_EQ(space.OwnerOf(s.offset, s.size), s.owner)
-          << "step " << step << ": extent at " << s.offset
-          << " lost its recorded owner";
     }
     for (int o = 0; o < 3; ++o) {
       ASSERT_EQ(space.used_by(o), shadow_by[o])
@@ -367,13 +353,13 @@ TEST(PartitionTracking, FuzzAuditMatchesShadowModel) {
   }
 }
 
-TEST(PartitionTracking, OffByDefaultAndOwnerOfSaysNoOwner) {
+TEST(PartitionTracking, OffByDefault) {
   core::CacheSpaceAllocator space(1 * MiB);
-  const auto a = space.Allocate(64 * KiB);
+  const auto a = space.Allocate(64 * KiB, /*owner=*/1);
   ASSERT_TRUE(a.has_value());
   EXPECT_FALSE(space.partition_tracking());
   EXPECT_EQ(space.used_by(0), 0);
-  EXPECT_EQ(space.OwnerOf(*a, 64 * KiB), core::CacheSpaceAllocator::kNoOwner);
+  EXPECT_EQ(space.used_by(1), 0);
   space.AuditInvariants();
 }
 
@@ -701,11 +687,10 @@ TEST(TenantManager, ReclaimOrderPinned) {
   for (int t = 0; t < 3; ++t) ASSERT_EQ(space.used_by(t), slots[t] * 64 * KiB);
 
   // Tenant b asks for space until no victim is left.
-  cache->redirector().set_charge_owner(1);
   std::vector<int> owners;
-  while (auto victim = manager.SelectVictim(cache->dmt())) {
-    owners.push_back(space.OwnerOf(victim->cache_offset, victim->length()));
-    space.Free(victim->cache_offset, victim->length());
+  while (auto victim = manager.SelectVictim(cache->dmt(), /*owner=*/1)) {
+    owners.push_back(victim->owner);
+    space.Free(victim->cache_offset, victim->length(), victim->owner);
   }
   // c (excess 3, then 2); a, b, c tied at 1; b's own two slots; a above
   // its floor; c at its floor and a back at its floor keep the rest.
@@ -753,6 +738,153 @@ TEST(TenantManager, FuzzedEnforceWorkloadPassesAudits) {
       << "the sizer never ran, so the scan never met a re-divided quota";
   EXPECT_GT(cache->redirector_stats().evictions, 0)
       << "nothing was evicted, so the victim scan never ran";
+}
+
+// Two enforce-mode tenants, a (rank 0) and b (rank 1), with half of a
+// 64 KiB cache each; the Rebuilder ticks only when a test says so.
+struct TwoTenantCache {
+  explicit TwoTenantCache(core::AdmissionPolicy policy) : bed(SmallTestbed()) {
+    core::S4DConfig cfg = TightCache();
+    cfg.cache_capacity = 64 * KiB;
+    cfg.policy = policy;
+    cache = bed.MakeS4D(cfg);
+    auto tenants = ParseText("[tenants]\n"
+                             "mode = enforce\n"
+                             "tenant1 = a ranks 0 quota 50%\n"
+                             "tenant2 = b ranks 1\n",
+                             cfg.cache_capacity);
+    EXPECT_TRUE(tenants.ok());
+    manager = std::make_unique<TenantManager>(bed.engine(),
+                                              TenantRegistry(*tenants));
+    manager->Attach(*cache);
+    cache->Open("data");
+  }
+
+  void Io(device::IoKind kind, int rank, byte_count offset, byte_count size) {
+    DoIo(bed, *cache, kind, "data", rank, offset, size);
+  }
+  byte_count used(int tenant) const {
+    return cache->cache_space().used_by(tenant);
+  }
+  const core::RebuilderStats& rebuilder() const {
+    return cache->rebuilder_stats();
+  }
+  void Tick() { cache->rebuilder().Tick(); }
+
+  harness::Testbed bed;
+  std::unique_ptr<core::S4DCache> cache;
+  std::unique_ptr<TenantManager> manager;
+};
+
+// An allocation is charged to the tenant whose request caused it, also
+// when it happens later or is undone: a lazy fetch issued after another
+// tenant's request, a fetch pass that parked for want of space, a read
+// held across a cache-tier crash and re-planned at restore, and a
+// multi-gap write admission that fails partway.
+TEST(TenantManager, DeferredAllocationsChargeTheRequestingTenant) {
+  constexpr int kA = 0;  // tenant index and rank
+  constexpr int kB = 1;
+  const auto kRead = device::IoKind::kRead;
+  const auto kWrite = device::IoKind::kWrite;
+  {
+    SCOPED_TRACE("lazy fetch after the other tenant's write");
+    TwoTenantCache c(core::AdmissionPolicy::kAlways);
+    c.Io(kRead, kB, 500 * MiB, 16 * KiB);  // miss: marked for fetching
+    ASSERT_EQ(c.cache->redirector_stats().lazy_fetch_marks, 1);
+    c.Io(kWrite, kA, 100 * MiB, 16 * KiB);  // admitted
+    ASSERT_EQ(c.used(kA), 16 * KiB);
+    c.Tick();  // the fetch takes its space at issue
+    ASSERT_EQ(c.rebuilder().fetches_started, 1);
+    EXPECT_EQ(c.used(kB), 16 * KiB);
+    EXPECT_EQ(c.used(kA), 16 * KiB);
+    c.bed.engine().Run();
+    EXPECT_EQ(c.rebuilder().fetches_completed, 1);
+    c.manager->AuditInvariants();
+    c.cache->AuditInvariants(/*expect_quiescent=*/true);
+  }
+  {
+    SCOPED_TRACE("parked fetch pass, the other tenant's request, freed space");
+    TwoTenantCache c(core::AdmissionPolicy::kCostModel);
+    // a caches 100 and 130 MiB, b 160 and 190 MiB: the cache is full.
+    for (int i = 0; i < 4; ++i) {
+      c.Io(kWrite, i < 2 ? kA : kB, (100 + 30 * i) * MiB, 16 * KiB);
+    }
+    c.Tick();  // flush: every extent clean
+    c.bed.engine().Run();
+    ASSERT_EQ(c.used(kA), 32 * KiB);
+    ASSERT_EQ(c.used(kB), 32 * KiB);
+    ASSERT_EQ(c.cache->cache_space().free_bytes(), 0);
+    c.Io(kRead, kB, 500 * MiB, 16 * KiB);
+    ASSERT_EQ(c.cache->redirector_stats().lazy_fetch_marks, 1);
+    c.Tick();
+    c.Tick();
+    ASSERT_EQ(c.rebuilder().fetch_space_failures, 1) << "the pass parked";
+    // a's large sequential write is not admitted: it goes to the DServers
+    // and supersedes a's clean extent at 100 MiB, freeing 16 KiB.
+    c.Io(kWrite, kA, 100 * MiB, 4 * MiB);
+    ASSERT_EQ(c.used(kA), 16 * KiB);
+    ASSERT_EQ(c.cache->cache_space().free_bytes(), 16 * KiB);
+    c.Tick();
+    ASSERT_EQ(c.rebuilder().fetches_started, 1);
+    EXPECT_EQ(c.used(kB), 48 * KiB) << "b marked the fetched range";
+    EXPECT_EQ(c.used(kA), 16 * KiB);
+    c.bed.engine().Run();
+    c.manager->AuditInvariants();
+    c.cache->AuditInvariants(/*expect_quiescent=*/true);
+  }
+  {
+    SCOPED_TRACE("read queued across a cache-tier crash");
+    TwoTenantCache c(core::AdmissionPolicy::kAlways);
+    c.Io(kWrite, kB, 300 * MiB, 16 * KiB);  // dirty in the cache
+    pfs::FileSystem& cservers = c.bed.cservers();
+    for (int s = 0; s < cservers.server_count(); ++s) cservers.server(s).Crash();
+    // b's read overlaps its dirty extent, whose only copy is on the down
+    // tier: it is held until the tier comes back.
+    bool read_done = false;
+    c.cache->Read(mpiio::FileRequest{"data", kB, 300 * MiB, 32 * KiB, 0},
+                  [&read_done](SimTime) { read_done = true; });
+    ASSERT_EQ(c.cache->counters().queued_degraded_reads, 1);
+    c.Io(kWrite, kA, 600 * MiB, 16 * KiB);  // routed to the DServers
+    for (int s = 0; s < cservers.server_count(); ++s) {
+      cservers.server(s).Restart();
+    }
+    c.cache->OnCacheTierRestored();  // re-plans b's read: its range is marked
+    c.bed.engine().Run();
+    ASSERT_TRUE(read_done);
+    ASSERT_EQ(c.cache->redirector_stats().lazy_fetch_marks, 1);
+    // a's write finds no space (its gate vetoes, nothing is clean), goes to
+    // the DServers and supersedes b's extent: the marked range is unmapped.
+    c.Io(kWrite, kA, 300 * MiB, 4 * MiB);
+    ASSERT_EQ(c.used(kB), 0);
+    c.Tick();
+    ASSERT_EQ(c.rebuilder().fetches_started, 1);
+    EXPECT_EQ(c.used(kB), 32 * KiB) << "b's re-planned read marked the range";
+    EXPECT_EQ(c.used(kA), 0);
+    c.bed.engine().Run();
+    c.manager->AuditInvariants();
+    c.cache->AuditInvariants(/*expect_quiescent=*/true);
+  }
+  {
+    SCOPED_TRACE("multi-gap admission failing partway");
+    TwoTenantCache c(core::AdmissionPolicy::kAlways);
+    // a holds 48 KiB (16 KiB past its quota, borrowed from free space), all
+    // dirty, so nothing can be evicted.
+    for (int i = 0; i < 3; ++i) {
+      c.Io(kWrite, kA, (100 + 100 * i) * MiB, 16 * KiB);
+    }
+    ASSERT_EQ(c.used(kA), 48 * KiB);
+    // b's write spans a 16 KiB gap, a's extent at 100 MiB and a 32 KiB
+    // gap: the first gap takes the last free 16 KiB, the second finds no
+    // space, and the first is given back.
+    c.Io(kWrite, kB, 100 * MiB - 16 * KiB, 64 * KiB);
+    ASSERT_EQ(c.cache->redirector_stats().admission_failures, 1);
+    EXPECT_EQ(c.used(kB), 0);
+    // The write went to the DServers and superseded a's extent.
+    EXPECT_EQ(c.used(kA), 32 * KiB);
+    EXPECT_EQ(c.cache->cache_space().used_bytes(), 32 * KiB);
+    c.manager->AuditInvariants();
+    c.cache->AuditInvariants();
+  }
 }
 
 // Satellite 6 — the byte-equivalence pin: one catch-all tenant in enforce
