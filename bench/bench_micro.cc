@@ -11,7 +11,9 @@
 
 #include "core/cdt.h"
 #include "core/cost_model.h"
+#include "core/data_identifier.h"
 #include "core/dmt.h"
+#include "core/file_table.h"
 #include "core/redirector.h"
 #include "device/hdd_model.h"
 #include "kvstore/kvstore.h"
@@ -39,6 +41,46 @@ void BM_CostModelBenefit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CostModelBenefit);
+
+// perfbench ior16k-mix's sequential instances: 32 ranks stream through
+// their own 512 KiB segment of one file with 16 KiB requests, interleaved,
+// each starting its segment over when it reaches the end.
+void BM_IdentifyInterleaved(benchmark::State& state) {
+  constexpr int kRanks = 32;
+  constexpr byte_count kSegment = 512 * KiB;
+  constexpr byte_count kSize = 16 * KiB;
+  const core::CostModel model = MakeModel();
+  core::CriticalDataTable cdt;
+  core::DataIdentifier identifier(model, cdt);
+  std::vector<byte_count> done(kRanks, 0);
+  int rank = 0;
+  for (auto _ : state) {
+    byte_count& at = done[static_cast<std::size_t>(rank)];
+    benchmark::DoNotOptimize(identifier.Identify(
+        0, rank, device::IoKind::kWrite, rank * kSegment + at, kSize));
+    at = (at + kSize) % kSegment;
+    rank = (rank + 1) % kRanks;
+  }
+}
+BENCHMARK(BM_IdentifyInterleaved);
+
+// The file-id lookup a request starts with, over ten open files: the same
+// name as the request before (Arg 0), or a name other than the last (1).
+void BM_FileTableIntern(benchmark::State& state) {
+  core::FileTable files;
+  std::vector<std::string> names;
+  for (int i = 0; i < 10; ++i) {
+    names.push_back("ior." + std::to_string(i));
+    files.Intern(names.back());
+  }
+  const std::size_t stride = state.range(0) == 0 ? 0 : 3;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    i = (i + stride) % names.size();
+    benchmark::DoNotOptimize(files.Intern(names[i]));
+  }
+}
+BENCHMARK(BM_FileTableIntern)->Arg(0)->Arg(1);
 
 void BM_StripingSplit(benchmark::State& state) {
   const pfs::StripeConfig cfg{8, 64 * KiB};

@@ -1,98 +1,86 @@
 #include "core/data_identifier.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <cstddef>
+#include <iterator>
 
 #include "common/check.h"
 
 namespace s4d::core {
 
-namespace {
-
-using Tail = std::pair<byte_count, std::uint64_t>;
-
-// First tail past `pos` / at or past `pos`.
-template <typename It>
-It TailAfter(It first, It last, byte_count pos) {
-  return std::upper_bound(
-      first, last, pos, [](byte_count p, const Tail& t) { return p < t.first; });
+std::size_t DataIdentifier::TailAfter(const TailTable& tails,
+                                      std::uint32_t hint, byte_count offset) {
+  // Positions are sorted and distinct, so when the hinted tail is at or
+  // before `offset` and the one after it past `offset`, the slot after the
+  // hint is the upper bound. Any other hint costs one binary search.
+  const std::size_t h = hint;
+  if (h < tails.size() && tails[h].first <= offset &&
+      (h + 1 == tails.size() || offset < tails[h + 1].first)) {
+    return h + 1;
+  }
+  return static_cast<std::size_t>(
+      std::upper_bound(
+          tails.begin(), tails.end(), offset,
+          [](byte_count p, const Tail& t) { return p < t.first; }) -
+      tails.begin());
 }
-template <typename It>
-It TailAtOrAfter(It first, It last, byte_count pos) {
-  return std::lower_bound(
-      first, last, pos, [](const Tail& t, byte_count p) { return t.first < p; });
-}
 
-}  // namespace
-
-byte_count DataIdentifier::DistanceFor(FileIndex file, int rank,
-                                       byte_count offset) const {
+byte_count DataIdentifier::Distance(const TailTable& tails, std::size_t next,
+                                    byte_count offset,
+                                    byte_count rank_end) const {
   // Global stream table first: a request continuing any rank's recent tail
   // within the servers' readahead reach is a stream continuation, however
-  // far the issuing rank itself jumped. The reach in file space is one
-  // local window spread over the M servers of the layout.
-  const byte_count reach =
-      model_.params().hdd.readahead_window * model_.params().hdd_servers;
-  if (file < global_tails_.size()) {
-    const TailTable& tails = global_tails_[file];
-    // Greatest tail at or before `offset` = smallest forward gap.
-    auto it = TailAfter(tails.begin(), tails.end(), offset);
-    if (it != tails.begin()) {
-      auto prev = std::prev(it);
-      const byte_count gap = offset - prev->first;
-      if (gap >= 0 && gap < reach) return gap;
-    }
-    // A request just *behind* a tail touches data that stream recently
-    // passed — still resident in the servers' caches; report the negative
-    // in-cache gap so the cost model scores it as a stream access.
-    if (it != tails.end()) {
-      const byte_count back_gap = offset - it->first;  // negative
-      if (-back_gap <= reach) return back_gap;
-    }
+  // far the issuing rank itself jumped.
+  const byte_count reach = Reach();
+  // Greatest tail at or before `offset` = smallest forward gap.
+  if (next > 0) {
+    const byte_count gap = offset - tails[next - 1].first;
+    if (gap < reach) return gap;
   }
-
-  auto it = last_end_.find(StreamKey(file, rank));
+  // A request just *behind* a tail touches data that stream recently
+  // passed — still resident in the servers' caches; report the negative
+  // in-cache gap so the cost model scores it as a stream access.
+  if (next < tails.size()) {
+    const byte_count back_gap = offset - tails[next].first;  // negative
+    if (-back_gap <= reach) return back_gap;
+  }
   // The first request of a stream has no predecessor; treat it as fully
   // random (maximum uncertainty), which is also what a cold disk head sees.
-  if (it == last_end_.end()) return model_.params().hdd.capacity;
+  if (rank_end == RankStream::kNone) return model_.params().hdd.capacity;
   // Signed: negative means the stream jumped backward, which server-side
   // readahead cannot absorb.
-  return offset - it->second;
+  return offset - rank_end;
 }
 
-Decision DataIdentifier::Identify(FileIndex file, int rank,
-                                  device::IoKind kind, byte_count offset,
-                                  byte_count size,
-                                  std::span<CacheExtension* const> extensions) {
-  ++stats_.requests;
-  const byte_count distance = DistanceFor(file, rank, offset);
-  last_end_[StreamKey(file, rank)] = offset + size;
-
-  // Maintain the global tail table: a continuation replaces the tail it
-  // extends; anything else opens a new stream, evicting the least recently
-  // used tail when the table is full.
-  const byte_count reach =
-      model_.params().hdd.readahead_window * model_.params().hdd_servers;
-  S4D_DCHECK(size >= 0) << "negative request size " << size;
-  if (file >= global_tails_.size()) global_tails_.resize(std::size_t{file} + 1);
-  TailTable& tails = global_tails_[file];
-  const byte_count tail = offset + size;
+std::uint32_t DataIdentifier::AdvanceTails(TailTable& tails, std::size_t next,
+                                           byte_count offset,
+                                           byte_count tail) {
+  // A continuation replaces the tail it extends; anything else opens a new
+  // stream, evicting the least recently used tail when the table is full.
   const std::uint64_t seq = ++tail_seq_;
-  auto next = TailAfter(tails.begin(), tails.end(), offset);
+  const auto first_after = tails.begin() + static_cast<std::ptrdiff_t>(next);
   // Every tail before `next` is at or before `offset`, so `tail` sorts at
-  // or after `next`.
-  auto pos = TailAtOrAfter(next, tails.end(), tail);
+  // or after `next`, and exactly there unless the request passes the tail
+  // at `next` (usually it does not).
+  auto pos = first_after;
+  if (pos != tails.end() && pos->first < tail) {
+    pos = std::lower_bound(
+        pos, tails.end(), tail,
+        [](const Tail& t, byte_count p) { return t.first < p; });
+  }
   const bool known = pos != tails.end() && pos->first == tail;
-  if (next != tails.begin() && offset - std::prev(next)->first < reach) {
+  auto slot = static_cast<std::size_t>(pos - tails.begin());
+  if (next > 0 && offset - tails[next - 1].first < Reach()) {
     // The greatest tail at or before `offset` is continued: it moves
     // forward to `tail`, and the tails it passes (usually none) slide down
     // one slot over its old place, so nothing is inserted.
-    const auto prev = std::prev(next);
+    const auto prev = std::prev(first_after);
+    --slot;
     if (known) {
       pos->second = seq;
       tails.erase(prev);
     } else {
-      *std::move(next, pos, prev) = Tail{tail, seq};
+      *std::move(first_after, pos, prev) = Tail{tail, seq};
     }
   } else if (known) {
     pos->second = seq;
@@ -100,11 +88,57 @@ Decision DataIdentifier::Identify(FileIndex file, int rank,
     tails.insert(pos, Tail{tail, seq});
   }
   if (tails.size() > kMaxTailsPerFile) {
-    // The least recently used tail: the smallest sequence number.
-    tails.erase(std::min_element(
+    // The least recently used tail: the smallest sequence number. It is
+    // never the tail just written, the most recent one.
+    const auto victim = std::min_element(
         tails.begin(), tails.end(),
-        [](const Tail& a, const Tail& b) { return a.second < b.second; }));
+        [](const Tail& a, const Tail& b) { return a.second < b.second; });
+    if (static_cast<std::size_t>(victim - tails.begin()) < slot) --slot;
+    tails.erase(victim);
   }
+  return static_cast<std::uint32_t>(slot);
+}
+
+byte_count DataIdentifier::DistanceFor(FileIndex file, int rank,
+                                       byte_count offset) const {
+  static const FileStreams kUnseenFile;
+  const FileStreams& streams =
+      file < files_.size() ? files_[file] : kUnseenFile;
+  RankStream stream;  // as Identify would create it
+  if (rank < 0) {
+    if (auto it = negative_ranks_.find(StreamKey(file, rank));
+        it != negative_ranks_.end()) {
+      stream = it->second;
+    }
+  } else if (static_cast<std::size_t>(rank) < streams.ranks.size()) {
+    stream = streams.ranks[static_cast<std::size_t>(rank)];
+  }
+  return Distance(streams.tails, TailAfter(streams.tails, stream.tail, offset),
+                  offset, stream.end);
+}
+
+Decision DataIdentifier::Identify(FileIndex file, int rank,
+                                  device::IoKind kind, byte_count offset,
+                                  byte_count size,
+                                  std::span<CacheExtension* const> extensions) {
+  ++stats_.requests;
+  S4D_DCHECK(size >= 0) << "negative request size " << size;
+  if (file >= files_.size()) files_.resize(std::size_t{file} + 1);
+  FileStreams& streams = files_[file];
+  RankStream* stream;
+  if (rank >= 0) {
+    const auto r = static_cast<std::size_t>(rank);
+    if (r >= streams.ranks.size()) streams.ranks.resize(r + 1);
+    stream = &streams.ranks[r];
+  } else {
+    stream = &negative_ranks_[StreamKey(file, rank)];
+  }
+  // One search serves the distance and the update.
+  const std::size_t next = TailAfter(streams.tails, stream->tail, offset);
+  const byte_count distance =
+      Distance(streams.tails, next, offset, stream->end);
+  stream->end = offset + size;
+  stream->tail = AdvanceTails(streams.tails, next, offset, offset + size);
 
   // Health-aware admission: T_C stretches by the tier's current slowdown,
   // and a tier degraded past the threshold is vetoed outright — the

@@ -19,10 +19,17 @@
 // most kMaxTailsPerFile per file. Most requests continue a tail, and a
 // continuation rewrites that tail in place (sliding any tails it passes),
 // so the table neither allocates nor rebalances per request.
+//
+// Each file also keeps one record per rank: where the rank's last request
+// ended and the table slot its tail went to. A rank that continues its own
+// stream finds its place in the table from that slot, without a search;
+// the slot is checked against the offset first, because other ranks'
+// requests insert and erase tails around it.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <limits>
 #include <span>
 #include <unordered_map>
 #include <utility>
@@ -81,28 +88,63 @@ class DataIdentifier {
                     std::span<CacheExtension* const> extensions = {});
 
   // Current *signed* stream distance a request at `offset` would have
-  // (negative = backward jump). Exposed for tests.
+  // (negative = backward jump): the distance Identify would use. Exposed
+  // for tests.
   byte_count DistanceFor(FileIndex file, int rank, byte_count offset) const;
 
   const IdentifierStats& stats() const { return stats_; }
 
  private:
-  // One (file, rank) stream: the file id in the high half, the rank's
-  // bits in the low half.
+  // Recent stream tails across all ranks as (position, recency sequence
+  // number) pairs, sorted by position for a binary-searched
+  // nearest-preceding-tail lookup; positions are distinct, and the
+  // smallest sequence number is the LRU victim. Sized like the servers'
+  // aggregate stream capacity (max_streams per disk x M disks).
+  using Tail = std::pair<byte_count, std::uint64_t>;
+  using TailTable = std::vector<Tail>;
+
+  // One rank's stream on one file.
+  struct RankStream {
+    static constexpr byte_count kNone = std::numeric_limits<byte_count>::min();
+    byte_count end = kNone;  // where the rank's last request ended
+    // The slot of the tail that request left. Other ranks' requests move
+    // tails, so it is a hint, checked before use.
+    std::uint32_t tail = 0;
+  };
+
+  struct FileStreams {
+    TailTable tails;
+    std::vector<RankStream> ranks;  // by rank, for ranks >= 0
+  };
+
+  // One (file, rank) stream of a negative rank: the file id in the high
+  // half, the rank's bits in the low half.
   static std::uint64_t StreamKey(FileIndex file, int rank) {
     return (std::uint64_t{file} << 32) | static_cast<std::uint32_t>(rank);
   }
 
+  // The upper bound of `offset` in `tails`: the slot past the greatest tail
+  // at or before it.
+  static std::size_t TailAfter(const TailTable& tails, std::uint32_t hint,
+                               byte_count offset);
+  // The distance of a request at `offset` whose upper bound is `next`, on
+  // a rank whose last request ended at `rank_end`.
+  byte_count Distance(const TailTable& tails, std::size_t next,
+                      byte_count offset, byte_count rank_end) const;
+  // Records the tail [offset, tail) leaves; `next` is the upper bound of
+  // `offset`. Returns the tail's slot.
+  std::uint32_t AdvanceTails(TailTable& tails, std::size_t next,
+                             byte_count offset, byte_count tail);
+  // The readahead reach of the servers in file space: one local window
+  // spread over the M servers of the layout.
+  byte_count Reach() const {
+    return model_.params().hdd.readahead_window * model_.params().hdd_servers;
+  }
+
   const CostModel& model_;
   CriticalDataTable& cdt_;
-  std::unordered_map<std::uint64_t, byte_count> last_end_;  // by StreamKey
-  // Per file: recent stream tails across all ranks as (position, recency
-  // sequence number) pairs, sorted by position for a binary-searched
-  // nearest-preceding-tail lookup; the smallest sequence number is the LRU
-  // victim. Sized like the servers' aggregate stream capacity (max_streams
-  // per disk x M disks).
-  using TailTable = std::vector<std::pair<byte_count, std::uint64_t>>;
-  std::vector<TailTable> global_tails_;  // by file id
+  std::vector<FileStreams> files_;  // by file id
+  std::unordered_map<std::uint64_t, RankStream> negative_ranks_;
   std::uint64_t tail_seq_ = 0;
   IdentifierStats stats_;
   TierSignals tier_;

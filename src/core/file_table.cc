@@ -10,12 +10,13 @@ FileTable::FileTable(pfs::FileSystem& dservers, pfs::FileSystem& cservers)
     : dservers_(&dservers), cservers_(&cservers) {}
 
 FileIndex FileTable::Intern(const std::string& name) {
+  if (last_ < files_.size() && files_[last_].name == name) return last_;
   // Find first: emplace would build (and free) a node on every hit.
-  if (auto it = ids_.find(name); it != ids_.end()) return it->second;
-  const auto file = static_cast<FileIndex>(files_.size());
-  ids_.emplace(name, file);
+  if (auto it = ids_.find(name); it != ids_.end()) return last_ = it->second;
+  last_ = static_cast<FileIndex>(files_.size());
+  ids_.emplace(name, last_);
   files_.push_back(File{name, std::hash<std::string>{}(name)});
-  return file;
+  return last_;
 }
 
 const FileTable::File& FileTable::At(FileIndex file) const {

@@ -35,7 +35,8 @@ class FileTable {
   FileTable(const FileTable&) = delete;
   FileTable& operator=(const FileTable&) = delete;
 
-  // The id of `name`, assigned on first sight.
+  // The id of `name`, assigned on first sight. Nearly every request names
+  // the file the one before it named, so that file is compared first.
   FileIndex Intern(const std::string& name);
 
   const std::string& name(FileIndex file) const { return At(file).name; }
@@ -61,6 +62,7 @@ class FileTable {
   pfs::FileSystem* cservers_ = nullptr;
   std::unordered_map<std::string, FileIndex> ids_;
   std::vector<File> files_;
+  FileIndex last_ = 0;  // the id Intern last returned
 };
 
 }  // namespace s4d::core

@@ -1,5 +1,6 @@
 #include "harness/driver.h"
 
+#include <algorithm>
 #include <vector>
 
 #include "common/check.h"
@@ -65,10 +66,20 @@ RunResult RunClosedLoop(mpiio::MpiIoLayer& layer,
 
 bool DrainUntil(sim::Engine& engine, const std::function<bool()>& quiescent,
                 SimTime max_duration, SimTime slice) {
+  S4D_CHECK(slice > 0) << "drain slice " << slice;
   const SimTime deadline = engine.now() + max_duration;
   while (!quiescent()) {
-    if (engine.now() >= deadline) return false;
-    engine.RunUntil(std::min(deadline, engine.now() + slice));
+    const SimTime now = engine.now();
+    if (now >= deadline) return false;
+    // The slices before the one that holds the next event fire nothing and
+    // leave quiescent() as it was: run to the end of that slice.
+    SimTime end = deadline;
+    if (const SimTime next = engine.NextEventTime(); next < deadline) {
+      const SimTime slices =
+          std::max<SimTime>(1, (next - now + slice - 1) / slice);
+      end = std::min(deadline, now + slices * slice);
+    }
+    engine.RunUntil(end);
   }
   return true;
 }

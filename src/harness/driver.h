@@ -68,10 +68,15 @@ void IssueRequest(mpiio::MpiIoLayer& layer, mpiio::MpiFile& file,
   }
 }
 
-// Steps the engine until `quiescent()` holds (checked between time slices)
-// or `max_duration` of simulated time elapses. Returns whether quiescence
-// was reached. Used to let the Rebuilder finish flush/fetch work between
-// measurement phases.
+// Steps the engine until `quiescent()` holds (checked between time slices
+// of `slice`, counted from the call's start) or `max_duration` of simulated
+// time elapses. Returns whether quiescence was reached. Used to let the
+// Rebuilder finish flush/fetch work between measurement phases.
+//
+// `quiescent()` may read only state that events change (not now()): the
+// drain runs through slices in which no event is due without polling it,
+// straight to the end of the slice that holds the next event, which leaves
+// the return value, now() and the events fired as a poll per slice would.
 bool DrainUntil(sim::Engine& engine, const std::function<bool()>& quiescent,
                 SimTime max_duration, SimTime slice = FromMillis(50));
 

@@ -25,16 +25,20 @@ FileSystem::FileSystem(sim::Engine& engine, FsConfig config,
 }
 
 FileId FileSystem::OpenOrCreate(const std::string& name) {
+  if (static_cast<std::size_t>(last_opened_) < file_names_.size() &&
+      file_names_[static_cast<std::size_t>(last_opened_)] == name) {
+    return last_opened_;
+  }
   // Find first: emplace builds its node (and a copy of the name) before it
   // looks the key up, and nearly every call names an open file.
   if (auto it = files_by_name_.find(name); it != files_by_name_.end()) {
-    return it->second;
+    return last_opened_ = it->second;
   }
-  const auto id = static_cast<FileId>(file_names_.size());
-  files_by_name_.emplace(name, id);
+  last_opened_ = static_cast<FileId>(file_names_.size());
+  files_by_name_.emplace(name, last_opened_);
   file_names_.push_back(name);
   if (config_.track_content) contents_.emplace_back();
-  return id;
+  return last_opened_;
 }
 
 FileId FileSystem::Lookup(const std::string& name) const {

@@ -76,7 +76,8 @@ class FileSystem final : private JobSink {
   FileSystem(sim::Engine& engine, FsConfig config, DeviceFactory factory);
 
   // Opens `name`, creating it on first open. Open is idempotent: the same
-  // name always yields the same FileId.
+  // name always yields the same FileId. The file opened last is compared
+  // first, since the stock dispatch opens the request's file per request.
   FileId OpenOrCreate(const std::string& name);
 
   // Returns the id of an existing file, or kInvalidFile.
@@ -177,6 +178,7 @@ class FileSystem final : private JobSink {
   std::vector<std::unique_ptr<FileServer>> servers_;
   std::unordered_map<std::string, FileId> files_by_name_;
   std::vector<std::string> file_names_;
+  FileId last_opened_ = 0;  // the id OpenOrCreate last returned
   std::vector<ContentMap> contents_;
   std::vector<std::function<void(const RequestRecord&)>> observers_;
   std::vector<std::unique_ptr<Fanout>> fanout_pool_;

@@ -27,6 +27,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -160,27 +161,26 @@ class Engine {
   // Runs events with time <= deadline; afterwards now() == deadline
   // (even if the queue drained earlier).
   void RunUntil(SimTime deadline) {
-    for (;;) {
-      // Drop cancelled ring heads so a stale entry can't force Step past
-      // the deadline.
-      while (ring_head_ < ring_.size() && !IsLive(ring_[ring_head_])) {
-        PopRing();
-      }
-      if (ring_head_ < ring_.size()) {
-        if (now_ > deadline) break;  // ring entries fire at now_
-        Step();
-        continue;
-      }
-      if (heap_.empty()) break;
-      const HeapEntry& top = heap_.front();
-      if (!IsLive(top.id)) {
-        HeapPop();  // stale head; each cancelled entry is popped only once
-        continue;
-      }
-      if (top.time > deadline) break;
-      Step();
+    // Step() fails only when idle, the one case a deadline of kNoEvent
+    // would otherwise never leave.
+    while (NextEventTime() <= deadline && Step()) {
     }
     if (now_ < deadline) now_ = deadline;
+  }
+
+  static constexpr SimTime kNoEvent = std::numeric_limits<SimTime>::max();
+
+  // The time the next live event fires: now() while a same-time event is
+  // pending, else the earliest live heap entry's; kNoEvent when idle.
+  // Drops cancelled heads on the way (each cancelled entry is popped only
+  // once), so a stale entry can't stand for a live one.
+  SimTime NextEventTime() {
+    while (ring_head_ < ring_.size() && !IsLive(ring_[ring_head_])) {
+      PopRing();
+    }
+    if (ring_head_ < ring_.size()) return now_;  // ring entries fire at now_
+    while (!heap_.empty() && !IsLive(heap_.front().id)) HeapPop();
+    return heap_.empty() ? kNoEvent : heap_.front().time;
   }
 
   bool idle() const { return live_events_ == 0; }

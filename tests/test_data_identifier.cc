@@ -209,18 +209,55 @@ class MapTailOracle {
   std::uint64_t seq_ = 0;
 };
 
+// An admission stage that records the distance Identify computed.
+class DistanceRecorder final : public CacheExtension {
+ public:
+  bool Admit(const AdmissionContext& ctx, bool verdict) override {
+    distance = ctx.distance;
+    ++calls;
+    return verdict;
+  }
+  byte_count distance = 0;
+  int calls = 0;
+};
+
+// Runs one request through the identifier and the oracle, which names file
+// id f "a" + f. Before it, DistanceFor must report the oracle's distance,
+// and Identify must then have used that distance.
+void IdentifyAndCompare(DataIdentifier& identifier, MapTailOracle& oracle,
+                        DistanceRecorder& recorder, FileIndex file, int rank,
+                        byte_count offset, byte_count size) {
+  const std::string name(1, static_cast<char>('a' + file));
+  const byte_count expected = oracle.DistanceFor(name, rank, offset);
+  ASSERT_EQ(identifier.DistanceFor(file, rank, offset), expected)
+      << "file " << file << " rank " << rank << " offset " << offset;
+  CacheExtension* const stages[] = {&recorder};
+  const int calls = recorder.calls;
+  identifier.Identify(file, rank, device::IoKind::kWrite, offset, size, stages);
+  ASSERT_EQ(recorder.calls, calls + 1);
+  ASSERT_EQ(recorder.distance, expected)
+      << "Identify's distance: file " << file << " rank " << rank
+      << " offset " << offset;
+  oracle.Identify(name, rank, offset, size);
+}
+
 // Seeded mixes of sequential streams, HPIO-strided regions (16 KiB regions,
 // 16 KiB spacing), random requests and repeats over three files, so long that
-// every file's tail table overflows its 512 slots many times. After every
-// request the identifier must report the oracle's distance at the request's
-// own offset and at a probe offset near it.
+// every file's tail table overflows its 512 slots many times. Eight ranks
+// issue from the start, eight more are first seen halfway, and a negative
+// rank (a request the middleware issues for itself) mixes in throughout.
+// After every request the identifier must report the oracle's distance at
+// the request's own offset, Identify must have used that distance, and
+// DistanceFor must agree at a probe offset near it.
 TEST_F(DataIdentifierTest, FlatTailTableMatchesMapOracle) {
   const std::string files[] = {"a", "b", "c"};
   constexpr int kRanks = 8;
+  constexpr int kSteps = 12000;
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     CriticalDataTable cdt;
     DataIdentifier identifier(model_, cdt);
     MapTailOracle oracle(model_);
+    DistanceRecorder recorder;
     Rng rng(seed);
     // Per file and rank: the next sequential offset and the next HPIO
     // region index.
@@ -231,25 +268,29 @@ TEST_F(DataIdentifierTest, FlatTailTableMatchesMapOracle) {
     std::pair<byte_count, byte_count> last[3] = {
         {0, 16 * KiB}, {0, 16 * KiB}, {0, 16 * KiB}};
     int full_steps[3] = {};  // requests after which the table was full
-    for (int step = 0; step < 12000; ++step) {
+    for (int step = 0; step < kSteps; ++step) {
       const int f = static_cast<int>(rng.NextBelow(3));
       const std::string& file = files[f];
       const auto id = static_cast<FileIndex>(f);  // the oracle keeps names
-      const int rank = static_cast<int>(rng.NextBelow(kRanks));
+      const int ranks = step < kSteps / 2 ? kRanks : 2 * kRanks;
+      int rank = static_cast<int>(rng.NextBelow(ranks));
+      if (rng.NextBelow(16) == 0) rank = -1;
+      // The negative rank streams and strides in a slot of its own.
+      const int slot = rank < 0 ? 2 * kRanks : rank;
       byte_count offset = 0;
       byte_count size = 16 * KiB;
       switch (rng.NextBelow(4)) {
         case 0: {  // sequential: rank r streams through its own GiB
           byte_count& next = seq_next[{f, rank}];
-          if (next == 0) next = rank * GiB + 1;
+          if (next == 0) next = slot * GiB + 1;
           size = (1 + static_cast<byte_count>(rng.NextBelow(4))) * 16 * KiB;
           offset = next;
           next += size;
           break;
         }
-        case 1: {  // HPIO strided: region k of rank r at (k * ranks + r)
+        case 1: {  // HPIO strided: region k of slot s at (k * 17 + s)
           std::int64_t& k = hpio_next[{f, rank}];
-          offset = 16 * GiB + (k++ * kRanks + rank) * 32 * KiB;
+          offset = 40 * GiB + (k++ * (2 * kRanks + 1) + slot) * 32 * KiB;
           break;
         }
         case 2:  // random, scattered over 64 GiB
@@ -262,15 +303,12 @@ TEST_F(DataIdentifierTest, FlatTailTableMatchesMapOracle) {
           break;
       }
       last[f] = {offset, size};
-      const int probe_rank = static_cast<int>(rng.NextBelow(kRanks));
+      const int probe_rank = static_cast<int>(rng.NextBelow(ranks));
       const byte_count probe =
           std::max<byte_count>(0, offset + rng.NextInRange(-8 * MiB, 8 * MiB));
-      ASSERT_EQ(identifier.DistanceFor(id, rank, offset),
-                oracle.DistanceFor(file, rank, offset))
-          << "seed " << seed << " step " << step << " file " << file
-          << " offset " << offset;
-      identifier.Identify(id, rank, device::IoKind::kWrite, offset, size);
-      oracle.Identify(file, rank, offset, size);
+      ASSERT_NO_FATAL_FAILURE(IdentifyAndCompare(identifier, oracle, recorder,
+                                                 id, rank, offset, size))
+          << "seed " << seed << " step " << step;
       if (oracle.tails(file) == 512) ++full_steps[f];
       ASSERT_EQ(identifier.DistanceFor(id, probe_rank, probe),
                 oracle.DistanceFor(file, probe_rank, probe))
@@ -280,6 +318,96 @@ TEST_F(DataIdentifierTest, FlatTailTableMatchesMapOracle) {
     for (int f = 0; f < 3; ++f) {
       EXPECT_GT(full_steps[f], 1000) << "table rarely full: " << files[f];
     }
+  }
+}
+
+// Ranks first seen after others have streamed, on a file first seen late,
+// and a negative rank: the first request of each has no predecessor of its
+// own, so it is measured against the global tails or, away from them, as
+// fully random.
+TEST_F(DataIdentifierTest, LateAndNegativeRanksMatchOracle) {
+  MapTailOracle oracle(model_);
+  DistanceRecorder recorder;
+  auto run = [&](FileIndex file, int rank, byte_count offset) {
+    IdentifyAndCompare(identifier_, oracle, recorder, file, rank, offset,
+                       16 * KiB);
+  };
+  for (int step = 0; step < 4; ++step) {
+    for (int r = 0; r < 4; ++r) {
+      ASSERT_NO_FATAL_FAILURE(run(kF, r, r * GiB + step * 16 * KiB));
+    }
+  }
+  EXPECT_EQ(identifier_.DistanceFor(kF, 40, 3 * GiB + 64 * KiB), 0)
+      << "a new rank continuing rank 3's tail";
+  ASSERT_NO_FATAL_FAILURE(run(kF, 40, 3 * GiB + 64 * KiB));
+  ASSERT_NO_FATAL_FAILURE(run(kF, 41, 20 * GiB));  // far from every tail
+  ASSERT_NO_FATAL_FAILURE(run(kF, 41, 20 * GiB + 16 * KiB));
+  ASSERT_NO_FATAL_FAILURE(run(kF, -1, 30 * GiB));
+  ASSERT_NO_FATAL_FAILURE(run(kF, -1, 31 * GiB));  // its own 1 GiB jump
+  ASSERT_NO_FATAL_FAILURE(run(kF, -2, 30 * GiB + 16 * KiB));
+  ASSERT_NO_FATAL_FAILURE(run(kTile, 7, 0));  // a file first seen late
+  ASSERT_NO_FATAL_FAILURE(run(kTile, 7, 16 * KiB));
+  ASSERT_NO_FATAL_FAILURE(run(kTile, -1, 5 * GiB));
+  EXPECT_EQ(identifier_.DistanceFor(kF, -1, 31 * GiB + 16 * KiB), 0);
+  EXPECT_EQ(identifier_.DistanceFor(kF, -1, 40 * GiB), 9 * GiB - 16 * KiB)
+      << "the negative rank's own stream, past every tail's reach";
+}
+
+// Rank 0's last request wrote the table's only tail. A request of rank 1
+// then opens a stream below it, so the slot rank 0 last wrote holds rank 1's
+// tail and rank 0's own tail sits one slot higher. Later a continuation of
+// rank 1 lands on a tail and the two merge, so the table shrinks below the
+// slot rank 0 last wrote. Every request must be measured as the oracle
+// measures it.
+TEST_F(DataIdentifierTest, TailIndexStaleAfterAnotherRanksInsert) {
+  MapTailOracle oracle(model_);
+  DistanceRecorder recorder;
+  auto run = [&](int rank, byte_count offset, byte_count size = 16 * KiB) {
+    IdentifyAndCompare(identifier_, oracle, recorder, kF, rank, offset, size);
+  };
+  ASSERT_NO_FATAL_FAILURE(run(0, 1 * GiB));
+  ASSERT_NO_FATAL_FAILURE(run(1, 0));
+  EXPECT_EQ(identifier_.DistanceFor(kF, 0, 20 * KiB), 4 * KiB)
+      << "4 KiB past rank 1's tail";
+  ASSERT_NO_FATAL_FAILURE(run(0, 1 * GiB + 16 * KiB));
+  ASSERT_NO_FATAL_FAILURE(run(1, 64 * MiB));
+  ASSERT_NO_FATAL_FAILURE(run(0, 1 * GiB + 32 * KiB));
+  // Continues rank 1's tail at 16 KiB and ends on its tail at 64 MiB +
+  // 16 KiB: two tails are left, and rank 0 last wrote the third slot.
+  ASSERT_NO_FATAL_FAILURE(run(1, 16 * KiB, 64 * MiB));
+  ASSERT_EQ(oracle.tails("a"), 2u);
+  ASSERT_NO_FATAL_FAILURE(run(0, 1 * GiB + 48 * KiB));
+  ASSERT_NO_FATAL_FAILURE(run(0, 20 * KiB));
+  ASSERT_NO_FATAL_FAILURE(run(0, 1 * GiB + 80 * KiB));
+}
+
+// A full table evicts its least recently used tail. Once the victim is the
+// tail rank 0 last wrote, and once it is a tail below it, so rank 0's own
+// tail moves down one slot.
+TEST_F(DataIdentifierTest, TailIndexStaleAfterLruEviction) {
+  for (const bool victim_is_own_tail : {true, false}) {
+    CriticalDataTable cdt;
+    DataIdentifier identifier(model_, cdt);
+    MapTailOracle oracle(model_);
+    DistanceRecorder recorder;
+    auto run = [&](int rank, byte_count offset) {
+      IdentifyAndCompare(identifier, oracle, recorder, kF, rank, offset,
+                         16 * KiB);
+    };
+    if (!victim_is_own_tail) {
+      ASSERT_NO_FATAL_FAILURE(run(1, 0));
+    }
+    ASSERT_NO_FATAL_FAILURE(run(0, 1 * GiB));
+    // New streams 1 GiB apart above it fill the table and overflow it once.
+    for (int i = 0; oracle.tails("a") < 512; ++i) {
+      ASSERT_NO_FATAL_FAILURE(run(2, (i + 2) * GiB));
+    }
+    ASSERT_NO_FATAL_FAILURE(run(3, 1000 * GiB));
+    ASSERT_EQ(oracle.tails("a"), 512u);
+    ASSERT_NO_FATAL_FAILURE(run(0, 1 * GiB + 16 * KiB))
+        << "victim is rank 0's tail: " << victim_is_own_tail;
+    ASSERT_NO_FATAL_FAILURE(run(0, 1 * GiB + 32 * KiB));
+    ASSERT_NO_FATAL_FAILURE(run(0, 2 * GiB + 16 * KiB));
   }
 }
 

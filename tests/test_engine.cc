@@ -74,6 +74,13 @@ TEST(Engine, RunUntilAdvancesClockWhenQueueDrains) {
   engine.ScheduleAt(10, [] {});
   engine.RunUntil(500);
   EXPECT_EQ(engine.now(), 500);
+  // The latest deadline there is: everything fires, and the run returns.
+  int fired = 0;
+  engine.ScheduleAt(600, [&] { ++fired; });
+  engine.ScheduleAt(700, [&] { ++fired; });
+  engine.RunUntil(Engine::kNoEvent);
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(engine.now(), Engine::kNoEvent);
 }
 
 TEST(Engine, EventsCanScheduleMoreEvents) {
@@ -169,6 +176,30 @@ TEST(Engine, PendingEventsExactWithCancelledHead) {
   EXPECT_EQ(engine.now(), 10);
   engine.RunUntil(100);
   EXPECT_EQ(fired, 1);
+}
+
+TEST(Engine, NextEventTimeSkipsCancelledEntries) {
+  Engine engine;
+  EXPECT_EQ(engine.NextEventTime(), Engine::kNoEvent) << "idle";
+  int fired = 0;
+  engine.ScheduleAt(40, [&] { ++fired; });
+  const EventId head = engine.ScheduleAt(5, [&] { ++fired; });
+  engine.ScheduleAt(60, [&] { ++fired; });
+  engine.Cancel(head);  // not the last heap entry: it stays at the top
+  EXPECT_EQ(engine.queue_depth(), 3u);
+  EXPECT_EQ(engine.NextEventTime(), 40);
+  EXPECT_EQ(engine.queue_depth(), 2u) << "the cancelled head is dropped";
+  engine.RunUntil(40);
+  EXPECT_EQ(fired, 1);
+  // A same-time event is next, however early the heap's top.
+  const EventId now_event = engine.ScheduleAfter(0, [&] { ++fired; });
+  EXPECT_EQ(engine.NextEventTime(), 40);
+  engine.Cancel(now_event);
+  EXPECT_EQ(engine.NextEventTime(), 60);
+  EXPECT_EQ(engine.now(), 40) << "a query runs nothing";
+  engine.Run();
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(engine.NextEventTime(), Engine::kNoEvent);
 }
 
 TEST(Engine, GenerationWraparound) {

@@ -5,12 +5,15 @@
 #include <algorithm>
 #include <compare>
 #include <functional>
+#include <map>
 #include <memory>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "core/file_table.h"
 #include "device/hdd_model.h"
 #include "device/ssd_model.h"
 
@@ -48,6 +51,63 @@ TEST(FileSystem, OpenIsIdempotent) {
   EXPECT_NE(a, c);
   EXPECT_EQ(fs.Lookup("f1"), a);
   EXPECT_EQ(fs.Lookup("nope"), kInvalidFile);
+}
+
+// FileTable::Intern and FileSystem::OpenOrCreate give first-seen ids that
+// agree with a reference map over alternating, repeated and new names,
+// names one character apart and names past the small-string buffer. With
+// content tracking on, each open stamps its own token on the file it
+// resolved to, so a file's content holds the token of its name's last open
+// only if every id indexed the right content map.
+TEST(FileSystem, NameResolutionMatchesReferenceMap) {
+  sim::Engine engine;
+  FileSystem fs(engine, SsdFsConfig(4, /*track_content=*/true), SsdFactory());
+  core::FileTable table;
+  std::map<std::string, int> reference;
+  std::map<std::string, std::uint64_t> last_token;
+  const std::string long_name(40, 'x');
+  const std::vector<std::string> fixed = {
+      "ior.0", "ior.1", "ior.10", "ior.01", "", long_name, long_name + "y",
+      std::string(39, 'x') + "z"};
+  Rng rng(7);
+  std::vector<std::string> names;
+  for (int step = 0; step < 4000; ++step) {
+    switch (rng.NextBelow(4)) {
+      case 0:  // alternating
+        names.push_back(fixed[static_cast<std::size_t>(step % 2)]);
+        break;
+      case 1:  // repeat the previous name
+        names.push_back(names.empty() ? fixed[0] : names.back());
+        break;
+      case 2:  // a fixed name
+        names.push_back(fixed[rng.NextBelow(fixed.size())]);
+        break;
+      default:  // a name seen before or new
+        names.push_back("f" + std::to_string(rng.NextBelow(400)));
+        break;
+    }
+  }
+  std::uint64_t token = 0;
+  for (const std::string& name : names) {
+    const int expected =
+        reference.emplace(name, static_cast<int>(reference.size()))
+            .first->second;
+    const core::FileIndex interned = table.Intern(name);
+    const FileId opened = fs.OpenOrCreate(name);
+    ASSERT_EQ(interned, static_cast<core::FileIndex>(expected)) << name;
+    ASSERT_EQ(opened, expected) << name;
+    ASSERT_EQ(table.name(interned), name);
+    ASSERT_EQ(fs.Lookup(name), opened);
+    fs.StampContent(opened, 0, 4 * KiB, ++token);
+    last_token[name] = token;
+  }
+  for (const auto& [name, id] : reference) {
+    const auto content = fs.ReadContent(id, 0, 4 * KiB);
+    ASSERT_EQ(content.size(), 1u) << name;
+    EXPECT_EQ(content[0].value, last_token[name]) << name;
+    EXPECT_EQ(table.Intern(name), static_cast<core::FileIndex>(id));
+    EXPECT_EQ(fs.OpenOrCreate(name), id);
+  }
 }
 
 TEST(FileSystem, CompletesRequestAtLastSubRequest) {

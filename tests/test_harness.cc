@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+
 #include "common/config_parser.h"
 #include "harness/testbed.h"
 #include "workloads/ior.h"
@@ -163,6 +166,119 @@ TEST(Driver, DrainUntilTimesOut) {
   EXPECT_FALSE(DrainUntil(bed.engine(), [] { return false; },
                           FromMillis(200)));
   EXPECT_EQ(bed.engine().now(), start + FromMillis(200));
+}
+
+// DrainUntil as it was before it skipped slices in which no event is due:
+// one RunUntil per slice, the predicate polled between slices.
+bool DrainSliceBySlice(sim::Engine& engine,
+                       const std::function<bool()>& quiescent,
+                       SimTime max_duration, SimTime slice) {
+  const SimTime deadline = engine.now() + max_duration;
+  while (!quiescent()) {
+    if (engine.now() >= deadline) return false;
+    engine.RunUntil(std::min(deadline, engine.now() + slice));
+  }
+  return true;
+}
+
+// A drain scenario: a clock that starts off the slice grid, a periodic tick
+// that re-arms itself every `period` until `ticks` have fired, and a
+// predicate that holds once `quiet_after` ticks have fired (never when
+// negative). Built twice, once per drain.
+struct DrainScenario {
+  SimTime start = FromMillis(7) + 3;
+  SimTime period = FromMillis(1730);
+  int ticks = 12;
+  int quiet_after = -1;
+  bool cancelled_head = false;
+  SimTime max_duration = FromSeconds(60);
+  SimTime slice = FromMillis(50);
+};
+
+struct DrainOutcome {
+  bool quiescent;
+  SimTime now;
+  std::uint64_t events_fired;
+  int ticks;
+};
+
+DrainOutcome RunDrain(const DrainScenario& scenario, bool slice_by_slice) {
+  sim::Engine engine;
+  engine.RunUntil(scenario.start);
+  int fired = 0;
+  std::function<void()> tick = [&] {
+    if (++fired < scenario.ticks) {
+      engine.ScheduleAfter(scenario.period, [&] { tick(); });
+    }
+  };
+  if (scenario.ticks > 0) {
+    engine.ScheduleAfter(scenario.period, [&] { tick(); });
+  }
+  if (scenario.cancelled_head) {
+    // Scheduled after the first tick, so its heap entry is not the last
+    // one and stays behind, cancelled, at the heap top.
+    const sim::EventId early = engine.ScheduleAfter(FromMillis(1), [] {});
+    engine.ScheduleAfter(scenario.period * 3, [] {});
+    engine.Cancel(early);
+  }
+  auto quiescent = [&] {
+    return scenario.quiet_after >= 0 && fired >= scenario.quiet_after;
+  };
+  const bool reached =
+      slice_by_slice
+          ? DrainSliceBySlice(engine, quiescent, scenario.max_duration,
+                              scenario.slice)
+          : DrainUntil(engine, quiescent, scenario.max_duration,
+                       scenario.slice);
+  return {reached, engine.now(), engine.events_fired(), fired};
+}
+
+void ExpectSameDrain(const DrainScenario& scenario, const char* label) {
+  const DrainOutcome skip = RunDrain(scenario, false);
+  const DrainOutcome slices = RunDrain(scenario, true);
+  EXPECT_EQ(skip.quiescent, slices.quiescent) << label;
+  EXPECT_EQ(skip.now, slices.now) << label;
+  EXPECT_EQ(skip.events_fired, slices.events_fired) << label;
+  EXPECT_EQ(skip.ticks, slices.ticks) << label;
+}
+
+TEST(Driver, DrainUntilMatchesSliceBySliceDrain) {
+  DrainScenario deadline_hit;  // the ticks stop, the predicate never holds
+  ExpectSameDrain(deadline_hit, "deadline hit");
+  EXPECT_FALSE(RunDrain(deadline_hit, false).quiescent);
+  EXPECT_EQ(RunDrain(deadline_hit, false).now,
+            deadline_hit.start + deadline_hit.max_duration);
+
+  DrainScenario mid_drain;
+  mid_drain.quiet_after = 5;
+  ExpectSameDrain(mid_drain, "quiescent mid-drain");
+  const DrainOutcome mid = RunDrain(mid_drain, false);
+  EXPECT_TRUE(mid.quiescent);
+  EXPECT_EQ(mid.ticks, 5);
+  // The slice that holds the fifth tick ends on the grid from the start.
+  EXPECT_EQ((mid.now - mid_drain.start) % mid_drain.slice, 0);
+  EXPECT_LT(mid.now, mid_drain.start + 5 * mid_drain.period + mid_drain.slice);
+
+  DrainScenario ragged;  // the deadline is not a whole number of slices
+  ragged.max_duration = FromMillis(12345) + 678;
+  ExpectSameDrain(ragged, "ragged deadline");
+  ragged.quiet_after = 7;  // ... and the last tick before it
+  ragged.period = FromMillis(1763);
+  ExpectSameDrain(ragged, "ragged deadline, quiescent just before it");
+
+  DrainScenario idle;
+  idle.ticks = 0;
+  ExpectSameDrain(idle, "idle engine");
+  idle.quiet_after = 0;
+  ExpectSameDrain(idle, "idle engine, already quiescent");
+  EXPECT_EQ(RunDrain(idle, false).now, idle.start);
+
+  DrainScenario cancelled;
+  cancelled.cancelled_head = true;
+  cancelled.quiet_after = 2;
+  ExpectSameDrain(cancelled, "cancelled entry at the heap top");
+  cancelled.quiet_after = -1;
+  ExpectSameDrain(cancelled, "cancelled entry at the heap top, deadline");
 }
 
 TEST(ContentChecker, DetectsMismatch) {

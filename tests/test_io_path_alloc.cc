@@ -12,6 +12,8 @@
 // allocation, whether the cost model sends it to the DServers or it hits in
 // the cache.
 //
+// The Identifier inside it: once warm, a decision allocates nothing.
+//
 // The mapping table under it: once warm, the DMT's dirty flips, flushes,
 // touches and evict-then-refill cycles allocate nothing.
 #include <gtest/gtest.h>
@@ -21,6 +23,7 @@
 #include <new>
 #include <vector>
 
+#include "core/data_identifier.h"
 #include "core/dmt.h"
 #include "core/s4d_cache.h"
 #include "device/hdd_model.h"
@@ -365,6 +368,59 @@ TEST(IoPathAlloc, S4DCacheHitsAllocateNothing) {
 // by building the cache file's name.
 TEST(IoPathAlloc, S4DCacheHitsOnALongFileNameAllocateNothing) {
   CheckCacheHitsAllocateNothing(kLongFile);
+}
+
+// The Identifier on its own, as S4DCache::Decide calls it. 32 ranks stream
+// through their own GiB of one file with 16 KiB requests, interleaved, and
+// a negative rank issues among them. Every eighth round re-issues one of 64
+// scattered ranges, and every sixteenth reads 48 KiB behind a rank's tail
+// (8 MiB past its previous such read), which opens a tail of its own. The
+// warm-up first opens 600 streams elsewhere in the file, so the 512-tail
+// table overflows, and records every scattered range in the CDT. The
+// counted rounds then move, re-rank, insert and evict tails within the
+// table's grown capacity and find their CDT keys.
+TEST(IoPathAlloc, WarmIdentifyAllocatesNothing) {
+  const CostModel model(CostModelParams::FromProfiles(
+      8, 4, 64 * KiB, device::SeagateST32502NS(),
+      device::OczRevoDriveX2Effective(), net::GigabitEthernet()));
+  CriticalDataTable cdt;
+  DataIdentifier identifier(model, cdt);
+  constexpr FileIndex kId = 0;
+  constexpr byte_count kSize = 16 * KiB;
+  constexpr int kRounds = 1024;
+  // Per rank, then rank -1: the next offset of its stream.
+  std::vector<byte_count> next;
+  for (int r = 0; r <= kS4DRanks; ++r) next.push_back(r * GiB);
+  auto round = [&](int i) {
+    for (int r = -1; r < kS4DRanks; ++r) {
+      const auto slot = static_cast<std::size_t>(r < 0 ? kS4DRanks : r);
+      identifier.Identify(kId, r, device::IoKind::kWrite, next[slot], kSize);
+      next[slot] += kSize;
+    }
+    if (i % 8 != 0) return;
+    const int rank = (i / 16) % kS4DRanks;
+    const byte_count range = 40 * GiB + ((i / 8) % 64) * 64 * MiB;
+    identifier.Identify(kId, rank, device::IoKind::kRead, range, kSize);
+    if (i % 16 != 8) return;
+    identifier.Identify(kId, rank, device::IoKind::kRead,
+                        next[static_cast<std::size_t>(rank)] - 48 * KiB,
+                        kSize);
+  };
+  for (int i = 0; i < 600; ++i) {
+    identifier.Identify(kId, i % kS4DRanks, device::IoKind::kWrite,
+                        100 * GiB + i * 64 * MiB, kSize);
+  }
+  for (int i = 0; i < kRounds; ++i) round(i);
+  const std::int64_t inserts = identifier.stats().cdt_inserts;
+  const std::int64_t requests = identifier.stats().requests;
+  g_allocations = 0;
+  g_counting = true;
+  for (int i = 0; i < kRounds; ++i) round(i);
+  g_counting = false;
+  EXPECT_EQ(g_allocations, 0);
+  EXPECT_EQ(identifier.stats().cdt_inserts, inserts);
+  EXPECT_EQ(identifier.stats().requests - requests,
+            kRounds * (kS4DRanks + 1) + kRounds / 8 + kRounds / 16);
 }
 
 // One cycle on extent k of a table of 16 KiB extents: a write hit dirties
