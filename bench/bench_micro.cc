@@ -184,7 +184,7 @@ BENCHMARK(BM_DmtDirtyFlip);
 
 // A full CDT of `range(0)` entries on a stream of critical requests: three
 // in four recur (a hit), one in four is new (FIFO eviction), and each is
-// C_flagged. A fetch pass lists the pending flags every `range(0)`
+// C_flagged. A fetch pass takes the pending marks every `range(0)`
 // requests, as the Rebuilder's tick does.
 void BM_CdtAddSetFlag(benchmark::State& state) {
   const auto entries = static_cast<std::size_t>(state.range(0));
@@ -204,7 +204,7 @@ void BM_CdtAddSetFlag(benchmark::State& state) {
     benchmark::DoNotOptimize(cdt.Add(key));
     benchmark::DoNotOptimize(cdt.SetCacheFlag(key));
     if (++i % static_cast<std::int64_t>(entries) == 0) {
-      benchmark::DoNotOptimize(cdt.PendingFetches(entries));
+      benchmark::DoNotOptimize(cdt.TakePendingFetches(entries));
     }
   }
 }

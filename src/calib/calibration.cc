@@ -55,19 +55,9 @@ void ServerFit::Add(double forget, double size, double depth, double latency) {
   sxy_ += size * latency;
   sqy_ += depth * latency;
   ++samples_;
-  solved_valid_ = false;
 }
 
 ServerFit::Params ServerFit::Solve(double static_beta) const {
-  if (!solved_valid_ || solved_beta_ != static_beta) {
-    solved_ = Fit(static_beta);
-    solved_beta_ = static_beta;
-    solved_valid_ = true;
-  }
-  return solved_;
-}
-
-ServerFit::Params ServerFit::Fit(double static_beta) const {
   Params p;
   p.ns_per_byte = std::max(0.0, static_beta);
   if (w_ <= 0.0) return p;

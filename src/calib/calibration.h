@@ -102,9 +102,7 @@ class ServerFit {
   }
 
   // Solves the fit. `static_beta` fills the per-byte slope when the size
-  // direction is degenerate. All parameters are clamped non-negative. The
-  // solved parameters are kept, with the static beta they were solved for,
-  // until the next Add: a cell serves many estimates per sample.
+  // direction is degenerate. All parameters are clamped non-negative.
   struct Params {
     double startup_ns = 0.0;   // a: intercept at size 0, depth 0
     double ns_per_byte = 0.0;  // b
@@ -116,17 +114,11 @@ class ServerFit {
   double mean_depth() const { return w_ > 0.0 ? sq_ / w_ : 0.0; }
 
  private:
-  Params Fit(double static_beta) const;  // the closed-form solve
-
   double w_ = 0.0;  // decayed weight
   double sx_ = 0.0, sq_ = 0.0, sy_ = 0.0;
   double sxx_ = 0.0, sqq_ = 0.0, sxq_ = 0.0;
   double sxy_ = 0.0, sqy_ = 0.0;
   std::int64_t samples_ = 0;  // undecayed count (warmup gate)
-  // The last solve and its static beta; cleared by Add.
-  mutable Params solved_;
-  mutable double solved_beta_ = 0.0;
-  mutable bool solved_valid_ = false;
 };
 
 class CalibrationEngine final : public core::CostCalibration,

@@ -45,7 +45,6 @@ std::optional<byte_count> CacheSpaceAllocator::Allocate(byte_count size,
   auto offset = AllocateAtOrAfter(from, size);
   if (!offset && from > 0) offset = AllocateAtOrAfter(0, size);  // wrap
   if (!offset) return std::nullopt;
-  ++free_epoch_;
   Charge(owner, size);
   if (spread_granularity_ > 0) {
     // Rotate the next search start to the following stripe.
@@ -70,7 +69,6 @@ bool CacheSpaceAllocator::Reserve(byte_count offset, byte_count size) {
   if (extent_begin < offset) free_.emplace(extent_begin, offset);
   if (offset + size < extent_end) free_.emplace(offset + size, extent_end);
   free_bytes_ -= size;
-  ++free_epoch_;
   Charge(0, size);
   MaybeAudit();
   return true;
@@ -82,7 +80,6 @@ void CacheSpaceAllocator::Free(byte_count offset, byte_count size,
   S4D_CHECK(offset >= 0 && offset + size <= capacity_)
       << "freeing [" << offset << ", " << offset + size
       << ") outside capacity " << capacity_;
-  ++free_epoch_;
   Charge(owner, -size);
   auto next = free_.lower_bound(offset);
   // Double-free / overlap checks: the freed range must not intersect any

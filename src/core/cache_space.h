@@ -53,11 +53,6 @@ class CacheSpaceAllocator {
   byte_count largest_free_extent() const;
   std::size_t free_extent_count() const { return free_.size(); }
 
-  // Moves on every change to the free list (a successful Allocate or
-  // Reserve, every Free). While it stands still, an allocation that failed
-  // fails again; the Rebuilder parks space-starved fetch passes on it.
-  std::uint64_t free_epoch() const { return free_epoch_; }
-
   // Fraction of capacity currently allocated, in [0, 1].
   double occupancy() const {
     return capacity_ > 0
@@ -132,7 +127,6 @@ class CacheSpaceAllocator {
   byte_count free_bytes_;
   byte_count spread_granularity_;
   byte_count hint_ = 0;
-  std::uint64_t free_epoch_ = 0;
   std::map<byte_count, byte_count> free_;  // begin -> end, disjoint, sorted
   // Per-owner charged bytes; empty unless EnablePartitionTracking() ran.
   std::vector<byte_count> used_by_;

@@ -12,14 +12,15 @@
 // (the paper leaves CDT sizing unspecified; an unbounded table would grow
 // with every unique critical request ever seen).
 //
-// C_flagged entries queue in flag order for the Rebuilder. The queue is
-// pruned lazily and holds each entry at most once: a key flagged again
-// before its stale copy was pruned keeps that copy's place. An entry
-// records the sequence number of its copy, so the copy an evicted key
-// left behind reads as stale once the key is added again. The table also
-// counts its live flags, which makes AnyPendingFetch() (the drain's idle
-// check, polled every slice) O(1). Add looks a key up before inserting
-// it: most critical requests recur.
+// C_flagged entries queue in flag order for the Rebuilder, which takes
+// each mark once (TakePendingFetches): a taken range that cannot be
+// fetched is dropped, and its next critical read miss marks it again. An
+// entry is flagged exactly while it records the sequence number of its
+// queue copy, so the copy an evicted key left behind reads as stale once
+// the key is added again, and a key is queued at most once. The table
+// also counts its live flags, which makes AnyPendingFetch() (the drain's
+// idle check, polled every slice) O(1). Add looks a key up before
+// inserting it: most critical requests recur.
 #pragma once
 
 #include <cstdint>
@@ -75,40 +76,32 @@ class CriticalDataTable {
   // Sets C_flag — the range should be fetched into CServers by the
   // Rebuilder. Returns false if the entry is unknown. `owner` tags the
   // tenant whose read marked the flag, so the eventual background fetch is
-  // charged to the right partition (-1 = untagged, the default).
+  // charged to the right partition (-1 = untagged, the default); marking
+  // a flagged entry again retags it and keeps its place in the queue.
   bool SetCacheFlag(const CdtKey& key, int owner = -1);
-
-  // Clears C_flag once the Rebuilder has cached the range.
-  void ClearCacheFlag(const CdtKey& key);
 
   bool CacheFlag(const CdtKey& key) const;
 
-  // Up to `limit` distinct entries whose C_flag is set, oldest-marked
-  // first, each with the owner recorded by SetCacheFlag. Consumes nothing
-  // (the Rebuilder clears flags when fetches complete); stale queue copies
-  // met on the way are dropped.
-  std::vector<PendingFetch> PendingFetches(std::size_t limit);
+  // Takes up to `limit` flagged entries, oldest-marked first, each with
+  // the owner recorded by SetCacheFlag, and clears their C_flags: each
+  // mark is one fetch attempt. Stale queue copies met on the way are
+  // dropped.
+  std::vector<PendingFetch> TakePendingFetches(std::size_t limit);
 
   // True iff any entry currently has its C_flag set. O(1): the table
   // counts its live flags.
   bool AnyPendingFetch() const { return flagged_count_ > 0; }
+  std::size_t pending_fetches() const { return flagged_count_; }
 
   std::size_t size() const { return entries_.size(); }
   std::int64_t evictions() const { return evictions_; }
 
-  // Moves on every Add that creates an entry and on every SetCacheFlag and
-  // ClearCacheFlag of a known entry — everything that can change what
-  // PendingFetches returns. The Rebuilder parks space-starved fetch passes
-  // on it.
-  std::uint64_t mutation_epoch() const { return mutation_epoch_; }
-
   // S4D_CHECKs the table's bookkeeping: the entry count within the bound,
   // the FIFO holding exactly the live keys (so eviction order is
-  // well-defined), no live key queued twice and each entry's queued_seq
-  // matching the queue, every C_flagged entry present in the fetch queue —
-  // a flagged entry outside it would never be fetched by the Rebuilder —
-  // and the live-flag count equal to the flagged entries.
-  // O(entries + queued).
+  // well-defined), no live key queued twice, each flagged entry's
+  // queued_seq naming a copy in the queue — a flagged entry outside it
+  // would never be fetched by the Rebuilder — and the live-flag count
+  // equal to the flagged entries. O(entries + queued).
   // Paranoid builds run it every few mutations; tests call it directly.
   void AuditInvariants() const;
 
@@ -126,10 +119,10 @@ class CriticalDataTable {
   void MaybeAudit() const {}
 #endif
 
+  // C_flag is set exactly while queued_seq names a copy in flagged_.
   struct Info {
-    bool c_flag = false;
     int flag_owner = -1;  // tenant that marked the C_flag, -1 = untagged
-    std::uint64_t queued_seq = 0;  // its copy in flagged_; 0 = none
+    std::uint64_t queued_seq = 0;  // its copy in flagged_; 0 = unflagged
   };
   // A fetch-queue copy: live while its entry's queued_seq names it.
   struct QueuedKey {
@@ -142,11 +135,10 @@ class CriticalDataTable {
   std::deque<CdtKey> insertion_order_;  // FIFO eviction
   std::deque<QueuedKey> flagged_;       // SetCacheFlag order, lazily pruned
   std::uint64_t queued_total_ = 0;      // copies ever queued: the last seq
-  // Entries whose C_flag is set: SetCacheFlag, ClearCacheFlag and FIFO
+  // Entries whose C_flag is set: SetCacheFlag, TakePendingFetches and FIFO
   // eviction keep it exact, so AnyPendingFetch never walks flagged_.
   std::size_t flagged_count_ = 0;
   std::int64_t evictions_ = 0;
-  std::uint64_t mutation_epoch_ = 0;
 };
 
 }  // namespace s4d::core

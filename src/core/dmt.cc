@@ -203,7 +203,6 @@ Status DataMappingTable::LoadFromStore() {
   }
 
   // Load in store order: it sets the file walk order and the LRU order.
-  ++coverage_epoch_;
   for (const Record& r : records) {
     const Slot slot = AddEntry(names_->Intern(r.name), r.begin, r.end,
                                r.cache_offset, r.version);
@@ -303,7 +302,6 @@ void DataMappingTable::Insert(FileIndex file, byte_count offset,
   SetEntryDirty(slot, dirty);
   IndexLru(slot);
   PersistEntry(slab_[slot]);
-  ++coverage_epoch_;
   MaybeAudit();
 }
 
@@ -328,7 +326,6 @@ std::vector<RemovedExtent> DataMappingTable::Invalidate(FileIndex file,
     ForgetEntry(it.slot());
     it = extents.erase(it);
   }
-  if (!removed.empty()) ++coverage_epoch_;
   MaybeAudit();
   return removed;
 }
@@ -392,7 +389,6 @@ std::optional<RemovedExtent> DataMappingTable::EvictLruCleanIf(
 
     mapped_bytes_ -= ext.length();
     --entry_count_;
-    ++coverage_epoch_;
     lru_.erase(lru_it);
     ErasePersisted(ext.file, ext.orig_begin);
     files_[ext.file].extents.erase(ext.orig_begin);

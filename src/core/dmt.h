@@ -194,12 +194,6 @@ class DataMappingTable {
   byte_count mapped_bytes() const { return mapped_bytes_; }
   byte_count dirty_bytes() const { return dirty_bytes_; }
 
-  // Moves whenever mapped coverage changes: on every Insert and every
-  // removal (invalidation, eviction, recovery load). Dirty flips, touches
-  // and splits leave it alone. The Rebuilder parks space-starved fetch
-  // passes on it.
-  std::uint64_t coverage_epoch() const { return coverage_epoch_; }
-
   // --- dirty-age accounting ----------------------------------------------
   // `clock` supplies the current simulated time; with it installed, every
   // clean→dirty transition stamps the extent (already-dirty extents keep
@@ -343,7 +337,6 @@ class DataMappingTable {
   std::size_t entry_count_ = 0;
   byte_count mapped_bytes_ = 0;
   byte_count dirty_bytes_ = 0;
-  std::uint64_t coverage_epoch_ = 0;
 };
 
 }  // namespace s4d::core

@@ -252,37 +252,15 @@ void Rebuilder::FailFetch(const CdtKey& key) {
 }
 
 void Rebuilder::FetchCritical() {
-  const CacheSpaceAllocator& space = redirector_.space();
-  if (parked_ && parked_->free_epoch == space.free_epoch() &&
-      parked_->coverage_epoch == dmt_.coverage_epoch() &&
-      parked_->cdt_epoch == cdt_.mutation_epoch()) {
-    return;
-  }
-  parked_.reset();
-
-  // Parking is exact only when every failure is a no-free-bytes failure:
-  // the tenant gate has no side effects and can only veto, so such a
-  // failure happens whatever the gate says. A failure with enough free
-  // bytes (fragmentation, or a gate veto whose quota moves with the sizer
-  // clock) retries every tick.
-  bool parkable = true;
-  bool failed_any = false;
+  // Each C_flag mark is one fetch attempt: a taken range that is not
+  // fetched now is dropped, and its next critical read miss marks it again.
   for (const PendingFetch& pending :
-       cdt_.PendingFetches(config_.fetch_batch_ranges)) {
+       cdt_.TakePendingFetches(config_.fetch_batch_ranges)) {
     const CdtKey& key = pending.key;
     // Skip ranges that got (partially) cached since the mark: a foreground
-    // admission may have raced the lazy fetch.
-    const DmtLookup lookup = dmt_.Lookup(key.file, key.offset, key.length);
-    if (!lookup.gaps.empty() && !lookup.mapped.empty()) {
-      // Partially cached: fetching the gaps piecemeal would fragment the
-      // allocation; just clear the flag and let future misses re-mark.
-      cdt_.ClearCacheFlag(key);
-      parkable = false;
-      continue;
-    }
-    if (lookup.fully_mapped()) {
-      cdt_.ClearCacheFlag(key);
-      parkable = false;
+    // admission may have raced the lazy fetch. Fetching the gaps of a
+    // partly cached range piecemeal would fragment the allocation.
+    if (!dmt_.Lookup(key.file, key.offset, key.length).fully_unmapped()) {
       continue;
     }
 
@@ -294,16 +272,11 @@ void Rebuilder::FetchCritical() {
         redirector_.AllocateFreeOnly(key.length, pending.owner);
     if (!cache_offset) {
       ++stats_.fetch_space_failures;
-      failed_any = true;
-      if (key.length <= space.free_bytes()) parkable = false;
-      // Leave the flag set — space may free up by the next tick.
       continue;
     }
 
-    parkable = false;
     ++stats_.fetches_started;
     stats_.fetched_bytes += key.length;
-    cdt_.ClearCacheFlag(key);
 
     const SimTime fetch_start = engine_.now();
     const obs::SpanId fetch_span =
@@ -357,10 +330,6 @@ void Rebuilder::FetchCritical() {
           FailFetch(key);
         },
         fetch_span);
-  }
-  if (parkable && failed_any) {
-    parked_ = ParkedFetchPass{space.free_epoch(), dmt_.coverage_epoch(),
-                              cdt_.mutation_epoch()};
   }
 }
 

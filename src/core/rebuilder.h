@@ -8,10 +8,14 @@
 //      write to the original file; the D_flag is cleared only if the extent
 //      was not re-dirtied while the flush was in flight (version check).
 //   2. Fetch — bring CDT entries whose C_flag is set ("lazy" critical read
-//      data, Algorithm 1 line 18) into CServers: allocate cache space, copy
-//      DServers -> CServers, insert a clean DMT mapping, clear C_flag. The
-//      space is charged to, and the mapping records, the owner the C_flag
-//      mark recorded (the tenant whose read marked it).
+//      data, Algorithm 1 line 18) into CServers: take the marks (clearing
+//      their C_flags), allocate cache space, copy DServers -> CServers and
+//      insert a clean DMT mapping. The space is charged to, and the
+//      mapping records, the owner the C_flag mark recorded (the tenant
+//      whose read marked it). Each mark is one attempt: a range already
+//      (partly) mapped, or one that finds no free space, is dropped until
+//      its next critical read miss marks it again, so the table empties
+//      and a drain waiting for BackgroundQuiescent() ends.
 //
 // The DMT mapping for a fetch is inserted at fetch-issue time so that
 // foreground writes arriving mid-fetch route to the cache copy and dirty
@@ -22,13 +26,11 @@
 // Each tick costs the work it does, not the size of the tables: the flush
 // pass walks the DMT's dirty-extent index, which reaches each entry without
 // a search and reads its flush mark (DataMappingTable::BeginFlush) to skip
-// runs already in flight, and a fetch pass that failed every candidate for
-// want of free bytes *parks* (see FetchCritical).
+// runs already in flight, and the fetch pass takes each C_flag mark once.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 
 #include "core/cdt.h"
 #include "core/dmt.h"
@@ -72,8 +74,9 @@ struct RebuilderStats {
   std::int64_t fetches_started = 0;
   std::int64_t fetches_completed = 0;
   byte_count fetched_bytes = 0;
-  // Fetch attempts that found no cache space. A parked pass makes no
-  // attempts, so it adds nothing here.
+  // Marks dropped because AllocateFreeOnly found no free extent or the
+  // partition gate vetoed it: one per mark. The range is tried again only
+  // once a later critical read miss marks it again.
   std::int64_t fetch_space_failures = 0;
   // Fault handling.
   std::int64_t flush_failures = 0;   // runs aborted by a failed sub-I/O
@@ -156,17 +159,6 @@ class Rebuilder {
   // No reorganization I/O is issued before this time (failure backoff).
   SimTime retry_at_ = 0;
   RebuilderStats stats_;
-
-  // A fetch pass that started nothing, cleared no flag, and failed every
-  // candidate with key.length > free_bytes() is a pure function of the
-  // free list, the DMT's mapped coverage and the CDT. Until one of their
-  // epochs moves, a rerun fails the same way, so FetchCritical skips it.
-  struct ParkedFetchPass {
-    std::uint64_t free_epoch = 0;
-    std::uint64_t coverage_epoch = 0;
-    std::uint64_t cdt_epoch = 0;
-  };
-  std::optional<ParkedFetchPass> parked_;
 
   // Observability (null = not observed).
   obs::Observability* obs_ = nullptr;

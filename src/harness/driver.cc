@@ -69,17 +69,8 @@ bool DrainUntil(sim::Engine& engine, const std::function<bool()>& quiescent,
   S4D_CHECK(slice > 0) << "drain slice " << slice;
   const SimTime deadline = engine.now() + max_duration;
   while (!quiescent()) {
-    const SimTime now = engine.now();
-    if (now >= deadline) return false;
-    // The slices before the one that holds the next event fire nothing and
-    // leave quiescent() as it was: run to the end of that slice.
-    SimTime end = deadline;
-    if (const SimTime next = engine.NextEventTime(); next < deadline) {
-      const SimTime slices =
-          std::max<SimTime>(1, (next - now + slice - 1) / slice);
-      end = std::min(deadline, now + slices * slice);
-    }
-    engine.RunUntil(end);
+    if (engine.now() >= deadline) return false;
+    engine.RunUntil(std::min(deadline, engine.now() + slice));
   }
   return true;
 }

@@ -71,12 +71,10 @@ void IssueRequest(mpiio::MpiIoLayer& layer, mpiio::MpiFile& file,
 // Steps the engine until `quiescent()` holds (checked between time slices
 // of `slice`, counted from the call's start) or `max_duration` of simulated
 // time elapses. Returns whether quiescence was reached. Used to let the
-// Rebuilder finish flush/fetch work between measurement phases.
-//
-// `quiescent()` may read only state that events change (not now()): the
-// drain runs through slices in which no event is due without polling it,
-// straight to the end of the slice that holds the next event, which leaves
-// the return value, now() and the events fired as a poll per slice would.
+// Rebuilder finish flush/fetch work between measurement phases; since each
+// lazy-fetch mark is tried once, such a drain ends once the last flush and
+// fetch resolve, and a deadline hit means background work is stuck (e.g.
+// dirty data on a cache tier that stays down).
 bool DrainUntil(sim::Engine& engine, const std::function<bool()>& quiescent,
                 SimTime max_duration, SimTime slice = FromMillis(50));
 

@@ -24,7 +24,6 @@ class MapDmtOracle {
   std::size_t entry_count() const { return entry_count_; }
   byte_count mapped_bytes() const { return mapped_bytes_; }
   byte_count dirty_bytes() const { return dirty_bytes_; }
-  std::uint64_t coverage_epoch() const { return coverage_epoch_; }
 
   DmtLookup Lookup(FileIndex file, byte_count offset, byte_count size) const {
     DmtLookup result;
@@ -66,7 +65,6 @@ class MapDmtOracle {
     SetEntryDirty(file, it, dirty);
     IndexLru(file, it);
     mapped_bytes_ += size;
-    ++coverage_epoch_;
   }
 
   std::vector<RemovedExtent> Invalidate(FileIndex file, byte_count offset,
@@ -84,7 +82,6 @@ class MapDmtOracle {
                                       it->second.dirty});
       EraseEntry(file, it++);
     }
-    if (!removed.empty()) ++coverage_epoch_;
     return removed;
   }
 
@@ -131,7 +128,6 @@ class MapDmtOracle {
       if (pred && !pred(ext)) continue;
       mapped_bytes_ -= ext.length();
       --entry_count_;
-      ++coverage_epoch_;
       lru_index_.erase(lru_it);
       files_[file].extents.erase(it);
       return ext;
@@ -376,7 +372,6 @@ class MapDmtOracle {
   std::size_t entry_count_ = 0;
   byte_count mapped_bytes_ = 0;
   byte_count dirty_bytes_ = 0;
-  std::uint64_t coverage_epoch_ = 0;
 };
 
 }  // namespace s4d::core

@@ -33,28 +33,6 @@ TEST(CacheSpace, FailsWhenNoFit) {
   EXPECT_EQ(alloc.Allocate(1), std::nullopt);
 }
 
-TEST(CacheSpace, FreeEpochMovesOnlyWithTheFreeList) {
-  CacheSpaceAllocator alloc(100);
-  std::uint64_t epoch = alloc.free_epoch();
-  auto moved = [&] {
-    const bool m = alloc.free_epoch() != epoch;
-    epoch = alloc.free_epoch();
-    return m;
-  };
-  ASSERT_EQ(alloc.Allocate(60), 0);
-  EXPECT_TRUE(moved());
-  EXPECT_EQ(alloc.Allocate(60), std::nullopt);  // size > free bytes
-  EXPECT_FALSE(moved());
-  alloc.Free(10, 20);
-  EXPECT_TRUE(moved());
-  EXPECT_EQ(alloc.Allocate(50), std::nullopt);  // fits free bytes, no extent
-  EXPECT_FALSE(moved());
-  EXPECT_FALSE(alloc.Reserve(0, 10));
-  EXPECT_FALSE(moved());
-  EXPECT_TRUE(alloc.Reserve(10, 5));
-  EXPECT_TRUE(moved());
-}
-
 TEST(CacheSpace, FreeCoalescesBothSides) {
   CacheSpaceAllocator alloc(300);
   ASSERT_EQ(alloc.Allocate(100), 0);

@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "common/rng.h"
 #include "harness/driver.h"
 #include "harness/testbed.h"
 #include "mpiio/mpi_io.h"
@@ -97,51 +96,6 @@ TEST(ServerFit, WarmupGateCountsUndecayedSamples) {
   EXPECT_FALSE(fit.Ready(32));
   fit.Add(0.5, 4096.0, 0.0, 1e6);
   EXPECT_TRUE(fit.Ready(32));
-}
-
-// A cell answers repeated estimates from the parameters it last solved, and
-// an Add or another static beta solves again. Over seeded interleavings of
-// Adds (fixed-size, sized and loaded samples, so every branch of the solve
-// runs) and estimates under two static betas, every answer must equal, bit
-// for bit, the solve of a fresh cell fed the same samples.
-TEST(ServerFit, RepeatedSolvesMatchFreshSolves) {
-  struct Sample {
-    double forget, size, depth, latency;
-  };
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    Rng rng(seed);
-    ServerFit fit;
-    std::vector<Sample> samples;
-    for (int step = 0; step < 600; ++step) {
-      if (rng.NextBelow(3) == 0) {
-        // Sizes vary only after the first 100 steps, depths only after 200.
-        const double size =
-            step < 100 ? 16384.0
-                       : 4096.0 * static_cast<double>(1 + rng.NextBelow(16));
-        const double depth =
-            step < 200 ? 0.0 : static_cast<double>(rng.NextBelow(8));
-        const Sample sample{rng.NextBool(0.5) ? 0.99 : 1.0, size, depth,
-                            1e5 + 20.0 * size + 3e4 * depth +
-                                1e4 * rng.NextDouble()};
-        fit.Add(sample.forget, sample.size, sample.depth, sample.latency);
-        samples.push_back(sample);
-        continue;
-      }
-      const double beta = rng.NextBool(0.5) ? 13.0 : 48.5;
-      ServerFit fresh;
-      for (const Sample& sample : samples) {
-        fresh.Add(sample.forget, sample.size, sample.depth, sample.latency);
-      }
-      const ServerFit::Params want = fresh.Solve(beta);
-      const ServerFit::Params got = fit.Solve(beta);
-      ASSERT_EQ(got.startup_ns, want.startup_ns) << "seed " << seed
-                                                 << " step " << step;
-      ASSERT_EQ(got.ns_per_byte, want.ns_per_byte) << "seed " << seed
-                                                   << " step " << step;
-      ASSERT_EQ(got.queue_ns, want.queue_ns) << "seed " << seed << " step "
-                                             << step;
-    }
-  }
 }
 
 // --- Engine-level: report rows and determinism ----------------------------

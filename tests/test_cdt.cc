@@ -3,9 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <set>
 #include <tuple>
 #include <vector>
@@ -21,8 +21,7 @@ struct CdtTestPeer {
   static bool QueueHoldsLiveFlag(const CriticalDataTable& cdt) {
     for (const auto& copy : cdt.flagged_) {
       auto it = cdt.entries_.find(copy.key);
-      if (it != cdt.entries_.end() && it->second.queued_seq == copy.seq &&
-          it->second.c_flag) {
+      if (it != cdt.entries_.end() && it->second.queued_seq == copy.seq) {
         return true;
       }
     }
@@ -70,12 +69,17 @@ TEST(Cdt, CacheFlagLifecycle) {
   EXPECT_TRUE(cdt.SetCacheFlag(kA));
   EXPECT_TRUE(cdt.CacheFlag(kA));
   EXPECT_TRUE(cdt.AnyPendingFetch());
-  cdt.ClearCacheFlag(kA);
-  EXPECT_FALSE(cdt.CacheFlag(kA));
+  const auto taken = cdt.TakePendingFetches(10);
+  ASSERT_EQ(taken.size(), 1u);
+  EXPECT_EQ(taken[0].key, kA);
+  EXPECT_FALSE(cdt.CacheFlag(kA)) << "taking the mark clears C_flag";
   EXPECT_FALSE(cdt.AnyPendingFetch());
+  EXPECT_TRUE(cdt.Contains(kA)) << "the entry stays";
+  EXPECT_TRUE(cdt.SetCacheFlag(kA)) << "a later miss marks it again";
+  EXPECT_TRUE(cdt.CacheFlag(kA));
 }
 
-TEST(Cdt, PendingFetchesOldestFirstAndLimited) {
+TEST(Cdt, TakePendingFetchesOldestFirstAndLimited) {
   CriticalDataTable cdt;
   cdt.Add(kA);
   cdt.Add(kB);
@@ -83,12 +87,16 @@ TEST(Cdt, PendingFetchesOldestFirstAndLimited) {
   cdt.SetCacheFlag(kB);
   cdt.SetCacheFlag(kA);
   cdt.SetCacheFlag(kC);
-  auto two = cdt.PendingFetches(2);
+  auto two = cdt.TakePendingFetches(2);
   ASSERT_EQ(two.size(), 2u);
   EXPECT_EQ(two[0].key, kB);
   EXPECT_EQ(two[1].key, kA);
-  // Flags are not consumed by listing.
-  EXPECT_EQ(cdt.PendingFetches(10).size(), 3u);
+  // Taken marks are consumed: only C is left.
+  const auto rest = cdt.TakePendingFetches(10);
+  ASSERT_EQ(rest.size(), 1u);
+  EXPECT_EQ(rest[0].key, kC);
+  EXPECT_TRUE(cdt.TakePendingFetches(10).empty());
+  EXPECT_FALSE(cdt.AnyPendingFetch());
 }
 
 TEST(Cdt, ReflaggingDoesNotDuplicate) {
@@ -96,29 +104,35 @@ TEST(Cdt, ReflaggingDoesNotDuplicate) {
   cdt.Add(kA);
   cdt.SetCacheFlag(kA);
   cdt.SetCacheFlag(kA);
-  EXPECT_EQ(cdt.PendingFetches(10).size(), 1u);
+  EXPECT_EQ(cdt.TakePendingFetches(10).size(), 1u);
 }
 
-TEST(Cdt, ClearedEntriesPrunedFromPending) {
+TEST(Cdt, RemarkedKeyQueuesBehindLaterMarks) {
   CriticalDataTable cdt;
   cdt.Add(kA);
   cdt.Add(kB);
   cdt.SetCacheFlag(kA);
   cdt.SetCacheFlag(kB);
-  cdt.ClearCacheFlag(kA);
-  auto pending = cdt.PendingFetches(10);
-  ASSERT_EQ(pending.size(), 1u);
+  const auto first = cdt.TakePendingFetches(1);
+  ASSERT_EQ(first.size(), 1u);
+  EXPECT_EQ(first[0].key, kA);
+  cdt.SetCacheFlag(kA, /*owner=*/2);  // marked again by a later miss
+  cdt.AuditInvariants();
+  const auto pending = cdt.TakePendingFetches(10);
+  ASSERT_EQ(pending.size(), 2u);
   EXPECT_EQ(pending[0].key, kB);
+  EXPECT_EQ(pending[1].key, kA);
+  EXPECT_EQ(pending[1].owner, 2);
 }
 
-TEST(Cdt, PendingFetchesCarryFlagOwner) {
+TEST(Cdt, TakePendingFetchesCarryFlagOwner) {
   CriticalDataTable cdt;
   cdt.Add(kA);
   cdt.Add(kB);
   cdt.SetCacheFlag(kA, 3);
   cdt.SetCacheFlag(kB);
   cdt.SetCacheFlag(kA, 5);  // re-flagging retags, keeps the queue position
-  const auto pending = cdt.PendingFetches(10);
+  const auto pending = cdt.TakePendingFetches(10);
   ASSERT_EQ(pending.size(), 2u);
   EXPECT_EQ(pending[0].key, kA);
   EXPECT_EQ(pending[0].owner, 5);
@@ -126,55 +140,28 @@ TEST(Cdt, PendingFetchesCarryFlagOwner) {
   EXPECT_EQ(pending[1].owner, -1);
 }
 
-TEST(Cdt, PendingFetchesPrunesStaleKeysInOneCall) {
-  // 10,000 marks of which 9,990 are cleared: one call walks the queue once,
-  // drops every stale key and returns the survivors in mark order.
-  CriticalDataTable cdt;
+TEST(Cdt, TakePendingFetchesDropsStaleCopiesInOneCall) {
+  // 10,000 marks in a table of 10 entries: 9,990 entries are evicted and
+  // leave their queue copies behind. One call walks the queue once, drops
+  // every stale copy and returns the survivors in mark order.
   constexpr int kKeys = 10000;
+  constexpr std::size_t kBound = 10;
+  CriticalDataTable cdt(kBound);
   std::vector<CdtKey> live;
   for (int i = 0; i < kKeys; ++i) {
     const CdtKey key{kFile, static_cast<byte_count>(i) * 4096, 4096};
     cdt.Add(key);
     cdt.SetCacheFlag(key);
-    if (i % 1000 == 999) {
-      live.push_back(key);
-    } else {
-      cdt.ClearCacheFlag(key);
-    }
+    if (i >= kKeys - static_cast<int>(kBound)) live.push_back(key);
   }
-  ASSERT_EQ(live.size(), 10u);
-  const auto pending = cdt.PendingFetches(256);
+  const auto pending = cdt.TakePendingFetches(256);
   ASSERT_EQ(pending.size(), live.size());
   for (std::size_t i = 0; i < live.size(); ++i) {
     EXPECT_EQ(pending[i].key, live[i]) << "position " << i;
   }
   cdt.AuditInvariants();
-  // The stale keys are gone and the live ones stay queued, in order.
-  const auto again = cdt.PendingFetches(3);
-  ASSERT_EQ(again.size(), 3u);
-  EXPECT_EQ(again[2].key, live[2]);
-}
-
-TEST(Cdt, MutationEpochMovesOnlyOnChanges) {
-  CriticalDataTable cdt;
-  std::uint64_t epoch = cdt.mutation_epoch();
-  auto moved = [&] {
-    const bool m = cdt.mutation_epoch() != epoch;
-    epoch = cdt.mutation_epoch();
-    return m;
-  };
-  EXPECT_TRUE(cdt.Add(kA));
-  EXPECT_TRUE(moved());
-  EXPECT_FALSE(cdt.Add(kA));
-  EXPECT_FALSE(moved()) << "duplicate add changes nothing";
-  EXPECT_TRUE(cdt.SetCacheFlag(kA));
-  EXPECT_TRUE(moved());
-  EXPECT_FALSE(cdt.SetCacheFlag(kB));
-  EXPECT_FALSE(moved()) << "unknown key";
-  (void)cdt.PendingFetches(10);
-  EXPECT_FALSE(moved()) << "listing consumes nothing";
-  cdt.ClearCacheFlag(kA);
-  EXPECT_TRUE(moved());
+  EXPECT_FALSE(cdt.AnyPendingFetch());
+  EXPECT_TRUE(cdt.TakePendingFetches(256).empty());
 }
 
 TEST(Cdt, FifoEvictionWhenFull) {
@@ -196,7 +183,7 @@ TEST(Cdt, EvictedFlaggedEntryDisappearsFromPending) {
   cdt.Add(kB);
   cdt.Add(kC);  // evicts kA
   EXPECT_FALSE(cdt.Contains(kA));
-  EXPECT_TRUE(cdt.PendingFetches(10).empty());
+  EXPECT_TRUE(cdt.TakePendingFetches(10).empty());
   EXPECT_FALSE(cdt.AnyPendingFetch());
 }
 
@@ -216,13 +203,11 @@ TEST(Cdt, LiveFlagCountMatchesQueueWalk) {
   EXPECT_TRUE(cdt.AnyPendingFetch());
   EXPECT_TRUE(cdt.SetCacheFlag(kA, /*owner=*/1));
   expect_agree("re-flag A");
-  cdt.ClearCacheFlag(kA);
-  expect_agree("clear A");
+  EXPECT_EQ(cdt.TakePendingFetches(8).size(), 1u);
+  expect_agree("take A");
   EXPECT_FALSE(cdt.AnyPendingFetch());
-  cdt.ClearCacheFlag(kA);
-  expect_agree("clear A again");
-  cdt.ClearCacheFlag(kC);
-  expect_agree("clear an unknown key");
+  EXPECT_TRUE(cdt.TakePendingFetches(8).empty());
+  expect_agree("take from an empty queue");
   EXPECT_TRUE(cdt.SetCacheFlag(kA));
   EXPECT_TRUE(cdt.SetCacheFlag(kB));
   expect_agree("flag A and B");
@@ -237,32 +222,14 @@ TEST(Cdt, LiveFlagCountMatchesQueueWalk) {
   EXPECT_FALSE(cdt.AnyPendingFetch());
   EXPECT_TRUE(cdt.SetCacheFlag(kC));
   expect_agree("flag C");
-  // Pruning drops the stale keys in front of C and keeps C queued.
-  const auto pending = cdt.PendingFetches(8);
+  // Taking drops the stale keys in front of C and takes C.
+  const auto pending = cdt.TakePendingFetches(8);
   ASSERT_EQ(pending.size(), 1u);
   EXPECT_EQ(pending[0].key, kC);
-  expect_agree("prune");
-  EXPECT_TRUE(cdt.AnyPendingFetch());
-  cdt.ClearCacheFlag(kC);
-  expect_agree("clear C");
-  EXPECT_TRUE(cdt.PendingFetches(8).empty());
-  expect_agree("prune to empty");
-}
-
-TEST(Cdt, SetClearSetQueuesTheKeyOnce) {
-  CriticalDataTable cdt;
-  cdt.Add(kA);
-  cdt.Add(kB);
-  cdt.SetCacheFlag(kA);
-  cdt.SetCacheFlag(kB);
-  cdt.ClearCacheFlag(kA);
-  cdt.SetCacheFlag(kA, /*owner=*/2);  // the stale copy keeps its place
-  cdt.AuditInvariants();
-  const auto pending = cdt.PendingFetches(10);
-  ASSERT_EQ(pending.size(), 2u);
-  EXPECT_EQ(pending[0].key, kA);
-  EXPECT_EQ(pending[0].owner, 2);
-  EXPECT_EQ(pending[1].key, kB);
+  expect_agree("take C");
+  EXPECT_FALSE(cdt.AnyPendingFetch());
+  EXPECT_TRUE(cdt.TakePendingFetches(8).empty());
+  expect_agree("take from an empty queue again");
 }
 
 TEST(Cdt, ReaddedKeyIsListedOnce) {
@@ -275,26 +242,34 @@ TEST(Cdt, ReaddedKeyIsListedOnce) {
   cdt.Add(kA);  // evicts kB; kA is a new entry
   cdt.SetCacheFlag(kA);
   cdt.AuditInvariants();
-  const auto pending = cdt.PendingFetches(10);
+  const auto pending = cdt.TakePendingFetches(10);
   ASSERT_EQ(pending.size(), 1u);
   EXPECT_EQ(pending[0].key, kA);
   cdt.AuditInvariants();
+  EXPECT_TRUE(cdt.TakePendingFetches(10).empty());
 }
 
-// Drives Add, SetCacheFlag, ClearCacheFlag and PendingFetches against a
-// model of the entries (FIFO-bounded) and their flags. Every listing must
-// name distinct flagged keys with the owner that flagged them, as many as
-// the limit allows; a third of the steps reuse the last key, so a key is
-// often flagged, cleared and flagged again between listings.
+// Drives Add, SetCacheFlag and TakePendingFetches against a model of the
+// entries (FIFO-bounded) and their marks in mark order. Every take must
+// name the model's oldest marks with the owner that last marked them, as
+// many as the limit allows, and consume them: a taken key is not listed
+// again until it is marked again, and an evicted-then-re-added key is
+// listed once. A third of the steps reuse the last key, so a key is often
+// marked, taken and marked again between takes.
 TEST(Cdt, FuzzedListingsNameEachFlaggedKeyOnce) {
   constexpr std::size_t kMaxEntries = 6;
+  using Tuple = std::tuple<FileIndex, byte_count, byte_count>;
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     CriticalDataTable cdt(kMaxEntries);
     std::deque<CdtKey> fifo;
-    std::map<std::tuple<FileIndex, byte_count, byte_count>, int> flags;
-    std::set<std::tuple<FileIndex, byte_count, byte_count>> live;
+    std::vector<std::pair<Tuple, int>> marks;  // mark order, with owners
+    std::set<Tuple> live;
     auto tuple_of = [](const CdtKey& k) {
       return std::make_tuple(k.file, k.offset, k.length);
+    };
+    auto mark_of = [&marks](const Tuple& k) {
+      return std::find_if(marks.begin(), marks.end(),
+                          [&k](const auto& m) { return m.first == k; });
     };
     Rng rng(seed);
     CdtKey last{kFile, 0, 4096};
@@ -305,8 +280,8 @@ TEST(Cdt, FuzzedListingsNameEachFlaggedKeyOnce) {
                      static_cast<byte_count>(rng.NextBelow(10)) * 4096, 4096};
       }
       last = key;
-      const auto k = tuple_of(key);
-      switch (rng.NextBelow(4)) {
+      const Tuple k = tuple_of(key);
+      switch (rng.NextBelow(3)) {
         case 0: {
           const bool added = live.count(k) == 0;
           ASSERT_EQ(cdt.Add(key), added) << "step " << step;
@@ -314,8 +289,9 @@ TEST(Cdt, FuzzedListingsNameEachFlaggedKeyOnce) {
             live.insert(k);
             fifo.push_back(key);
             while (fifo.size() > kMaxEntries) {
-              live.erase(tuple_of(fifo.front()));
-              flags.erase(tuple_of(fifo.front()));
+              const Tuple victim = tuple_of(fifo.front());
+              live.erase(victim);
+              if (auto m = mark_of(victim); m != marks.end()) marks.erase(m);
               fifo.pop_front();
             }
           }
@@ -325,32 +301,32 @@ TEST(Cdt, FuzzedListingsNameEachFlaggedKeyOnce) {
           const int owner = static_cast<int>(rng.NextBelow(3)) - 1;
           ASSERT_EQ(cdt.SetCacheFlag(key, owner), live.count(k) > 0)
               << "step " << step;
-          if (live.count(k) > 0) flags[k] = owner;
+          if (live.count(k) == 0) break;
+          if (auto m = mark_of(k); m != marks.end()) {
+            m->second = owner;  // a re-mark keeps its place
+          } else {
+            marks.emplace_back(k, owner);
+          }
           break;
         }
-        case 2:
-          cdt.ClearCacheFlag(key);
-          flags.erase(k);
-          break;
         default: {
           const auto limit = static_cast<std::size_t>(rng.NextBelow(17));
-          const auto pending = cdt.PendingFetches(limit);
-          std::set<std::tuple<FileIndex, byte_count, byte_count>> listed;
-          for (const PendingFetch& p : pending) {
-            const auto pk = tuple_of(p.key);
-            ASSERT_TRUE(listed.insert(pk).second)
-                << "step " << step << ": key " << p.key.file << ":"
-                << p.key.offset << " listed twice";
-            ASSERT_EQ(flags.count(pk), 1u)
-                << "step " << step << ": listed key not flagged";
-            EXPECT_EQ(p.owner, flags[pk]) << "step " << step;
+          const auto taken = cdt.TakePendingFetches(limit);
+          const std::size_t want = std::min(limit, marks.size());
+          ASSERT_EQ(taken.size(), want) << "step " << step;
+          for (std::size_t i = 0; i < want; ++i) {
+            ASSERT_TRUE(tuple_of(taken[i].key) == marks[i].first)
+                << "step " << step << " position " << i;
+            EXPECT_EQ(taken[i].owner, marks[i].second) << "step " << step;
+            EXPECT_FALSE(cdt.CacheFlag(taken[i].key)) << "step " << step;
           }
-          ASSERT_EQ(pending.size(), std::min(limit, flags.size()))
-              << "step " << step;
+          marks.erase(marks.begin(),
+                      marks.begin() + static_cast<std::ptrdiff_t>(want));
           break;
         }
       }
-      ASSERT_EQ(cdt.AnyPendingFetch(), !flags.empty()) << "step " << step;
+      ASSERT_EQ(cdt.AnyPendingFetch(), !marks.empty()) << "step " << step;
+      ASSERT_EQ(cdt.pending_fetches(), marks.size()) << "step " << step;
       ASSERT_EQ(cdt.size(), live.size()) << "step " << step;
       cdt.AuditInvariants();
     }

@@ -290,32 +290,6 @@ TEST(Dmt, MarkCleanFailsAfterSplit) {
   EXPECT_FALSE(dmt.MarkCleanIfVersion(kF, 0, 100, snapshot[0].version));
 }
 
-TEST(Dmt, CoverageEpochMovesOnlyWhenMappedCoverageChanges) {
-  DataMappingTable dmt;
-  std::uint64_t epoch = dmt.coverage_epoch();
-  auto moved = [&] {
-    const bool m = dmt.coverage_epoch() != epoch;
-    epoch = dmt.coverage_epoch();
-    return m;
-  };
-  dmt.Insert(kF, 0, 100, 0, false);
-  dmt.Insert(kF, 200, 100, 100, true);
-  EXPECT_TRUE(moved());
-  dmt.SetDirty(kF, 20, 10, true);  // splits and dirties
-  dmt.SetDirty(kF, 0, 100, false);
-  dmt.Touch(kF, 0, 300);
-  EXPECT_FALSE(moved());
-  (void)dmt.Invalidate(kF, 100, 100);  // nothing mapped there
-  EXPECT_FALSE(moved());
-  (void)dmt.Invalidate(kF, 290, 20);
-  EXPECT_TRUE(moved());
-  ASSERT_TRUE(dmt.EvictLruClean().has_value());
-  EXPECT_TRUE(moved());
-  while (dmt.EvictLruClean().has_value()) EXPECT_TRUE(moved());
-  EXPECT_FALSE(moved()) << "the failed eviction (only dirty data left)";
-  EXPECT_EQ(dmt.mapped_bytes(), dmt.dirty_bytes());
-}
-
 TEST(Dmt, AllExtentsEnumeratesEverything) {
   DataMappingTable dmt;
   dmt.Insert(kA, 0, 100, 0, true);
@@ -1042,7 +1016,6 @@ TEST(DmtOracle, FlatTableMatchesMapOracleUnderFuzz) {
       ASSERT_EQ(dmt.entry_count(), oracle.entry_count()) << where;
       ASSERT_EQ(dmt.mapped_bytes(), oracle.mapped_bytes()) << where;
       ASSERT_EQ(dmt.dirty_bytes(), oracle.dirty_bytes()) << where;
-      ASSERT_EQ(dmt.coverage_epoch(), oracle.coverage_epoch()) << where;
       const auto all = dmt.AllExtents();
       const auto want_all = oracle.AllExtents();
       ASSERT_TRUE(SameExtents(all, want_all))

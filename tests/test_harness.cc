@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <functional>
 
 #include "common/config_parser.h"
@@ -168,23 +167,10 @@ TEST(Driver, DrainUntilTimesOut) {
   EXPECT_EQ(bed.engine().now(), start + FromMillis(200));
 }
 
-// DrainUntil as it was before it skipped slices in which no event is due:
-// one RunUntil per slice, the predicate polled between slices.
-bool DrainSliceBySlice(sim::Engine& engine,
-                       const std::function<bool()>& quiescent,
-                       SimTime max_duration, SimTime slice) {
-  const SimTime deadline = engine.now() + max_duration;
-  while (!quiescent()) {
-    if (engine.now() >= deadline) return false;
-    engine.RunUntil(std::min(deadline, engine.now() + slice));
-  }
-  return true;
-}
-
 // A drain scenario: a clock that starts off the slice grid, a periodic tick
 // that re-arms itself every `period` until `ticks` have fired, and a
 // predicate that holds once `quiet_after` ticks have fired (never when
-// negative). Built twice, once per drain.
+// negative).
 struct DrainScenario {
   SimTime start = FromMillis(7) + 3;
   SimTime period = FromMillis(1730);
@@ -198,11 +184,10 @@ struct DrainScenario {
 struct DrainOutcome {
   bool quiescent;
   SimTime now;
-  std::uint64_t events_fired;
   int ticks;
 };
 
-DrainOutcome RunDrain(const DrainScenario& scenario, bool slice_by_slice) {
+DrainOutcome RunDrain(const DrainScenario& scenario) {
   sim::Engine engine;
   engine.RunUntil(scenario.start);
   int fired = 0;
@@ -224,35 +209,24 @@ DrainOutcome RunDrain(const DrainScenario& scenario, bool slice_by_slice) {
   auto quiescent = [&] {
     return scenario.quiet_after >= 0 && fired >= scenario.quiet_after;
   };
-  const bool reached =
-      slice_by_slice
-          ? DrainSliceBySlice(engine, quiescent, scenario.max_duration,
-                              scenario.slice)
-          : DrainUntil(engine, quiescent, scenario.max_duration,
-                       scenario.slice);
-  return {reached, engine.now(), engine.events_fired(), fired};
+  const bool reached = DrainUntil(engine, quiescent, scenario.max_duration,
+                                  scenario.slice);
+  return {reached, engine.now(), fired};
 }
 
-void ExpectSameDrain(const DrainScenario& scenario, const char* label) {
-  const DrainOutcome skip = RunDrain(scenario, false);
-  const DrainOutcome slices = RunDrain(scenario, true);
-  EXPECT_EQ(skip.quiescent, slices.quiescent) << label;
-  EXPECT_EQ(skip.now, slices.now) << label;
-  EXPECT_EQ(skip.events_fired, slices.events_fired) << label;
-  EXPECT_EQ(skip.ticks, slices.ticks) << label;
-}
-
-TEST(Driver, DrainUntilMatchesSliceBySliceDrain) {
+// The predicate is polled once per slice, counted from the call's start:
+// a drain ends at the end of the slice in which the predicate came to
+// hold, or at the deadline, whichever is first.
+TEST(Driver, DrainUntilPollsOncePerSlice) {
   DrainScenario deadline_hit;  // the ticks stop, the predicate never holds
-  ExpectSameDrain(deadline_hit, "deadline hit");
-  EXPECT_FALSE(RunDrain(deadline_hit, false).quiescent);
-  EXPECT_EQ(RunDrain(deadline_hit, false).now,
-            deadline_hit.start + deadline_hit.max_duration);
+  const DrainOutcome hit = RunDrain(deadline_hit);
+  EXPECT_FALSE(hit.quiescent);
+  EXPECT_EQ(hit.now, deadline_hit.start + deadline_hit.max_duration);
+  EXPECT_EQ(hit.ticks, deadline_hit.ticks);
 
   DrainScenario mid_drain;
   mid_drain.quiet_after = 5;
-  ExpectSameDrain(mid_drain, "quiescent mid-drain");
-  const DrainOutcome mid = RunDrain(mid_drain, false);
+  const DrainOutcome mid = RunDrain(mid_drain);
   EXPECT_TRUE(mid.quiescent);
   EXPECT_EQ(mid.ticks, 5);
   // The slice that holds the fifth tick ends on the grid from the start.
@@ -261,24 +235,32 @@ TEST(Driver, DrainUntilMatchesSliceBySliceDrain) {
 
   DrainScenario ragged;  // the deadline is not a whole number of slices
   ragged.max_duration = FromMillis(12345) + 678;
-  ExpectSameDrain(ragged, "ragged deadline");
+  const DrainOutcome ragged_hit = RunDrain(ragged);
+  EXPECT_FALSE(ragged_hit.quiescent);
+  EXPECT_EQ(ragged_hit.now, ragged.start + ragged.max_duration);
   ragged.quiet_after = 7;  // ... and the last tick before it
   ragged.period = FromMillis(1763);
-  ExpectSameDrain(ragged, "ragged deadline, quiescent just before it");
+  const DrainOutcome ragged_quiet = RunDrain(ragged);
+  EXPECT_TRUE(ragged_quiet.quiescent);
+  EXPECT_EQ(ragged_quiet.ticks, 7);
+  EXPECT_EQ(ragged_quiet.now, ragged.start + ragged.max_duration)
+      << "the last slice is cut at the deadline";
 
   DrainScenario idle;
   idle.ticks = 0;
-  ExpectSameDrain(idle, "idle engine");
+  EXPECT_EQ(RunDrain(idle).now, idle.start + idle.max_duration);
   idle.quiet_after = 0;
-  ExpectSameDrain(idle, "idle engine, already quiescent");
-  EXPECT_EQ(RunDrain(idle, false).now, idle.start);
+  const DrainOutcome already = RunDrain(idle);
+  EXPECT_TRUE(already.quiescent);
+  EXPECT_EQ(already.now, idle.start);
 
   DrainScenario cancelled;
   cancelled.cancelled_head = true;
   cancelled.quiet_after = 2;
-  ExpectSameDrain(cancelled, "cancelled entry at the heap top");
-  cancelled.quiet_after = -1;
-  ExpectSameDrain(cancelled, "cancelled entry at the heap top, deadline");
+  const DrainOutcome after_cancel = RunDrain(cancelled);
+  EXPECT_TRUE(after_cancel.quiescent);
+  EXPECT_EQ(after_cancel.ticks, 2);
+  EXPECT_EQ((after_cancel.now - cancelled.start) % cancelled.slice, 0);
 }
 
 TEST(ContentChecker, DetectsMismatch) {

@@ -10,6 +10,7 @@
 #include "common/rng.h"
 #include "core/s4d_cache.h"
 #include "dmt_test_peer.h"
+#include "harness/driver.h"
 #include "harness/testbed.h"
 
 namespace s4d::core {
@@ -167,7 +168,7 @@ TEST(Rebuilder, DefaultFetchNeverEvictsEstablishedMappings) {
   s4d->Open("f");
   const FileIndex f = s4d->files().Intern("f");
   // Fill the cache, flush it clean, then mark a fetch: the default policy
-  // must leave the clean mapping alone and keep the fetch pending.
+  // must leave the clean mapping alone; the mark is consumed.
   DoIo(bed, *s4d, device::IoKind::kWrite, "f", 0, 100 * MiB, 16 * KiB);
   s4d->rebuilder().Tick();
   bed.engine().Run();
@@ -176,7 +177,8 @@ TEST(Rebuilder, DefaultFetchNeverEvictsEstablishedMappings) {
   ASSERT_TRUE(s4d->cdt().AnyPendingFetch());
   s4d->rebuilder().Tick();
   bed.engine().Run();
-  EXPECT_TRUE(s4d->cdt().AnyPendingFetch()) << "fetch must stay pending";
+  EXPECT_FALSE(s4d->cdt().AnyPendingFetch()) << "the mark is consumed";
+  EXPECT_EQ(s4d->rebuilder_stats().fetch_space_failures, 1);
   EXPECT_EQ(s4d->rebuilder_stats().fetches_completed, 0);
   EXPECT_TRUE(s4d->dmt().Lookup(f, 100 * MiB, 16 * KiB).fully_mapped())
       << "established mapping must survive";
@@ -188,6 +190,7 @@ TEST(Rebuilder, FetchSkippedWhenNoSpace) {
   cfg.cache_capacity = 16 * KiB;
   auto s4d = bed.MakeS4D(cfg);
   s4d->Open("f");
+  const FileIndex f = s4d->files().Intern("f");
   // Fill the cache with dirty (unevictable) data.
   DoIo(bed, *s4d, device::IoKind::kWrite, "f", 0, 100 * MiB, 16 * KiB);
   // Mark a critical read for fetching.
@@ -197,17 +200,20 @@ TEST(Rebuilder, FetchSkippedWhenNoSpace) {
   // The tick's flush is asynchronous and completes after the fetch
   // attempt, which finds no free space.
   s4d->rebuilder().Tick();
-  EXPECT_GT(s4d->rebuilder_stats().fetch_space_failures, 0);
-  EXPECT_TRUE(s4d->cdt().AnyPendingFetch()) << "flag kept for retry";
+  EXPECT_EQ(s4d->rebuilder_stats().fetch_space_failures, 1);
+  EXPECT_FALSE(s4d->cdt().AnyPendingFetch()) << "the mark is consumed";
   EXPECT_EQ(s4d->rebuilder_stats().fetches_started, 0);
+  EXPECT_TRUE(s4d->dmt().Lookup(f, 100 * MiB, 16 * KiB).fully_mapped())
+      << "the dirty mapping survives";
 }
 
-// --- parked fetch passes -----------------------------------------------------
+// --- one attempt per C_flag mark ---------------------------------------------
 //
-// A fetch pass that fails every candidate for want of free bytes parks until
-// the free list, the DMT's mapped coverage or the CDT changes. These tests
-// drive Tick() by hand and never run the engine between ticks, so no flush
-// or fetch completes behind their back.
+// A fetch pass takes the marks it handles: a mark whose range finds no free
+// space (or a vetoing partition gate) is dropped, and the range's next
+// critical read miss marks it again. Outside the drain, these tests drive
+// Tick() by hand and never run the engine between ticks, so no flush or
+// fetch completes behind their back.
 
 constexpr int kPendingFetches = 3;
 
@@ -241,75 +247,60 @@ void Ticks(S4DCache& s4d, int n) {
   for (int i = 0; i < n; ++i) s4d.rebuilder().Tick();
 }
 
-TEST(RebuilderParking, SpaceStarvedPassRunsOnceThenParks) {
-  harness::Testbed bed(SmallTestbed());
-  auto s4d = FullCleanCacheWithPendingFetches(bed);
-  Ticks(*s4d, 50);
-  EXPECT_EQ(s4d->rebuilder_stats().fetch_space_failures, kPendingFetches)
-      << "only the first pass attempts the fetches";
-  EXPECT_EQ(s4d->rebuilder_stats().fetches_started, 0);
-  EXPECT_TRUE(s4d->cdt().AnyPendingFetch());
-}
-
-TEST(RebuilderParking, FreedSpaceUnparks) {
-  harness::Testbed bed(SmallTestbed());
-  auto s4d = FullCleanCacheWithPendingFetches(bed);
-  Ticks(*s4d, 5);
-  // A large sequential write is not admitted; it goes to DServers and
-  // invalidates the clean extent it overlaps, freeing 16 KiB.
-  const auto invalidated = s4d->redirector_stats().invalidated_extents;
-  DoIo(bed, *s4d, device::IoKind::kWrite, "f", 2, 100 * MiB, 4 * MiB);
-  ASSERT_EQ(s4d->redirector_stats().invalidated_extents, invalidated + 1);
-  ASSERT_EQ(s4d->cache_space().free_bytes(), 16 * KiB);
-
-  s4d->rebuilder().Tick();
-  EXPECT_EQ(s4d->rebuilder_stats().fetches_started, 1)
-      << "the first pending fetch takes the freed extent";
-  EXPECT_EQ(s4d->rebuilder_stats().fetch_space_failures,
-            kPendingFetches + (kPendingFetches - 1));
-  // The pass that started a fetch did not park; the next one fails the
-  // remaining fetches once more and parks again.
-  Ticks(*s4d, 50);
-  EXPECT_EQ(s4d->rebuilder_stats().fetch_space_failures,
-            kPendingFetches + 2 * (kPendingFetches - 1));
-  bed.engine().Run();
-  EXPECT_EQ(s4d->rebuilder_stats().fetches_completed, 1);
-}
-
-TEST(RebuilderParking, NewCacheFlagUnparks) {
-  harness::Testbed bed(SmallTestbed());
-  auto s4d = FullCleanCacheWithPendingFetches(bed);
-  Ticks(*s4d, 5);
-  ASSERT_EQ(s4d->rebuilder_stats().fetch_space_failures, kPendingFetches);
-  DoIo(bed, *s4d, device::IoKind::kRead, "f", 1, 900 * MiB, 16 * KiB);
-  ASSERT_EQ(s4d->redirector_stats().lazy_fetch_marks, kPendingFetches + 1);
-  Ticks(*s4d, 50);
-  EXPECT_EQ(s4d->rebuilder_stats().fetch_space_failures,
-            kPendingFetches + (kPendingFetches + 1))
-      << "one more pass over every pending fetch, then parked again";
-}
-
-TEST(RebuilderParking, DmtInsertCoveringPendingKeyUnparks) {
+TEST(Rebuilder, UnfetchableMarksLetTheDrainEnd) {
   harness::Testbed bed(SmallTestbed());
   auto s4d = FullCleanCacheWithPendingFetches(bed);
   const FileIndex f = s4d->files().Intern("f");
-  Ticks(*s4d, 5);
-  ASSERT_EQ(s4d->rebuilder_stats().fetch_space_failures, kPendingFetches);
-  // Cover the first pending key with a mapping. Only mapped coverage moves
-  // (the synthetic mapping claims no allocator space).
-  s4d->dmt().Insert(f, 500 * MiB, 16 * KiB, 0, /*dirty=*/false);
-  s4d->rebuilder().Tick();
-  EXPECT_EQ(s4d->rebuilder_stats().fetch_space_failures,
-            kPendingFetches + (kPendingFetches - 1))
-      << "the covered key clears its flag, the others are retried";
-  // Clearing a flag keeps that pass from parking; the next one parks.
-  Ticks(*s4d, 50);
-  EXPECT_EQ(s4d->rebuilder_stats().fetch_space_failures,
-            kPendingFetches + 2 * (kPendingFetches - 1));
+  s4d->rebuilder().Start();
+  const SimTime start = bed.engine().now();
+  EXPECT_TRUE(harness::DrainUntil(
+      bed.engine(), [&] { return s4d->BackgroundQuiescent(); },
+      FromSeconds(3600)))
+      << "a mark that found no space must not hold the drain";
+  EXPECT_LE(bed.engine().now() - start, FromMillis(200));
+  EXPECT_EQ(s4d->rebuilder_stats().fetch_space_failures, kPendingFetches);
+  EXPECT_FALSE(s4d->cdt().AnyPendingFetch());
   EXPECT_EQ(s4d->rebuilder_stats().fetches_started, 0);
+  s4d->rebuilder().Stop();
+
+  // Carry the reading stream past the servers' readahead reach, so that
+  // a re-read of the first range is random (critical) again, then re-read
+  // it: the miss marks the range again.
+  DoIo(bed, *s4d, device::IoKind::kRead, "f", 1, 500 * MiB + 16 * KiB,
+       8 * MiB);
+  ASSERT_EQ(s4d->redirector_stats().lazy_fetch_marks, kPendingFetches);
+  DoIo(bed, *s4d, device::IoKind::kRead, "f", 1, 500 * MiB, 16 * KiB);
+  ASSERT_EQ(s4d->redirector_stats().lazy_fetch_marks, kPendingFetches + 1);
+  EXPECT_TRUE(s4d->cdt().AnyPendingFetch());
+  EXPECT_FALSE(s4d->BackgroundQuiescent());
+
+  s4d->rebuilder().Tick();
+  EXPECT_EQ(s4d->rebuilder_stats().fetch_space_failures, kPendingFetches + 1)
+      << "the re-marked range is tried once";
+  Ticks(*s4d, 50);
+  EXPECT_EQ(s4d->rebuilder_stats().fetch_space_failures, kPendingFetches + 1);
+  EXPECT_TRUE(s4d->BackgroundQuiescent());
+  EXPECT_EQ(s4d->dmt().mapped_bytes(), 64 * KiB);
+  EXPECT_TRUE(s4d->dmt().Lookup(f, 500 * MiB, 16 * KiB).fully_unmapped());
 }
 
-TEST(RebuilderParking, GateVetoWithFreeBytesDoesNotPark) {
+TEST(Rebuilder, MarksOfMappedRangesAreDropped) {
+  harness::Testbed bed(SmallTestbed());
+  auto s4d = FullCleanCacheWithPendingFetches(bed);
+  const FileIndex f = s4d->files().Intern("f");
+  // Map the first pending range whole and half of the second, as foreground
+  // admissions racing the lazy fetch would (the synthetic mappings claim no
+  // allocator space).
+  s4d->dmt().Insert(f, 500 * MiB, 16 * KiB, 0, /*dirty=*/false);
+  s4d->dmt().Insert(f, 532 * MiB, 8 * KiB, 0, /*dirty=*/false);
+  s4d->rebuilder().Tick();
+  EXPECT_EQ(s4d->rebuilder_stats().fetch_space_failures, 1)
+      << "only the unmapped range asks for space";
+  EXPECT_EQ(s4d->rebuilder_stats().fetches_started, 0);
+  EXPECT_FALSE(s4d->cdt().AnyPendingFetch()) << "all three marks are taken";
+}
+
+TEST(Rebuilder, VetoedMarkIsConsumed) {
   harness::Testbed bed(SmallTestbed());
   auto s4d = bed.MakeS4D(ManualRebuilder());  // 64 MiB, nearly all free
   s4d->Open("f");
@@ -318,8 +309,9 @@ TEST(RebuilderParking, GateVetoWithFreeBytesDoesNotPark) {
          500 * MiB + static_cast<byte_count>(i) * 32 * MiB, 16 * KiB);
   }
   ASSERT_EQ(s4d->redirector_stats().lazy_fetch_marks, kPendingFetches);
-  // A partition gate that vetoes every free-space allocation: the quota it
-  // enforces may move without any table changing, so nothing parks.
+  // A partition gate that vetoes every free-space allocation: each mark
+  // asks it once, and the vetoed mark is dropped like one that found no
+  // free space.
   struct VetoingGate final : CacheExtension {
     bool AllowFreeAllocation(byte_count, int) override {
       ++calls;
@@ -329,10 +321,10 @@ TEST(RebuilderParking, GateVetoWithFreeBytesDoesNotPark) {
   } gate;
   s4d->Attach(gate);
   Ticks(*s4d, 50);
-  EXPECT_EQ(s4d->rebuilder_stats().fetch_space_failures,
-            50 * kPendingFetches);
-  EXPECT_EQ(gate.calls, 50 * kPendingFetches);
+  EXPECT_EQ(s4d->rebuilder_stats().fetch_space_failures, kPendingFetches);
+  EXPECT_EQ(gate.calls, kPendingFetches);
   EXPECT_EQ(s4d->rebuilder_stats().fetches_started, 0);
+  EXPECT_FALSE(s4d->cdt().AnyPendingFetch());
 }
 
 TEST(Rebuilder, RacingWriteKeepsExtentDirty) {

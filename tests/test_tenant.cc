@@ -778,9 +778,9 @@ struct TwoTenantCache {
 
 // An allocation is charged to the tenant whose request caused it, also
 // when it happens later or is undone: a lazy fetch issued after another
-// tenant's request, a fetch pass that parked for want of space, a read
-// held across a cache-tier crash and re-planned at restore, and a
-// multi-gap write admission that fails partway.
+// tenant's request, a fetch of a range marked again after its first mark
+// found no space, a read held across a cache-tier crash and re-planned at
+// restore, and a multi-gap write admission that fails partway.
 TEST(TenantManager, DeferredAllocationsChargeTheRequestingTenant) {
   constexpr int kA = 0;  // tenant index and rank
   constexpr int kB = 1;
@@ -803,7 +803,7 @@ TEST(TenantManager, DeferredAllocationsChargeTheRequestingTenant) {
     c.cache->AuditInvariants(/*expect_quiescent=*/true);
   }
   {
-    SCOPED_TRACE("parked fetch pass, the other tenant's request, freed space");
+    SCOPED_TRACE("a mark dropped for want of space, freed space, b's re-read");
     TwoTenantCache c(core::AdmissionPolicy::kCostModel);
     // a caches 100 and 130 MiB, b 160 and 190 MiB: the cache is full.
     for (int i = 0; i < 4; ++i) {
@@ -818,15 +818,24 @@ TEST(TenantManager, DeferredAllocationsChargeTheRequestingTenant) {
     ASSERT_EQ(c.cache->redirector_stats().lazy_fetch_marks, 1);
     c.Tick();
     c.Tick();
-    ASSERT_EQ(c.rebuilder().fetch_space_failures, 1) << "the pass parked";
+    ASSERT_EQ(c.rebuilder().fetch_space_failures, 1) << "one attempt";
+    ASSERT_FALSE(c.cache->cdt().AnyPendingFetch()) << "the mark is consumed";
     // a's large sequential write is not admitted: it goes to the DServers
     // and supersedes a's clean extent at 100 MiB, freeing 16 KiB.
     c.Io(kWrite, kA, 100 * MiB, 4 * MiB);
     ASSERT_EQ(c.used(kA), 16 * KiB);
     ASSERT_EQ(c.cache->cache_space().free_bytes(), 16 * KiB);
     c.Tick();
+    ASSERT_EQ(c.rebuilder().fetches_started, 0) << "nothing is marked";
+    // b's stream moves on past the servers' readahead reach, so its
+    // re-read of the first range misses as a random read and marks it.
+    c.Io(kRead, kB, 500 * MiB + 16 * KiB, 8 * MiB);
+    ASSERT_EQ(c.cache->redirector_stats().lazy_fetch_marks, 1);
+    c.Io(kRead, kB, 500 * MiB, 16 * KiB);
+    ASSERT_EQ(c.cache->redirector_stats().lazy_fetch_marks, 2);
+    c.Tick();
     ASSERT_EQ(c.rebuilder().fetches_started, 1);
-    EXPECT_EQ(c.used(kB), 48 * KiB) << "b marked the fetched range";
+    EXPECT_EQ(c.used(kB), 48 * KiB) << "b's re-read marked the fetched range";
     EXPECT_EQ(c.used(kA), 16 * KiB);
     c.bed.engine().Run();
     c.manager->AuditInvariants();

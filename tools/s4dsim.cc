@@ -565,9 +565,19 @@ Stack BuildStack(const ConfigParser& config,
 void Settle(Stack& stack) {
   if (!stack.s4d) return;
   core::S4DCache& s4d = *stack.s4d;
-  harness::DrainUntil(stack.bed->engine(),
-                      [&s4d] { return s4d.BackgroundQuiescent(); },
-                      FromSeconds(3600));
+  constexpr SimTime kDeadline = FromSeconds(3600);
+  if (harness::DrainUntil(stack.bed->engine(),
+                          [&s4d] { return s4d.BackgroundQuiescent(); },
+                          kDeadline)) {
+    return;
+  }
+  std::fprintf(stderr,
+               "settle: background work still pending after %s: %lld bytes "
+               "dirty, %zu lazy-fetch marks, %lld flush runs in flight\n",
+               FormatTime(kDeadline).c_str(),
+               static_cast<long long>(s4d.dmt().dirty_bytes()),
+               s4d.cdt().pending_fetches(),
+               static_cast<long long>(s4d.rebuilder().flush_runs_in_flight()));
 }
 
 std::unique_ptr<workloads::Workload> MakeWorkload(const ConfigParser& config) {
